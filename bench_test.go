@@ -364,39 +364,20 @@ func BenchmarkCampaignSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeCampaignParallel measures the parallel fan-out of the
-// per-packet reconstruction over the shared campaign logs.
+// BenchmarkAnalyzeCampaignParallel measures the full pipeline at the
+// all-cores fan-out over the shared campaign logs.
 func BenchmarkAnalyzeCampaignParallel(b *testing.B) {
 	c := benchCampaign(b)
 	eng, err := engine.New(engine.Options{Sink: c.Res.Sink})
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := diagnosis.Config{Sink: c.Res.Sink, End: int64(c.Res.Duration)}
 	events := c.Res.Logs.TotalEvents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.AnalyzeParallel(c.Res.Logs, 0)
-		if len(res.Flows) == 0 {
-			b.Fatal("no flows")
-		}
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkAnalyzeCampaignStream measures the streaming pipeline, where
-// partitioning overlaps with per-packet analysis.
-func BenchmarkAnalyzeCampaignStream(b *testing.B) {
-	c := benchCampaign(b)
-	eng, err := engine.New(engine.Options{Sink: c.Res.Sink})
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := c.Res.Logs.TotalEvents()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eng.AnalyzeStream(c.Res.Logs, 0)
+		res, _ := eng.AnalyzeDiagnosed(c.Res.Logs, 0, cfg)
 		if len(res.Flows) == 0 {
 			b.Fatal("no flows")
 		}
@@ -447,7 +428,7 @@ func BenchmarkFlowOutput(b *testing.B) {
 // path — one flat op-table load per event, classification read straight off
 // the batch columns) against the interpreted reference walk (dense-table
 // probes and per-event Event materialization, kept as the semantic oracle
-// behind -interpreted). Both run the same serial AnalyzeViews path so
+// behind engine.Options.Interpreted). Both run the same serial AnalyzeViews path so
 // allocs/op is deterministic and benchguard can pin it.
 func BenchmarkKernel(b *testing.B) {
 	c := benchCampaign(b)
@@ -734,18 +715,15 @@ func skewedBench(b *testing.B) (*Collection, NodeID, int64) {
 	return skewLogs, skewSink, skewEnd
 }
 
-// BenchmarkAnalyzeSkewed is the scheduler's headline number: the same
-// hot-origin campaign analyzed at 8 workers under the legacy static
-// origin-chunk cut (the hot origin is one indivisible chunk — its owner
-// serializes the tail) and under the work-stealing scheduler (idle workers
-// split the hot origin mid-chunk). The steal case must beat static by a wide
-// margin here while every equivalence suite pins their outputs equal.
+// BenchmarkAnalyzeSkewed is the scheduler's headline number: a hot-origin
+// campaign analyzed at 8 workers. The origin-aligned seed cut makes the hot
+// origin one unit; idle workers steal halves of it mid-origin instead of
+// waiting for its owner to serialize the tail.
 func BenchmarkAnalyzeSkewed(b *testing.B) {
 	logs, sink, end := skewedBench(b)
 	events := logs.TotalEvents()
-	run := func(b *testing.B, extra ...AnalyzerOption) {
-		opts := append([]AnalyzerOption{WithParallelism(8)}, extra...)
-		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, opts...)
+	b.Run("steal-8", func(b *testing.B) {
+		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithParallelism(8))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -757,12 +735,6 @@ func BenchmarkAnalyzeSkewed(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	}
-	b.Run("static-8", func(b *testing.B) {
-		run(b, WithEngineOptions(EngineOptions{StaticSharding: true}))
-	})
-	b.Run("steal-8", func(b *testing.B) {
-		run(b)
 	})
 }
 

@@ -16,8 +16,7 @@
 // allocations, which is the fastest way to re-analyze a large campaign.
 // -from-snapshot analyzes out of core by default — windowed reconstruction
 // straight off the mapping, so snapshots larger than memory work; tune the
-// residency window with -window-rows, or pass -stream to load the mapping
-// through the streaming pipeline instead.
+// residency window with -window-rows.
 package main
 
 import (
@@ -49,11 +48,8 @@ func main() {
 		days      = flag.Int("days", 30, "campaign length in days (bounds open outage windows)")
 		binFormat = flag.Bool("binary", false, "input is the compact binary log format")
 		clocks    = flag.Bool("clocks", false, "recover per-node clock offsets from the flows")
-		workers   = flag.Int("workers", 0, "reconstruction workers (0 serial, -1 all cores)")
-		stream    = flag.Bool("stream", false, "overlap partitioning with reconstruction (implies parallel workers)")
+		workers   = flag.Int("workers", 0, "reconstruction workers (n > 0 exactly n, -1 all cores, 0 the input's default: serial for -logs, all cores for -from-snapshot)")
 		winRows   = flag.Int("window-rows", 0, "residency window size in rows for the out-of-core -from-snapshot path (0 = default)")
-		twoPass   = flag.Bool("two-pass", false, "diagnose in a separate pass after reconstruction (legacy pipeline; output is identical)")
-		interp    = flag.Bool("interpreted", false, "run the interpreted engine walk instead of the compiled kernels (reference path; output is identical)")
 		prof      profiling.Flags
 	)
 	prof.Register(flag.CommandLine)
@@ -100,34 +96,21 @@ func main() {
 		}
 		fmt.Printf("wrote snapshot %s (%d events)\n", *writeSnap, logs.TotalEvents())
 	}
-	opts := []refill.AnalyzerOption{
-		refill.WithParallelism(*workers),
-		refill.WithDailyBins(int64(sim.Day), *days),
-	}
-	if *twoPass {
-		opts = append(opts, refill.WithSeparateDiagnosis())
-	}
-	if *interp {
-		opts = append(opts, refill.WithInterpretedEngine())
-	}
 	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{
 		Sink: refill.NodeID(*sinkID),
 		End:  int64(*days) * int64(sim.Day),
-	}, opts...)
+	}, refill.WithParallelism(*workers), refill.WithDailyBins(int64(sim.Day), *days))
 	if err != nil {
 		fatal(err)
 	}
 	var out *refill.Output
-	switch {
-	case *stream:
-		out = an.AnalyzeStream(logs)
-	case snap != nil:
-		// Out-of-core by default off a snapshot: windowed reconstruction
-		// straight off the mapping keeps the working set to ~two residency
-		// windows, so snapshots larger than memory analyze fine. Flows are
-		// retained (the -flows/-trace/-clocks printing below reads them).
+	if snap != nil {
+		// Out of core off a snapshot: windowed reconstruction straight off
+		// the mapping keeps the working set to ~two residency windows, so
+		// snapshots larger than memory analyze fine. Flows are retained (the
+		// -flows/-trace/-clocks printing below reads them).
 		out = an.AnalyzeSnapshot(snap, refill.SnapshotOptions{WindowRows: *winRows})
-	default:
+	} else {
 		out = an.Analyze(logs)
 	}
 

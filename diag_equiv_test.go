@@ -1,11 +1,11 @@
 package refill
 
-// Equivalence harness for the fused diagnosis pipeline: every fused engine
-// path (serial, origin-sharded parallel, streaming) must produce a Result and
-// a Report byte-identical to reconstructing first and running the serial
-// diagnosis.Build afterwards — across worker counts, and through the core
-// Analyzer's fusion switch. The campaign includes base-station outages, so
-// the ServerOutage reclassification is exercised end to end.
+// Equivalence harness for the fused diagnosis pipeline: the driver at every
+// fan-out must produce a Result and a Report byte-identical to reconstructing
+// first and running the serial diagnosis.Build afterwards — at the engine,
+// through the core Analyzer, and through the facade. The campaign includes
+// base-station outages, so the ServerOutage reclassification is exercised end
+// to end.
 
 import (
 	"fmt"
@@ -120,78 +120,66 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 	}
 
 	t.Run("serial", func(t *testing.T) {
-		res, rep := eng.AnalyzeDiagnosed(logs, cfg)
+		res, rep := eng.AnalyzeDiagnosed(logs, 1, cfg)
 		check(t, res, rep)
 	})
 	for _, w := range []int{1, 2, 3, 8} {
 		w := w
 		t.Run(fmt.Sprintf("parallel-%d", w), func(t *testing.T) {
-			res, rep := eng.AnalyzeParallelDiagnosed(logs, w, cfg)
+			res, rep := eng.AnalyzeDiagnosed(logs, w, cfg)
 			check(t, res, rep)
 		})
+		// The deprecated Analyzer.AnalyzeStream alias the benchmark still
+		// probes: the same driver reached through core at w workers.
 		t.Run(fmt.Sprintf("stream-%d", w), func(t *testing.T) {
-			res, rep := eng.AnalyzeStreamDiagnosed(logs, w, cfg)
-			check(t, res, rep)
+			an, err := core.NewAnalyzer(core.Options{Sink: sink, End: end, DayLen: dayLen, Days: days, Parallelism: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := analyzeStreamAlias(an, logs)
+			check(t, out.Result, out.Report)
 		})
 	}
 }
 
-// TestAnalyzerFusedMatchesSeparate flips the core pipeline's fusion switch
-// and asserts the Output is identical either way, across parallelism
-// settings, for both Analyze and AnalyzeStream.
+// TestAnalyzerFusedMatchesSeparate pins the core pipeline's fused Report to
+// the separate second pass it replaced — diagnosis.BuildConfig over the
+// finished Result, computed here — across parallelism settings.
 func TestAnalyzerFusedMatchesSeparate(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
+	cfg := diagnosis.Config{Sink: sink, End: end, DayLen: dayLen, Days: days}
 
-	for _, par := range []int{0, 2} {
+	for _, par := range []int{0, 1, 2, 8} {
 		par := par
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			opts := core.Options{Sink: sink, End: end, DayLen: dayLen, Days: days, Parallelism: par}
-			fused, err := core.NewAnalyzer(opts)
+			fused, err := core.NewAnalyzer(core.Options{Sink: sink, End: end, DayLen: dayLen, Days: days, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sep, err := core.NewAnalyzer(opts, core.WithSeparateDiagnosis())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fo, so := fused.Analyze(logs), sep.Analyze(logs)
-			if !reflect.DeepEqual(so.Result, fo.Result) {
-				t.Error("Analyze: fused Result diverged from two-pass")
-			}
-			checkSameReport(t, so.Report, fo.Report, dayLen, days)
-
-			fs, ss := fused.AnalyzeStream(logs), sep.AnalyzeStream(logs)
-			if !reflect.DeepEqual(ss.Result, fs.Result) {
-				t.Error("AnalyzeStream: fused Result diverged from two-pass")
-			}
-			checkSameReport(t, ss.Report, fs.Report, dayLen, days)
+			out := fused.Analyze(logs)
+			sep := diagnosis.BuildConfig(out.Result.Flows, out.Result.Operational, cfg)
+			checkSameReport(t, sep, out.Report, dayLen, days)
 		})
 	}
 }
 
-// TestFacadeFusionOptions drives the same switch through the public facade
-// options the CLI uses (-two-pass maps to WithSeparateDiagnosis).
+// TestFacadeFusionOptions drives the same comparison through the public
+// facade options the CLI uses.
 func TestFacadeFusionOptions(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
 
-	base := AnalyzerOptions{Sink: sink, End: end}
-	fused, err := NewAnalyzer(base, WithDailyBins(dayLen, days))
+	fused, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithDailyBins(dayLen, days))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sep, err := NewAnalyzer(base, WithDailyBins(dayLen, days), WithSeparateDiagnosis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, so := fused.Analyze(logs), sep.Analyze(logs)
-	if !reflect.DeepEqual(so.Result, fo.Result) {
-		t.Error("facade: fused Result diverged from two-pass")
-	}
-	checkSameReport(t, so.Report, fo.Report, dayLen, days)
+	out := fused.Analyze(logs)
+	sep := diagnosis.BuildConfig(out.Result.Flows, out.Result.Operational,
+		diagnosis.Config{Sink: sink, End: end, DayLen: dayLen, Days: days})
+	checkSameReport(t, sep, out.Report, dayLen, days)
 }

@@ -39,9 +39,8 @@ type Options struct {
 	// path: n > 0 uses exactly n workers, n < 0 uses all cores, and 0
 	// selects the path's default — serial for the batch Analyze (the
 	// reproducibility baseline) and all cores for the throughput paths
-	// (AnalyzeStream and Session ingest, where a serial run would only add
-	// overhead). Output is byte-identical across all settings — flows stay
-	// in packet-ID order.
+	// (AnalyzeSnapshot and Session ingest). Output is byte-identical across
+	// all settings — flows stay in packet-ID order.
 	Parallelism int
 	// MaxInferred caps inferred events per packet; 0 means the engine
 	// default (4096).
@@ -57,22 +56,6 @@ type Options struct {
 	// becomes a table read). Days == 0 leaves daily bins computed per call.
 	DayLen int64
 	Days   int
-	// SeparateDiagnosis forces the legacy two-pass pipeline: reconstruct
-	// every flow first, then diagnose them in a second pass. The default
-	// fused pipeline classifies each flow as its worker commits it;
-	// outputs are identical either way — this is an escape hatch for
-	// debugging and for measuring the fusion itself.
-	SeparateDiagnosis bool
-	// InterpretedEngine forces the engine's interpreted reference walk
-	// instead of the default compiled-kernel execution. Outputs are
-	// identical either way — an escape hatch mirroring SeparateDiagnosis,
-	// for debugging and for measuring the kernel itself.
-	InterpretedEngine bool
-	// StaticSharding forces the engine's legacy static work distribution
-	// instead of the work-stealing scheduler (see engine.Options.
-	// StaticSharding). Outputs are identical either way — the reference
-	// the skewed-origin benchmarks compare against.
-	StaticSharding bool
 }
 
 // Option is a functional override applied on top of an Options struct by
@@ -100,7 +83,7 @@ func WithWindow(start, end int64) Option {
 
 // WithParallelism sets the worker fan-out (see Options.Parallelism: n>0
 // exactly n, n<0 all cores, 0 the path's default — serial for Analyze, all
-// cores for the streaming and session paths).
+// cores for the snapshot and session paths).
 func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
@@ -111,19 +94,6 @@ func WithDailyBins(dayLen int64, days int) Option {
 	return func(o *Options) { o.DayLen, o.Days = dayLen, days }
 }
 
-// WithSeparateDiagnosis forces the legacy two-pass pipeline (reconstruct all
-// flows, then diagnose) instead of the fused per-worker classification.
-func WithSeparateDiagnosis() Option {
-	return func(o *Options) { o.SeparateDiagnosis = true }
-}
-
-// WithInterpretedEngine forces the engine's interpreted reference walk
-// instead of the default compiled-kernel execution (see Options.
-// InterpretedEngine).
-func WithInterpretedEngine() Option {
-	return func(o *Options) { o.InterpretedEngine = true }
-}
-
 // WithEngineOptions imports engine-level configuration — the escape hatch for
 // callers that previously built an engine.Options by hand. It MERGES rather
 // than replaces: a field left at its zero value in eo (nil Protocol, NoNode
@@ -132,6 +102,8 @@ func WithInterpretedEngine() Option {
 // WithEngineOptions(engine.Options{MaxDepth: 512}) does not silently reset
 // the protocol or the sink. The flip side: this option can only set the
 // ablation switches, never clear them — clear them on the base Options.
+// eo.Interpreted is not imported: the interpreted walk is a test oracle
+// reachable only through engine.New, never a pipeline setting.
 func WithEngineOptions(eo engine.Options) Option {
 	return func(o *Options) {
 		if eo.Protocol != nil {
@@ -142,8 +114,6 @@ func WithEngineOptions(eo engine.Options) Option {
 		}
 		o.DisableIntra = o.DisableIntra || eo.DisableIntra
 		o.DisableInter = o.DisableInter || eo.DisableInter
-		o.InterpretedEngine = o.InterpretedEngine || eo.Interpreted
-		o.StaticSharding = o.StaticSharding || eo.StaticSharding
 		if eo.MaxInferred != 0 {
 			o.MaxInferred = eo.MaxInferred
 		}
@@ -158,14 +128,13 @@ func WithEngineOptions(eo engine.Options) Option {
 
 // Analyzer is the ready-to-run REFILL pipeline.
 type Analyzer struct {
-	eng      *engine.Engine
-	sink     event.NodeID
-	start    int64
-	end      int64
-	par      int
-	dayLen   int64
-	days     int
-	separate bool
+	eng    *engine.Engine
+	sink   event.NodeID
+	start  int64
+	end    int64
+	par    int
+	dayLen int64
+	days   int
 }
 
 // NewAnalyzer validates options and builds the pipeline. Functional options
@@ -178,22 +147,20 @@ func NewAnalyzer(opts Options, extra ...Option) (*Analyzer, error) {
 		return nil, fmt.Errorf("core: no sink configured — the zero Options has no default sink; add WithSink(node) (or set Options.Sink)")
 	}
 	eng, err := engine.New(engine.Options{
-		Protocol:       opts.Protocol,
-		Sink:           opts.Sink,
-		DisableIntra:   opts.DisableIntra,
-		DisableInter:   opts.DisableInter,
-		MaxInferred:    opts.MaxInferred,
-		MaxDepth:       opts.MaxDepth,
-		Group:          opts.Group,
-		Interpreted:    opts.InterpretedEngine,
-		StaticSharding: opts.StaticSharding,
+		Protocol:     opts.Protocol,
+		Sink:         opts.Sink,
+		DisableIntra: opts.DisableIntra,
+		DisableInter: opts.DisableInter,
+		MaxInferred:  opts.MaxInferred,
+		MaxDepth:     opts.MaxDepth,
+		Group:        opts.Group,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Analyzer{
 		eng: eng, sink: opts.Sink, start: opts.Start, end: opts.End, par: opts.Parallelism,
-		dayLen: opts.DayLen, days: opts.Days, separate: opts.SeparateDiagnosis,
+		dayLen: opts.DayLen, days: opts.Days,
 	}, nil
 }
 
@@ -255,63 +222,46 @@ func (a *Analyzer) sessionConfig(sc SessionConfig) ingest.Config {
 	return ingest.Config{
 		Engine:      a.eng,
 		Diagnosis:   a.diagConfig(),
-		Workers:     a.par,
+		Workers:     a.workers(0),
 		Shards:      sc.Shards,
 		Horizon:     sc.Horizon,
 		RetainFlows: sc.RetainFlows,
 	}
 }
 
-// Analyze runs the full pipeline over a collection of per-node logs, fanning
-// per-packet reconstruction out over Options.Parallelism workers (0 = serial).
-// Workers are sharded by packet origin, each owning its flow arena, run state,
-// classifier scratch and diagnosis aggregate: flows are classified as they are
-// committed and the per-worker aggregates merge at the join (unless
-// Options.SeparateDiagnosis asks for the legacy second pass). Output is
-// identical regardless of the worker count and of the fusion switch.
-func (a *Analyzer) Analyze(c *event.Collection) *Output {
-	if a.separate {
-		var res *engine.Result
-		switch {
-		case a.par == 0:
-			res = a.eng.Analyze(c)
-		case a.par < 0:
-			res = a.eng.AnalyzeParallel(c, 0) // engine: <=0 selects GOMAXPROCS
-		default:
-			res = a.eng.AnalyzeParallel(c, a.par)
-		}
-		return a.output(res)
-	}
-	var res *engine.Result
-	var rep *diagnosis.Report
+// workers maps Options.Parallelism onto the engine's convention (n > 0
+// exactly n, <= 0 all cores); dflt is what the calling path does at 0.
+func (a *Analyzer) workers(dflt int) int {
 	switch {
 	case a.par == 0:
-		res, rep = a.eng.AnalyzeDiagnosed(c, a.diagConfig())
+		return dflt
 	case a.par < 0:
-		res, rep = a.eng.AnalyzeParallelDiagnosed(c, 0, a.diagConfig())
-	default:
-		res, rep = a.eng.AnalyzeParallelDiagnosed(c, a.par, a.diagConfig())
+		return 0
 	}
+	return a.par
+}
+
+// analyze runs the engine's fused driver over c with the given fan-out.
+func (a *Analyzer) analyze(c *event.Collection, workers int) *Output {
+	res, rep := a.eng.AnalyzeDiagnosed(c, workers, a.diagConfig())
 	return &Output{Result: res, Report: rep}
 }
 
-// AnalyzeStream runs the full pipeline with partitioning overlapped with
-// reconstruction (engine.AnalyzeStream): packet views are handed to workers
-// the moment the partitioning scan completes them, and each worker classifies
-// its flows at commit time against the pre-scanned outage schedule. Output is
-// identical to Analyze's. Worker count follows Options.Parallelism, except
-// that 0 selects GOMAXPROCS — a serial stream would only add channel overhead.
-func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output {
-	workers := a.par
-	if workers < 0 {
-		workers = 0
-	}
-	if a.separate {
-		return a.output(a.eng.AnalyzeStream(c, workers))
-	}
-	res, rep := a.eng.AnalyzeStreamDiagnosed(c, workers, a.diagConfig())
-	return &Output{Result: res, Report: rep}
-}
+// Analyze runs the full pipeline over a collection of per-node logs, fanning
+// per-packet reconstruction out over Options.Parallelism workers (0 = serial).
+// Each worker owns its flow arena, run state, classifier scratch and diagnosis
+// aggregate: flows are classified as they are committed and the per-worker
+// aggregates merge at the join. Output is identical regardless of the worker
+// count.
+func (a *Analyzer) Analyze(c *event.Collection) *Output { return a.analyze(c, a.workers(1)) }
+
+// AnalyzeStream is Analyze at the throughput default: Options.Parallelism 0
+// selects all cores instead of serial.
+//
+// Deprecated: the streaming partitioner it used to select is gone — this is
+// Analyze with a different default fan-out. Set WithParallelism(-1) and call
+// Analyze. Kept until the benchmark's core.stream_par_s probe is retired.
+func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output { return a.analyze(c, a.workers(0)) }
 
 // SnapshotOptions tunes AnalyzeSnapshot; see engine.SnapshotOptions for the
 // field semantics (window size, completeness horizon, flow retention).
@@ -323,22 +273,9 @@ type SnapshotOptions = engine.SnapshotOptions
 // engine.AnalyzeSnapshotDiagnosed). Output is byte-identical to Analyze over
 // snap.Collection(), except that Result.Flows is nil under
 // SnapshotOptions.DiscardFlows. Worker count follows Options.Parallelism
-// with 0 selecting all cores — like AnalyzeStream, this is a throughput
-// path. The snapshot path is always fused (Options.SeparateDiagnosis does
-// not apply): a second diagnosis pass would need every flow resident, which
-// is the exact cost this path exists to avoid.
+// with 0 selecting all cores — this is a throughput path.
 func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *Output {
-	workers := a.par
-	if workers < 0 {
-		workers = 0
-	}
-	res, rep := a.eng.AnalyzeSnapshotDiagnosed(snap, workers, a.diagConfig(), opts)
-	return &Output{Result: res, Report: rep}
-}
-
-// output is the legacy second diagnosis pass over a finished reconstruction.
-func (a *Analyzer) output(res *engine.Result) *Output {
-	rep := diagnosis.BuildConfig(res.Flows, res.Operational, a.diagConfig())
+	res, rep := a.eng.AnalyzeSnapshotDiagnosed(snap, a.workers(0), a.diagConfig(), opts)
 	return &Output{Result: res, Report: rep}
 }
 

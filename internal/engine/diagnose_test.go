@@ -55,10 +55,10 @@ func sameDiagnosis(t *testing.T, label string, ref, got *diagnosis.Report) {
 	}
 }
 
-// TestFusedDiagnosisDeterministic runs the fused parallel and stream paths
-// concurrently with themselves across worker counts and pins every Result
-// and Report to the serial two-pass reference — the -race regression test
-// for the per-worker classifier scratch and the aggregate merge at the join.
+// TestFusedDiagnosisDeterministic runs the fused driver concurrently with
+// itself across worker counts and pins every Result and Report to the serial
+// two-pass reference — the -race regression test for the per-worker
+// classifier scratch and the aggregate merge at the join.
 func TestFusedDiagnosisDeterministic(t *testing.T) {
 	eng, err := New(Options{Sink: 900})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 		t.Fatal("no ServerOutage outcomes; fixture does not exercise reclassification")
 	}
 
-	res, rep := eng.AnalyzeDiagnosed(c, cfg)
+	res, rep := eng.AnalyzeDiagnosed(c, 1, cfg)
 	if !reflect.DeepEqual(serial, res) {
 		t.Error("AnalyzeDiagnosed result diverged from serial")
 	}
@@ -87,31 +87,23 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		for r := 0; r < 2; r++ {
-			wg.Add(2)
+			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				res, rep := eng.AnalyzeParallelDiagnosed(c, w, cfg)
+				res, rep := eng.AnalyzeDiagnosed(c, w, cfg)
 				if !reflect.DeepEqual(serial, res) {
-					t.Errorf("AnalyzeParallelDiagnosed(workers=%d) result diverged", w)
+					t.Errorf("AnalyzeDiagnosed(workers=%d) result diverged", w)
 				}
 				sameDiagnosis(t, "parallel", ref, rep)
-			}(workers)
-			go func(w int) {
-				defer wg.Done()
-				res, rep := eng.AnalyzeStreamDiagnosed(c, w, cfg)
-				if !reflect.DeepEqual(serial, res) {
-					t.Errorf("AnalyzeStreamDiagnosed(workers=%d) result diverged", w)
-				}
-				sameDiagnosis(t, "stream", ref, rep)
 			}(workers)
 		}
 	}
 	wg.Wait()
 }
 
-// TestOperationalEventsMatchPartition pins the stream path's dedicated
+// TestOperationalEventsMatchPartition pins the out-of-core path's dedicated
 // operational pre-scan to Partition's byproduct: same events, same order —
-// the fused stream schedule must equal the parallel one bit for bit.
+// the windowed schedule must equal the batch one bit for bit.
 func TestOperationalEventsMatchPartition(t *testing.T) {
 	c := buildOutageCampaign(25)
 	_, ops := event.Partition(c)
@@ -123,8 +115,8 @@ func TestOperationalEventsMatchPartition(t *testing.T) {
 	}
 }
 
-// TestFusedDiagnosisEmptyCollection covers the zero-views edge: every fused
-// path must return an empty (but well-formed) result and report.
+// TestFusedDiagnosisEmptyCollection covers the zero-views edge: the driver
+// must return an empty (but well-formed) result and report at any fan-out.
 func TestFusedDiagnosisEmptyCollection(t *testing.T) {
 	eng, err := New(Options{Sink: 900})
 	if err != nil {
@@ -132,18 +124,10 @@ func TestFusedDiagnosisEmptyCollection(t *testing.T) {
 	}
 	c := event.NewCollection()
 	cfg := diagnosis.Config{Sink: 900, End: 1000}
-	paths := []struct {
-		label string
-		run   func() (*Result, *diagnosis.Report)
-	}{
-		{"serial", func() (*Result, *diagnosis.Report) { return eng.AnalyzeDiagnosed(c, cfg) }},
-		{"parallel", func() (*Result, *diagnosis.Report) { return eng.AnalyzeParallelDiagnosed(c, 4, cfg) }},
-		{"stream", func() (*Result, *diagnosis.Report) { return eng.AnalyzeStreamDiagnosed(c, 4, cfg) }},
-	}
-	for _, p := range paths {
-		res, rep := p.run()
+	for _, workers := range []int{1, 4} {
+		res, rep := eng.AnalyzeDiagnosed(c, workers, cfg)
 		if len(res.Flows) != 0 || rep.Total() != 0 || rep.LossCount() != 0 {
-			t.Errorf("%s: non-empty output from empty collection", p.label)
+			t.Errorf("workers=%d: non-empty output from empty collection", workers)
 		}
 	}
 }

@@ -1,0 +1,216 @@
+package engine
+
+import (
+	"runtime"
+	"sort"
+	"sync"
+
+	"repro/internal/diagnosis"
+	"repro/internal/event"
+	"repro/internal/flow"
+)
+
+// The pipeline. Packets never interact (the transition algorithm of Section
+// IV is per packet), so there is one unit of work — walk one PacketView,
+// classify the flow, fold the outcome — and one stitch:
+//
+//	views → steal scheduler → worker (run + arena + classifier + aggregate) → indexed merge → Parts
+//
+// Every analysis entry point is this driver fed different views and a
+// different outage schedule: batch Analyze/AnalyzeDiagnosed partition the
+// whole collection, the ingest session and the out-of-core snapshot walk
+// partition one retired window at a time (AnalyzeWindowDiagnosed) and fold the
+// windows' Parts together. Serial is workers == 1 of the same worker body,
+// run inline on the caller's goroutine.
+//
+// Determinism: which worker walks which view is racy by construction (see
+// scheduler.go), but every worker writes flows and outcomes into the slots of
+// the views it walked and folds into its own aggregate; the join is the
+// indexed writes themselves plus the order-independent Aggregate.Merge, so
+// the output is identical for every worker count.
+
+// Parts is the mergeable output of one driver run: Flows and Outcomes are
+// co-indexed with the views the run was given (packet-ID order) and Aggregate
+// covers exactly those outcomes. Window callers Fold many Parts into one and
+// Finish it; the batch entry points assemble a single run's directly.
+type Parts struct {
+	Flows     []*flow.Flow
+	Outcomes  []diagnosis.Outcome
+	Aggregate *diagnosis.Aggregate
+}
+
+// Fold appends one window's parts to the running accumulation p, whose
+// Aggregate must be non-nil. Flows are kept only when keepFlows is set —
+// diagnosis-only consumers never read them, and for long sessions and
+// larger-than-memory snapshots they are the dominant retained cost.
+func (p *Parts) Fold(w Parts, keepFlows bool) {
+	if keepFlows {
+		p.Flows = append(p.Flows, w.Flows...)
+	}
+	p.Outcomes = append(p.Outcomes, w.Outcomes...)
+	p.Aggregate.Merge(w.Aggregate)
+}
+
+// Finish restores packet-ID order — windows complete in time order — and
+// assembles the accumulated parts into a Result and a Report. Flows and
+// outcomes share the unique packet-ID key, so sorting each by it keeps them
+// co-indexed. The Report takes ownership of p's outcomes and aggregate.
+func (p *Parts) Finish(sink event.NodeID, ops []event.Event, sched diagnosis.OutageSchedule) (*Result, *diagnosis.Report) {
+	sort.Slice(p.Flows, func(i, j int) bool { return p.Flows[i].Packet.Less(p.Flows[j].Packet) })
+	sort.Slice(p.Outcomes, func(i, j int) bool { return p.Outcomes[i].Packet.Less(p.Outcomes[j].Packet) })
+	return &Result{Operational: ops, Flows: p.Flows}, diagnosis.FromParts(sink, sched, p.Outcomes, p.Aggregate)
+}
+
+// fusion is the diagnosis half of a driver run. When diagnose is set every
+// worker classifies each flow the moment it commits it — while the flow's
+// items and visits are still hot in that worker's cache — against the shared
+// read-only outage schedule, and folds the outcome into its own aggregate;
+// the zero fusion reconstructs flows only.
+type fusion struct {
+	diagnose bool
+	cfg      diagnosis.Config
+	sched    diagnosis.OutageSchedule
+}
+
+// work is the one worker body: pull view ranges from next until the batch
+// drains, and for each view reconstruct the flow, classify it and fold the
+// outcome — the only place any of that happens. Flows and outcomes land in
+// the view's own slot. The worker owns its scratch for the duration of the
+// run and nothing of it crosses to another worker: its run (recycled through
+// the engine's pool, so a serial caller analyzing many small windows does
+// not allocate one per call), its output arena (its flows stay on memory it
+// touched), and under fusion its classifier scratch and its aggregate, which
+// leaves only as the return value — nil without fusion — for drive's
+// merge at the join.
+func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) *diagnosis.Aggregate {
+	r := e.runPool.Get().(*run)
+	arena := flow.NewArena(sizing)
+	var cl *diagnosis.Classifier
+	var agg *diagnosis.Aggregate
+	if fu.diagnose {
+		cl = diagnosis.NewClassifier()
+		agg = diagnosis.NewAggregate(fu.cfg.Sink, fu.cfg.Start, fu.cfg.DayLen, fu.cfg.Days)
+	}
+	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+		for i := lo; i < hi; i++ {
+			f := r.analyze(e, views[i], arena)
+			flows[i] = f
+			if fu.diagnose {
+				outs[i] = diagnosis.ApplyOutages(cl.Classify(f), fu.sched, fu.cfg.Sink)
+				agg.Add(outs[i])
+			}
+		}
+	}
+	e.runPool.Put(r)
+	return agg
+}
+
+// drive runs the pipeline over views (which must be in packet-ID order, as
+// Partition returns them) with the given fan-out; workers <= 0 selects
+// GOMAXPROCS, and no more workers run than there are views. One worker runs
+// inline over the whole range; several pull origin-aligned ranges from the
+// steal scheduler, each on its own goroutine with its own scratch.
+func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(views)))
+	flows := make([]*flow.Flow, len(views))
+	// outs is assigned exactly once so the worker goroutines capture it by
+	// value; declared empty and filled in under the if, it would move to the
+	// heap on the serial path too — an allocation per call.
+	nouts := 0
+	if fu.diagnose {
+		nouts = len(views)
+	}
+	outs := make([]diagnosis.Outcome, nouts)
+	sizing := perWorker(e.flowSizing(views), workers)
+	if workers == 1 {
+		pending := true
+		agg := e.work(views, flows, outs, fu, sizing, func() (int, int, bool) {
+			ok := pending
+			pending = false
+			return 0, len(views), ok
+		})
+		return Parts{Flows: flows, Outcomes: outs, Aggregate: agg}
+	}
+	sched := newStealScheduler(views, workers)
+	aggs := make([]*diagnosis.Aggregate, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			aggs[w] = e.work(views, flows, outs, fu, sizing, func() (int, int, bool) { return sched.next(w) })
+		}(w)
+	}
+	wg.Wait()
+	agg := aggs[0]
+	if fu.diagnose {
+		for _, wagg := range aggs[1:] {
+			agg.Merge(wagg)
+		}
+	}
+	return Parts{Flows: flows, Outcomes: outs, Aggregate: agg}
+}
+
+// perWorker scales an arena sizing down to one worker's expected share.
+func perWorker(s flow.Sizing, workers int) flow.Sizing {
+	return flow.Sizing{
+		Flows:     s.Flows/workers + 1,
+		Items:     s.Items/workers + 1,
+		Visits:    s.Visits/workers + 1,
+		Anomalies: s.Anomalies/workers + 1,
+	}
+}
+
+// Analyze partitions the collection by packet and reconstructs every flow,
+// serially and without diagnosis.
+func (e *Engine) Analyze(c *event.Collection) *Result {
+	views, ops := event.Partition(c)
+	return &Result{Operational: ops, Flows: e.AnalyzeViews(views)}
+}
+
+// AnalyzeViews reconstructs each view's flow, in view order, serially,
+// committing all of them into one shared output arena sized by the views' row
+// counts.
+func (e *Engine) AnalyzeViews(views []*event.PacketView) []*flow.Flow {
+	return e.drive(views, 1, fusion{}).Flows
+}
+
+// AnalyzePacket reconstructs the event flow for a single packet from its
+// per-node log slices. The flow is standalone (exact-sized heap slices, no
+// arena); batch callers should prefer AnalyzeViews so many flows share
+// chunked storage.
+func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
+	r := e.runPool.Get().(*run)
+	f := r.analyze(e, v, nil)
+	e.runPool.Put(r)
+	return f
+}
+
+// AnalyzeDiagnosed reconstructs and diagnoses a whole collection in one fused
+// pass over workers workers (1 = serial, <= 0 selects GOMAXPROCS). The outage
+// schedule is reconstructed up front from the operational events Partition
+// sets aside. The Result matches Analyze's and the Report matches running
+// diagnosis.BuildConfig over the finished Result, for every worker count.
+func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config) (*Result, *diagnosis.Report) {
+	views, ops := event.Partition(c)
+	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
+	p := e.drive(views, workers, fusion{diagnose: true, cfg: cfg, sched: sched})
+	return &Result{Operational: ops, Flows: p.Flows}, diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
+}
+
+// AnalyzeWindowDiagnosed reconstructs and classifies every packet of one
+// retired window — the incremental form of AnalyzeDiagnosed for the ingest
+// session and the out-of-core snapshot walk, which Fold many windows' Parts
+// together and only assemble a Report at snapshot or drain time. c must
+// contain only packet-scoped rows (the callers keep operational events to
+// themselves); sched is the outage schedule the window's outcomes are
+// classified against. Per-packet work is identical to the batch entry
+// points', so folded windows reproduce AnalyzeDiagnosed byte for byte.
+// workers <= 0 selects GOMAXPROCS.
+func (e *Engine) AnalyzeWindowDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule) Parts {
+	views, _ := event.Partition(c)
+	return e.drive(views, workers, fusion{diagnose: true, cfg: cfg, sched: sched})
+}

@@ -38,19 +38,14 @@ type Options struct {
 	// listed node (minus the event's own) to have passed the prerequisite
 	// state.
 	Group []event.NodeID
-	// Interpreted forces the interpreted reference walk — per-event dense
+	// Interpreted selects the interpreted reference walk — per-event dense
 	// table probes and Event materialization at pop time — instead of the
-	// default compiled-kernel execution (see kernel.go). Outputs are
-	// byte-identical either way; this is a debugging escape hatch and the
-	// reference the kernel equivalence suites compare against.
+	// compiled-kernel execution every production path runs (see kernel.go).
+	// Outputs are byte-identical either way. It exists for one purpose: it
+	// is the oracle the kernel fuzz and equivalence suites (and refill-lint's
+	// kernel check) compare the compiled walk against, and the other side
+	// of BenchmarkKernel. No CLI flag or facade option reaches it.
 	Interpreted bool
-	// StaticSharding forces the legacy static work distribution — the
-	// originChunks channel for the batch paths, hash-pinned per-worker
-	// channels for the stream paths — instead of the default work-stealing
-	// scheduler (see scheduler.go). Outputs are byte-identical either way;
-	// this is the reference the skewed-origin benchmarks and the scheduler
-	// equivalence suites compare against.
-	StaticSharding bool
 }
 
 // prereqRule is a protocol prerequisite flattened into a dense per-type
@@ -90,7 +85,8 @@ type Engine struct {
 	acts    [event.NumTypes]uint8
 	prereqs map[*fsm.Graph]*graphPrereqs
 	// runPool recycles per-packet run state (node tables, visit structs)
-	// across AnalyzePacket calls; safe for concurrent workers.
+	// across AnalyzePacket calls and driver workers; safe for concurrent
+	// use.
 	runPool sync.Pool
 }
 
@@ -180,48 +176,6 @@ type Result struct {
 	// Operational carries the non-packet events (server up/down) found in
 	// the logs, ordered by time.
 	Operational []event.Event
-}
-
-// Analyze partitions the collection by packet and reconstructs every flow.
-// All flows share one output arena (see flow.Arena).
-func (e *Engine) Analyze(c *event.Collection) *Result {
-	views, ops := event.Partition(c)
-	return &Result{Operational: ops, Flows: e.AnalyzeViews(views)}
-}
-
-// AnalyzeViews reconstructs each view's flow, in view order, committing all
-// of them into one shared output arena sized by the views' row counts.
-func (e *Engine) AnalyzeViews(views []*event.PacketView) []*flow.Flow {
-	flows := make([]*flow.Flow, len(views))
-	if len(views) == 0 {
-		return flows
-	}
-	a := flow.NewArena(e.flowSizing(views))
-	r := e.runPool.Get().(*run)
-	for i, v := range views {
-		flows[i] = r.analyze(e, v, a)
-	}
-	e.runPool.Put(r)
-	return flows
-}
-
-// AnalyzePacket reconstructs the event flow for a single packet from its
-// per-node log slices. The flow is standalone (exact-sized heap slices, no
-// arena); batch callers should prefer AnalyzeViews or AnalyzePacketInto so
-// many flows share chunked storage.
-func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
-	return e.AnalyzePacketInto(v, nil)
-}
-
-// AnalyzePacketInto reconstructs one packet's flow and commits it into a —
-// the building block for callers that drive their own fan-out and want
-// arena-backed output. A nil arena degrades to standalone allocation. The
-// arena is not synchronized: concurrent callers need one arena each.
-func (e *Engine) AnalyzePacketInto(v *event.PacketView, a *flow.Arena) *flow.Flow {
-	r := e.runPool.Get().(*run)
-	f := r.analyze(e, v, a)
-	e.runPool.Put(r)
-	return f
 }
 
 // flowSizing estimates the output arena geometry from partition statistics:

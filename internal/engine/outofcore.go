@@ -2,22 +2,20 @@ package engine
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/diagnosis"
 	"repro/internal/event"
-	"repro/internal/flow"
 )
 
 // Out-of-core analysis: reconstruct and diagnose a campaign straight off a
-// mapped snapshot in bounded memory. The batch paths materialize every
+// mapped snapshot in bounded memory. The batch entry points materialize every
 // PacketView before the first analysis starts — a partition arena
 // proportional to the whole campaign — which is exactly what a snapshot
-// larger than RAM cannot afford. This path instead walks the snapshot one
+// larger than RAM cannot afford. This caller instead walks the snapshot one
 // residency window at a time (event.PlanWindows): feed the window's rows into
 // the watermark pending store, retire the packets the window provably
-// completes into a small reused window collection, and run the standard
-// fused window analysis (AnalyzeWindowDiagnosed) over just those packets.
+// completes into a small reused window collection, run the driver over just
+// those packets (AnalyzeWindowDiagnosed) and fold the window's Parts.
 // Madvise hints double-buffer the walk — window k+1 prefetches while window k
 // computes, and spent windows are released — so the resident set is about two
 // windows of columns plus the in-flight pending rows, independent of the
@@ -26,13 +24,13 @@ import (
 // Outputs are byte-identical to batch Analyze over the same collection: rows
 // are fed in per-node log order (all the partitioner assumes), a packet's
 // rows land in exactly one window (the horizon argument below), the outage
-// schedule is the same full-campaign schedule the batch paths build, and the
-// final co-sort restores packet-ID order. Completeness of a retired packet is
-// the watermark argument of watermark.go with the cut time as the effective
-// watermark: every unfed row has time strictly above the window's cut t, so
-// any packet with rows still unfed has all its fed rows above t - horizon —
-// retiring at cutoff = t - horizon can never split a packet, provided horizon
-// bounds the within-packet timestamp spread.
+// schedule is the same full-campaign schedule the batch entry points build,
+// and Parts.Finish restores packet-ID order. Completeness of a retired packet
+// is the watermark argument of watermark.go with the cut time as the
+// effective watermark: every unfed row has time strictly above the window's
+// cut t, so any packet with rows still unfed has all its fed rows above
+// t - horizon — retiring at cutoff = t - horizon can never split a packet,
+// provided horizon bounds the within-packet timestamp spread.
 
 // DefaultSnapshotWindowRows is the residency-window size used when
 // SnapshotOptions.WindowRows is zero: about 30 MiB of hot columns per window
@@ -72,7 +70,7 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 	}
 	plan, err := event.PlanWindows(c, windowRows)
 	if err != nil {
-		res, rep := e.AnalyzeParallelDiagnosed(c, workers, cfg)
+		res, rep := e.AnalyzeDiagnosed(c, workers, cfg)
 		if opts.DiscardFlows {
 			res.Flows = nil
 		}
@@ -84,27 +82,25 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 	}
 
 	// The outage schedule is global — an early outage classifies a late
-	// packet — so it is built once up front from a dedicated scan, exactly
-	// like the streaming path. Operational rows are rare; the scan touches
-	// the 1-byte type column sequentially and little else.
+	// packet — so it is built once up front from a dedicated scan.
+	// Operational rows are rare; the scan touches the 1-byte type column
+	// sequentially and little else.
 	ops := event.OperationalEvents(c)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
 
 	pending := event.NewPendingStore(16)
 	window := event.NewCollection()
-	var flows []*flow.Flow
-	var outs []diagnosis.Outcome
-	agg := diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
+	acc := Parts{Aggregate: diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)}
 	last := plan.Windows() - 1
 	for k := 0; k <= last; k++ {
 		snap.PrefetchWindow(plan, k+1)
 		plan.FeedWindow(c, k, pending)
 		window.ResetLogs()
 		if k == last {
-			// Every row is fed: drain the store wholesale. (A strict
-			// cutoff cannot: a packet stamped math.MaxInt64 is never
-			// strictly below one.)
-			pending.AppendPendingTo(window)
+			// Every row is fed, so nothing can still be incomplete. (A
+			// strict cutoff cannot say that: a packet stamped
+			// math.MaxInt64 is never strictly below one.)
+			pending.RetireAll(window)
 		} else {
 			cutoff := plan.Cut(k) - horizon
 			if cutoff > plan.Cut(k) { // underflowed past MinInt64
@@ -112,24 +108,8 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 			}
 			pending.RetireComplete(cutoff, window)
 		}
-		wf, wo, wagg := e.AnalyzeWindowDiagnosed(window, workers, cfg, sched)
-		agg.Merge(wagg)
-		if !opts.DiscardFlows {
-			flows = append(flows, wf...)
-		}
-		outs = append(outs, wo...)
+		acc.Fold(e.AnalyzeWindowDiagnosed(window, workers, cfg, sched), !opts.DiscardFlows)
 		snap.ReleaseWindow(plan, k)
 	}
-
-	// Windows complete in time order, not packet-ID order; restore
-	// Partition's order exactly like the stream join does. Flows and
-	// outcomes share the unique packet-ID key, so sorting each by it keeps
-	// them co-indexed.
-	sort.Slice(outs, func(i, j int) bool { return packetLess(outs[i].Packet, outs[j].Packet) })
-	res := &Result{Operational: ops}
-	if !opts.DiscardFlows {
-		sort.Slice(flows, func(i, j int) bool { return packetLess(flows[i].Packet, flows[j].Packet) })
-		res.Flows = flows
-	}
-	return res, diagnosis.FromParts(cfg.Sink, sched, outs, agg)
+	return acc.Finish(cfg.Sink, ops, sched)
 }

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/diagnosis"
 	"repro/internal/event"
 	"repro/internal/fsm"
 )
@@ -35,7 +38,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	c := buildManyPackets(500)
 	serial := eng.Analyze(c)
 	for _, workers := range []int{1, 2, 4, 16} {
-		par := eng.AnalyzeParallel(c, workers)
+		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99})
 		if len(par.Flows) != len(serial.Flows) {
 			t.Fatalf("workers=%d: flow count %d vs %d", workers, len(par.Flows), len(serial.Flows))
 		}
@@ -56,7 +59,7 @@ func TestAnalyzeParallelEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.AnalyzeParallel(event.NewCollection(), 4)
+	res, _ := eng.AnalyzeDiagnosed(event.NewCollection(), 4, diagnosis.Config{Sink: 9})
 	if len(res.Flows) != 0 {
 		t.Errorf("flows = %d", len(res.Flows))
 	}
@@ -68,7 +71,7 @@ func TestAnalyzeParallelDefaultsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := buildManyPackets(50)
-	res := eng.AnalyzeParallel(c, 0) // GOMAXPROCS
+	res, _ := eng.AnalyzeDiagnosed(c, 0, diagnosis.Config{Sink: 99}) // GOMAXPROCS
 	if len(res.Flows) != 50 {
 		t.Errorf("flows = %d", len(res.Flows))
 	}
@@ -81,8 +84,69 @@ func TestAnalyzeParallelOperationalEvents(t *testing.T) {
 	}
 	c := buildManyPackets(10)
 	c.Add(event.Event{Node: event.Server, Type: event.ServerDown, Time: 5})
-	res := eng.AnalyzeParallel(c, 2)
+	res, _ := eng.AnalyzeDiagnosed(c, 2, diagnosis.Config{Sink: 99})
 	if len(res.Operational) != 1 {
 		t.Errorf("operational = %d", len(res.Operational))
+	}
+}
+
+// buildSeededCampaign synthesizes a deterministic lossy campaign: multi-hop
+// chains toward the sink with a server last mile, randomly thinned logs,
+// occasional duplicates, and operational events — enough variety to exercise
+// inference, rotation, peer retargeting and the operational side channel.
+func buildSeededCampaign(packets int) *event.Collection {
+	rng := rand.New(rand.NewSource(1234))
+	sink := event.NodeID(99)
+	c := event.NewCollection()
+	c.Add(event.Event{Node: event.Server, Type: event.ServerUp, Time: 0})
+	for i := 0; i < packets; i++ {
+		origin := event.NodeID(rng.Intn(20) + 1)
+		pkt := event.PacketID{Origin: origin, Seq: uint32(i + 1)}
+		t0 := int64(i * 100)
+		emit := func(ev event.Event) {
+			if rng.Float64() > 0.3 { // 30% log loss
+				c.Add(ev)
+			}
+		}
+		emit(event.Event{Node: origin, Type: event.Gen, Sender: origin, Packet: pkt, Time: t0})
+		cur := origin
+		hops := rng.Intn(3) + 1
+		for h := 0; h < hops; h++ {
+			next := event.NodeID(100 + h*20 + rng.Intn(10)) // distinct band per hop
+			emit(event.Event{Node: cur, Type: event.Trans, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+1)})
+			emit(event.Event{Node: cur, Type: event.AckRecvd, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+2)})
+			emit(event.Event{Node: next, Type: event.Recv, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+3)})
+			if rng.Float64() < 0.1 {
+				emit(event.Event{Node: next, Type: event.Dup, Sender: cur, Receiver: next, Packet: pkt, Time: t0 + int64(h*10+4)})
+			}
+			cur = next
+		}
+		emit(event.Event{Node: cur, Type: event.Trans, Sender: cur, Receiver: sink, Packet: pkt, Time: t0 + 50})
+		emit(event.Event{Node: sink, Type: event.Recv, Sender: cur, Receiver: sink, Packet: pkt, Time: t0 + 51})
+		emit(event.Event{Node: event.Server, Type: event.ServerRecv, Sender: sink, Receiver: event.Server, Packet: pkt, Time: t0 + 52})
+	}
+	c.Add(event.Event{Node: event.Server, Type: event.ServerDown, Time: int64(packets * 100)})
+	return c
+}
+
+// TestAnalyzeVariantsProduceIdenticalResults asserts the acceptance contract:
+// the driver returns a Result deeply equal to serial Analyze on a seeded
+// campaign, for several worker counts. Determinism is the correctness
+// contract of the whole pipeline.
+func TestAnalyzeVariantsProduceIdenticalResults(t *testing.T) {
+	eng, err := New(Options{Sink: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := buildSeededCampaign(400)
+	serial := eng.Analyze(c)
+	if len(serial.Flows) == 0 || len(serial.Operational) != 2 {
+		t.Fatalf("campaign degenerate: %d flows, %d operational", len(serial.Flows), len(serial.Operational))
+	}
+	for _, workers := range []int{0, 1, 3, 8} {
+		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99})
+		if !reflect.DeepEqual(serial, par) {
+			t.Fatalf("AnalyzeDiagnosed(workers=%d) diverged from Analyze", workers)
+		}
 	}
 }

@@ -3,38 +3,33 @@ package engine
 import (
 	"sync"
 
-	"repro/internal/diagnosis"
 	"repro/internal/event"
-	"repro/internal/flow"
 )
 
-// Work-stealing shard scheduler. The static originChunks cut hands each
-// worker a fixed set of origins up front, which serializes the tail whenever
-// the origin distribution is skewed: one hot origin becomes one chunk, and
-// every other worker idles while its owner walks it. The scheduler below
-// keeps the origin-aligned initial placement (volume-balanced, so a uniform
-// campaign never pays a steal) but lets idle workers steal — half a victim's
-// queued units at a time, or, when the victim is down to a single large
-// unit, half of that unit's view range. Splitting inside an origin is legal
-// here where it was not for the static cut's CHUNKS: packet reconstruction
-// is independent per view and every result lands in a packet-indexed slot,
-// so no shard ever needed to hold a whole origin for correctness — only the
-// stream router's per-origin worker affinity did, and the stream scheduler
-// preserves nothing of the kind either (its merge re-sorts by packet ID).
+// Work-stealing shard scheduler. Partition orders views by (origin, seq), so
+// cutting the view slice at origin boundaries hands each worker whole
+// origins; but a fixed cut serializes the tail whenever the origin
+// distribution is skewed: one hot origin becomes one chunk, and every other
+// worker idles while its owner walks it. The scheduler below keeps the
+// origin-aligned initial placement (volume-balanced, so a uniform campaign
+// never pays a steal) but lets idle workers steal — half a victim's queued
+// units at a time, or, when the victim is down to a single large unit, half
+// of that unit's view range. Splitting inside an origin is legal: packet
+// reconstruction is independent per view and every result lands in a
+// packet-indexed slot, so no shard ever needs to hold a whole origin for
+// correctness.
 //
 // Determinism: the set of (view index → worker) assignments is racy by
-// construction, but every path that uses the scheduler writes flows and
-// outcomes into per-view indexed slots (or re-sorts by packet ID at the
-// join) and folds per-worker aggregates with the order-independent
-// diagnosis.Aggregate.Merge — exactly the properties the static chunk
-// channel already relied on, since chunk pickup order was nondeterministic
-// there too. Steal order therefore never leaks into the output.
+// construction, but the driver's workers write flows and outcomes into
+// per-view indexed slots and fold per-worker aggregates with the
+// order-independent diagnosis.Aggregate.Merge. Steal order therefore never
+// leaks into the output.
 //
 // Ownership: the deques are shared mutably across workers by design — every
 // access is under the per-deque mutex, and a unit is plain data (two ints),
 // not scratch state. The worker-owned state (run, arena, classifier,
-// aggregate) is bundled in workerScratch below, constructed inside each
-// worker goroutine and never crossing it; see //refill:owned.
+// aggregate) is local to the worker body (work in driver.go) and never
+// crosses it; see //refill:owned on those types.
 
 // unit is one batch work item: the view index range [lo, hi). Units are
 // origin-aligned when enqueued; a steal may split one mid-origin.
@@ -56,7 +51,7 @@ type stealScheduler struct {
 }
 
 // newStealScheduler seeds one deque per worker with that worker's share of
-// the static origin-chunk cut, split into per-origin units so thieves can
+// the origin-chunk cut, split into per-origin units so thieves can
 // take whole origins before they resort to splitting one.
 func newStealScheduler(views []*event.PacketView, workers int) *stealScheduler {
 	s := &stealScheduler{deques: make([]stealDeque, workers)}
@@ -150,226 +145,61 @@ func (s *stealScheduler) steal(w, v int) (int, int, bool) {
 	return s.pop(w)
 }
 
-// viewSource hands out view index ranges to batch workers: the steal
-// scheduler by default, the legacy static chunk channel under
-// Options.StaticSharding.
-type viewSource interface {
-	next(w int) (lo, hi int, ok bool)
-}
-
-// staticSource is the pre-scheduler work distribution, kept as a selectable
-// reference: originChunks(views, workers*4) fed through one channel. It is
-// what BenchmarkAnalyzeSkewed measures the scheduler against and what the
-// equivalence suites pin the scheduler's output to.
-type staticSource struct{ work chan [2]int }
-
-func newStaticSource(views []*event.PacketView, workers int) *staticSource {
-	chunks := originChunks(views, workers*4)
-	work := make(chan [2]int, len(chunks))
-	for _, ch := range chunks {
-		work <- ch
-	}
-	close(work)
-	return &staticSource{work: work}
-}
-
-func (s *staticSource) next(int) (int, int, bool) {
-	ch, ok := <-s.work
-	return ch[0], ch[1], ok
-}
-
-// runSharded fans body out over workers goroutines, each pulling view ranges
-// from the engine's configured source until the batch drains. body runs on
-// the spawned goroutine, so worker-owned scratch constructed inside it never
-// crosses a goroutine boundary.
-func (e *Engine) runSharded(views []*event.PacketView, workers int, body func(w int, next func() (int, int, bool))) {
-	var src viewSource
-	if e.opts.StaticSharding {
-		src = newStaticSource(views, workers)
-	} else {
-		src = newStealScheduler(views, workers)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(w, func() (int, int, bool) { return src.next(w) })
-		}(w)
-	}
-	wg.Wait()
-}
-
-// workerScratch bundles the state one reconstruction worker owns for the
-// duration of a sharded batch: its run, its output arena, and (on the fused
-// paths) its classifier scratch and diagnosis aggregate. Constructed inside
-// the worker goroutine; the aggregate leaves only through the sanctioned
-// merge-at-join handoff at the caller.
+// originChunks cuts views (sorted by origin) into at most want contiguous
+// chunks of roughly equal event volume, never splitting an origin across
+// chunks.
 //
-//refill:owned
-type workerScratch struct {
-	run   *run
-	arena *flow.Arena
-	cl    *diagnosis.Classifier
-	agg   *diagnosis.Aggregate
-}
-
-// newWorkerScratch builds one worker's scratch. cfg is consulted only when
-// diagnose is set (the fused paths); plain reconstruction leaves the
-// classifier and aggregate nil.
-func newWorkerScratch(sizing flow.Sizing, diagnose bool, cfg diagnosis.Config) *workerScratch {
-	ws := &workerScratch{run: new(run), arena: flow.NewArena(sizing)}
-	if diagnose {
-		ws.cl = diagnosis.NewClassifier()
-		ws.agg = diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
+// Contract: the chunks tile [0, len(views)) exactly, in order, each one
+// origin-aligned (no origin spans two chunks), and there are between 1 and
+// want of them (inputs with a single origin yield exactly one chunk no
+// matter how many are asked for — never-split wins). A chunk closes when
+// admitting the next origin would push it past the per-chunk volume target,
+// and the target is re-derived from the REMAINING volume and chunk budget
+// after every cut, so one origin dominating the volume lands in its own
+// chunk while the origins around it are still split toward want.
+func originChunks(views []*event.PacketView, want int) [][2]int {
+	if want < 1 {
+		want = 1
 	}
-	return ws
-}
-
-// streamSource hands arriving packet views to stream workers. Views are
-// routed to a home queue by origin hash (preserving the static router's
-// locality: an origin's packets usually stay on one worker's arena), but an
-// idle worker steals the back half of the longest victim queue instead of
-// blocking behind a hot origin. One mutex guards all queues — pushes and
-// pops are tiny compared to a packet reconstruction — and close+empty wakes
-// every waiter for exit. Queue capacity is unbounded, which costs only the
-// view headers: the views' rows live in the partitioner's one shared arena
-// that exists for the whole call regardless of queue depth.
-type streamSource struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	queues [][]*event.PacketView
-	heads  []int
-	closed bool
-}
-
-func newStreamSource(workers int) *streamSource {
-	s := &streamSource{queues: make([][]*event.PacketView, workers), heads: make([]int, workers)}
-	s.cond.L = &s.mu
-	return s
-}
-
-// push enqueues a view on its origin's home queue.
-func (s *streamSource) push(v *event.PacketView) {
-	w := shardOf(v.Packet.Origin, len(s.queues))
-	s.mu.Lock()
-	s.queues[w] = append(s.queues[w], v)
-	s.mu.Unlock()
-	s.cond.Signal()
-}
-
-// close marks the stream complete and wakes every waiting worker.
-func (s *streamSource) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// next returns the next view for worker w: its own queue front first, then
-// the back half of the longest victim queue, then — if the stream is still
-// open — it waits. Returns false only on closed-and-drained.
-func (s *streamSource) next(w int) (*event.PacketView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if v, ok := s.popLocked(w); ok {
-			return v, true
-		}
-		if s.stealLocked(w) {
-			continue
-		}
-		if s.closed {
-			return nil, false
-		}
-		s.cond.Wait()
+	total := 0
+	rows := make([]int, len(views))
+	for i, v := range views {
+		rows[i] = v.TotalEvents()
+		total += rows[i]
 	}
-}
-
-// popLocked takes the front of w's own queue, recycling storage when the
-// queue empties.
-func (s *streamSource) popLocked(w int) (*event.PacketView, bool) {
-	q, h := s.queues[w], s.heads[w]
-	if h >= len(q) {
-		return nil, false
+	// First pass: origin segments (start view index, volume).
+	type seg struct {
+		start int
+		vol   int
 	}
-	v := q[h]
-	q[h] = nil
-	if h+1 == len(q) {
-		s.queues[w] = q[:0]
-		s.heads[w] = 0
-	} else {
-		s.heads[w] = h + 1
-	}
-	return v, true
-}
-
-// stealLocked moves the back half of the longest victim queue onto w's
-// queue, reporting whether anything moved.
-func (s *streamSource) stealLocked(w int) bool {
-	best, bestLen := -1, 0
-	for v := range s.queues {
-		if v == w {
-			continue
-		}
-		if l := len(s.queues[v]) - s.heads[v]; l > bestLen {
-			best, bestLen = v, l
+	segs := make([]seg, 0, want)
+	start := 0
+	vol := 0
+	for i := range views {
+		vol += rows[i]
+		if i+1 == len(views) || views[i+1].Packet.Origin != views[i].Packet.Origin {
+			segs = append(segs, seg{start, vol})
+			start, vol = i+1, 0
 		}
 	}
-	if best < 0 {
-		return false
-	}
-	q := s.queues[best]
-	cut := len(q) - bestLen/2
-	if cut == len(q) { // single-view queue: take it whole
-		cut = len(q) - 1
-	}
-	s.queues[w] = append(s.queues[w], q[cut:]...)
-	for i := cut; i < len(q); i++ {
-		q[i] = nil
-	}
-	s.queues[best] = q[:cut]
-	return true
-}
-
-// runStreamSharded drives body on workers goroutines fed by StreamPartition,
-// using the steal-capable source (or, under Options.StaticSharding, the
-// legacy per-worker channels where an origin's packets are pinned to their
-// hash-routed worker). Returns the operational events the partitioning scan
-// produced.
-func (e *Engine) runStreamSharded(c *event.Collection, workers int, body func(w int, recv func() (*event.PacketView, bool))) []event.Event {
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	if e.opts.StaticSharding {
-		shards := make([]chan *event.PacketView, workers)
-		for w := 0; w < workers; w++ {
-			shards[w] = make(chan *event.PacketView, 64)
-			go func(w int) {
-				defer wg.Done()
-				body(w, func() (*event.PacketView, bool) {
-					v, ok := <-shards[w]
-					return v, ok
-				})
-			}(w)
+	// Second pass: greedy cut with lookahead — close the open chunk before
+	// a segment that would overshoot the target, then re-derive the target
+	// from what is left.
+	chunks := make([][2]int, 0, want)
+	lo, acc, remaining := 0, 0, total
+	target := remaining/want + 1
+	for _, sg := range segs {
+		if acc > 0 && acc+sg.vol > target && len(chunks) < want-1 {
+			chunks = append(chunks, [2]int{lo, sg.start})
+			lo = sg.start
+			remaining -= acc
+			acc = 0
+			target = remaining/(want-len(chunks)) + 1
 		}
-		ops := event.StreamPartition(c, func(v *event.PacketView) {
-			shards[shardOf(v.Packet.Origin, workers)] <- v
-		})
-		for _, ch := range shards {
-			close(ch)
-		}
-		wg.Wait()
-		return ops
+		acc += sg.vol
 	}
-	src := newStreamSource(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(w, func() (*event.PacketView, bool) { return src.next(w) })
-		}(w)
+	if lo < len(views) {
+		chunks = append(chunks, [2]int{lo, len(views)})
 	}
-	ops := event.StreamPartition(c, src.push)
-	src.close()
-	wg.Wait()
-	return ops
+	return chunks
 }

@@ -6,14 +6,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/diagnosis"
 	"repro/internal/event"
 )
 
 // buildManyOriginCampaign synthesizes a campaign whose packets spread over
 // many origins with very uneven per-origin volume (origin o emits ~o
-// packets), so the origin-sharded distribution exercises both the chunk
-// balancing of AnalyzeParallel and the hashed routing of AnalyzeStream,
-// including single hot origins that dwarf the chunk target.
+// packets), so the origin-sharded distribution exercises the scheduler's
+// chunk balancing, including single hot origins that dwarf the chunk target.
 func buildManyOriginCampaign(origins int) *event.Collection {
 	rng := rand.New(rand.NewSource(7))
 	c := event.NewCollection()
@@ -39,11 +39,10 @@ func buildManyOriginCampaign(origins int) *event.Collection {
 	return c
 }
 
-// TestShardedMergeDeterministic runs the origin-sharded parallel and stream
-// paths concurrently with themselves and pins every result to the serial
-// reconstruction — the -race regression test for the sharded merge: worker
-// arenas, worker-owned run state and the result merge must never share
-// memory across shards.
+// TestShardedMergeDeterministic runs the origin-sharded driver concurrently
+// with itself and pins every result to the serial reconstruction — the -race
+// regression test for the sharded merge: worker arenas, worker-owned run
+// state and the result merge must never share memory across shards.
 func TestShardedMergeDeterministic(t *testing.T) {
 	eng, err := New(Options{Sink: 900})
 	if err != nil {
@@ -64,19 +63,12 @@ func TestShardedMergeDeterministic(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, workers := range []int{2, 3, 7, 16} {
 		for rep := 0; rep < 3; rep++ {
-			wg.Add(2)
+			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				got := eng.AnalyzeParallel(c, w)
+				got, _ := eng.AnalyzeDiagnosed(c, w, diagnosis.Config{Sink: 900})
 				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("AnalyzeParallel(workers=%d) diverged from serial", w)
-				}
-			}(workers)
-			go func(w int) {
-				defer wg.Done()
-				got := eng.AnalyzeStream(c, w)
-				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("AnalyzeStream(workers=%d) diverged from serial", w)
+					t.Errorf("AnalyzeDiagnosed(workers=%d) diverged from serial", w)
 				}
 			}(workers)
 		}
@@ -308,51 +300,34 @@ func TestStealHalfSemantics(t *testing.T) {
 	})
 }
 
-// TestStreamSourceSteal pins the stream-side steal: an idle worker takes the
-// back half of the longest victim queue, and a single-view victim queue is
-// taken whole (the cut == len(q) edge).
-func TestStreamSourceSteal(t *testing.T) {
-	v := func(seq uint32) *event.PacketView {
-		return &event.PacketView{Packet: event.PacketID{Origin: 1, Seq: seq}}
+// TestDriverDegenerateInputs pins the driver's edges: one inline worker and
+// more workers than views must return the same parts as the serial reference
+// on an empty, a one-view and a one-origin input (where the origin-aligned
+// seed cut yields a single unit that only steals can spread).
+func TestDriverDegenerateInputs(t *testing.T) {
+	eng, err := New(Options{Sink: 900})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Run("back-half", func(t *testing.T) {
-		s := newStreamSource(2)
-		s.queues[0] = []*event.PacketView{v(1), v(2), v(3), v(4)}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if !s.stealLocked(1) {
-			t.Fatal("steal from a 4-deep victim failed")
+	oneOrigin := dominantCampaign([]event.NodeID{7}, 7)
+	oneView := event.NewCollection()
+	oneView.Add(event.Event{Node: 7, Type: event.Gen, Sender: 7, Packet: event.PacketID{Origin: 7, Seq: 1}, Time: 1})
+	inputs := map[string]*event.Collection{"empty": event.NewCollection(), "one-view": oneView, "one-origin": oneOrigin}
+	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
+	for name, c := range inputs {
+		views, ops := event.Partition(c)
+		fu := fusion{diagnose: true, cfg: cfg, sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
+		serial := eng.Analyze(c)
+		ref := diagnosis.BuildConfig(serial.Flows, ops, cfg)
+		for _, workers := range []int{1, len(views) + 3} {
+			p := eng.drive(views, workers, fu)
+			if len(p.Flows) != len(views) || len(p.Outcomes) != len(views) {
+				t.Fatalf("%s workers=%d: %d flows, %d outcomes for %d views", name, workers, len(p.Flows), len(p.Outcomes), len(views))
+			}
+			if len(views) > 0 && !reflect.DeepEqual(serial.Flows, p.Flows) {
+				t.Errorf("%s workers=%d: flows diverged from serial", name, workers)
+			}
+			sameDiagnosis(t, name, ref, diagnosis.FromParts(cfg.Sink, fu.sched, p.Outcomes, p.Aggregate))
 		}
-		if got := len(s.queues[0]) - s.heads[0]; got != 2 {
-			t.Fatalf("victim keeps %d views, want the front 2", got)
-		}
-		pv, ok := s.popLocked(1)
-		if !ok || pv.Packet.Seq != 3 {
-			t.Fatalf("thief pops %v, want seq 3 (back half starts there)", pv)
-		}
-	})
-	t.Run("single-view-taken-whole", func(t *testing.T) {
-		s := newStreamSource(2)
-		s.queues[0] = []*event.PacketView{v(7)}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if !s.stealLocked(1) {
-			t.Fatal("steal of a single-view queue failed")
-		}
-		if _, ok := s.popLocked(0); ok {
-			t.Fatal("victim still has the view after a whole-queue steal")
-		}
-		pv, ok := s.popLocked(1)
-		if !ok || pv.Packet.Seq != 7 {
-			t.Fatalf("thief pops %v, want the stolen view", pv)
-		}
-	})
-	t.Run("nothing-to-steal", func(t *testing.T) {
-		s := newStreamSource(2)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.stealLocked(1) {
-			t.Fatal("steal from all-empty queues reported success")
-		}
-	})
+	}
 }

@@ -23,9 +23,8 @@ type Batch struct {
 	// campaigns is never — the hot path allocates no map.
 	info map[int32]string
 	// infoCol is the dense alternative to the info map, used for shared
-	// partition arenas that are filled while already-emitted rows are read
-	// concurrently: writing one slice element never touches another, so
-	// distinct-index fills race with nothing, whereas any map insert does.
+	// partition arenas that every analysis worker reads at once: a per-row
+	// slice keeps that shared path free of map accesses.
 	// Allocated only by viewLayout.alloc when the counting pre-pass saw a
 	// non-empty Info; when non-nil it supersedes the map entirely.
 	infoCol []string

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -218,30 +217,6 @@ func TestPartitionSpanInvariants(t *testing.T) {
 	}
 }
 
-func TestStreamPartitionMatchesPartition(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		c := buildRandomCollection(seed, 2000)
-		views, ops := Partition(c)
-		want := make(map[PacketID]map[NodeID][]Event, len(views))
-		for _, v := range views {
-			want[v.Packet] = v.PerNodeEvents()
-		}
-		got := make(map[PacketID]map[NodeID][]Event, len(views))
-		sops := StreamPartition(c, func(v *PacketView) {
-			if _, dup := got[v.Packet]; dup {
-				t.Fatalf("seed %d: view %v emitted twice", seed, v.Packet)
-			}
-			got[v.Packet] = v.PerNodeEvents()
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: stream views differ from Partition", seed)
-		}
-		if !reflect.DeepEqual(sops, ops) {
-			t.Fatalf("seed %d: stream operational events differ", seed)
-		}
-	}
-}
-
 func TestNewPacketViewMatchesPartitionLayout(t *testing.T) {
 	c := buildRandomCollection(3, 500)
 	views, _ := Partition(c)
@@ -301,20 +276,12 @@ func TestPartitionPreservesInfo(t *testing.T) {
 			t.Fatalf("view %v lost or mangled Info", v.Packet)
 		}
 	}
-	got := make(map[PacketID]map[NodeID][]Event, len(views))
-	StreamPartition(c, func(v *PacketView) { got[v.Packet] = v.PerNodeEvents() })
-	for pkt, m := range want {
-		if !reflect.DeepEqual(got[pkt], m) {
-			t.Fatalf("streamed view %v lost or mangled Info", pkt)
-		}
-	}
 }
 
-// TestPartitionArenaInfoRepresentation pins the storage choice the streaming
-// race fix depends on: an info-free collection keeps the arena's info storage
-// entirely unallocated (the hot path), while any packet-scoped Info switches
-// the arena to the dense column — never the lazy map, whose inserts during
-// the fill pass would race with concurrent readers of emitted views.
+// TestPartitionArenaInfoRepresentation pins the shared arena's storage
+// choice: an info-free collection keeps the arena's info storage entirely
+// unallocated (the hot path), while any packet-scoped Info switches the arena
+// to the dense column — never the lazy map.
 func TestPartitionArenaInfoRepresentation(t *testing.T) {
 	views, _ := Partition(buildRandomCollection(5, 1000))
 	arena := views[0].Batch()
@@ -328,42 +295,5 @@ func TestPartitionArenaInfoRepresentation(t *testing.T) {
 	}
 	if arena.info != nil {
 		t.Error("info-bearing partition populated the lazy map on the shared arena")
-	}
-}
-
-// TestStreamPartitionConcurrentInfoReads is the -race regression test for the
-// shared-arena info storage: emitted views are read (including Info) by
-// worker goroutines while the partitioning scan is still filling later views.
-// With the lazy map on the arena this was a concurrent map read/write; the
-// dense info column makes it race-free.
-func TestStreamPartitionConcurrentInfoReads(t *testing.T) {
-	c := buildInfoCollection(31, 4000)
-	want, _ := referencePartition(c)
-	const workers = 4
-	views := make(chan *PacketView, 64)
-	errs := make(chan error, workers)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for v := range views {
-				if !reflect.DeepEqual(v.PerNodeEvents(), want[v.Packet]) {
-					select {
-					case errs <- fmt.Errorf("view %v read mid-stream differs from reference", v.Packet):
-					default:
-					}
-				}
-			}
-		}()
-	}
-	StreamPartition(c, func(v *PacketView) { views <- v })
-	close(views)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
 	}
 }

@@ -66,6 +66,15 @@ type PacketID struct {
 	Seq    uint32
 }
 
+// Less is the deterministic packet order every analysis path returns flows,
+// outcomes and traces in: origin, then sequence.
+func (p PacketID) Less(q PacketID) bool {
+	if p.Origin != q.Origin {
+		return p.Origin < q.Origin
+	}
+	return p.Seq < q.Seq
+}
+
 // String renders a PacketID as "origin:seq".
 func (p PacketID) String() string {
 	return p.Origin.String() + ":" + strconv.FormatUint(uint64(p.Seq), 10)

@@ -286,9 +286,9 @@ type viewLayout struct {
 	packets  []PacketID
 	// hasInfo records whether the sizing scan saw any packet-scoped event
 	// carrying a non-empty Info. If so, alloc gives the arena a dense info
-	// column instead of the lazy map: map inserts during the fill pass
-	// would race with concurrent readers of already-emitted views
-	// (StreamPartition), whereas distinct-index slice writes cannot.
+	// column instead of the lazy map: the arena is shared by every view and
+	// read by every analysis worker at once, and a per-row slice keeps that
+	// shared read path free of map accesses.
 	hasInfo bool
 }
 
@@ -405,92 +405,16 @@ func Partition(c *Collection) (views []*PacketView, operational []Event) {
 			v.closeSpan()
 		}
 	}
-	sort.Slice(views, func(i, j int) bool {
-		a, b := views[i].Packet, views[j].Packet
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
+	sort.Slice(views, func(i, j int) bool { return views[i].Packet.Less(views[j].Packet) })
 	sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
 	return views, operational
-}
-
-// StreamPartition partitions like Partition but hands each PacketView to emit
-// the moment its last event has been scanned, so packet analysis can overlap
-// with the remainder of the partitioning scan. The counting pre-pass
-// additionally records every packet's last-touch position; the main pass
-// emits a view at exactly that position. Views are emitted in completion
-// order (deterministic for a given collection, but NOT packet-ID order —
-// callers that need the Partition order must reorder). Operational events are
-// returned once the scan finishes, sorted by time.
-//
-// Emitted views reference the shared batch arena; their rows are never
-// written after emit, so emit may safely hand the view to a worker. That
-// includes Info: when the pre-pass sees any packet-scoped event carrying a
-// non-empty Info, the arena stores info in a dense per-row column rather than
-// the lazy map, so filling later views never touches memory an emitted view
-// reads.
-func StreamPartition(c *Collection, emit func(*PacketView)) (operational []Event) {
-	nodes := c.Nodes()
-	ly := newViewLayout(c.TotalEvents()/8 + 1)
-	var last []int32 // per view: global scan position of the final event
-	pos := int32(0)
-	for ni, n := range nodes {
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if b.typ[i].PacketScoped() {
-				vi := ly.touch(b.Packet(i), ni)
-				if !ly.hasInfo && b.Info(i) != "" {
-					ly.hasInfo = true
-				}
-				if int(vi) == len(last) {
-					last = append(last, 0)
-				}
-				last[vi] = pos
-				pos++
-			}
-		}
-	}
-	arena, views := ly.alloc()
-	var touched []*PacketView
-	pos = 0
-	for _, n := range nodes {
-		touched = touched[:0]
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if !b.typ[i].PacketScoped() {
-				operational = append(operational, b.At(i))
-				continue
-			}
-			vi := ly.byPacket[b.Packet(i)]
-			v := views[vi]
-			touched = v.fill(arena, b, i, n, touched)
-			if pos == last[vi] {
-				// The view is complete: commit the open span and
-				// hand it off. The node-end flush below skips it
-				// (segOpen is false), so the view is never written
-				// after emit.
-				v.closeSpan()
-				emit(v)
-			}
-			pos++
-		}
-		for _, v := range touched {
-			if v.segOpen {
-				v.closeSpan()
-			}
-		}
-	}
-	sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
-	return operational
 }
 
 // OperationalEvents extracts the non-packet-scoped events (server up/down)
 // from a collection, sorted by time — the same slice Partition returns as its
 // second result, without building any views. A single pass over the dense
-// type columns, so callers that need the outage schedule BEFORE analysis
-// (the fused streaming diagnosis) can afford it up front.
+// type columns, so callers that need the outage schedule BEFORE any view
+// exists (the windowed out-of-core path) can afford it up front.
 func OperationalEvents(c *Collection) []Event {
 	var ops []Event
 	for _, n := range c.Nodes() {

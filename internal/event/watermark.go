@@ -145,6 +145,28 @@ func (s *PendingShard) retire(cutoff int64, dst *Collection) int {
 	return retired
 }
 
+// retireAll moves every buffered packet into dst and empties the shard,
+// returning the number of packets retired. No timestamp is consulted, so a
+// packet stamped math.MaxInt64 — which no strict cutoff can ever clear —
+// leaves with the rest.
+func (s *PendingShard) retireAll(dst *Collection) int {
+	retired := len(s.pkts)
+	//refill:allow maprange — per-node move; each node's rows land in its own dst log, so shard-internal node order is immaterial
+	for n, b := range s.logs {
+		if b.Len() == 0 {
+			continue
+		}
+		l := dst.Log(n)
+		for i := 0; i < b.Len(); i++ {
+			l.Append(b.At(i))
+		}
+		b.Reset()
+	}
+	clear(s.pkts)
+	s.rows = 0
+	return retired
+}
+
 // compactBatch walks one node's batch left to right, appending retired rows
 // to dst and sliding surviving rows down over the holes.
 func (s *PendingShard) compactBatch(n NodeID, b *Batch, gone map[PacketID]bool, dst *Collection) {
@@ -184,10 +206,9 @@ func (s *PendingShard) compactBatch(n NodeID, b *Batch, gone map[PacketID]bool, 
 }
 
 // PendingStore is the session's packet-row buffer, sharded by packet origin
-// with the same Fibonacci spreading the engine's stream router uses. Shards
-// exist for retirement locality (each shard tracks its own packets and
-// compacts its own batches); the store itself is driven single-threaded by
-// its owning session.
+// (Fibonacci spreading, see originShard). Shards exist for retirement
+// locality (each shard tracks its own packets and compacts its own batches);
+// the store itself is driven single-threaded by its owning session.
 type PendingStore struct {
 	shards []PendingShard
 }
@@ -207,8 +228,7 @@ func NewPendingStore(n int) *PendingStore {
 }
 
 // originShard maps an origin node to a shard index (Fibonacci hashing, so
-// dense origin IDs spread instead of striping — the engine routes stream
-// work identically).
+// dense origin IDs spread instead of striping).
 func originShard(origin NodeID, n int) int {
 	return int((uint64(origin) * 0x9E3779B97F4A7C15 >> 32) % uint64(n))
 }
@@ -267,6 +287,18 @@ func (ps *PendingStore) AppendPendingTo(dst *Collection) {
 			}
 		}
 	}
+}
+
+// RetireAll moves every buffered packet out of the store and into dst — the
+// final retirement of a session drain and of the last out-of-core window,
+// when every row has been fed and nothing can still be incomplete. Returns
+// the number of packets retired.
+func (ps *PendingStore) RetireAll(dst *Collection) int {
+	retired := 0
+	for i := range ps.shards {
+		retired += ps.shards[i].retireAll(dst)
+	}
+	return retired
 }
 
 // RetireComplete moves every packet whose rows are provably complete — last

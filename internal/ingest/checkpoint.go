@@ -112,7 +112,7 @@ func (s *Session) WriteCheckpoint(path string) error {
 	w.End()
 
 	w.Begin(ckSecOutcomes)
-	for _, o := range s.outs {
+	for _, o := range s.acc.Outcomes {
 		var e [ckOutcomeSize]byte
 		binary.LittleEndian.PutUint32(e[0:4], uint32(o.Packet.Origin))
 		binary.LittleEndian.PutUint32(e[4:8], o.Packet.Seq)
@@ -130,7 +130,7 @@ func (s *Session) WriteCheckpoint(path string) error {
 	}
 	w.End()
 
-	w.Append(ckSecAggregate, s.agg.EncodeState())
+	w.Append(ckSecAggregate, s.acc.Aggregate.EncodeState())
 
 	err = event.AppendCollectionSections(w, ckOpsBase, s.opsCollectionLocked())
 	if err == nil {
@@ -222,14 +222,14 @@ func Resume(cfg Config, path string) (*Session, error) {
 		return nil, fmt.Errorf("ingest: checkpoint outcome section invalid (%d bytes)", len(outs))
 	}
 	if n := len(outs) / ckOutcomeSize; n > 0 {
-		s.outs = make([]diagnosis.Outcome, 0, n)
+		s.acc.Outcomes = make([]diagnosis.Outcome, 0, n)
 		for off := 0; off < len(outs); off += ckOutcomeSize {
 			e := outs[off:]
 			cause := e[24]
 			if int(cause) >= len(diagnosis.Causes()) {
 				return nil, fmt.Errorf("ingest: checkpoint outcome carries cause %d", cause)
 			}
-			s.outs = append(s.outs, diagnosis.Outcome{
+			s.acc.Outcomes = append(s.acc.Outcomes, diagnosis.Outcome{
 				Packet: event.PacketID{
 					Origin: event.NodeID(binary.LittleEndian.Uint32(e[0:4])),
 					Seq:    binary.LittleEndian.Uint32(e[4:8]),
@@ -248,7 +248,7 @@ func Resume(cfg Config, path string) (*Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("ingest: checkpoint %s has no aggregate section", path)
 	}
-	if s.agg, err = diagnosis.DecodeAggregate(aggData); err != nil {
+	if s.acc.Aggregate, err = diagnosis.DecodeAggregate(aggData); err != nil {
 		return nil, err
 	}
 

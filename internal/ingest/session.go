@@ -44,7 +44,6 @@ import (
 	"repro/internal/diagnosis"
 	"repro/internal/engine"
 	"repro/internal/event"
-	"repro/internal/flow"
 )
 
 // ErrDrained is returned by mutating calls after Drain.
@@ -130,11 +129,9 @@ type Session struct {
 	ingested  int
 	finalized int
 
-	// flows/outs/agg accumulate finalized windows; flows only when
+	// acc accumulates the finalized windows' parts; flows only when
 	// Config.RetainFlows.
-	flows []*flow.Flow
-	outs  []diagnosis.Outcome
-	agg   *diagnosis.Aggregate
+	acc engine.Parts
 
 	// window is the reusable retirement collection: the engine's partition
 	// copies every window into its own arena, so the collection (and its
@@ -168,7 +165,9 @@ func NewSession(cfg Config) (*Session, error) {
 		wm:    event.NewWatermarks(),
 		store: event.NewPendingStore(shards),
 		ops:   make(map[event.NodeID][]event.Event),
-		agg:   diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start, cfg.Diagnosis.DayLen, cfg.Diagnosis.Days),
+		acc: engine.Parts{
+			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start, cfg.Diagnosis.DayLen, cfg.Diagnosis.Days),
+		},
 	}, nil
 }
 
@@ -229,19 +228,21 @@ func (s *Session) Advance(watermark int64) (int, error) {
 }
 
 // retireLocked finalizes every packet complete below the effective
-// watermark ew (everything, when final) and folds the retired window through
-// the engine. Caller holds s.mu.
+// watermark ew — or, when final, every pending packet whatever its
+// timestamps — and folds the retired window through the engine. Caller holds
+// s.mu.
 func (s *Session) retireLocked(ew int64, final bool) int {
-	cutoff := ew - s.cfg.Horizon
-	if final {
-		cutoff = math.MaxInt64
-	}
 	if s.window == nil {
 		s.window = event.NewCollection()
 	} else {
 		s.window.ResetLogs()
 	}
-	n := s.store.RetireComplete(cutoff, s.window)
+	var n int
+	if final {
+		n = s.store.RetireAll(s.window)
+	} else {
+		n = s.store.RetireComplete(ew-s.cfg.Horizon, s.window)
+	}
 	s.epoch++
 	if ew > s.watermark {
 		s.watermark = ew
@@ -250,23 +251,9 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 		return 0
 	}
 	sched := s.scheduleLocked(ew, final)
-	flows, outs, agg := s.eng.AnalyzeWindowDiagnosed(s.window, s.workers(), s.cfg.Diagnosis, sched)
-	if s.cfg.RetainFlows {
-		s.flows = append(s.flows, flows...)
-	}
-	s.outs = append(s.outs, outs...)
-	s.agg.Merge(agg)
+	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(s.window, s.cfg.Workers, s.cfg.Diagnosis, sched), s.cfg.RetainFlows)
 	s.finalized += n
 	return n
-}
-
-// workers maps Config.Workers onto the engine's convention (<= 0 selects
-// GOMAXPROCS — the session is a throughput path, so 0 means all cores).
-func (s *Session) workers() int {
-	if s.cfg.Workers < 0 {
-		return 0
-	}
-	return s.cfg.Workers
 }
 
 // operationalLocked merges the per-node operational events exactly the way
@@ -312,15 +299,6 @@ func (s *Session) scheduleLocked(ew int64, final bool) diagnosis.OutageSchedule 
 	return diagnosis.OutagesFromOperational(ops, end)
 }
 
-// packetLess is the deterministic packet order every analysis path returns
-// flows in: origin, then sequence.
-func packetLess(a, b event.PacketID) bool {
-	if a.Origin != b.Origin {
-		return a.Origin < b.Origin
-	}
-	return a.Seq < b.Seq
-}
-
 // Snapshot assembles a live Report over every packet finalized so far,
 // without disturbing ingestion: outcomes are copied and sorted into
 // packet-ID order, the running aggregate is cloned, and the outage schedule
@@ -332,10 +310,12 @@ func (s *Session) Snapshot() *diagnosis.Report {
 	if s.drained {
 		return s.report
 	}
-	outs := make([]diagnosis.Outcome, len(s.outs))
-	copy(outs, s.outs)
-	sort.Slice(outs, func(i, j int) bool { return packetLess(outs[i].Packet, outs[j].Packet) })
-	return diagnosis.FromParts(s.cfg.Diagnosis.Sink, s.scheduleLocked(s.watermark, false), outs, s.agg.Clone())
+	live := engine.Parts{
+		Outcomes:  append([]diagnosis.Outcome(nil), s.acc.Outcomes...),
+		Aggregate: s.acc.Aggregate.Clone(),
+	}
+	_, rep := live.Finish(s.cfg.Diagnosis.Sink, nil, s.scheduleLocked(s.watermark, false))
+	return rep
 }
 
 // Drain finalizes every pending packet regardless of watermarks, completes
@@ -350,11 +330,9 @@ func (s *Session) Drain() (*engine.Result, *diagnosis.Report) {
 		return s.result, s.report
 	}
 	s.retireLocked(math.MaxInt64, true)
-	sort.Slice(s.flows, func(i, j int) bool { return packetLess(s.flows[i].Packet, s.flows[j].Packet) })
-	sort.Slice(s.outs, func(i, j int) bool { return packetLess(s.outs[i].Packet, s.outs[j].Packet) })
-	sched := diagnosis.OutagesFromOperational(s.operationalLocked(), s.cfg.Diagnosis.End)
-	s.report = diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, s.outs, s.agg)
-	s.result = &engine.Result{Operational: s.operationalLocked(), Flows: s.flows}
+	ops := s.operationalLocked()
+	sched := diagnosis.OutagesFromOperational(ops, s.cfg.Diagnosis.End)
+	s.result, s.report = s.acc.Finish(s.cfg.Diagnosis.Sink, ops, sched)
 	s.drained = true
 	return s.result, s.report
 }

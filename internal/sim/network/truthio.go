@@ -25,12 +25,7 @@ func WriteFates(w io.Writer, fates map[event.PacketID]Fate) error {
 	for id := range fates {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Origin != ids[j].Origin {
-			return ids[i].Origin < ids[j].Origin
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	bw := bufio.NewWriter(w)
 	for _, id := range ids {
 		f := fates[id]

@@ -66,13 +66,7 @@ func Compute(flows []*flow.Flow, clocks *clocksync.Result) []PacketStats {
 			Loop:          f.HasLoop(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Packet, out[j].Packet
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Packet.Less(out[j].Packet) })
 	return out
 }
 

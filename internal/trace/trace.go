@@ -134,13 +134,7 @@ func BuildAll(flows []*flow.Flow) []*Trace {
 	for _, f := range flows {
 		out = append(out, Build(f))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Packet, out[j].Packet
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Packet.Less(out[j].Packet) })
 	return out
 }
 

@@ -1,14 +1,17 @@
 package refill
 
-// Equivalence suite for the compiled threaded-code kernels: the default
-// kernel-walk engine must be indistinguishable from the interpreted reference
-// walk (WithInterpretedEngine) on real campaign logs — deeply equal results,
-// byte-identical flow serializations and rendered reports — across the
-// serial, parallel, streaming and two-pass (separate diagnosis) pipelines.
+// Equivalence suite for the compiled threaded-code kernels: the kernel-walk
+// engine every pipeline runs must be indistinguishable from the interpreted
+// oracle walk (engine.Options.Interpreted) on real campaign logs — deeply
+// equal results, byte-identical flow serializations and rendered reports —
+// at every fan-out.
 
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/diagnosis"
+	"repro/internal/engine"
 )
 
 func TestKernelEngineEquivalence(t *testing.T) {
@@ -18,39 +21,31 @@ func TestKernelEngineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration)}
-		interp, err := NewAnalyzer(opts, WithInterpretedEngine())
+		interp, err := engine.New(engine.Options{Sink: camp.Sink, Interpreted: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := interp.Analyze(camp.Logs)
-		if len(want.Result.Flows) == 0 {
+		if len(want.Flows) == 0 {
 			t.Fatalf("seed %d: no flows", seed)
 		}
-		wantFlows := serializeFlows(want.Result.Flows)
-		wantReport := RenderBreakdown(want.Report)
+		wantFlows := serializeFlows(want.Flows)
+		wantReport := RenderBreakdown(diagnosis.Build(want.Flows, want.Operational, opts.Sink, opts.End))
 		modes := []struct {
-			name   string
-			extra  []AnalyzerOption
-			stream bool
+			name  string
+			extra []AnalyzerOption
 		}{
-			{"serial", nil, false},
-			{"parallel-2", []AnalyzerOption{WithParallelism(2)}, false},
-			{"parallel-all", []AnalyzerOption{WithParallelism(-1)}, false},
-			{"stream", []AnalyzerOption{WithParallelism(2)}, true},
-			{"two-pass", []AnalyzerOption{WithSeparateDiagnosis()}, false},
+			{"serial", nil},
+			{"parallel-2", []AnalyzerOption{WithParallelism(2)}},
+			{"parallel-all", []AnalyzerOption{WithParallelism(-1)}},
 		}
 		for _, m := range modes {
 			an, err := NewAnalyzer(opts, m.extra...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var out *Output
-			if m.stream {
-				out = an.AnalyzeStream(camp.Logs)
-			} else {
-				out = an.Analyze(camp.Logs)
-			}
-			if !reflect.DeepEqual(want.Result, out.Result) {
+			out := an.Analyze(camp.Logs)
+			if !reflect.DeepEqual(want, out.Result) {
 				t.Errorf("seed %d %s: kernel result diverged from the interpreted walk", seed, m.name)
 			}
 			if got := serializeFlows(out.Result.Flows); got != wantFlows {

@@ -30,16 +30,15 @@
 //	}
 //	fmt.Println(refill.RenderBreakdown(out.Report))
 //
-// Functional options layer on top of the AnalyzerOptions struct, and
-// an.AnalyzeStream overlaps log partitioning with reconstruction. Every
+// Functional options layer on top of the AnalyzerOptions struct. Every
 // configuration returns byte-identical output — flows stay in packet-ID
-// order regardless of worker count or streaming:
+// order regardless of worker count:
 //
 //	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{},
 //		refill.WithSink(1),
 //		refill.WithParallelism(4), // 0 = each path's default, <0 = all cores
 //	)
-//	out := an.AnalyzeStream(logs)
+//	out := an.Analyze(logs)
 //
 // # Quick start: resident sessions
 //
@@ -73,9 +72,9 @@
 // Event storage is columnar (structure-of-arrays) internally, and
 // reconstructed flows are spans into shared per-worker arenas rather than
 // individually allocated slices; the facade deals in plain Event and Flow
-// values and the log formats are unchanged. Parallel, streaming and session
-// runs shard the packet space by origin, so each worker owns its arena and
-// run state outright.
+// values and the log formats are unchanged. Batch, snapshot and session runs
+// all go through one reconstruction driver that shards the packet space by
+// origin, so each worker owns its arena and run state outright.
 package refill
 
 import (
@@ -220,7 +219,7 @@ type (
 	// has no default (the zero Sink is NoNode and NewAnalyzer rejects it —
 	// add WithSink); a zero window leaves a trailing server outage
 	// open-ended in the report (add WithWindow); Parallelism 0 picks each
-	// path's default — serial for Analyze, all cores for the streaming and
+	// path's default — serial for Analyze, all cores for the snapshot and
 	// session paths.
 	AnalyzerOptions = core.Options
 	// AnalyzerOption is a functional override applied on top of
@@ -267,7 +266,7 @@ func WithProtocol(p *Protocol) AnalyzerOption { return core.WithProtocol(p) }
 // WithParallelism sets the per-packet reconstruction fan-out under one rule
 // for every path: n > 0 exactly n workers, n < 0 all cores, 0 the path's
 // default — serial for the batch Analyze (the reproducibility baseline),
-// all cores for AnalyzeStream and Session ingest (the throughput paths).
+// all cores for AnalyzeSnapshot and Session ingest (the throughput paths).
 // Output is byte-identical across all settings.
 func WithParallelism(workers int) AnalyzerOption { return core.WithParallelism(workers) }
 
@@ -282,29 +281,6 @@ func WithEngineOptions(eo EngineOptions) AnalyzerOption { return core.WithEngine
 // analysis time: Report.DailyComposition(dayLen, days) with the same
 // arguments becomes a table read instead of a scan over every outcome.
 func WithDailyBins(dayLen int64, days int) AnalyzerOption { return core.WithDailyBins(dayLen, days) }
-
-// WithSeparateDiagnosis forces the legacy two-pass pipeline — reconstruct
-// every flow, then diagnose them in a second pass — instead of the default
-// fused mode where each worker classifies its flows as it commits them.
-// Outputs are identical either way; this is an escape hatch for debugging
-// and for measuring the fusion itself.
-func WithSeparateDiagnosis() AnalyzerOption { return core.WithSeparateDiagnosis() }
-
-// WithInterpretedEngine forces the engine's interpreted reference walk —
-// per-event dense-table probes — instead of the default compiled-kernel
-// execution (each protocol graph is lowered to a flat threaded-code op array
-// at build time and driven by a column-wise walk over the packet view).
-// Outputs are byte-identical either way; like WithSeparateDiagnosis this is
-// an escape hatch for debugging and for measuring the kernel itself.
-func WithInterpretedEngine() AnalyzerOption { return core.WithInterpretedEngine() }
-
-// AnalyzeStream runs the pipeline with partitioning overlapped with
-// reconstruction; the Output is identical to an.Analyze(logs).
-//
-// Deprecated: call the method an.AnalyzeStream(logs) directly — the
-// analyzer owns its execution modes, and this package-level form survives
-// only as a thin wrapper for existing callers.
-func AnalyzeStream(an *Analyzer, logs *Collection) *Output { return an.AnalyzeStream(logs) }
 
 // Resident ingest sessions.
 type (
@@ -436,9 +412,9 @@ type AccuracyRow = report.AccuracyRow
 // EngineOptions exposes the low-level engine configuration (ablations).
 type EngineOptions = engine.Options
 
-// Engine is the low-level reconstruction engine. NewEngine and
-// Engine.AnalyzeParallel expose it for callers that want to drive the
-// per-packet fan-out themselves.
+// Engine is the low-level reconstruction engine. NewEngine with
+// Engine.Analyze, AnalyzeViews and AnalyzePacket expose flows-only, serial
+// reconstruction for callers that do not want the diagnosis pipeline.
 type Engine = engine.Engine
 
 // NewEngine builds the low-level engine directly.
@@ -496,20 +472,6 @@ func WithClockMinPairings(n int) ClockOption { return clocksync.WithMinPairings(
 // defaults: 10 Gauss–Seidel sweeps, every paired node kept.
 func RecoverClocks(flows []*Flow, anchor NodeID, opts ...ClockOption) *ClockMap {
 	return clocksync.EstimateWith(flows, anchor, opts...)
-}
-
-// RecoverClocksOpts tunes RecoverClocksWith.
-//
-// Deprecated: pass ClockOptions to RecoverClocks instead.
-type RecoverClocksOpts = clocksync.Opts
-
-// RecoverClocksWith estimates the network's clocks with an explicit options
-// struct.
-//
-// Deprecated: use RecoverClocks(flows, anchor, opts...) — the variadic form
-// subsumes both the default and the configured call.
-func RecoverClocksWith(flows []*Flow, anchor NodeID, opts RecoverClocksOpts) *ClockMap {
-	return clocksync.EstimateOpts(flows, anchor, opts)
 }
 
 // Per-packet performance measurement (Section II: "per-packet delay, packet

@@ -2,12 +2,11 @@ package refill
 
 // Equivalence suite for the work-stealing shard scheduler on the workload it
 // exists for: a campaign where one hot origin dominates the packet volume.
-// Under the legacy static origin-chunk cut, that origin is one indivisible
-// chunk and its owner serializes the tail; the steal scheduler splits it
-// mid-origin across idle workers. Either way — and on every path that uses a
-// scheduler (parallel, stream, windowed out-of-core) — the output must be
-// byte-identical to the serial reference, because steal decisions are racy by
-// construction and must never leak into results.
+// The origin-aligned seed cut makes that origin one unit; the steal scheduler
+// splits it mid-origin across idle workers. On every caller of the driver
+// (batch, windowed out-of-core) the output must be byte-identical to the
+// serial reference, because steal decisions are racy by construction and must
+// never leak into results.
 
 import (
 	"path/filepath"
@@ -99,36 +98,20 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 	wantFlows := serializeFlows(want.Result.Flows)
 	wantReport := RenderBreakdown(want.Report)
 
-	modes := []struct {
-		name   string
-		extra  []AnalyzerOption
-		stream bool
-	}{
-		{"parallel-8-steal", []AnalyzerOption{WithParallelism(8)}, false},
-		{"parallel-8-static", []AnalyzerOption{WithParallelism(8), WithEngineOptions(EngineOptions{StaticSharding: true})}, false},
-		{"stream-8-steal", []AnalyzerOption{WithParallelism(8)}, true},
-		{"stream-8-static", []AnalyzerOption{WithParallelism(8), WithEngineOptions(EngineOptions{StaticSharding: true})}, true},
-		{"two-pass-parallel-8", []AnalyzerOption{WithParallelism(8), WithSeparateDiagnosis()}, false},
-	}
-	for _, m := range modes {
-		an, err := NewAnalyzer(opts, m.extra...)
+	for _, workers := range []int{2, 8} {
+		an, err := NewAnalyzer(opts, WithParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out *Output
-		if m.stream {
-			out = an.AnalyzeStream(logs)
-		} else {
-			out = an.Analyze(logs)
-		}
+		out := an.Analyze(logs)
 		if !reflect.DeepEqual(want.Result, out.Result) {
-			t.Errorf("%s: result diverged from serial", m.name)
+			t.Errorf("steal-%d: result diverged from serial", workers)
 		}
 		if got := serializeFlows(out.Result.Flows); got != wantFlows {
-			t.Errorf("%s: flow serialization diverged", m.name)
+			t.Errorf("steal-%d: flow serialization diverged", workers)
 		}
 		if got := RenderBreakdown(out.Report); got != wantReport {
-			t.Errorf("%s: report diverged", m.name)
+			t.Errorf("steal-%d: report diverged", workers)
 		}
 	}
 

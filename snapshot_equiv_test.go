@@ -70,7 +70,7 @@ func TestSnapshotAnalyzeEquivalence(t *testing.T) {
 		checkSameReport(t, want.Report, got.Report, dayLen, days)
 	})
 	t.Run("analyze-stream", func(t *testing.T) {
-		got := an.AnalyzeStream(mapped)
+		got := analyzeStreamAlias(an, mapped)
 		if !reflect.DeepEqual(want.Result.Flows, got.Result.Flows) {
 			t.Error("streamed flows over the mapped collection diverged")
 		}
