@@ -423,42 +423,6 @@ func BenchmarkFlowOutput(b *testing.B) {
 	})
 }
 
-// BenchmarkKernel isolates the FSM walk strategy over the shared campaign's
-// pre-built views: the compiled threaded-code kernel walk (the default hot
-// path — one flat op-table load per event, classification read straight off
-// the batch columns) against the interpreted reference walk (dense-table
-// probes and per-event Event materialization, kept as the semantic oracle
-// behind engine.Options.Interpreted). Both run the same serial AnalyzeViews path so
-// allocs/op is deterministic and benchguard can pin it.
-func BenchmarkKernel(b *testing.B) {
-	c := benchCampaign(b)
-	views, _ := event.Partition(c.Res.Logs)
-	if len(views) == 0 {
-		b.Fatal("no views")
-	}
-	run := func(b *testing.B, opts engine.Options) {
-		eng, err := engine.New(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			flows := eng.AnalyzeViews(views)
-			if len(flows) != len(views) {
-				b.Fatal("flow count mismatch")
-			}
-		}
-		b.ReportMetric(float64(len(views)), "flows")
-	}
-	b.Run("kernel", func(b *testing.B) {
-		run(b, engine.Options{Sink: c.Res.Sink})
-	})
-	b.Run("interpreted", func(b *testing.B) {
-		run(b, engine.Options{Sink: c.Res.Sink, Interpreted: true})
-	})
-}
-
 // BenchmarkDiagnosis isolates the diagnosis layer on the shared campaign's
 // reconstructed flows. classify is one scratch-backed classifier pass over
 // every flow — steady-state it performs ZERO allocations, the tentpole

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -33,14 +32,11 @@ func TestParseStripsCPUSuffix(t *testing.T) {
 	if camp.AllocsOp != 190633 {
 		t.Errorf("campaign allocs = %d", camp.AllocsOp)
 	}
-	if camp.NsOp != 342105525 || camp.BytesOp != 84874053 {
-		t.Errorf("campaign ns/B = %v/%d, want 342105525/84874053", camp.NsOp, camp.BytesOp)
-	}
-	if camp.Metrics["flows"] != 28296 {
-		t.Errorf("campaign metrics = %v, want the flows custom metric captured", camp.Metrics)
+	if camp.NsOp != 342105525 {
+		t.Errorf("campaign ns/op = %v, want 342105525", camp.NsOp)
 	}
 	sub := got["BenchmarkEngineChain/hops=4"]
-	if sub.AllocsOp != 9 || sub.NsOp != 1042 || sub.BytesOp != 512 || sub.Metrics != nil {
+	if sub.AllocsOp != 9 || sub.NsOp != 1042 {
 		t.Errorf("sub-benchmark = %+v", sub)
 	}
 	if len(got) != 2 {
@@ -64,39 +60,18 @@ PASS
 		t.Fatalf("parsed %d entries, want only the -benchmem line: %v", len(got), got)
 	}
 	r := got["BenchmarkAnalyzeSkewed/steal-8"]
-	if r.Metrics["events/s"] != 2919787 || r.NsOp != 294217110 || r.AllocsOp != 190633 {
+	if r.NsOp != 294217110 || r.AllocsOp != 190633 {
 		t.Errorf("result = %+v", r)
-	}
-}
-
-// TestMetricsInDeltaTable pins the rendered metric suffix: drift against the
-// baseline where the unit matches, bare value where it doesn't, and no
-// change to entries without metrics.
-func TestMetricsInDeltaTable(t *testing.T) {
-	base := map[string]Result{"BenchmarkX": {
-		Name: "BenchmarkX", AllocsOp: 100, Metrics: map[string]float64{"events/s": 2000000},
-	}}
-	cur := map[string]Result{"BenchmarkX": {
-		Name: "BenchmarkX", AllocsOp: 100, Metrics: map[string]float64{"events/s": 2500000, "flows": 42},
-	}}
-	entries, ok := check(base, cur, 0.10, 0)
-	if !ok {
-		t.Fatalf("flat allocs failed: %v", render(entries, 0.10, 0))
-	}
-	lines := render(entries, 0.10, 0)
-	want := "ok   BenchmarkX: 100 allocs/op, baseline 100 (+0.0%); 2500000 events/s vs baseline 2000000 (+25.0%); 42 flows"
-	if len(lines) != 1 || lines[0] != want {
-		t.Errorf("line = %q, want %q", lines, want)
 	}
 }
 
 func TestCheckWithinTolerancePasses(t *testing.T) {
 	base := mkResults(map[string]int64{"BenchmarkX": 1000})
-	_, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1099}), 0.10, 0)
+	_, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1099}), 0.10)
 	if !ok {
 		t.Error("9.9% regression failed under a 10% tolerance")
 	}
-	_, ok = check(base, mkResults(map[string]int64{"BenchmarkX": 900}), 0.10, 0)
+	_, ok = check(base, mkResults(map[string]int64{"BenchmarkX": 900}), 0.10)
 	if !ok {
 		t.Error("an improvement failed the guard")
 	}
@@ -104,34 +79,34 @@ func TestCheckWithinTolerancePasses(t *testing.T) {
 
 func TestCheckRegressionFails(t *testing.T) {
 	base := mkResults(map[string]int64{"BenchmarkX": 1000})
-	entries, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1101}), 0.10, 0)
+	entries, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1101}), 0.10)
 	if ok {
-		t.Errorf("10.1%% regression passed: %v", render(entries, 0.10, 0))
+		t.Errorf("10.1%% regression passed: %v", render(entries))
 	}
 }
 
 func TestCheckMissingBenchmarkFails(t *testing.T) {
 	base := mkResults(map[string]int64{"BenchmarkX": 1000, "BenchmarkY": 5})
-	entries, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1000}), 0.10, 0)
+	entries, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1000}), 0.10)
 	if ok {
-		t.Errorf("missing baseline benchmark passed: %v", render(entries, 0.10, 0))
+		t.Errorf("missing baseline benchmark passed: %v", render(entries))
 	}
 }
 
 func TestCheckUnknownBenchmarkIsNoted(t *testing.T) {
 	base := mkResults(map[string]int64{"BenchmarkX": 1000})
-	entries, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1000, "BenchmarkNew": 7}), 0.10, 0)
+	entries, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1000, "BenchmarkNew": 7}), 0.10)
 	if !ok {
-		t.Errorf("benchmark absent from baseline failed the run: %v", render(entries, 0.10, 0))
+		t.Errorf("benchmark absent from baseline failed the run: %v", render(entries))
 	}
 	found := false
-	for _, l := range render(entries, 0.10, 0) {
+	for _, l := range render(entries) {
 		if strings.Contains(l, "BenchmarkNew") && strings.HasPrefix(l, "note") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("new benchmark not noted: %v", render(entries, 0.10, 0))
+		t.Errorf("new benchmark not noted: %v", render(entries))
 	}
 }
 
@@ -141,100 +116,22 @@ func TestCheckUnknownBenchmarkIsNoted(t *testing.T) {
 func TestNsDeltaIsInformational(t *testing.T) {
 	base := map[string]Result{"BenchmarkX": {Name: "BenchmarkX", NsOp: 1000, AllocsOp: 100}}
 	cur := map[string]Result{"BenchmarkX": {Name: "BenchmarkX", NsOp: 3000, AllocsOp: 100}}
-	entries, ok := check(base, cur, 0.10, 0)
+	entries, ok := check(base, cur, 0.10)
 	if !ok {
-		t.Fatalf("3x ns/op regression with flat allocs failed the guard: %v", render(entries, 0.10, 0))
+		t.Fatalf("3x ns/op regression with flat allocs failed the guard: %v", render(entries))
 	}
 	if len(entries) != 1 || entries[0].BaselineNs != 1000 || entries[0].NsDeltaPct != 200 {
 		t.Fatalf("entry = %+v, want baseline ns 1000 and +200%% delta", entries[0])
 	}
-	lines := render(entries, 0.10, 0)
+	lines := render(entries)
 	want := "ok   BenchmarkX: 100 allocs/op, baseline 100 (+0.0%); 3000 ns/op vs baseline 1000 (+200.0%, non-fatal)"
 	if len(lines) != 1 || lines[0] != want {
 		t.Errorf("line = %q, want %q", lines, want)
 	}
 	// Entries without timing on either side keep the bare line.
-	bare, _ := check(mkResults(map[string]int64{"BenchmarkY": 5}), mkResults(map[string]int64{"BenchmarkY": 5}), 0.10, 0)
-	if l := render(bare, 0.10, 0); len(l) != 1 || strings.Contains(l[0], "ns/op") {
+	bare, _ := check(mkResults(map[string]int64{"BenchmarkY": 5}), mkResults(map[string]int64{"BenchmarkY": 5}), 0.10)
+	if l := render(bare); len(l) != 1 || strings.Contains(l[0], "ns/op") {
 		t.Errorf("timing-less entry rendered a ns delta: %q", l)
-	}
-}
-
-// TestNsToleranceGate pins the opt-in wall-time gate: with -ns-tolerance a
-// ns/op regression beyond the fraction fails the run even when allocs are
-// flat, within-tolerance drift still passes, and the rendered line drops the
-// "non-fatal" marker.
-func TestNsToleranceGate(t *testing.T) {
-	base := map[string]Result{"BenchmarkX": {Name: "BenchmarkX", NsOp: 1000, AllocsOp: 100}}
-
-	slow := map[string]Result{"BenchmarkX": {Name: "BenchmarkX", NsOp: 1600, AllocsOp: 100}}
-	entries, ok := check(base, slow, 0.10, 0.50)
-	if ok {
-		t.Fatalf("+60%% ns/op passed a 50%% ns-tolerance: %v", render(entries, 0.10, 0.50))
-	}
-	if e := entries[0]; e.Status != "fail" || !strings.Contains(e.Detail, "ns-tolerance") {
-		t.Errorf("entry = %+v, want a ns-tolerance fail", e)
-	}
-	if l := render(entries, 0.10, 0.50); strings.Contains(l[0], "non-fatal") {
-		t.Errorf("gated render still says non-fatal: %q", l[0])
-	}
-
-	drift := map[string]Result{"BenchmarkX": {Name: "BenchmarkX", NsOp: 1400, AllocsOp: 100}}
-	if _, ok := check(base, drift, 0.10, 0.50); !ok {
-		t.Error("+40% ns/op failed under a 50% ns-tolerance")
-	}
-
-	// Both gates tripping report both reasons.
-	worse := map[string]Result{"BenchmarkX": {Name: "BenchmarkX", NsOp: 1600, AllocsOp: 200}}
-	entries, ok = check(base, worse, 0.10, 0.50)
-	if ok {
-		t.Fatal("double regression passed")
-	}
-	if d := entries[0].Detail; !strings.Contains(d, "tolerance") || !strings.Contains(d, "ns-tolerance") {
-		t.Errorf("detail %q does not report both gates", d)
-	}
-
-	// Default (0) keeps timing informational — the pre-gate behavior.
-	if _, ok := check(base, slow, 0.10, 0); !ok {
-		t.Error("ns regression failed the run with the gate off")
-	}
-}
-
-// TestCheckEntriesRoundTripJSON pins the -json document shape: every entry
-// carries the measurements and a status, and the report marshals cleanly.
-func TestCheckEntriesRoundTripJSON(t *testing.T) {
-	base := mkResults(map[string]int64{"BenchmarkX": 1000, "BenchmarkGone": 3})
-	cur := map[string]Result{
-		"BenchmarkX":   {Name: "BenchmarkX", NsOp: 1.5e6, BytesOp: 4096, AllocsOp: 950},
-		"BenchmarkNew": {Name: "BenchmarkNew", NsOp: 10, BytesOp: 0, AllocsOp: 0},
-	}
-	entries, ok := check(base, cur, 0.10, 0)
-	if ok {
-		t.Fatal("missing BenchmarkGone must fail the run")
-	}
-	raw, err := json.Marshal(report{Tolerance: 0.10, Pass: ok, Benchmarks: entries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back report
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Pass || back.Tolerance != 0.10 || len(back.Benchmarks) != 3 {
-		t.Fatalf("round-tripped report = %+v", back)
-	}
-	byName := map[string]Entry{}
-	for _, e := range back.Benchmarks {
-		byName[e.Name] = e
-	}
-	if e := byName["BenchmarkX"]; e.Status != "ok" || e.BaselineAllocs != 1000 || e.AllocsOp != 950 || e.NsOp != 1.5e6 {
-		t.Errorf("BenchmarkX entry = %+v", e)
-	}
-	if e := byName["BenchmarkGone"]; e.Status != "fail" || e.Detail == "" {
-		t.Errorf("BenchmarkGone entry = %+v", e)
-	}
-	if e := byName["BenchmarkNew"]; e.Status != "note" {
-		t.Errorf("BenchmarkNew entry = %+v", e)
 	}
 }
 
@@ -243,8 +140,8 @@ func TestCheckEntriesRoundTripJSON(t *testing.T) {
 func TestRenderFormatsUnchanged(t *testing.T) {
 	base := mkResults(map[string]int64{"BenchmarkA": 100, "BenchmarkB": 10})
 	cur := mkResults(map[string]int64{"BenchmarkA": 200, "BenchmarkC": 1})
-	entries, _ := check(base, cur, 0.10, 0)
-	lines := render(entries, 0.10, 0)
+	entries, _ := check(base, cur, 0.10)
+	lines := render(entries)
 	want := []string{
 		"FAIL BenchmarkA: 200 allocs/op, baseline 100 (+100.0% > 10% tolerance)",
 		"FAIL BenchmarkB: in baseline but missing from input",

@@ -1,7 +1,7 @@
 // Command refill-lint statically verifies the repo's protocol machinery at
 // two layers: the domain layer checks every built-in protocol graph and
 // prerequisite table (determinism, reachability, prerequisite soundness,
-// representation coherence, compiled-kernel coherence), and the code layer
+// representation coherence), and the code layer
 // runs the custom analyzers in internal/analysis (maprange, wallclock,
 // poolhygiene, escapecheck, shardowner) over the packages named on the
 // command line.

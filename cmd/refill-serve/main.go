@@ -72,7 +72,6 @@ func main() {
 		start   = flag.Int64("start", 0, "campaign start time (daily-bin epoch)")
 		end     = flag.Int64("end", 0, "campaign end time (bounds a trailing open outage at drain)")
 		workers = flag.Int("workers", 0, "reconstruction workers per window (0 all cores, n>0 exactly n)")
-		shards  = flag.Int("shards", 0, "origin shards of the pending store (0 = 16)")
 		horizon = flag.Int64("horizon", 0, "max within-packet timestamp spread: clock skew + packet lifetime")
 		retain  = flag.Bool("retain-flows", false, "keep finalized flows in memory for the drained result")
 		ckptDir = flag.String("checkpoint-dir", "", "directory for durable session checkpoints (resumed on startup)")
@@ -96,7 +95,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sc := refill.SessionConfig{Shards: *shards, Horizon: *horizon, RetainFlows: *retain}
+	sc := refill.SessionConfig{Horizon: *horizon, RetainFlows: *retain}
 	var (
 		sess     *refill.Session
 		ckptPath string

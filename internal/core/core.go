@@ -102,8 +102,6 @@ func WithDailyBins(dayLen int64, days int) Option {
 // WithEngineOptions(engine.Options{MaxDepth: 512}) does not silently reset
 // the protocol or the sink. The flip side: this option can only set the
 // ablation switches, never clear them — clear them on the base Options.
-// eo.Interpreted is not imported: the interpreted walk is a test oracle
-// reachable only through engine.New, never a pipeline setting.
 func WithEngineOptions(eo engine.Options) Option {
 	return func(o *Options) {
 		if eo.Protocol != nil {
@@ -189,10 +187,8 @@ func (a *Analyzer) diagConfig() diagnosis.Config {
 
 // SessionConfig tunes NewSession beyond the analyzer's own options. See
 // ingest.Config for the field semantics; the zero value is a sensible
-// service default (16 origin shards, zero horizon, flows discarded).
+// service default (zero horizon, flows discarded).
 type SessionConfig struct {
-	// Shards is the origin-shard count of the pending store (0 = 16).
-	Shards int
 	// Horizon bounds the within-packet timestamp spread (cross-node clock
 	// skew plus packet lifetime); finalization waits it out.
 	Horizon int64
@@ -223,7 +219,6 @@ func (a *Analyzer) sessionConfig(sc SessionConfig) ingest.Config {
 		Engine:      a.eng,
 		Diagnosis:   a.diagConfig(),
 		Workers:     a.workers(0),
-		Shards:      sc.Shards,
 		Horizon:     sc.Horizon,
 		RetainFlows: sc.RetainFlows,
 	}

@@ -38,14 +38,6 @@ type Options struct {
 	// listed node (minus the event's own) to have passed the prerequisite
 	// state.
 	Group []event.NodeID
-	// Interpreted selects the interpreted reference walk — per-event dense
-	// table probes and Event materialization at pop time — instead of the
-	// compiled-kernel execution every production path runs (see kernel.go).
-	// Outputs are byte-identical either way. It exists for one purpose: it
-	// is the oracle the kernel fuzz and equivalence suites (and refill-lint's
-	// kernel check) compare the compiled walk against, and the other side
-	// of BenchmarkKernel. No CLI flag or facade option reaches it.
-	Interpreted bool
 }
 
 // prereqRule is a protocol prerequisite flattened into a dense per-type
@@ -79,11 +71,7 @@ type Engine struct {
 	interPrereq [event.NumTypes]prereqRule
 	selfPrereq  [event.NumTypes]prereqRule
 	sentBound   [event.NumTypes]bool
-	// acts folds the prerequisite tables and the ablation switches into one
-	// per-type action mask (actSelfPre | actInterPre), so the kernel walk's
-	// per-event gates are a single byte load.
-	acts    [event.NumTypes]uint8
-	prereqs map[*fsm.Graph]*graphPrereqs
+	prereqs     map[*fsm.Graph]*graphPrereqs
 	// runPool recycles per-packet run state (node tables, visit structs)
 	// across AnalyzePacket calls and driver workers; safe for concurrent
 	// use.
@@ -118,14 +106,6 @@ func New(opts Options) (*Engine, error) {
 		}
 		if pr, ok := opts.Protocol.SelfPrereq(event.Type(t)); ok {
 			e.selfPrereq[t] = prereqRule{pr: pr, ok: true}
-		}
-	}
-	for t := 0; t < event.NumTypes; t++ {
-		if !opts.DisableIntra && e.selfPrereq[t].ok {
-			e.acts[t] |= actSelfPre
-		}
-		if !opts.DisableInter && e.interPrereq[t].ok {
-			e.acts[t] |= actInterPre
 		}
 	}
 	for _, role := range []fsm.NodeRole{fsm.RoleOrigin, fsm.RoleForward, fsm.RoleSink, fsm.RoleServer} {
@@ -219,7 +199,6 @@ func (r *run) analyze(e *Engine, v *event.PacketView, a *flow.Arena) *flow.Flow 
 	r.e = e
 	r.pkt = v.Packet
 	r.view = v
-	r.cols = v.Columns()
 	r.infers = 0
 	r.inferCapHit = false
 	r.items = r.items[:0]
@@ -268,21 +247,11 @@ type visit struct {
 	recvInf bool         // custody entry (Received/Has) was inferred
 	lastPos int
 	started bool
-	// Kernel-walk caches of graph's compiled kernel (see kernel.go): the
-	// flat op array, its width, the flattened infer-step indexes, and the
-	// normal transitions the steps index into. Hoisted here so the hot loop
-	// dereferences the visit once instead of graph→kernel per event.
-	kops   []fsm.KernelOp
-	ksteps []int32
-	knorm  []fsm.Transition
-	kw     int
 }
 
 // queueSpan is a node's unconsumed remainder of its view span: batch rows
-// [cur, end) of the run's view. The kernel walk reads classification fields
-// straight from the columns and materializes an Event only at commit points
-// (the interpreted path materializes at step time), so queued events occupy
-// no per-run storage at all.
+// [cur, end) of the run's view. step materializes an Event only when it pops
+// the row, so queued events occupy no per-run storage at all.
 type queueSpan struct{ cur, end int32 }
 
 func (q queueSpan) empty() bool { return q.cur >= q.end }
@@ -306,9 +275,6 @@ type run struct {
 	e    *Engine
 	pkt  event.PacketID
 	view *event.PacketView
-	// cols caches the view batch's hot columns for the kernel walk — the
-	// per-event classification reads index these directly.
-	cols event.Columns
 	// items is the flow output scratch; itemsInferred counts its inferred
 	// entries for the O(1) Flow.InferredCount counter.
 	items         []flow.Item
@@ -351,7 +317,6 @@ func (r *run) reset() {
 		r.current[i] = nil
 	}
 	r.view = nil
-	r.cols = event.Columns{}
 	r.nodes = r.nodes[:0]
 	r.queues = r.queues[:0]
 	r.current = r.current[:0]
@@ -421,11 +386,6 @@ func (r *run) newVisit(ni int, g *fsm.Graph, index int) *visit {
 	v.cur = g.Start()
 	v.peer = event.NoNode
 	v.lastPos = -1
-	k := g.Kernel()
-	v.kops = k.Ops()
-	v.ksteps = k.StepIndexes()
-	v.knorm = g.NormalTransitions()
-	v.kw = k.Width()
 	r.current[ni] = v
 	r.all = append(r.all, v)
 	r.byNode[ni] = append(r.byNode[ni], v)
@@ -522,6 +482,16 @@ func (r *run) exec() {
 	}
 }
 
+// step consumes the next queued event of node index ni. The caller must have
+// checked the queue is non-empty.
+//
+//refill:noalloc — per-event dispatch; every queued event passes through here
+func (r *run) step(ni, depth int) bool {
+	row := int(r.queues[ni].cur)
+	r.queues[ni].cur++
+	return r.process(ni, r.view.EventAt(row), depth)
+}
+
 // process applies one logged event at node index ni, following the paper's
 // transition algorithm:
 //
@@ -534,6 +504,8 @@ func (r *run) exec() {
 //  4. otherwise the event cannot be processed and is omitted (anomaly).
 //
 // It reports whether the event was applied.
+//
+//refill:noalloc — the walk's hot loop: the alloc war's wins live or die here
 func (r *run) process(ni int, ev event.Event, depth int) bool {
 	n := r.nodes[ni]
 	if depth > r.e.opts.MaxDepth {
@@ -576,6 +548,7 @@ func (r *run) process(ni int, ev event.Event, depth int) bool {
 		}
 	}
 	if !ok {
+		//refill:allow escapecheck — anomaly path: rare by construction, diagnostic string wanted
 		r.anomaly(ev, "no transition from state "+v.graph.State(v.cur).Name)
 		return false
 	}
@@ -595,6 +568,7 @@ func (r *run) process(ni int, ev event.Event, depth int) bool {
 	if cur := r.current[ni]; cur != v {
 		v = cur
 		if tr, ok = r.transitionFor(v, label); !ok {
+			//refill:allow escapecheck — anomaly path: rare by construction, diagnostic string wanted
 			r.anomaly(ev, "visit advanced by prerequisite chain; no transition from "+v.graph.State(v.cur).Name)
 			return false
 		}
@@ -803,12 +777,6 @@ func (r *run) satisfyPrereq(ev event.Event, depth int) {
 	if int(ev.Type) >= event.NumTypes || !r.e.interPrereq[ev.Type].ok {
 		return
 	}
-	r.satisfyPrereqRule(ev, depth)
-}
-
-// satisfyPrereqRule is satisfyPrereq past its guards — the kernel walk calls
-// it directly, having already folded the guards into the actInterPre bit.
-func (r *run) satisfyPrereqRule(ev event.Event, depth int) {
 	pr := &r.e.interPrereq[ev.Type].pr
 	if pr.Group {
 		// Many-to-1 prerequisite (Figure 3(c)/(d)): every group member

@@ -14,36 +14,42 @@ import (
 	"repro/internal/fsm"
 )
 
+// soupTypes is the event-type alphabet of the soup generators.
+var soupTypes = []event.Type{event.Gen, event.Recv, event.Trans, event.AckRecvd,
+	event.Timeout, event.Dup, event.Overflow, event.ServerRecv,
+	event.Enqueue, event.Dequeue}
+
+// soupEvent builds one structurally valid event of type ty between endpoints
+// a and b (a != b), stamped at time at.
+func soupEvent(ty event.Type, a, b event.NodeID, pkt event.PacketID, at int64) event.Event {
+	e := event.Event{Type: ty, Packet: pkt, Time: at}
+	switch {
+	case ty == event.Gen:
+		e.Node, e.Sender = pkt.Origin, pkt.Origin
+	case ty == event.ServerRecv:
+		e.Node, e.Sender, e.Receiver = event.Server, a, event.Server
+	case ty.NodeLocal():
+		e.Node, e.Sender = a, a
+	case ty.SenderSide():
+		e.Node, e.Sender, e.Receiver = a, a, b
+	default:
+		e.Node, e.Sender, e.Receiver = b, a, b
+	}
+	return e
+}
+
 // randomSoup generates structurally valid but semantically arbitrary events
 // for one packet across a handful of nodes.
 func randomSoup(rng *rand.Rand, pkt event.PacketID, nodes int, count int) []event.Event {
-	types := []event.Type{event.Gen, event.Recv, event.Trans, event.AckRecvd,
-		event.Timeout, event.Dup, event.Overflow, event.ServerRecv,
-		event.Enqueue, event.Dequeue}
 	var out []event.Event
 	for i := 0; i < count; i++ {
-		ty := types[rng.Intn(len(types))]
+		ty := soupTypes[rng.Intn(len(soupTypes))]
 		a := event.NodeID(rng.Intn(nodes) + 1)
 		b := event.NodeID(rng.Intn(nodes) + 1)
 		for b == a {
 			b = event.NodeID(rng.Intn(nodes) + 1)
 		}
-		var e event.Event
-		switch {
-		case ty == event.Gen:
-			e = event.Event{Node: pkt.Origin, Type: ty, Sender: pkt.Origin, Packet: pkt}
-		case ty == event.ServerRecv:
-			e = event.Event{Node: event.Server, Type: ty, Sender: a,
-				Receiver: event.Server, Packet: pkt}
-		case ty.NodeLocal():
-			e = event.Event{Node: a, Type: ty, Sender: a, Packet: pkt}
-		case ty.SenderSide():
-			e = event.Event{Node: a, Type: ty, Sender: a, Receiver: b, Packet: pkt}
-		default:
-			e = event.Event{Node: b, Type: ty, Sender: a, Receiver: b, Packet: pkt}
-		}
-		e.Time = int64(i)
-		out = append(out, e)
+		out = append(out, soupEvent(ty, a, b, pkt, int64(i)))
 	}
 	return out
 }
@@ -91,16 +97,65 @@ func fuzzOne(t *testing.T, eng *Engine, evs []event.Event, pkt event.PacketID, t
 	_ = f.HasLoop()
 }
 
+// soupFromBytes decodes a fuzz input into structurally valid event soup:
+// three bytes per event (type, endpoint, endpoint), shaped exactly like
+// randomSoup's generator so the fuzzer explores the same space the soup
+// tests sample.
+func soupFromBytes(data []byte) []event.Event {
+	pkt := event.PacketID{Origin: 1, Seq: 1}
+	if len(data) > 768 {
+		data = data[:768] // bound per-input work
+	}
+	var out []event.Event
+	for i := 0; i+2 < len(data); i += 3 {
+		ty := soupTypes[int(data[i])%len(soupTypes)]
+		a := event.NodeID(int(data[i+1])%4 + 1)
+		b := event.NodeID(int(data[i+2])%4 + 1)
+		if b == a {
+			b = a%4 + 1
+		}
+		out = append(out, soupEvent(ty, a, b, pkt, int64(i)))
+	}
+	return out
+}
+
+// FuzzEngine feeds arbitrary event soup through the walk and requires
+// fuzzOne's invariants: no panic, every node's log order embedded in the flow
+// as a subsequence, output within the inference budget. Crashers found by
+// `go test -fuzz=FuzzEngine` are pinned under testdata/fuzz and replayed by
+// every normal test run.
+func FuzzEngine(f *testing.F) {
+	// Seeds: a clean relay, a routing loop with an origin revisit, and soup.
+	f.Add([]byte{0, 1, 1, 2, 1, 2, 1, 1, 2, 3, 1, 2, 2, 2, 3, 1, 2, 3})
+	f.Add([]byte{0, 1, 1, 2, 1, 2, 1, 1, 2, 2, 2, 1, 1, 2, 1, 2, 1, 3, 1, 3, 1})
+	f.Add([]byte{9, 3, 3, 5, 2, 1, 7, 1, 4, 4, 2, 2, 6, 1, 3, 3, 2, 4, 8, 1, 1})
+	eng, err := New(Options{Protocol: fsm.DefaultCTP(), Sink: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if evs := soupFromBytes(data); len(evs) > 0 {
+			fuzzOne(t, eng, evs, event.PacketID{Origin: 1, Seq: 1}, 0)
+		}
+	})
+}
+
 func TestEngineSurvivesRandomSoup(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pkt := event.PacketID{Origin: 1, Seq: 1}
-	eng, err := New(Options{Protocol: fsm.DefaultCTP(), Sink: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 400; trial++ {
-		evs := randomSoup(rng, pkt, 5, 5+rng.Intn(40))
-		fuzzOne(t, eng, evs, pkt, trial)
+	for _, opts := range []Options{
+		{Protocol: fsm.DefaultCTP(), Sink: 3},
+		{Protocol: fsm.TableII(), Sink: 3},
+		{Protocol: fsm.Dissemination(), Sink: 3, Group: []event.NodeID{1, 2, 3, 4}},
+	} {
+		eng, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 400; trial++ {
+			evs := randomSoup(rng, pkt, 5, 5+rng.Intn(40))
+			fuzzOne(t, eng, evs, pkt, trial)
+		}
 	}
 }
 

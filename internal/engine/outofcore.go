@@ -88,7 +88,7 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 	ops := event.OperationalEvents(c)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
 
-	pending := event.NewPendingStore(16)
+	pending := event.NewPendingStore(event.PendingShards)
 	window := event.NewCollection()
 	acc := Parts{Aggregate: diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)}
 	last := plan.Windows() - 1

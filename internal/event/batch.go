@@ -238,40 +238,6 @@ func (b *Batch) Info(i int) string {
 	return b.info[int32(i)]
 }
 
-// Columns bundles a batch's hot column slices for bulk scans: a consumer
-// walking a row span (see PacketView.Spans) reads fields straight out of the
-// columns — prefetch-friendly, no per-row method dispatch, no Event
-// materialization until a row is actually committed somewhere. The slices
-// alias the batch's storage: callers must treat them as read-only and must
-// not retain them past the batch's lifetime. The cold Info side table is
-// deliberately absent — fetch it per row via Batch.Info (or materialize the
-// full row with At) at commit points only.
-type Columns struct {
-	Node     []NodeID
-	Type     []Type
-	Sender   []NodeID
-	Receiver []NodeID
-	Origin   []NodeID
-	Seq      []uint32
-	Time     []int64
-}
-
-// Columns returns the batch's hot columns (shared storage; read-only).
-//
-//refill:noalloc
-//refill:inline — the kernel walk fetches columns once per span
-func (b *Batch) Columns() Columns {
-	return Columns{
-		Node:     b.node,
-		Type:     b.typ,
-		Sender:   b.sender,
-		Receiver: b.receiver,
-		Origin:   b.origin,
-		Seq:      b.seq,
-		Time:     b.time,
-	}
-}
-
 // Reset empties the batch, keeping column capacity.
 func (b *Batch) Reset() {
 	b.mutable()

@@ -204,11 +204,6 @@ func (v *PacketView) Spans() []ViewSpan { return v.spans }
 //refill:inline — the engine's per-committed-row fetch
 func (v *PacketView) EventAt(i int) Event { return v.batch.At(i) }
 
-// Columns returns the hot columns of the view's backing batch, for span-wise
-// column walks: index them with rows from Spans (rows outside the spans
-// belong to other packets sharing the arena). Shared storage; read-only.
-func (v *PacketView) Columns() Columns { return v.batch.Columns() }
-
 // Batch exposes the view's columnar storage. Rows outside the view's spans
 // belong to other packets (the batch is a shared arena).
 func (v *PacketView) Batch() *Batch { return v.batch }

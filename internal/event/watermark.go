@@ -213,6 +213,10 @@ type PendingStore struct {
 	shards []PendingShard
 }
 
+// PendingShards is the origin-shard count both owners of a PendingStore use:
+// the ingest session and the out-of-core window loop.
+const PendingShards = 16
+
 // NewPendingStore returns an empty store with n origin shards (n < 1 is
 // raised to 1).
 func NewPendingStore(n int) *PendingStore {
@@ -260,12 +264,10 @@ func (ps *PendingStore) Packets() int {
 
 // AppendPendingTo copies every buffered row into dst, shard-major (shard 0
 // first) with nodes ascending inside each shard — the checkpoint layout.
-// Replaying the result through Append on a store with the SAME shard count
+// Replaying the result through Append on a store with the same shard count
 // reproduces each shard's per-node row order exactly: rows route back to
 // their shard by origin, and within one shard the serialization preserved
-// arrival order. With a different shard count the rebuilt store still holds
-// every packet's rows in per-node order (all a retirement window's consumer
-// depends on), only grouped differently.
+// arrival order.
 func (ps *PendingStore) AppendPendingTo(dst *Collection) {
 	nodes := make([]NodeID, 0, 16)
 	for i := range ps.shards {

@@ -26,37 +26,8 @@ import "fmt"
 //     the dense table.
 //   - "path-divergence": erases one memoized PathTo entry so it disagrees
 //     with the reference BFS.
-//   - "kernel-divergence": corrupts compiled kernel ops — retargets one
-//     normal next-state, clears one start-fallback hint, and redirects one
-//     intra infer-path step — so the kernel disagrees with the reference
-//     lookups on three independent facets.
 func CorruptForFixture(g *Graph, kind string) error {
 	switch kind {
-	case "kernel-divergence":
-		k := g.kernel
-		retargeted, cleared := false, false
-		for i := range k.ops {
-			op := &k.ops[i]
-			if !retargeted && op.NormalTr >= 0 {
-				op.NormalTo = int32((int(op.NormalTo) + 1) % len(g.states))
-				retargeted = true
-				continue
-			}
-			if !cleared && op.Flags&KernelStartNormal != 0 {
-				op.Flags &^= KernelStartNormal
-				cleared = true
-			}
-			if retargeted && cleared {
-				break
-			}
-		}
-		if !retargeted {
-			return fmt.Errorf("fsm: fixture %q needs a populated kernel", kind)
-		}
-		if len(k.steps) > 0 {
-			k.steps[0] = int32((int(k.steps[0]) + 1) % len(g.normal))
-		}
-		return nil
 	case "nondeterminism":
 		if len(g.normal) == 0 {
 			return fmt.Errorf("fsm: fixture %q needs a graph with transitions", kind)

@@ -98,9 +98,6 @@ type Graph struct {
 	// its name (see StateIndex), letting cross-graph consumers match
 	// states without string compares.
 	stateIdx []StateIndex
-	// kernel is the compiled threaded-code form of the dispatch tables
-	// (see kernel.go), built last in Finalize.
-	kernel *Kernel
 }
 
 type transKey struct {
@@ -308,13 +305,6 @@ func (g *Graph) IndexedIntraNext(s StateID, l Label) (Transition, bool) {
 	return Transition{}, false
 }
 
-// NormalNextReference is the reference normal-transition lookup the compiled
-// kernel is verified against (internal/lint, check "kernel"): the map-index
-// lookup, independent of both the dense tables and the kernel ops.
-func (g *Graph) NormalNextReference(s StateID, l Label) (Transition, bool) {
-	return g.IndexedNormalNext(s, l)
-}
-
 // PathToReference recomputes the shortest normal-transition path with the
 // allocating reference BFS the memoized table is built from. internal/lint
 // compares it exhaustively against PathTo; it is not for hot-path use.
@@ -438,7 +428,6 @@ func (b *Builder) Finalize() (*Graph, error) {
 	g.buildStateIndexes()
 	g.sent = g.StateByName(StateSent)
 	g.announced = g.StateByName(StateAnnounced)
-	g.compileKernel()
 	return g, nil
 }
 

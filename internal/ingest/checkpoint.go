@@ -35,14 +35,13 @@ import (
 //	            event.PendingStore.AppendPendingTo)
 //
 // Resume rebuilds the pending store by replaying the shard-major rows
-// through PendingStore.Append — origin routing is deterministic, so with an
-// unchanged shard count the store is structurally identical to the one
-// checkpointed. A resumed session's Drain is then byte-identical to an
-// uninterrupted session's (and, transitively, to batch analysis): outcomes
-// and flows are sorted into packet order at the end, aggregate counters are
-// order-independent, and its point sets finish through a total-order sort.
-// snapshot_equiv_test.go at the repo root pins this across a crash at every
-// checkpoint epoch.
+// through PendingStore.Append — origin routing is deterministic, so the store
+// is structurally identical to the one checkpointed. A resumed session's
+// Drain is then byte-identical to an uninterrupted session's (and,
+// transitively, to batch analysis): outcomes and flows are sorted into packet
+// order at the end, aggregate counters are order-independent, and its point
+// sets finish through a total-order sort. snapshot_equiv_test.go at the repo
+// root pins this across a crash at every checkpoint epoch.
 
 const (
 	ckVersion = 1
@@ -173,11 +172,13 @@ func (s *Session) opsCollectionLocked() *event.Collection {
 
 // Resume rebuilds a session from a checkpoint written by WriteCheckpoint.
 // cfg must match the checkpointed session's identity-critical settings (sink
-// and horizon are verified against the file); shard and worker counts may
-// differ — they change scheduling, never output. The returned session
-// continues exactly where the checkpointed one stopped: appending the same
-// remaining fragments and draining yields bytes identical to a session that
-// never restarted.
+// and horizon are verified against the file); the worker count may differ —
+// it changes scheduling, never output. Every section's data CRC is verified
+// before anything is read: a checkpoint is outside input (whatever file a
+// restart finds on disk) and is read in full here anyway. The returned
+// session continues exactly where the checkpointed one stopped: appending the
+// same remaining fragments and draining yields bytes identical to a session
+// that never restarted.
 func Resume(cfg Config, path string) (*Session, error) {
 	s, err := NewSession(cfg)
 	if err != nil {
@@ -188,6 +189,9 @@ func Resume(cfg Config, path string) (*Session, error) {
 		return nil, err
 	}
 	defer f.Close()
+	if err := f.Verify(); err != nil {
+		return nil, fmt.Errorf("ingest: checkpoint %s: %w", path, err)
+	}
 
 	meta, ok := f.Section(ckSecMeta)
 	if !ok || len(meta) != ckMetaSize {

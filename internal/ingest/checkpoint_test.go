@@ -5,18 +5,20 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/event/snapfile"
 )
 
 // ckSession builds a checkpointable session (flows not retained) over the
 // campaign's engine/diagnosis config.
-func ckSession(t *testing.T, c *campaign, horizon int64, shards int) *Session {
+func ckSession(t *testing.T, c *campaign, horizon int64) *Session {
 	t.Helper()
 	s, err := NewSession(Config{
 		Engine: ctpEngine(t, c.sink), Diagnosis: c.config(),
-		Horizon: horizon, Shards: shards,
+		Horizon: horizon,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,54 +53,48 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "mid.ckpt")
 
-	for _, shards := range []int{0, 3} {
-		orig := ckSession(t, c, 0, 0)
-		first, second := feedHalves(c)
-		for n, evs := range first {
-			if err := orig.Append(n, evs); err != nil {
+	orig := ckSession(t, c, 0)
+	first, second := feedHalves(c)
+	for n, evs := range first {
+		if err := orig.Append(n, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := orig.Advance(40); err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Resume(Config{Engine: ctpEngine(t, c.sink), Diagnosis: c.config()}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Stats(), orig.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed stats %+v, want %+v", got, want)
+	}
+
+	for _, s := range []*Session{orig, res} {
+		for n, evs := range second {
+			if err := s.Append(n, evs); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := orig.Advance(40); err != nil {
-			t.Fatal(err)
-		}
-		if err := orig.WriteCheckpoint(path); err != nil {
-			t.Fatal(err)
-		}
-
-		// Resume may use a different shard count: origin routing changes
-		// which shard holds what, never the drained output.
-		res, err := Resume(Config{
-			Engine: ctpEngine(t, c.sink), Diagnosis: c.config(), Shards: shards,
-		}, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := res.Stats(), orig.Stats(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: resumed stats %+v, want %+v", shards, got, want)
-		}
-
-		for _, s := range []*Session{orig, res} {
-			for n, evs := range second {
-				if err := s.Append(n, evs); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		_, origRep := orig.Drain()
-		_, resRep := res.Drain()
-		if !reflect.DeepEqual(origRep.Outcomes, resRep.Outcomes) {
-			t.Errorf("shards=%d: outcomes diverged:\n got %+v\nwant %+v", shards, resRep.Outcomes, origRep.Outcomes)
-		}
-		if !reflect.DeepEqual(origRep.Outages, resRep.Outages) {
-			t.Errorf("shards=%d: outages diverged: got %+v want %+v", shards, resRep.Outages, origRep.Outages)
-		}
-		if !reflect.DeepEqual(origRep.Breakdown(), resRep.Breakdown()) {
-			t.Errorf("shards=%d: breakdown diverged: got %v want %v", shards, resRep.Breakdown(), origRep.Breakdown())
-		}
-		if !reflect.DeepEqual(orig.Stats(), res.Stats()) {
-			t.Errorf("shards=%d: drained stats diverged: got %+v want %+v", shards, res.Stats(), orig.Stats())
-		}
+	}
+	_, origRep := orig.Drain()
+	_, resRep := res.Drain()
+	if !reflect.DeepEqual(origRep.Outcomes, resRep.Outcomes) {
+		t.Errorf("outcomes diverged:\n got %+v\nwant %+v", resRep.Outcomes, origRep.Outcomes)
+	}
+	if !reflect.DeepEqual(origRep.Outages, resRep.Outages) {
+		t.Errorf("outages diverged: got %+v want %+v", resRep.Outages, origRep.Outages)
+	}
+	if !reflect.DeepEqual(origRep.Breakdown(), resRep.Breakdown()) {
+		t.Errorf("breakdown diverged: got %v want %v", resRep.Breakdown(), origRep.Breakdown())
+	}
+	if !reflect.DeepEqual(orig.Stats(), res.Stats()) {
+		t.Errorf("drained stats diverged: got %+v want %+v", res.Stats(), orig.Stats())
 	}
 }
 
@@ -107,7 +103,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 func TestCheckpointBeforeAnyAdvance(t *testing.T) {
 	c := smallCampaign()
 	path := filepath.Join(t.TempDir(), "fresh.ckpt")
-	orig := ckSession(t, c, 25, 0)
+	orig := ckSession(t, c, 25)
 	for n, evs := range c.perNode() {
 		if err := orig.Append(n, evs); err != nil {
 			t.Fatal(err)
@@ -142,7 +138,7 @@ func TestCheckpointRefusals(t *testing.T) {
 		t.Errorf("RetainFlows checkpoint: %v, want ErrCheckpointFlows", err)
 	}
 
-	drained := ckSession(t, c, 0, 0)
+	drained := ckSession(t, c, 0)
 	drained.Drain()
 	if err := drained.WriteCheckpoint(path); !errors.Is(err, ErrDrained) {
 		t.Errorf("drained checkpoint: %v, want ErrDrained", err)
@@ -156,7 +152,7 @@ func TestResumeValidatesConfigAndFile(t *testing.T) {
 	c := smallCampaign()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ok.ckpt")
-	s := ckSession(t, c, 40, 0)
+	s := ckSession(t, c, 40)
 	for n, evs := range c.perNode() {
 		s.Append(n, evs)
 	}
@@ -191,5 +187,29 @@ func TestResumeValidatesConfigAndFile(t *testing.T) {
 	}
 	if _, err := Resume(base(), junk); err == nil {
 		t.Error("junk file not rejected")
+	}
+
+	// One flipped bit in the pending rows' seq column: the footer, the section
+	// table and the geometry are all intact, so only the data CRC can tell —
+	// unverified, the resumed session drains a phantom packet.
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapfile.Parse(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, ok := snap.Section(ckPendBase + 6)
+	if !ok || len(seq) == 0 {
+		t.Fatal("checkpoint has no pending seq column")
+	}
+	seq[0] ^= 0x40 // sections alias img
+	flipped := filepath.Join(dir, "flipped.ckpt")
+	if err := os.WriteFile(flipped, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(base(), flipped); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Errorf("flipped data bit: Resume returned %v, want a data CRC error", err)
 	}
 }

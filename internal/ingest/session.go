@@ -61,8 +61,6 @@ type Config struct {
 	// throughput path, so 0 (and any negative value) selects all cores;
 	// n > 0 uses exactly n workers. Output is identical across settings.
 	Workers int
-	// Shards is the origin-shard count of the pending store (0 = 16).
-	Shards int
 	// Horizon bounds how far apart (in local-clock time units) any two log
 	// rows about the same packet can be stamped: cross-node clock skew
 	// plus in-network packet lifetime. Packets are finalized only once the
@@ -155,15 +153,11 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.Horizon < 0 {
 		return nil, fmt.Errorf("ingest: negative Horizon %d", cfg.Horizon)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 16
-	}
 	return &Session{
 		eng:   cfg.Engine,
 		cfg:   cfg,
 		wm:    event.NewWatermarks(),
-		store: event.NewPendingStore(shards),
+		store: event.NewPendingStore(event.PendingShards),
 		ops:   make(map[event.NodeID][]event.Event),
 		acc: engine.Parts{
 			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start, cfg.Diagnosis.DayLen, cfg.Diagnosis.Days),

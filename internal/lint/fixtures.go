@@ -10,7 +10,7 @@ import (
 // FixtureCategories lists the seeded violation fixtures BrokenFixture knows,
 // one per graph-level check category. The code-analyzer category lives in
 // cmd/refill-lint (it needs the internal/analysis loader).
-var FixtureCategories = []string{"determinism", "reachability", "prereq-cycle", "divergence", "kernel"}
+var FixtureCategories = []string{"determinism", "reachability", "prereq-cycle", "divergence"}
 
 // BrokenFixture builds the deliberately broken artifact for a check category
 // and runs the verifier on it, returning the issues found. An empty result
@@ -50,12 +50,6 @@ func BrokenFixture(category string) ([]Issue, error) {
 			issues = append(issues, Graph(g)...)
 		}
 		return issues, nil
-	case "kernel":
-		g, err := corruptForward("kernel-divergence")
-		if err != nil {
-			return nil, err
-		}
-		return Graph(g), nil
 	}
 	return nil, fmt.Errorf("lint: unknown fixture category %q", category)
 }

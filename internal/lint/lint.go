@@ -25,13 +25,12 @@ const (
 	CheckReachability = "reachability"
 	CheckPrereq       = "prereq"
 	CheckCoherence    = "coherence"
-	CheckKernel       = "kernel"
 )
 
 // Issue is one violated invariant.
 type Issue struct {
 	// Check is the invariant family (determinism, reachability, prereq,
-	// coherence, kernel).
+	// coherence).
 	Check string
 	// Subject names the graph or protocol the issue is in.
 	Subject string
@@ -61,16 +60,14 @@ func sortIssues(issues []Issue) []Issue {
 // Graph verifies one finalized graph: determinism (at most one normal
 // transition per (state, label) and the paper's uniqueness precondition for
 // every intra-node transition), reachability (every state reachable from
-// Start, every non-terminal state reaches a terminal, anchor states resolve),
-// representation coherence (dense tables vs. map indexes vs. transition
-// slices, memoized PathTo vs. reference BFS), and kernel coherence (every
-// compiled threaded-code op vs. the reference lookups it was lowered from).
+// Start, every non-terminal state reaches a terminal, anchor states resolve)
+// and representation coherence (dense tables vs. map indexes vs. transition
+// slices, memoized PathTo vs. reference BFS).
 func Graph(g *fsm.Graph) []Issue {
 	var issues []Issue
 	issues = append(issues, checkDeterminism(g)...)
 	issues = append(issues, checkReachability(g)...)
 	issues = append(issues, checkCoherence(g)...)
-	issues = append(issues, checkKernel(g)...)
 	return sortIssues(issues)
 }
 
@@ -409,185 +406,6 @@ func checkCoherence(g *fsm.Graph) []Issue {
 						g.State(a).Name, g.State(b).Name, got, want)
 				}
 			}
-		}
-	}
-	return issues
-}
-
-// kernelActionsRef re-derives a slot's custody/peer-binding mask from the
-// event type alone — the lint-side mirror of the type switch the kernel
-// compiler folded into KernelOp.Actions.
-func kernelActionsRef(t event.Type) uint8 {
-	switch t {
-	case event.Trans, event.AckRecvd, event.Timeout:
-		return fsm.KernelActBindPeer
-	case event.Recv, event.Gen:
-		return fsm.KernelActRecvMark
-	}
-	return 0
-}
-
-// checkKernel exhaustively compares the compiled threaded-code kernel against
-// the reference lookups it was lowered from: for every (state, label) pair the
-// op's normal/intra transition indexes and next states must agree with
-// NormalNextReference / IndexedIntraNext, the flattened infer-path span must
-// resolve to the intra transition's InferPath and to the memoized PathTo
-// route, the start-fallback hint flags must match the start row's reference
-// lookups, and the action mask must match the slot's event type. Labels
-// outside the kernel's width (invalid Role, unknown event type) must miss.
-func checkKernel(g *fsm.Graph) []Issue {
-	var issues []Issue
-	name := g.Name()
-	bad := func(detail string, args ...any) {
-		issues = append(issues, Issue{Check: CheckKernel, Subject: name, Detail: fmt.Sprintf(detail, args...)})
-	}
-	k := g.Kernel()
-	if k == nil {
-		bad("graph has no compiled kernel")
-		return issues
-	}
-	if k.NumStates() != g.NumStates() {
-		bad("kernel has %d state rows, graph has %d states", k.NumStates(), g.NumStates())
-	}
-	if len(k.Ops()) != k.NumStates()*k.Width() {
-		bad("kernel op array has %d slots, want %d rows x %d width",
-			len(k.Ops()), k.NumStates(), k.Width())
-	}
-	normal := g.NormalTransitions()
-	intra := g.IntraTransitions()
-	trEq := func(a, b fsm.Transition) bool {
-		return a.From == b.From && a.To == b.To && a.On == b.On && a.Kind == b.Kind
-	}
-	states := g.NumStates()
-	if k.NumStates() < states {
-		states = k.NumStates()
-	}
-	for s := fsm.StateID(0); int(s) < states; s++ {
-		sName := g.State(s).Name
-		for _, l := range labelUniverse() {
-			op := k.Op(s, l)
-			slot, roleOK := fsm.LabelSlot(l)
-			if !roleOK || slot >= k.Width() {
-				if op != fsm.KernelMiss {
-					bad("state %q on %v: out-of-kernel label resolves to a live op", sName, l)
-				}
-				continue
-			}
-			refN, okN := g.NormalNextReference(s, l)
-			refI, okI := g.IndexedIntraNext(s, l)
-			// Normal facet: transition index and precomputed next state.
-			if okN != (op.NormalTr >= 0) {
-				bad("state %q on %v: kernel normal slot populated=%v, reference lookup ok=%v",
-					sName, l, op.NormalTr >= 0, okN)
-			} else if okN {
-				if int(op.NormalTr) >= len(normal) || !trEq(normal[op.NormalTr], refN) {
-					bad("state %q on %v: kernel normal index %d does not resolve to the reference transition",
-						sName, l, op.NormalTr)
-				}
-				if op.NormalTo != int32(refN.To) {
-					bad("state %q on %v: kernel normal next state is %d, reference says %d (%q)",
-						sName, l, op.NormalTo, refN.To, g.State(refN.To).Name)
-				}
-			} else if op.NormalTo != -1 {
-				bad("state %q on %v: empty normal slot carries next state %d", sName, l, op.NormalTo)
-			}
-			// Intra facet: transition index, next state and infer-path span.
-			if okI != (op.IntraTr >= 0) {
-				bad("state %q on %v: kernel intra slot populated=%v, reference lookup ok=%v",
-					sName, l, op.IntraTr >= 0, okI)
-			} else if okI {
-				if int(op.IntraTr) >= len(intra) || !trEq(intra[op.IntraTr], refI) {
-					bad("state %q on %v: kernel intra index %d does not resolve to the reference transition",
-						sName, l, op.IntraTr)
-				}
-				if op.IntraTo != int32(refI.To) {
-					bad("state %q on %v: kernel intra next state is %d, reference says %d (%q)",
-						sName, l, op.IntraTo, refI.To, g.State(refI.To).Name)
-				}
-				issues = append(issues, checkKernelSpan(g, k, s, l, op, refI)...)
-			} else if op.IntraTo != -1 || op.StepN != 0 {
-				bad("state %q on %v: empty intra slot carries next state %d / span length %d",
-					sName, l, op.IntraTo, op.StepN)
-			}
-			// Start-fallback hints: one bit per kind, replicated into every
-			// row, must match the reference lookups at the start state.
-			var wantFlags uint8
-			if _, ok := g.NormalNextReference(g.Start(), l); ok {
-				wantFlags |= fsm.KernelStartNormal
-			}
-			if _, ok := g.IndexedIntraNext(g.Start(), l); ok {
-				wantFlags |= fsm.KernelStartIntra
-			}
-			if op.Flags != wantFlags {
-				bad("state %q on %v: kernel start-fallback flags are %#02x, reference start-state lookups say %#02x",
-					sName, l, op.Flags, wantFlags)
-			}
-			if want := kernelActionsRef(l.Type); op.Actions != want {
-				bad("state %q on %v: kernel action mask is %#02x, event type %v demands %#02x",
-					sName, l, op.Actions, l.Type, want)
-			}
-		}
-	}
-	return sortIssues(issues)
-}
-
-// checkKernelSpan validates one populated intra slot's flattened infer-path
-// span: in bounds, every step index resolving to the normal transition the
-// intra transition's InferPath records, and the resolved route agreeing with
-// the memoized PathTo from the slot's state to the final step's target.
-func checkKernelSpan(g *fsm.Graph, k *fsm.Kernel, s fsm.StateID, l fsm.Label, op fsm.KernelOp, refI fsm.Transition) []Issue {
-	var issues []Issue
-	bad := func(detail string, args ...any) {
-		issues = append(issues, Issue{Check: CheckKernel, Subject: g.Name(), Detail: fmt.Sprintf(detail, args...)})
-	}
-	normal := g.NormalTransitions()
-	steps := k.StepIndexes()
-	sName := g.State(s).Name
-	if op.StepLo < 0 || op.StepN < 0 || int(op.StepLo)+int(op.StepN) > len(steps) {
-		bad("state %q on %v: infer-path span [%d, %d) exceeds the kernel's step array (%d entries)",
-			sName, l, op.StepLo, int(op.StepLo)+int(op.StepN), len(steps))
-		return issues
-	}
-	if int(op.StepN) != len(refI.InferPath) {
-		bad("state %q on %v: infer-path span has %d steps, reference intra transition records %d",
-			sName, l, op.StepN, len(refI.InferPath))
-		return issues
-	}
-	for i := 0; i < int(op.StepN); i++ {
-		si := steps[int(op.StepLo)+i]
-		if si < 0 || int(si) >= len(normal) {
-			bad("state %q on %v: infer-path step %d indexes normal transition %d of %d",
-				sName, l, i, si, len(normal))
-			return issues
-		}
-		st, want := normal[si], refI.InferPath[i]
-		if st.From != want.From || st.To != want.To || st.On != want.On {
-			bad("state %q on %v: infer-path step %d resolves to %q --%v--> %q, reference records %q --%v--> %q",
-				sName, l, i,
-				g.State(st.From).Name, st.On, g.State(st.To).Name,
-				g.State(want.From).Name, want.On, g.State(want.To).Name)
-			return issues
-		}
-	}
-	if op.StepN == 0 {
-		return issues
-	}
-	// The resolved route must also be the memoized PathTo route from the
-	// slot's state to the last step's target — the path the intra derivation
-	// flattened in the first place.
-	last := normal[steps[int(op.StepLo)+int(op.StepN)-1]].To
-	path, ok := g.PathTo(refI.From, last)
-	if !ok || len(path) != int(op.StepN) {
-		bad("state %q on %v: infer-path span does not match PathTo(%q, %q) (ok=%v len=%d, span %d)",
-			sName, l, g.State(refI.From).Name, g.State(last).Name, ok, len(path), op.StepN)
-		return issues
-	}
-	for i := range path {
-		si := steps[int(op.StepLo)+i]
-		st := normal[si]
-		if st.From != path[i].From || st.To != path[i].To || st.On != path[i].On {
-			bad("state %q on %v: infer-path step %d diverges from the memoized PathTo route", sName, l, i)
-			return issues
 		}
 	}
 	return issues

@@ -51,7 +51,6 @@ func TestBrokenFixtures(t *testing.T) {
 		"reachability": CheckReachability,
 		"prereq-cycle": CheckPrereq,
 		"divergence":   CheckCoherence,
-		"kernel":       CheckKernel,
 	}
 	for _, category := range FixtureCategories {
 		issues, err := BrokenFixture(category)
@@ -142,7 +141,6 @@ func TestCorruptionsAreCaughtIndividually(t *testing.T) {
 		{"dense-divergence", CheckCoherence},
 		{"index-divergence", CheckCoherence},
 		{"path-divergence", CheckCoherence},
-		{"kernel-divergence", CheckKernel},
 	}
 	for _, c := range cases {
 		g := fsm.DefaultCTP().Graph(fsm.RoleForward)

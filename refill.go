@@ -288,8 +288,7 @@ type (
 	// fragments, Advance the watermark to finalize completed packets,
 	// Snapshot live reports, Drain for the final batch-identical output.
 	Session = ingest.Session
-	// SessionConfig tunes Analyzer.NewSession (shards, horizon, flow
-	// retention).
+	// SessionConfig tunes Analyzer.NewSession (horizon, flow retention).
 	SessionConfig = core.SessionConfig
 	// SessionStats is a point-in-time snapshot of a session's lifecycle
 	// counters (watermark, pending rows, finalized packets, …).
