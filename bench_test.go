@@ -686,7 +686,7 @@ func skewedBench(b *testing.B) (*Collection, NodeID, int64) {
 func BenchmarkAnalyzeSkewed(b *testing.B) {
 	logs, sink, end := skewedBench(b)
 	events := logs.TotalEvents()
-	b.Run("steal-8", func(b *testing.B) {
+	b.Run("steal-workers=8", func(b *testing.B) {
 		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithParallelism(8))
 		if err != nil {
 			b.Fatal(err)

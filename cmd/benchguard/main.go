@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem . | benchguard -baseline bench_baseline.txt
+//	go test -run '^$' -bench . -benchmem -cpu 1 . | benchguard -baseline bench_baseline.txt
 //
 // Only allocs/op is guarded: unlike ns/op it is deterministic for a given
 // code path — independent of the machine, CPU contention, and frequency
@@ -25,7 +25,11 @@
 //
 //	go test -run '^$' \
 //	    -bench '^(BenchmarkAnalyzeCampaign|BenchmarkAnalyzePacket|BenchmarkAnalyzeSkewed|BenchmarkEngineChain|BenchmarkBinaryCodec|BenchmarkTableII|BenchmarkFlowOutput|BenchmarkDiagnosis|BenchmarkSessionIngest|BenchmarkSnapshot)$' \
-//	    -benchmem -benchtime 1x . > bench_baseline.txt
+//	    -benchmem -benchtime 1x -cpu 1 . > bench_baseline.txt
+//
+// -cpu 1 keeps the recorded names free of a -N suffix. A guarded benchmark's
+// own name must not end in -<digits> either (write steal-workers=8, not
+// steal-8): the suffix strip below could not tell it from GOMAXPROCS.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -48,7 +49,7 @@ func TestParseStripsCPUSuffix(t *testing.T) {
 // between ns/op and the -benchmem columns (where b.ReportMetric puts it),
 // and that lines without allocs/op are not treated as results.
 func TestParseCustomMetrics(t *testing.T) {
-	const out = `BenchmarkAnalyzeSkewed/steal-8-8   5   294217110 ns/op   2919787 events/s   84874053 B/op   190633 allocs/op
+	const out = `BenchmarkAnalyzeSkewed/steal-workers=8-8   5   294217110 ns/op   2919787 events/s   84874053 B/op   190633 allocs/op
 BenchmarkNoMem-8   100   1042 ns/op
 PASS
 `
@@ -59,9 +60,46 @@ PASS
 	if len(got) != 1 {
 		t.Fatalf("parsed %d entries, want only the -benchmem line: %v", len(got), got)
 	}
-	r := got["BenchmarkAnalyzeSkewed/steal-8"]
+	r := got["BenchmarkAnalyzeSkewed/steal-workers=8"]
 	if r.NsOp != 294217110 || r.AllocsOp != 190633 {
 		t.Errorf("result = %+v", r)
+	}
+}
+
+// TestBaselineNamesSurviveCPUSuffix holds every name in the checked-in
+// baseline to the naming rule: the line as recorded (at -cpu 1, no suffix)
+// and the same line as a multi-core run prints it (name-N) must parse to one
+// key, or the guard reports the row missing on one side and unknown on the
+// other. A name that itself ends in -<digits> breaks this.
+func TestBaselineNamesSurviveCPUSuffix(t *testing.T) {
+	raw, err := os.ReadFile("../../bench_baseline.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		plain, ok, err := parseLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		name := strings.Fields(line)[0]
+		suffixed, _, err := parseLine(strings.Replace(line, name, name+"-4", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Name != name || suffixed.Name != name {
+			t.Errorf("baseline row %s parses to %q, and to %q when run on 4 CPUs", name, plain.Name, suffixed.Name)
+		}
+		seen[name] = true
+	}
+	// One of each shape a sub-benchmark name takes here.
+	for _, name := range []string{"BenchmarkEngineChain/hops=2", "BenchmarkSnapshot/open-analyze-windowed", "BenchmarkAnalyzeSkewed/steal-workers=8"} {
+		if !seen[name] {
+			t.Errorf("baseline has no row %s", name)
+		}
 	}
 }
 

@@ -365,16 +365,16 @@ func ScoreJudgments(judgments map[event.PacketID]Judgment, fates map[event.Packe
 // ConfusionMatrix tallies ground-truth cause vs diagnosed cause over packets
 // both sides agree were lost — the detailed view behind the accuracy rates.
 func ConfusionMatrix(rep *diagnosis.Report, fates map[event.PacketID]network.Fate) map[diagnosis.Cause]map[diagnosis.Cause]int {
-	byPacket := make(map[event.PacketID]diagnosis.Outcome, len(rep.Outcomes))
+	outcomeOf := make(map[event.PacketID]diagnosis.Outcome, len(rep.Outcomes))
 	for _, o := range rep.Outcomes {
-		byPacket[o.Packet] = o
+		outcomeOf[o.Packet] = o
 	}
 	m := make(map[diagnosis.Cause]map[diagnosis.Cause]int)
 	for id, fate := range fates {
 		if fate.Cause == diagnosis.Unknown || fate.Cause == diagnosis.Delivered {
 			continue
 		}
-		out, ok := byPacket[id]
+		out, ok := outcomeOf[id]
 		if !ok || out.Cause == diagnosis.Delivered {
 			continue
 		}

@@ -208,7 +208,7 @@ func (r *run) analyze(e *Engine, v *event.PacketView, a *flow.Arena) *flow.Flow 
 	// Deterministic node order: the packet's origin first (the paper's
 	// algorithm starts from a given node; custody starts at the origin),
 	// then ascending node IDs. The view's spans are already ascending (one
-	// span per node — the partitioners' invariant), so no sorting is
+	// span per node — Partition's invariant), so no sorting is
 	// needed, and the Server pseudo-node has the largest ID and therefore
 	// naturally comes last.
 	r.order = r.order[:0]

@@ -25,8 +25,8 @@ type Batch struct {
 	// infoCol is the dense alternative to the info map, used for shared
 	// partition arenas that every analysis worker reads at once: a per-row
 	// slice keeps that shared path free of map accesses.
-	// Allocated only by viewLayout.alloc when the counting pre-pass saw a
-	// non-empty Info; when non-nil it supersedes the map entirely.
+	// Allocated only by Partition when its scan saw a packet-scoped row
+	// with a non-empty Info; when non-nil it supersedes the map entirely.
 	infoCol []string
 	// ro marks a snapshot-mapped batch: its columns alias a read-only file
 	// mapping, so every mutating path panics instead of faulting on a
@@ -96,7 +96,7 @@ func (b *Batch) Grow(n int) {
 }
 
 // Resize sets the row count to n, zero-filling new rows. Existing rows are
-// preserved up to min(Len, n). The partitioners use it to allocate an arena
+// preserved up to min(Len, n). Partition uses it to allocate an arena
 // once and fill rows by index.
 func (b *Batch) Resize(n int) {
 	b.mutable()
@@ -158,31 +158,6 @@ func (b *Batch) Set(i int, e Event) {
 		b.info[int32(i)] = e.Info
 	} else if b.info != nil {
 		delete(b.info, int32(i))
-	}
-}
-
-// setFrom copies row si of src into row i of b — the partitioners' bulk move,
-// which avoids materializing an Event in between.
-func (b *Batch) setFrom(src *Batch, si, i int) {
-	b.mutable()
-	b.node[i] = src.node[si]
-	b.typ[i] = src.typ[si]
-	b.sender[i] = src.sender[si]
-	b.receiver[i] = src.receiver[si]
-	b.origin[i] = src.origin[si]
-	b.seq[i] = src.seq[si]
-	b.time[i] = src.time[si]
-	if b.infoCol != nil {
-		// Dense destination (a shared arena): a distinct-index slice
-		// write, safe against concurrent readers of other rows.
-		b.infoCol[i] = src.Info(si)
-		return
-	}
-	if s := src.Info(si); s != "" {
-		if b.info == nil {
-			b.info = make(map[int32]string)
-		}
-		b.info[int32(i)] = s
 	}
 }
 

@@ -1,8 +1,11 @@
 package event
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -169,28 +172,39 @@ func referencePartition(c *Collection) (map[PacketID]map[NodeID][]Event, []Event
 	return views, ops
 }
 
-func TestPartitionMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		c := buildRandomCollection(seed, 2000)
-		want, wantOps := referencePartition(c)
-		views, ops := Partition(c)
-		if len(views) != len(want) {
-			t.Fatalf("seed %d: %d views, want %d", seed, len(views), len(want))
+// checkPartition compares Partition(c) with the reference oracle — the same
+// views in (origin, seq) order, each with the same per-node events, and the
+// same operational events — and checks the span and arena layout invariants.
+func checkPartition(t *testing.T, c *Collection) []*PacketView {
+	t.Helper()
+	want, _ := referencePartition(c)
+	views, ops := Partition(c)
+	if len(views) != len(want) {
+		t.Fatalf("%d views, want %d", len(views), len(want))
+	}
+	for i, v := range views {
+		if i > 0 && !views[i-1].Packet.Less(v.Packet) {
+			t.Fatalf("view %d (%v) does not sort after view %d (%v)", i, v.Packet, i-1, views[i-1].Packet)
 		}
-		for _, v := range views {
-			if !reflect.DeepEqual(v.PerNodeEvents(), want[v.Packet]) {
-				t.Fatalf("seed %d: view %v differs from reference", seed, v.Packet)
-			}
-		}
-		if len(ops) != len(wantOps) {
-			t.Fatalf("seed %d: %d operational events, want %d", seed, len(ops), len(wantOps))
+		if !reflect.DeepEqual(v.PerNodeEvents(), want[v.Packet]) {
+			t.Fatalf("view %v differs from reference", v.Packet)
 		}
 	}
+	if wantOps := OperationalEvents(c); !reflect.DeepEqual(ops, wantOps) {
+		t.Fatalf("operational events %v, want %v", ops, wantOps)
+	}
+	checkSpanInvariants(t, views)
+	return views
 }
 
-func TestPartitionSpanInvariants(t *testing.T) {
-	c := buildRandomCollection(9, 3000)
-	views, _ := Partition(c)
+// checkSpanInvariants checks what consumers rely on (non-empty spans, one per
+// node, ascending by node, holding that node's rows of that packet) and the
+// arena layout: rows in view order, a view's spans back to back, views[i]'s
+// rows ending where views[i+1]'s begin, nothing before the first or after
+// the last.
+func checkSpanInvariants(t *testing.T, views []*PacketView) {
+	t.Helper()
+	next := int32(0) // where the next span must start
 	for _, v := range views {
 		spans := v.Spans()
 		if len(spans) == 0 {
@@ -203,6 +217,10 @@ func TestPartitionSpanInvariants(t *testing.T) {
 			if i > 0 && spans[i-1].Node >= sp.Node {
 				t.Fatalf("view %v: spans not ascending by node", v.Packet)
 			}
+			if sp.Start != next {
+				t.Fatalf("view %v: span for node %v starts at row %d, previous rows end at %d", v.Packet, sp.Node, sp.Start, next)
+			}
+			next = sp.End
 			for r := sp.Start; r < sp.End; r++ {
 				if v.Batch().Node(int(r)) != sp.Node {
 					t.Fatalf("view %v: row %d belongs to %v, span says %v",
@@ -215,6 +233,144 @@ func TestPartitionSpanInvariants(t *testing.T) {
 			}
 		}
 	}
+	if len(views) > 0 && int(next) != views[0].Batch().Len() {
+		t.Fatalf("views cover %d arena rows of %d", next, views[0].Batch().Len())
+	}
+}
+
+func TestPartitionMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		checkPartition(t, buildRandomCollection(seed, 2000))
+	}
+}
+
+func TestPartitionSpanInvariants(t *testing.T) {
+	views, _ := Partition(buildRandomCollection(9, 3000))
+	checkSpanInvariants(t, views)
+}
+
+func collectionOf(evs ...Event) *Collection {
+	c := NewCollection()
+	for _, e := range evs {
+		c.Add(e)
+	}
+	return c
+}
+
+// TestPartitionKeyShapes covers the inputs the radix passes branch on: which
+// key bytes vary decides which passes run.
+func TestPartitionKeyShapes(t *testing.T) {
+	ev := func(node, origin NodeID, seq uint32, time int64) Event {
+		return Event{Node: node, Type: Recv, Sender: origin, Receiver: node, Packet: PacketID{Origin: origin, Seq: seq}, Time: time}
+	}
+	t.Run("every key byte varies", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		c := NewCollection()
+		for i := 0; i < 3000; i++ {
+			origin := NodeID(1<<24 + rng.Intn(1<<31)) // all four origin bytes in use
+			seq := rng.Uint32()
+			if i%5 == 0 {
+				seq = 0xFFFFFFFF
+			}
+			// A few rows per packet at a few nodes, so views have more
+			// than one span.
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				c.Add(ev(NodeID(1+rng.Intn(6)), origin, seq, rng.Int63n(1<<40)))
+			}
+		}
+		checkPartition(t, c)
+	})
+	t.Run("single packet", func(t *testing.T) {
+		// No key byte varies, so no pass runs.
+		views := checkPartition(t, collectionOf(ev(3, 7, 9, 1), ev(1, 7, 9, 2), ev(3, 7, 9, 3), ev(2, 7, 9, 4)))
+		if len(views) != 1 || views[0].NodeCount() != 3 {
+			t.Fatalf("got %d views, want one view with three spans", len(views))
+		}
+	})
+	t.Run("empty", func(t *testing.T) {
+		if views := checkPartition(t, NewCollection()); len(views) != 0 {
+			t.Fatalf("empty collection gave %d views", len(views))
+		}
+	})
+	t.Run("operational only", func(t *testing.T) {
+		c := collectionOf(
+			Event{Node: Server, Type: ServerDown, Time: 50},
+			Event{Node: Server, Type: ServerUp, Time: 20},
+			Event{Node: Server, Type: ServerDown, Time: 70})
+		if views := checkPartition(t, c); len(views) != 0 {
+			t.Fatalf("operational-only collection gave %d views", len(views))
+		}
+	})
+	t.Run("one node", func(t *testing.T) {
+		views := checkPartition(t, collectionOf(ev(4, 2, 300, 1), ev(4, 1, 2, 2), ev(4, 2, 1, 3), ev(4, 1, 2, 4)))
+		if len(views) != 3 {
+			t.Fatalf("got %d views, want 3", len(views))
+		}
+	})
+	t.Run("rows split by other packets", func(t *testing.T) {
+		// Packet 1:1's rows at node 5 are separated by 1:2's in the log;
+		// they still form one span, in log order.
+		views := checkPartition(t, collectionOf(
+			ev(5, 1, 1, 10), ev(5, 1, 2, 11), ev(5, 1, 1, 12), ev(5, 1, 2, 13), ev(5, 1, 1, 14),
+			ev(6, 1, 2, 15), ev(6, 1, 1, 16)))
+		got := views[0].NodeEvents(5)
+		if len(views[0].Spans()) != 2 || len(got) != 3 || got[0].Time != 10 || got[1].Time != 12 || got[2].Time != 14 {
+			t.Fatalf("packet 1:1 at node 5: %d spans, events %v", len(views[0].Spans()), got)
+		}
+	})
+	t.Run("snapshot-mapped source", func(t *testing.T) {
+		s, err := parseSnapshotData(snapImage(t, snapTestCollection(43, 1500)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := s.Collection()
+		if n := c.Nodes()[0]; !c.Logs[n].Batch().ReadOnly() {
+			t.Fatal("snapshot collection is not read-only")
+		}
+		checkPartition(t, c)
+	})
+}
+
+func TestCheckArenaRows(t *testing.T) {
+	checkArenaRows(0)
+	checkArenaRows(math.MaxInt32)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "2147483648 rows") || !strings.Contains(msg, "2147483647") || !strings.Contains(msg, "windows") {
+			t.Fatalf("panic %q does not name the count, the limit and the windowed paths", msg)
+		}
+	}()
+	checkArenaRows(math.MaxInt32 + 1)
+	t.Fatal("no panic above the limit")
+}
+
+// FuzzPartition decodes arbitrary bytes as a binary log and holds Partition
+// to the reference on whatever collection comes out.
+func FuzzPartition(f *testing.F) {
+	one := Event{Node: 2, Type: Recv, Sender: 1, Receiver: 2, Packet: PacketID{Origin: 1, Seq: 7}, Time: 9}
+	wide := one
+	wide.Packet = PacketID{Origin: 0xFFFFFFFF, Seq: 0xFFFFFFFF} // with one: every key byte varies
+	for _, c := range []*Collection{
+		buildRandomCollection(51, 300),
+		buildInfoCollection(52, 200),
+		NewCollection(),
+		collectionOf(one, one),
+		collectionOf(one, wide),
+		collectionOf(Event{Node: Server, Type: ServerDown, Time: 5}),
+	} {
+		var buf bytes.Buffer
+		if err := WriteCollectionBinary(&buf, c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ReadCollectionBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkPartition(t, c)
+	})
 }
 
 func TestNewPacketViewMatchesPartitionLayout(t *testing.T) {
@@ -237,17 +393,15 @@ func TestNewPacketViewMatchesPartitionLayout(t *testing.T) {
 	}
 }
 
-func TestPartitionAllocsScaleWithNodesNotPackets(t *testing.T) {
-	c := buildRandomCollection(7, 20000)
-	views, _ := Partition(c) // warm-up + view count
-	perView := testing.AllocsPerRun(5, func() {
-		Partition(c)
-	}) / float64(len(views))
-	// The arena design performs O(nodes + views-map) allocations total; the
-	// old per-view maps cost 4-6 allocs per view. Anything under 1 alloc per
-	// view proves the arena is doing its job.
-	if perView > 1.0 {
-		t.Errorf("Partition allocates %.2f allocs/view; arena should amortize below 1", perView)
+// TestPartitionAllocsAreConstant pins what sort-then-slice buys: a fixed
+// number of allocations (the sort's columns, the arena's, the span and view
+// arenas, the operational slice), not one per view or per node.
+func TestPartitionAllocsAreConstant(t *testing.T) {
+	for _, events := range []int{2000, 20000} {
+		c := buildRandomCollection(7, events)
+		if allocs := testing.AllocsPerRun(5, func() { Partition(c) }); allocs > 32 {
+			t.Errorf("Partition of %d events made %.0f allocations, want at most 32", events, allocs)
+		}
 	}
 }
 

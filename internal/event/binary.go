@@ -24,6 +24,8 @@ import (
 const (
 	binaryMagic   = "RFBL"
 	binaryVersion = 1
+	// recordFixedSize is a record up to and including infoLen.
+	recordFixedSize = 1 + 4*4 + 8 + 2
 )
 
 // WriteCollectionBinary writes the collection in the binary log format.
@@ -103,68 +105,53 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 	if head[4] != binaryVersion {
 		return nil, fmt.Errorf("event: unsupported binary log version %d", head[4])
 	}
-	c := NewCollection()
-	var scratch [8]byte
-	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
+	c, le := NewCollection(), binary.LittleEndian
 	for {
-		nodeRaw, err := u32()
-		if err == io.EOF {
+		hdr, err := br.Peek(8) // node u32 | count u32
+		switch {
+		case len(hdr) == 0 && err == io.EOF:
 			return c, nil
-		}
-		if err != nil {
+		case len(hdr) < 4:
 			return nil, fmt.Errorf("event: truncated node header: %w", err)
-		}
-		count, err := u32()
-		if err != nil {
+		case err != nil:
 			return nil, fmt.Errorf("event: truncated node count: %w", err)
 		}
-		node := NodeID(nodeRaw)
+		node, count := NodeID(le.Uint32(hdr)), le.Uint32(hdr[4:])
+		br.Discard(8) // cannot fail: Peek just returned these bytes
 		log := c.Log(node)
 		// The count field sizes a pre-allocation only — clamp it so a
 		// corrupted or hostile header cannot force a huge up-front Grow.
 		// Honest larger logs still land in one or two append regrowths.
 		log.Batch().Grow(int(min(count, 1<<16)))
 		for i := uint32(0); i < count; i++ {
-			tb, err := br.ReadByte()
+			// One Peek covers the record's fixed part; the type byte is
+			// judged first, so a bad type in a short record is still
+			// reported as a bad type.
+			rec, err := br.Peek(recordFixedSize)
+			if len(rec) > 0 && !Type(rec[0]).Valid() {
+				return nil, fmt.Errorf("event: invalid type %d in binary log", rec[0])
+			}
 			if err != nil {
 				return nil, fmt.Errorf("event: truncated record: %w", err)
 			}
-			var e Event
-			e.Node = node
-			e.Type = Type(tb)
-			if !e.Type.Valid() {
-				return nil, fmt.Errorf("event: invalid type %d in binary log", tb)
+			e := Event{
+				Node:     node,
+				Type:     Type(rec[0]),
+				Sender:   NodeID(le.Uint32(rec[1:])),
+				Receiver: NodeID(le.Uint32(rec[5:])),
+				Packet:   PacketID{Origin: NodeID(le.Uint32(rec[9:])), Seq: le.Uint32(rec[13:])},
+				Time:     int64(le.Uint64(rec[17:])),
 			}
-			fields := []*NodeID{&e.Sender, &e.Receiver, &e.Packet.Origin}
-			for _, f := range fields {
-				v, err := u32()
-				if err != nil {
-					return nil, fmt.Errorf("event: truncated record: %w", err)
-				}
-				*f = NodeID(v)
-			}
-			if e.Packet.Seq, err = u32(); err != nil {
-				return nil, fmt.Errorf("event: truncated record: %w", err)
-			}
-			if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-				return nil, fmt.Errorf("event: truncated record: %w", err)
-			}
-			e.Time = int64(binary.LittleEndian.Uint64(scratch[:8]))
-			if _, err := io.ReadFull(br, scratch[:2]); err != nil {
-				return nil, fmt.Errorf("event: truncated record: %w", err)
-			}
-			infoLen := binary.LittleEndian.Uint16(scratch[:2])
+			infoLen := int(le.Uint16(rec[25:]))
+			br.Discard(recordFixedSize) // cannot fail: Peek just returned these bytes
 			if infoLen > 0 {
-				buf := make([]byte, infoLen)
-				if _, err := io.ReadFull(br, buf); err != nil {
+				// infoLen is a u16, so the Peek fits the 64 KiB buffer.
+				info, err := br.Peek(infoLen)
+				if err != nil {
 					return nil, fmt.Errorf("event: truncated info: %w", err)
 				}
-				e.Info = string(buf)
+				e.Info = string(info)
+				br.Discard(infoLen) // cannot fail, as above
 			}
 			log.Append(e)
 		}

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -150,25 +151,19 @@ type ViewSpan struct {
 //
 // Storage is columnar: the view's events live in a (possibly shared) Batch,
 // and Spans lists each node's contiguous row range, exactly one span per
-// node, ascending by node ID. The partitioners carve all views of a
-// collection out of ONE shared batch arena, so partitioning a million-event
+// node, ascending by node ID. Partition carves all views of a collection out
+// of ONE shared batch arena, in view order, so partitioning a million-event
 // campaign performs a handful of allocations instead of several per packet.
 type PacketView struct {
 	Packet PacketID
 	batch  *Batch
 	spans  []ViewSpan
-
-	// cur is the partitioners' fill cursor: the next arena row this view
-	// writes. segOpen tracks whether the current scan node has an open
-	// span. Both are meaningless once the view is handed to a consumer.
-	cur     int32
-	segOpen bool
 }
 
 // NewPacketView builds a self-contained view from per-node event slices,
 // preserving each node's order — the construction path for tests and for
 // callers that assemble views by hand. Nodes are laid out in ascending order,
-// matching the partitioners' invariant.
+// matching Partition's invariant.
 func NewPacketView(pkt PacketID, perNode map[NodeID][]Event) *PacketView {
 	nodes := make([]NodeID, 0, len(perNode))
 	total := 0
@@ -268,97 +263,13 @@ func (v *PacketView) TotalEvents() int {
 	return total
 }
 
-// viewLayout is the partitioners' shared sizing machinery: one counting scan
-// assigns every packet a dense view index and measures, per view, the event
-// count and the number of (packet, node) segments; alloc then carves every
-// view's rows and span storage out of single arenas.
-type viewLayout struct {
-	byPacket map[PacketID]int32 // packet -> dense view index
-	counts   []int32            // events per view
-	segs     []int32            // spans per view
-	lastNode []int32            // last node index that touched the view (sizing scan)
-	total    int                // packet-scoped events overall
-	packets  []PacketID
-	// hasInfo records whether the sizing scan saw any packet-scoped event
-	// carrying a non-empty Info. If so, alloc gives the arena a dense info
-	// column instead of the lazy map: the arena is shared by every view and
-	// read by every analysis worker at once, and a per-row slice keeps that
-	// shared read path free of map accesses.
-	hasInfo bool
-}
-
-func newViewLayout(hint int) *viewLayout {
-	return &viewLayout{byPacket: make(map[PacketID]int32, hint)}
-}
-
-// touch accounts one packet-scoped event seen at node index ni, creating the
-// view on first sight, and returns the view index.
-func (ly *viewLayout) touch(pkt PacketID, ni int) int32 {
-	vi, ok := ly.byPacket[pkt]
-	if !ok {
-		vi = int32(len(ly.counts))
-		ly.byPacket[pkt] = vi
-		ly.counts = append(ly.counts, 0)
-		ly.segs = append(ly.segs, 0)
-		ly.lastNode = append(ly.lastNode, -1)
-		ly.packets = append(ly.packets, pkt)
+// checkArenaRows panics when a collection has more rows than one Partition
+// call can address: it numbers rows in uint32 and ViewSpan offsets are int32,
+// and past the limit both would wrap silently.
+func checkArenaRows(rows int64) {
+	if rows > math.MaxInt32 {
+		panic(fmt.Sprintf("event: Partition given %d rows, above the %d one arena can address (ViewSpan offsets are int32); analyze the collection in windows (a snapshot analyzed out of core, or a session)", rows, math.MaxInt32))
 	}
-	ly.counts[vi]++
-	ly.total++
-	if ly.lastNode[vi] != int32(ni) {
-		ly.lastNode[vi] = int32(ni)
-		ly.segs[vi]++
-	}
-	return vi
-}
-
-// alloc builds the arena batch, the span arena and the view structs, wiring
-// each view's fill cursor to its region. The returned views are in
-// first-appearance (scan) order.
-func (ly *viewLayout) alloc() (arena *Batch, views []*PacketView) {
-	arena = &Batch{}
-	if ly.hasInfo {
-		arena.infoCol = make([]string, ly.total)
-	}
-	arena.Resize(ly.total)
-	totalSegs := 0
-	for _, s := range ly.segs {
-		totalSegs += int(s)
-	}
-	spanArena := make([]ViewSpan, totalSegs)
-	structs := make([]PacketView, len(ly.counts))
-	views = make([]*PacketView, len(ly.counts))
-	rowOff, segOff := int32(0), 0
-	for i := range structs {
-		vw := &structs[i]
-		vw.Packet = ly.packets[i]
-		vw.batch = arena
-		vw.cur = rowOff
-		vw.spans = spanArena[segOff : segOff : segOff+int(ly.segs[i])]
-		rowOff += ly.counts[i]
-		segOff += int(ly.segs[i])
-		views[i] = vw
-	}
-	return arena, views
-}
-
-// fill moves one source row into the view, opening a span for node n if none
-// is open; touched collects views needing their span closed at node end.
-func (v *PacketView) fill(arena, src *Batch, si int, n NodeID, touched []*PacketView) []*PacketView {
-	if !v.segOpen {
-		v.segOpen = true
-		v.spans = append(v.spans, ViewSpan{Node: n, Start: v.cur})
-		touched = append(touched, v)
-	}
-	arena.setFrom(src, si, int(v.cur))
-	v.cur++
-	return touched
-}
-
-// closeSpan commits the open span's end row.
-func (v *PacketView) closeSpan() {
-	v.spans[len(v.spans)-1].End = v.cur
-	v.segOpen = false
 }
 
 // Partition splits a collection into per-packet views, preserving per-node
@@ -366,43 +277,164 @@ func (v *PacketView) closeSpan() {
 // returned separately. Views are ordered by packet ID (origin, then seq) for
 // deterministic processing.
 //
-// All views share one columnar batch arena sized by a counting pre-pass, so
-// the whole partition performs O(nodes + views) small allocations plus a
-// fixed handful of arena allocations — not several per packet.
+// Partition is a sort. One scan of the logs (ascending node, log order) gives
+// every packet-scoped row the key origin<<32|seq and a global row number;
+// sortByKey orders the pairs by key, stably; a sweep then cuts a view at every
+// key change and a span at every node change, and the rows are gathered into
+// one shared arena in that order. Stability is what makes the spans right:
+// inside a packet the row numbers stay ascending, which is ascending node and
+// log order, so each node's rows are adjacent (one span, however other
+// packets interleaved them in its log) and in log order. The arena is laid
+// out in view order, so walking a range of views reads it front to back. The
+// number of allocations is fixed, whatever the collection holds.
 func Partition(c *Collection) (views []*PacketView, operational []Event) {
 	nodes := c.Nodes()
-	ly := newViewLayout(c.TotalEvents()/8 + 1)
-	for ni, n := range nodes {
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if b.typ[i].PacketScoped() {
-				ly.touch(b.Packet(i), ni)
-				if !ly.hasInfo && b.Info(i) != "" {
-					ly.hasInfo = true
-				}
-			}
-		}
-	}
-	arena, views := ly.alloc()
-	var touched []*PacketView
-	for _, n := range nodes {
-		touched = touched[:0]
-		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if !b.typ[i].PacketScoped() {
-				operational = append(operational, b.At(i))
+	total := c.TotalEvents()
+	checkArenaRows(int64(total))
+	// first[ni] is the global number of node ni's first row.
+	first := make([]uint32, len(nodes)+1)
+	logs := make([]*Batch, len(nodes))
+	// Packet-scoped rows fill keys and rows from the front, operational rows
+	// fill rows from the back, so neither needs counting first.
+	keys, rows := make([]uint64, total), make([]uint32, total)
+	n, nops, hasInfo := 0, 0, false
+	var varying uint64 // key bits that differ between some two rows
+	for ni, nd := range nodes {
+		b := &c.Logs[nd].batch
+		logs[ni] = b
+		mayInfo := b.infoCol != nil || len(b.info) > 0
+		for i, t := range b.typ {
+			if !t.PacketScoped() {
+				nops++
+				rows[total-nops] = first[ni] + uint32(i)
 				continue
 			}
-			v := views[ly.byPacket[b.Packet(i)]]
-			touched = v.fill(arena, b, i, n, touched)
+			k := uint64(b.origin[i])<<32 | uint64(b.seq[i])
+			keys[n], rows[n] = k, first[ni]+uint32(i)
+			varying |= k ^ keys[0]
+			n++
+			hasInfo = hasInfo || mayInfo && b.Info(i) != ""
 		}
-		for _, v := range touched {
-			v.closeSpan()
-		}
+		first[ni+1] = first[ni] + uint32(len(b.typ))
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].Packet.Less(views[j].Packet) })
-	sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
+	if nops > 0 { // else nil, as OperationalEvents returns it
+		operational = make([]Event, nops)
+		for k := range operational {
+			r := rows[total-1-k]
+			ni := nodeOfRow(first, r)
+			operational[k] = logs[ni].At(int(r - first[ni]))
+		}
+		sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
+	}
+	keys, rows, nis := sortByKey(keys[:n], rows[:n], varying)
+
+	// Resolve each sorted row to (node index, row in that node's log) and
+	// count the views and spans. Row numbers ascend inside a packet, so the
+	// node changes only when one passes the end of the current node's log.
+	nviews, nspans := 0, 0
+	for j, ni := 0, 0; j < n; j++ {
+		newView := j == 0 || keys[j] != keys[j-1]
+		if newView {
+			nviews++
+		}
+		if newView || rows[j] >= first[ni+1] {
+			ni = nodeOfRow(first, rows[j])
+			nspans++
+		}
+		nis[j], rows[j] = uint32(ni), rows[j]-first[ni]
+	}
+
+	// Every analysis worker reads the arena at once, so Info, when any
+	// packet-scoped row carries one, goes in a dense column: the lazy map
+	// would put map reads on that shared path.
+	arena := &Batch{}
+	if hasInfo {
+		arena.infoCol = make([]string, n)
+	}
+	arena.Resize(n)
+	spans := make([]ViewSpan, 0, nspans)
+	structs := make([]PacketView, 0, nviews)
+	views = make([]*PacketView, 0, nviews)
+	var v *PacketView
+	for j := 0; j < n; j++ {
+		pkt := PacketID{Origin: NodeID(keys[j] >> 32), Seq: uint32(keys[j])}
+		newView := j == 0 || keys[j] != keys[j-1]
+		if newView {
+			structs = append(structs, PacketView{Packet: pkt, batch: arena})
+			v = &structs[len(structs)-1]
+			views = append(views, v)
+		}
+		if newView || nis[j] != nis[j-1] {
+			spans = append(spans, ViewSpan{Node: nodes[nis[j]], Start: int32(j)})
+			v.spans = spans[len(spans)-len(v.spans)-1 : len(spans) : len(spans)] // one longer
+		}
+		spans[len(spans)-1].End = int32(j + 1)
+		arena.origin[j], arena.seq[j] = pkt.Origin, pkt.Seq
+	}
+	// The other columns are gathered one at a time: a loop reading one source
+	// column keeps many cache misses in flight, a loop reading five does not.
+	gather(arena.node, logs, nis, rows, func(b *Batch) []NodeID { return b.node })
+	gather(arena.typ, logs, nis, rows, func(b *Batch) []Type { return b.typ })
+	gather(arena.sender, logs, nis, rows, func(b *Batch) []NodeID { return b.sender })
+	gather(arena.receiver, logs, nis, rows, func(b *Batch) []NodeID { return b.receiver })
+	gather(arena.time, logs, nis, rows, func(b *Batch) []int64 { return b.time })
+	for j := range arena.infoCol {
+		arena.infoCol[j] = logs[nis[j]].Info(int(rows[j]))
+	}
 	return views, operational
+}
+
+// nodeOfRow returns the index of the node whose log holds global row r: the
+// ni with first[ni] <= r < first[ni+1].
+func nodeOfRow(first []uint32, r uint32) int {
+	return sort.Search(len(first)-1, func(ni int) bool { return first[ni+1] > r })
+}
+
+// gather fills one arena column: dst[j] is row rows[j] of log nis[j]'s col.
+func gather[T any](dst []T, logs []*Batch, nis, rows []uint32, col func(*Batch) []T) {
+	src := make([][]T, len(logs))
+	for ni, b := range logs {
+		src[ni] = col(b)
+	}
+	for j := range dst {
+		dst[j] = src[nis[j]][rows[j]]
+	}
+}
+
+// sortByKey orders the (key, row) pairs by key with a stable LSD byte-radix
+// sort (equal keys keep their input order). It returns the ordered columns
+// and the row column left spare, which the caller reuses.
+//
+// varying has a bit set wherever two keys differ. A key byte with none set is
+// the same in every key, its pass would move nothing, and it is skipped: a
+// campaign's few hundred origins and few thousand sequence numbers sort in
+// three or four passes, any input in at most eight, and a sparse key space
+// costs passes, never memory.
+func sortByKey(keys []uint64, rows []uint32, varying uint64) (_ []uint64, _, spare []uint32) {
+	keys2, rows2 := []uint64(nil), make([]uint32, len(rows))
+	if varying != 0 {
+		keys2 = make([]uint64, len(keys))
+	}
+	for shift := uint(0); shift < 64; shift += 8 {
+		if varying>>shift&0xFF == 0 {
+			continue
+		}
+		var next [256]uint32 // next[d]: where the next key with digit d goes
+		for _, k := range keys {
+			next[byte(k>>shift)]++
+		}
+		sum := uint32(0)
+		for d, count := range next {
+			next[d], sum = sum, sum+count
+		}
+		for i, k := range keys {
+			d := byte(k >> shift)
+			keys2[next[d]], rows2[next[d]] = k, rows[i]
+			next[d]++
+		}
+		keys, keys2, rows, rows2 = keys2, keys, rows2, rows
+	}
+	return keys, rows, rows2
 }
 
 // OperationalEvents extracts the non-packet-scoped events (server up/down)
