@@ -9,6 +9,7 @@ package refill
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -536,22 +537,28 @@ func BenchmarkBinaryCodec(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "bytes")
 	})
-	var bin bytes.Buffer
+	var bin, text bytes.Buffer
 	if err := event.WriteCollectionBinary(&bin, logs); err != nil {
 		b.Fatal(err)
 	}
-	raw := bin.Bytes()
-	b.Run("read-binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			got, err := event.ReadCollectionBinary(bytes.NewReader(raw))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got.TotalEvents() != logs.TotalEvents() {
-				b.Fatal("count mismatch")
+	if err := event.WriteCollection(&text, logs); err != nil {
+		b.Fatal(err)
+	}
+	read := func(raw []byte, readLogs func(io.Reader) (*Collection, error)) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				got, err := readLogs(bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got.TotalEvents() != logs.TotalEvents() {
+					b.Fatal("count mismatch")
+				}
 			}
 		}
-	})
+	}
+	b.Run("read-binary", read(bin.Bytes(), ReadLogsBinary))
+	b.Run("read-text", read(text.Bytes(), ReadLogs))
 }
 
 // BenchmarkSnapshot measures the columnar snapshot path on the shared

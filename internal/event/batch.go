@@ -61,38 +61,26 @@ func (b *Batch) Grow(n int) {
 	}
 	b.mutable()
 	want := len(b.typ) + n
-	growNodes := func(s []NodeID) []NodeID {
-		if cap(s) >= want {
-			return s
-		}
-		out := make([]NodeID, len(s), want)
-		copy(out, s)
-		return out
+	b.node = grown(b.node, want)
+	b.sender = grown(b.sender, want)
+	b.receiver = grown(b.receiver, want)
+	b.origin = grown(b.origin, want)
+	b.seq = grown(b.seq, want)
+	b.time = grown(b.time, want)
+	b.typ = grown(b.typ, want) // the byte column last: asked for second, batch-skew's peak RSS read 5 % higher
+	if b.infoCol != nil {
+		b.infoCol = grown(b.infoCol, want)
 	}
-	b.node = growNodes(b.node)
-	b.sender = growNodes(b.sender)
-	b.receiver = growNodes(b.receiver)
-	b.origin = growNodes(b.origin)
-	if cap(b.seq) < want {
-		seq := make([]uint32, len(b.seq), want)
-		copy(seq, b.seq)
-		b.seq = seq
+}
+
+// grown returns s with capacity for at least want elements.
+func grown[T any](s []T, want int) []T {
+	if cap(s) >= want {
+		return s
 	}
-	if cap(b.time) < want {
-		time := make([]int64, len(b.time), want)
-		copy(time, b.time)
-		b.time = time
-	}
-	if cap(b.typ) < want {
-		typ := make([]Type, len(b.typ), want)
-		copy(typ, b.typ)
-		b.typ = typ
-	}
-	if b.infoCol != nil && cap(b.infoCol) < want {
-		info := make([]string, len(b.infoCol), want)
-		copy(info, b.infoCol)
-		b.infoCol = info
-	}
+	out := make([]T, len(s), want)
+	copy(out, s)
+	return out
 }
 
 // Resize sets the row count to n, zero-filling new rows. Existing rows are

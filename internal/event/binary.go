@@ -10,7 +10,7 @@ import (
 // Binary log format
 //
 // A compact fixed-layout encoding for large campaigns (the 30-day default
-// collects millions of records; the text form is ~4x larger and ~6x slower
+// collects millions of records; the text form is ~1.2x larger and ~4x slower
 // to parse). Layout, little endian:
 //
 //	magic "RFBL" | version u8

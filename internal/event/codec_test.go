@@ -1,8 +1,11 @@
 package event
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,5 +128,287 @@ func TestWriteCollectionAllocsPerEvent(t *testing.T) {
 	small, large := measure(build(1000)), measure(build(2000))
 	if large > small+8 {
 		t.Errorf("allocs grew with event count: %v -> %v for 1000 -> 2000 events", small, large)
+	}
+}
+
+// referenceParseEvent is the strings.Fields parser ParseEvent's in-place
+// decoder replaced, kept verbatim as the oracle — with the string forms of
+// ParseNodeID, ParseType and ParsePacketID it called, which are now wrappers
+// over the decoder's own field readers: same values, same errors.
+func referenceParseEvent(line string) (Event, error) {
+	fields := strings.Fields(line)
+	if len(fields) < 6 {
+		return Event{}, fmt.Errorf("event: short log line %q", line)
+	}
+	var e Event
+	var err error
+	if e.Node, err = referenceParseNodeID(fields[0]); err != nil {
+		return Event{}, err
+	}
+	if e.Type, err = referenceParseType(fields[1]); err != nil {
+		return Event{}, err
+	}
+	if e.Sender, err = referenceParseNodeID(fields[2]); err != nil {
+		return Event{}, err
+	}
+	if e.Receiver, err = referenceParseNodeID(fields[3]); err != nil {
+		return Event{}, err
+	}
+	if fields[4] != "-" {
+		if e.Packet, err = referenceParsePacketID(fields[4]); err != nil {
+			return Event{}, err
+		}
+	}
+	if e.Time, err = strconv.ParseInt(fields[5], 10, 64); err != nil {
+		return Event{}, fmt.Errorf("event: bad time in %q: %v", line, err)
+	}
+	if len(fields) > 6 {
+		e.Info = strings.Join(fields[6:], " ")
+	}
+	return e, nil
+}
+
+func referenceParseNodeID(s string) (NodeID, error) {
+	switch s {
+	case "-":
+		return NoNode, nil
+	case "server":
+		return Server, nil
+	}
+	v, err := strconv.ParseUint(s, 10, 32)
+	if err != nil {
+		return NoNode, fmt.Errorf("event: bad node id %q: %v", s, err)
+	}
+	return NodeID(v), nil
+}
+
+func referenceParsePacketID(s string) (PacketID, error) {
+	i := strings.IndexByte(s, ':')
+	if i < 0 {
+		return PacketID{}, fmt.Errorf("event: bad packet id %q: missing ':'", s)
+	}
+	origin, err := referenceParseNodeID(s[:i])
+	if err != nil {
+		return PacketID{}, err
+	}
+	seq, err := strconv.ParseUint(s[i+1:], 10, 32)
+	if err != nil {
+		return PacketID{}, fmt.Errorf("event: bad packet seq in %q: %v", s, err)
+	}
+	return PacketID{Origin: origin, Seq: uint32(seq)}, nil
+}
+
+func referenceParseType(s string) (Type, error) {
+	for t, name := range typeNames {
+		if Type(t) != Invalid && name == s {
+			return Type(t), nil
+		}
+	}
+	return Invalid, fmt.Errorf("event: unknown event type %q", s)
+}
+
+// referenceReadCollection is the reader that went with it: one string per
+// line, trimmed, routed through Collection.Add.
+func referenceReadCollection(text string) (*Collection, error) {
+	c := NewCollection()
+	sc := bufio.NewScanner(strings.NewReader(text))
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	lineno := 0
+	for sc.Scan() {
+		lineno++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		e, err := referenceParseEvent(line)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineno, err)
+		}
+		c.Add(e)
+	}
+	return c, sc.Err()
+}
+
+// sameParse holds one (value, error) pair equal to the oracle's, errors by
+// their text.
+func sameParse(t *testing.T, input string, got, want any, gotErr, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%q: err = %v, reference err = %v", input, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q:\n got %+v\nwant %+v", input, got, want)
+	}
+}
+
+// FuzzParseEvent holds ParseEvent equal to referenceParseEvent in value and
+// in error text. The seeds run in plain `go test`: every field shape the
+// format comment, the writer and the strconv accept sets give rise to.
+func FuzzParseEvent(f *testing.F) {
+	for _, line := range []string{
+		"2 recv 1 2 1:17 120034",
+		"1 trans 1 2 1:17 119800 attempt=3",
+		"server sdown - - - -42",
+		"server srecv 9 server 4:4294967295 1099511627776",
+		"7 done 7 - 7:3 5 round 2 of 3",
+		"7 done 7 - 7:3 5 round\t2  of   3 ",
+		"  1 gen 1 - 1:0 0\r",
+		"1\u00a0trans\u30001\u00852 1:1 7 a\u00a0b", // NBSP, U+3000, U+0085 split
+		"1 trans 1 2 1:1 7 \u2003x\u2028y\u205f",    // and the rest of White_Space
+		"1 tr\xffans 1 2 1:1 7",                     // \xff is not white space: one field
+		"1\xff trans 1 2 1:1 7",                     //
+		"1 trans 1 2 1:1 7 a\xffb \xc2 \xe3\x80 c",  // invalid and cut-short UTF-8 in Info
+		"1 trans 1 2 1:1 7 \ufffd",                  // a real U+FFFD
+		"1 trans 1 2 1;1 0", "1 trans 1 2 :1 0", "1 trans 1 2 1: 0", "1 trans 1 2 : 0",
+		"1 trans 1 2 server:1 0", "server sup - - -:0 0", "1 trans 1 2 1:2:3 0", "1 trans 1 2 -1:2 0",
+		"1 trans 1 2 1:1 +5", "1 trans 1 2 1:1 -0", "1 trans 1 2 1:1 -", "1 trans 1 2 1:1 +", "1 trans 1 2 1:1 --1",
+		"1 trans 1 2 1:1 1234567890123456789", // 19 digits, fits
+		"1 trans 1 2 1:1 9223372036854775807", "1 trans 1 2 1:1 9223372036854775808",
+		"1 trans 1 2 1:1 -9223372036854775808", "1 trans 1 2 1:1 -9223372036854775809",
+		"1 trans 1 2 1:1 123456789012345678901234567", // 27 digits
+		"1 trans 1 2 1:1 0000000000000000000000000042",
+		"1 trans 1 2 1:1 1_000", "1 trans 1 2 1:1 0x10", "1 trans 1 2 1:1 1e3", "1 trans 1 2 1:1 notatime",
+		"1 trans 1 2 1:4294967296 0", "1 trans 1 2 1:4294967295 0", "1 trans 1 2 1:-1 0", "1 trans 1 2 1:+1 0",
+		"4294967296 trans 1 2 1:1 0", "4294967295 trans 1 2 1:1 0", "4294967294 trans 1 2 1:1 0",
+		"1 trans 1 2 4294967296:1 0", "1 trans 1 2 18446744073709551616:1 0",
+		"0001 trans 01 002 0001:0017 0007", "+1 trans 1 2 1:1 0", "1 trans -2 2 1:1 0", "1 trans 1 1.5 1:1 0",
+		"1 trans Server 2 1:1 0", "1 trans servers 2 1:1 0", "1 trans -- 2 1:1 0",
+		"1 TRANS 1 2 1:1 0", "1 Trans 1 2 1:1 0", "1 invalid 1 2 1:1 0", "1 type(3) 1 2 1:1 0", "1 tran 1 2 1:1 0", "1 transs 1 2 1:1 0",
+		"1 gen 1 - 1:1 0", "1 recv 1 2 1:1 0", "1 overflow 1 2 1:1 0", "1 dup 1 2 1:1 0", "1 ack 1 2 1:1 0",
+		"1 timeout 1 2 1:1 0", "1 sup 1 2 1:1 0", "1 enq 1 2 1:1 0", "1 deq 1 2 1:1 0", "1 bcast 1 2 1:1 0", "1 resp 1 2 1:1 0",
+		"1 trans 1 2 1:1", "1 trans 1 2 1:1 ", "x bogus y z 1;1", "x bogus y z 1;1 w", "1 bogus y 2 1:1 0", "", " ", "\u00a0", "1 trans",
+		"# node 3 (2 events)", "#",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		got, gotErr := ParseEvent(line)
+		want, wantErr := referenceParseEvent(line)
+		sameParse(t, line, got, want, gotErr, wantErr)
+		// The exported field parsers run on the decoder's readers: every
+		// field of the line, and the line itself, through each of them.
+		for _, s := range append(strings.Fields(line), line) {
+			n, nErr := ParseNodeID(s)
+			wantN, wantNErr := referenceParseNodeID(s)
+			sameParse(t, s, n, wantN, nErr, wantNErr)
+			p, pErr := ParsePacketID(s)
+			wantP, wantPErr := referenceParsePacketID(s)
+			sameParse(t, s, p, wantP, pErr, wantPErr)
+			typ, tErr := ParseType(s)
+			wantT, wantTErr := referenceParseType(s)
+			sameParse(t, s, typ, wantT, tErr, wantTErr)
+		}
+	})
+}
+
+// collectionRows flattens a collection for comparison: node order, then log
+// order.
+func collectionRows(c *Collection) []Event {
+	if c == nil {
+		return nil
+	}
+	var rows []Event
+	for _, n := range c.Nodes() {
+		rows = append(rows, c.Logs[n].Events()...)
+	}
+	return rows
+}
+
+// TestReadCollectionMatchesReference runs the stream-level cases — line ends,
+// blank and comment lines, nodes whose lines interleave, the line number in
+// an error — against the reader ReadCollection replaced.
+func TestReadCollectionMatchesReference(t *testing.T) {
+	for name, text := range map[string]string{
+		"empty":        "",
+		"crlf":         "\r\n\n  \t\r\n# node 2 (1 events)\r\n2 recv 1 2 1:17 120034\r\n\r\n  # indented comment\r\n1 trans 1 2 1:17 119800 attempt=3 \r\n",
+		"no final eol": "# c\n2 recv 1 2 1:17 120034",
+		"nbsp blank":   "\u00a0\n\u3000# comment after wide space\n\u00a02 recv 1 2 1:17 1\u00a0\n",
+		"interleaved":  "3 trans 3 4 3:1 1\n3 trans 3 4 3:2 2 a\n4 recv 3 4 3:1 3\n3 trans 3 4 3:3 4\nserver srecv 4 server 3:1 5\n4 recv 3 4 3:2 6 b  c\n3 trans 3 4 3:4 7\n",
+		"bad line 3":   "# c\n2 recv 1 2 1:17 1\n 2 recv 1 2 1:17 x \n2 recv 1 2 1:17 2\n",
+		"short line 1": "2 recv 1 2\r\n",
+		"hash field":   "2 recv 1 2 1:17 1 #not a comment\n",
+	} {
+		got, gotErr := ReadCollection(strings.NewReader(text))
+		want, wantErr := referenceReadCollection(text)
+		t.Run(name, func(t *testing.T) {
+			sameParse(t, text, collectionRows(got), collectionRows(want), gotErr, wantErr)
+		})
+	}
+	// The remembered *Log must follow the node on the line, not the run.
+	c, err := ReadCollection(strings.NewReader("3 trans 3 4 3:1 1\n4 recv 3 4 3:1 2\n3 trans 3 4 3:2 3\n4 recv 3 4 3:2 4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, want := range map[NodeID][]int64{3: {1, 3}, 4: {2, 4}} {
+		var times []int64
+		for _, e := range c.Logs[n].Events() {
+			if e.Node != n {
+				t.Errorf("node %v's log holds a row of node %v", n, e.Node)
+			}
+			times = append(times, e.Time)
+		}
+		if !reflect.DeepEqual(times, want) {
+			t.Errorf("node %v: times %v, want %v", n, times, want)
+		}
+	}
+}
+
+// TestReadCollectionAllocs asserts the read path allocates per column
+// doubling, not per line: ten times the lines may cost a few more doublings
+// of the seven columns and nothing that follows the row count.
+func TestReadCollectionAllocs(t *testing.T) {
+	measure := func(events int) float64 {
+		c := NewCollection()
+		for i := 0; i < events; i++ {
+			c.Add(Event{
+				Node: 3, Type: Trans, Sender: 3, Receiver: 4,
+				Packet: PacketID{Origin: 3, Seq: uint32(i)}, Time: int64(i),
+			})
+		}
+		var text bytes.Buffer
+		if err := WriteCollection(&text, c); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			got, err := ReadCollection(bytes.NewReader(text.Bytes()))
+			if err != nil || got.TotalEvents() != events {
+				t.Fatalf("read back %v events, err %v", got.TotalEvents(), err)
+			}
+		})
+	}
+	small, large := measure(2000), measure(20000)
+	if large > small+40 {
+		t.Errorf("allocs grew with line count: %v -> %v for 2000 -> 20000 lines", small, large)
+	}
+}
+
+// TestWriteCollectionRefusesNewlineInfo: an Info holding '\n' would be read
+// back as a second, forged event line, so the text writer must refuse it —
+// as the binary writer refuses an Info it cannot carry.
+func TestWriteCollectionRefusesNewlineInfo(t *testing.T) {
+	c := NewCollection()
+	c.Add(Event{Node: 3, Type: Trans, Sender: 3, Receiver: 4, Packet: PacketID{Origin: 3, Seq: 1}, Time: 5})
+	c.Add(Event{Node: 3, Type: Trans, Sender: 3, Receiver: 4, Packet: PacketID{Origin: 3, Seq: 1}, Time: 6, Info: "x\n4 recv 3 4 3:1 6"})
+	var out bytes.Buffer
+	err := WriteCollection(&out, c)
+	if err == nil {
+		got, _ := ReadCollection(bytes.NewReader(out.Bytes()))
+		t.Fatalf("WriteCollection wrote an Info with a newline; it reads back as %d events on nodes %v", got.TotalEvents(), got.Nodes())
+	}
+	if msg := err.Error(); !strings.Contains(msg, "node 3") || !strings.Contains(msg, "row 1") {
+		t.Errorf("error %q does not name node 3, row 1", msg)
+	}
+}
+
+// TestReadCollectionLongLineNumber: a line over the scanner's 1 MiB limit is
+// reported with its line number and still matches bufio.ErrTooLong.
+func TestReadCollectionLongLineNumber(t *testing.T) {
+	text := "2 recv 1 2 1:17 120034\n2 recv 1 2 1:17 120035 " + strings.Repeat("x", 2<<20) + "\n"
+	_, err := ReadCollection(strings.NewReader(text))
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("err = %v, want bufio.ErrTooLong", err)
+	}
+	if !strings.HasPrefix(err.Error(), "line 2: ") {
+		t.Errorf("err = %q, want a \"line 2: \" prefix", err)
 	}
 }

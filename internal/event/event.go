@@ -13,7 +13,6 @@ package event
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // NodeID identifies a node in the network. IDs are small dense integers
@@ -43,19 +42,7 @@ func (n NodeID) String() string {
 }
 
 // ParseNodeID parses the representation produced by NodeID.String.
-func ParseNodeID(s string) (NodeID, error) {
-	switch s {
-	case "-":
-		return NoNode, nil
-	case "server":
-		return Server, nil
-	}
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return NoNode, fmt.Errorf("event: bad node id %q: %v", s, err)
-	}
-	return NodeID(v), nil
-}
+func ParseNodeID(s string) (NodeID, error) { return nodeField([]byte(s)) }
 
 // PacketID identifies a data packet end to end: the node that originated it
 // and the origin-local sequence number. CTP data frames carry exactly this
@@ -81,21 +68,7 @@ func (p PacketID) String() string {
 }
 
 // ParsePacketID parses the representation produced by PacketID.String.
-func ParsePacketID(s string) (PacketID, error) {
-	i := strings.IndexByte(s, ':')
-	if i < 0 {
-		return PacketID{}, fmt.Errorf("event: bad packet id %q: missing ':'", s)
-	}
-	origin, err := ParseNodeID(s[:i])
-	if err != nil {
-		return PacketID{}, err
-	}
-	seq, err := strconv.ParseUint(s[i+1:], 10, 32)
-	if err != nil {
-		return PacketID{}, fmt.Errorf("event: bad packet seq in %q: %v", s, err)
-	}
-	return PacketID{Origin: origin, Seq: uint32(seq)}, nil
-}
+func ParsePacketID(s string) (PacketID, error) { return packetField([]byte(s)) }
 
 // Type is the event type V. The set mirrors the paper's Table I (recv,
 // overflow, dup, trans, ack recvd) plus the events needed to model the full
@@ -205,14 +178,7 @@ func (t Type) String() string {
 }
 
 // ParseType parses the representation produced by Type.String.
-func ParseType(s string) (Type, error) {
-	for t, name := range typeNames {
-		if Type(t) != Invalid && name == s {
-			return Type(t), nil
-		}
-	}
-	return Invalid, fmt.Errorf("event: unknown event type %q", s)
-}
+func ParseType(s string) (Type, error) { return typeField([]byte(s)) }
 
 // Valid reports whether t is one of the defined event types.
 func (t Type) Valid() bool { return t > Invalid && t < numTypes }
