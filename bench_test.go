@@ -686,14 +686,13 @@ func skewedBench(b *testing.B) (*Collection, NodeID, int64) {
 	return skewLogs, skewSink, skewEnd
 }
 
-// BenchmarkAnalyzeSkewed is the scheduler's headline number: a hot-origin
-// campaign analyzed at 8 workers. The origin-aligned seed cut makes the hot
-// origin one unit; idle workers steal halves of it mid-origin instead of
-// waiting for its owner to serialize the tail.
+// BenchmarkAnalyzeSkewed is the fan-out's headline number: a hot-origin
+// campaign analyzed at 8 workers, every one pulling ranges off the driver's
+// shared cursor, so the hot origin's views spread like any others.
 func BenchmarkAnalyzeSkewed(b *testing.B) {
 	logs, sink, end := skewedBench(b)
 	events := logs.TotalEvents()
-	b.Run("steal-workers=8", func(b *testing.B) {
+	b.Run("workers=8", func(b *testing.B) {
 		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithParallelism(8))
 		if err != nil {
 			b.Fatal(err)

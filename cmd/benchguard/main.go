@@ -28,8 +28,8 @@
 //	    -benchmem -benchtime 1x -cpu 1 . > bench_baseline.txt
 //
 // -cpu 1 keeps the recorded names free of a -N suffix. A guarded benchmark's
-// own name must not end in -<digits> either (write steal-workers=8, not
-// steal-8): the suffix strip below could not tell it from GOMAXPROCS.
+// own name must not end in -<digits> either (write workers=8, not
+// workers-8): the suffix strip below could not tell it from GOMAXPROCS.
 package main
 
 import (

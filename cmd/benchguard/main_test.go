@@ -49,7 +49,7 @@ func TestParseStripsCPUSuffix(t *testing.T) {
 // between ns/op and the -benchmem columns (where b.ReportMetric puts it),
 // and that lines without allocs/op are not treated as results.
 func TestParseCustomMetrics(t *testing.T) {
-	const out = `BenchmarkAnalyzeSkewed/steal-workers=8-8   5   294217110 ns/op   2919787 events/s   84874053 B/op   190633 allocs/op
+	const out = `BenchmarkAnalyzeSkewed/workers=8-8   5   294217110 ns/op   2919787 events/s   84874053 B/op   190633 allocs/op
 BenchmarkNoMem-8   100   1042 ns/op
 PASS
 `
@@ -60,7 +60,7 @@ PASS
 	if len(got) != 1 {
 		t.Fatalf("parsed %d entries, want only the -benchmem line: %v", len(got), got)
 	}
-	r := got["BenchmarkAnalyzeSkewed/steal-workers=8"]
+	r := got["BenchmarkAnalyzeSkewed/workers=8"]
 	if r.NsOp != 294217110 || r.AllocsOp != 190633 {
 		t.Errorf("result = %+v", r)
 	}
@@ -96,7 +96,7 @@ func TestBaselineNamesSurviveCPUSuffix(t *testing.T) {
 		seen[name] = true
 	}
 	// One of each shape a sub-benchmark name takes here.
-	for _, name := range []string{"BenchmarkEngineChain/hops=2", "BenchmarkSnapshot/open-analyze-windowed", "BenchmarkAnalyzeSkewed/steal-workers=8"} {
+	for _, name := range []string{"BenchmarkEngineChain/hops=2", "BenchmarkSnapshot/open-analyze-windowed", "BenchmarkAnalyzeSkewed/workers=8"} {
 		if !seen[name] {
 			t.Errorf("baseline has no row %s", name)
 		}

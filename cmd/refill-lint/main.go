@@ -46,7 +46,6 @@ var analyzerFixtures = map[string]struct {
 	"escapecheck": {analysis.EscapeFixturePattern, analysis.EscapeCheck},
 	"shardowner":  {analysis.ShardFixturePattern, analysis.ShardOwner},
 	"session":     {analysis.SessionFixturePattern, analysis.ShardOwner},
-	"stealfix":    {analysis.StealFixturePattern, analysis.ShardOwner},
 }
 
 func main() {
@@ -154,7 +153,7 @@ func verifyProtocols() []lint.Issue {
 func runFixtures(category string, stdout, stderr io.Writer) int {
 	categories := []string{category}
 	if category == "all" {
-		categories = append(append([]string{}, lint.FixtureCategories...), "code-analyzer", "escapecheck", "shardowner", "session", "stealfix", "snapfix")
+		categories = append(append([]string{}, lint.FixtureCategories...), "code-analyzer", "escapecheck", "shardowner", "session", "snapfix")
 	}
 	caughtAll := true
 	reported := 0

@@ -37,14 +37,9 @@ const ownedMarker = "//refill:owned"
 const ShardFixturePattern = "repro/internal/analysis/testdata/src/shardfix"
 
 // SessionFixturePattern is the ingest-session flavor of the shardowner
-// fixture: a pending-window buffer (per-shard retained rows between
-// watermark advances) leaked to a concurrent goroutine.
+// fixture: a pending-window buffer (the rows retained between watermark
+// advances) leaked to a concurrent goroutine.
 const SessionFixturePattern = "repro/internal/analysis/testdata/src/sessionfix"
-
-// StealFixturePattern is the work-stealing-scheduler flavor of the
-// shardowner fixture: a worker's local unit buffer drained by a goroutine
-// that bypasses the deque lock protocol.
-const StealFixturePattern = "repro/internal/analysis/testdata/src/stealfix"
 
 // ShardOwner is the ownership analyzer. It matches every package and exits
 // early when no owned type is reachable from the load.

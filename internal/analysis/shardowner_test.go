@@ -49,26 +49,6 @@ func TestShardFixtureDiagnostics(t *testing.T) {
 	}
 }
 
-// TestStealFixtureDiagnostics drives shardowner over the work-stealing
-// fixture: the worker-local unit buffer drained by a lock-bypassing
-// goroutine must be reported, and the allow-suppressed steal-at-join
-// handoff must not.
-func TestStealFixtureDiagnostics(t *testing.T) {
-	pkgs, err := Load("", StealFixturePattern)
-	if err != nil {
-		t.Fatalf("loading steal fixture: %v", err)
-	}
-	diags := Run(pkgs, []*Analyzer{ShardOwner})
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly the seeded leak:\n%v", len(diags), diags)
-	}
-	if d := diags[0]; d.Pos.Line != 35 ||
-		!strings.Contains(d.Message, "captured by a goroutine closure") ||
-		!strings.Contains(d.Message, "LocalUnits") {
-		t.Errorf("diagnostic = line %d %q, want the line-35 LocalUnits closure capture", d.Pos.Line, d.Message)
-	}
-}
-
 // TestShardOwnerCleanOnRepo is the self-gate for the sharded engine: the
 // packages that own //refill:owned types must produce no unsuppressed
 // crossings.
@@ -107,7 +87,6 @@ func TestShardOwnerCatchesRealRace(t *testing.T) {
 	// The seeded leaks must trip the race detector.
 	for _, c := range []struct{ pattern, run string }{
 		{ShardFixturePattern, "TestLeakClosureRaces"},
-		{StealFixturePattern, "TestLeakDrainRaces"},
 	} {
 		out, err := runGoTestRace(c.pattern, c.run)
 		if err == nil {
@@ -121,7 +100,6 @@ func TestShardOwnerCatchesRealRace(t *testing.T) {
 	// The allow-annotated handoffs must not.
 	for _, c := range []struct{ pattern, run string }{
 		{ShardFixturePattern, "TestMergeAtJoinIsRaceFree"},
-		{StealFixturePattern, "TestStealAtJoinIsRaceFree"},
 	} {
 		out, err := runGoTestRace(c.pattern, c.run)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/diagnosis"
 	"repro/internal/event"
@@ -14,7 +15,7 @@ import (
 // IV is per packet), so there is one unit of work — walk one PacketView,
 // classify the flow, fold the outcome — and one stitch:
 //
-//	views → steal scheduler → worker (run + arena + classifier + aggregate) → indexed merge → Parts
+//	views → range cursor → worker (run + arena + classifier + aggregate) → indexed merge → Parts
 //
 // Every analysis entry point is this driver fed different views and a
 // different outage schedule: batch Analyze/AnalyzeDiagnosed partition the
@@ -23,11 +24,12 @@ import (
 // windows' Parts together. Serial is workers == 1 of the same worker body,
 // run inline on the caller's goroutine.
 //
-// Determinism: which worker walks which view is racy by construction (see
-// scheduler.go), but every worker writes flows and outcomes into the slots of
-// the views it walked and folds into its own aggregate; the join is the
-// indexed writes themselves plus the order-independent Aggregate.Merge, so
-// the output is identical for every worker count.
+// Determinism: which worker walks which view is racy by construction (the
+// workers race for ranges on one shared cursor), but every worker writes flows
+// and outcomes into the slots of the views it walked and folds into its own
+// aggregate; the join is the indexed writes themselves plus the
+// order-independent Aggregate.Merge, so the output is identical for every
+// worker count.
 
 // Parts is the mergeable output of one driver run: Flows and Outcomes are
 // co-indexed with the views the run was given (packet-ID order) and Aggregate
@@ -108,8 +110,12 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 // drive runs the pipeline over views (which must be in packet-ID order, as
 // Partition returns them) with the given fan-out; workers <= 0 selects
 // GOMAXPROCS, and no more workers run than there are views. One worker runs
-// inline over the whole range; several pull origin-aligned ranges from the
-// steal scheduler, each on its own goroutine with its own scratch.
+// inline over the whole range; several, each on its own goroutine with its own
+// scratch, pull grain-sized ranges off one shared atomic cursor until it runs
+// past the end — packets are independent, so a work list is all the
+// scheduling there is, and a hot origin spreads because nothing keeps its
+// views together. The serial branch keeps its own next: sharing one closure
+// with the goroutines would move it to the heap, an allocation per call.
 func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -134,14 +140,22 @@ func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts 
 		})
 		return Parts{Flows: flows, Outcomes: outs, Aggregate: agg}
 	}
-	sched := newStealScheduler(views, workers)
+	// Grain: coarse enough to amortize the shared cursor over many
+	// sub-millisecond packet analyses, fine enough that the tail spreads —
+	// about 64 pulls per worker per run.
+	var cursor atomic.Int64
+	n, grain := int64(len(views)), int64(len(views)/(workers*64)+1)
+	next := func() (int, int, bool) {
+		lo := cursor.Add(grain) - grain
+		return int(lo), int(min(lo+grain, n)), lo < n
+	}
 	aggs := make([]*diagnosis.Aggregate, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			aggs[w] = e.work(views, flows, outs, fu, sizing, func() (int, int, bool) { return sched.next(w) })
+			aggs[w] = e.work(views, flows, outs, fu, sizing, next)
 		}(w)
 	}
 	wg.Wait()

@@ -194,7 +194,7 @@ func (e *Engine) flowSizing(views []*event.PacketView) flow.Sizing {
 // analyze runs the transition algorithm for one view and commits the flow
 // into a (nil = standalone allocation). The run must be idle; it is left
 // reset and reusable for the next packet, so a worker can own one run for
-// its whole shard instead of bouncing runs through a shared pool.
+// its whole share of the views instead of bouncing runs through a shared pool.
 func (r *run) analyze(e *Engine, v *event.PacketView, a *flow.Arena) *flow.Flow {
 	r.e = e
 	r.pkt = v.Packet
@@ -261,7 +261,7 @@ func (q queueSpan) empty() bool { return q.cur >= q.end }
 // index (nodes), so the per-event hot path performs no map operations; the
 // whole struct — including retired visit structs and the reusable output
 // scratch — is recycled, either through the engine's run pool (standalone
-// AnalyzePacket calls) or by a sharded worker owning one run outright. The
+// AnalyzePacket calls) or by a driver worker owning one run outright. The
 // unconsumed input lives in the view's columnar batch, addressed by
 // queueSpan row ranges.
 //

@@ -48,6 +48,8 @@ type SnapshotOptions struct {
 	// ingest.Config.Horizon bounds. <= 0 derives the exact value from the
 	// snapshot with one columnar pass (event.MaxPacketSpread); deployments
 	// with a known skew budget should pass it and skip the scan.
+	// math.MaxInt64, passed or derived, means unbounded: nothing retires
+	// before the last window.
 	Horizon int64
 	// DiscardFlows drops reconstructed flows after each window is
 	// aggregated, returning a Result with nil Flows. For snapshots larger
@@ -88,7 +90,7 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 	ops := event.OperationalEvents(c)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
 
-	pending := event.NewPendingStore(event.PendingShards)
+	pending := event.NewPendingStore(0)
 	window := event.NewCollection()
 	acc := Parts{Aggregate: diagnosis.NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)}
 	last := plan.Windows() - 1
@@ -103,7 +105,7 @@ func (e *Engine) AnalyzeSnapshotDiagnosed(snap *event.Snapshot, workers int, cfg
 			pending.RetireAll(window)
 		} else {
 			cutoff := plan.Cut(k) - horizon
-			if cutoff > plan.Cut(k) { // underflowed past MinInt64
+			if cutoff > plan.Cut(k) || horizon == math.MaxInt64 { // underflowed past MinInt64, or no bound at all
 				cutoff = math.MinInt64
 			}
 			pending.RetireComplete(cutoff, window)

@@ -1,0 +1,212 @@
+package event
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// The pending store against an oracle. A schedule is a byte program: each
+// step reads an opcode and its operands off the front and is applied to a
+// PendingStore and to refStore — a flat slice of the buffered events in
+// arrival order, with every packet's last-seen time recomputed from scratch
+// on each call. After every step the two must agree on everything the store
+// promises its callers.
+
+const (
+	refNodes   = 6
+	refPackets = 50
+	// refProgram caps a schedule's length: every step compares the whole
+	// store, so an unbounded fuzz input is quadratic.
+	refProgram = 2048
+)
+
+// refStore is the naive pending store: no index, no compaction.
+type refStore struct{ evs []Event }
+
+// lastSeen recomputes every buffered packet's highest timestamp.
+func (r *refStore) lastSeen() map[PacketID]int64 {
+	last := make(map[PacketID]int64)
+	for _, e := range r.evs {
+		if t, ok := last[e.Packet]; !ok || e.Time > t {
+			last[e.Packet] = e.Time
+		}
+	}
+	return last
+}
+
+// retire removes the packets last seen below cutoff (all of them when all is
+// set) and returns their rows in arrival order plus the packet count.
+func (r *refStore) retire(cutoff int64, all bool) (out []Event, packets int) {
+	last := r.lastSeen()
+	var keep []Event
+	for _, e := range r.evs {
+		if all || last[e.Packet] < cutoff {
+			out = append(out, e)
+		} else {
+			keep = append(keep, e)
+		}
+	}
+	for _, t := range last {
+		if all || t < cutoff {
+			packets++
+		}
+	}
+	r.evs = keep
+	return out, packets
+}
+
+// canonical orders events by (node, packet), stably — what is left is each
+// packet's row order at each node, the one order the store must preserve (the
+// interleave of different packets inside a node's log is free).
+func canonical(evs []Event) []Event {
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Packet.Origin, b.Packet.Origin), cmp.Compare(a.Packet.Seq, b.Packet.Seq))
+	})
+	return evs
+}
+
+// collected flattens a collection's logs into canonical order.
+func collected(c *Collection) []Event {
+	var out []Event
+	for _, l := range c.Logs {
+		out = append(out, l.Events()...)
+	}
+	return canonical(out)
+}
+
+// perNode returns each non-empty log's events exactly as stored.
+func perNode(c *Collection) map[NodeID][]Event {
+	m := make(map[NodeID][]Event)
+	for n, l := range c.Logs {
+		if l.Len() > 0 {
+			m[n] = l.Events()
+		}
+	}
+	return m
+}
+
+func pendingOf(ps *PendingStore) *Collection {
+	c := NewCollection()
+	ps.AppendPendingTo(c)
+	return c
+}
+
+// scheduleStats counts what a schedule exercised, so the checked-in seeds can
+// be shown not to be vacuous.
+type scheduleStats struct{ idle, partial, maxDrained int }
+
+// runPendingSchedule interprets prog against both stores and fails on the
+// first disagreement.
+func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
+	t.Helper()
+	prog = prog[:min(len(prog), refProgram)]
+	ps := NewPendingStore(0)
+	ref := &refStore{}
+	window := NewCollection()
+	clock := int64(1000)
+	next := func() byte {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return b
+	}
+	for step := 0; len(prog) > 0; step++ {
+		op := next()
+		switch {
+		case op%16 < 12: // append one row
+			n := NodeID(next()%refNodes + 1)
+			p := int(next()) % refPackets
+			a := next()
+			clock += int64(a % 8)
+			e := Event{Node: n, Type: Type(a%3 + 1), Sender: n, Receiver: NodeID(a%5 + 1),
+				Packet: PacketID{Origin: NodeID(p%7 + 1), Seq: uint32(p / 7)}, Time: clock - int64(a>>4)}
+			if p == refPackets-1 {
+				e.Time = math.MaxInt64 // no strict cutoff ever clears it
+			}
+			if a%5 == 0 {
+				e.Info = fmt.Sprintf("info-%d", step)
+			}
+			ps.Append(n, e)
+			ref.evs = append(ref.evs, e)
+		default: // retire: a cutoff around the clock, or everything
+			all := op%16 == 15
+			cutoff := clock - 40 + int64(next()%64)
+			before := perNode(pendingOf(ps))
+			window.ResetLogs()
+			var got int
+			if all {
+				got = ps.RetireAll(window)
+			} else {
+				got = ps.RetireComplete(cutoff, window)
+			}
+			wantRows, want := ref.retire(cutoff, all)
+			if got != want {
+				t.Fatalf("step %d: retired %d packets, reference %d", step, got, want)
+			}
+			if g, w := collected(window), canonical(wantRows); !slices.Equal(g, w) {
+				t.Fatalf("step %d: retired rows differ\n got %+v\nwant %+v", step, g, w)
+			}
+			switch {
+			case got == 0 && len(before) > 0:
+				st.idle++
+				if after := perNode(pendingOf(ps)); !reflect.DeepEqual(before, after) {
+					t.Fatalf("step %d: a retire that completed nothing changed the store\nbefore %v\n after %v", step, before, after)
+				}
+			case got > 0 && ps.Rows() > 0:
+				st.partial++
+			case all && slices.ContainsFunc(wantRows, func(e Event) bool { return e.Time == math.MaxInt64 }):
+				st.maxDrained++
+			}
+		}
+		if ps.Rows() != len(ref.evs) {
+			t.Fatalf("step %d: Rows = %d, reference %d", step, ps.Rows(), len(ref.evs))
+		}
+		if g, w := ps.Packets(), len(ref.lastSeen()); g != w {
+			t.Fatalf("step %d: Packets = %d, reference %d", step, g, w)
+		}
+		if g, w := collected(pendingOf(ps)), canonical(slices.Clone(ref.evs)); !slices.Equal(g, w) {
+			t.Fatalf("step %d: survivors differ\n got %+v\nwant %+v", step, g, w)
+		}
+	}
+	return st
+}
+
+// pendingSeeds are the schedules both the test and the fuzz corpus start
+// from: random programs of a few hundred steps.
+func pendingSeeds() [][]byte {
+	var seeds [][]byte
+	for s := int64(1); s <= 24; s++ {
+		rng := rand.New(rand.NewSource(s))
+		prog := make([]byte, 200+rng.Intn(1200))
+		rng.Read(prog)
+		seeds = append(seeds, prog)
+	}
+	return seeds
+}
+
+func TestPendingStoreMatchesReference(t *testing.T) {
+	var total scheduleStats
+	for _, prog := range pendingSeeds() {
+		st := runPendingSchedule(t, prog)
+		total.idle += st.idle
+		total.partial += st.partial
+		total.maxDrained += st.maxDrained
+	}
+	if total.idle == 0 || total.partial == 0 || total.maxDrained == 0 {
+		t.Fatalf("seed schedules are vacuous: %+v (want retires that complete nothing, retires that leave survivors, and a RetireAll that carries out the MaxInt64 packet)", total)
+	}
+}
+
+func FuzzPendingStore(f *testing.F) {
+	for _, prog := range pendingSeeds() {
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) { runPendingSchedule(t, prog) })
+}

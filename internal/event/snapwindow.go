@@ -96,7 +96,7 @@ func PlanWindows(c *Collection, targetRows int) (*WindowPlan, error) {
 		want := k * total / w
 		lo, hi := minT, maxT
 		for lo < hi {
-			mid := lo + (hi-lo)/2
+			mid := lo + int64(uint64(hi-lo)/2) // hi-lo can exceed MaxInt64; as uint64 it is exact
 			if rowsUpTo(mid) >= want {
 				hi = mid
 			} else {
@@ -174,8 +174,9 @@ func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
 
 // MaxPacketSpread measures the collection's maximum within-packet timestamp
 // spread — the exact value of the completeness horizon a deployment would
-// bound from its clock-skew and packet-lifetime budgets. One columnar pass;
-// the out-of-core path uses it when the caller supplies no horizon.
+// bound from its clock-skew and packet-lifetime budgets, saturated at
+// math.MaxInt64 (which the out-of-core path reads as "no bound"). One columnar
+// pass; the out-of-core path uses it when the caller supplies no horizon.
 func MaxPacketSpread(c *Collection) int64 {
 	type span struct{ min, max int64 }
 	spans := make(map[PacketID]span, c.TotalEvents()/8+1)
@@ -203,7 +204,11 @@ func MaxPacketSpread(c *Collection) int64 {
 	horizon := int64(0)
 	//refill:allow maprange — max reduction; order-independent
 	for _, s := range spans {
-		if d := s.max - s.min; d > horizon {
+		d := s.max - s.min
+		if d < 0 { // wrapped: the true spread exceeds MaxInt64
+			d = math.MaxInt64
+		}
+		if d > horizon {
 			horizon = d
 		}
 	}

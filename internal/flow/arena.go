@@ -10,7 +10,7 @@ import "repro/internal/event"
 // allocations instead of several per packet, and the flow output occupies
 // long contiguous runs that the GC scans as a few objects.
 //
-// An Arena is NOT safe for concurrent use: the sharded analysis paths give
+// An Arena is NOT safe for concurrent use: the driver gives
 // every worker its own arena, which also keeps each worker's output on
 // memory that worker touched (the NUMA posture ROADMAP asks for).
 //

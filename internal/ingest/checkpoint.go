@@ -31,17 +31,19 @@ import (
 //	            toward u32, lossTime i64, cause u8, flags u8, reserved u16}
 //	section 4   aggregate: diagnosis.Aggregate.EncodeState
 //	base 32     operational events (event collection section family)
-//	base 64     pending packet rows, shard-major (see
+//	base 64     pending packet rows, per node in log order (see
 //	            event.PendingStore.AppendPendingTo)
 //
-// Resume rebuilds the pending store by replaying the shard-major rows
-// through PendingStore.Append — origin routing is deterministic, so the store
-// is structurally identical to the one checkpointed. A resumed session's
-// Drain is then byte-identical to an uninterrupted session's (and,
-// transitively, to batch analysis): outcomes and flows are sorted into packet
-// order at the end, aggregate counters are order-independent, and its point
-// sets finish through a total-order sort. snapshot_equiv_test.go at the repo
-// root pins this across a crash at every checkpoint epoch.
+// Resume rebuilds the pending store by replaying those rows through
+// PendingStore.Append. Files written while the store was sharded by origin
+// hold each node's rows shard by shard instead; they resume all the same,
+// because each packet's rows are still in log order at every node and that is
+// all reconstruction reads. A resumed session's Drain is then byte-identical
+// to an uninterrupted session's (and, transitively, to batch analysis):
+// outcomes and flows are sorted into packet order at the end, aggregate
+// counters are order-independent, and its point sets finish through a
+// total-order sort. snapshot_equiv_test.go at the repo root pins this across a
+// crash at every checkpoint epoch.
 
 const (
 	ckVersion = 1
@@ -131,7 +133,7 @@ func (s *Session) WriteCheckpoint(path string) error {
 
 	w.Append(ckSecAggregate, s.acc.Aggregate.EncodeState())
 
-	err = event.AppendCollectionSections(w, ckOpsBase, s.opsCollectionLocked())
+	err = event.AppendCollectionSections(w, ckOpsBase, s.ops)
 	if err == nil {
 		pending := event.NewCollection()
 		s.store.AppendPendingTo(pending)
@@ -153,21 +155,6 @@ func (s *Session) WriteCheckpoint(path string) error {
 		return fmt.Errorf("ingest: write checkpoint %s: %w", path, err)
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// opsCollectionLocked packs the session-level operational events into a
-// collection for serialization, preserving per-node arrival order. Caller
-// holds s.mu.
-func (s *Session) opsCollectionLocked() *event.Collection {
-	c := event.NewCollection()
-	//refill:allow maprange — AppendCollectionSections iterates the collection in sorted node order; per-node slices are copied wholesale
-	for n, evs := range s.ops {
-		l := c.Log(n)
-		for _, e := range evs {
-			l.Append(e)
-		}
-	}
-	return c
 }
 
 // Resume rebuilds a session from a checkpoint written by WriteCheckpoint.
@@ -256,39 +243,30 @@ func Resume(cfg Config, path string) (*Session, error) {
 		return nil, err
 	}
 
-	// Operational events and pending rows both come back as mapped
-	// collections whose storage dies with f — every event (and its Info
-	// string) is copied out while replaying.
-	opsColl, err := event.CollectionFromSections(f, ckOpsBase)
-	if err != nil {
+	if err := replay(f, ckOpsBase, func(n event.NodeID, e event.Event) { s.ops.Log(n).Append(e) }); err != nil {
 		return nil, err
 	}
-	for _, n := range opsColl.Nodes() {
-		l := opsColl.Logs[n]
-		if l.Len() == 0 {
-			continue
-		}
-		evs := make([]event.Event, 0, l.Len())
-		for i := 0; i < l.Len(); i++ {
-			e := l.At(i)
-			e.Info = strings.Clone(e.Info)
-			evs = append(evs, e)
-		}
-		s.ops[n] = evs
-		s.opsCount += len(evs)
-	}
-
-	pending, err := event.CollectionFromSections(f, ckPendBase)
-	if err != nil {
+	if err := replay(f, ckPendBase, s.store.Append); err != nil {
 		return nil, err
-	}
-	for _, n := range pending.Nodes() {
-		l := pending.Logs[n]
-		for i := 0; i < l.Len(); i++ {
-			e := l.At(i)
-			e.Info = strings.Clone(e.Info)
-			s.store.Append(n, e)
-		}
 	}
 	return s, nil
+}
+
+// replay hands every event of the collection section family at base to add,
+// per node in log order. The collection is mapped and its storage dies with
+// f, so each event's Info string is copied out first.
+func replay(f *snapfile.Snapshot, base uint32, add func(event.NodeID, event.Event)) error {
+	c, err := event.CollectionFromSections(f, base)
+	if err != nil {
+		return err
+	}
+	for _, n := range c.Nodes() {
+		l := c.Logs[n]
+		for i := 0; i < l.Len(); i++ {
+			e := l.At(i)
+			e.Info = strings.Clone(e.Info)
+			add(n, e)
+		}
+	}
+	return nil
 }

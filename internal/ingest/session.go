@@ -1,7 +1,7 @@
 // Package ingest implements the resident REFILL session: a long-lived
 // analyzer that accepts per-node log fragments incrementally, finalizes
 // packets as the collection-wide watermark advances past them, folds each
-// retired window through the origin-sharded fused reconstruction, and serves
+// retired window through the fused reconstruction driver, and serves
 // live report snapshots — all under memory bounded by the in-flight packet
 // population rather than the total volume ever ingested.
 //
@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/diagnosis"
@@ -107,9 +106,8 @@ type Stats struct {
 //
 // Session is deliberately NOT a //refill:owned type: it is shared across
 // goroutines by design (HTTP handlers, appenders, snapshot readers) and its
-// mutex is the ownership story. The worker-owned pieces inside — pending
-// shards, per-window run state, arenas, classifier scratch — carry their own
-// markers.
+// mutex is the ownership story. The owned pieces inside — the pending store,
+// per-window run state, arenas, classifier scratch — carry their own markers.
 type Session struct {
 	mu  sync.Mutex
 	eng *engine.Engine
@@ -118,9 +116,11 @@ type Session struct {
 	wm    *event.Watermarks
 	store *event.PendingStore
 	// ops holds the operational (server up/down) events per node in
-	// arrival (= log) order; opsCount totals them.
-	ops      map[event.NodeID][]event.Event
-	opsCount int
+	// arrival (= log) order — a handful for the life of the session. It is
+	// read through event.OperationalEvents, the merge Partition's own
+	// operational slice comes from, so a drained session's Result and
+	// schedule are bit-identical to the batch path's.
+	ops *event.Collection
 
 	watermark int64
 	epoch     int
@@ -157,8 +157,8 @@ func NewSession(cfg Config) (*Session, error) {
 		eng:   cfg.Engine,
 		cfg:   cfg,
 		wm:    event.NewWatermarks(),
-		store: event.NewPendingStore(event.PendingShards),
-		ops:   make(map[event.NodeID][]event.Event),
+		store: event.NewPendingStore(0),
+		ops:   event.NewCollection(),
 		acc: engine.Parts{
 			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start, cfg.Diagnosis.DayLen, cfg.Diagnosis.Days),
 		},
@@ -181,8 +181,7 @@ func (s *Session) Append(node event.NodeID, events []event.Event) error {
 		if e.Type.PacketScoped() {
 			s.store.Append(node, e)
 		} else {
-			s.ops[node] = append(s.ops[node], e)
-			s.opsCount++
+			s.ops.Log(node).Append(e)
 		}
 		s.wm.Observe(node, e.Time)
 		s.ingested++
@@ -250,28 +249,6 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 	return n
 }
 
-// operationalLocked merges the per-node operational events exactly the way
-// event.Partition builds its operational slice: nodes ascending, log order
-// within each node, then one time sort — so a drained session's Result and
-// schedule are bit-identical to the batch path's. Caller holds s.mu.
-func (s *Session) operationalLocked() []event.Event {
-	if s.opsCount == 0 {
-		return nil
-	}
-	nodes := make([]event.NodeID, 0, len(s.ops))
-	//refill:allow maprange — key collection; the sort below imposes the order
-	for n := range s.ops {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	ops := make([]event.Event, 0, s.opsCount)
-	for _, n := range nodes {
-		ops = append(ops, s.ops[n]...)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Time < ops[j].Time })
-	return ops
-}
-
 // scheduleLocked builds the outage schedule a window's packets are
 // classified against. Mid-session, a trailing open outage is extended to at
 // least the effective watermark; at drain (final) it is bounded by the
@@ -282,7 +259,7 @@ func (s *Session) operationalLocked() []event.Event {
 // now and at drain alike (its eventual close — a server-up row or the
 // campaign end — cannot precede ew).
 func (s *Session) scheduleLocked(ew int64, final bool) diagnosis.OutageSchedule {
-	ops := s.operationalLocked()
+	ops := event.OperationalEvents(s.ops)
 	end := s.cfg.Diagnosis.End
 	if !final {
 		end = ew
@@ -324,7 +301,7 @@ func (s *Session) Drain() (*engine.Result, *diagnosis.Report) {
 		return s.result, s.report
 	}
 	s.retireLocked(math.MaxInt64, true)
-	ops := s.operationalLocked()
+	ops := event.OperationalEvents(s.ops)
 	sched := diagnosis.OutagesFromOperational(ops, s.cfg.Diagnosis.End)
 	s.result, s.report = s.acc.Finish(s.cfg.Diagnosis.Sink, ops, sched)
 	s.drained = true
@@ -349,7 +326,7 @@ func (s *Session) Stats() Stats {
 		PendingRows:       s.store.Rows(),
 		PendingPackets:    s.store.Packets(),
 		FinalizedPackets:  s.finalized,
-		OperationalEvents: s.opsCount,
+		OperationalEvents: s.ops.TotalEvents(),
 		Nodes:             s.wm.Len(),
 		Drained:           s.drained,
 	}

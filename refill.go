@@ -73,8 +73,8 @@
 // reconstructed flows are spans into shared per-worker arenas rather than
 // individually allocated slices; the facade deals in plain Event and Flow
 // values and the log formats are unchanged. Batch, snapshot and session runs
-// all go through one reconstruction driver that shards the packet space by
-// origin, so each worker owns its arena and run state outright.
+// all go through one reconstruction driver whose workers pull ranges of
+// packets off a shared cursor, each owning its arena and run state outright.
 package refill
 
 import (

@@ -1,12 +1,11 @@
 package refill
 
-// Equivalence suite for the work-stealing shard scheduler on the workload it
-// exists for: a campaign where one hot origin dominates the packet volume.
-// The origin-aligned seed cut makes that origin one unit; the steal scheduler
-// splits it mid-origin across idle workers. On every caller of the driver
-// (batch, windowed out-of-core) the output must be byte-identical to the
-// serial reference, because steal decisions are racy by construction and must
-// never leak into results.
+// Equivalence suite for the driver's fan-out on the workload that strains it:
+// a campaign where one hot origin dominates the packet volume, so its views
+// are spread over every worker. On every caller of the driver (batch,
+// windowed out-of-core) the output must be byte-identical to the serial
+// reference, because which worker pulls which range is racy by construction
+// and must never leak into results.
 
 import (
 	"path/filepath"
@@ -20,8 +19,7 @@ import (
 // numbers (same per-node rows, same timestamps), then each node's log is
 // stably re-sorted by time so the per-node time order the out-of-core planner
 // requires still holds. The result is a protocol-valid collection where one
-// origin carries an order of magnitude more packets than any other — the
-// distribution that serializes a static origin-aligned cut.
+// origin carries an order of magnitude more packets than any other.
 func skewedLogs(t testing.TB, seed int64, reps int) (*Collection, NodeID, int64) {
 	t.Helper()
 	camp, err := RunCampaign(TinyCampaign(seed))
@@ -105,18 +103,18 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 		}
 		out := an.Analyze(logs)
 		if !reflect.DeepEqual(want.Result, out.Result) {
-			t.Errorf("steal-%d: result diverged from serial", workers)
+			t.Errorf("workers-%d: result diverged from serial", workers)
 		}
 		if got := serializeFlows(out.Result.Flows); got != wantFlows {
-			t.Errorf("steal-%d: flow serialization diverged", workers)
+			t.Errorf("workers-%d: flow serialization diverged", workers)
 		}
 		if got := RenderBreakdown(out.Report); got != wantReport {
-			t.Errorf("steal-%d: report diverged", workers)
+			t.Errorf("workers-%d: report diverged", workers)
 		}
 	}
 
 	// Out-of-core over the same skewed campaign: snapshot it, analyze in
-	// small residency windows (each window runs the same steal scheduler),
+	// small residency windows (each window runs the same driver),
 	// and require byte-identity with serial batch again.
 	path := filepath.Join(t.TempDir(), "skewed.snap")
 	if err := WriteSnapshot(path, logs); err != nil {

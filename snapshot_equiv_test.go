@@ -11,10 +11,12 @@ package refill
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -295,4 +297,65 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 		}
 		checkSameReport(t, want.Report, got.Report, dayLen, days)
 	})
+	t.Run("hostile-timestamps", testOutOfCoreHostileTimestamps)
+}
+
+// hostileTimestampLogs is 200 ordinary packets plus one packet, 4:1, whose
+// two rows are stamped math.MinInt64+10 and math.MaxInt64-10: a timestamp
+// span wider than int64 can hold, in logs that are still time-ordered.
+func hostileTimestampLogs() *Collection {
+	c := NewCollection()
+	hostile := PacketID{Origin: 4, Seq: 1}
+	c.Add(Event{Node: 4, Type: Trans, Sender: 4, Receiver: 5, Packet: hostile, Time: math.MinInt64 + 10})
+	for i := 0; i < 200; i++ {
+		origin := NodeID(4 + i%3)
+		pkt := PacketID{Origin: origin, Seq: uint32(i + 2)}
+		t0 := int64(i) * 100
+		c.Add(Event{Node: origin, Type: Gen, Sender: origin, Packet: pkt, Time: t0})
+		c.Add(Event{Node: origin, Type: Trans, Sender: origin, Receiver: 1, Packet: pkt, Time: t0 + 1})
+		c.Add(Event{Node: 1, Type: Recv, Sender: origin, Receiver: 1, Packet: pkt, Time: t0 + 2})
+	}
+	c.Add(Event{Node: 5, Type: Recv, Sender: 4, Receiver: 5, Packet: hostile, Time: math.MaxInt64 - 10})
+	return c
+}
+
+// testOutOfCoreHostileTimestamps: the windowed path must neither spin (the
+// window planner's bisection used to wrap on a time domain wider than
+// math.MaxInt64) nor split packet 4:1 across two windows (its derived horizon
+// used to wrap to 0, retiring it once in window 0 and again at the end: 202
+// flows). It runs under a deadline so the first failure is a failure, not a
+// hang.
+func testOutOfCoreHostileTimestamps(t *testing.T) {
+	logs := hostileTimestampLogs()
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: 1, End: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := an.Analyze(logs)
+	if len(want.Result.Flows) != 201 {
+		t.Fatalf("batch reconstructed %d flows, want 201", len(want.Result.Flows))
+	}
+	snap, err := OpenSnapshot(snapshotPath(t, logs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	for _, opts := range []SnapshotOptions{
+		{WindowRows: 64},
+		{WindowRows: 64, Horizon: math.MaxInt64},
+	} {
+		done := make(chan *Output, 1)
+		go func() { done <- an.AnalyzeSnapshot(snap, opts) }()
+		select {
+		case got := <-done:
+			if g, w := serializeFlows(got.Result.Flows), serializeFlows(want.Result.Flows); g != w {
+				t.Errorf("%+v: %d out-of-core flows diverged from batch's %d", opts, len(got.Result.Flows), len(want.Result.Flows))
+			}
+			if g, w := RenderBreakdown(got.Report), RenderBreakdown(want.Report); g != w {
+				t.Errorf("%+v: report diverged from batch:\n%s\nwant:\n%s", opts, g, w)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%+v: AnalyzeSnapshot still running after 20 s", opts)
+		}
+	}
 }
