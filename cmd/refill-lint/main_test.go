@@ -29,47 +29,6 @@ func TestProtocolOnlyModeExitsZero(t *testing.T) {
 	}
 }
 
-// TestFixtureCategories runs each seeded violation through the CLI and
-// requires a non-zero exit plus a diagnostic naming the expected check.
-func TestFixtureCategories(t *testing.T) {
-	cases := []struct {
-		category string
-		want     string
-	}{
-		{"determinism", "[determinism]"},
-		{"reachability", "[reachability]"},
-		{"prereq-cycle", "[prereq]"},
-		{"divergence", "[coherence]"},
-		{"code-analyzer", "[maprange]"},
-		{"escapecheck", "[escapecheck]"},
-		{"shardowner", "[shardowner]"},
-		{"snapfix", "span index mis-ordered"},
-	}
-	for _, c := range cases {
-		var out, errb bytes.Buffer
-		code := run([]string{"-fixture", c.category}, &out, &errb)
-		if code != 1 {
-			t.Errorf("%s: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", c.category, code, out.String(), errb.String())
-			continue
-		}
-		if !strings.Contains(out.String(), c.want) {
-			t.Errorf("%s: no %s diagnostic in output:\n%s", c.category, c.want, out.String())
-		}
-	}
-}
-
-func TestFixtureAll(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-fixture", "all"}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, errb.String())
-	}
-	for _, want := range []string{"[determinism]", "[reachability]", "[prereq]", "[coherence]", "[maprange]", "[wallclock]", "[poolhygiene]", "[escapecheck]", "[shardowner]", "span index mis-ordered", "overlaps the previous section"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("fixture all: missing %s in output:\n%s", want, out.String())
-		}
-	}
-}
-
 // TestJSONMode runs the code analyzers over the escapecheck fixture in -json
 // mode and checks the machine-readable contract: one JSON object per line,
 // pass/position/message fields filled, the allow-suppressed amortized-buffer
@@ -139,6 +98,8 @@ func TestJSONModeCleanRepoExitsZero(t *testing.T) {
 	}
 }
 
+// TestUnknownFixtureExitsTwo: -json is refill-lint's only flag, so -fixture
+// is a usage error (the seeded violations are go tests; DESIGN §8).
 func TestUnknownFixtureExitsTwo(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-fixture", "nope"}, &out, &errb); code != 2 {

@@ -29,11 +29,6 @@ const (
 	inlineMarker  = "//refill:inline"
 )
 
-// EscapeFixturePattern is the seeded escapecheck-violation fixture package,
-// registered with cmd/refill-lint's -fixture mode and the analyzer tests.
-// testdata is invisible to ./..., so it never dirties normal runs.
-const EscapeFixturePattern = "repro/internal/analysis/testdata/src/escapefix"
-
 // EscapeCheck is the allocation-discipline analyzer. It matches every package
 // but exits before invoking the compiler when no annotation is present, so
 // unannotated packages pay one comment scan, not a compile.

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// EscapeFixturePattern is the seeded escapecheck-violation fixture package;
+// testdata is invisible to ./..., so it never dirties normal runs.
+const EscapeFixturePattern = "repro/internal/analysis/testdata/src/escapefix"
+
 func loadEscapeFixture(t *testing.T) []*Package {
 	t.Helper()
 	pkgs, err := Load("", EscapeFixturePattern)

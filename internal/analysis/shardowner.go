@@ -32,15 +32,6 @@ import (
 // retired aggregate) can opt out by staying unmarked.
 const ownedMarker = "//refill:owned"
 
-// ShardFixturePattern is the seeded shardowner-violation fixture package,
-// registered with cmd/refill-lint's -fixture mode and the analyzer tests.
-const ShardFixturePattern = "repro/internal/analysis/testdata/src/shardfix"
-
-// SessionFixturePattern is the ingest-session flavor of the shardowner
-// fixture: a pending-window buffer (the rows retained between watermark
-// advances) leaked to a concurrent goroutine.
-const SessionFixturePattern = "repro/internal/analysis/testdata/src/sessionfix"
-
 // ShardOwner is the ownership analyzer. It matches every package and exits
 // early when no owned type is reachable from the load.
 var ShardOwner = &Analyzer{

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// ShardFixturePattern is the seeded shardowner-violation fixture package;
+// testdata is invisible to ./..., so it never dirties normal runs.
+const ShardFixturePattern = "repro/internal/analysis/testdata/src/shardfix"
+
 func loadShardFixture(t *testing.T) []*Package {
 	t.Helper()
 	pkgs, err := Load("", ShardFixturePattern)

@@ -61,6 +61,15 @@ type graphPrereqs struct {
 	self  []resolvedPrereq
 }
 
+// rule returns event type t's resolved inter-prerequisite, or its
+// self-prerequisite when self is set.
+func (gp *graphPrereqs) rule(t event.Type, self bool) resolvedPrereq {
+	if self {
+		return gp.self[t]
+	}
+	return gp.inter[t]
+}
+
 // Engine reconstructs per-packet event flows from lossy per-node logs.
 type Engine struct {
 	opts Options
@@ -110,9 +119,6 @@ func New(opts Options) (*Engine, error) {
 	}
 	for _, role := range []fsm.NodeRole{fsm.RoleOrigin, fsm.RoleForward, fsm.RoleSink, fsm.RoleServer} {
 		g := opts.Protocol.Graph(role)
-		if g == nil {
-			continue
-		}
 		if _, done := e.prereqs[g]; done {
 			continue
 		}
@@ -240,7 +246,7 @@ func (r *run) analyze(e *Engine, v *event.PacketView, a *flow.Arena) *flow.Flow 
 type visit struct {
 	node    event.NodeID
 	graph   *fsm.Graph
-	gp      *graphPrereqs // resolved prerequisites of graph (nil if unknown)
+	gp      *graphPrereqs // resolved prerequisites of graph
 	index   int
 	cur     fsm.StateID
 	peer    event.NodeID // transmission target bound by trans/ack/timeout
@@ -418,35 +424,6 @@ func (r *run) altGraph(n event.NodeID) *fsm.Graph {
 		return r.e.opts.Protocol.Graph(fsm.RoleForward)
 	}
 	return nil
-}
-
-// resolved returns the visit's resolved prerequisite entry for event type t
-// (inter- or self-prerequisite). Visits on protocol role graphs hit the
-// precomputed table; foreign graphs fall back to resolving by name.
-func (r *run) resolved(v *visit, t event.Type, self bool) resolvedPrereq {
-	if v.gp != nil {
-		if self {
-			return v.gp.self[t]
-		}
-		return v.gp.inter[t]
-	}
-	return r.resolvedIn(v.graph, t, self)
-}
-
-// resolvedIn is resolved for an arbitrary graph (used before rotating onto
-// an alternative template).
-func (r *run) resolvedIn(g *fsm.Graph, t event.Type, self bool) resolvedPrereq {
-	if gp := r.e.prereqs[g]; gp != nil {
-		if self {
-			return gp.self[t]
-		}
-		return gp.inter[t]
-	}
-	rule := r.e.interPrereq[t]
-	if self {
-		rule = r.e.selfPrereq[t]
-	}
-	return resolvePrereq(g, rule)
 }
 
 // exec runs the main loop: drain every node's queue in deterministic order
@@ -716,7 +693,7 @@ func (r *run) anyVisitPassed(ni int, t event.Type) bool {
 		if !v.started {
 			continue
 		}
-		rp := r.resolved(v, t, true)
+		rp := v.gp.rule(t, true)
 		for _, s := range rp.states {
 			if v.graph.Passed(v.cur, s) {
 				return true
@@ -824,7 +801,7 @@ func (r *run) drive(p event.NodeID, ev event.Event, depth int) {
 	t := ev.Type
 	v := r.visitFor(pi)
 	wantPeer := ev.Node // the prerequisite operation pointed at ev's logger
-	if passedAny(v, r.resolved(v, t, false).states) {
+	if passedAny(v, v.gp.rule(t, false).states) {
 		r.checkPeerBinding(v, t, wantPeer)
 		return
 	}
@@ -842,14 +819,14 @@ func (r *run) drive(p event.NodeID, ev event.Event, depth int) {
 	// process events on the node i until reaching state s_x").
 	for !r.queues[pi].empty() {
 		v = r.current[pi]
-		if passedAny(v, r.resolved(v, t, false).states) {
+		if passedAny(v, v.gp.rule(t, false).states) {
 			r.checkPeerBinding(v, t, wantPeer)
 			return
 		}
 		r.step(pi, depth+1)
 	}
 	v = r.current[pi]
-	if passedAny(v, r.resolved(v, t, false).states) {
+	if passedAny(v, v.gp.rule(t, false).states) {
 		r.checkPeerBinding(v, t, wantPeer)
 		return
 	}
@@ -878,7 +855,7 @@ func (r *run) drive(p event.NodeID, ev event.Event, depth int) {
 // back to the forwarding template for an origin caught in a loop. It returns
 // the path and the visit it applies to.
 func (r *run) inferRoute(ni int, v *visit, t event.Type, self bool) ([]fsm.Transition, *visit, bool) {
-	if inferTo := r.resolved(v, t, self).inferTo; inferTo != fsm.NoState {
+	if inferTo := v.gp.rule(t, self).inferTo; inferTo != fsm.NoState {
 		if path, ok := v.graph.PathTo(v.cur, inferTo); ok {
 			return path, v, true
 		}
@@ -893,7 +870,7 @@ func (r *run) inferRoute(ni int, v *visit, t event.Type, self bool) ([]fsm.Trans
 	// The node's own template does not know the prerequisite state at all
 	// (an origin asked for Received): use the forwarding template.
 	if alt := r.altGraph(r.nodes[ni]); alt != nil && alt != v.graph {
-		if inferTo := r.resolvedIn(alt, t, self).inferTo; inferTo != fsm.NoState {
+		if inferTo := r.e.prereqs[alt].rule(t, self).inferTo; inferTo != fsm.NoState {
 			nv := r.rotate(ni, alt)
 			if path, ok := nv.graph.PathTo(nv.cur, inferTo); ok {
 				return path, nv, true

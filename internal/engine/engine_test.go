@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -33,6 +34,32 @@ func TestNewDefaults(t *testing.T) {
 	if e.opts.Protocol == nil || e.opts.MaxInferred <= 0 || e.opts.MaxDepth <= 0 {
 		t.Errorf("defaults not applied: %+v", e.opts)
 	}
+}
+
+// TestProtocolWithoutForwardGraphIsRejected: a protocol missing a role graph
+// used to pass fsm.NewProtocol and New, and the first packet whose view had a
+// forwarder row died with a nil-pointer panic in newVisit. Every visit's
+// graph must have a resolved prerequisite table, so the protocol is refused.
+func TestProtocolWithoutForwardGraphIsRejected(t *testing.T) {
+	ctp := fsm.DefaultCTP()
+	p, err := fsm.NewProtocol("no-forward", map[fsm.NodeRole]*fsm.Graph{
+		fsm.RoleOrigin: ctp.Graph(fsm.RoleOrigin),
+		fsm.RoleSink:   ctp.Graph(fsm.RoleSink),
+		fsm.RoleServer: ctp.Graph(fsm.RoleServer),
+	}, nil)
+	if err != nil {
+		if !strings.Contains(err.Error(), "forward") {
+			t.Errorf("error %q does not name the missing role", err)
+		}
+		return
+	}
+	e, err := New(Options{Protocol: p, Sink: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := event.PacketID{Origin: 1, Seq: 1}
+	f := e.AnalyzePacket(viewOf(pkt, chainEvents(pkt, []event.NodeID{1, 2, 3}, true)))
+	t.Fatalf("protocol without a forward graph accepted; analyzed %s", f)
 }
 
 // chainEvents builds the complete lossless event sequence of a packet

@@ -9,15 +9,13 @@ import (
 
 // allProtocolGraphs gathers every distinct role template the package ships:
 // the CTP variants and the dissemination protocol. The dense dispatch and
-// path memoization must agree with the reference map/BFS implementations on
-// every one of them.
+// path memoization must agree with the declared transitions and the
+// reference BFS on every one of them.
 func allProtocolGraphs() map[string]*Graph {
 	graphs := map[string]*Graph{}
 	add := func(prefix string, p *Protocol) {
 		for _, role := range []NodeRole{RoleOrigin, RoleForward, RoleSink, RoleServer} {
-			if g := p.Graph(role); g != nil {
-				graphs[prefix+"/"+role.String()] = g
-			}
+			graphs[prefix+"/"+role.String()] = p.Graph(role)
 		}
 	}
 	add("ctp", DefaultCTP())
@@ -40,34 +38,39 @@ func labelUniverse() []Label {
 	return labels
 }
 
-// TestDenseDispatchMatchesMapIndex pins the dense-table lookups behind
-// Next/NormalNext/IntraNext to the construction-time map indices for every
-// (state, label) pair of every protocol graph.
-func TestDenseDispatchMatchesMapIndex(t *testing.T) {
+// scan returns the index of the transition out of s on l in trs, or -1.
+func scan(trs []Transition, s StateID, l Label) int {
+	for i, tr := range trs {
+		if tr.From == s && tr.On == l {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestDenseDispatchMatchesTransitions pins the dense-table lookups behind
+// Next/NormalNext/IntraNext to a linear scan of the declared and derived
+// transition slices for every (state, label) pair of every protocol graph.
+func TestDenseDispatchMatchesTransitions(t *testing.T) {
 	for name, g := range allProtocolGraphs() {
 		for s := StateID(0); int(s) < g.NumStates(); s++ {
 			for _, l := range labelUniverse() {
-				k := transKey{from: s, on: l}
-
-				wantNormal := -1
-				if idx := g.normalIndex[k]; len(idx) > 0 {
-					wantNormal = idx[0]
-				}
+				wantNormal := scan(g.normal, s, l)
 				gotN, okN := g.NormalNext(s, l)
 				if okN != (wantNormal >= 0) {
-					t.Fatalf("%s: NormalNext(%v, %v) ok=%v, map says %v", name, s, l, okN, wantNormal >= 0)
+					t.Fatalf("%s: NormalNext(%v, %v) ok=%v, scan says %v", name, s, l, okN, wantNormal >= 0)
 				}
 				if okN && !reflect.DeepEqual(gotN, g.normal[wantNormal]) {
-					t.Fatalf("%s: NormalNext(%v, %v) = %+v, map index gives %+v", name, s, l, gotN, g.normal[wantNormal])
+					t.Fatalf("%s: NormalNext(%v, %v) = %+v, scan gives %+v", name, s, l, gotN, g.normal[wantNormal])
 				}
 
-				wantIntra, haveIntra := g.intraIndex[k]
+				wantIntra := scan(g.intra, s, l)
 				gotI, okI := g.IntraNext(s, l)
-				if okI != haveIntra {
-					t.Fatalf("%s: IntraNext(%v, %v) ok=%v, map says %v", name, s, l, okI, haveIntra)
+				if okI != (wantIntra >= 0) {
+					t.Fatalf("%s: IntraNext(%v, %v) ok=%v, scan says %v", name, s, l, okI, wantIntra >= 0)
 				}
 				if okI && !reflect.DeepEqual(gotI, g.intra[wantIntra]) {
-					t.Fatalf("%s: IntraNext(%v, %v) = %+v, map index gives %+v", name, s, l, gotI, g.intra[wantIntra])
+					t.Fatalf("%s: IntraNext(%v, %v) = %+v, scan gives %+v", name, s, l, gotI, g.intra[wantIntra])
 				}
 
 				// Next prefers normal over intra.
@@ -83,12 +86,55 @@ func TestDenseDispatchMatchesMapIndex(t *testing.T) {
 					}
 				default:
 					if okX {
-						t.Fatalf("%s: Next(%v, %v) matched %+v with no transition indexed", name, s, l, gotX)
+						t.Fatalf("%s: Next(%v, %v) matched %+v with no transition declared or derived", name, s, l, gotX)
 					}
 				}
 			}
 		}
 	}
+}
+
+// referencePathTo is the allocating early-exit BFS PathTo was memoized from,
+// kept verbatim as the test oracle for the table buildPaths fills: adjacency
+// in canonical transition order keeps the result deterministic.
+func referencePathTo(g *Graph, a, b StateID) ([]Transition, bool) {
+	if a == b {
+		return nil, true
+	}
+	prev := make([]int, len(g.states)) // index into g.normal, -1 unset
+	for i := range prev {
+		prev[i] = -1
+	}
+	visited := make([]bool, len(g.states))
+	visited[a] = true
+	queue := []StateID{a}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for i, tr := range g.normal {
+			if tr.From != cur || visited[tr.To] {
+				continue
+			}
+			visited[tr.To] = true
+			prev[tr.To] = i
+			if tr.To == b {
+				// Reconstruct.
+				var rev []Transition
+				for at := b; at != a; {
+					tr := g.normal[prev[at]]
+					rev = append(rev, tr)
+					at = tr.From
+				}
+				path := make([]Transition, len(rev))
+				for j := range rev {
+					path[j] = rev[len(rev)-1-j]
+				}
+				return path, true
+			}
+			queue = append(queue, tr.To)
+		}
+	}
+	return nil, false
 }
 
 // TestPathToMatchesBFS pins the memoized all-pairs table behind PathTo to the
@@ -99,7 +145,7 @@ func TestPathToMatchesBFS(t *testing.T) {
 		for a := StateID(0); int(a) < n; a++ {
 			for b := StateID(0); int(b) < n; b++ {
 				got, okG := g.PathTo(a, b)
-				want, okW := g.pathToBFS(a, b)
+				want, okW := referencePathTo(g, a, b)
 				if okG != okW {
 					t.Fatalf("%s: PathTo(%v, %v) ok=%v, BFS says %v", name, a, b, okG, okW)
 				}

@@ -13,7 +13,8 @@ import (
 // FuzzFinalize drives Builder.Finalize with arbitrary graphs and asserts the
 // contract the rest of the repo relies on: Finalize either rejects the graph
 // with a descriptive error (never a panic), or hands back a graph whose
-// redundant representations pass the static verifier. Dead-end and
+// derived tables pass the static verifier. Labels span roles 0..3, one past
+// SelfReceiver, so the declaration-side role guard is exercised. Dead-end and
 // no-terminal findings are tolerated — those are protocol-level wellformedness
 // conditions Finalize deliberately leaves to lint — but determinism,
 // coherence, anchor and unreachability findings on a finalized graph are
@@ -24,6 +25,9 @@ func FuzzFinalize(f *testing.F) {
 	f.Add([]byte{4, 0b1000, 0, 1, 0, 7, 0, 2, 13, 1, 3, 21, 2, 3, 33})
 	f.Add([]byte{2, 0b10, 0, 0, 1, 9, 0, 1, 9})
 	f.Add([]byte{2, 0b10, 0, 0, 0, 5, 0, 1, 11})
+	// timeout@role(3) out of the last state: it panicked Finalize before
+	// Builder.Transition rejected roles above SelfReceiver.
+	f.Add([]byte{0, 0b10, 0, 0, 1, 1, 1, 1, 51})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -42,7 +46,7 @@ func FuzzFinalize(f *testing.F) {
 			from := states[int(rest[0])%n]
 			to := states[int(rest[1])%n]
 			lb := rest[2]
-			label := fsm.On(event.Type(1+int(lb)%(event.NumTypes-1)), fsm.Role(int(lb/16)%3))
+			label := fsm.On(event.Type(1+int(lb)%(event.NumTypes-1)), fsm.Role(int(lb/16)%4))
 			b.Transition(from, to, label)
 		}
 

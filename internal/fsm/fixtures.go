@@ -3,10 +3,9 @@ package fsm
 import "fmt"
 
 // CorruptForFixture mutates a finalized graph in ways Finalize can never
-// produce. It exists solely to seed the violation fixtures behind
-// `refill-lint -fixture` and the internal/lint tests: each kind breaks exactly
-// one invariant the static verifier must catch. Production code must never
-// call it.
+// produce. It exists solely to seed the violations the internal/lint tests
+// drive through the verifier: each kind breaks exactly one invariant the
+// static verifier must catch. Production code must never call it.
 //
 // Kinds:
 //
@@ -21,11 +20,9 @@ import "fmt"
 //   - "anchor": clears the cached SentState anchor on a graph whose state
 //     set contains Sent.
 //   - "dense-divergence": erases one populated dense normal-dispatch slot so
-//     it disagrees with the map index.
-//   - "index-divergence": deletes one map-index entry so it disagrees with
-//     the dense table.
+//     it disagrees with the transition slice.
 //   - "path-divergence": erases one memoized PathTo entry so it disagrees
-//     with the reference BFS.
+//     with reachability.
 func CorruptForFixture(g *Graph, kind string) error {
 	switch kind {
 	case "nondeterminism":
@@ -86,15 +83,6 @@ func CorruptForFixture(g *Graph, kind string) error {
 			}
 		}
 		return fmt.Errorf("fsm: fixture %q needs a populated dispatch table", kind)
-	case "index-divergence":
-		for _, tr := range g.normal {
-			k := transKey{tr.From, tr.On}
-			if len(g.normalIndex[k]) > 0 {
-				delete(g.normalIndex, k)
-				return nil
-			}
-		}
-		return fmt.Errorf("fsm: fixture %q needs indexed transitions", kind)
 	case "path-divergence":
 		for a := range g.pathTab {
 			for b := range g.pathTab[a] {

@@ -69,20 +69,18 @@ type Transition struct {
 // Graph is a finalized protocol FSM. Build one with NewBuilder; a zero Graph
 // is not usable.
 type Graph struct {
-	name        string
-	states      []State
-	byName      map[string]StateID
-	start       StateID
-	normal      []Transition
-	intra       []Transition
-	normalIndex map[transKey][]int // (from,label) -> indices into normal
-	intraIndex  map[transKey]int   // (from,label) -> index into intra
-	reach       [][]bool           // reach[a][b]: a ≻ b via ≥1 normal transitions
-	labels      []Label            // distinct labels, deterministic order
+	name   string
+	states []State
+	byName map[string]StateID
+	start  StateID
+	normal []Transition
+	intra  []Transition
+	reach  [][]bool // reach[a][b]: a ≻ b via ≥1 normal transitions
+	labels []Label  // distinct labels, deterministic order
 
 	// Dense dispatch: transition lookups are on the engine's per-event hot
-	// path, so Finalize flattens the (state, label) indices into row-major
-	// tables addressed by state * labelWidth + labelSlot(label). -1 = none.
+	// path, so Finalize indexes the transitions in row-major tables
+	// addressed by state * labelWidth + labelSlot(label). -1 = none.
 	labelWidth int
 	normalTab  []int32 // index into normal
 	intraTab   []int32 // index into intra
@@ -100,15 +98,11 @@ type Graph struct {
 	stateIdx []StateIndex
 }
 
-type transKey struct {
-	from StateID
-	on   Label
-}
-
 // labelSlot maps a label to its column in the dense dispatch tables: three
 // slots per event type, one per Role value (zero Role included). Callers must
 // reject Role values outside [0,2] first — slot arithmetic on them would
-// alias a neighboring event type's columns.
+// alias a neighboring event type's columns (Builder.Transition does for
+// declared labels, normalAt/intraAt for probes).
 func labelSlot(l Label) int { return int(l.Type)*3 + int(l.Self) }
 
 // normalAt / intraAt are the dense lookups behind Next and friends. A slot
@@ -222,54 +216,8 @@ func (g *Graph) PathTo(a, b StateID) ([]Transition, bool) {
 	if a == b {
 		return nil, true
 	}
-	if g.pathTab != nil {
-		p := g.pathTab[a][b]
-		return p, p != nil
-	}
-	return g.pathToBFS(a, b)
-}
-
-// pathToBFS is the original allocating BFS. It remains the reference
-// implementation the memoized table is built from (and tested against):
-// adjacency in declaration order keeps the result deterministic.
-func (g *Graph) pathToBFS(a, b StateID) ([]Transition, bool) {
-	if a == b {
-		return nil, true
-	}
-	prev := make([]int, len(g.states)) // index into g.normal, -1 unset
-	for i := range prev {
-		prev[i] = -1
-	}
-	visited := make([]bool, len(g.states))
-	visited[a] = true
-	queue := []StateID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for i, tr := range g.normal {
-			if tr.From != cur || visited[tr.To] {
-				continue
-			}
-			visited[tr.To] = true
-			prev[tr.To] = i
-			if tr.To == b {
-				// Reconstruct.
-				var rev []Transition
-				for at := b; at != a; {
-					tr := g.normal[prev[at]]
-					rev = append(rev, tr)
-					at = tr.From
-				}
-				path := make([]Transition, len(rev))
-				for j := range rev {
-					path[j] = rev[len(rev)-1-j]
-				}
-				return path, true
-			}
-			queue = append(queue, tr.To)
-		}
-	}
-	return nil, false
+	p := g.pathTab[a][b]
+	return p, p != nil
 }
 
 // Labels returns the distinct transition labels of the graph, sorted at
@@ -285,32 +233,6 @@ func (g *Graph) NormalTransitions() []Transition { return g.normal }
 // (From, label) — deriveIntra visits states in ID order and labels in sorted
 // order (shared slice; callers must not mutate).
 func (g *Graph) IntraTransitions() []Transition { return g.intra }
-
-// IndexedNormalNext is the construction-time map-index lookup for (s, l). It
-// is the reference the dense dispatch tables are verified against
-// (internal/lint, check "coherence"); the engine hot path never calls it.
-func (g *Graph) IndexedNormalNext(s StateID, l Label) (Transition, bool) {
-	if idx := g.normalIndex[transKey{s, l}]; len(idx) > 0 {
-		return g.normal[idx[0]], true
-	}
-	return Transition{}, false
-}
-
-// IndexedIntraNext is the map-index counterpart of IntraNext, kept as the
-// reference implementation for the lint coherence check.
-func (g *Graph) IndexedIntraNext(s StateID, l Label) (Transition, bool) {
-	if i, ok := g.intraIndex[transKey{s, l}]; ok {
-		return g.intra[i], true
-	}
-	return Transition{}, false
-}
-
-// PathToReference recomputes the shortest normal-transition path with the
-// allocating reference BFS the memoized table is built from. internal/lint
-// compares it exhaustively against PathTo; it is not for hot-path use.
-func (g *Graph) PathToReference(a, b StateID) ([]Transition, bool) {
-	return g.pathToBFS(a, b)
-}
 
 // Builder assembles a Graph. Typical use:
 //
@@ -328,11 +250,9 @@ type Builder struct {
 // NewBuilder returns a Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{g: &Graph{
-		name:        name,
-		byName:      make(map[string]StateID),
-		start:       NoState,
-		normalIndex: make(map[transKey][]int),
-		intraIndex:  make(map[transKey]int),
+		name:   name,
+		byName: make(map[string]StateID),
+		start:  NoState,
 	}}
 }
 
@@ -357,13 +277,18 @@ func (b *Builder) Transition(from, to StateID, on Label) {
 		b.errs = append(b.errs, fmt.Errorf("fsm: transition with unknown state in %q", b.g.name))
 		return
 	}
+	if on.Self > SelfReceiver {
+		b.errs = append(b.errs, fmt.Errorf("fsm: transition on %v in %q has an out-of-range role", on, b.g.name))
+		return
+	}
 	b.g.normal = append(b.g.normal, Transition{From: from, To: to, On: on, Kind: Normal})
 }
 
-// Finalize validates the graph, computes reachability, and derives the
-// intra-node transitions per Section IV-B. Malformed graphs — duplicate or
-// unknown states, no start state, nondeterministic (state, label) pairs,
-// states unreachable from the start — yield a descriptive error (all problems
+// Finalize validates the graph, indexes its transitions, computes
+// reachability and shortest paths, and derives the intra-node transitions per
+// Section IV-B. Malformed graphs — duplicate or unknown states, out-of-range
+// roles, no start state, nondeterministic (state, label) pairs, states
+// unreachable from the start — yield a descriptive error (all problems
 // joined, never a panic). Normal transitions are sorted into canonical
 // (From, label, To) order first, so every derived artifact — label order,
 // intra transitions, memoized paths, dispatch tables — is independent of
@@ -392,22 +317,24 @@ func (b *Builder) Finalize() (*Graph, error) {
 		}
 		return a.To < c.To
 	})
+	g.collectLabels()
+	g.allocTables()
 	// Index normal transitions; the engine is deterministic, so at most
 	// one normal transition per (state, label).
 	var errs []error
 	for i, tr := range g.normal {
-		k := transKey{tr.From, tr.On}
-		if len(g.normalIndex[k]) > 0 {
+		slot := &g.normalTab[int(tr.From)*g.labelWidth+labelSlot(tr.On)]
+		if *slot >= 0 {
 			errs = append(errs, fmt.Errorf("fsm: graph %q nondeterministic at state %q on %v",
 				g.name, g.states[tr.From].Name, tr.On))
 			continue
 		}
-		g.normalIndex[k] = append(g.normalIndex[k], i)
+		*slot = int32(i)
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	g.computeReachability()
+	g.buildPaths()
 	for s := range g.states {
 		if StateID(s) != g.start && !g.reach[g.start][s] {
 			errs = append(errs, fmt.Errorf("fsm: graph %q state %q unreachable from start state %q",
@@ -417,80 +344,20 @@ func (b *Builder) Finalize() (*Graph, error) {
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	g.collectLabels()
-	// Memoize all-pairs shortest inference paths before deriving intra
-	// transitions, so deriveIntra (and every later PathTo) is a table read.
-	g.buildPathTab()
-	if err := g.deriveIntra(); err != nil {
-		return nil, err
-	}
-	g.buildDispatchTables()
+	g.deriveIntra()
 	g.buildStateIndexes()
 	g.sent = g.StateByName(StateSent)
 	g.announced = g.StateByName(StateAnnounced)
 	return g, nil
 }
 
-// buildPathTab runs the reference BFS from every source state and stores the
-// per-target paths, making PathTo allocation-free. A full BFS visits states
-// in the same order as the early-exit reference, so prev[] — and therefore
-// every reconstructed path — is identical to what pathToBFS returns.
-func (g *Graph) buildPathTab() {
-	n := len(g.states)
-	g.pathTab = make([][][]Transition, n)
-	prev := make([]int, n)
-	visited := make([]bool, n)
-	queue := make([]StateID, 0, n)
-	for a := 0; a < n; a++ {
-		g.pathTab[a] = make([][]Transition, n)
-		for i := range prev {
-			prev[i] = -1
-			visited[i] = false
-		}
-		visited[a] = true
-		queue = append(queue[:0], StateID(a))
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			for i, tr := range g.normal {
-				if tr.From != cur || visited[tr.To] {
-					continue
-				}
-				visited[tr.To] = true
-				prev[tr.To] = i
-				queue = append(queue, tr.To)
-			}
-		}
-		for b := 0; b < n; b++ {
-			if b == a || prev[b] < 0 {
-				continue
-			}
-			var rev []Transition
-			for at := StateID(b); at != StateID(a); {
-				tr := g.normal[prev[at]]
-				rev = append(rev, tr)
-				at = tr.From
-			}
-			path := make([]Transition, len(rev))
-			for j := range rev {
-				path[j] = rev[len(rev)-1-j]
-			}
-			g.pathTab[a][b] = path
-		}
-	}
-}
-
-// buildDispatchTables flattens normalIndex/intraIndex into the dense
-// row-major tables the hot-path lookups read.
-func (g *Graph) buildDispatchTables() {
+// allocTables sizes the dense dispatch tables to the widest event type among
+// the labels (intra transitions reuse the same labels) and clears every slot.
+func (g *Graph) allocTables() {
 	maxType := 0
 	for _, l := range g.labels {
 		if int(l.Type) > maxType {
 			maxType = int(l.Type)
-		}
-	}
-	for _, tr := range g.intra {
-		if int(tr.On.Type) > maxType {
-			maxType = int(tr.On.Type)
 		}
 	}
 	g.labelWidth = (maxType + 1) * 3
@@ -501,36 +368,43 @@ func (g *Graph) buildDispatchTables() {
 		g.normalTab[i] = -1
 		g.intraTab[i] = -1
 	}
-	for i, tr := range g.normal {
-		g.normalTab[int(tr.From)*g.labelWidth+labelSlot(tr.On)] = int32(i)
-	}
-	for i, tr := range g.intra {
-		g.intraTab[int(tr.From)*g.labelWidth+labelSlot(tr.On)] = int32(i)
-	}
 }
 
-// computeReachability fills reach[a][b] = true iff a path of >=1 normal
-// transitions leads from a to b (Floyd–Warshall on the small state set).
-func (g *Graph) computeReachability() {
+// buildPaths runs one breadth-first search per source state over the normal
+// transitions in canonical order. Each search fills the source's
+// reachability row — the source itself only when a transition re-enters it —
+// and its row of memoized shortest paths, making PathTo a table read: the
+// first transition to discover a state extends the path to the state it
+// leaves, so among equally short paths the canonically earliest wins.
+func (g *Graph) buildPaths() {
 	n := len(g.states)
 	g.reach = make([][]bool, n)
-	for i := range g.reach {
-		g.reach[i] = make([]bool, n)
-	}
-	for _, tr := range g.normal {
-		g.reach[tr.From][tr.To] = true
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if !g.reach[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if g.reach[k][j] {
-					g.reach[i][j] = true
+	g.pathTab = make([][][]Transition, n)
+	cells := make([]bool, n*n)
+	paths := make([][]Transition, n*n)
+	queue := make([]StateID, 0, n)
+	for a := range g.states {
+		src := StateID(a)
+		row := cells[a*n : (a+1)*n : (a+1)*n]
+		pathRow := paths[a*n : (a+1)*n : (a+1)*n]
+		queue = append(queue[:0], src)
+		for qi := 0; qi < len(queue); qi++ {
+			cur := queue[qi]
+			for _, tr := range g.normal {
+				if tr.From != cur {
+					continue
 				}
+				if !row[tr.To] && tr.To != src {
+					p := make([]Transition, len(pathRow[cur])+1)
+					copy(p, pathRow[cur])
+					p[len(p)-1] = tr
+					pathRow[tr.To] = p
+					queue = append(queue, tr.To)
+				}
+				row[tr.To] = true
 			}
 		}
+		g.reach[a], g.pathTab[a] = row, pathRow
 	}
 }
 
@@ -557,10 +431,11 @@ func (g *Graph) collectLabels() {
 // states of every normal transition labeled e; if exactly one distinct target
 // s_jc is reachable from s_x, add s_x --e--> s_jc with the skipped normal
 // path recorded for lost-event inference.
-func (g *Graph) deriveIntra() error {
+func (g *Graph) deriveIntra() {
 	for sx := StateID(0); int(sx) < len(g.states); sx++ {
 		for _, l := range g.labels {
-			if _, has := g.normalIndex[transKey{sx, l}]; has {
+			slot := int(sx)*g.labelWidth + labelSlot(l)
+			if g.normalTab[slot] >= 0 {
 				continue // normal transition exists; no jump needed
 			}
 			// Distinct reachable targets of transitions labeled l.
@@ -604,9 +479,8 @@ func (g *Graph) deriveIntra() error {
 				continue
 			}
 			tr := Transition{From: sx, To: sjc, On: l, Kind: Intra, InferPath: best}
-			g.intraIndex[transKey{sx, l}] = len(g.intra)
+			g.intraTab[slot] = int32(len(g.intra))
 			g.intra = append(g.intra, tr)
 		}
 	}
-	return nil
 }

@@ -67,6 +67,35 @@ func TestBuilderRejectsUnknownState(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsOutOfRangeRole pins the declaration-side role guard: a
+// Role above SelfReceiver would index past its event type's three dispatch
+// columns. Declared from the last state it ran off the table (a panic);
+// declared from an earlier state it landed in the next state's row, where
+// NormalNext(S1, invalid@0) returned the transition declared at S0.
+func TestBuilderRejectsOutOfRangeRole(t *testing.T) {
+	bad := On(event.Timeout, Role(3))
+	for _, fromLast := range []bool{true, false} {
+		b := NewBuilder("badrole")
+		s0 := b.State("S0", false)
+		s1 := b.State("S1", true)
+		b.Start(s0)
+		b.Transition(s0, s1, On(event.Recv, SelfReceiver))
+		if fromLast {
+			b.Transition(s1, s1, bad)
+		} else {
+			b.Transition(s0, s1, bad)
+		}
+		g, err := b.Finalize()
+		if err == nil {
+			tr, ok := g.NormalNext(s1, Label{})
+			t.Fatalf("fromLast=%v: Finalize accepted role 3 (NormalNext(S1, %v) = %+v, %v)", fromLast, Label{}, tr, ok)
+		}
+		if !strings.Contains(err.Error(), "badrole") || !strings.Contains(err.Error(), "role") {
+			t.Errorf("fromLast=%v: error %q does not name the graph and the role", fromLast, err)
+		}
+	}
+}
+
 func TestReachabilityLinear(t *testing.T) {
 	g, s, m, e := buildLinear(t)
 	cases := []struct {
@@ -420,10 +449,10 @@ func TestNewProtocolRejectsUnknownPrereqState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewProtocol("bad", map[NodeRole]*Graph{RoleServer: g},
+	_, err = NewProtocol("bad", map[NodeRole]*Graph{RoleOrigin: g, RoleForward: g, RoleSink: g, RoleServer: g},
 		map[event.Type]Prereq{event.Recv: {PeerRole: SelfSender, AnyOf: []string{"Nope"}, InferTo: "Nope"}})
-	if err == nil {
-		t.Fatal("expected unknown-state error")
+	if err == nil || !strings.Contains(err.Error(), `"Nope"`) {
+		t.Fatalf("expected unknown-state error naming \"Nope\", got %v", err)
 	}
 }
 
@@ -433,8 +462,9 @@ func TestNewProtocolRejectsEmpty(t *testing.T) {
 	}
 }
 
-// TestReachabilityMatchesBFSProperty cross-checks the Floyd–Warshall
-// reachability against an independent per-source BFS on random graphs.
+// TestReachabilityMatchesBFSProperty is the independent oracle for the
+// reachability matrix buildPaths fills: on random graphs, Reachable must
+// equal a per-source search over the declared edges written here.
 func TestReachabilityMatchesBFSProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	labels := []Label{
@@ -450,7 +480,11 @@ func TestReachabilityMatchesBFSProperty(t *testing.T) {
 			ids[i] = b.State(string(rune('A'+i)), false)
 		}
 		b.Start(ids[0])
-		used := make(map[transKey]bool)
+		type slot struct {
+			from StateID
+			on   Label
+		}
+		used := make(map[slot]bool)
 		edges := rng.Intn(2 * n)
 		type edge struct{ from, to StateID }
 		var edgeList []edge
@@ -458,7 +492,7 @@ func TestReachabilityMatchesBFSProperty(t *testing.T) {
 			from := ids[rng.Intn(n)]
 			to := ids[rng.Intn(n)]
 			l := labels[rng.Intn(len(labels))]
-			k := transKey{from, l}
+			k := slot{from, l}
 			if used[k] {
 				continue
 			}

@@ -94,7 +94,8 @@ type Protocol struct {
 // Name returns the protocol's name.
 func (p *Protocol) Name() string { return p.name }
 
-// Graph returns the template for a role (nil if the role is unknown).
+// Graph returns the template for a role (nil only for a NodeRole outside the
+// four NewProtocol requires).
 func (p *Protocol) Graph(role NodeRole) *Graph { return p.graphs[role] }
 
 // Prereq returns the prerequisite rule for an event type, if any.
@@ -113,11 +114,18 @@ func (p *Protocol) SelfPrereq(t event.Type) (Prereq, bool) {
 	return pr, ok
 }
 
+// roles lists the node roles every protocol supplies a template for.
+var roles = [...]NodeRole{RoleOrigin, RoleForward, RoleSink, RoleServer}
+
 // NewProtocol assembles a protocol from role templates and prerequisites.
-// Every referenced prerequisite state name must exist in at least one graph.
+// Every role needs a graph — the engine opens a visit on whichever template
+// a node's role selects — and every referenced prerequisite state name must
+// exist in at least one of them.
 func NewProtocol(name string, graphs map[NodeRole]*Graph, prereqs map[event.Type]Prereq) (*Protocol, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("fsm: protocol %q has no graphs", name)
+	for _, role := range roles {
+		if graphs[role] == nil {
+			return nil, fmt.Errorf("fsm: protocol %q has no %v graph", name, role)
+		}
 	}
 	// Ascending event-type order so the same malformed table always yields
 	// the same first error.
@@ -130,9 +138,8 @@ func NewProtocol(name string, graphs map[NodeRole]*Graph, prereqs map[event.Type
 		names := append([]string{pr.InferTo}, pr.AnyOf...)
 		for _, want := range names {
 			found := false
-			//refill:allow maprange — existential check; found is order-independent
-			for _, g := range graphs {
-				if g.StateByName(want) != NoState {
+			for _, role := range roles {
+				if graphs[role].StateByName(want) != NoState {
 					found = true
 					break
 				}

@@ -2,8 +2,8 @@
 // correctness rests on (paper §4): FSM determinism and the uniqueness
 // precondition behind intra-node inference, reachability of every state,
 // soundness of the cross-graph prerequisite table (Definition 4.1), and
-// coherence of the redundant graph representations the hot path uses (dense
-// dispatch tables, memoized PathTo, map indexes).
+// coherence of the tables the walk reads (dense dispatch, memoized PathTo,
+// reachability) with the declared transitions.
 //
 // The checks run at build/CI time via cmd/refill-lint; they complement the
 // dynamic tests by proving the invariants for every (state, label) pair and
@@ -19,7 +19,7 @@ import (
 	"repro/internal/fsm"
 )
 
-// Check names, used in diagnostics and selected by cmd/refill-lint fixtures.
+// Check names, used in diagnostics.
 const (
 	CheckDeterminism  = "determinism"
 	CheckReachability = "reachability"
@@ -61,8 +61,8 @@ func sortIssues(issues []Issue) []Issue {
 // transition per (state, label) and the paper's uniqueness precondition for
 // every intra-node transition), reachability (every state reachable from
 // Start, every non-terminal state reaches a terminal, anchor states resolve)
-// and representation coherence (dense tables vs. map indexes vs. transition
-// slices, memoized PathTo vs. reference BFS).
+// and coherence (dense tables vs. transition slices, Reachable and PathTo vs.
+// a recomputation from the declared transitions).
 func Graph(g *fsm.Graph) []Issue {
 	var issues []Issue
 	issues = append(issues, checkDeterminism(g)...)
@@ -78,9 +78,6 @@ func Protocol(p *fsm.Protocol) []Issue {
 	seen := make([]*fsm.Graph, 0, 4)
 	for _, role := range []fsm.NodeRole{fsm.RoleOrigin, fsm.RoleForward, fsm.RoleSink, fsm.RoleServer} {
 		g := p.Graph(role)
-		if g == nil {
-			continue
-		}
 		dup := false
 		for _, s := range seen {
 			dup = dup || s == g
@@ -205,7 +202,7 @@ func derivableJump(g *fsm.Graph, s fsm.StateID, l fsm.Label) (fsm.StateID, bool)
 		if tr.On != l || tr.To != target {
 			continue
 		}
-		if _, ok := g.PathToReference(s, tr.From); ok {
+		if s == tr.From || reachableRef(g, s, tr.From) {
 			return target, true
 		}
 	}
@@ -227,25 +224,41 @@ func checkInferPath(g *fsm.Graph, tr fsm.Transition) []Issue {
 				g.State(tr.From).Name, tr.On, g.State(tr.To).Name, i)
 			return issues
 		}
-		declared := false
-		for _, n := range scanNormal(g, step.From, step.On) {
-			declared = declared || n.To == step.To
-		}
-		if !declared {
+		if !declared(g, step) {
 			bad("intra %q --%v--> %q: inference step %d is not a declared normal transition",
 				g.State(tr.From).Name, tr.On, g.State(tr.To).Name, i)
 		}
 		at = step.To
 	}
-	adjacent := false
-	for _, n := range scanNormal(g, at, tr.On) {
-		adjacent = adjacent || n.To == tr.To
-	}
-	if !adjacent {
+	if !declared(g, fsm.Transition{From: at, To: tr.To, On: tr.On}) {
 		bad("intra %q --%v--> %q: inference path does not end adjacent to the target",
 			g.State(tr.From).Name, tr.On, g.State(tr.To).Name)
 	}
 	return issues
+}
+
+// declared reports whether tr's (From, On, To) is a declared normal
+// transition.
+func declared(g *fsm.Graph, tr fsm.Transition) bool {
+	for _, n := range scanNormal(g, tr.From, tr.On) {
+		if n.To == tr.To {
+			return true
+		}
+	}
+	return false
+}
+
+// isPath reports whether path is a sequence of declared normal transitions
+// leading from a to b.
+func isPath(g *fsm.Graph, a, b fsm.StateID, path []fsm.Transition) bool {
+	at := a
+	for _, step := range path {
+		if step.From != at || !declared(g, step) {
+			return false
+		}
+		at = step.To
+	}
+	return at == b
 }
 
 // reachableRef recomputes reachability (>= 1 normal transition) from the
@@ -325,11 +338,13 @@ func checkReachability(g *fsm.Graph) []Issue {
 	return issues
 }
 
-// checkCoherence exhaustively compares the redundant representations PR 1
-// introduced: for every (state, label) pair the dense dispatch tables, the
-// construction-time map indexes and a linear scan of the transition slices
-// must agree; for every state pair the memoized PathTo table must equal the
-// reference BFS, and the reachability matrix must match a recomputation.
+// checkCoherence holds the graph's one copy of each derived table to the
+// declared transitions: for every (state, label) pair the dense dispatch
+// tables must agree with a linear scan of the transition slices and Next must
+// prefer normal over intra; for every state pair Reachable must match a
+// recomputation, and PathTo must succeed exactly when b is reachable from a
+// (or is a), with a path of declared normal steps from a to b. (That the path is the
+// canonical shortest one is pinned by internal/fsm's reference-BFS test.)
 func checkCoherence(g *fsm.Graph) []Issue {
 	var issues []Issue
 	name := g.Name()
@@ -351,24 +366,14 @@ func checkCoherence(g *fsm.Graph) []Issue {
 	for s := fsm.StateID(0); int(s) < g.NumStates(); s++ {
 		for _, l := range labelUniverse() {
 			denseN, denseOKN := g.NormalNext(s, l)
-			mapN, mapOKN := g.IndexedNormalNext(s, l)
 			scanN := scanNormal(g, s, l)
-			if denseOKN != mapOKN || (denseOKN && !eq(denseN, mapN)) {
-				bad("state %q on %v: dense normal dispatch disagrees with the map index",
-					g.State(s).Name, l)
-			}
-			if denseOKN != (len(scanN) > 0) || (denseOKN && len(scanN) > 0 && !eq(denseN, scanN[0])) {
+			if denseOKN != (len(scanN) > 0) || (denseOKN && !eq(denseN, scanN[0])) {
 				bad("state %q on %v: dense normal dispatch disagrees with the transition slice",
 					g.State(s).Name, l)
 			}
 			denseI, denseOKI := g.IntraNext(s, l)
-			mapI, mapOKI := g.IndexedIntraNext(s, l)
 			scanI := scanIntra(g, s, l)
-			if denseOKI != mapOKI || (denseOKI && !eq(denseI, mapI)) {
-				bad("state %q on %v: dense intra dispatch disagrees with the map index",
-					g.State(s).Name, l)
-			}
-			if denseOKI != (len(scanI) > 0) || (denseOKI && len(scanI) > 0 && !eq(denseI, scanI[0])) {
+			if denseOKI != (len(scanI) > 0) || (denseOKI && !eq(denseI, scanI[0])) {
 				bad("state %q on %v: dense intra dispatch disagrees with the transition slice",
 					g.State(s).Name, l)
 			}
@@ -386,25 +391,20 @@ func checkCoherence(g *fsm.Graph) []Issue {
 	}
 	for a := fsm.StateID(0); int(a) < g.NumStates(); a++ {
 		for b := fsm.StateID(0); int(b) < g.NumStates(); b++ {
-			memo, okMemo := g.PathTo(a, b)
-			ref, okRef := g.PathToReference(a, b)
-			if okMemo != okRef || len(memo) != len(ref) {
-				bad("PathTo(%q, %q): memoized table (ok=%v len=%d) disagrees with reference BFS (ok=%v len=%d)",
-					g.State(a).Name, g.State(b).Name, okMemo, len(memo), okRef, len(ref))
-				continue
+			reach := reachableRef(g, a, b)
+			if got := g.Reachable(a, b); got != reach {
+				bad("Reachable(%q, %q) = %v, recomputation says %v",
+					g.State(a).Name, g.State(b).Name, got, reach)
 			}
-			for i := range memo {
-				if memo[i].From != ref[i].From || memo[i].To != ref[i].To || memo[i].On != ref[i].On {
-					bad("PathTo(%q, %q): memoized step %d disagrees with reference BFS",
-						g.State(a).Name, g.State(b).Name, i)
-					break
-				}
-			}
-			if a != b {
-				if got, want := g.Reachable(a, b), reachableRef(g, a, b); got != want {
-					bad("Reachable(%q, %q) = %v, recomputation says %v",
-						g.State(a).Name, g.State(b).Name, got, want)
-				}
+			// PathTo(a, a) is the empty path.
+			path, ok := g.PathTo(a, b)
+			switch {
+			case ok != (reach || a == b):
+				bad("PathTo(%q, %q) ok=%v, recomputed reachability says %v",
+					g.State(a).Name, g.State(b).Name, ok, reach)
+			case ok && !isPath(g, a, b, path):
+				bad("PathTo(%q, %q) is not a path of declared normal transitions from %q to %q",
+					g.State(a).Name, g.State(b).Name, g.State(a).Name, g.State(b).Name)
 			}
 		}
 	}

@@ -43,40 +43,6 @@ func TestRoleTemplatesCleanIndividually(t *testing.T) {
 	}
 }
 
-// TestBrokenFixtures asserts every seeded violation fixture is caught with a
-// diagnostic naming the right check.
-func TestBrokenFixtures(t *testing.T) {
-	wantCheck := map[string]string{
-		"determinism":  CheckDeterminism,
-		"reachability": CheckReachability,
-		"prereq-cycle": CheckPrereq,
-		"divergence":   CheckCoherence,
-	}
-	for _, category := range FixtureCategories {
-		issues, err := BrokenFixture(category)
-		if err != nil {
-			t.Fatalf("%s: %v", category, err)
-		}
-		if len(issues) == 0 {
-			t.Errorf("%s: seeded violation not caught", category)
-			continue
-		}
-		found := false
-		for _, i := range issues {
-			found = found || i.Check == wantCheck[category]
-		}
-		if !found {
-			t.Errorf("%s: no issue with check %q among %v", category, wantCheck[category], issues)
-		}
-	}
-}
-
-func TestUnknownFixtureCategory(t *testing.T) {
-	if _, err := BrokenFixture("nope"); err == nil {
-		t.Fatal("expected an error for an unknown fixture category")
-	}
-}
-
 // TestDeadEndDiagnosticIsPrecise builds a Finalize-legal but broken graph — a
 // non-terminal state with no way to reach a terminal — and requires the
 // reachability diagnostic to name the state.
@@ -110,10 +76,11 @@ func TestDeadEndDiagnosticIsPrecise(t *testing.T) {
 // TestPrereqCycleDiagnosticNamesTheCycle requires the cycle report to spell
 // out the offending event-type chain.
 func TestPrereqCycleDiagnosticNamesTheCycle(t *testing.T) {
-	issues, err := BrokenFixture("prereq-cycle")
+	p, err := cyclicProtocol()
 	if err != nil {
 		t.Fatal(err)
 	}
+	issues := Protocol(p)
 	found := false
 	for _, i := range issues {
 		if i.Check == CheckPrereq && strings.Contains(i.Detail, "cycle") &&
@@ -139,15 +106,10 @@ func TestCorruptionsAreCaughtIndividually(t *testing.T) {
 		{"unreachable", CheckReachability},
 		{"anchor", CheckReachability},
 		{"dense-divergence", CheckCoherence},
-		{"index-divergence", CheckCoherence},
 		{"path-divergence", CheckCoherence},
 	}
 	for _, c := range cases {
-		g := fsm.DefaultCTP().Graph(fsm.RoleForward)
-		if err := fsm.CorruptForFixture(g, c.kind); err != nil {
-			t.Fatalf("%s: %v", c.kind, err)
-		}
-		issues := Graph(g)
+		issues := Graph(corruptForward(t, c.kind))
 		found := false
 		for _, i := range issues {
 			found = found || i.Check == c.check
@@ -158,17 +120,20 @@ func TestCorruptionsAreCaughtIndividually(t *testing.T) {
 	}
 }
 
-// TestIssuesAreDeterministicallyOrdered runs the same broken fixture twice
-// and requires identical diagnostics — the property the sorted transition
-// slices and sorted issue output exist for.
+// TestIssuesAreDeterministicallyOrdered runs the same broken graphs through
+// the verifier twice and requires identical diagnostics — the property the
+// sorted transition slices and sorted issue output exist for.
 func TestIssuesAreDeterministicallyOrdered(t *testing.T) {
-	a, err := BrokenFixture("reachability")
-	if err != nil {
-		t.Fatal(err)
+	verify := func() []Issue {
+		var issues []Issue
+		for _, kind := range []string{"dead-end", "unreachable", "anchor"} {
+			issues = append(issues, Graph(corruptForward(t, kind))...)
+		}
+		return issues
 	}
-	b, err := BrokenFixture("reachability")
-	if err != nil {
-		t.Fatal(err)
+	a, b := verify(), verify()
+	if len(a) == 0 {
+		t.Fatal("seeded reachability violations not reported")
 	}
 	if len(a) != len(b) {
 		t.Fatalf("issue count differs between runs: %d vs %d", len(a), len(b))
@@ -178,4 +143,45 @@ func TestIssuesAreDeterministicallyOrdered(t *testing.T) {
 			t.Fatalf("issue %d differs between runs: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// corruptForward returns a fresh CTP forward graph corrupted with the given
+// fsm fixture kind.
+func corruptForward(t *testing.T, kind string) *fsm.Graph {
+	t.Helper()
+	g := fsm.DefaultCTP().Graph(fsm.RoleForward)
+	if err := fsm.CorruptForFixture(g, kind); err != nil {
+		t.Fatalf("%s: %v", kind, err)
+	}
+	return g
+}
+
+// cyclicProtocol builds a protocol whose prerequisite table is mutually
+// recursive: satisfying a recv prerequisite infers an ack, whose prerequisite
+// infers a recv — the unbounded inter-node recursion the cycle check rejects.
+// The graphs themselves are perfectly well-formed; only the Definition 4.1
+// table is broken.
+func cyclicProtocol() (*fsm.Protocol, error) {
+	b := fsm.NewBuilder("cyclic")
+	start := b.State("CycStart", false)
+	mid := b.State("CycMid", false)
+	end := b.State("CycEnd", true)
+	b.Start(start)
+	b.Transition(start, mid, fsm.On(event.AckRecvd, fsm.SelfSender))
+	b.Transition(mid, end, fsm.On(event.Recv, fsm.SelfReceiver))
+	g, err := b.Finalize()
+	if err != nil {
+		return nil, err
+	}
+	return fsm.NewProtocol("cyclic", map[fsm.NodeRole]*fsm.Graph{
+		fsm.RoleOrigin:  g,
+		fsm.RoleForward: g,
+		fsm.RoleSink:    g,
+		fsm.RoleServer:  g,
+	}, map[event.Type]fsm.Prereq{
+		// recv's prerequisite is reached through an ack-labeled edge...
+		event.Recv: {PeerRole: fsm.SelfSender, AnyOf: []string{"CycMid"}, InferTo: "CycMid"},
+		// ...and ack's prerequisite through a recv-labeled edge.
+		event.AckRecvd: {PeerRole: fsm.SelfReceiver, AnyOf: []string{"CycEnd"}, InferTo: "CycEnd"},
+	})
 }

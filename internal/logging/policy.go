@@ -35,17 +35,17 @@ func (FullPolicy) Name() string { return "full" }
 // on bad links, and REFILL's inference recovers hop structure from the first
 // attempt plus the receiver's records, so this is the natural economy mode.
 type SelectivePolicy struct {
-	seen map[transKey]bool
+	seen map[hopKey]bool
 }
 
-type transKey struct {
+type hopKey struct {
 	pkt      event.PacketID
 	from, to event.NodeID
 }
 
 // NewSelectivePolicy returns an empty selective policy.
 func NewSelectivePolicy() *SelectivePolicy {
-	return &SelectivePolicy{seen: make(map[transKey]bool)}
+	return &SelectivePolicy{seen: make(map[hopKey]bool)}
 }
 
 // Keep implements Policy.
@@ -53,7 +53,7 @@ func (p *SelectivePolicy) Keep(e event.Event) bool {
 	if e.Type != event.Trans {
 		return true
 	}
-	k := transKey{pkt: e.Packet, from: e.Sender, to: e.Receiver}
+	k := hopKey{pkt: e.Packet, from: e.Sender, to: e.Receiver}
 	if p.seen[k] {
 		return false
 	}
