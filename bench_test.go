@@ -621,13 +621,14 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.Run("open-analyze-windowed", func(b *testing.B) {
 		// The out-of-core path on the same snapshot: windowed reconstruction
 		// straight off the mapping, sized to force several residency windows.
-		// Serial (Parallelism 1) so allocs/op is deterministic for benchguard.
+		// Serial (Parallelism 1) so allocs/op is deterministic for benchguard;
+		// flows retained, as cmd/refill does and as the baseline row records.
 		wan, err := NewAnalyzer(AnalyzerOptions{},
 			WithSink(sink), WithWindow(0, end), WithParallelism(1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := SnapshotOptions{WindowRows: rows/6 + 1}
+		opts := SnapshotOptions{WindowRows: rows/6 + 1, SessionConfig: SessionConfig{RetainFlows: true}}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

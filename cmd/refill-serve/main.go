@@ -20,10 +20,13 @@
 //	                   up front, or early advances may finalize packets
 //	                   whose rows at still-unseen nodes are yet to arrive.
 //	POST /v1/advance   ?watermark=T — finalize packets provably complete
-//	                   below the watermark (clamped to the slowest node).
+//	                   below the watermark (clamped to the slowest node, and
+//	                   while an outage is open to -end or its start).
 //	GET  /v1/report    live JSON report snapshot; ?format=text renders the
 //	                   cause table instead.
 //	GET  /v1/stats     lifecycle counters (watermark, pending rows, ...).
+//	                   The watermark reads -9223372036854775808
+//	                   (math.MinInt64) until an advance first moves it.
 //	POST /v1/drain     finalize everything and return the final report;
 //	                   further appends fail.
 //	POST /v1/checkpoint  (with -checkpoint-dir) write a checkpoint now.

@@ -108,8 +108,11 @@ func main() {
 		// Out of core off a snapshot: windowed reconstruction straight off
 		// the mapping keeps the working set to ~two residency windows, so
 		// snapshots larger than memory analyze fine. Flows are retained (the
-		// -flows/-trace/-clocks printing below reads them).
-		out = an.AnalyzeSnapshot(snap, refill.SnapshotOptions{WindowRows: *winRows})
+		// flow count, -flows, -trace and -clocks below read them).
+		out = an.AnalyzeSnapshot(snap, refill.SnapshotOptions{
+			WindowRows:    *winRows,
+			SessionConfig: refill.SessionConfig{RetainFlows: true},
+		})
 	} else {
 		out = an.Analyze(logs)
 	}

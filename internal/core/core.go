@@ -21,7 +21,8 @@ import (
 // Zero-value footguns: the zero Sink is event.NoNode and NewAnalyzer rejects
 // it — there is no default sink; use WithSink (or set Sink) explicitly. The
 // zero End leaves a trailing server outage open-ended in the report — use
-// WithWindow (or set Start/End) when outages or daily bins matter.
+// WithWindow (or set Start/End) when outages or daily bins matter; an End
+// below the data makes sessions hold finalization while an outage is open.
 type Options struct {
 	// Sink is the collection-tree root (required; see WithSink).
 	Sink event.NodeID
@@ -258,19 +259,78 @@ func (a *Analyzer) Analyze(c *event.Collection) *Output { return a.analyze(c, a.
 // Analyze. Kept until the benchmark's core.stream_par_s probe is retired.
 func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output { return a.analyze(c, a.workers(0)) }
 
-// SnapshotOptions tunes AnalyzeSnapshot; see engine.SnapshotOptions for the
-// field semantics (window size, completeness horizon, flow retention).
-type SnapshotOptions = engine.SnapshotOptions
+// SnapshotOptions tunes AnalyzeSnapshot.
+type SnapshotOptions struct {
+	// WindowRows is the target row count per residency window; 0 selects
+	// 1<<20, about 30 MiB of hot columns, two windows resident at a time.
+	WindowRows int
+	// SessionConfig opens the session the windows feed. Horizon <= 0
+	// derives the exact within-packet spread (event.MaxPacketSpread, one
+	// columnar pass). Without RetainFlows the Output carries no flows, the
+	// dominant retained cost of a snapshot larger than memory.
+	SessionConfig
+}
 
-// AnalyzeSnapshot runs the full pipeline over an open snapshot out of core:
-// windowed reconstruction straight off the mapping in bounded memory, with
-// each residency window prefetched while the previous one computes (see
-// engine.AnalyzeSnapshotDiagnosed). Output is byte-identical to Analyze over
-// snap.Collection(), except that Result.Flows is nil under
-// SnapshotOptions.DiscardFlows. Worker count follows Options.Parallelism
-// with 0 selecting all cores — this is a throughput path.
+// feedRows caps the rows staged for one Append.
+const feedRows = 1024
+
+// AnalyzeSnapshot runs the full pipeline over an open snapshot out of core,
+// as a source feeding one ingest session: for each residency window
+// (event.PlanWindows) it appends every node's rows of the window, punctuates
+// every node at the window's cut — each unfed row lies strictly above it —
+// and advances the session to the cut; then it drains. Each window is
+// prefetched while the previous one computes and released once fed, so the
+// resident set is about two windows of columns plus the in-flight pending
+// rows. Output is byte-identical to Analyze over snap.Collection(), except
+// that Result.Flows is nil without RetainFlows. A collection whose logs are
+// not time-ordered cannot be windowed and is analyzed in memory instead.
+// Worker count follows Options.Parallelism, 0 selecting all cores.
 func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *Output {
-	res, rep := a.eng.AnalyzeSnapshotDiagnosed(snap, a.workers(0), a.diagConfig(), opts)
+	c := snap.Collection()
+	rows := opts.WindowRows
+	if rows <= 0 {
+		rows = 1 << 20
+	}
+	plan, err := event.PlanWindows(c, rows)
+	if err != nil {
+		out := a.analyze(c, a.workers(0))
+		if !opts.RetainFlows {
+			out.Result.Flows = nil
+		}
+		return out
+	}
+	sc := opts.SessionConfig
+	if sc.Horizon <= 0 {
+		sc.Horizon = event.MaxPacketSpread(c)
+	}
+	sess, err := a.NewSession(sc)
+	if err != nil {
+		panic(err) // unreachable: the analyzer has a sink and the horizon is not negative
+	}
+	// A fresh session fails Append and Advance only after Drain.
+	buf := make([]event.Event, 0, feedRows)
+	last := plan.Windows() - 1
+	for k := 0; k <= last; k++ {
+		snap.PrefetchWindow(plan, k+1)
+		for i, n := range plan.Nodes() {
+			l := c.Logs[n]
+			for lo, hi := plan.Span(k, i); lo < hi; lo += len(buf) {
+				buf = buf[:0]
+				for r := lo; r < hi && len(buf) < feedRows; r++ {
+					buf = append(buf, l.At(r))
+				}
+				_ = sess.Append(n, buf)
+			}
+		}
+		if k < last { // the last cut is math.MaxInt64: Drain retires it
+			for _, n := range plan.Nodes() {
+				sess.Punctuate(n, plan.Cut(k))
+			}
+			_, _ = sess.Advance(plan.Cut(k))
+		}
+		snap.ReleaseWindow(plan, k)
+	}
+	res, rep := sess.Drain()
 	return &Output{Result: res, Report: rep}
 }
 

@@ -101,9 +101,10 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestOperationalEventsMatchPartition pins the out-of-core path's dedicated
-// operational pre-scan to Partition's byproduct: same events, same order —
-// the windowed schedule must equal the batch one bit for bit.
+// TestOperationalEventsMatchPartition pins OperationalEvents — the merge the
+// ingest session builds its outage schedule from — to Partition's byproduct:
+// same events, same order, so the session's schedule equals the batch one
+// bit for bit.
 func TestOperationalEventsMatchPartition(t *testing.T) {
 	c := buildOutageCampaign(25)
 	_, ops := event.Partition(c)

@@ -19,10 +19,10 @@ import (
 //
 // Every analysis entry point is this driver fed different views and a
 // different outage schedule: batch Analyze/AnalyzeDiagnosed partition the
-// whole collection, the ingest session and the out-of-core snapshot walk
-// partition one retired window at a time (AnalyzeWindowDiagnosed) and fold the
-// windows' Parts together. Serial is workers == 1 of the same worker body,
-// run inline on the caller's goroutine.
+// whole collection, the ingest session — whatever feeds it, a live service or
+// a mapped snapshot — partitions one retired window at a time
+// (AnalyzeWindowDiagnosed) and folds the windows' Parts together. Serial is
+// workers == 1 of the same worker body, run inline on the caller's goroutine.
 //
 // Determinism: which worker walks which view is racy by construction (the
 // workers race for ranges on one shared cursor), but every worker writes flows
@@ -217,10 +217,10 @@ func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosi
 
 // AnalyzeWindowDiagnosed reconstructs and classifies every packet of one
 // retired window — the incremental form of AnalyzeDiagnosed for the ingest
-// session and the out-of-core snapshot walk, which Fold many windows' Parts
-// together and only assemble a Report at snapshot or drain time. c must
-// contain only packet-scoped rows (the callers keep operational events to
-// themselves); sched is the outage schedule the window's outcomes are
+// session, which Folds many windows' Parts together and only assembles a
+// Report at snapshot or drain time. c must contain only packet-scoped rows
+// (the session keeps operational events to itself); sched is the outage
+// schedule the window's outcomes are
 // classified against. Per-packet work is identical to the batch entry
 // points', so folded windows reproduce AnalyzeDiagnosed byte for byte.
 // workers <= 0 selects GOMAXPROCS.

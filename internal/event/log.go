@@ -440,8 +440,8 @@ func sortByKey(keys []uint64, rows []uint32, varying uint64) (_ []uint64, _, spa
 // OperationalEvents extracts the non-packet-scoped events (server up/down)
 // from a collection, sorted by time — the same slice Partition returns as its
 // second result, without building any views. A single pass over the dense
-// type columns, so callers that need the outage schedule BEFORE any view
-// exists (the windowed out-of-core path) can afford it up front.
+// type columns; the ingest session runs it over its handful of operational
+// rows to build the outage schedule it classifies each window against.
 func OperationalEvents(c *Collection) []Event {
 	var ops []Event
 	for _, n := range c.Nodes() {

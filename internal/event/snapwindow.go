@@ -8,12 +8,12 @@ import (
 	"repro/internal/event/snapfile"
 )
 
-// Residency windows: the out-of-core analysis path (engine.
-// AnalyzeSnapshotDiagnosed) walks a mapped snapshot one time-window at a
-// time, feeding each window's rows through the watermark machinery and
-// analyzing only the packets the window completes. The planner below cuts a
-// collection into row-balanced windows by TIME — so the watermark argument
-// that makes retirement safe (see watermark.go) carries over verbatim — while
+// Residency windows: the out-of-core analysis path (core.Analyzer.
+// AnalyzeSnapshot) feeds a mapped snapshot to an ingest session one
+// time-window at a time, punctuating every node at the window's cut so the
+// session finalizes the packets the window completes. The planner below cuts
+// a collection into row-balanced windows by TIME — so after window k every
+// unfed row is strictly above its cut, as punctuating there asserts — while
 // feeding by per-node ROW RANGES, so a window touches only its own pages of
 // the mapping. The bridge between the two is the repo-wide log assumption
 // made explicit: per-node logs are append-only in local-clock order, so "rows
@@ -33,7 +33,6 @@ type WindowPlan struct {
 	cuts     []int64
 	bounds   [][]int32 // [window][node index] exclusive row bound
 	rowStart []uint64  // per node: global row offset in snapshot layout
-	rows     int
 }
 
 // PlanWindows cuts c into residency windows of roughly targetRows rows each.
@@ -69,7 +68,6 @@ func PlanWindows(c *Collection, targetRows int) (*WindowPlan, error) {
 			}
 		}
 	}
-	p.rows = total
 
 	// rowsUpTo counts rows with time <= t across all nodes: a per-node
 	// binary search, touching O(nodes * log rows) mapped pages per probe.
@@ -132,35 +130,28 @@ func (p *WindowPlan) Windows() int { return len(p.cuts) }
 // final window).
 func (p *WindowPlan) Cut(k int) int64 { return p.cuts[k] }
 
-// Rows returns the total row count the plan covers.
-func (p *WindowPlan) Rows() int { return p.rows }
+// Nodes returns the planned nodes in ascending order; Span's node index i
+// refers to Nodes()[i].
+func (p *WindowPlan) Nodes() []NodeID { return p.nodes }
 
-// WindowRows returns the number of rows window k feeds.
-func (p *WindowPlan) WindowRows(k int) int {
-	total := 0
-	for i := range p.nodes {
-		total += int(p.bounds[k][i] - p.lowBound(k, i))
+// Span returns the rows [lo, hi) of node Nodes()[i]'s log that window k
+// feeds — the one definition of "window k's rows".
+func (p *WindowPlan) Span(k, i int) (lo, hi int) {
+	if k > 0 {
+		lo = int(p.bounds[k-1][i])
 	}
-	return total
-}
-
-// lowBound is node i's inclusive starting row for window k.
-func (p *WindowPlan) lowBound(k, i int) int32 {
-	if k == 0 {
-		return 0
-	}
-	return p.bounds[k-1][i]
+	return lo, int(p.bounds[k][i])
 }
 
 // FeedWindow appends window k's packet-scoped rows into dst, preserving each
 // node's log order (the only order the retirement consumer depends on).
-// Operational rows are skipped — the out-of-core driver extracts them once up
-// front with OperationalEvents. Returns the number of rows fed.
+// Operational rows are skipped: dst holds packet rows only. Returns the
+// number of rows fed.
 func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
 	fed := 0
 	for i, n := range p.nodes {
 		b := &c.Logs[n].batch
-		lo, hi := int(p.lowBound(k, i)), int(p.bounds[k][i])
+		lo, hi := p.Span(k, i)
 		for r := lo; r < hi; r++ {
 			if !b.typ[r].PacketScoped() {
 				continue
@@ -175,8 +166,8 @@ func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
 // MaxPacketSpread measures the collection's maximum within-packet timestamp
 // spread — the exact value of the completeness horizon a deployment would
 // bound from its clock-skew and packet-lifetime budgets, saturated at
-// math.MaxInt64 (which the out-of-core path reads as "no bound"). One columnar
-// pass; the out-of-core path uses it when the caller supplies no horizon.
+// math.MaxInt64 (which a session reads as "no bound"). One columnar pass; the
+// out-of-core path uses it when the caller supplies no horizon.
 func MaxPacketSpread(c *Collection) int64 {
 	type span struct{ min, max int64 }
 	spans := make(map[PacketID]span, c.TotalEvents()/8+1)
@@ -236,11 +227,11 @@ func (s *Snapshot) adviseWindow(p *WindowPlan, k int, a snapfile.Advice) {
 		return
 	}
 	for i := range p.nodes {
-		lo, hi := uint64(p.lowBound(k, i)), uint64(p.bounds[k][i])
+		lo, hi := p.Span(k, i)
 		if lo >= hi {
 			continue
 		}
-		gLo, gHi := p.rowStart[i]+lo, p.rowStart[i]+hi
+		gLo, gHi := p.rowStart[i]+uint64(lo), p.rowStart[i]+uint64(hi)
 		for _, col := range adviseColumns {
 			off, n, ok := s.file.SectionRange(col.id)
 			if !ok {

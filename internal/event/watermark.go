@@ -2,18 +2,20 @@ package event
 
 import "sort"
 
-// Watermark machinery for the resident ingest service: per-node low
-// watermarks over local clocks, and a pending store that holds packet rows
-// only until the watermark proves them complete, then retires them into a
-// window sub-collection and compacts the storage in place. Retained rows are
+// Watermark machinery for the ingest session: per-node low watermarks over
+// local clocks, and a pending store that holds packet rows only until the
+// watermark proves them complete, then retires them into a window
+// sub-collection and compacts the storage in place. Retained rows are
 // therefore proportional to the in-flight packet population, not to the total
 // volume ever ingested.
 //
 // The watermark contract mirrors the repo-wide log assumption (per-node logs
 // are append-only and locally ordered): a node whose watermark stands at w
-// will never append another row with a local timestamp below w. Completeness
-// of a packet additionally needs a bound on how far apart two rows about the
-// SAME packet can be stamped — cross-node clock skew plus in-network packet
+// will never append another row with a local timestamp below w. Rows raise
+// it, and so does punctuation: a silent source, or a snapshot feeder at a
+// window's cut, saying it has nothing more below some time. Completeness of a
+// packet additionally needs a bound on how far apart two rows about the SAME
+// packet can be stamped — cross-node clock skew plus in-network packet
 // lifetime — which the caller supplies as a horizon when retiring.
 
 // Watermarks tracks the low watermark of every node seen so far: the highest
@@ -71,12 +73,10 @@ func (w *Watermarks) Nodes() []NodeID {
 	return nodes
 }
 
-// PendingStore holds the unretired packet rows of its owner — the ingest
-// session or the out-of-core window loop: one batch per logging node, in
-// append (= log) order, plus every in-flight packet's last-seen local
-// timestamp. It is driven single-threaded (the session under its lock, the
-// window loop on its own goroutine) and never handed across a goroutine
-// boundary.
+// PendingStore holds the unretired packet rows of its owner, the ingest
+// session: one batch per logging node, in append (= log) order, plus every
+// in-flight packet's last-seen local timestamp. It is driven single-threaded
+// under the session's lock and never handed across a goroutine boundary.
 //
 //refill:owned
 type PendingStore struct {
@@ -131,8 +131,8 @@ func (ps *PendingStore) AppendPendingTo(dst *Collection) {
 }
 
 // RetireAll moves every buffered packet out of the store and into dst — the
-// final retirement of a session drain and of the last out-of-core window,
-// when every row has been fed and nothing can still be incomplete. No
+// final retirement of a session drain, when every row has been fed and
+// nothing can still be incomplete. No
 // timestamp is consulted, so a packet stamped math.MaxInt64 — which no strict
 // cutoff can ever clear — leaves with the rest. Returns the number of packets
 // retired.

@@ -193,8 +193,10 @@ func Resume(cfg Config, path string) (*Session, error) {
 	if h := int64(binary.LittleEndian.Uint64(meta[16:24])); h != cfg.Horizon {
 		return nil, fmt.Errorf("ingest: checkpoint was written with horizon %d, config says %d", h, cfg.Horizon)
 	}
-	s.watermark = int64(binary.LittleEndian.Uint64(meta[24:32]))
 	s.epoch = int(binary.LittleEndian.Uint64(meta[32:40]))
+	if s.epoch > 0 { // else keep math.MinInt64; older code stored 0, which stalls clocks below zero
+		s.watermark = int64(binary.LittleEndian.Uint64(meta[24:32]))
+	}
 	s.ingested = int(binary.LittleEndian.Uint64(meta[40:48]))
 	s.finalized = int(binary.LittleEndian.Uint64(meta[48:56]))
 

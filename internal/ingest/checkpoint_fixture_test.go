@@ -28,9 +28,15 @@ import (
 // there; the file lands in internal/ingest/testdata of that checkout. It is
 // gzipped because a checkpoint is a page-aligned container: ~100 KB of mostly
 // padding that packs to about 2 KB.
-var updateParentCheckpoint = flag.Bool("update-parent-checkpoint", false, "rewrite testdata/parent-pr17.ckpt.gz from this checkout's code instead of checking it")
+//
+// testdata/parent-unadvanced.ckpt.gz was written the same way by commit
+// f3b66fc, the last whose sessions started their watermark at 0, with
+// -run TestResumeUnadvancedParentCheckpoint in place of the test above.
+var updateParentCheckpoint = flag.Bool("update-parent-checkpoint", false, "rewrite the selected test's testdata checkpoint from this checkout's code instead of checking it")
 
 const (
+	parentUnadvancedCheckpoint = "testdata/parent-unadvanced.ckpt.gz"
+
 	parentCheckpoint  = "testdata/parent-pr17.ckpt.gz"
 	parentCkptHorizon = 45
 	parentCkptAdvance = 700
@@ -93,45 +99,10 @@ func TestResumeParentCheckpoint(t *testing.T) {
 		t.Fatalf("Advance finalized %d packets (err %v); the fixture needs some finalized and some pending", n, err)
 	}
 	if *updateParentCheckpoint {
-		raw := filepath.Join(t.TempDir(), "mid.ckpt")
-		if err := orig.WriteCheckpoint(raw); err != nil {
-			t.Fatal(err)
-		}
-		img, err := os.ReadFile(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var z bytes.Buffer
-		zw, _ := gzip.NewWriterLevel(&z, gzip.BestCompression) // the level is valid
-		zw.Write(img)                                          // into a bytes.Buffer: cannot fail
-		zw.Close()
-		if err := os.MkdirAll(filepath.Dir(parentCheckpoint), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(parentCheckpoint, z.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s: %d bytes (%d unpacked)", parentCheckpoint, z.Len(), len(img))
+		writeFixture(t, orig, parentCheckpoint)
 		return
 	}
-
-	zf, err := os.Open(parentCheckpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zf.Close()
-	zr, err := gzip.NewReader(zf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "parent.ckpt")
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	img, path := readFixture(t, parentCheckpoint)
 
 	// The file's pending rows: the same rows per node as this commit's store
 	// holds at the same point, in a different order on at least one node.
@@ -197,4 +168,100 @@ func TestResumeParentCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(orig.Stats(), res.Stats()) {
 		t.Errorf("drained stats diverged: got %+v want %+v", res.Stats(), orig.Stats())
 	}
+}
+
+// shifted returns smallCampaign with every timestamp, and the campaign end,
+// moved by d.
+func shifted(d int64) *campaign {
+	c := smallCampaign()
+	c.end += d
+	for i := range c.evs {
+		c.evs[i].Time += d
+	}
+	return c
+}
+
+// TestResumeUnadvancedParentCheckpoint resumes a checkpoint that commit
+// f3b66fc wrote from a session on clocks below zero that had taken every row
+// but never advanced. That code started the session watermark at 0 and
+// stored it so; read back as is, it would keep every advance on these clocks
+// a no-op until Drain. Resume reads a never-advanced session's watermark as
+// math.MinInt64, where a fresh session starts.
+func TestResumeUnadvancedParentCheckpoint(t *testing.T) {
+	c := shifted(-10_000)
+	orig := ckSession(t, c, 0)
+	feedSorted(t, orig, c.perNode())
+	if *updateParentCheckpoint {
+		writeFixture(t, orig, parentUnadvancedCheckpoint)
+		return
+	}
+	_, path := readFixture(t, parentUnadvancedCheckpoint)
+	res, err := Resume(Config{Engine: ctpEngine(t, c.sink), Diagnosis: c.config()}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Stats(), orig.Stats(); !reflect.DeepEqual(got, want) || want.Watermark != math.MinInt64 {
+		t.Fatalf("resumed stats %+v, want %+v at watermark MinInt64", got, want)
+	}
+	// As in TestSessionNegativeClocksFinalize: the first packet completes.
+	for _, s := range []*Session{orig, res} {
+		if n, err := s.Advance(-1); err != nil || n != 1 {
+			t.Errorf("Advance(-1) finalized %d packets (err %v), want 1", n, err)
+		}
+	}
+	_, origRep := orig.Drain()
+	_, resRep := res.Drain()
+	if !reflect.DeepEqual(origRep.Outcomes, resRep.Outcomes) {
+		t.Errorf("outcomes diverged:\n got %+v\nwant %+v", resRep.Outcomes, origRep.Outcomes)
+	}
+	if !reflect.DeepEqual(orig.Stats(), res.Stats()) {
+		t.Errorf("drained stats diverged: got %+v want %+v", res.Stats(), orig.Stats())
+	}
+}
+
+// writeFixture gzips s's checkpoint into dst, relative to the package.
+func writeFixture(t *testing.T, s *Session, dst string) {
+	t.Helper()
+	raw := filepath.Join(t.TempDir(), "mid.ckpt")
+	if err := s.WriteCheckpoint(raw); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var z bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&z, gzip.BestCompression) // the level is valid
+	zw.Write(img)                                          // into a bytes.Buffer: cannot fail
+	zw.Close()
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, z.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s: %d bytes (%d unpacked)", dst, z.Len(), len(img))
+}
+
+// readFixture unpacks the gzipped checkpoint src and returns its bytes and
+// a path to them under t.TempDir.
+func readFixture(t *testing.T, src string) (img []byte, path string) {
+	t.Helper()
+	zf, err := os.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zf.Close()
+	zr, err := gzip.NewReader(zf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img, err = io.ReadAll(zr); err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(t.TempDir(), "parent.ckpt")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return img, path
 }

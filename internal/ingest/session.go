@@ -10,7 +10,8 @@
 // Append feeds one node's next log fragment (fragments must arrive in log
 // order, so each node's local timestamps are nondecreasing across its
 // fragments — the same append-only assumption the batch pipeline makes about
-// whole logs). Advance(w) moves the session watermark toward w, clamped to
+// whole logs). Punctuate(n, t) says node n has nothing more below t without
+// adding a row. Advance(w) moves the session watermark toward w, clamped to
 // the minimum watermark over every node seen so far, and finalizes each
 // packet whose rows are provably complete: no node can append a row below
 // the effective watermark ew, and any two rows about one packet are stamped
@@ -21,6 +22,10 @@
 // Drain finalizes everything still pending and returns the completed Result
 // and Report.
 //
+// A live service and a mapped snapshot are both sources of this one loop:
+// core.Analyzer.AnalyzeSnapshot feeds it one residency window at a time and
+// punctuates every node at the window's cut.
+//
 // # Equivalence
 //
 // A drained session is byte-identical to batch Analyze over the same
@@ -28,10 +33,10 @@
 // reconstruction depends only on the packet's own per-node rows in log order
 // (which retirement preserves), outage decisions for a packet finalized at
 // watermark ew match the final schedule's because every operational event
-// below ew has arrived and a still-open outage covers the packet's loss time
-// either way, and the final co-sort restores the batch packet-ID order while
-// the aggregate's counters are order-independent. session_equiv_test.go at
-// the repo root pins this.
+// below ew has arrived and a still-open outage decides the packet's loss
+// time alike whether it closes later or not (holdLocked), and the final
+// co-sort restores the batch packet-ID order while the aggregate's counters
+// are order-independent. session_equiv_test.go at the repo root pins this.
 package ingest
 
 import (
@@ -66,7 +71,8 @@ type Config struct {
 	// watermark clears their last row by more than Horizon. Too small a
 	// horizon finalizes packets that later grow rows (they reappear as
 	// duplicate partial flows, as if their late rows had been lost); too
-	// large only delays finalization.
+	// large only delays finalization. math.MaxInt64 means unbounded:
+	// nothing is finalized before Drain.
 	Horizon int64
 	// RetainFlows keeps every finalized flow for Drain's Result. Off (the
 	// service default) the session discards flows after classification and
@@ -79,7 +85,8 @@ type Config struct {
 type Stats struct {
 	// Epoch counts Advance/Drain calls that moved the session.
 	Epoch int
-	// Watermark is the effective watermark reached so far.
+	// Watermark is the effective watermark reached so far; math.MinInt64
+	// until an Advance first moves the session (clocks may be negative).
 	Watermark int64
 	// Ingested is the total number of events ever appended.
 	Ingested int
@@ -154,11 +161,12 @@ func NewSession(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("ingest: negative Horizon %d", cfg.Horizon)
 	}
 	return &Session{
-		eng:   cfg.Engine,
-		cfg:   cfg,
-		wm:    event.NewWatermarks(),
-		store: event.NewPendingStore(0),
-		ops:   event.NewCollection(),
+		eng:       cfg.Engine,
+		cfg:       cfg,
+		wm:        event.NewWatermarks(),
+		store:     event.NewPendingStore(0),
+		ops:       event.NewCollection(),
+		watermark: math.MinInt64,
 		acc: engine.Parts{
 			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start, cfg.Diagnosis.DayLen, cfg.Diagnosis.Days),
 		},
@@ -169,13 +177,18 @@ func NewSession(cfg Config) (*Session, error) {
 // Log.Append) and must continue the node's log: local timestamps
 // nondecreasing across the node's fragments. Packet rows are buffered in the
 // pending store; operational events are kept session-level. The node's
-// watermark advances to the fragment's highest timestamp.
+// watermark advances to the fragment's highest timestamp, observed once per
+// fragment.
 func (s *Session) Append(node event.NodeID, events []event.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drained {
 		return ErrDrained
 	}
+	if len(events) == 0 {
+		return nil
+	}
+	high := int64(math.MinInt64)
 	for _, e := range events {
 		e.Node = node
 		if e.Type.PacketScoped() {
@@ -183,27 +196,37 @@ func (s *Session) Append(node event.NodeID, events []event.Event) error {
 		} else {
 			s.ops.Log(node).Append(e)
 		}
-		s.wm.Observe(node, e.Time)
-		s.ingested++
+		high = max(high, e.Time)
 	}
+	s.wm.Observe(node, high)
+	s.ingested += len(events)
 	return nil
 }
 
-// Register makes node count toward the effective watermark before its first
-// fragment arrives: until the node appends something, the session will not
-// finalize past time zero on its account. Use it when a slow source must
-// hold the watermark back; a node that only ever appends can skip it.
-func (s *Session) Register(node event.NodeID) {
+// Punctuate tells the session that node has nothing more below through: its
+// watermark rises to through (never falls) without a row, so a silent source
+// or a feeder at a time cut stops holding the effective watermark back. A row
+// below through appended later breaks the contract, as an out-of-order
+// fragment would. A first punctuation also makes the node count.
+func (s *Session) Punctuate(node event.NodeID, through int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.wm.Observe(node, math.MinInt64)
+	s.wm.Observe(node, through)
 }
+
+// Register makes node count toward the effective watermark before its first
+// fragment arrives — Punctuate(node, math.MinInt64): until the node appends
+// or punctuates, the session finalizes nothing on its account. Use it when a
+// slow source must hold the watermark back; a node that only ever appends can
+// skip it.
+func (s *Session) Register(node event.NodeID) { s.Punctuate(node, math.MinInt64) }
 
 // Advance moves the session watermark toward watermark — clamped to the
 // minimum per-node watermark, since a node that has only shown rows up to
-// time t may still append rows at t and beyond — and finalizes every packet
-// whose rows are provably complete (last seen more than Config.Horizon below
-// the effective watermark). Returns the number of packets finalized.
+// time t may still append rows at t and beyond, and held at the campaign end
+// while an outage is open (holdLocked) — and finalizes every packet whose
+// rows are provably complete (last seen more than Config.Horizon below the
+// effective watermark). Returns the number of packets finalized.
 func (s *Session) Advance(watermark int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,6 +236,9 @@ func (s *Session) Advance(watermark int64) (int, error) {
 	ew := watermark
 	if low, ok := s.wm.Low(); ok && low < ew {
 		ew = low
+	}
+	if ew > s.cfg.Diagnosis.End {
+		ew = s.holdLocked(ew)
 	}
 	if ew <= s.watermark {
 		return 0, nil
@@ -234,7 +260,7 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 	if final {
 		n = s.store.RetireAll(s.window)
 	} else {
-		n = s.store.RetireComplete(ew-s.cfg.Horizon, s.window)
+		n = s.store.RetireComplete(s.cutoff(ew), s.window)
 	}
 	s.epoch++
 	if ew > s.watermark {
@@ -243,22 +269,49 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 	if n == 0 {
 		return 0
 	}
-	sched := s.scheduleLocked(ew, final)
+	_, sched := s.scheduleLocked(ew, final)
 	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(s.window, s.cfg.Workers, s.cfg.Diagnosis, sched), s.cfg.RetainFlows)
 	s.finalized += n
 	return n
 }
 
-// scheduleLocked builds the outage schedule a window's packets are
-// classified against. Mid-session, a trailing open outage is extended to at
-// least the effective watermark; at drain (final) it is bounded by the
-// configured campaign end, exactly like the batch build. Every mid-session
-// decision matches the final schedule's for the packets it is applied to:
-// their loss times lie below ew, outages closed below ew appear identically
-// in both schedules, and an outage still open at ew covers such a loss time
-// now and at drain alike (its eventual close — a server-up row or the
-// campaign end — cannot precede ew).
-func (s *Session) scheduleLocked(ew int64, final bool) diagnosis.OutageSchedule {
+// cutoff is the retirement bound at effective watermark ew: a packet last
+// seen strictly below ew − Horizon is complete. The subtraction saturates at
+// math.MinInt64 (nothing retires) instead of wrapping past it, and an
+// unbounded Horizon retires nothing before Drain.
+func (s *Session) cutoff(ew int64) int64 {
+	c := ew - s.cfg.Horizon
+	if c > ew || s.cfg.Horizon == math.MaxInt64 {
+		return math.MinInt64
+	}
+	return c
+}
+
+// holdLocked keeps ew from passing the campaign end while the last outage
+// seen is open: a sink loss past the end is an outage loss only if a
+// server-up closes the outage later, so nothing above the later of the
+// outage's start and the end is finalized until one arrives or Drain
+// settles it. Caller holds s.mu.
+func (s *Session) holdLocked(ew int64) int64 {
+	hold := int64(math.MaxInt64) // no outage open
+	for _, e := range event.OperationalEvents(s.ops) {
+		if e.Type == event.ServerUp {
+			hold = math.MaxInt64
+		} else if e.Type == event.ServerDown && hold == math.MaxInt64 {
+			hold = max(e.Time, s.cfg.Diagnosis.End)
+		}
+	}
+	return min(ew, hold)
+}
+
+// scheduleLocked returns the operational events seen so far and the outage
+// schedule a window's packets are classified against: at drain (final) a
+// trailing open outage ends at the campaign end, exactly like the batch
+// build; mid-session it reaches at least ew. Both decide every loss time
+// below ew alike — outages closed below ew are the same in both, and an open
+// one closes at a server-up, which cannot precede ew, or at the campaign
+// end, which holdLocked keeps ew from passing unless the outage starts later.
+func (s *Session) scheduleLocked(ew int64, final bool) ([]event.Event, diagnosis.OutageSchedule) {
 	ops := event.OperationalEvents(s.ops)
 	end := s.cfg.Diagnosis.End
 	if !final {
@@ -267,7 +320,7 @@ func (s *Session) scheduleLocked(ew int64, final bool) diagnosis.OutageSchedule 
 			end = ops[n-1].Time
 		}
 	}
-	return diagnosis.OutagesFromOperational(ops, end)
+	return ops, diagnosis.OutagesFromOperational(ops, end)
 }
 
 // Snapshot assembles a live Report over every packet finalized so far,
@@ -285,7 +338,8 @@ func (s *Session) Snapshot() *diagnosis.Report {
 		Outcomes:  append([]diagnosis.Outcome(nil), s.acc.Outcomes...),
 		Aggregate: s.acc.Aggregate.Clone(),
 	}
-	_, rep := live.Finish(s.cfg.Diagnosis.Sink, nil, s.scheduleLocked(s.watermark, false))
+	_, sched := s.scheduleLocked(s.watermark, false)
+	_, rep := live.Finish(s.cfg.Diagnosis.Sink, nil, sched)
 	return rep
 }
 
@@ -301,8 +355,7 @@ func (s *Session) Drain() (*engine.Result, *diagnosis.Report) {
 		return s.result, s.report
 	}
 	s.retireLocked(math.MaxInt64, true)
-	ops := event.OperationalEvents(s.ops)
-	sched := diagnosis.OutagesFromOperational(ops, s.cfg.Diagnosis.End)
+	ops, sched := s.scheduleLocked(math.MaxInt64, true)
 	s.result, s.report = s.acc.Finish(s.cfg.Diagnosis.Sink, ops, sched)
 	s.drained = true
 	return s.result, s.report

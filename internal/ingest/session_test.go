@@ -226,11 +226,192 @@ func TestSessionRegisterHoldsWatermark(t *testing.T) {
 	if _, err := s.Advance(500); err != nil {
 		t.Fatal(err)
 	}
-	if w := s.Watermark(); w != 0 {
-		t.Errorf("watermark = %d, want 0 (held by registered silent node)", w)
+	if w := s.Watermark(); w != math.MinInt64 {
+		t.Errorf("watermark = %d, want MinInt64 (held by registered silent node)", w)
 	}
 	if st := s.Stats(); st.Nodes != 2 {
 		t.Errorf("nodes = %d, want 2", st.Nodes)
+	}
+}
+
+// TestSessionOpenOutageHoldsPastCampaignEnd: under a campaign end below the
+// data, an open outage's reach is unknown until its server-up arrives (or
+// the drain says none will), so the watermark waits at the outage's start;
+// once the outage closes it moves on. With the end above the data the hold
+// never binds.
+func TestSessionOpenOutageHoldsPastCampaignEnd(t *testing.T) {
+	for _, tc := range []struct {
+		end, held int64
+	}{
+		{0, 55},     // the outage opens at 55
+		{1000, 130}, // clamped by the server log only
+	} {
+		c := smallCampaign()
+		c.end = tc.end
+		eng := ctpEngine(t, c.sink)
+		s := c.session(t, eng, 0)
+		// Every log but the server's in full; the server's up to its
+		// delivery at 130, so its outage (down at 55, up at 135) is open.
+		var rest []event.Event
+		for n, evs := range c.perNode() {
+			if n == event.Server {
+				rest = evs[3:]
+				evs = evs[:3]
+			}
+			s.Append(n, evs)
+			if n != event.Server {
+				s.Punctuate(n, 1000)
+			}
+		}
+		if _, err := s.Advance(1000); err != nil {
+			t.Fatal(err)
+		}
+		if w := s.Watermark(); w != tc.held {
+			t.Errorf("end %d: watermark = %d under an open outage, want %d", tc.end, w, tc.held)
+		}
+		s.Append(event.Server, rest) // the server-up at 135, then 180
+		if _, err := s.Advance(1000); err != nil {
+			t.Fatal(err)
+		}
+		if w := s.Watermark(); w != 180 {
+			t.Errorf("end %d: watermark = %d after the outage closed, want 180", tc.end, w)
+		}
+		_, rep := s.Drain()
+		_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config())
+		if !reflect.DeepEqual(rep.Outcomes, want.Outcomes) || !reflect.DeepEqual(rep.Outages, want.Outages) {
+			t.Errorf("end %d: drained report diverged from batch", tc.end)
+		}
+	}
+}
+
+func TestSessionPunctuatePassesSilentNode(t *testing.T) {
+	c := smallCampaign()
+	eng := ctpEngine(t, c.sink)
+	s := c.session(t, eng, 0)
+	s.Register(7) // a source that has not produced anything yet
+	s.Append(2, []event.Event{
+		{Type: event.Gen, Sender: 2, Packet: event.PacketID{Origin: 2, Seq: 1}, Time: 10},
+	})
+	// Node 7 declares it has nothing below 200: the watermark may now pass
+	// it, up to node 2's own watermark.
+	s.Punctuate(7, 200)
+	if _, err := s.Advance(500); err != nil {
+		t.Fatal(err)
+	}
+	if w := s.Watermark(); w != 10 {
+		t.Errorf("watermark = %d, want 10 (node 7 punctuated past node 2)", w)
+	}
+	// A punctuation below the node's watermark never lowers it.
+	s.Punctuate(7, 5)
+	s.Append(2, []event.Event{
+		{Type: event.Trans, Sender: 2, Receiver: 1, Packet: event.PacketID{Origin: 2, Seq: 1}, Time: 300},
+	})
+	if _, err := s.Advance(500); err != nil {
+		t.Fatal(err)
+	}
+	if w := s.Watermark(); w != 200 {
+		t.Errorf("watermark = %d, want 200 (node 7's punctuation)", w)
+	}
+	if st := s.Stats(); st.Nodes != 2 || st.Ingested != 2 {
+		t.Errorf("nodes = %d, ingested = %d; want 2 and 2 (punctuation adds no rows)", st.Nodes, st.Ingested)
+	}
+}
+
+// TestSessionNegativeClocksFinalize: local clocks may sit below zero. The
+// session's watermark used to start at 0, so every Advance to an effective
+// watermark <= 0 was a no-op and such a session never finalized before Drain.
+func TestSessionNegativeClocksFinalize(t *testing.T) {
+	c := shifted(-10_000)
+	eng := ctpEngine(t, c.sink)
+	s := c.session(t, eng, 0)
+	for n, evs := range c.perNode() {
+		if err := s.Append(n, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// As in TestSessionAdvanceFinalizesAndEvicts, node 3's log ends 90 after
+	// the shift and clamps the advance; the first packet is complete below.
+	n, err := s.Advance(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Errorf("Advance(-1) finalized %d packets, want 1", n)
+	}
+	if w := s.Watermark(); w != 90-10_000 {
+		t.Errorf("watermark = %d, want %d", w, 90-10_000)
+	}
+	if st := s.Stats(); st.PendingPackets != 2 {
+		t.Errorf("pending packets = %d, want 2", st.PendingPackets)
+	}
+	_, rep := s.Drain()
+	_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config())
+	if !reflect.DeepEqual(rep.Outcomes, want.Outcomes) {
+		t.Errorf("outcomes differ:\n got %+v\nwant %+v", rep.Outcomes, want.Outcomes)
+	}
+}
+
+// TestSessionHorizonCutoffSaturates: on clocks below −2⁶², ew − Horizon for a
+// 2⁶² horizon lies below math.MinInt64. Wrapped, the cutoff became about
+// math.MaxInt64 and retired the half-fed middle packet, which then drained
+// as two flows. Saturated, it retires nothing.
+func TestSessionHorizonCutoffSaturates(t *testing.T) {
+	const shift = -(1 << 62) - 10_000
+	c := shifted(shift)
+	eng := ctpEngine(t, c.sink)
+	s := c.session(t, eng, 1<<62)
+	// Round one: every row up to (unshifted) time 70 — the first packet and
+	// the middle packet's gen and trans — then a cut at 70 on every node.
+	const cut = 70 + shift
+	rest := make(map[event.NodeID][]event.Event)
+	for n, evs := range c.perNode() {
+		i := 0
+		for i < len(evs) && evs[i].Time <= cut {
+			i++
+		}
+		if err := s.Append(n, evs[:i]); err != nil {
+			t.Fatal(err)
+		}
+		rest[n] = evs[i:]
+		s.Punctuate(n, cut)
+	}
+	if n, _ := s.Advance(cut); n != 0 {
+		t.Errorf("Advance finalized %d packets under a 2^62 horizon, want 0", n)
+	}
+	for n, evs := range rest {
+		if err := s.Append(n, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, _ := s.Drain()
+	want := eng.Analyze(c.collection())
+	if len(res.Flows) != len(want.Flows) {
+		t.Fatalf("drained %d flows, batch %d", len(res.Flows), len(want.Flows))
+	}
+	for i := range res.Flows {
+		if res.Flows[i].Packet != want.Flows[i].Packet {
+			t.Errorf("flow %d packet: got %v want %v", i, res.Flows[i].Packet, want.Flows[i].Packet)
+		}
+	}
+}
+
+// TestSessionUnboundedHorizonHoldsUntilDrain: Horizon math.MaxInt64 means no
+// bound on the within-packet spread, so even an advance to math.MaxInt64
+// finalizes nothing — ew − Horizon would be 0 there, below which these
+// clocks lie, not "nothing".
+func TestSessionUnboundedHorizonHoldsUntilDrain(t *testing.T) {
+	c := shifted(-10_000)
+	eng := ctpEngine(t, c.sink)
+	s := c.session(t, eng, math.MaxInt64)
+	for n, evs := range c.perNode() {
+		s.Append(n, evs)
+		s.Punctuate(n, math.MaxInt64)
+	}
+	if n, _ := s.Advance(math.MaxInt64); n != 0 {
+		t.Errorf("Advance finalized %d packets under an unbounded horizon, want 0", n)
+	}
+	if _, rep := s.Drain(); rep.Total() != 3 {
+		t.Errorf("drained report total = %d, want 3", rep.Total())
 	}
 }
 

@@ -5,7 +5,7 @@ package refill
 // of the same campaign. CI runs this gated test in its own leg with
 // GOMEMLIMIT set well below the snapshot size (see .github/workflows/
 // ci.yml): the mapped columns never enter the Go heap, and the windowed
-// driver keeps the heap to the current window plus the in-flight pending
+// session keeps the heap to the current window plus the in-flight pending
 // rows, so the analysis proceeds where a fully-resident load would thrash.
 // The campaign is synthetic (a multi-hop chain per packet) so the row volume
 // is controlled exactly and the completeness horizon is known by
@@ -102,9 +102,9 @@ func TestOutOfCoreSnapshotSmoke(t *testing.T) {
 		t.Log("GOMEMLIMIT not set; running unbounded (CI sets it)")
 	}
 
-	got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 200_000, Horizon: horizon, DiscardFlows: true})
+	got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 200_000, SessionConfig: SessionConfig{Horizon: horizon}})
 	if got.Result.Flows != nil {
-		t.Error("DiscardFlows retained flows")
+		t.Error("flows retained without RetainFlows")
 	}
 	if got.Report.Total() != wantTotal {
 		t.Errorf("out-of-core report totals %d packets, batch %d", got.Report.Total(), wantTotal)

@@ -230,10 +230,12 @@ type (
 	// Output bundles reconstructed flows and the diagnosis report.
 	Output = core.Output
 	// SnapshotOptions tunes Analyzer.AnalyzeSnapshot — the out-of-core
-	// path that reconstructs straight off a mapped snapshot in bounded
-	// memory, one residency window at a time (window size, completeness
-	// horizon, flow retention). The Output matches
-	// an.Analyze(snap.Collection()) byte for byte.
+	// path that feeds a mapped snapshot to an ingest session in bounded
+	// memory, one residency window at a time: the window size plus the
+	// embedded SessionConfig the session is opened with (completeness
+	// horizon, derived from the snapshot when zero; flow retention). The
+	// Output matches an.Analyze(snap.Collection()) byte for byte, flows
+	// included under RetainFlows.
 	SnapshotOptions = core.SnapshotOptions
 	// Accuracy scores a reconstruction against ground truth.
 	Accuracy = core.Accuracy

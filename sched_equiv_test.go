@@ -129,7 +129,7 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ooc.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 301})
+	out := ooc.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 301, SessionConfig: SessionConfig{RetainFlows: true}})
 	if !reflect.DeepEqual(want.Result.Flows, out.Result.Flows) {
 		t.Error("out-of-core: flows diverged from serial")
 	}

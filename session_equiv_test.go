@@ -5,13 +5,15 @@ package refill
 // and watermark schedule — must, once drained, produce a Result and Report
 // byte-identical to batch Analyze over the same collection. Three named
 // schedules (in-order rounds, seeded random interleave, adversarial
-// single-digit fragments with an advance after every append) pin the
-// property deterministically; FuzzSessionEquivalence searches schedule space
-// beyond them. A soak test pins the memory story: retained pending rows
-// stay bounded by the in-flight window across many advances, rather than
+// single-digit fragments with an advance after every append) and a
+// time-cut schedule with a punctuated silent node pin the property
+// deterministically; FuzzSessionEquivalence searches schedule space beyond
+// them. A soak test pins the memory story: retained pending rows stay
+// bounded by the in-flight window across many advances, rather than
 // accumulating with total ingest.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -316,10 +318,112 @@ func TestSessionBoundedRetention(t *testing.T) {
 	}
 }
 
-// FuzzSessionEquivalence drives a session with a fuzz-chosen fragment and
-// watermark schedule over a tiny campaign and requires the drained report to
-// match batch Analyze exactly. Bytes alternate between "which node appends
-// its next fragment" and "advance the watermark to a byte-scaled time".
+// TestSessionPunctuatedSilence: one node is silent for several rounds — its
+// rows there are lost — while a time-cut feeder appends every node's rows up
+// to each round's cut and punctuates every node at that cut. The session
+// must drain byte-identical to batch over the same lossy logs. Punctuation
+// is what keeps the silent node from pinning the watermark: after every
+// advance, pending rows stay at or below the level of the same schedule over
+// the logs without the silence, while without punctuation they grow.
+func TestSessionPunctuatedSilence(t *testing.T) {
+	c := equivCampaign(t)
+	full, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
+	dayLen := int64(sim.Day)
+	days := int((end + dayLen - 1) / dayLen)
+	horizon := maxPacketSpread(full)
+	an, err := NewAnalyzer(AnalyzerOptions{},
+		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, silentFrom, silentTo = 16, 4, 10 // quiet logs nothing in rounds [silentFrom, silentTo)
+	cut := func(r int) int64 {
+		if r == rounds-1 {
+			return math.MaxInt64 // local clocks can run past the campaign end
+		}
+		return end * int64(r+1) / rounds
+	}
+	nodes := full.Nodes()
+	quiet := nodes[len(nodes)/2]
+	silent := NewCollection()
+	for _, n := range nodes {
+		evs := full.Log(n).Events()
+		for j, e := range evs {
+			if j > 0 && e.Time < evs[j-1].Time {
+				t.Fatalf("node %v's log is not time-ordered; a time-cut feeder cannot punctuate it", n)
+			}
+			if n == quiet && e.Time > cut(silentFrom-1) && e.Time <= cut(silentTo-1) {
+				continue
+			}
+			silent.Add(e)
+		}
+	}
+	if silent.TotalEvents() == full.TotalEvents() {
+		t.Fatal("the silence removed no rows")
+	}
+
+	// feed runs the time-cut schedule and returns the session with the
+	// pending rows after each advance.
+	feed := func(logs *Collection, punctuate bool) (*Session, []int) {
+		sess := sessionFor(t, an, full, horizon)
+		var pending []int
+		next := make(map[NodeID]int)
+		perNode := make(map[NodeID][]Event)
+		for _, n := range nodes {
+			perNode[n] = logs.Log(n).Events()
+		}
+		for r := 0; r < rounds; r++ {
+			for _, n := range nodes {
+				evs := perNode[n]
+				lo := next[n]
+				for next[n] < len(evs) && evs[next[n]].Time <= cut(r) {
+					next[n]++
+				}
+				if err := sess.Append(n, evs[lo:next[n]]); err != nil {
+					t.Fatal(err)
+				}
+				if punctuate {
+					sess.Punctuate(n, cut(r))
+				}
+			}
+			if _, err := sess.Advance(cut(r)); err != nil {
+				t.Fatal(err)
+			}
+			pending = append(pending, sess.Stats().PendingRows)
+		}
+		return sess, pending
+	}
+
+	_, level := feed(full, true)
+	sess, got := feed(silent, true)
+	for r := range got {
+		if got[r] > level[r] {
+			t.Errorf("round %d: %d pending rows with a punctuated silence, %d without the silence", r, got[r], level[r])
+		}
+	}
+	_, pinned := feed(silent, false)
+	if r := silentTo - 1; pinned[r] <= level[r] {
+		t.Errorf("round %d: unpunctuated silence holds %d pending rows, no more than the %d without it; the schedule never pins the watermark", r, pinned[r], level[r])
+	}
+
+	want := an.Analyze(silent)
+	res, rep := sess.Drain()
+	if !reflect.DeepEqual(want.Result.Operational, res.Operational) {
+		t.Error("Operational diverged from batch Analyze")
+	}
+	if !reflect.DeepEqual(want.Result.Flows, res.Flows) {
+		t.Error("Flows diverged from batch Analyze")
+	}
+	checkSameReport(t, want.Report, rep, dayLen, days)
+}
+
+// FuzzSessionEquivalence drives a session with a fuzz-chosen fragment,
+// punctuation and watermark schedule over a tiny campaign and requires the
+// drained report to match batch Analyze exactly. Bytes alternate between a
+// node op and "advance the watermark to a byte-scaled time". A node op's low
+// bit picks between appending the node's next fragment and punctuating the
+// node at its current cut — the time of its next unfed row, or
+// math.MaxInt64 once its log is fed — which is exactly what it has left.
 func FuzzSessionEquivalence(f *testing.F) {
 	camp, err := RunCampaign(TinyCampaign(3))
 	if err != nil {
@@ -333,10 +437,19 @@ func FuzzSessionEquivalence(f *testing.F) {
 	}
 	want := an.Analyze(logs)
 	nodes := logs.Nodes()
+	for _, n := range nodes {
+		evs := logs.Log(n).Events()
+		for j := 1; j < len(evs); j++ {
+			if evs[j].Time < evs[j-1].Time {
+				f.Fatalf("node %v's log is not time-ordered; punctuating at its next row would lie", n)
+			}
+		}
+	}
 
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0xFF, 0x00, 0xFF, 0x80, 0x40})
 	f.Add([]byte("watermarks"))
+	f.Add([]byte{0, 0xFF, 1, 0xFF, 3, 0xFF, 5, 0xFF, 7, 0xFF, 9, 0xFF})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		sess, err := an.NewSession(SessionConfig{Horizon: horizon, RetainFlows: false})
 		if err != nil {
@@ -356,7 +469,15 @@ func FuzzSessionEquivalence(f *testing.F) {
 				}
 				continue
 			}
-			n := nodes[int(b)%len(nodes)]
+			n := nodes[int(b>>1)%len(nodes)]
+			if b&1 == 1 {
+				through := int64(math.MaxInt64)
+				if next[n] < len(frags[n]) {
+					through = frags[n][next[n]][0].Time
+				}
+				sess.Punctuate(n, through)
+				continue
+			}
 			if next[n] < len(frags[n]) {
 				if err := sess.Append(n, frags[n][next[n]]); err != nil {
 					t.Fatal(err)

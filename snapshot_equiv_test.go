@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/sim"
 )
 
@@ -241,7 +242,8 @@ func sc(horizon int64) SessionConfig { return SessionConfig{Horizon: horizon} }
 // reconstruction straight off the mapping (Analyzer.AnalyzeSnapshot) must be
 // byte-identical to batch analysis of the same collection — across window
 // sizes small enough to force many residency windows, with and without an
-// explicit horizon, and with flows discarded. Runs under -race and under the
+// explicit horizon, with flows discarded, and through the in-memory fallback
+// for logs the window planner refuses. Runs under -race and under the
 // refill_nommap tag like the rest of this file, so the madvise-hinted mmap
 // walk and the portable buffer walk carry the same guarantee.
 func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
@@ -266,14 +268,15 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 	defer snap.Close()
 
 	horizon := maxPacketSpread(logs)
+	retain := SessionConfig{RetainFlows: true}
 	cases := []struct {
 		name string
 		opts SnapshotOptions
 	}{
-		{"default-window", SnapshotOptions{}},
-		{"tiny-windows", SnapshotOptions{WindowRows: 64}},
-		{"odd-windows", SnapshotOptions{WindowRows: 257}},
-		{"explicit-horizon", SnapshotOptions{WindowRows: 311, Horizon: horizon}},
+		{"default-window", SnapshotOptions{SessionConfig: retain}},
+		{"tiny-windows", SnapshotOptions{WindowRows: 64, SessionConfig: retain}},
+		{"odd-windows", SnapshotOptions{WindowRows: 257, SessionConfig: retain}},
+		{"explicit-horizon", SnapshotOptions{WindowRows: 311, SessionConfig: SessionConfig{Horizon: horizon, RetainFlows: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,9 +291,9 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 		})
 	}
 	t.Run("discard-flows", func(t *testing.T) {
-		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 128, DiscardFlows: true})
+		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 128})
 		if got.Result.Flows != nil {
-			t.Errorf("DiscardFlows retained %d flows", len(got.Result.Flows))
+			t.Errorf("retained %d flows without RetainFlows", len(got.Result.Flows))
 		}
 		if !reflect.DeepEqual(want.Result.Operational, got.Result.Operational) {
 			t.Error("out-of-core operational events diverged from batch")
@@ -298,6 +301,109 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 		checkSameReport(t, want.Report, got.Report, dayLen, days)
 	})
 	t.Run("hostile-timestamps", testOutOfCoreHostileTimestamps)
+	t.Run("unordered-fallback", testOutOfCoreUnorderedFallback)
+	t.Run("trailing-open-outage", func(t *testing.T) { testOutOfCoreTrailingOutage(t, logs, sink, end) })
+}
+
+// testOutOfCoreTrailingOutage drops the campaign's last server-up, so its
+// last outage never closes and the campaign end decides how far it reaches:
+// nowhere under a zero end, half way under an end inside the outage. Sink
+// losses past the end are outage losses if a server-up comes later and not if
+// none does, so the session must not classify them before the drain.
+func testOutOfCoreTrailingOutage(t *testing.T, full *Collection, sink NodeID, duration int64) {
+	down, up := int64(0), int64(-1)
+	for _, e := range event.OperationalEvents(full) {
+		switch e.Type {
+		case ServerDown:
+			down = e.Time
+		case ServerUp:
+			up = e.Time
+		}
+	}
+	if up <= down {
+		t.Fatal("degenerate campaign: its last outage does not close")
+	}
+	logs := NewCollection()
+	for _, n := range full.Nodes() {
+		for _, e := range full.Log(n).Events() {
+			if e.Type != ServerUp || e.Time != up {
+				logs.Add(e)
+			}
+		}
+	}
+	snap, err := OpenSnapshot(snapshotPath(t, logs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+
+	outageLosses := func(rep *Report) (n int) {
+		for _, o := range rep.Outcomes {
+			if o.Cause == ServerOutage {
+				n++
+			}
+		}
+		return n
+	}
+	var counts []int
+	for _, end := range []int64{duration, 0, down + (up-down)/2} {
+		an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := an.Analyze(logs)
+		counts = append(counts, outageLosses(want.Report))
+		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 257, SessionConfig: SessionConfig{RetainFlows: true}})
+		if serializeFlows(got.Result.Flows) != serializeFlows(want.Result.Flows) {
+			t.Errorf("end %d: out-of-core flows diverged from batch", end)
+		}
+		if !reflect.DeepEqual(want.Report.Outcomes, got.Report.Outcomes) {
+			t.Errorf("end %d: %d outage losses out of core, batch %d", end, outageLosses(got.Report), outageLosses(want.Report))
+		}
+		if !reflect.DeepEqual(want.Report.Outages, got.Report.Outages) {
+			t.Errorf("end %d: outages %v, batch %v", end, got.Report.Outages, want.Report.Outages)
+		}
+	}
+	if !(counts[0] > counts[2] && counts[2] > counts[1]) {
+		t.Errorf("outage losses under ends duration/mid/zero = %d/%d/%d: the end does not decide the trailing outage, so nothing is proved", counts[0], counts[2], counts[1])
+	}
+}
+
+// testOutOfCoreUnorderedFallback: a snapshot with one log out of time order
+// cannot be cut into windows, so AnalyzeSnapshot analyzes it in memory. The
+// report must still equal batch, and flows must follow RetainFlows.
+func testOutOfCoreUnorderedFallback(t *testing.T) {
+	logs := hostileTimestampLogs()
+	// A late-logged packet stamped before the rest of node 6's log.
+	logs.Add(Event{Node: 6, Type: Gen, Sender: 6, Packet: PacketID{Origin: 6, Seq: 999}, Time: 5})
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: 1, End: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := an.Analyze(logs)
+	snap, err := OpenSnapshot(snapshotPath(t, logs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if _, err := event.PlanWindows(snap.Collection(), 64); err == nil {
+		t.Fatal("the window planner accepted a log out of time order; the fallback is not exercised")
+	}
+	for _, retain := range []bool{true, false} {
+		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 64, SessionConfig: SessionConfig{RetainFlows: retain}})
+		if g, w := RenderBreakdown(got.Report), RenderBreakdown(want.Report); g != w {
+			t.Errorf("RetainFlows=%v: report diverged from batch:\n%s\nwant:\n%s", retain, g, w)
+		}
+		if !reflect.DeepEqual(want.Report.Outcomes, got.Report.Outcomes) {
+			t.Errorf("RetainFlows=%v: outcomes diverged from batch", retain)
+		}
+		switch {
+		case retain && serializeFlows(got.Result.Flows) != serializeFlows(want.Result.Flows):
+			t.Errorf("RetainFlows: %d flows diverged from batch's %d", len(got.Result.Flows), len(want.Result.Flows))
+		case !retain && got.Result.Flows != nil:
+			t.Errorf("retained %d flows without RetainFlows", len(got.Result.Flows))
+		}
+	}
 }
 
 // hostileTimestampLogs is 200 ordinary packets plus one packet, 4:1, whose
@@ -341,8 +447,8 @@ func testOutOfCoreHostileTimestamps(t *testing.T) {
 	}
 	defer snap.Close()
 	for _, opts := range []SnapshotOptions{
-		{WindowRows: 64},
-		{WindowRows: 64, Horizon: math.MaxInt64},
+		{WindowRows: 64, SessionConfig: SessionConfig{RetainFlows: true}},
+		{WindowRows: 64, SessionConfig: SessionConfig{Horizon: math.MaxInt64, RetainFlows: true}},
 	} {
 		done := make(chan *Output, 1)
 		go func() { done <- an.AnalyzeSnapshot(snap, opts) }()
