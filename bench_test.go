@@ -717,7 +717,7 @@ func BenchmarkAnalyzeSkewed(b *testing.B) {
 func BenchmarkSessionIngest(b *testing.B) {
 	c := benchCampaign(b)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
-	horizon := maxPacketSpread(logs)
+	horizon := referenceMaxPacketSpread(logs)
 	an, err := NewAnalyzer(AnalyzerOptions{},
 		WithSink(sink), WithWindow(0, end), WithParallelism(1))
 	if err != nil {

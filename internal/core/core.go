@@ -264,15 +264,21 @@ type SnapshotOptions struct {
 	// WindowRows is the target row count per residency window; 0 selects
 	// 1<<20, about 30 MiB of hot columns, two windows resident at a time.
 	WindowRows int
-	// SessionConfig opens the session the windows feed. Horizon <= 0
-	// derives the exact within-packet spread (event.MaxPacketSpread, one
-	// columnar pass). Without RetainFlows the Output carries no flows, the
-	// dominant retained cost of a snapshot larger than memory.
+	// SessionConfig opens the session the windows feed. Horizon <= 0 uses
+	// the exact within-packet spread: the one the snapshot records
+	// (Snapshot.RecordedSpread), or, for a file that records none, one
+	// columnar pass (event.MaxPacketSpread). Without RetainFlows the Output
+	// carries no flows, the dominant retained cost of a snapshot larger than
+	// memory.
 	SessionConfig
 }
 
 // feedRows caps the rows staged for one Append.
 const feedRows = 1024
+
+// scanSpread derives the horizon of a snapshot that records no trusted
+// spread. It is a variable so that a test can see the fallback run.
+var scanSpread = event.MaxPacketSpread
 
 // AnalyzeSnapshot runs the full pipeline over an open snapshot out of core,
 // as a source feeding one ingest session: for each residency window
@@ -301,7 +307,10 @@ func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *
 	}
 	sc := opts.SessionConfig
 	if sc.Horizon <= 0 {
-		sc.Horizon = event.MaxPacketSpread(c)
+		var ok bool
+		if sc.Horizon, ok = snap.RecordedSpread(); !ok {
+			sc.Horizon = scanSpread(c)
+		}
 	}
 	sess, err := a.NewSession(sc)
 	if err != nil {

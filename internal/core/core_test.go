@@ -1,11 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/diagnosis"
 	"repro/internal/engine"
 	"repro/internal/event"
+	"repro/internal/event/snapfile"
 	"repro/internal/fsm"
 	"repro/internal/sim/network"
 	"repro/internal/workload"
@@ -169,5 +175,75 @@ func TestWithEngineOptionsMerges(t *testing.T) {
 	WithEngineOptions(engine.Options{Protocol: fsm.DefaultCTP(), Sink: 9, Group: []event.NodeID{4}})(&o)
 	if o.Protocol == ext || o.Sink != 9 || len(o.Group) != 1 {
 		t.Error("non-zero engine options failed to override")
+	}
+}
+
+// TestAnalyzeSnapshotDistrustsDamagedSpread: a snapshot whose recorded spread
+// has a flipped bit fails that section's CRC, so AnalyzeSnapshot scans for
+// the horizon instead — and the windowed output equals batch. Trusted, the
+// damaged value (less than half the true spread) would split packets.
+func TestAnalyzeSnapshotDistrustsDamagedSpread(t *testing.T) {
+	res, err := workload.Run(workload.Tiny(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c.snap")
+	if err := event.WriteSnapshot(path, res.Logs); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapfile.Parse(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _, ok := f.SectionRange(11) // the recorded spread (snapshot.go's format header)
+	if !ok {
+		t.Fatal("WriteSnapshot recorded no spread")
+	}
+	spread := binary.LittleEndian.Uint64(img[off:])
+	damaged := spread &^ (1 << (bits.Len64(spread) - 1)) // its top set bit cleared
+	if damaged == 0 {
+		t.Fatalf("spread %d is a power of two; clearing its top bit leaves no horizon to trust", spread)
+	}
+	binary.LittleEndian.PutUint64(img[off:], damaged)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := event.OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if got, ok := snap.RecordedSpread(); ok {
+		t.Fatalf("a spread that fails its CRC was trusted: %d", got)
+	}
+
+	scans := 0
+	defer func(scan func(*event.Collection) int64) { scanSpread = scan }(scanSpread)
+	scanSpread = func(c *event.Collection) int64 { scans++; return event.MaxPacketSpread(c) }
+
+	an, err := NewAnalyzer(Options{Sink: res.Sink, End: int64(res.Duration)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := an.Analyze(res.Logs)
+	opts := SnapshotOptions{WindowRows: 64, SessionConfig: SessionConfig{RetainFlows: true}}
+	got := an.AnalyzeSnapshot(snap, opts)
+	if scans != 1 {
+		t.Errorf("the horizon was scanned %d times, want once", scans)
+	}
+	if !reflect.DeepEqual(want.Result.Flows, got.Result.Flows) {
+		t.Errorf("%d windowed flows diverged from batch's %d", len(got.Result.Flows), len(want.Result.Flows))
+	}
+	if !reflect.DeepEqual(want.Report.Outcomes, got.Report.Outcomes) || !reflect.DeepEqual(want.Report.Outages, got.Report.Outages) {
+		t.Error("windowed report diverged from batch")
+	}
+
+	opts.Horizon = int64(damaged)
+	if split := an.AnalyzeSnapshot(snap, opts); len(split.Result.Flows) == len(want.Result.Flows) {
+		t.Errorf("horizon %d (true %d) split no packet: the damage proves nothing", damaged, spread)
 	}
 }

@@ -73,6 +73,15 @@ func (b *Batch) Grow(n int) {
 	}
 }
 
+// reserve makes room for n more rows in one step, at least doubling the
+// columns when they must grow. It checks the time column alone: a column
+// left shorter is grown by Append, as it would have been anyway.
+func (b *Batch) reserve(n int) {
+	if len(b.typ)+n > cap(b.time) {
+		b.Grow(max(len(b.typ), n))
+	}
+}
+
 // grown returns s with capacity for at least want elements.
 func grown[T any](s []T, want int) []T {
 	if cap(s) >= want {

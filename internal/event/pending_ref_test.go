@@ -97,8 +97,20 @@ func pendingOf(ps *PendingStore) *Collection {
 }
 
 // scheduleStats counts what a schedule exercised, so the checked-in seeds can
-// be shown not to be vacuous.
-type scheduleStats struct{ idle, partial, maxDrained int }
+// be shown not to be vacuous: retires that complete nothing, retires that
+// leave survivors, a RetireAll that carries out the MaxInt64 packet, appends
+// served by the node's previous-packet cache, a retired slot reused for a
+// different packet, and a packet appended again after it retired.
+type scheduleStats struct{ idle, partial, maxDrained, cacheHits, recycled, reappeared int }
+
+func (st *scheduleStats) add(o scheduleStats) {
+	st.idle += o.idle
+	st.partial += o.partial
+	st.maxDrained += o.maxDrained
+	st.cacheHits += o.cacheHits
+	st.recycled += o.recycled
+	st.reappeared += o.reappeared
+}
 
 // runPendingSchedule interprets prog against both stores and fails on the
 // first disagreement.
@@ -109,6 +121,9 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 	ref := &refStore{}
 	window := NewCollection()
 	clock := int64(1000)
+	prevPacket := make(map[NodeID]int)    // the packet index of each node's last row
+	slotOwner := make(map[int32]PacketID) // the packet each slot last served
+	retired := make(map[PacketID]bool)    // packets retired and not appended since
 	next := func() byte {
 		if len(prog) == 0 {
 			return 0
@@ -120,9 +135,13 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 	for step := 0; len(prog) > 0; step++ {
 		op := next()
 		switch {
-		case op%16 < 12: // append one row
+		case op%16 < 12: // append one row: a random packet, or (9–11) the node's previous one
 			n := NodeID(next()%refNodes + 1)
-			p := int(next()) % refPackets
+			p, repeat := prevPacket[n]
+			if op%16 < 9 || !repeat {
+				p = int(next()) % refPackets
+			}
+			prevPacket[n] = p
 			a := next()
 			clock += int64(a % 8)
 			e := Event{Node: n, Type: Type(a%3 + 1), Sender: n, Receiver: NodeID(a%5 + 1),
@@ -133,8 +152,20 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 			if a%5 == 0 {
 				e.Info = fmt.Sprintf("info-%d", step)
 			}
+			if l := ps.logs[n]; l != nil && l.prev >= 0 && ps.slots[l.prev].id == e.Packet {
+				st.cacheHits++
+			}
+			if _, pending := ps.ids[e.Packet]; !pending && retired[e.Packet] {
+				st.reappeared++
+				delete(retired, e.Packet)
+			}
 			ps.Append(n, e)
 			ref.evs = append(ref.evs, e)
+			s := ps.ids[e.Packet]
+			if owner, ok := slotOwner[s]; ok && owner != e.Packet {
+				st.recycled++
+			}
+			slotOwner[s] = e.Packet
 		default: // retire: a cutoff around the clock, or everything
 			all := op%16 == 15
 			cutoff := clock - 40 + int64(next()%64)
@@ -152,6 +183,9 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 			}
 			if g, w := collected(window), canonical(wantRows); !slices.Equal(g, w) {
 				t.Fatalf("step %d: retired rows differ\n got %+v\nwant %+v", step, g, w)
+			}
+			for _, e := range wantRows {
+				retired[e.Packet] = true
 			}
 			switch {
 			case got == 0 && len(before) > 0:
@@ -174,8 +208,45 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 		if g, w := collected(pendingOf(ps)), canonical(slices.Clone(ref.evs)); !slices.Equal(g, w) {
 			t.Fatalf("step %d: survivors differ\n got %+v\nwant %+v", step, g, w)
 		}
+		checkSlots(t, step, ps)
 	}
 	return st
+}
+
+// checkSlots asserts the slot bookkeeping behind the store's answers: the
+// intern map and the live slots name each other, every free slot is dead and
+// listed once, and every buffered row's slot holds the row's packet.
+func checkSlots(t *testing.T, step int, ps *PendingStore) {
+	t.Helper()
+	live := 0
+	for s, sl := range ps.slots {
+		if sl.live {
+			live++
+			if got, ok := ps.ids[sl.id]; !ok || got != int32(s) {
+				t.Fatalf("step %d: live slot %d holds %v, which the intern map puts at %d (%v)", step, s, sl.id, got, ok)
+			}
+		}
+	}
+	if live != len(ps.ids) || live+len(ps.free) != len(ps.slots) {
+		t.Fatalf("step %d: %d live slots, %d interned packets, %d free of %d", step, live, len(ps.ids), len(ps.free), len(ps.slots))
+	}
+	seen := make(map[int32]bool)
+	for _, s := range ps.free {
+		if ps.slots[s].live || seen[s] {
+			t.Fatalf("step %d: free slot %d is live or listed twice", step, s)
+		}
+		seen[s] = true
+	}
+	for n, l := range ps.logs {
+		if len(l.slot) != l.b.Len() {
+			t.Fatalf("step %d: node %v has %d slots for %d rows", step, n, len(l.slot), l.b.Len())
+		}
+		for i, s := range l.slot {
+			if ps.slots[s].id != l.b.Packet(i) || !ps.slots[s].live {
+				t.Fatalf("step %d: node %v row %d (packet %v) points at slot %d (%+v)", step, n, i, l.b.Packet(i), s, ps.slots[s])
+			}
+		}
+	}
 }
 
 // pendingSeeds are the schedules both the test and the fuzz corpus start
@@ -194,14 +265,13 @@ func pendingSeeds() [][]byte {
 func TestPendingStoreMatchesReference(t *testing.T) {
 	var total scheduleStats
 	for _, prog := range pendingSeeds() {
-		st := runPendingSchedule(t, prog)
-		total.idle += st.idle
-		total.partial += st.partial
-		total.maxDrained += st.maxDrained
+		total.add(runPendingSchedule(t, prog))
 	}
-	if total.idle == 0 || total.partial == 0 || total.maxDrained == 0 {
-		t.Fatalf("seed schedules are vacuous: %+v (want retires that complete nothing, retires that leave survivors, and a RetireAll that carries out the MaxInt64 packet)", total)
+	if total.idle == 0 || total.partial == 0 || total.maxDrained == 0 ||
+		total.cacheHits == 0 || total.recycled == 0 || total.reappeared == 0 {
+		t.Fatalf("seed schedules are vacuous: %+v (want every case scheduleStats names)", total)
 	}
+	t.Logf("seed schedules reach %+v", total)
 }
 
 func FuzzPendingStore(f *testing.F) {

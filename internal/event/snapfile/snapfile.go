@@ -312,6 +312,24 @@ func (s *Snapshot) Section(id uint32) ([]byte, bool) {
 	return nil, false
 }
 
+// VerifiedSection is Section for a small section the caller trusts only
+// intact: one that does not hold exactly size bytes, or whose data CRC does
+// not match, is reported missing. The size is checked first, so the CRC
+// check costs O(size) whatever the file claims.
+func (s *Snapshot) VerifiedSection(id uint32, size uint64) ([]byte, bool) {
+	for _, e := range s.sections {
+		if e.ID != id {
+			continue
+		}
+		b := s.data[e.Off : e.Off+e.Len : e.Off+e.Len]
+		if e.Len != size || crc32.Checksum(b, crcTable) != e.CRC {
+			return nil, false
+		}
+		return b, true
+	}
+	return nil, false
+}
+
 // SectionRange returns the file offset and length of the section with the
 // given id without materializing a slice — the coordinate space Advise
 // operates in.

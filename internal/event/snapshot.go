@@ -32,6 +32,13 @@ import (
 //	base+9   info index: infos * {row u32, off u32, len u32, reserved u32}
 //	         strictly ascending by global row
 //	base+10  info blob
+//	base+11  max packet spread: i64 (MaxPacketSpread), written by
+//	         WriteSnapshot only — a checkpoint's collections carry none
+//
+// Section 11 is optional: a file written before it existed, or one whose copy
+// fails its own CRC or is negative, has its spread scanned instead
+// (Snapshot.RecordedSpread). A too-small horizon would split packets, so a
+// damaged value may cost time, never the answer.
 //
 // The batches a snapshot yields are read-only (Batch.ReadOnly): their
 // columns alias the mapping, so mutators panic rather than fault. Clone
@@ -52,6 +59,7 @@ const (
 	secSpanIndex = 8
 	secInfoIndex = 9
 	secInfoBlob  = 10
+	secSpread    = 11
 
 	spanEntrySize = 24
 	infoEntrySize = 16
@@ -336,10 +344,13 @@ func attachInfo(c *Collection, logs []Log, s *snapfile.Snapshot, base uint32, in
 type Snapshot struct {
 	file *snapfile.Snapshot
 	c    *Collection
+	// spread is the recorded max packet spread, -1 when none can be trusted.
+	spread int64
 }
 
 // WriteSnapshot atomically writes c to path in the snapshot format (a temp
-// file in the same directory, fsynced, then renamed over path).
+// file in the same directory, fsynced, then renamed over path), recording
+// its max packet spread so the out-of-core path need not scan for it.
 func WriteSnapshot(path string, c *Collection) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".refill-snap-*")
@@ -349,7 +360,7 @@ func WriteSnapshot(path string, c *Collection) error {
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriterSize(tmp, 1<<20)
 	w := snapfile.NewWriter(bw)
-	err = AppendCollectionSections(w, 0, c)
+	err = appendSnapshot(w, c)
 	if err == nil {
 		err = w.Finish()
 	}
@@ -368,6 +379,16 @@ func WriteSnapshot(path string, c *Collection) error {
 	return os.Rename(tmp.Name(), path)
 }
 
+// appendSnapshot writes the sections of a snapshot of c: its collection at
+// base 0, then its max packet spread.
+func appendSnapshot(w *snapfile.Writer, c *Collection) error {
+	if err := AppendCollectionSections(w, 0, c); err != nil {
+		return err
+	}
+	w.Append(secSpread, binary.LittleEndian.AppendUint64(nil, uint64(MaxPacketSpread(c))))
+	return nil
+}
+
 // OpenSnapshot maps the snapshot at path and assembles its Collection in
 // O(sections + nodes) with zero per-event work — the columns the batches
 // expose alias the page cache. The collection is read-only (see Batch
@@ -377,12 +398,12 @@ func OpenSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := CollectionFromSections(f, 0)
+	s, err := newSnapshot(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
-	return &Snapshot{file: f, c: c}, nil
+	return s, nil
 }
 
 // parseSnapshotData assembles a snapshot from an in-memory image — the
@@ -392,16 +413,34 @@ func parseSnapshotData(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSnapshot(f)
+}
+
+// newSnapshot assembles the collection of an opened file and reads its
+// recorded spread, trusting it only intact and not negative.
+func newSnapshot(f *snapfile.Snapshot) (*Snapshot, error) {
 	c, err := CollectionFromSections(f, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{file: f, c: c}, nil
+	s := &Snapshot{file: f, c: c, spread: -1}
+	if b, ok := f.VerifiedSection(secSpread, 8); ok {
+		if v := int64(binary.LittleEndian.Uint64(b)); v >= 0 {
+			s.spread = v
+		}
+	}
+	return s, nil
 }
 
 // Collection returns the snapshot's read-only collection. It aliases the
 // mapping: no use after Close.
 func (s *Snapshot) Collection() *Collection { return s.c }
+
+// RecordedSpread returns the max packet spread WriteSnapshot recorded, in
+// O(1). It reports false for a file that records none (written before the
+// section existed) or whose record failed its CRC or was negative; the
+// caller then scans the collection with MaxPacketSpread.
+func (s *Snapshot) RecordedSpread() (int64, bool) { return s.spread, s.spread >= 0 }
 
 // Rows returns the total event count.
 func (s *Snapshot) Rows() int { return s.c.TotalEvents() }

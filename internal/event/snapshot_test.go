@@ -2,6 +2,7 @@ package event
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -276,14 +277,85 @@ func TestSnapshotRejectsBadSections(t *testing.T) {
 	})
 }
 
+// spreadImage serializes c as WriteSnapshot does, then lets patch rewrite the
+// recorded spread's bytes (nil: leave them alone).
+func spreadImage(t testing.TB, c *Collection, patch func(spread []byte)) []byte {
+	var buf bytes.Buffer
+	w := snapfile.NewWriter(&buf)
+	if err := appendSnapshot(w, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	if patch != nil {
+		f, err := snapfile.Parse(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, _ := f.Section(secSpread)
+		patch(sec)
+	}
+	return img
+}
+
+// TestSnapshotRecordedSpread: the spread WriteSnapshot records reads back
+// exactly, and is distrusted — so the caller scans — when the file has none,
+// when its bytes fail the section CRC, and when it is negative.
+func TestSnapshotRecordedSpread(t *testing.T) {
+	c := snapTestCollection(37, 600)
+	want := MaxPacketSpread(c)
+	if want <= 0 {
+		t.Fatalf("degenerate collection: spread %d", want)
+	}
+	recording := func(spread []byte) []byte { // these bytes as section 11, under a valid CRC
+		var buf bytes.Buffer
+		w := snapfile.NewWriter(&buf)
+		if err := AppendCollectionSections(w, 0, c); err != nil {
+			t.Fatal(err)
+		}
+		w.Append(secSpread, spread)
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name  string
+		img   []byte
+		trust bool
+	}{
+		{"recorded", spreadImage(t, c, nil), true},
+		{"none", snapImage(t, c), false},
+		{"flipped-bit", spreadImage(t, c, func(b []byte) { b[0] ^= 1 }), false},
+		{"negative", recording(le.AppendUint64(nil, uint64(1)<<63|uint64(want))), false},
+		{"wrong-size", recording(le.AppendUint64(le.AppendUint64(nil, uint64(want)), 0)), false},
+	} {
+		s, err := parseSnapshotData(tc.img)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, ok := s.RecordedSpread()
+		if ok != tc.trust || ok && got != want {
+			t.Errorf("%s: RecordedSpread = %d, %v; want %d, %v", tc.name, got, ok, want, tc.trust)
+		}
+	}
+}
+
 func FuzzOpenSnapshot(f *testing.F) {
 	f.Add(snapImage(nil, snapTestCollection(29, 120)))
 	f.Add(snapImage(nil, NewCollection()))
 	f.Add([]byte("RFSNAP\r\n"))
+	f.Add(spreadImage(f, snapTestCollection(41, 120), nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := parseSnapshotData(data)
 		if err != nil {
 			return
+		}
+		if spread, ok := s.RecordedSpread(); ok && spread < 0 {
+			t.Fatalf("trusted a negative spread %d", spread)
 		}
 		// Whatever parses must be internally consistent and safely
 		// walkable without panics.

@@ -3,6 +3,7 @@ package event
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/event/snapfile"
@@ -152,6 +153,7 @@ func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
 	for i, n := range p.nodes {
 		b := &c.Logs[n].batch
 		lo, hi := p.Span(k, i)
+		dst.Reserve(n, hi-lo)
 		for r := lo; r < hi; r++ {
 			if !b.typ[r].PacketScoped() {
 				continue
@@ -166,44 +168,93 @@ func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
 // MaxPacketSpread measures the collection's maximum within-packet timestamp
 // spread — the exact value of the completeness horizon a deployment would
 // bound from its clock-skew and packet-lifetime budgets, saturated at
-// math.MaxInt64 (which a session reads as "no bound"). One columnar pass; the
-// out-of-core path uses it when the caller supplies no horizon.
+// math.MaxInt64 (which a session reads as "no bound"). One columnar pass that
+// folds each node's run of rows about one packet before touching the
+// per-packet table, so the table sees a node's packet once per run, not once
+// per row. WriteSnapshot records the result; the out-of-core path scans only
+// a snapshot that carries none.
 func MaxPacketSpread(c *Collection) int64 {
-	type span struct{ min, max int64 }
-	spans := make(map[PacketID]span, c.TotalEvents()/8+1)
+	var spans spanTable
+	spans.resize(c.TotalEvents() / 8) // twice the packets, at CitySee's ~11 rows a packet; more packets grow it
 	for _, n := range c.Nodes() {
 		b := &c.Logs[n].batch
-		for i := 0; i < len(b.typ); i++ {
-			if !b.typ[i].PacketScoped() {
+		var run packetSpan
+		for i, typ := range b.typ {
+			if !typ.PacketScoped() {
 				continue
 			}
-			id := b.Packet(i)
-			t := b.time[i]
-			s, ok := spans[id]
-			if !ok {
-				s = span{min: t, max: t}
+			key, t := uint64(b.origin[i])<<32|uint64(b.seq[i]), b.time[i]
+			if run.used && key == run.key {
+				run.min, run.max = min(run.min, t), max(run.max, t)
+				continue
 			}
-			if t < s.min {
-				s.min = t
-			}
-			if t > s.max {
-				s.max = t
-			}
-			spans[id] = s
+			spans.fold(run)
+			run = packetSpan{key: key, min: t, max: t, used: true}
 		}
+		spans.fold(run)
 	}
 	horizon := int64(0)
-	//refill:allow maprange — max reduction; order-independent
-	for _, s := range spans {
+	for _, s := range spans.slots {
+		if !s.used {
+			continue
+		}
 		d := s.max - s.min
 		if d < 0 { // wrapped: the true spread exceeds MaxInt64
 			d = math.MaxInt64
 		}
-		if d > horizon {
-			horizon = d
-		}
+		horizon = max(horizon, d)
 	}
 	return horizon
+}
+
+// packetSpan is the timestamp span of one packet, keyed origin<<32|seq.
+type packetSpan struct {
+	key      uint64
+	min, max int64
+	used     bool
+}
+
+// spanTable folds packet spans by key: open addressing with linear probing
+// in one slice, kept at most half full. A Go map would allocate a table per
+// thousand-odd entries, and WriteSnapshot, which calls this, is held to its
+// allocation count.
+type spanTable struct {
+	slots []packetSpan
+	shift uint // 64 - log2(len(slots))
+	n     int
+}
+
+// resize moves the spans into a table of at least size slots (16 at least).
+func (t *spanTable) resize(size int) {
+	old := t.slots
+	lg := bits.Len(uint(max(size, 16) - 1))
+	t.slots, t.shift, t.n = make([]packetSpan, 1<<lg), uint(64-lg), 0
+	for _, s := range old {
+		t.fold(s)
+	}
+}
+
+// fold merges s into its key's span; an unused s is ignored.
+func (t *spanTable) fold(s packetSpan) {
+	if !s.used {
+		return
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := s.key * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & mask {
+		e := &t.slots[i]
+		if !e.used {
+			*e = s
+			t.n++
+			return
+		}
+		if e.key == s.key {
+			e.min, e.max = min(e.min, s.min), max(e.max, s.max)
+			return
+		}
+	}
 }
 
 // adviseColumns maps each hot column section to its element width, for

@@ -189,6 +189,7 @@ func (s *Session) Append(node event.NodeID, events []event.Event) error {
 		return nil
 	}
 	high := int64(math.MinInt64)
+	s.store.Reserve(node, len(events))
 	for _, e := range events {
 		e.Node = node
 		if e.Type.PacketScoped() {

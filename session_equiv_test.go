@@ -21,10 +21,12 @@ import (
 	"repro/internal/sim"
 )
 
-// maxPacketSpread computes the campaign's maximum within-packet timestamp
-// spread — the Horizon a deployment would derive from its clock-skew and
-// packet-lifetime bounds, here measured exactly from the logs.
-func maxPacketSpread(logs *Collection) int64 {
+// referenceMaxPacketSpread computes the campaign's maximum within-packet
+// timestamp spread — the Horizon a deployment would derive from its
+// clock-skew and packet-lifetime bounds, here measured exactly from the logs,
+// saturated at math.MaxInt64. It is the oracle for event.MaxPacketSpread and
+// for the spread a snapshot records: one map update per row, no run folding.
+func referenceMaxPacketSpread(logs *Collection) int64 {
 	type span struct{ min, max int64 }
 	spans := make(map[PacketID]span)
 	for _, n := range logs.Nodes() {
@@ -48,9 +50,11 @@ func maxPacketSpread(logs *Collection) int64 {
 	horizon := int64(0)
 	//refill:allow maprange — max reduction; order-independent
 	for _, s := range spans {
-		if d := s.max - s.min; d > horizon {
-			horizon = d
+		d := s.max - s.min
+		if d < 0 { // wrapped: the true spread exceeds MaxInt64
+			d = math.MaxInt64
 		}
+		horizon = max(horizon, d)
 	}
 	return horizon
 }
@@ -92,7 +96,7 @@ func TestSessionEquivalence(t *testing.T) {
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	horizon := maxPacketSpread(logs)
+	horizon := referenceMaxPacketSpread(logs)
 
 	an, err := NewAnalyzer(AnalyzerOptions{},
 		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
@@ -209,7 +213,7 @@ func TestSessionEquivalence(t *testing.T) {
 func TestSessionSnapshotConsistency(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
-	horizon := maxPacketSpread(logs)
+	horizon := referenceMaxPacketSpread(logs)
 	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +334,7 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 	full, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	horizon := maxPacketSpread(full)
+	horizon := referenceMaxPacketSpread(full)
 	an, err := NewAnalyzer(AnalyzerOptions{},
 		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
 	if err != nil {
@@ -430,7 +434,7 @@ func FuzzSessionEquivalence(f *testing.F) {
 		f.Fatal(err)
 	}
 	logs, sink, end := camp.Logs, camp.Sink, int64(camp.Duration)
-	horizon := maxPacketSpread(logs)
+	horizon := referenceMaxPacketSpread(logs)
 	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
 	if err != nil {
 		f.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/event/snapfile"
 	"repro/internal/sim"
 )
 
@@ -129,7 +130,7 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	horizon := maxPacketSpread(logs)
+	horizon := referenceMaxPacketSpread(logs)
 	an, err := NewAnalyzer(AnalyzerOptions{},
 		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
 	if err != nil {
@@ -205,7 +206,7 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 func TestSnapshotSessionFromMappedCollection(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
-	horizon := maxPacketSpread(logs)
+	horizon := referenceMaxPacketSpread(logs)
 	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +268,7 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 	}
 	defer snap.Close()
 
-	horizon := maxPacketSpread(logs)
+	horizon := referenceMaxPacketSpread(logs)
 	retain := SessionConfig{RetainFlows: true}
 	cases := []struct {
 		name string
@@ -300,9 +301,115 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 		}
 		checkSameReport(t, want.Report, got.Report, dayLen, days)
 	})
+	t.Run("parent-format", func(t *testing.T) {
+		// A file written before snapshots recorded their spread: the horizon
+		// is scanned instead, and the output is the same.
+		old, err := OpenSnapshot(parentFormatSnapshot(t, logs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer old.Close()
+		if spread, ok := old.RecordedSpread(); ok {
+			t.Fatalf("a file without the spread section reports spread %d", spread)
+		}
+		got := an.AnalyzeSnapshot(old, SnapshotOptions{WindowRows: 257, SessionConfig: retain})
+		if serializeFlows(got.Result.Flows) != serializeFlows(want.Result.Flows) {
+			t.Error("out-of-core flows diverged from batch")
+		}
+		if !reflect.DeepEqual(want.Result.Operational, got.Result.Operational) {
+			t.Error("out-of-core operational events diverged from batch")
+		}
+		checkSameReport(t, want.Report, got.Report, dayLen, days)
+		if g, w := RenderBreakdown(got.Report), RenderBreakdown(want.Report); g != w {
+			t.Errorf("report diverged from batch:\n%s\nwant:\n%s", g, w)
+		}
+	})
 	t.Run("hostile-timestamps", testOutOfCoreHostileTimestamps)
 	t.Run("unordered-fallback", testOutOfCoreUnorderedFallback)
 	t.Run("trailing-open-outage", func(t *testing.T) { testOutOfCoreTrailingOutage(t, logs, sink, end) })
+}
+
+// parentFormatSnapshot writes logs under t.TempDir as a snapshot without the
+// recorded spread: the collection's sections alone, as files written before
+// the section existed hold.
+func parentFormatSnapshot(t *testing.T, logs *Collection) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w := snapfile.NewWriter(&buf)
+	if err := event.AppendCollectionSections(w, 0, logs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "parent.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestMaxPacketSpreadMatchesReference: the run-folding scan and the spread a
+// snapshot records must both equal the per-row reference scan — on a
+// simulated campaign, an empty collection, one packet logged in several runs
+// at one node, negative clocks, and a spread that saturates at MaxInt64.
+func TestMaxPacketSpreadMatchesReference(t *testing.T) {
+	ev := func(n NodeID, typ event.Type, origin NodeID, seq uint32, at int64) Event {
+		return Event{Node: n, Type: typ, Sender: n, Packet: PacketID{Origin: origin, Seq: seq}, Time: at}
+	}
+	interleaved := NewCollection() // packet 3:1 in three runs at node 3, the first out of time order
+	for _, e := range []Event{
+		ev(3, Gen, 3, 1, 20), ev(3, Trans, 3, 1, 15), ev(3, Gen, 3, 2, 21),
+		ev(3, Trans, 3, 1, 60), {Node: 3, Type: ServerDown, Time: 61}, ev(3, Trans, 3, 1, 70),
+		ev(3, Trans, 3, 2, 22), ev(1, Recv, 3, 2, 30),
+	} {
+		interleaved.Add(e)
+	}
+	negative := NewCollection()
+	for i := int64(0); i < 40; i++ {
+		origin := NodeID(2 + i%3)
+		t0 := -10_000 + 97*i
+		negative.Add(ev(origin, Gen, origin, uint32(i), t0))
+		negative.Add(ev(1, Recv, origin, uint32(i), t0+i%7))
+	}
+	negative.Add(ev(5, Trans, 5, 99, -50))
+	negative.Add(ev(1, Recv, 5, 99, 40))
+	saturated := NewCollection() // TestMaxPacketSpreadSaturates' collection
+	for _, e := range []Event{
+		ev(1, Trans, 1, 1, 10), ev(2, Recv, 1, 1, 25),
+		ev(4, Trans, 4, 1, math.MinInt64+10), ev(5, Recv, 4, 1, math.MaxInt64-10),
+	} {
+		saturated.Add(e)
+	}
+	for _, tc := range []struct {
+		name string
+		logs *Collection
+		want int64 // -1: whatever the reference says
+	}{
+		{"campaign", equivCampaign(t).Res.Logs, -1},
+		{"empty", NewCollection(), 0},
+		{"interleaved-runs", interleaved, 55},
+		{"negative-clocks", negative, 90},
+		{"saturated", saturated, math.MaxInt64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := referenceMaxPacketSpread(tc.logs)
+			if tc.want >= 0 && want != tc.want {
+				t.Fatalf("reference spread %d, the case was built for %d", want, tc.want)
+			}
+			if got := event.MaxPacketSpread(tc.logs); got != want {
+				t.Errorf("MaxPacketSpread = %d, reference %d", got, want)
+			}
+			snap, err := OpenSnapshot(snapshotPath(t, tc.logs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			if got, ok := snap.RecordedSpread(); !ok || got != want {
+				t.Errorf("recorded spread %d, %v; reference %d", got, ok, want)
+			}
+		})
+	}
 }
 
 // testOutOfCoreTrailingOutage drops the campaign's last server-up, so its
