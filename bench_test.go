@@ -714,7 +714,18 @@ func BenchmarkAnalyzeSkewed(b *testing.B) {
 // rounds, a watermark advance finalizing each retired window, and a final
 // drain. Windows run serially (Parallelism 1) so allocs/op is deterministic
 // and benchguard can pin it; fragment slicing happens outside the timer.
-func BenchmarkSessionIngest(b *testing.B) {
+func BenchmarkSessionIngest(b *testing.B) { benchSession(b, false) }
+
+// BenchmarkSessionSnapshot is BenchmarkSessionIngest with one live Snapshot
+// after every round's advance, as refill-serve's GET /v1/report reads the
+// session beside its writers. Its allocs/op gate the live read: a copy of
+// the outcomes and the aggregate, and a sort of only the points added since
+// the last read.
+func BenchmarkSessionSnapshot(b *testing.B) { benchSession(b, true) }
+
+// benchSession runs the session benchmarks' schedule, reading a live
+// Snapshot after every advance when snapshots is set.
+func benchSession(b *testing.B, snapshots bool) {
 	c := benchCampaign(b)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	horizon := referenceMaxPacketSpread(logs)
@@ -756,6 +767,9 @@ func BenchmarkSessionIngest(b *testing.B) {
 			}
 			if _, err := sess.Advance(end); err != nil {
 				b.Fatal(err)
+			}
+			if snapshots && sess.Snapshot().Total() == 0 {
+				b.Fatal("live report is empty after an advance")
 			}
 		}
 		_, rep := sess.Drain()

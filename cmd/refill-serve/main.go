@@ -15,10 +15,16 @@
 //	                   Content-Type: application/octet-stream. Each node log
 //	                   in the body is appended as that node's next fragment
 //	                   (fragments must arrive in log order per node).
+//	                   ?through=T additionally punctuates every node in the
+//	                   body at T after its rows: the node promises nothing
+//	                   more below local time T, so its watermark reaches T
+//	                   even if its last row is older.
 //	POST /v1/register  ?node=N — make node count toward the watermark
 //	                   before its first fragment. Register every log source
 //	                   up front, or early advances may finalize packets
 //	                   whose rows at still-unseen nodes are yet to arrive.
+//	                   ?through=T registers the node already punctuated at
+//	                   T, for a source known to have nothing below T.
 //	POST /v1/advance   ?watermark=T — finalize packets provably complete
 //	                   below the watermark (clamped to the slowest node, and
 //	                   while an outage is open to -end or its start).
@@ -57,6 +63,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -214,6 +221,11 @@ func newHandler(sess *refill.Session, ckptPath string) http.Handler {
 		writeJSON(w, map[string]string{"path": ckptPath})
 	})
 	mux.HandleFunc("POST /v1/append", func(w http.ResponseWriter, r *http.Request) {
+		through, err := throughParam(r)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		readLogs := refill.ReadLogs
 		if r.Header.Get("Content-Type") == "application/octet-stream" {
 			readLogs = refill.ReadLogsBinary
@@ -230,6 +242,9 @@ func newHandler(sess *refill.Session, ckptPath string) http.Handler {
 				httpError(w, http.StatusConflict, err)
 				return
 			}
+			if through != math.MinInt64 {
+				sess.Punctuate(n, through)
+			}
 			ingested += len(evs)
 		}
 		writeJSON(w, map[string]int{"ingested": ingested, "nodes": len(logs.Nodes())})
@@ -240,7 +255,12 @@ func newHandler(sess *refill.Session, ckptPath string) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		sess.Register(n)
+		through, err := throughParam(r)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		sess.Punctuate(n, through) // Register(n) when through= is absent
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("POST /v1/advance", func(w http.ResponseWriter, r *http.Request) {
@@ -277,6 +297,21 @@ func newHandler(sess *refill.Session, ckptPath string) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// throughParam reads the optional ?through=T punctuation. Without one it
+// returns math.MinInt64, which punctuates nothing: Punctuate(n,
+// math.MinInt64) is Register(n).
+func throughParam(r *http.Request) (int64, error) {
+	v := r.URL.Query().Get("through")
+	if v == "" {
+		return math.MinInt64, nil
+	}
+	through, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad through: %w", err)
+	}
+	return through, nil
 }
 
 // outageView is one outage window in the JSON report.

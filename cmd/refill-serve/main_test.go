@@ -374,3 +374,68 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		t.Errorf("healthz: %s", resp.Status)
 	}
 }
+
+// TestServeThroughPunctuates: ?through=T on register and append punctuates
+// the node at T, so an advance reaches T although no row is that late. Node
+// 3 is registered through 100 and never logs; node 2 logs one packet at time
+// 10 and promises nothing more below 50. Without punctuation the watermark
+// would stay at math.MinInt64 on node 3's account and the packet would stay
+// pending.
+func TestServeThroughPunctuates(t *testing.T) {
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{}, refill.WithSink(1), refill.WithWindow(0, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := an.NewSession(refill.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newHandler(sess, ""))
+	defer srv.Close()
+	post := func(path string, body io.Reader) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "text/plain", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	advance := func(want string) {
+		t.Helper()
+		if code, body := post("/v1/advance?watermark=1000", nil); code != http.StatusOK || body != want+"\n" {
+			t.Errorf("advance: %d %s, want %s", code, body, want)
+		}
+	}
+
+	if code, _ := post("/v1/register?node=2", nil); code != http.StatusOK {
+		t.Fatalf("register: %d", code)
+	}
+	if code, _ := post("/v1/register?node=3&through=100", nil); code != http.StatusOK {
+		t.Fatalf("register through: %d", code)
+	}
+	frag := refill.NewCollection()
+	frag.Add(refill.Event{Node: 2, Type: refill.Gen, Sender: 2, Packet: refill.PacketID{Origin: 2, Seq: 1}, Time: 10})
+	var buf bytes.Buffer
+	if err := refill.WriteLogs(&buf, frag); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post("/v1/append?through=50", &buf); code != http.StatusOK {
+		t.Fatalf("append through: %d %s", code, body)
+	}
+	advance(`{"finalized":1,"watermark":50}`)
+	if code, _ := post("/v1/register?node=2&through=200", nil); code != http.StatusOK {
+		t.Fatalf("register through: %d", code)
+	}
+	advance(`{"finalized":0,"watermark":100}`)
+
+	for _, path := range []string{"/v1/register?node=2&through=soon", "/v1/append?through=soon"} {
+		if code, _ := post(path, strings.NewReader("")); code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", path, code)
+		}
+	}
+	if st := sess.Stats(); st.Watermark != 100 || st.PendingRows != 0 {
+		t.Errorf("stats %+v after bad requests, want watermark 100 and nothing pending", st)
+	}
+}

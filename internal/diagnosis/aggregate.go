@@ -9,8 +9,8 @@ const nc = int(numCauses)
 // aggregation: cause breakdown, sink split, per-site loss counters, the
 // days×causes matrix, loop count, and the Figure 4/5 point sets. The fused
 // analysis paths give each worker one Aggregate and merge them at the join;
-// every counter is order-independent and the point slices are finished with a
-// total-order sort, so the merged result is identical to a serial build.
+// every counter is order-independent and the point slices are settled into a
+// total order, so the merged result is identical to a serial build.
 //
 // An Aggregate is not safe for concurrent use.
 type Aggregate struct {
@@ -34,8 +34,10 @@ type Aggregate struct {
 	site       []int32
 	serverSite [nc]int
 	// srcPts / posPts collect the Figure 4 (origin-attributed) and Figure 5
-	// (position-attributed) loss points; finish() sorts them.
-	srcPts, posPts []Point
+	// (position-attributed) loss points. Their first srcSettled / posSettled
+	// points are in sorted order; Settle sorts only what was appended since.
+	srcPts, posPts         []Point
+	srcSettled, posSettled int
 }
 
 // NewAggregate returns an empty aggregate for a report rooted at sink.
@@ -151,8 +153,8 @@ func (a *Aggregate) Merge(b *Aggregate) {
 }
 
 // Clone returns an independent deep copy — the ingest session snapshots its
-// running aggregate this way, so finishing (sorting) the copy for a live
-// Report never disturbs the still-accumulating original.
+// running aggregate this way, so a live Report never shares storage with the
+// still-accumulating original. The copy is as settled as a is.
 func (a *Aggregate) Clone() *Aggregate {
 	out := *a
 	out.daily = append([]int(nil), a.daily...)
@@ -162,11 +164,41 @@ func (a *Aggregate) Clone() *Aggregate {
 	return &out
 }
 
-// finish sorts the point sets into their presentation order. Called once by
-// the report constructors after all Adds/Merges.
-func (a *Aggregate) finish() {
-	sortPoints(a.srcPts)
-	sortPoints(a.posPts)
+// Settle puts the point sets into their presentation order. The report
+// constructors call it after all Adds/Merges; a running aggregate that is
+// read many times (the ingest session's) calls it before each Clone, so every
+// read sorts only the points added since the last one and merges them in.
+func (a *Aggregate) Settle() {
+	a.srcSettled = settlePoints(a.srcPts, a.srcSettled)
+	a.posSettled = settlePoints(a.posPts, a.posSettled)
+}
+
+// settlePoints sorts pts, whose first settled points are already sorted, and
+// returns len(pts). With nothing settled it sorts in place; otherwise it
+// sorts the tail, copies it out and merges it backwards into the prefix, so
+// every slot is written only after it was read.
+func settlePoints(pts []Point, settled int) int {
+	switch settled {
+	case len(pts):
+		return settled
+	case 0:
+		sortPoints(pts)
+		return len(pts)
+	}
+	tail := append([]Point(nil), pts[settled:]...)
+	sortPoints(tail)
+	i, j := settled-1, len(tail)-1
+	for k := len(pts) - 1; j >= 0 && i >= 0; k-- {
+		if pointLess(tail[j], pts[i]) {
+			pts[k] = pts[i]
+			i--
+		} else {
+			pts[k] = tail[j]
+			j--
+		}
+	}
+	copy(pts, tail[:j+1])
+	return len(pts)
 }
 
 // losses is the number of non-Delivered outcomes.

@@ -1,6 +1,8 @@
 package diagnosis
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/event"
@@ -359,5 +361,58 @@ func TestClassifyUnresolvedRetransmissionNotSuperseded(t *testing.T) {
 	out := Classify(f)
 	if out.Cause != TransitLoss || out.Position != 1 {
 		t.Errorf("outcome = %+v, want transit loss at 1", out)
+	}
+}
+
+// TestAggregateSettleIncremental feeds a running aggregate batches of random
+// loss outcomes — through Add and through Merge, as a session's windows
+// arrive — and settles it after each batch. Its points must always equal a
+// fresh aggregate's over every outcome so far, settled from nothing: the
+// tail sort, the merge into the prefix and the settled counts must agree
+// with one full sort. Times collide often, so Node and Cause order ties.
+func TestAggregateSettleIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	causes := []Cause{ReceivedLoss, AckedLoss, TimeoutLoss, OverflowLoss}
+	live := NewAggregate(1, 0, 0, 0)
+	var seen []Outcome
+	for batch := 0; batch < 40; batch++ {
+		w := NewAggregate(1, 0, 0, 0)
+		for n := rng.Intn(20); n > 0; n-- {
+			o := Outcome{
+				Packet:    event.PacketID{Origin: event.NodeID(rng.Intn(5)), Seq: uint32(rng.Intn(100))},
+				Position:  event.NodeID(rng.Intn(4)),
+				Cause:     causes[rng.Intn(len(causes))],
+				LossTime:  int64(rng.Intn(30)),
+				TimeValid: true,
+			}
+			if o.Position == 0 {
+				o.Position = event.NoNode
+			}
+			if batch%2 == 0 {
+				live.Add(o)
+			} else {
+				w.Add(o)
+			}
+			seen = append(seen, o)
+		}
+		live.Merge(w)
+		if batch%3 == 2 {
+			continue // settle two batches' worth at once
+		}
+		live.Settle()
+		if live.srcSettled != len(live.srcPts) || live.posSettled != len(live.posPts) {
+			t.Fatalf("batch %d: settled %d/%d of %d/%d points", batch, live.srcSettled, live.posSettled, len(live.srcPts), len(live.posPts))
+		}
+		ref := NewAggregate(1, 0, 0, 0)
+		for _, o := range seen {
+			ref.Add(o)
+		}
+		ref.Settle()
+		if !reflect.DeepEqual(live.srcPts, ref.srcPts) || !reflect.DeepEqual(live.posPts, ref.posPts) {
+			t.Fatalf("batch %d: incrementally settled points diverged from one full sort", batch)
+		}
+		if c := live.Clone(); c.srcSettled != live.srcSettled || c.posSettled != live.posSettled {
+			t.Fatalf("batch %d: clone is less settled than the original", batch)
+		}
 	}
 }

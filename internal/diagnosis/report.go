@@ -62,10 +62,10 @@ func BuildConfig(flows []*flow.Flow, ops []event.Event, cfg Config) *Report {
 // FromParts assembles a report from pre-classified outcomes — the join step
 // of the fused per-worker analysis paths. agg must cover exactly the given
 // outcomes (or be nil, in which case it is rebuilt lazily on first
-// aggregation read); FromParts finishes it, so workers only Add and Merge.
+// aggregation read); FromParts settles it, so workers only Add and Merge.
 func FromParts(sink event.NodeID, outages OutageSchedule, outcomes []Outcome, agg *Aggregate) *Report {
 	if agg != nil {
-		agg.finish()
+		agg.Settle()
 	}
 	return &Report{Sink: sink, Outages: outages, Outcomes: outcomes, agg: agg}
 }
@@ -83,7 +83,7 @@ func (r *Report) aggregate() *Aggregate {
 		for _, o := range r.Outcomes {
 			a.Add(o)
 		}
-		a.finish()
+		a.Settle()
 		r.agg = a
 	}
 	return r.agg
@@ -165,15 +165,18 @@ func copyPoints(pts []Point) []Point {
 // Point field, so any two sorts of the same multiset (one worker's outcomes
 // or several workers' merged ones) produce identical slices.
 func sortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Time != pts[j].Time {
-			return pts[i].Time < pts[j].Time
-		}
-		if pts[i].Node != pts[j].Node {
-			return pts[i].Node < pts[j].Node
-		}
-		return pts[i].Cause < pts[j].Cause
-	})
+	sort.Slice(pts, func(i, j int) bool { return pointLess(pts[i], pts[j]) })
+}
+
+// pointLess is sortPoints' order.
+func pointLess(p, q Point) bool {
+	if p.Time != q.Time {
+		return p.Time < q.Time
+	}
+	if p.Node != q.Node {
+		return p.Node < q.Node
+	}
+	return p.Cause < q.Cause
 }
 
 // DailyComposition bins losses by day and cause (Figure 6). dayLen is the

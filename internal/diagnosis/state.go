@@ -13,9 +13,9 @@ import (
 // Everything the struct holds is integers, dense tables and point slices,
 // so the encoding is a flat little-endian record: fixed header, the three
 // per-cause tables, then four length-prefixed arrays. Point order is
-// preserved verbatim — points are only sorted by finish() at report time,
-// so a resumed aggregate finishes into exactly the bytes an uninterrupted
-// one would.
+// preserved verbatim, but not how much of it was settled: a decoded
+// aggregate starts unsettled, and since Settle sorts into a total order it
+// settles into exactly the bytes an uninterrupted one would.
 
 const (
 	aggStateVersion = 1

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,34 +32,50 @@ import (
 
 // Parts is the mergeable output of one driver run: Flows and Outcomes are
 // co-indexed with the views the run was given (packet-ID order) and Aggregate
-// covers exactly those outcomes. Window callers Fold many Parts into one and
-// Finish it; the batch entry points assemble a single run's directly.
+// covers exactly those outcomes. Window callers Fold many Parts into one,
+// which keeps that order, so the accumulation is ready to report as it
+// stands; the batch entry points assemble a single run's directly.
 type Parts struct {
 	Flows     []*flow.Flow
 	Outcomes  []diagnosis.Outcome
 	Aggregate *diagnosis.Aggregate
 }
 
-// Fold appends one window's parts to the running accumulation p, whose
-// Aggregate must be non-nil. Flows are kept only when keepFlows is set —
-// diagnosis-only consumers never read them, and for long sessions and
-// larger-than-memory snapshots they are the dominant retained cost.
+// Fold merges one window's parts into the running accumulation p, whose
+// Aggregate must be non-nil. Both sides are in packet-ID order — a window's
+// views come out of Partition sorted, and every earlier Fold kept p sorted.
+// Flows are kept only when keepFlows is set — diagnosis-only consumers never
+// read them, and for long sessions and larger-than-memory snapshots they are
+// the dominant retained cost. Flows and outcomes carry the same packet keys,
+// so merging each by its key moves them alike and they stay co-indexed.
 func (p *Parts) Fold(w Parts, keepFlows bool) {
+	p.Outcomes = mergeSorted(p.Outcomes, w.Outcomes, func(a, b diagnosis.Outcome) bool { return a.Packet.Less(b.Packet) })
 	if keepFlows {
-		p.Flows = append(p.Flows, w.Flows...)
+		p.Flows = mergeSorted(p.Flows, w.Flows, func(a, b *flow.Flow) bool { return a.Packet.Less(b.Packet) })
 	}
-	p.Outcomes = append(p.Outcomes, w.Outcomes...)
 	p.Aggregate.Merge(w.Aggregate)
 }
 
-// Finish restores packet-ID order — windows complete in time order — and
-// assembles the accumulated parts into a Result and a Report. Flows and
-// outcomes share the unique packet-ID key, so sorting each by it keeps them
-// co-indexed. The Report takes ownership of p's outcomes and aggregate.
-func (p *Parts) Finish(sink event.NodeID, ops []event.Event, sched diagnosis.OutageSchedule) (*Result, *diagnosis.Report) {
-	sort.Slice(p.Flows, func(i, j int) bool { return p.Flows[i].Packet.Less(p.Flows[j].Packet) })
-	sort.Slice(p.Outcomes, func(i, j int) bool { return p.Outcomes[i].Packet.Less(p.Outcomes[j].Packet) })
-	return &Result{Operational: ops, Flows: p.Flows}, diagnosis.FromParts(sink, sched, p.Outcomes, p.Aggregate)
+// mergeSorted merges src into dst, both sorted by less, and returns the
+// grown dst. It runs backwards in place, from the ends of both into dst's
+// grown tail: O(len(dst)+len(src)) moves, no allocation beyond dst's own
+// amortized growth, and every slot is written only after it was read. On a
+// tie (a packet split across windows by too small a horizon) dst's element
+// stays first.
+func mergeSorted[T any](dst, src []T, less func(a, b T) bool) []T {
+	i, j := len(dst)-1, len(src)-1
+	dst = append(dst, src...)
+	for k := len(dst) - 1; i >= 0 && j >= 0; k-- {
+		if less(src[j], dst[i]) {
+			dst[k] = dst[i]
+			i--
+		} else {
+			dst[k] = src[j]
+			j--
+		}
+	}
+	copy(dst, src[:j+1]) // with dst exhausted, src's first j+1 go in front
+	return dst
 }
 
 // fusion is the diagnosis half of a driver run. When diagnose is set every

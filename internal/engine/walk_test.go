@@ -11,11 +11,11 @@ import (
 	"repro/internal/fsm"
 )
 
-// TestKernelRevisitRotate drives the rotate fallback: a routing loop brings
+// TestWalkRevisitRotate drives the rotate fallback: a routing loop brings
 // the packet back to forwarder 2, whose current visit is parked past Received
 // and cannot consume the second recv — a fresh visit on the same template can,
 // so the engine rotates.
-func TestKernelRevisitRotate(t *testing.T) {
+func TestWalkRevisitRotate(t *testing.T) {
 	pkt := event.PacketID{Origin: 1, Seq: 7}
 	evs := []event.Event{
 		{Node: 1, Type: event.Gen, Sender: 1, Packet: pkt, Time: 0},
@@ -44,11 +44,11 @@ func TestKernelRevisitRotate(t *testing.T) {
 	}
 }
 
-// TestKernelOriginLoopAltGraph drives the alternative-template fallback: a
+// TestWalkOriginLoopAltGraph drives the alternative-template fallback: a
 // routing loop returns the packet to its own origin, whose template never
 // consumes recv — not even fresh — so the engine must rotate onto the
 // forwarding template instead.
-func TestKernelOriginLoopAltGraph(t *testing.T) {
+func TestWalkOriginLoopAltGraph(t *testing.T) {
 	pkt := event.PacketID{Origin: 1, Seq: 9}
 	evs := []event.Event{
 		{Node: 1, Type: event.Gen, Sender: 1, Packet: pkt, Time: 0},
@@ -89,12 +89,12 @@ func TestKernelOriginLoopAltGraph(t *testing.T) {
 	}
 }
 
-// TestKernelPrereqChainMidEvent drives the prerequisite-chain path: the
+// TestWalkPrereqChainMidEvent drives the prerequisite-chain path: the
 // origin's ack-recvd demands its receiver passed Received (Definition 4.1), so
 // node 2's log is consumed mid-event — its recv commits into the flow before
 // the ack does — and the walk re-resolves the origin's visit before committing
 // (engine.go's prerequisite re-resolve).
-func TestKernelPrereqChainMidEvent(t *testing.T) {
+func TestWalkPrereqChainMidEvent(t *testing.T) {
 	pkt := event.PacketID{Origin: 1, Seq: 3}
 	evs := []event.Event{
 		{Node: 1, Type: event.Gen, Sender: 1, Packet: pkt, Time: 0},

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/diagnosis"
@@ -27,8 +28,9 @@ import (
 //	section 1   meta: version i64 | sink u32 | reserved u32 | horizon i64 |
 //	            watermark i64 | epoch i64 | ingested i64 | finalized i64
 //	section 2   watermarks: nodes * {node u32, reserved u32, low i64}
-//	section 3   outcomes: n * {origin u32, seq u32, position u32,
-//	            toward u32, lossTime i64, cause u8, flags u8, reserved u16}
+//	section 3   outcomes in packet-ID order: n * {origin u32, seq u32,
+//	            position u32, toward u32, lossTime i64, cause u8, flags u8,
+//	            reserved u16}
 //	section 4   aggregate: diagnosis.Aggregate.EncodeState
 //	base 32     operational events (event collection section family)
 //	base 64     pending packet rows, per node in log order (see
@@ -38,11 +40,13 @@ import (
 // PendingStore.Append. Files written while the store was sharded by origin
 // hold each node's rows shard by shard instead; they resume all the same,
 // because each packet's rows are still in log order at every node and that is
-// all reconstruction reads. A resumed session's Drain is then byte-identical
-// to an uninterrupted session's (and, transitively, to batch analysis):
-// outcomes and flows are sorted into packet order at the end, aggregate
-// counters are order-independent, and its point sets finish through a
-// total-order sort. snapshot_equiv_test.go at the repo root pins this across a
+// all reconstruction reads. Files written before the session kept its
+// outcomes in packet-ID order hold section 3 in finalization order instead;
+// Resume sorts the outcomes once, which is a no-op on a current file. A
+// resumed session's Drain is then byte-identical to an uninterrupted
+// session's (and, transitively, to batch analysis): outcomes are in packet
+// order, aggregate counters are order-independent, and its point sets settle
+// into a total order. snapshot_equiv_test.go at the repo root pins this across a
 // crash at every checkpoint epoch.
 
 const (
@@ -235,6 +239,7 @@ func Resume(cfg Config, path string) (*Session, error) {
 				Loop:      e[25]&outcomeFlagLoop != 0,
 			})
 		}
+		sort.SliceStable(s.acc.Outcomes, func(i, j int) bool { return s.acc.Outcomes[i].Packet.Less(s.acc.Outcomes[j].Packet) })
 	}
 
 	aggData, ok := f.Section(ckSecAggregate)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,6 +96,50 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig.Stats(), res.Stats()) {
 		t.Errorf("drained stats diverged: got %+v want %+v", res.Stats(), orig.Stats())
+	}
+}
+
+// TestResumeUnorderedOutcomes resumes a checkpoint whose outcome section is
+// out of packet-ID order — as every file written before the session kept its
+// outcomes sorted is, in finalization order — and requires the drain to
+// equal batch analysis. Resume must sort what it reads: the session's later
+// windows merge into the restored outcomes on the assumption that they are
+// sorted, and nothing sorts them again.
+func TestResumeUnorderedOutcomes(t *testing.T) {
+	c := parentCkptCampaign()
+	const horizon = 100 // a delivery spans 70 ticks
+	path := filepath.Join(t.TempDir(), "unordered.ckpt")
+	orig := ckSession(t, c, horizon)
+	first, second := feedHalves(c)
+	feedSorted(t, orig, first)
+	if n, err := orig.Advance(parentCkptAdvance); err != nil || n < 3 {
+		t.Fatalf("Advance finalized %d packets (err %v); the test needs several", n, err)
+	}
+	slices.Reverse(orig.acc.Outcomes)
+	err := orig.WriteCheckpoint(path)
+	slices.Reverse(orig.acc.Outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Resume(Config{Engine: ctpEngine(t, c.sink), Diagnosis: c.config(), Horizon: horizon}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSorted(t, res, second)
+	if n, err := res.Advance(c.end); err != nil || n == 0 {
+		t.Fatalf("Advance after resume finalized %d packets (err %v); the restored outcomes were never merged into", n, err)
+	}
+	_, got := res.Drain()
+	_, want := ctpEngine(t, c.sink).AnalyzeDiagnosed(c.collection(), 1, c.config())
+	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+		t.Errorf("outcomes diverged from batch:\n got %+v\nwant %+v", got.Outcomes, want.Outcomes)
+	}
+	if !reflect.DeepEqual(got.Breakdown(), want.Breakdown()) {
+		t.Errorf("breakdown diverged: got %v want %v", got.Breakdown(), want.Breakdown())
+	}
+	if !reflect.DeepEqual(got.SourcePoints(), want.SourcePoints()) || !reflect.DeepEqual(got.PositionPoints(), want.PositionPoints()) {
+		t.Error("source/position points diverged from batch")
 	}
 }
 

@@ -34,9 +34,10 @@
 // (which retirement preserves), outage decisions for a packet finalized at
 // watermark ew match the final schedule's because every operational event
 // below ew has arrived and a still-open outage decides the packet's loss
-// time alike whether it closes later or not (holdLocked), and the final
-// co-sort restores the batch packet-ID order while the aggregate's counters
-// are order-independent. session_equiv_test.go at the repo root pins this.
+// time alike whether it closes later or not (holdLocked), every window's
+// outcomes and flows are merged into the accumulation in batch packet-ID
+// order, and the aggregate's counters are order-independent.
+// session_equiv_test.go at the repo root pins this.
 package ingest
 
 import (
@@ -325,9 +326,11 @@ func (s *Session) scheduleLocked(ew int64, final bool) ([]event.Event, diagnosis
 }
 
 // Snapshot assembles a live Report over every packet finalized so far,
-// without disturbing ingestion: outcomes are copied and sorted into
-// packet-ID order, the running aggregate is cloned, and the outage schedule
-// reflects the operational events seen so far. After Drain it returns the
+// without disturbing ingestion: the outcomes, already in packet-ID order, are
+// copied; the running aggregate settles the loss points added since the last
+// read into their order and is cloned; and the outage schedule reflects the
+// operational events seen so far. The report shares no storage with the
+// session, so later windows never change it. After Drain it returns the
 // final report.
 func (s *Session) Snapshot() *diagnosis.Report {
 	s.mu.Lock()
@@ -335,13 +338,9 @@ func (s *Session) Snapshot() *diagnosis.Report {
 	if s.drained {
 		return s.report
 	}
-	live := engine.Parts{
-		Outcomes:  append([]diagnosis.Outcome(nil), s.acc.Outcomes...),
-		Aggregate: s.acc.Aggregate.Clone(),
-	}
+	s.acc.Aggregate.Settle()
 	_, sched := s.scheduleLocked(s.watermark, false)
-	_, rep := live.Finish(s.cfg.Diagnosis.Sink, nil, sched)
-	return rep
+	return diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, append([]diagnosis.Outcome(nil), s.acc.Outcomes...), s.acc.Aggregate.Clone())
 }
 
 // Drain finalizes every pending packet regardless of watermarks, completes
@@ -357,7 +356,8 @@ func (s *Session) Drain() (*engine.Result, *diagnosis.Report) {
 	}
 	s.retireLocked(math.MaxInt64, true)
 	ops, sched := s.scheduleLocked(math.MaxInt64, true)
-	s.result, s.report = s.acc.Finish(s.cfg.Diagnosis.Sink, ops, sched)
+	s.result = &engine.Result{Operational: ops, Flows: s.acc.Flows}
+	s.report = diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, s.acc.Outcomes, s.acc.Aggregate)
 	s.drained = true
 	return s.result, s.report
 }

@@ -8,7 +8,8 @@ package refill
 // single-digit fragments with an advance after every append) and a
 // time-cut schedule with a punctuated silent node pin the property
 // deterministically; FuzzSessionEquivalence searches schedule space beyond
-// them. A soak test pins the memory story: retained pending rows stay
+// them. Every advance of those schedules also checks the live Snapshot
+// (liveReads). A soak test pins the memory story: retained pending rows stay
 // bounded by the in-flight window across many advances, rather than
 // accumulating with total ingest.
 
@@ -18,8 +19,71 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/diagnosis"
 	"repro/internal/sim"
 )
+
+// liveRead is one live Snapshot together with what it read when it was
+// taken.
+type liveRead struct {
+	rep       *Report
+	outcomes  []Outcome
+	src, pos  []diagnosis.Point
+	breakdown map[Cause]int
+}
+
+func readLive(rep *Report) liveRead {
+	return liveRead{rep: rep, outcomes: append([]Outcome(nil), rep.Outcomes...),
+		src: rep.SourcePoints(), pos: rep.PositionPoints(), breakdown: rep.Breakdown()}
+}
+
+// liveReads checks a session's live reports as the session advances. Each
+// Snapshot must list its outcomes in strict packet-ID order — the session
+// merges windows into that order and no longer sorts at read time — and its
+// loss points and breakdown must equal a report rebuilt from scratch over the
+// same outcomes, which sorts every point afresh. It keeps the first
+// non-empty read and the latest one and requires both to read the same at
+// every later check and after Drain: a report must not share the backing
+// arrays later windows merge into.
+type liveReads struct {
+	first, last *liveRead
+}
+
+func (l *liveReads) check(t *testing.T, sess *Session) {
+	t.Helper()
+	rep := sess.Snapshot()
+	for i := 1; i < len(rep.Outcomes); i++ {
+		if !rep.Outcomes[i-1].Packet.Less(rep.Outcomes[i].Packet) {
+			t.Fatalf("live outcomes %d and %d out of packet order: %v, %v", i-1, i, rep.Outcomes[i-1].Packet, rep.Outcomes[i].Packet)
+		}
+	}
+	got := readLive(rep)
+	want := readLive(diagnosis.FromParts(rep.Sink, rep.Outages, got.outcomes, nil))
+	if !reflect.DeepEqual(got.src, want.src) || !reflect.DeepEqual(got.pos, want.pos) {
+		t.Fatal("live loss points differ from a report rebuilt over the same outcomes")
+	}
+	if !reflect.DeepEqual(got.breakdown, want.breakdown) {
+		t.Fatalf("live breakdown %v, rebuilt %v", got.breakdown, want.breakdown)
+	}
+	l.unchanged(t)
+	if l.first == nil && rep.Total() > 0 {
+		l.first = &got
+	}
+	l.last = &got
+}
+
+// unchanged rereads the kept reports.
+func (l *liveReads) unchanged(t *testing.T) {
+	t.Helper()
+	for _, r := range []*liveRead{l.first, l.last} {
+		if r == nil {
+			continue
+		}
+		if now := readLive(r.rep); !reflect.DeepEqual(now, *r) {
+			t.Fatalf("a live report of %d outcomes changed after later windows folded in", len(r.outcomes))
+		}
+	}
+}
 
 // referenceMaxPacketSpread computes the campaign's maximum within-packet
 // timestamp spread — the Horizon a deployment would derive from its
@@ -124,6 +188,7 @@ func TestSessionEquivalence(t *testing.T) {
 		// Each node's log arrives in a few in-order rounds; the watermark
 		// chases the campaign end after every round.
 		sess := sessionFor(t, an, logs, horizon)
+		var live liveReads
 		const rounds = 5
 		nodes := logs.Nodes()
 		for r := 0; r < rounds; r++ {
@@ -137,11 +202,13 @@ func TestSessionEquivalence(t *testing.T) {
 			if _, err := sess.Advance(end); err != nil {
 				t.Fatal(err)
 			}
+			live.check(t, sess)
 		}
 		if sess.Stats().FinalizedPackets == 0 {
 			t.Error("no packet finalized before drain; schedule never exercised retirement")
 		}
 		check(t, sess)
+		live.unchanged(t)
 	})
 
 	t.Run("shuffled", func(t *testing.T) {
@@ -149,6 +216,7 @@ func TestSessionEquivalence(t *testing.T) {
 		// interleave (per-node order intact — that is the log contract),
 		// with random watermark advances mixed in.
 		sess := sessionFor(t, an, logs, horizon)
+		var live liveReads
 		frags := fragmentLogs(logs, 2048)
 		var order []NodeID
 		//refill:allow maprange — queue keys; the shuffle below randomizes deliberately
@@ -169,9 +237,11 @@ func TestSessionEquivalence(t *testing.T) {
 				if _, err := sess.Advance(rng.Int63n(2 * end)); err != nil {
 					t.Fatal(err)
 				}
+				live.check(t, sess)
 			}
 		}
 		check(t, sess)
+		live.unchanged(t)
 	})
 
 	t.Run("adversarial", func(t *testing.T) {
@@ -180,6 +250,7 @@ func TestSessionEquivalence(t *testing.T) {
 		// anywhere. Snapshots are interleaved to prove reads never disturb
 		// the accumulating state.
 		sess := sessionFor(t, an, logs, horizon)
+		var live liveReads
 		frags := fragmentLogs(logs, 601)
 		nodes := logs.Nodes()
 		for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
@@ -198,12 +269,14 @@ func TestSessionEquivalence(t *testing.T) {
 				if _, err := sess.Advance(end + 1); err != nil {
 					t.Fatal(err)
 				}
+				live.check(t, sess)
 			}
 			if rep := sess.Snapshot(); rep.Total() != sess.Stats().FinalizedPackets {
 				t.Fatal("snapshot total disagrees with finalized count")
 			}
 		}
 		check(t, sess)
+		live.unchanged(t)
 	})
 }
 
@@ -370,6 +443,7 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 	// pending rows after each advance.
 	feed := func(logs *Collection, punctuate bool) (*Session, []int) {
 		sess := sessionFor(t, an, full, horizon)
+		var live liveReads
 		var pending []int
 		next := make(map[NodeID]int)
 		perNode := make(map[NodeID][]Event)
@@ -393,6 +467,7 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 			if _, err := sess.Advance(cut(r)); err != nil {
 				t.Fatal(err)
 			}
+			live.check(t, sess)
 			pending = append(pending, sess.Stats().PendingRows)
 		}
 		return sess, pending
@@ -464,6 +539,7 @@ func FuzzSessionEquivalence(f *testing.F) {
 		}
 		frags := fragmentLogs(logs, 257)
 		next := make(map[NodeID]int)
+		var live liveReads
 		for i, b := range program {
 			if i%2 == 1 {
 				// Odd bytes advance: scale the byte across [0, 2*end) so
@@ -471,6 +547,7 @@ func FuzzSessionEquivalence(f *testing.F) {
 				if _, err := sess.Advance(int64(b) * 2 * end / 256); err != nil {
 					t.Fatal(err)
 				}
+				live.check(t, sess)
 				continue
 			}
 			n := nodes[int(b>>1)%len(nodes)]
@@ -498,6 +575,7 @@ func FuzzSessionEquivalence(f *testing.F) {
 			}
 		}
 		_, rep := sess.Drain()
+		live.unchanged(t)
 		if !reflect.DeepEqual(want.Report.Outcomes, rep.Outcomes) {
 			t.Errorf("outcomes diverged under schedule %x", program)
 		}
