@@ -713,7 +713,9 @@ func BenchmarkAnalyzeSkewed(b *testing.B) {
 // steady-state shape of cmd/refill-serve: per-node fragments appended in
 // rounds, a watermark advance finalizing each retired window, and a final
 // drain. Windows run serially (Parallelism 1) so allocs/op is deterministic
-// and benchguard can pin it; fragment slicing happens outside the timer.
+// and benchguard can pin it. Fragments are spans of each node's columns fed
+// through AppendRows, as the service feeds a decoded body; the schedule is
+// built outside the timer.
 func BenchmarkSessionIngest(b *testing.B) { benchSession(b, false) }
 
 // BenchmarkSessionSnapshot is BenchmarkSessionIngest with one live Snapshot
@@ -736,16 +738,19 @@ func benchSession(b *testing.B, snapshots bool) {
 	}
 	nodes := logs.Nodes()
 	const rounds = 8
+	// A fragment is a span of its node's columns, appended in place as
+	// refill-serve appends a decoded body.
 	type frag struct {
-		node NodeID
-		evs  []Event
+		node   NodeID
+		rows   *Batch
+		lo, hi int
 	}
 	var schedule [rounds][]frag
 	for _, n := range nodes {
-		evs := logs.Log(n).Events()
+		rows := logs.Log(n).Batch()
 		for r := 0; r < rounds; r++ {
-			lo, hi := len(evs)*r/rounds, len(evs)*(r+1)/rounds
-			schedule[r] = append(schedule[r], frag{node: n, evs: evs[lo:hi]})
+			lo, hi := rows.Len()*r/rounds, rows.Len()*(r+1)/rounds
+			schedule[r] = append(schedule[r], frag{node: n, rows: rows, lo: lo, hi: hi})
 		}
 	}
 	events := logs.TotalEvents()
@@ -761,7 +766,7 @@ func benchSession(b *testing.B, snapshots bool) {
 		}
 		for r := 0; r < rounds; r++ {
 			for _, f := range schedule[r] {
-				if err := sess.Append(f.node, f.evs); err != nil {
+				if err := sess.AppendRows(f.node, f.rows, f.lo, f.hi); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,7 +18,12 @@
 //	                   ?through=T additionally punctuates every node in the
 //	                   body at T after its rows: the node promises nothing
 //	                   more below local time T, so its watermark reaches T
-//	                   even if its last row is older.
+//	                   even if its last row is older. The whole body is
+//	                   decoded before anything is appended, so a malformed
+//	                   one (400) changes nothing. A body over 64 MiB
+//	                   (maxAppendBody) is refused with 413, also before
+//	                   anything is appended. The reply is
+//	                   {"ingested":rows,"nodes":node logs in the body}.
 //	POST /v1/register  ?node=N — make node count toward the watermark
 //	                   before its first fragment. Register every log source
 //	                   up front, or early advances may finalize packets
@@ -49,6 +54,15 @@
 // always) and the drained report comes out byte-identical to a run that
 // never crashed. Checkpointing requires -retain-flows to be off.
 //
+// # Steady-state allocation
+//
+// An append allocates only what the session keeps plus the decoded body:
+// binary bodies are read through a pooled 64 KiB reader, and each node log
+// of the decoded body is appended straight from its columns
+// (Session.AppendRows). Without -retain-flows an advance builds each
+// finalized flow into one small arena per engine worker, recycled as soon as
+// the flow is classified, so no window commits flows only to drop them.
+//
 // # Transport
 //
 // With -tls-cert/-tls-key the listener speaks HTTP/2 (negotiated via TLS
@@ -58,6 +72,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,6 +84,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -226,28 +242,28 @@ func newHandler(sess *refill.Session, ckptPath string) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		readLogs := refill.ReadLogs
-		if r.Header.Get("Content-Type") == "application/octet-stream" {
-			readLogs = refill.ReadLogsBinary
-		}
-		logs, err := readLogs(r.Body)
+		logs, err := readAppendBody(w, r)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			code := http.StatusBadRequest
+			if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, err)
 			return
 		}
-		ingested := 0
-		for _, n := range logs.Nodes() {
-			evs := logs.Log(n).Events()
-			if err := sess.Append(n, evs); err != nil {
+		ingested, nodes := 0, logs.Nodes()
+		for _, n := range nodes {
+			b := logs.Log(n).Batch()
+			if err := sess.AppendRows(n, b, 0, b.Len()); err != nil {
 				httpError(w, http.StatusConflict, err)
 				return
 			}
 			if through != math.MinInt64 {
 				sess.Punctuate(n, through)
 			}
-			ingested += len(evs)
+			ingested += b.Len()
 		}
-		writeJSON(w, map[string]int{"ingested": ingested, "nodes": len(logs.Nodes())})
+		writeJSON(w, map[string]int{"ingested": ingested, "nodes": len(nodes)})
 	})
 	mux.HandleFunc("POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
 		n, err := refill.ParseNode(r.URL.Query().Get("node"))
@@ -297,6 +313,34 @@ func newHandler(sess *refill.Session, ckptPath string) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// maxAppendBody caps one POST /v1/append body at 64 MiB, about 2.3 million
+// binary rows: far above any fragment a retriever pushes (the benchmark's
+// replay sends about 6.4 KB), small enough that a hostile or runaway client
+// cannot make the daemon decode without bound.
+const maxAppendBody = 64 << 20
+
+// bodyReaders recycles the read buffers of binary append bodies. The binary
+// decoder reads through a 64 KiB bufio.Reader, and bufio.NewReaderSize hands
+// back a reader that is already one unchanged, so a pooled reader per
+// request in flight replaces a fresh 64 KiB buffer per request.
+var bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// readAppendBody decodes an append body, text or binary by Content-Type,
+// through a reader capped at maxAppendBody: past the cap the decode fails
+// with an error wrapping *http.MaxBytesError.
+func readAppendBody(w http.ResponseWriter, r *http.Request) (*refill.Collection, error) {
+	body := http.MaxBytesReader(w, r.Body, maxAppendBody)
+	if r.Header.Get("Content-Type") != "application/octet-stream" {
+		return refill.ReadLogs(body)
+	}
+	br := bodyReaders.Get().(*bufio.Reader)
+	br.Reset(body)
+	logs, err := refill.ReadLogsBinary(br)
+	br.Reset(nil) // hold no reference to the finished request
+	bodyReaders.Put(br)
+	return logs, err
 }
 
 // throughParam reads the optional ?through=T punctuation. Without one it

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -438,4 +439,241 @@ func TestServeThroughPunctuates(t *testing.T) {
 	if st := sess.Stats(); st.Watermark != 100 || st.PendingRows != 0 {
 		t.Errorf("stats %+v after bad requests, want watermark 100 and nothing pending", st)
 	}
+}
+
+// appendTarget is a fresh session mounted on the service handler, for tests
+// that call the handler in process through a ResponseRecorder.
+type appendTarget struct {
+	sess *refill.Session
+	h    http.Handler
+}
+
+func newAppendTarget(t testing.TB) appendTarget {
+	t.Helper()
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Parallelism: 1}, refill.WithSink(1), refill.WithWindow(0, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := an.NewSession(refill.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return appendTarget{sess: sess, h: newHandler(sess, "")}
+}
+
+// post serves one POST on path and returns the status and the reply body.
+func (a appendTarget) post(path, contentType string, body io.Reader) (int, string) {
+	req := httptest.NewRequest(http.MethodPost, path, body)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	rec := httptest.NewRecorder()
+	a.h.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.String()
+}
+
+// fragmentOf builds a fragment of the given number of packets, their
+// origins taken in turn, each logged as a Gen, a Trans and the sink's Recv
+// (three rows), timed from t0.
+func fragmentOf(origins []refill.NodeID, packets int, t0 int64) *refill.Collection {
+	c := refill.NewCollection()
+	for i := 0; i < packets; i++ {
+		o := origins[i%len(origins)]
+		pkt := refill.PacketID{Origin: o, Seq: uint32(t0) + uint32(i)}
+		tick := t0 + int64(i)*3
+		c.Add(refill.Event{Node: o, Type: refill.Gen, Sender: o, Packet: pkt, Time: tick})
+		c.Add(refill.Event{Node: o, Type: refill.Trans, Sender: o, Receiver: 1, Packet: pkt, Time: tick + 1})
+		c.Add(refill.Event{Node: 1, Type: refill.Recv, Sender: o, Receiver: 1, Packet: pkt, Time: tick + 2, Info: "rssi=-71"})
+	}
+	return c
+}
+
+func encodeBinary(t testing.TB, c *refill.Collection) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := refill.WriteLogsBinary(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func encodeText(t testing.TB, c *refill.Collection) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := refill.WriteLogs(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+const binaryType = "application/octet-stream"
+
+// TestServeAppendAllocations bounds what one binary append allocates: the
+// decoded body and what the session keeps, with the decoder's 64 KiB read
+// buffer coming from a pool. A fresh buffer per request alone would exceed
+// the bound.
+func TestServeAppendAllocations(t *testing.T) {
+	a := newAppendTarget(t)
+	body := encodeBinary(t, fragmentOf([]refill.NodeID{2, 3, 4}, 70, 0)) // ~6.4 KB, the size a retriever pushes
+	post := func() {
+		if code, reply := a.post("/v1/append", binaryType, bytes.NewReader(body)); code != http.StatusOK {
+			t.Fatalf("append: %d %s", code, reply)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		post()
+	}
+	const requests = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	// The decoded body and the rows the pending store keeps come to about
+	// 48 KB; a fresh read buffer per request would add 64 KiB to that.
+	const bound = 64 << 10
+	if per := (after.TotalAlloc - before.TotalAlloc) / requests; per > bound {
+		t.Errorf("a %d-byte binary append allocates %d bytes, want at most %d", len(body), per, bound)
+	}
+}
+
+// TestServeAppendTruncatedAfterLong: a truncated binary body served right
+// after a valid one longer than the read buffer is a 400 and changes nothing
+// in the session, so a recycled reader carries nothing of the body before.
+func TestServeAppendTruncatedAfterLong(t *testing.T) {
+	a := newAppendTarget(t)
+	long := encodeBinary(t, fragmentOf([]refill.NodeID{2, 3}, 2000, 0))
+	if len(long) <= 64<<10 {
+		t.Fatalf("long body is %d bytes; it must overrun the 64 KiB read buffer", len(long))
+	}
+	if code, reply := a.post("/v1/append", binaryType, bytes.NewReader(long)); code != http.StatusOK || reply != "{\"ingested\":6000,\"nodes\":3}\n" {
+		t.Fatalf("long append: %d %s", code, reply)
+	}
+	before := a.sess.Stats()
+	short := encodeBinary(t, fragmentOf([]refill.NodeID{5}, 10, 10000))
+	for _, cut := range []int{3, 5 + 6, len(short) - 4} { // header, node header, last record
+		if code, reply := a.post("/v1/append", binaryType, bytes.NewReader(short[:cut])); code != http.StatusBadRequest {
+			t.Errorf("body cut at %d of %d bytes: %d %s, want 400", cut, len(short), code, reply)
+		}
+		if st := a.sess.Stats(); st != before {
+			t.Errorf("body cut at %d: stats %+v, want %+v", cut, st, before)
+		}
+	}
+}
+
+// TestServeAppendReplies pins the append reply bytes for both codecs, and
+// that a node whose binary header announces zero rows still counts in
+// "nodes" and is still punctuated by ?through=.
+func TestServeAppendReplies(t *testing.T) {
+	a := newAppendTarget(t)
+	frag := fragmentOf([]refill.NodeID{2}, 2, 0)
+	const want = "{\"ingested\":6,\"nodes\":2}\n"
+	if code, reply := a.post("/v1/append", "text/plain", bytes.NewReader(encodeText(t, frag))); code != http.StatusOK || reply != want {
+		t.Errorf("text append: %d %q, want 200 %q", code, reply, want)
+	}
+	if code, reply := a.post("/v1/append", binaryType, bytes.NewReader(encodeBinary(t, frag))); code != http.StatusOK || reply != want {
+		t.Errorf("binary append: %d %q, want 200 %q", code, reply, want)
+	}
+
+	b := newAppendTarget(t)
+	empty := []byte("RFBL\x01\x07\x00\x00\x00\x00\x00\x00\x00") // node 7, zero rows
+	if code, reply := b.post("/v1/append?through=100", binaryType, bytes.NewReader(empty)); code != http.StatusOK || reply != "{\"ingested\":0,\"nodes\":1}\n" {
+		t.Errorf("zero-row append: %d %q", code, reply)
+	}
+	if st := b.sess.Stats(); st.Nodes != 1 || st.Ingested != 0 {
+		t.Errorf("stats after a zero-row append: %+v, want one node and nothing ingested", st)
+	}
+	if code, reply := b.post("/v1/advance?watermark=1000", "", nil); code != http.StatusOK || reply != "{\"finalized\":0,\"watermark\":100}\n" {
+		t.Errorf("advance past a zero-row node punctuated at 100: %d %q", code, reply)
+	}
+}
+
+// repeatReader yields n bytes of unit, repeated.
+type repeatReader struct {
+	unit []byte
+	off  int
+	n    int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), r.n)]
+	for n := 0; n < len(p); {
+		k := copy(p[n:], r.unit[r.off:])
+		n += k
+		r.off = (r.off + k) % len(r.unit)
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestServeAppendBodyCap: a body of exactly maxAppendBody bytes is appended,
+// and one byte more is a 413 in either codec that leaves the session as it
+// was. The bodies open with a valid row and are padded with what decodes to
+// nothing — comment lines, zero-row node headers — so only the cap can
+// refuse them.
+func TestServeAppendBodyCap(t *testing.T) {
+	row := encodeText(t, fragmentOf([]refill.NodeID{2}, 1, 0))
+	comment := []byte("#" + strings.Repeat("x", 62) + "\n")
+	binRow := encodeBinary(t, fragmentOf([]refill.NodeID{2}, 1, 0))
+	zeroNode := []byte("\x02\x00\x00\x00\x00\x00\x00\x00")
+	cases := []struct {
+		name, contentType string
+		size              int64
+		code              int
+		prefix, pad       []byte
+	}{
+		{"text-at-cap", "text/plain", maxAppendBody, http.StatusOK, row, comment},
+		{"text-over-cap", "text/plain", maxAppendBody + 1, http.StatusRequestEntityTooLarge, row, comment},
+		{"binary-over-cap", binaryType, maxAppendBody + 1, http.StatusRequestEntityTooLarge, binRow, zeroNode},
+	}
+	for _, c := range cases {
+		a := newAppendTarget(t)
+		before := a.sess.Stats()
+		body := io.MultiReader(bytes.NewReader(c.prefix), &repeatReader{unit: c.pad, n: c.size - int64(len(c.prefix))})
+		code, reply := a.post("/v1/append", c.contentType, body)
+		if code != c.code {
+			t.Errorf("%s: %d %s, want %d", c.name, code, reply, c.code)
+		}
+		if st := a.sess.Stats(); c.code != http.StatusOK && st != before {
+			t.Errorf("%s: stats %+v after a refused body, want %+v", c.name, st, before)
+		}
+	}
+}
+
+// FuzzServeAppend posts arbitrary bodies in either codec. The handler must
+// never panic; a 2xx reply must report exactly the rows the session took in,
+// and any other reply must leave the session as it was.
+func FuzzServeAppend(f *testing.F) {
+	valid := encodeBinary(f, fragmentOf([]refill.NodeID{2, 3}, 4, 0))
+	f.Add(valid, true)
+	f.Add(valid[:len(valid)-3], true)
+	f.Add([]byte("RFBX\x01\x02\x00\x00\x00\x01\x00\x00\x00"), true)
+	f.Add(encodeText(f, fragmentOf([]refill.NodeID{2}, 1, 0)), false)
+	f.Fuzz(func(t *testing.T, body []byte, binary bool) {
+		a := newAppendTarget(t)
+		ct := "text/plain"
+		if binary {
+			ct = binaryType
+		}
+		before := a.sess.Stats()
+		code, reply := a.post("/v1/append", ct, bytes.NewReader(body))
+		after := a.sess.Stats()
+		if code/100 != 2 {
+			if after != before {
+				t.Fatalf("%d reply changed the session: %+v -> %+v", code, before, after)
+			}
+			return
+		}
+		var got struct{ Ingested, Nodes int }
+		if err := json.Unmarshal([]byte(reply), &got); err != nil {
+			t.Fatalf("%d reply %q: %v", code, reply, err)
+		}
+		if after.Ingested-before.Ingested != got.Ingested {
+			t.Fatalf("reply says %d ingested, the session took %d", got.Ingested, after.Ingested-before.Ingested)
+		}
+	})
 }

@@ -273,16 +273,14 @@ type SnapshotOptions struct {
 	SessionConfig
 }
 
-// feedRows caps the rows staged for one Append.
-const feedRows = 1024
-
 // scanSpread derives the horizon of a snapshot that records no trusted
 // spread. It is a variable so that a test can see the fallback run.
 var scanSpread = event.MaxPacketSpread
 
 // AnalyzeSnapshot runs the full pipeline over an open snapshot out of core,
 // as a source feeding one ingest session: for each residency window
-// (event.PlanWindows) it appends every node's rows of the window, punctuates
+// (event.PlanWindows) it appends every node's rows of the window straight
+// from the mapped columns (Session.AppendRows, one call per node), punctuates
 // every node at the window's cut — each unfed row lies strictly above it —
 // and advances the session to the cut; then it drains. Each window is
 // prefetched while the previous one computes and released once fed, so the
@@ -317,19 +315,12 @@ func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *
 		panic(err) // unreachable: the analyzer has a sink and the horizon is not negative
 	}
 	// A fresh session fails Append and Advance only after Drain.
-	buf := make([]event.Event, 0, feedRows)
 	last := plan.Windows() - 1
 	for k := 0; k <= last; k++ {
 		snap.PrefetchWindow(plan, k+1)
 		for i, n := range plan.Nodes() {
-			l := c.Logs[n]
-			for lo, hi := plan.Span(k, i); lo < hi; lo += len(buf) {
-				buf = buf[:0]
-				for r := lo; r < hi && len(buf) < feedRows; r++ {
-					buf = append(buf, l.At(r))
-				}
-				_ = sess.Append(n, buf)
-			}
+			lo, hi := plan.Span(k, i)
+			_ = sess.AppendRows(n, c.Logs[n].Batch(), lo, hi)
 		}
 		if k < last { // the last cut is math.MaxInt64: Drain retires it
 			for _, n := range plan.Nodes() {

@@ -44,15 +44,15 @@ type Parts struct {
 // Fold merges one window's parts into the running accumulation p, whose
 // Aggregate must be non-nil. Both sides are in packet-ID order — a window's
 // views come out of Partition sorted, and every earlier Fold kept p sorted.
-// Flows are kept only when keepFlows is set — diagnosis-only consumers never
-// read them, and for long sessions and larger-than-memory snapshots they are
-// the dominant retained cost. Flows and outcomes carry the same packet keys,
-// so merging each by its key moves them alike and they stay co-indexed.
-func (p *Parts) Fold(w Parts, keepFlows bool) {
+// Fold merges whatever flows the window carries: whether a window keeps its
+// flows is decided once, by the driver run that produced it
+// (AnalyzeWindowDiagnosed's keepFlows), and a window run without them
+// carries none, so p.Flows stays nil. Flows and outcomes carry the same
+// packet keys, so merging each by its key moves them alike and, as long as
+// every window keeps flows or none does, they stay co-indexed.
+func (p *Parts) Fold(w Parts) {
 	p.Outcomes = mergeSorted(p.Outcomes, w.Outcomes, func(a, b diagnosis.Outcome) bool { return a.Packet.Less(b.Packet) })
-	if keepFlows {
-		p.Flows = mergeSorted(p.Flows, w.Flows, func(a, b *flow.Flow) bool { return a.Packet.Less(b.Packet) })
-	}
+	p.Flows = mergeSorted(p.Flows, w.Flows, func(a, b *flow.Flow) bool { return a.Packet.Less(b.Packet) })
 	p.Aggregate.Merge(w.Aggregate)
 }
 
@@ -78,27 +78,32 @@ func mergeSorted[T any](dst, src []T, less func(a, b T) bool) []T {
 	return dst
 }
 
-// fusion is the diagnosis half of a driver run. When diagnose is set every
-// worker classifies each flow the moment it commits it — while the flow's
-// items and visits are still hot in that worker's cache — against the shared
-// read-only outage schedule, and folds the outcome into its own aggregate;
-// the zero fusion reconstructs flows only.
+// fusion is what a driver run keeps besides walking. When diagnose is set
+// every worker classifies each flow the moment it commits it — while the
+// flow's items and visits are still hot in that worker's cache — against the
+// shared read-only outage schedule, and folds the outcome into its own
+// aggregate. keepFlows keeps every flow for the caller; without it, which
+// only makes sense under diagnose, each flow lives only until it is
+// classified.
 type fusion struct {
-	diagnose bool
-	cfg      diagnosis.Config
-	sched    diagnosis.OutageSchedule
+	diagnose  bool
+	keepFlows bool
+	cfg       diagnosis.Config
+	sched     diagnosis.OutageSchedule
 }
 
 // work is the one worker body: pull view ranges from next until the batch
 // drains, and for each view reconstruct the flow, classify it and fold the
 // outcome — the only place any of that happens. Flows and outcomes land in
-// the view's own slot. The worker owns its scratch for the duration of the
-// run and nothing of it crosses to another worker: its run (recycled through
-// the engine's pool, so a serial caller analyzing many small windows does
-// not allocate one per call), its output arena (its flows stay on memory it
-// touched), and under fusion its classifier scratch and its aggregate, which
-// leaves only as the return value — nil without fusion — for drive's
-// merge at the join.
+// the view's own slot; flows is nil when nobody keeps them, and then the
+// arena is Reset as soon as each flow is classified, so the worker recycles
+// one flow's worth of chunks through the whole run. The worker owns its
+// scratch for the duration of the run and nothing of it crosses to another
+// worker: its run (recycled through the engine's pool, so a serial caller
+// analyzing many small windows does not allocate one per call), its output
+// arena (its flows stay on memory it touched), and under fusion its
+// classifier scratch and its aggregate, which leaves only as the return
+// value — nil without fusion — for drive's merge at the join.
 func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) *diagnosis.Aggregate {
 	r := e.runPool.Get().(*run)
 	arena := flow.NewArena(sizing)
@@ -111,10 +116,14 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 		for i := lo; i < hi; i++ {
 			f := r.analyze(e, views[i], arena)
-			flows[i] = f
 			if fu.diagnose {
 				outs[i] = diagnosis.ApplyOutages(cl.Classify(f), fu.sched, fu.cfg.Sink)
 				agg.Add(outs[i])
+			}
+			if fu.keepFlows {
+				flows[i] = f
+			} else {
+				arena.Reset()
 			}
 		}
 	}
@@ -131,21 +140,22 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 // scheduling there is, and a hot origin spreads because nothing keeps its
 // views together. The serial branch keeps its own next: sharing one closure
 // with the goroutines would move it to the heap, an allocation per call.
+//
+// Without fu.keepFlows there is no flows slice and no arena sized from the
+// views: each worker starts from the default chunks and keeps only the
+// largest flow's worth.
 func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, len(views)))
-	flows := make([]*flow.Flow, len(views))
-	// outs is assigned exactly once so the worker goroutines capture it by
-	// value; declared empty and filled in under the if, it would move to the
-	// heap on the serial path too — an allocation per call.
-	nouts := 0
-	if fu.diagnose {
-		nouts = len(views)
-	}
-	outs := make([]diagnosis.Outcome, nouts)
-	sizing := perWorker(e.flowSizing(views), workers)
+	// flows, outs and sizing are assigned exactly once so the worker
+	// goroutines capture them by value; declared empty and filled in under an
+	// if, they would move to the heap on the serial path too — an allocation
+	// per call.
+	flows := slots[*flow.Flow](len(views), fu.keepFlows)
+	outs := slots[diagnosis.Outcome](len(views), fu.diagnose)
+	sizing := e.workerSizing(views, workers, fu.keepFlows)
 	if workers == 1 {
 		pending := true
 		agg := e.work(views, flows, outs, fu, sizing, func() (int, int, bool) {
@@ -183,8 +193,24 @@ func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts 
 	return Parts{Flows: flows, Outcomes: outs, Aggregate: agg}
 }
 
-// perWorker scales an arena sizing down to one worker's expected share.
-func perWorker(s flow.Sizing, workers int) flow.Sizing {
+// slots returns n zero slots for a driver output column, or nil when the
+// run does not produce that column.
+func slots[T any](n int, want bool) []T {
+	if !want {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// workerSizing is one worker's arena sizing: the views' estimate scaled
+// down to one worker's expected share when flows are kept, and the arena's
+// defaults when each flow is recycled as soon as it is classified — then
+// nothing is read from the views.
+func (e *Engine) workerSizing(views []*event.PacketView, workers int, keepFlows bool) flow.Sizing {
+	if !keepFlows {
+		return flow.Sizing{}
+	}
+	s := e.flowSizing(views)
 	return flow.Sizing{
 		Flows:     s.Flows/workers + 1,
 		Items:     s.Items/workers + 1,
@@ -204,7 +230,7 @@ func (e *Engine) Analyze(c *event.Collection) *Result {
 // committing all of them into one shared output arena sized by the views' row
 // counts.
 func (e *Engine) AnalyzeViews(views []*event.PacketView) []*flow.Flow {
-	return e.drive(views, 1, fusion{}).Flows
+	return e.drive(views, 1, fusion{keepFlows: true}).Flows
 }
 
 // AnalyzePacket reconstructs the event flow for a single packet from its
@@ -226,7 +252,7 @@ func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
 func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config) (*Result, *diagnosis.Report) {
 	views, ops := event.Partition(c)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
-	p := e.drive(views, workers, fusion{diagnose: true, cfg: cfg, sched: sched})
+	p := e.drive(views, workers, fusion{diagnose: true, keepFlows: true, cfg: cfg, sched: sched})
 	return &Result{Operational: ops, Flows: p.Flows}, diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
 }
 
@@ -235,11 +261,14 @@ func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosi
 // session, which Folds many windows' Parts together and only assembles a
 // Report at snapshot or drain time. c must contain only packet-scoped rows
 // (the session keeps operational events to itself); sched is the outage
-// schedule the window's outcomes are
-// classified against. Per-packet work is identical to the batch entry
-// points', so folded windows reproduce AnalyzeDiagnosed byte for byte.
-// workers <= 0 selects GOMAXPROCS.
-func (e *Engine) AnalyzeWindowDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule) Parts {
+// schedule the window's outcomes are classified against. With keepFlows the
+// Parts carry every flow; without it they carry none (Flows is nil), and each
+// worker recycles one small arena, flow by flow, instead of committing the
+// window's flows only to drop them. Per-packet work is identical to the batch
+// entry points', so folded windows reproduce AnalyzeDiagnosed byte for byte,
+// outcomes and aggregate alike whether flows are kept or not. workers <= 0
+// selects GOMAXPROCS.
+func (e *Engine) AnalyzeWindowDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule, keepFlows bool) Parts {
 	views, _ := event.Partition(c)
-	return e.drive(views, workers, fusion{diagnose: true, cfg: cfg, sched: sched})
+	return e.drive(views, workers, fusion{diagnose: true, keepFlows: keepFlows, cfg: cfg, sched: sched})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -51,7 +52,10 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 		for _, keep := range []bool{true, false} {
 			acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0, 0, 0)}
 			for _, w := range windows {
-				acc.Fold(w, keep)
+				if !keep { // a window run without keepFlows carries none
+					w.Flows = nil
+				}
+				acc.Fold(w)
 			}
 			if len(all) == 0 && len(acc.Outcomes) == 0 {
 				continue
@@ -71,5 +75,59 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWindowDiscardsFlows pins the discard path, the service default: a
+// window run without keepFlows carries no flows, and its outcomes and
+// aggregate equal those of the run that keeps them, at every fan-out. One
+// packet's flow is larger than an arena's default items chunk, so the
+// recycled arena must refill for it and then carve every later flow from
+// that refill. A worker that recycled its arena before classifying, or kept
+// a flow it had recycled, would read another flow's items here.
+func TestWindowDiscardsFlows(t *testing.T) {
+	eng, err := New(Options{Sink: 900})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := buildManyOriginCampaign(30)
+	big := event.PacketID{Origin: 999, Seq: 1}
+	c.Add(event.Event{Node: 999, Type: event.Gen, Sender: 999, Packet: big, Time: 0})
+	for i := int64(1); i <= 200; i++ {
+		c.Add(event.Event{Node: 999, Type: event.Trans, Sender: 999, Receiver: 900, Packet: big, Time: 2 * i})
+		c.Add(event.Event{Node: 900, Type: event.Recv, Sender: 999, Receiver: 900, Packet: big, Time: 2*i + 1})
+	}
+	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
+	sched := diagnosis.OutagesFromOperational(nil, cfg.End)
+	ref := eng.AnalyzeWindowDiagnosed(c, 1, cfg, sched, true)
+	largest := 0
+	for _, f := range ref.Flows {
+		largest = max(largest, len(f.Items))
+	}
+	if largest <= 256 { // flow.NewArena's default items chunk
+		t.Fatalf("largest flow has %d items; the test needs one past the default chunk", largest)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		kept := eng.AnalyzeWindowDiagnosed(c, workers, cfg, sched, true)
+		dropped := eng.AnalyzeWindowDiagnosed(c, workers, cfg, sched, false)
+		if dropped.Flows != nil {
+			t.Fatalf("workers=%d: %d flows carried without keepFlows", workers, len(dropped.Flows))
+		}
+		if !reflect.DeepEqual(ref.Flows, kept.Flows) {
+			t.Errorf("workers=%d: kept flows diverged from serial", workers)
+		}
+		if !reflect.DeepEqual(kept.Outcomes, dropped.Outcomes) {
+			t.Errorf("workers=%d: outcomes without keepFlows diverged", workers)
+		}
+		// Worker aggregates merge in scheduling order; settled, they read
+		// the same whatever that order was.
+		kept.Aggregate.Settle()
+		dropped.Aggregate.Settle()
+		if !reflect.DeepEqual(kept.Aggregate, dropped.Aggregate) {
+			t.Errorf("workers=%d: aggregate without keepFlows diverged", workers)
+		}
+		label := fmt.Sprintf("workers=%d", workers)
+		sameDiagnosis(t, label, diagnosis.FromParts(cfg.Sink, sched, ref.Outcomes, ref.Aggregate),
+			diagnosis.FromParts(cfg.Sink, sched, dropped.Outcomes, dropped.Aggregate))
 	}
 }

@@ -110,7 +110,7 @@ func TestDriveCoversEveryViewOnce(t *testing.T) {
 	}
 	all, ops := event.Partition(buildManyOriginCampaign(46))
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
-	fu := fusion{diagnose: true, cfg: cfg, sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
+	fu := fusion{diagnose: true, keepFlows: true, cfg: cfg, sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
 		if n > len(all) {
 			t.Fatalf("campaign has %d views, need %d", len(all), n)
@@ -152,7 +152,7 @@ func TestDriverDegenerateInputs(t *testing.T) {
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
 	for name, c := range inputs {
 		views, ops := event.Partition(c)
-		fu := fusion{diagnose: true, cfg: cfg, sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
+		fu := fusion{diagnose: true, keepFlows: true, cfg: cfg, sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
 		serial := eng.Analyze(c)
 		ref := diagnosis.BuildConfig(serial.Flows, ops, cfg)
 		for _, workers := range []int{1, len(views) + 3} {

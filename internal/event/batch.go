@@ -242,7 +242,10 @@ func (b *Batch) Clone() Batch {
 }
 
 // Events materializes every row, in order, as a fresh []Event. It exists for
-// tests, tools and format shims — the analysis paths read columns directly.
+// tests, tools and format shims: the analysis paths read columns directly,
+// and so do the session's feeders — refill-serve appends a decoded body and
+// the snapshot source a mapped window with ingest.Session.AppendRows, which
+// reads the batch in place.
 func (b *Batch) Events() []Event {
 	out := make([]Event, b.Len())
 	for i := range out {

@@ -34,7 +34,8 @@ func (l *Log) At(i int) Event { return l.batch.At(i) }
 func (l *Log) Batch() *Batch { return &l.batch }
 
 // Events materializes the whole log as a fresh []Event (a copy — mutating it
-// does not affect the log). Analysis paths iterate At/Batch instead.
+// does not affect the log). Analysis and serving paths iterate At/Batch
+// instead.
 func (l *Log) Events() []Event { return l.batch.Events() }
 
 // Clone returns a deep copy of the log.

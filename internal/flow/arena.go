@@ -14,9 +14,15 @@ import "repro/internal/event"
 // every worker its own arena, which also keeps each worker's output on
 // memory that worker touched (the NUMA posture ROADMAP asks for).
 //
-// All methods tolerate a nil receiver, which degrades to plain exact-sized
-// heap allocation — the engine funnels both its arena-backed and its
-// standalone (AnalyzePacket) paths through the same Build call.
+// Build tolerates a nil receiver, which degrades to plain exact-sized heap
+// allocation — the engine funnels both its arena-backed and its standalone
+// (AnalyzePacket) paths through the same Build call.
+//
+// An arena either keeps what it carves, growing chunk by chunk for as long as
+// its flows are referenced, or is Reset after each use of a flow: a worker
+// whose flows nobody keeps classifies each one and then recycles the same
+// small chunks for the next, so a window of any size costs a few chunks per
+// worker instead of a chunked copy of every flow in it.
 //
 //refill:owned — one arena per worker; flows carved by one worker must not cross another
 type Arena struct {
@@ -55,6 +61,21 @@ func NewArena(s Sizing) *Arena {
 	return a
 }
 
+// Reset empties the arena for reuse. Each column keeps its current chunk —
+// after a flow larger than any before it, that is the refill sized for it —
+// zeroes what was carved from it and carves from its start again, so every
+// flow built since the last Reset is invalid afterwards: its struct and spans
+// are overwritten by the next Build. Call it only once nothing reads those
+// flows any more.
+//
+//refill:noalloc — the discard path's per-flow recycle
+func (a *Arena) Reset() {
+	a.flows.reset()
+	a.items.reset()
+	a.visits.reset()
+	a.anoms.reset()
+}
+
 //refill:inline
 func chunkHint(hint, def int) int {
 	if hint > def {
@@ -70,6 +91,14 @@ func chunkHint(hint, def int) int {
 type column[T any] struct {
 	chunk []T
 	next  int // capacity of the next chunk
+}
+
+// reset zeroes the carved part of the current chunk — carve promises zeroed
+// spans, and a stale Item would keep its Info string alive — and carves from
+// its start again. Earlier chunks were dropped as they filled.
+func (c *column[T]) reset() {
+	clear(c.chunk)
+	c.chunk = c.chunk[:0]
 }
 
 // carve returns a zeroed span of exactly n elements (cap clamped to n, so a

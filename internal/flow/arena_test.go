@@ -102,6 +102,45 @@ func TestArenaChunkGrowth(t *testing.T) {
 	}
 }
 
+// TestArenaResetRecycles pins the discard path's arena: after Reset the next
+// Build lands on the same memory, a flow larger than the default chunk gets
+// a chunk of its own that later builds reuse, and a recycled slot reads
+// exactly like a fresh one — an empty flow built over a full one still has
+// nil slices and zero counters — with nothing allocated once warm.
+func TestArenaResetRecycles(t *testing.T) {
+	a := NewArena(Sizing{})
+	items := []Item{arenaItem(1, false), arenaItem(1, true)}
+	visits := []Visit{{Node: 1, State: "Sent"}}
+	anoms := []Anomaly{{Event: items[0].Event, Reason: "test"}}
+	pkt := event.PacketID{Origin: 1, Seq: 1}
+	first := a.Build(pkt, items, visits, anoms, 1)
+	a.Reset()
+	empty := a.Build(pkt, nil, nil, nil, 0)
+	if empty != first {
+		t.Fatal("Build after Reset did not reuse the arena's first flow slot")
+	}
+	if want := (*Arena)(nil).Build(pkt, nil, nil, nil, 0); !reflect.DeepEqual(empty, want) {
+		t.Errorf("empty flow over a recycled slot = %+v, want %+v", empty, want)
+	}
+	a.Reset()
+
+	big := make([]Item, 1000) // the default items chunk is 256
+	for j := range big {
+		big[j] = arenaItem(7, j%3 == 0)
+	}
+	f := a.Build(pkt, big, visits, nil, 334)
+	if want := (*Arena)(nil).Build(pkt, big, visits, nil, 334); !reflect.DeepEqual(f, want) {
+		t.Fatal("oversized flow differs from its standalone build")
+	}
+	a.Reset()
+	if allocs := testing.AllocsPerRun(20, func() {
+		a.Build(pkt, big, visits, anoms, 334)
+		a.Reset()
+	}); allocs != 0 {
+		t.Errorf("warm build+reset allocates %v times, want 0", allocs)
+	}
+}
+
 // TestInferredCountHealsDirectMutation covers flows assembled without Append:
 // the counter is rebuilt the first time the cached length disagrees.
 func TestInferredCountHealsDirectMutation(t *testing.T) {

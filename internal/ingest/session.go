@@ -76,9 +76,10 @@ type Config struct {
 	// nothing is finalized before Drain.
 	Horizon int64
 	// RetainFlows keeps every finalized flow for Drain's Result. Off (the
-	// service default) the session discards flows after classification and
-	// Drain's Result carries none — the memory bound then covers flows
-	// too, not just pending rows.
+	// service default) no window keeps its flows: each engine worker builds
+	// every flow into one small recycled arena and drops it once classified,
+	// and Drain's Result carries none — the memory bound then covers flows
+	// too, not just pending rows, and a window allocates nothing for them.
 	RetainFlows bool
 }
 
@@ -174,24 +175,50 @@ func NewSession(cfg Config) (*Session, error) {
 	}, nil
 }
 
-// Append feeds node's next log fragment. Events are stamped with node (like
-// Log.Append) and must continue the node's log: local timestamps
-// nondecreasing across the node's fragments. Packet rows are buffered in the
-// pending store; operational events are kept session-level. The node's
-// watermark advances to the fragment's highest timestamp, observed once per
-// fragment.
+// Append feeds node's next log fragment, given as events. Events are stamped
+// with node (like Log.Append) and must continue the node's log: local
+// timestamps nondecreasing across the node's fragments. Packet rows are
+// buffered in the pending store; operational events are kept session-level.
+// The node's watermark advances to the fragment's highest timestamp,
+// observed once per fragment. A fragment that is already columnar — a
+// decoded request body, a mapped snapshot — goes through AppendRows instead,
+// without being copied out into a []Event first.
 func (s *Session) Append(node event.NodeID, events []event.Event) error {
+	return appendFragment(s, node, eventRows(events), 0, len(events))
+}
+
+// AppendRows is Append for the fragment held in rows [lo, hi) of b, read
+// straight from its columns: refill-serve appends each node log of a decoded
+// body this way, and the snapshot source each node's span of a mapped
+// window. b is only read, so it may be read-only, and the session keeps no
+// reference to it. The range must lie within b.
+func (s *Session) AppendRows(node event.NodeID, b *event.Batch, lo, hi int) error {
+	return appendFragment(s, node, b, lo, hi)
+}
+
+// rowSource is a fragment's storage: a []Event or an event.Batch.
+type rowSource interface{ At(i int) event.Event }
+
+// eventRows is a []Event read as a rowSource.
+type eventRows []event.Event
+
+func (r eventRows) At(i int) event.Event { return r[i] }
+
+// appendFragment is the one locked body behind Append and AppendRows: it
+// appends rows [lo, hi) of src as node's next fragment.
+func appendFragment[R rowSource](s *Session, node event.NodeID, src R, lo, hi int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drained {
 		return ErrDrained
 	}
-	if len(events) == 0 {
+	if lo >= hi {
 		return nil
 	}
 	high := int64(math.MinInt64)
-	s.store.Reserve(node, len(events))
-	for _, e := range events {
+	s.store.Reserve(node, hi-lo)
+	for i := lo; i < hi; i++ {
+		e := src.At(i)
 		e.Node = node
 		if e.Type.PacketScoped() {
 			s.store.Append(node, e)
@@ -201,7 +228,7 @@ func (s *Session) Append(node event.NodeID, events []event.Event) error {
 		high = max(high, e.Time)
 	}
 	s.wm.Observe(node, high)
-	s.ingested += len(events)
+	s.ingested += hi - lo
 	return nil
 }
 
@@ -272,7 +299,7 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 		return 0
 	}
 	_, sched := s.scheduleLocked(ew, final)
-	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(s.window, s.cfg.Workers, s.cfg.Diagnosis, sched), s.cfg.RetainFlows)
+	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(s.window, s.cfg.Workers, s.cfg.Diagnosis, sched, s.cfg.RetainFlows))
 	s.finalized += n
 	return n
 }

@@ -111,6 +111,9 @@ type (
 	Log = event.Log
 	// Collection is the set of per-node logs REFILL analyzes.
 	Collection = event.Collection
+	// Batch is a log's columnar storage (Log.Batch); Session.AppendRows
+	// appends a span of one without copying it out into Events.
+	Batch = event.Batch
 )
 
 // Event types (Table I plus the generation, timeout and last-mile events the

@@ -142,10 +142,11 @@ func fragmentLogs(logs *Collection, chunk int) map[NodeID][][]Event {
 
 // sessionFor opens a session on an analyzer configured like the batch
 // reference, with every campaign node registered so aggressive watermark
-// advances cannot finalize packets whose rows are still unseen.
-func sessionFor(t *testing.T, an *Analyzer, logs *Collection, horizon int64) *Session {
+// advances cannot finalize packets whose rows are still unseen. retain sets
+// RetainFlows.
+func sessionFor(t *testing.T, an *Analyzer, logs *Collection, horizon int64, retain bool) *Session {
 	t.Helper()
-	sess, err := an.NewSession(SessionConfig{Horizon: horizon, RetainFlows: true})
+	sess, err := an.NewSession(SessionConfig{Horizon: horizon, RetainFlows: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +154,28 @@ func sessionFor(t *testing.T, an *Analyzer, logs *Collection, horizon int64) *Se
 		sess.Register(n)
 	}
 	return sess
+}
+
+// bothRetentions runs a schedule once with RetainFlows on and once with it
+// off, the service default, where no window keeps its flows.
+func bothRetentions(t *testing.T, run func(t *testing.T, retain bool)) {
+	t.Run("retain-flows", func(t *testing.T) { run(t, true) })
+	t.Run("discard-flows", func(t *testing.T) { run(t, false) })
+}
+
+// checkDrainedFlows requires a drained Result to carry exactly the batch
+// flows under RetainFlows and none without it.
+func checkDrainedFlows(t *testing.T, want, got []*Flow, retain bool) {
+	t.Helper()
+	if !retain {
+		if got != nil {
+			t.Errorf("%d flows drained without RetainFlows", len(got))
+		}
+		return
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("Flows diverged from batch Analyze")
+	}
 }
 
 func TestSessionEquivalence(t *testing.T) {
@@ -172,111 +195,115 @@ func TestSessionEquivalence(t *testing.T) {
 		t.Fatal("degenerate campaign: sessions need losses and outages to prove anything")
 	}
 
-	check := func(t *testing.T, sess *Session) {
+	check := func(t *testing.T, sess *Session, retain bool) {
 		t.Helper()
 		res, rep := sess.Drain()
 		if !reflect.DeepEqual(want.Result.Operational, res.Operational) {
 			t.Error("Operational diverged from batch Analyze")
 		}
-		if !reflect.DeepEqual(want.Result.Flows, res.Flows) {
-			t.Error("Flows diverged from batch Analyze")
-		}
+		checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
 		checkSameReport(t, want.Report, rep, dayLen, days)
 	}
 
 	t.Run("in-order", func(t *testing.T) {
-		// Each node's log arrives in a few in-order rounds; the watermark
-		// chases the campaign end after every round.
-		sess := sessionFor(t, an, logs, horizon)
-		var live liveReads
-		const rounds = 5
-		nodes := logs.Nodes()
-		for r := 0; r < rounds; r++ {
-			for _, n := range nodes {
-				evs := logs.Log(n).Events()
-				lo, hi := len(evs)*r/rounds, len(evs)*(r+1)/rounds
-				if err := sess.Append(n, evs[lo:hi]); err != nil {
+		bothRetentions(t, func(t *testing.T, retain bool) {
+			// Each node's log arrives in a few in-order rounds; the watermark
+			// chases the campaign end after every round.
+			sess := sessionFor(t, an, logs, horizon, retain)
+			var live liveReads
+			const rounds = 5
+			nodes := logs.Nodes()
+			for r := 0; r < rounds; r++ {
+				for _, n := range nodes {
+					evs := logs.Log(n).Events()
+					lo, hi := len(evs)*r/rounds, len(evs)*(r+1)/rounds
+					if err := sess.Append(n, evs[lo:hi]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := sess.Advance(end); err != nil {
 					t.Fatal(err)
 				}
+				live.check(t, sess)
 			}
-			if _, err := sess.Advance(end); err != nil {
-				t.Fatal(err)
+			if sess.Stats().FinalizedPackets == 0 {
+				t.Error("no packet finalized before drain; schedule never exercised retirement")
 			}
-			live.check(t, sess)
-		}
-		if sess.Stats().FinalizedPackets == 0 {
-			t.Error("no packet finalized before drain; schedule never exercised retirement")
-		}
-		check(t, sess)
-		live.unchanged(t)
+			check(t, sess, retain)
+			live.unchanged(t)
+		})
 	})
 
 	t.Run("shuffled", func(t *testing.T) {
-		// Fragments drain from per-node queues in a seeded random global
-		// interleave (per-node order intact — that is the log contract),
-		// with random watermark advances mixed in.
-		sess := sessionFor(t, an, logs, horizon)
-		var live liveReads
-		frags := fragmentLogs(logs, 2048)
-		var order []NodeID
-		//refill:allow maprange — queue keys; the shuffle below randomizes deliberately
-		for n, q := range frags {
-			for range q {
-				order = append(order, n)
+		bothRetentions(t, func(t *testing.T, retain bool) {
+			// Fragments drain from per-node queues in a seeded random global
+			// interleave (per-node order intact — that is the log contract),
+			// with random watermark advances mixed in.
+			sess := sessionFor(t, an, logs, horizon, retain)
+			var live liveReads
+			frags := fragmentLogs(logs, 2048)
+			var order []NodeID
+			//refill:allow maprange — queue keys; the shuffle below randomizes deliberately
+			for n, q := range frags {
+				for range q {
+					order = append(order, n)
+				}
 			}
-		}
-		rng := rand.New(rand.NewSource(42))
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		next := make(map[NodeID]int)
-		for i, n := range order {
-			if err := sess.Append(n, frags[n][next[n]]); err != nil {
-				t.Fatal(err)
-			}
-			next[n]++
-			if i%7 == 0 {
-				if _, err := sess.Advance(rng.Int63n(2 * end)); err != nil {
+			rng := rand.New(rand.NewSource(42))
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			next := make(map[NodeID]int)
+			for i, n := range order {
+				if err := sess.Append(n, frags[n][next[n]]); err != nil {
 					t.Fatal(err)
 				}
-				live.check(t, sess)
+				next[n]++
+				if i%7 == 0 {
+					if _, err := sess.Advance(rng.Int63n(2 * end)); err != nil {
+						t.Fatal(err)
+					}
+					live.check(t, sess)
+				}
 			}
-		}
-		check(t, sess)
-		live.unchanged(t)
+			check(t, sess, retain)
+			live.unchanged(t)
+		})
 	})
 
 	t.Run("adversarial", func(t *testing.T) {
-		// Tiny fragments, nodes in descending order, and a maximal advance
-		// after every single append — the watermark machinery gets no slack
-		// anywhere. Snapshots are interleaved to prove reads never disturb
-		// the accumulating state.
-		sess := sessionFor(t, an, logs, horizon)
-		var live liveReads
-		frags := fragmentLogs(logs, 601)
-		nodes := logs.Nodes()
-		for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-			nodes[i], nodes[j] = nodes[j], nodes[i]
-		}
-		for round, appended := 0, true; appended; round++ {
-			appended = false
-			for _, n := range nodes {
-				if round >= len(frags[n]) {
-					continue
-				}
-				appended = true
-				if err := sess.Append(n, frags[n][round]); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sess.Advance(end + 1); err != nil {
-					t.Fatal(err)
-				}
-				live.check(t, sess)
+		bothRetentions(t, func(t *testing.T, retain bool) {
+			// Tiny fragments, nodes in descending order, and a maximal advance
+			// after every single append — the watermark machinery gets no slack
+			// anywhere. Snapshots are interleaved to prove reads never disturb
+			// the accumulating state.
+			sess := sessionFor(t, an, logs, horizon, retain)
+			var live liveReads
+			frags := fragmentLogs(logs, 601)
+			nodes := logs.Nodes()
+			for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
+				nodes[i], nodes[j] = nodes[j], nodes[i]
 			}
-			if rep := sess.Snapshot(); rep.Total() != sess.Stats().FinalizedPackets {
-				t.Fatal("snapshot total disagrees with finalized count")
+			for round, appended := 0, true; appended; round++ {
+				appended = false
+				for _, n := range nodes {
+					if round >= len(frags[n]) {
+						continue
+					}
+					appended = true
+					if err := sess.Append(n, frags[n][round]); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sess.Advance(end + 1); err != nil {
+						t.Fatal(err)
+					}
+					live.check(t, sess)
+				}
+				if rep := sess.Snapshot(); rep.Total() != sess.Stats().FinalizedPackets {
+					t.Fatal("snapshot total disagrees with finalized count")
+				}
 			}
-		}
-		check(t, sess)
-		live.unchanged(t)
+			check(t, sess, retain)
+			live.unchanged(t)
+		})
 	})
 }
 
@@ -292,37 +319,40 @@ func TestSessionSnapshotConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := an.Analyze(logs)
-	sess := sessionFor(t, an, logs, horizon)
-	nodes := logs.Nodes()
-	const rounds = 4
-	for r := 0; r < rounds; r++ {
-		for _, n := range nodes {
-			evs := logs.Log(n).Events()
-			lo, hi := len(evs)*r/rounds, len(evs)*(r+1)/rounds
-			if err := sess.Append(n, evs[lo:hi]); err != nil {
+	bothRetentions(t, func(t *testing.T, retain bool) {
+		sess := sessionFor(t, an, logs, horizon, retain)
+		nodes := logs.Nodes()
+		const rounds = 4
+		for r := 0; r < rounds; r++ {
+			for _, n := range nodes {
+				evs := logs.Log(n).Events()
+				lo, hi := len(evs)*r/rounds, len(evs)*(r+1)/rounds
+				if err := sess.Append(n, evs[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sess.Advance(end); err != nil {
 				t.Fatal(err)
 			}
+			rep := sess.Snapshot()
+			if rep.Total() != sess.Stats().FinalizedPackets {
+				t.Fatalf("round %d: snapshot total %d != finalized %d", r, rep.Total(), sess.Stats().FinalizedPackets)
+			}
+			losses := 0
+			//refill:allow maprange — sum reduction; order-independent
+			for _, n := range rep.Breakdown() {
+				losses += n
+			}
+			if losses != rep.Total() {
+				t.Fatalf("round %d: breakdown sums to %d of %d outcomes", r, losses, rep.Total())
+			}
 		}
-		if _, err := sess.Advance(end); err != nil {
-			t.Fatal(err)
+		res, rep := sess.Drain()
+		if !reflect.DeepEqual(want.Report.Outcomes, rep.Outcomes) {
+			t.Error("drained outcomes diverged after interleaved snapshots")
 		}
-		rep := sess.Snapshot()
-		if rep.Total() != sess.Stats().FinalizedPackets {
-			t.Fatalf("round %d: snapshot total %d != finalized %d", r, rep.Total(), sess.Stats().FinalizedPackets)
-		}
-		losses := 0
-		//refill:allow maprange — sum reduction; order-independent
-		for _, n := range rep.Breakdown() {
-			losses += n
-		}
-		if losses != rep.Total() {
-			t.Fatalf("round %d: breakdown sums to %d of %d outcomes", r, losses, rep.Total())
-		}
-	}
-	_, rep := sess.Drain()
-	if !reflect.DeepEqual(want.Report.Outcomes, rep.Outcomes) {
-		t.Error("drained outcomes diverged after interleaved snapshots")
-	}
+		checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
+	})
 }
 
 // TestSessionBoundedRetention is the soak test: a session fed an unbounded
@@ -441,8 +471,8 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 
 	// feed runs the time-cut schedule and returns the session with the
 	// pending rows after each advance.
-	feed := func(logs *Collection, punctuate bool) (*Session, []int) {
-		sess := sessionFor(t, an, full, horizon)
+	feed := func(t *testing.T, logs *Collection, punctuate, retain bool) (*Session, []int) {
+		sess := sessionFor(t, an, full, horizon, retain)
 		var live liveReads
 		var pending []int
 		next := make(map[NodeID]int)
@@ -473,27 +503,27 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 		return sess, pending
 	}
 
-	_, level := feed(full, true)
-	sess, got := feed(silent, true)
-	for r := range got {
-		if got[r] > level[r] {
-			t.Errorf("round %d: %d pending rows with a punctuated silence, %d without the silence", r, got[r], level[r])
-		}
-	}
-	_, pinned := feed(silent, false)
+	_, level := feed(t, full, true, true)
+	_, pinned := feed(t, silent, false, true)
 	if r := silentTo - 1; pinned[r] <= level[r] {
 		t.Errorf("round %d: unpunctuated silence holds %d pending rows, no more than the %d without it; the schedule never pins the watermark", r, pinned[r], level[r])
 	}
 
 	want := an.Analyze(silent)
-	res, rep := sess.Drain()
-	if !reflect.DeepEqual(want.Result.Operational, res.Operational) {
-		t.Error("Operational diverged from batch Analyze")
-	}
-	if !reflect.DeepEqual(want.Result.Flows, res.Flows) {
-		t.Error("Flows diverged from batch Analyze")
-	}
-	checkSameReport(t, want.Report, rep, dayLen, days)
+	bothRetentions(t, func(t *testing.T, retain bool) {
+		sess, got := feed(t, silent, true, retain)
+		for r := range got {
+			if got[r] > level[r] {
+				t.Errorf("round %d: %d pending rows with a punctuated silence, %d without the silence", r, got[r], level[r])
+			}
+		}
+		res, rep := sess.Drain()
+		if !reflect.DeepEqual(want.Result.Operational, res.Operational) {
+			t.Error("Operational diverged from batch Analyze")
+		}
+		checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
+		checkSameReport(t, want.Report, rep, dayLen, days)
+	})
 }
 
 // FuzzSessionEquivalence drives a session with a fuzz-chosen fragment,
@@ -503,6 +533,8 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 // bit picks between appending the node's next fragment and punctuating the
 // node at its current cut — the time of its next unfed row, or
 // math.MaxInt64 once its log is fed — which is exactly what it has left.
+// Each schedule runs twice, without RetainFlows (the service default) and
+// with it, where the drained flows must match batch too.
 func FuzzSessionEquivalence(f *testing.F) {
 	camp, err := RunCampaign(TinyCampaign(3))
 	if err != nil {
@@ -530,58 +562,61 @@ func FuzzSessionEquivalence(f *testing.F) {
 	f.Add([]byte("watermarks"))
 	f.Add([]byte{0, 0xFF, 1, 0xFF, 3, 0xFF, 5, 0xFF, 7, 0xFF, 9, 0xFF})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		sess, err := an.NewSession(SessionConfig{Horizon: horizon, RetainFlows: false})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range nodes {
-			sess.Register(n)
-		}
-		frags := fragmentLogs(logs, 257)
-		next := make(map[NodeID]int)
-		var live liveReads
-		for i, b := range program {
-			if i%2 == 1 {
-				// Odd bytes advance: scale the byte across [0, 2*end) so
-				// overshoot (clamping) is exercised too.
-				if _, err := sess.Advance(int64(b) * 2 * end / 256); err != nil {
-					t.Fatal(err)
-				}
-				live.check(t, sess)
-				continue
+		for _, retain := range []bool{false, true} {
+			sess, err := an.NewSession(SessionConfig{Horizon: horizon, RetainFlows: retain})
+			if err != nil {
+				t.Fatal(err)
 			}
-			n := nodes[int(b>>1)%len(nodes)]
-			if b&1 == 1 {
-				through := int64(math.MaxInt64)
+			for _, n := range nodes {
+				sess.Register(n)
+			}
+			frags := fragmentLogs(logs, 257)
+			next := make(map[NodeID]int)
+			var live liveReads
+			for i, b := range program {
+				if i%2 == 1 {
+					// Odd bytes advance: scale the byte across [0, 2*end) so
+					// overshoot (clamping) is exercised too.
+					if _, err := sess.Advance(int64(b) * 2 * end / 256); err != nil {
+						t.Fatal(err)
+					}
+					live.check(t, sess)
+					continue
+				}
+				n := nodes[int(b>>1)%len(nodes)]
+				if b&1 == 1 {
+					through := int64(math.MaxInt64)
+					if next[n] < len(frags[n]) {
+						through = frags[n][next[n]][0].Time
+					}
+					sess.Punctuate(n, through)
+					continue
+				}
 				if next[n] < len(frags[n]) {
-					through = frags[n][next[n]][0].Time
-				}
-				sess.Punctuate(n, through)
-				continue
-			}
-			if next[n] < len(frags[n]) {
-				if err := sess.Append(n, frags[n][next[n]]); err != nil {
-					t.Fatal(err)
-				}
-				next[n]++
-			}
-		}
-		// Deliver every remaining fragment, then drain.
-		for _, n := range nodes {
-			for ; next[n] < len(frags[n]); next[n]++ {
-				if err := sess.Append(n, frags[n][next[n]]); err != nil {
-					t.Fatal(err)
+					if err := sess.Append(n, frags[n][next[n]]); err != nil {
+						t.Fatal(err)
+					}
+					next[n]++
 				}
 			}
-		}
-		_, rep := sess.Drain()
-		live.unchanged(t)
-		if !reflect.DeepEqual(want.Report.Outcomes, rep.Outcomes) {
-			t.Errorf("outcomes diverged under schedule %x", program)
-		}
-		if !reflect.DeepEqual(want.Report.Breakdown(), rep.Breakdown()) {
-			t.Errorf("breakdown diverged under schedule %x:\n got %v\nwant %v",
-				program, rep.Breakdown(), want.Report.Breakdown())
+			// Deliver every remaining fragment, then drain.
+			for _, n := range nodes {
+				for ; next[n] < len(frags[n]); next[n]++ {
+					if err := sess.Append(n, frags[n][next[n]]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			res, rep := sess.Drain()
+			live.unchanged(t)
+			checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
+			if !reflect.DeepEqual(want.Report.Outcomes, rep.Outcomes) {
+				t.Errorf("outcomes diverged under schedule %x (RetainFlows %v)", program, retain)
+			}
+			if !reflect.DeepEqual(want.Report.Breakdown(), rep.Breakdown()) {
+				t.Errorf("breakdown diverged under schedule %x (RetainFlows %v):\n got %v\nwant %v",
+					program, retain, rep.Breakdown(), want.Report.Breakdown())
+			}
 		}
 	})
 }
