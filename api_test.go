@@ -5,6 +5,8 @@ package refill
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -317,5 +319,33 @@ func TestPublicRecoverClocksWith(t *testing.T) {
 		if _, ok := strict.Nodes[n]; ok {
 			t.Errorf("dropped node %v still has an estimate", n)
 		}
+	}
+}
+
+// TestAnalyzeHugeNodeID analyzes a single gen record from node 3,000,000,000,
+// a valid NodeID far above any real deployment's. The report's per-position
+// table grows with the positions seen, not with the largest ID, so the
+// outcome arrives in bounded memory and is counted at its position.
+func TestAnalyzeHugeNodeID(t *testing.T) {
+	const hugeNode NodeID = 3_000_000_000
+	logs := NewCollection()
+	logs.Add(mkEvent(Gen, hugeNode, 0, PacketID{Origin: hugeNode, Seq: 1}))
+	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := an.Analyze(logs)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("analyzing one record allocated %d bytes", grew)
+	}
+	rep := out.Report
+	if rep.Total() != 1 || rep.Outcomes[0].Position != hugeNode {
+		t.Fatalf("outcomes %+v, want one at node %v", rep.Outcomes, hugeNode)
+	}
+	if got := rep.LossesBySite(rep.Outcomes[0].Cause); !reflect.DeepEqual(got, map[NodeID]int{hugeNode: 1}) {
+		t.Errorf("LossesBySite = %v, want the one loss at %v", got, hugeNode)
 	}
 }

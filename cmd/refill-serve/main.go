@@ -46,13 +46,16 @@
 // # Checkpointing
 //
 // With -checkpoint-dir the daemon periodically persists the session — the
-// pending packet rows, per-node watermarks, accumulated outcomes and
-// aggregate — to <dir>/session.ckpt (atomically: temp file + rename), every
+// pending packet rows, per-node watermarks and accumulated outcomes — to
+// <dir>/session.ckpt (atomically: temp file + rename), every
 // -checkpoint-every interval and on demand via POST /v1/checkpoint. On
 // startup, an existing checkpoint is resumed: retrievers re-push anything
 // they sent after the last checkpoint (per-node fragments in log order, as
 // always) and the drained report comes out byte-identical to a run that
-// never crashed. Checkpointing requires -retain-flows to be off.
+// never crashed. -sink and -horizon must match the checkpoint's; -start and
+// -workers follow the restarted daemon, which folds the restored outcomes
+// into its report aggregate afresh. Checkpointing requires -retain-flows to
+// be off.
 //
 // # Steady-state allocation
 //

@@ -644,6 +644,39 @@ func TestServeAppendBodyCap(t *testing.T) {
 	}
 }
 
+// hugeNodeBody is one gen record, in the text codec, from node 3,000,000,000:
+// a valid NodeID that both codecs accept.
+func hugeNodeBody(t testing.TB) []byte {
+	const n refill.NodeID = 3_000_000_000
+	c := refill.NewCollection()
+	c.Add(refill.Event{Node: n, Type: refill.Gen, Sender: n, Packet: refill.PacketID{Origin: n, Seq: 1}, Time: 5})
+	return encodeText(t, c)
+}
+
+// TestServeDrainHugeNodeID appends hugeNodeBody and drains: the drain's
+// aggregate must hold the one outcome in memory bounded by the positions
+// seen, not by the largest node ID, so one request cannot exhaust the daemon.
+func TestServeDrainHugeNodeID(t *testing.T) {
+	a := newAppendTarget(t)
+	if code, reply := a.post("/v1/append", "text/plain", bytes.NewReader(hugeNodeBody(t))); code != http.StatusOK {
+		t.Fatalf("append: %d %s", code, reply)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, reply := a.post("/v1/drain", "", nil)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK {
+		t.Fatalf("drain: %d %s", code, reply)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("draining one record allocated %d bytes", grew)
+	}
+	var got struct{ Total, Losses int }
+	if err := json.Unmarshal([]byte(reply), &got); err != nil || got.Total != 1 || got.Losses != 1 {
+		t.Errorf("drain reply %q (%v), want one lost packet", reply, err)
+	}
+}
+
 // FuzzServeAppend posts arbitrary bodies in either codec. The handler must
 // never panic; a 2xx reply must report exactly the rows the session took in,
 // and any other reply must leave the session as it was.
@@ -653,6 +686,7 @@ func FuzzServeAppend(f *testing.F) {
 	f.Add(valid[:len(valid)-3], true)
 	f.Add([]byte("RFBX\x01\x02\x00\x00\x00\x01\x00\x00\x00"), true)
 	f.Add(encodeText(f, fragmentOf([]refill.NodeID{2}, 1, 0)), false)
+	f.Add(hugeNodeBody(f), false)
 	f.Fuzz(func(t *testing.T, body []byte, binary bool) {
 		a := newAppendTarget(t)
 		ct := "text/plain"

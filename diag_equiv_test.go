@@ -2,7 +2,7 @@ package refill
 
 // Equivalence harness for the fused diagnosis pipeline: the driver at every
 // fan-out must produce a Result and a Report byte-identical to reconstructing
-// first and running the serial diagnosis.Build afterwards — at the engine,
+// first and running the serial diagnosis.BuildConfig afterwards — at the engine,
 // through the core Analyzer, and through the facade. The campaign includes
 // base-station outages, so the ServerOutage reclassification is exercised end
 // to end.
@@ -90,7 +90,7 @@ func checkSameReport(t *testing.T, ref, got *diagnosis.Report, dayLen int64, day
 }
 
 // TestFusedDiagnosisMatchesSerialCampaign pins every fused engine path to the
-// two-pass reference (Analyze, then diagnosis.Build) on the full campaign.
+// two-pass reference (Analyze, then diagnosis.BuildConfig) on the full campaign.
 func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
@@ -102,7 +102,7 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	refRes := eng.Analyze(logs)
-	ref := diagnosis.Build(refRes.Flows, refRes.Operational, sink, end)
+	ref := diagnosis.BuildConfig(refRes.Flows, refRes.Operational, diagnosis.Config{Sink: sink, End: end})
 	if ref.Total() == 0 || ref.LossCount() == 0 {
 		t.Fatal("degenerate campaign: no classified losses")
 	}

@@ -1,16 +1,27 @@
 package diagnosis
 
-import "repro/internal/event"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/event"
+)
 
 // nc is numCauses as a plain int for table arithmetic.
 const nc = int(numCauses)
 
-// Aggregate is the dense, mergeable one-pass reduction behind every Report
+// Aggregate is the mergeable one-pass reduction behind every Report
 // aggregation: cause breakdown, sink split, per-site loss counters, the
 // days×causes matrix, loop count, and the Figure 4/5 point sets. The fused
 // analysis paths give each worker one Aggregate and merge them at the join;
 // every counter is order-independent and the point slices are settled into a
 // total order, so the merged result is identical to a serial build.
+//
+// An Aggregate is derived state, a fold of outcomes: the same outcomes under
+// the same sink, start and daily bins settle into the same aggregate in any
+// order, so nothing persists one — a resumed session folds its restored
+// outcomes again under its own config. Add is safe for every outcome: memory
+// grows with the distinct loss positions, never with their IDs.
 //
 // An Aggregate is not safe for concurrent use.
 type Aggregate struct {
@@ -27,12 +38,11 @@ type Aggregate struct {
 	// daily is the losses-only days×causes matrix (row-major, day*nc+cause),
 	// nil when the aggregate was built without daily bins.
 	daily []int
-	// site counts outcomes per (position, cause) for real nodes, row-major
-	// node*nc+cause, grown to the highest position seen. The Server
-	// pseudo-node (0xFFFFFFFE) would explode the dense table and gets its
-	// own row; NoNode positions are not site-attributable at all.
-	site       []int32
-	serverSite [nc]int
+	// sites counts outcomes per cause at each loss position seen, one row
+	// per position in ascending order, Server included: the table grows with
+	// the distinct positions, whatever their IDs. NoNode positions are not
+	// site-attributable at all.
+	sites []siteRow
 	// srcPts / posPts collect the Figure 4 (origin-attributed) and Figure 5
 	// (position-attributed) loss points. Their first srcSettled / posSettled
 	// points are in sorted order; Settle sorts only what was appended since.
@@ -67,12 +77,7 @@ func (a *Aggregate) Add(o Outcome) {
 		a.atSink[o.Cause]++
 	}
 	if o.Position != event.NoNode {
-		if o.Position == event.Server {
-			a.serverSite[o.Cause]++
-		} else {
-			//refill:allow escapecheck — amortized dense-table doubling (siteAt inlines here): O(log maxNode) makes
-			a.siteAt(o.Position, o.Cause)
-		}
+		a.site(o.Position).counts[o.Cause]++
 	}
 	if o.Cause == Delivered {
 		return
@@ -98,23 +103,23 @@ func (a *Aggregate) Add(o Outcome) {
 	}
 }
 
-// siteAt bumps the (node, cause) cell, growing the dense table to cover the
-// node. Growth doubles capacity so ascending node IDs stay amortized O(1).
+// siteRow counts outcomes per cause at one loss position.
+type siteRow struct {
+	node   event.NodeID
+	counts [nc]int32
+}
+
+// site returns n's row, inserting an empty one in order at n's first
+// sighting.
 //
-//refill:noalloc — per-loss counter bump; only amortized table growth may allocate
-func (a *Aggregate) siteAt(n event.NodeID, c Cause) {
-	need := (int(n) + 1) * nc
-	if need > len(a.site) {
-		if need <= cap(a.site) {
-			a.site = a.site[:need]
-		} else {
-			//refill:allow escapecheck — amortized dense-table doubling: O(log maxNode) makes per aggregate
-			grown := make([]int32, need, 2*need)
-			copy(grown, a.site)
-			a.site = grown
-		}
+//refill:noalloc — per-outcome row lookup; only a new position's insert may allocate
+func (a *Aggregate) site(n event.NodeID) *siteRow {
+	i, found := slices.BinarySearchFunc(a.sites, n, func(r siteRow, n event.NodeID) int { return cmp.Compare(r.node, n) })
+	if !found {
+		//refill:allow escapecheck — a position's first sighting: one insert per distinct position
+		a.sites = slices.Insert(a.sites, i, siteRow{node: n})
 	}
-	a.site[int(n)*nc+int(c)]++
+	return &a.sites[i]
 }
 
 // Merge folds b into a. Both sides must share the same sink and daily-bin
@@ -126,19 +131,12 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	for i := 0; i < nc; i++ {
 		a.byCause[i] += b.byCause[i]
 		a.atSink[i] += b.atSink[i]
-		a.serverSite[i] += b.serverSite[i]
 	}
-	if len(b.site) > len(a.site) {
-		if len(b.site) <= cap(a.site) {
-			a.site = a.site[:len(b.site)]
-		} else {
-			grown := make([]int32, len(b.site), 2*len(b.site))
-			copy(grown, a.site)
-			a.site = grown
+	for _, r := range b.sites {
+		row := a.site(r.node)
+		for c, v := range r.counts {
+			row.counts[c] += v
 		}
-	}
-	for i, v := range b.site {
-		a.site[i] += v
 	}
 	if len(b.daily) > len(a.daily) {
 		grown := make([]int, len(b.daily))
@@ -158,7 +156,7 @@ func (a *Aggregate) Merge(b *Aggregate) {
 func (a *Aggregate) Clone() *Aggregate {
 	out := *a
 	out.daily = append([]int(nil), a.daily...)
-	out.site = append([]int32(nil), a.site...)
+	out.sites = slices.Clone(a.sites)
 	out.srcPts = append([]Point(nil), a.srcPts...)
 	out.posPts = append([]Point(nil), a.posPts...)
 	return &out

@@ -162,26 +162,34 @@ func (s OutageSchedule) Normalize() OutageSchedule {
 // non-overlapping) even when the input ordering is not.
 func OutagesFromOperational(ops []event.Event, end int64) OutageSchedule {
 	var sched OutageSchedule
-	downAt := int64(-1)
-	inOutage := false
-	for _, e := range ops {
-		switch e.Type {
-		case event.ServerDown:
-			if !inOutage {
-				inOutage = true
-				downAt = e.Time
-			}
-		case event.ServerUp:
-			if inOutage {
-				sched = append(sched, Window{Start: downAt, End: e.Time})
-				inOutage = false
-			}
-		}
-	}
-	if inOutage {
-		sched = append(sched, Window{Start: downAt, End: end})
+	start, open := pairOutages(ops, func(w Window) { sched = append(sched, w) })
+	if open {
+		sched = append(sched, Window{Start: start, End: end})
 	}
 	return sched.Normalize()
+}
+
+// OpenOutage reports whether ops (ordered by time) leave an outage open, and
+// when it started: the window OutagesFromOperational would close at end.
+func OpenOutage(ops []event.Event) (start int64, open bool) {
+	return pairOutages(ops, func(Window) {})
+}
+
+// pairOutages is the one pairing rule for server up/down events: a down
+// opens an outage unless one is open, and the first up after it closes it.
+// Each closed window goes to closed; the outage still open at the end of ops,
+// if any, is returned by its start.
+func pairOutages(ops []event.Event, closed func(Window)) (start int64, open bool) {
+	for _, e := range ops {
+		switch {
+		case e.Type == event.ServerDown && !open:
+			start, open = e.Time, true
+		case e.Type == event.ServerUp && open:
+			closed(Window{Start: start, End: e.Time})
+			open = false
+		}
+	}
+	return start, open
 }
 
 // ApplyOutages reclassifies losses at the sink that fall inside an outage

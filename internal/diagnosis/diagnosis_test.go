@@ -222,7 +222,7 @@ func buildSampleReport() *Report {
 		{Node: event.Server, Type: event.ServerDown, Time: 100},
 		{Node: event.Server, Type: event.ServerUp, Time: 200},
 	}
-	return Build(flows, ops, sink, 1000)
+	return BuildConfig(flows, ops, Config{Sink: sink, End: 1000})
 }
 
 func TestReportBreakdown(t *testing.T) {

@@ -8,11 +8,12 @@ import (
 )
 
 // Report aggregates per-packet outcomes into the figure-level views of the
-// paper's evaluation. Every aggregation method is a cheap read over a dense
-// Aggregate built in one pass; Build and the fused engine paths populate it
-// at classification time, and hand-assembled reports (public fields only) get
-// it built lazily on first read — so the first aggregation call on such a
-// report is not safe to race, while pipeline-built reports stay read-only.
+// paper's evaluation. Every aggregation method is a cheap read over an
+// Aggregate built in one pass; BuildConfig and the fused engine paths
+// populate it at classification time, and hand-assembled reports (public
+// fields only) get it built lazily on first read — so the first aggregation
+// call on such a report is not safe to race, while pipeline-built reports
+// stay read-only.
 type Report struct {
 	Sink     event.NodeID
 	Outages  OutageSchedule
@@ -37,15 +38,11 @@ type Config struct {
 	Days   int
 }
 
-// Build classifies every flow, reconstructing the outage schedule from the
-// operational events and applying it. end bounds a trailing open outage.
-func Build(flows []*flow.Flow, ops []event.Event, sink event.NodeID, end int64) *Report {
-	return BuildConfig(flows, ops, Config{Sink: sink, End: end})
-}
-
-// BuildConfig is Build with the full Config: one classifier's scratch serves
-// every flow and the aggregate is folded as outcomes are produced, so the
-// whole diagnosis performs O(1) allocations beyond the outcome slice itself.
+// BuildConfig classifies every flow, reconstructing the outage schedule from
+// the operational events (cfg.End bounds a trailing open outage) and
+// applying it: one classifier's scratch serves every flow and the aggregate
+// is folded as outcomes are produced, so the whole diagnosis performs O(1)
+// allocations beyond the outcome slice itself.
 func BuildConfig(flows []*flow.Flow, ops []event.Event, cfg Config) *Report {
 	sched := OutagesFromOperational(ops, cfg.End)
 	cl := NewClassifier()
@@ -226,13 +223,10 @@ func (r *Report) DailyComposition(dayLen int64, days int) []map[Cause]int {
 func (r *Report) LossesBySite(c Cause) map[event.NodeID]int {
 	a := r.aggregate()
 	m := make(map[event.NodeID]int)
-	for n := 0; n*nc+int(c) < len(a.site); n++ {
-		if cnt := a.site[n*nc+int(c)]; cnt > 0 {
-			m[event.NodeID(n)] = int(cnt)
+	for _, row := range a.sites {
+		if cnt := row.counts[c]; cnt > 0 {
+			m[row.node] = int(cnt)
 		}
-	}
-	if cnt := a.serverSite[c]; cnt > 0 {
-		m[event.Server] = cnt
 	}
 	return m
 }
@@ -252,30 +246,20 @@ func (r *Report) TopLossPositions(k int) []struct {
 		Node  event.NodeID
 		Count int
 	}
-	appendPos := func(n event.NodeID, count int) {
+	for _, row := range a.sites {
+		count := 0
+		for c, n := range row.counts {
+			if Cause(c) != Delivered {
+				count += int(n)
+			}
+		}
 		if count > 0 {
 			out = append(out, struct {
 				Node  event.NodeID
 				Count int
-			}{n, count})
+			}{row.node, count})
 		}
 	}
-	for n := 0; n*nc < len(a.site); n++ {
-		count := 0
-		for c := 0; c < nc; c++ {
-			if Cause(c) != Delivered {
-				count += int(a.site[n*nc+c])
-			}
-		}
-		appendPos(event.NodeID(n), count)
-	}
-	server := 0
-	for c := 0; c < nc; c++ {
-		if Cause(c) != Delivered {
-			server += a.serverSite[c]
-		}
-	}
-	appendPos(event.Server, server)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count

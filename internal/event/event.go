@@ -15,9 +15,11 @@ import (
 	"strconv"
 )
 
-// NodeID identifies a node in the network. IDs are small dense integers
-// assigned by the deployment; two IDs are reserved for the infrastructure
-// behind the sink (the "last mile" the paper's Section V-D4 discusses).
+// NodeID identifies a node in the network. IDs are assigned by the
+// deployment and need not be small or dense: nothing is sized by the largest
+// ID seen, only by the number of distinct ones. Two IDs are reserved for the
+// infrastructure behind the sink (the "last mile" the paper's Section V-D4
+// discusses).
 type NodeID uint32
 
 const (

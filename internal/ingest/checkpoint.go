@@ -19,11 +19,13 @@ import (
 //
 // A session checkpoint is a snapfile container holding everything a
 // restarted process needs to continue as if it never stopped: lifecycle
-// counters, per-node watermarks, the outcomes and aggregate accumulated from
+// counters, per-node watermarks, the outcomes accumulated from
 // already-finalized windows, the session-level operational events, and the
 // pending (not yet finalizable) packet rows. Flows are deliberately NOT
 // checkpointable — a RetainFlows session refuses to checkpoint rather than
-// silently dropping its flows.
+// silently dropping its flows. Nor is the report aggregate: it is a fold of
+// the outcomes, and Resume folds them into the aggregate of the resuming
+// config.
 //
 //	section 1   meta: version i64 | sink u32 | reserved u32 | horizon i64 |
 //	            watermark i64 | epoch i64 | ingested i64 | finalized i64
@@ -31,10 +33,15 @@ import (
 //	section 3   outcomes in packet-ID order: n * {origin u32, seq u32,
 //	            position u32, toward u32, lossTime i64, cause u8, flags u8,
 //	            reserved u16}
-//	section 4   aggregate: diagnosis.Aggregate.EncodeState
 //	base 32     operational events (event collection section family)
 //	base 64     pending packet rows, per node in log order (see
 //	            event.PendingStore.AppendPendingTo)
+//
+// Sink and horizon are echoed: Resume refuses a config that differs. The
+// window start, daily bins and worker count follow the resumer. finalized
+// is the outcome count; Resume reads it off section 3 instead. Files from
+// earlier versions also hold section 4, the aggregate's flat encoding:
+// Verify checks its CRC with the rest, and Resume ignores it.
 //
 // Resume rebuilds the pending store by replaying those rows through
 // PendingStore.Append. Files written while the store was sharded by origin
@@ -44,10 +51,11 @@ import (
 // outcomes in packet-ID order hold section 3 in finalization order instead;
 // Resume sorts the outcomes once, which is a no-op on a current file. A
 // resumed session's Drain is then byte-identical to an uninterrupted
-// session's (and, transitively, to batch analysis): outcomes are in packet
-// order, aggregate counters are order-independent, and its point sets settle
-// into a total order. snapshot_equiv_test.go at the repo root pins this across a
-// crash at every checkpoint epoch.
+// session's under the resuming config (and, transitively, to batch
+// analysis): outcomes are in packet order, aggregate counters are
+// order-independent, and its point sets settle into a total order.
+// snapshot_equiv_test.go at the repo root pins this across a crash at every
+// checkpoint epoch.
 
 const (
 	ckVersion = 1
@@ -55,7 +63,6 @@ const (
 	ckSecMeta       = 1
 	ckSecWatermarks = 2
 	ckSecOutcomes   = 3
-	ckSecAggregate  = 4
 	ckOpsBase       = 2 * event.SectionStride
 	ckPendBase      = 4 * event.SectionStride
 
@@ -103,7 +110,7 @@ func (s *Session) WriteCheckpoint(path string) error {
 	binary.LittleEndian.PutUint64(meta[24:32], uint64(s.watermark))
 	binary.LittleEndian.PutUint64(meta[32:40], uint64(s.epoch))
 	binary.LittleEndian.PutUint64(meta[40:48], uint64(s.ingested))
-	binary.LittleEndian.PutUint64(meta[48:56], uint64(s.finalized))
+	binary.LittleEndian.PutUint64(meta[48:56], uint64(len(s.acc.Outcomes)))
 	w.Append(ckSecMeta, meta[:])
 
 	w.Begin(ckSecWatermarks)
@@ -135,8 +142,6 @@ func (s *Session) WriteCheckpoint(path string) error {
 	}
 	w.End()
 
-	w.Append(ckSecAggregate, s.acc.Aggregate.EncodeState())
-
 	err = event.AppendCollectionSections(w, ckOpsBase, s.ops)
 	if err == nil {
 		pending := event.NewCollection()
@@ -164,9 +169,11 @@ func (s *Session) WriteCheckpoint(path string) error {
 // Resume rebuilds a session from a checkpoint written by WriteCheckpoint.
 // cfg must match the checkpointed session's identity-critical settings (sink
 // and horizon are verified against the file); the worker count may differ —
-// it changes scheduling, never output. Every section's data CRC is verified
-// before anything is read: a checkpoint is outside input (whatever file a
-// restart finds on disk) and is read in full here anyway. The returned
+// it changes scheduling, never output — and so may the window start and
+// daily bins: the restored outcomes are folded into cfg's aggregate. Every
+// section's data CRC is verified before anything is read: a checkpoint is
+// outside input (whatever file a restart finds on disk) and is read in full
+// here anyway. The returned
 // session continues exactly where the checkpointed one stopped: appending the
 // same remaining fragments and draining yields bytes identical to a session
 // that never restarted.
@@ -202,7 +209,6 @@ func Resume(cfg Config, path string) (*Session, error) {
 		s.watermark = int64(binary.LittleEndian.Uint64(meta[24:32]))
 	}
 	s.ingested = int(binary.LittleEndian.Uint64(meta[40:48]))
-	s.finalized = int(binary.LittleEndian.Uint64(meta[48:56]))
 
 	wms, ok := f.Section(ckSecWatermarks)
 	if !ok || len(wms)%ckWmEntrySize != 0 {
@@ -241,13 +247,8 @@ func Resume(cfg Config, path string) (*Session, error) {
 		}
 		sort.SliceStable(s.acc.Outcomes, func(i, j int) bool { return s.acc.Outcomes[i].Packet.Less(s.acc.Outcomes[j].Packet) })
 	}
-
-	aggData, ok := f.Section(ckSecAggregate)
-	if !ok {
-		return nil, fmt.Errorf("ingest: checkpoint %s has no aggregate section", path)
-	}
-	if s.acc.Aggregate, err = diagnosis.DecodeAggregate(aggData); err != nil {
-		return nil, err
+	for _, o := range s.acc.Outcomes {
+		s.acc.Aggregate.Add(o)
 	}
 
 	if err := replay(f, ckOpsBase, func(n event.NodeID, e event.Event) { s.ops.Log(n).Append(e) }); err != nil {

@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/diagnosis"
 	"repro/internal/event"
 	"repro/internal/event/snapfile"
 )
@@ -140,6 +142,62 @@ func TestResumeUnorderedOutcomes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.SourcePoints(), want.SourcePoints()) || !reflect.DeepEqual(got.PositionPoints(), want.PositionPoints()) {
 		t.Error("source/position points diverged from batch")
+	}
+}
+
+// TestResumeHugeOutcomePosition resumes a checkpoint whose outcome section
+// places a loss at node 3,000,000,000, as a damaged or hostile file may: the
+// file's bytes are outside input, and Resume folds every restored outcome
+// into the aggregate. The fold must take the position in bounded memory, and
+// the resumed report must read the outcomes the file holds.
+func TestResumeHugeOutcomePosition(t *testing.T) {
+	const huge event.NodeID = 3_000_000_000
+	c := smallCampaign()
+	path := filepath.Join(t.TempDir(), "huge.ckpt")
+	orig := ckSession(t, c, 0)
+	for n, evs := range c.perNode() {
+		if err := orig.Append(n, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := orig.Advance(c.end); err != nil || n == 0 {
+		t.Fatalf("Advance finalized %d packets (err %v)", n, err)
+	}
+	orig.acc.Outcomes[0].Position = huge
+	if err := orig.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Resume(Config{Engine: ctpEngine(t, c.sink), Diagnosis: c.config()}, path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("resuming a %d-outcome checkpoint allocated %d bytes", len(orig.acc.Outcomes), grew)
+	}
+	// The session's own aggregate is the fold of the restored outcomes; a
+	// report would heal a stale one on read, at the cost of a refold per read.
+	fold := diagnosis.NewAggregate(c.sink, 0, 0, 0)
+	for _, o := range res.acc.Outcomes {
+		fold.Add(o)
+	}
+	if !reflect.DeepEqual(res.acc.Aggregate, fold) {
+		t.Error("the resumed aggregate is not the fold of the restored outcomes")
+	}
+	rep := res.Snapshot()
+	o := rep.Outcomes[0]
+	if o.Position != huge {
+		t.Fatalf("resumed outcome position %v, want %v", o.Position, huge)
+	}
+	if got := rep.LossesBySite(o.Cause)[huge]; got != 1 {
+		t.Errorf("LossesBySite(%v)[%v] = %d, want 1", o.Cause, huge, got)
+	}
+	_, drained := res.Drain()
+	if drained.Outcomes[0] != o || drained.LossesBySite(o.Cause)[huge] != 1 {
+		t.Errorf("drained report lost the resumed outcome %+v: %v", o, drained.LossesBySite(o.Cause))
 	}
 }
 

@@ -134,10 +134,11 @@ type Session struct {
 	watermark int64
 	epoch     int
 	ingested  int
-	finalized int
 
 	// acc accumulates the finalized windows' parts; flows only when
-	// Config.RetainFlows.
+	// Config.RetainFlows. Its Aggregate is the fold of its Outcomes under
+	// cfg.Diagnosis, so a checkpoint stores the outcomes alone, and their
+	// number is the finalized-packet count.
 	acc engine.Parts
 
 	// window is the reusable retirement collection: the engine's partition
@@ -300,7 +301,6 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 	}
 	_, sched := s.scheduleLocked(ew, final)
 	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(s.window, s.cfg.Workers, s.cfg.Diagnosis, sched, s.cfg.RetainFlows))
-	s.finalized += n
 	return n
 }
 
@@ -322,15 +322,10 @@ func (s *Session) cutoff(ew int64) int64 {
 // outage's start and the end is finalized until one arrives or Drain
 // settles it. Caller holds s.mu.
 func (s *Session) holdLocked(ew int64) int64 {
-	hold := int64(math.MaxInt64) // no outage open
-	for _, e := range event.OperationalEvents(s.ops) {
-		if e.Type == event.ServerUp {
-			hold = math.MaxInt64
-		} else if e.Type == event.ServerDown && hold == math.MaxInt64 {
-			hold = max(e.Time, s.cfg.Diagnosis.End)
-		}
+	if start, open := diagnosis.OpenOutage(event.OperationalEvents(s.ops)); open {
+		return min(ew, max(start, s.cfg.Diagnosis.End))
 	}
-	return min(ew, hold)
+	return ew
 }
 
 // scheduleLocked returns the operational events seen so far and the outage
@@ -406,7 +401,7 @@ func (s *Session) Stats() Stats {
 		Ingested:          s.ingested,
 		PendingRows:       s.store.Rows(),
 		PendingPackets:    s.store.Packets(),
-		FinalizedPackets:  s.finalized,
+		FinalizedPackets:  len(s.acc.Outcomes),
 		OperationalEvents: s.ops.TotalEvents(),
 		Nodes:             s.wm.Len(),
 		Drained:           s.drained,

@@ -284,6 +284,57 @@ func TestSessionOpenOutageHoldsPastCampaignEnd(t *testing.T) {
 	}
 }
 
+// TestOutagePairing pins the one down/up pairing rule where it is read: the
+// outage schedule (closed at end), OpenOutage, and the watermark a session
+// holds past its campaign end (0) while an outage is open. A down opens an outage
+// unless one is open, and the first up after it closes it; a down and an up
+// at one instant hold at the later down, though the schedule merges the two
+// windows into one.
+func TestOutagePairing(t *testing.T) {
+	d := func(at int64) event.Event { return event.Event{Node: event.Server, Type: event.ServerDown, Time: at} }
+	u := func(at int64) event.Event { return event.Event{Node: event.Server, Type: event.ServerUp, Time: at} }
+	w := func(start, end int64) diagnosis.Window { return diagnosis.Window{Start: start, End: end} }
+	const end, through = 100, 1000
+	for _, tc := range []struct {
+		name  string
+		ops   []event.Event
+		sched diagnosis.OutageSchedule
+		start int64 // the open outage's start; -1 when none is open
+	}{
+		{"nested-downs", []event.Event{d(10), d(20), u(30), u(40)}, diagnosis.OutageSchedule{w(10, 30)}, -1},
+		{"stray-up", []event.Event{u(5), d(10), u(20)}, diagnosis.OutageSchedule{w(10, 20)}, -1},
+		{"duplicate-down", []event.Event{d(10), d(10), u(20)}, diagnosis.OutageSchedule{w(10, 20)}, -1},
+		{"up-and-down-at-one-instant", []event.Event{d(10), u(20), d(20)}, diagnosis.OutageSchedule{w(10, end)}, 20},
+		{"trailing-open-down", []event.Event{d(10), u(20), d(30), d(40)}, diagnosis.OutageSchedule{w(10, 20), w(30, end)}, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := diagnosis.OutagesFromOperational(tc.ops, end); !reflect.DeepEqual(got, tc.sched) {
+				t.Errorf("OutagesFromOperational = %v, want %v", got, tc.sched)
+			}
+			start, open := diagnosis.OpenOutage(tc.ops)
+			if open != (tc.start >= 0) || open && start != tc.start {
+				t.Errorf("OpenOutage = (%d, %v), want start %d", start, open, tc.start)
+			}
+			s, err := NewSession(Config{Engine: ctpEngine(t, 1), Diagnosis: diagnosis.Config{Sink: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Append(event.Server, tc.ops)
+			s.Punctuate(event.Server, through)
+			if _, err := s.Advance(through); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(through)
+			if open {
+				want = tc.start
+			}
+			if w := s.Watermark(); w != want {
+				t.Errorf("session held the watermark at %d, want %d", w, want)
+			}
+		})
+	}
+}
+
 func TestSessionPunctuatePassesSilentNode(t *testing.T) {
 	c := smallCampaign()
 	eng := ctpEngine(t, c.sink)

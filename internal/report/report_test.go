@@ -31,7 +31,7 @@ func mkReport() *diagnosis.Report {
 		mk([]flow.Visit{{Node: 5, State: fsm.StateTimedOut, Peer: 6, LastPos: 0}},
 			flow.Item{Event: event.Event{Node: 5, Type: event.Timeout, Sender: 5, Receiver: 6, Packet: pkt, Time: 30}}),
 	}
-	return diagnosis.Build(flows, nil, sink, 100)
+	return diagnosis.BuildConfig(flows, nil, diagnosis.Config{Sink: sink, End: 100})
 }
 
 func TestBreakdownRendering(t *testing.T) {

@@ -199,6 +199,77 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestResumeUnderNewDailyBins resumes a checkpoint written without daily
+// bins under a config that has them and a later window start. The aggregate
+// is a fold of the outcomes, so the resumed session rebuilds it under the
+// resuming config: its drain must equal an uninterrupted session under that
+// config in every aggregate read, daily composition included, rather than
+// keep the writer's start and bin geometry and merge later windows into it.
+func TestResumeUnderNewDailyBins(t *testing.T) {
+	camp, err := RunCampaign(TinyCampaign(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs, sink, end := camp.Logs, camp.Sink, int64(camp.Duration)
+	day := int64(sim.Day)
+	days := int((end + day - 1) / day)
+	sc := SessionConfig{Horizon: referenceMaxPacketSpread(logs)}
+	writer, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumer, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(day/2, end), WithDailyBins(day, days))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := logs.Nodes()
+	const rounds = 4
+	feed := func(sess *Session, from, to int) {
+		for r := from; r < to; r++ {
+			for _, n := range nodes {
+				evs := logs.Log(n).Events()
+				if err := sess.Append(n, evs[len(evs)*r/rounds:len(evs)*(r+1)/rounds]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sess.Advance(end); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	newSess := func(an *Analyzer) *Session {
+		sess, err := an.NewSession(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			sess.Register(n)
+		}
+		return sess
+	}
+
+	ref := newSess(resumer)
+	feed(ref, 0, rounds)
+	_, want := ref.Drain()
+
+	crashed := newSess(writer)
+	feed(crashed, 0, rounds/2)
+	if crashed.Stats().FinalizedPackets == 0 {
+		t.Fatal("nothing finalized before the checkpoint: the test would prove nothing")
+	}
+	path := filepath.Join(t.TempDir(), "half.ckpt")
+	if err := crashed.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := resumer.ResumeSession(sc, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(resumed, rounds/2, rounds)
+	_, got := resumed.Drain()
+	checkSameReport(t, want, got, day, days)
+}
+
 // TestSnapshotSessionFromMappedCollection closes the loop between the two
 // halves of this file: fragments served out of a mapped snapshot (the
 // retriever re-reading its archive) must drive a session to the same drained
