@@ -61,8 +61,10 @@
 //
 // An append allocates only what the session keeps plus the decoded body:
 // binary bodies are read through a pooled 64 KiB reader, and each node log
-// of the decoded body is appended straight from its columns
-// (Session.AppendRows). Without -retain-flows an advance builds each
+// of the decoded body is appended straight from its columns, a column copy
+// per run of packet rows (Session.AppendRows). An advance retires straight
+// into packet views held in one window the session recycles, so a window
+// allocates no partition of its own. Without -retain-flows it builds each
 // finalized flow into one small arena per engine worker, recycled as soon as
 // the flow is classified, so no window commits flows only to drop them.
 //

@@ -653,6 +653,27 @@ func hugeNodeBody(t testing.TB) []byte {
 	return encodeText(t, c)
 }
 
+// opsInterleaved is fragmentOf's packets plus a server log whose server-down
+// and server-up rows come first, between deliveries and last: the session
+// cuts every fragment at its operational rows.
+func opsInterleaved() *refill.Collection {
+	c := fragmentOf([]refill.NodeID{2, 3}, 4, 0)
+	srv := func(typ refill.EventType, seq uint32, at int64) {
+		e := refill.Event{Node: refill.Server, Type: typ, Time: at}
+		if typ == refill.ServerRecv {
+			e.Sender, e.Receiver, e.Packet = 1, refill.Server, refill.PacketID{Origin: refill.NodeID(2 + seq%2), Seq: seq}
+		}
+		c.Add(e)
+	}
+	srv(refill.ServerDown, 0, 1)
+	srv(refill.ServerRecv, 0, 3)
+	srv(refill.ServerUp, 0, 4)
+	srv(refill.ServerRecv, 1, 6)
+	srv(refill.ServerRecv, 2, 9)
+	srv(refill.ServerDown, 0, 10)
+	return c
+}
+
 // TestServeDrainHugeNodeID appends hugeNodeBody and drains: the drain's
 // aggregate must hold the one outcome in memory bounded by the positions
 // seen, not by the largest node ID, so one request cannot exhaust the daemon.
@@ -687,6 +708,8 @@ func FuzzServeAppend(f *testing.F) {
 	f.Add([]byte("RFBX\x01\x02\x00\x00\x00\x01\x00\x00\x00"), true)
 	f.Add(encodeText(f, fragmentOf([]refill.NodeID{2}, 1, 0)), false)
 	f.Add(hugeNodeBody(f), false)
+	f.Add(encodeBinary(f, opsInterleaved()), true)
+	f.Add(encodeText(f, opsInterleaved()), false)
 	f.Fuzz(func(t *testing.T, body []byte, binary bool) {
 		a := newAppendTarget(t)
 		ct := "text/plain"

@@ -19,9 +19,10 @@ import (
 // Every analysis entry point is this driver fed different views and a
 // different outage schedule: batch Analyze/AnalyzeDiagnosed partition the
 // whole collection, the ingest session — whatever feeds it, a live service or
-// a mapped snapshot — partitions one retired window at a time
-// (AnalyzeWindowDiagnosed) and folds the windows' Parts together. Serial is
-// workers == 1 of the same worker body, run inline on the caller's goroutine.
+// a mapped snapshot — takes one retired window's views at a time straight
+// from its pending store (AnalyzeWindowDiagnosed) and folds the windows'
+// Parts together. Serial is workers == 1 of the same worker body, run inline
+// on the caller's goroutine.
 //
 // Determinism: which worker walks which view is racy by construction (the
 // workers race for ranges on one shared cursor), but every worker writes flows
@@ -43,7 +44,8 @@ type Parts struct {
 
 // Fold merges one window's parts into the running accumulation p, whose
 // Aggregate must be non-nil. Both sides are in packet-ID order — a window's
-// views come out of Partition sorted, and every earlier Fold kept p sorted.
+// views come out of the pending store's Retire sorted, and every earlier
+// Fold kept p sorted.
 // Fold merges whatever flows the window carries: whether a window keeps its
 // flows is decided once, by the driver run that produced it
 // (AnalyzeWindowDiagnosed's keepFlows), and a window run without them
@@ -259,8 +261,8 @@ func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosi
 // AnalyzeWindowDiagnosed reconstructs and classifies every packet of one
 // retired window — the incremental form of AnalyzeDiagnosed for the ingest
 // session, which Folds many windows' Parts together and only assembles a
-// Report at snapshot or drain time. c must contain only packet-scoped rows
-// (the session keeps operational events to itself); sched is the outage
+// Report at snapshot or drain time. views must be in packet-ID order, as the
+// pending store's Retire and Partition return them; sched is the outage
 // schedule the window's outcomes are classified against. With keepFlows the
 // Parts carry every flow; without it they carry none (Flows is nil), and each
 // worker recycles one small arena, flow by flow, instead of committing the
@@ -268,7 +270,6 @@ func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosi
 // entry points', so folded windows reproduce AnalyzeDiagnosed byte for byte,
 // outcomes and aggregate alike whether flows are kept or not. workers <= 0
 // selects GOMAXPROCS.
-func (e *Engine) AnalyzeWindowDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule, keepFlows bool) Parts {
-	views, _ := event.Partition(c)
+func (e *Engine) AnalyzeWindowDiagnosed(views []*event.PacketView, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule, keepFlows bool) Parts {
 	return e.drive(views, workers, fusion{diagnose: true, keepFlows: keepFlows, cfg: cfg, sched: sched})
 }

@@ -99,7 +99,8 @@ func TestWindowDiscardsFlows(t *testing.T) {
 	}
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
 	sched := diagnosis.OutagesFromOperational(nil, cfg.End)
-	ref := eng.AnalyzeWindowDiagnosed(c, 1, cfg, sched, true)
+	views, _ := event.Partition(c)
+	ref := eng.AnalyzeWindowDiagnosed(views, 1, cfg, sched, true)
 	largest := 0
 	for _, f := range ref.Flows {
 		largest = max(largest, len(f.Items))
@@ -108,8 +109,8 @@ func TestWindowDiscardsFlows(t *testing.T) {
 		t.Fatalf("largest flow has %d items; the test needs one past the default chunk", largest)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		kept := eng.AnalyzeWindowDiagnosed(c, workers, cfg, sched, true)
-		dropped := eng.AnalyzeWindowDiagnosed(c, workers, cfg, sched, false)
+		kept := eng.AnalyzeWindowDiagnosed(views, workers, cfg, sched, true)
+		dropped := eng.AnalyzeWindowDiagnosed(views, workers, cfg, sched, false)
 		if dropped.Flows != nil {
 			t.Fatalf("workers=%d: %d flows carried without keepFlows", workers, len(dropped.Flows))
 		}

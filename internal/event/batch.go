@@ -1,5 +1,7 @@
 package event
 
+import "slices"
+
 // Batch is structure-of-arrays storage for event records: every fixed-size
 // field of Event lives in its own flat column, and the rarely-used free-form
 // Info strings are kept in a cold side table keyed by row. The hot columns
@@ -74,8 +76,10 @@ func (b *Batch) Grow(n int) {
 }
 
 // reserve makes room for n more rows in one step, at least doubling the
-// columns when they must grow. It checks the time column alone: a column
-// left shorter is grown by Append, as it would have been anyway.
+// columns when they must grow: append grows a large slice by a quarter, so
+// a store fed fragment by fragment would reallocate its columns five times
+// as often. It checks the time column alone: a column left shorter is grown
+// by the append that fills it, as it would have been anyway.
 func (b *Batch) reserve(n int) {
 	if len(b.typ)+n > cap(b.time) {
 		b.Grow(max(len(b.typ), n))
@@ -131,6 +135,36 @@ func (b *Batch) Append(e Event) {
 			b.info = make(map[int32]string)
 		}
 		b.info[int32(len(b.typ)-1)] = e.Info
+	}
+}
+
+// appendRange appends rows [lo, hi) of src, stamped with node n, copying
+// each column by one append. Info is read only when src has any, and goes
+// to b's map: no batch appended to has a dense Info column (only
+// Partition's and a Window's arenas do, and nothing appends to them).
+func (b *Batch) appendRange(n NodeID, src *Batch, lo, hi int) {
+	b.mutable()
+	base := len(b.typ)
+	b.node = slices.Grow(b.node, hi-lo)
+	for range hi - lo {
+		b.node = append(b.node, n)
+	}
+	b.sender = append(b.sender, src.sender[lo:hi]...)
+	b.receiver = append(b.receiver, src.receiver[lo:hi]...)
+	b.origin = append(b.origin, src.origin[lo:hi]...)
+	b.seq = append(b.seq, src.seq[lo:hi]...)
+	b.time = append(b.time, src.time[lo:hi]...)
+	b.typ = append(b.typ, src.typ[lo:hi]...) // the byte column last, as in Grow
+	if src.infoCol == nil && len(src.info) == 0 {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		if inf := src.Info(i); inf != "" {
+			if b.info == nil {
+				b.info = make(map[int32]string)
+			}
+			b.info[int32(base+i-lo)] = inf
+		}
 	}
 }
 

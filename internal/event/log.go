@@ -118,9 +118,8 @@ func (c *Collection) Validate() error {
 }
 
 // ResetLogs empties every log in place, keeping the per-node column
-// capacity — the resident session reuses one window collection across
-// retirements this way, so steady-state windows append into already-sized
-// columns instead of regrowing fresh ones every Advance.
+// capacity, so a collection reused across PendingStore.RetireComplete calls
+// appends into already-sized columns instead of regrowing fresh ones.
 func (c *Collection) ResetLogs() {
 	//refill:allow maprange — in-place per-log reset; no ordered output is produced
 	for _, l := range c.Logs {
@@ -288,6 +287,10 @@ func checkArenaRows(rows int64) {
 // packets interleaved them in its log) and in log order. The arena is laid
 // out in view order, so walking a range of views reads it front to back. The
 // number of allocations is fixed, whatever the collection holds.
+//
+// Partition serves the batch path only. The session's windows never reach
+// it: PendingStore.Retire lays out the same views straight from the store,
+// which already knows every row's packet, so it sorts packets, not rows.
 func Partition(c *Collection) (views []*PacketView, operational []Event) {
 	nodes := c.Nodes()
 	total := c.TotalEvents()

@@ -100,8 +100,9 @@ func pendingOf(ps *PendingStore) *Collection {
 // be shown not to be vacuous: retires that complete nothing, retires that
 // leave survivors, a RetireAll that carries out the MaxInt64 packet, appends
 // served by the node's previous-packet cache, a retired slot reused for a
-// different packet, and a packet appended again after it retired.
-type scheduleStats struct{ idle, partial, maxDrained, cacheHits, recycled, reappeared int }
+// different packet, a packet appended again after it retired, and a retire
+// into a window smaller than the one before.
+type scheduleStats struct{ idle, partial, maxDrained, cacheHits, recycled, reappeared, shrank int }
 
 func (st *scheduleStats) add(o scheduleStats) {
 	st.idle += o.idle
@@ -110,6 +111,7 @@ func (st *scheduleStats) add(o scheduleStats) {
 	st.cacheHits += o.cacheHits
 	st.recycled += o.recycled
 	st.reappeared += o.reappeared
+	st.shrank += o.shrank
 }
 
 // runPendingSchedule interprets prog against both stores and fails on the
@@ -124,6 +126,7 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 	prevPacket := make(map[NodeID]int)    // the packet index of each node's last row
 	slotOwner := make(map[int32]PacketID) // the packet each slot last served
 	retired := make(map[PacketID]bool)    // packets retired and not appended since
+	lastRows := 0                         // rows the last non-empty retire moved
 	next := func() byte {
 		if len(prog) == 0 {
 			return 0
@@ -152,7 +155,7 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 			if a%5 == 0 {
 				e.Info = fmt.Sprintf("info-%d", step)
 			}
-			if l := ps.logs[n]; l != nil && l.prev >= 0 && ps.slots[l.prev].id == e.Packet {
+			if l := ps.logOf(n); l != nil && l.prev >= 0 && ps.slots[l.prev].id == e.Packet {
 				st.cacheHits++
 			}
 			if _, pending := ps.ids[e.Packet]; !pending && retired[e.Packet] {
@@ -181,8 +184,18 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 			if got != want {
 				t.Fatalf("step %d: retired %d packets, reference %d", step, got, want)
 			}
-			if g, w := collected(window), canonical(wantRows); !slices.Equal(g, w) {
+			// The wrappers retire through ps.spare, one Window recycled
+			// across every step: a stale row, span or Info column left
+			// from a larger window shows up against a smaller one.
+			sameViews(t, step, ps.spare.views, wantRows)
+			if g, w := collected(window), canonical(slices.Clone(wantRows)); !slices.Equal(g, w) {
 				t.Fatalf("step %d: retired rows differ\n got %+v\nwant %+v", step, g, w)
+			}
+			if len(wantRows) > 0 {
+				if len(wantRows) < lastRows {
+					st.shrank++
+				}
+				lastRows = len(wantRows)
 			}
 			for _, e := range wantRows {
 				retired[e.Packet] = true
@@ -213,6 +226,38 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 	return st
 }
 
+// sameViews fails unless got are exactly Partition's views over the retired
+// rows (given in arrival order): the same packets in the same order, the same
+// spans, the same arena length, and in every span row every column, Info
+// included.
+func sameViews(t *testing.T, step int, got []*PacketView, retired []Event) {
+	t.Helper()
+	c := NewCollection()
+	for _, e := range retired {
+		c.Add(e)
+	}
+	want, _ := Partition(c)
+	if len(got) != len(want) {
+		t.Fatalf("step %d: %d views, Partition %d", step, len(got), len(want))
+	}
+	for k, w := range want {
+		g := got[k]
+		if g.Packet != w.Packet || !slices.Equal(g.Spans(), w.Spans()) {
+			t.Fatalf("step %d: view %d is %v %v, Partition %v %v", step, k, g.Packet, g.Spans(), w.Packet, w.Spans())
+		}
+		if g.Batch().Len() != w.Batch().Len() {
+			t.Fatalf("step %d: view %d's arena holds %d rows, Partition's %d", step, k, g.Batch().Len(), w.Batch().Len())
+		}
+		for _, sp := range w.Spans() {
+			for i := int(sp.Start); i < int(sp.End); i++ {
+				if ge, we := g.EventAt(i), w.EventAt(i); ge != we {
+					t.Fatalf("step %d: view %d row %d is %v info %q, Partition %v info %q", step, k, i, ge, ge.Info, we, we.Info)
+				}
+			}
+		}
+	}
+}
+
 // checkSlots asserts the slot bookkeeping behind the store's answers: the
 // intern map and the live slots name each other, every free slot is dead and
 // listed once, and every buffered row's slot holds the row's packet.
@@ -237,7 +282,8 @@ func checkSlots(t *testing.T, step int, ps *PendingStore) {
 		}
 		seen[s] = true
 	}
-	for n, l := range ps.logs {
+	for _, l := range ps.logs {
+		n := l.node
 		if len(l.slot) != l.b.Len() {
 			t.Fatalf("step %d: node %v has %d slots for %d rows", step, n, len(l.slot), l.b.Len())
 		}
@@ -268,7 +314,7 @@ func TestPendingStoreMatchesReference(t *testing.T) {
 		total.add(runPendingSchedule(t, prog))
 	}
 	if total.idle == 0 || total.partial == 0 || total.maxDrained == 0 ||
-		total.cacheHits == 0 || total.recycled == 0 || total.reappeared == 0 {
+		total.cacheHits == 0 || total.recycled == 0 || total.reappeared == 0 || total.shrank == 0 {
 		t.Fatalf("seed schedules are vacuous: %+v (want every case scheduleStats names)", total)
 	}
 	t.Logf("seed schedules reach %+v", total)

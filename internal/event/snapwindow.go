@@ -153,13 +153,16 @@ func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
 	for i, n := range p.nodes {
 		b := &c.Logs[n].batch
 		lo, hi := p.Span(k, i)
-		dst.Reserve(n, hi-lo)
-		for r := lo; r < hi; r++ {
-			if !b.typ[r].PacketScoped() {
-				continue
+		for lo < hi {
+			run := lo
+			for run < hi && b.typ[run].PacketScoped() {
+				run++
 			}
-			dst.Append(n, b.At(r))
-			fed++
+			if run > lo {
+				dst.AppendRange(n, b, lo, run)
+				fed += run - lo
+			}
+			lo = run + 1 // past the operational row that ended the run
 		}
 	}
 	return fed

@@ -1,11 +1,16 @@
 package event
 
-import "sort"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+)
 
 // Watermark machinery for the ingest session: per-node low watermarks over
 // local clocks, and a pending store that holds packet rows only until the
-// watermark proves them complete, then retires them into a window
-// sub-collection and compacts the storage in place. Retained rows are
+// watermark proves them complete, then retires them straight into packet
+// views and compacts the storage in place. Retained rows are
 // therefore proportional to the in-flight packet population, not to the total
 // volume ever ingested.
 //
@@ -84,14 +89,16 @@ func (w *Watermarks) Nodes() []NodeID {
 //
 //refill:owned
 type PendingStore struct {
-	logs map[NodeID]*pendingLog
-	// cur is the node the last Append or Reserve named: a fragment's rows
-	// all name it, so they skip the node lookup.
+	logs []*pendingLog // ascending by node
+	// cur is the node the last AppendRange named: a node's fragments
+	// usually arrive together, so they skip the node lookup.
 	cur   *pendingLog
 	ids   map[PacketID]int32 // in-flight packet -> its slot
 	slots []packetSlot
 	free  []int32 // retired slots, reused before slots grows
 	rows  int
+	// spare is the window RetireAll and RetireComplete retire through.
+	spare Window
 }
 
 // pendingLog is one node's buffered rows and, per row, its packet's slot.
@@ -103,6 +110,7 @@ type pendingLog struct {
 	// a row about the same packet (most are) skips the intern lookup. retire
 	// clears it, since a retired slot may come back for another packet.
 	prev int32
+	out  int // rows of this node the current retire moves out
 }
 
 // packetSlot is one in-flight packet: its identity and last-seen timestamp.
@@ -112,13 +120,17 @@ type packetSlot struct {
 	id   PacketID
 	last int64
 	live bool
+	// The retire that frees the slot counts the packet's rows and spans
+	// here, then uses them as its next arena row and span; node is the
+	// ordinal (plus one) of the last node that opened a span for it.
+	rows, spans, node int32
 }
 
 // NewPendingStore returns an empty store. The argument was an origin-shard
 // count and is ignored; it stays only because bench/ calls the constructor
 // with one.
 func NewPendingStore(int) *PendingStore {
-	return &PendingStore{logs: make(map[NodeID]*pendingLog), ids: make(map[PacketID]int32)}
+	return &PendingStore{ids: make(map[PacketID]int32)}
 }
 
 // node returns n's log, creating it on first use, and makes it current.
@@ -126,40 +138,41 @@ func (ps *PendingStore) node(n NodeID) *pendingLog {
 	if l := ps.cur; l != nil && l.node == n {
 		return l
 	}
-	l := ps.logs[n]
-	if l == nil {
-		l = &pendingLog{node: n, prev: -1}
-		ps.logs[n] = l
+	i, ok := slices.BinarySearchFunc(ps.logs, n, func(l *pendingLog, n NodeID) int { return cmp.Compare(l.node, n) })
+	if !ok {
+		ps.logs = slices.Insert(ps.logs, i, &pendingLog{node: n, prev: -1})
 	}
-	ps.cur = l
-	return l
+	ps.cur = ps.logs[i]
+	return ps.cur
 }
 
-// Reserve makes room for rows more rows at node n in one step, so a
-// fragment's appends do not regrow the node's eight columns one doubling at
-// a time.
-func (ps *PendingStore) Reserve(n NodeID, rows int) {
+// AppendRange buffers rows [lo, hi) of src as node n's next rows, stamped
+// with n. Each column is copied by one append; then one pass over the packet
+// columns interns each row's packet, skipping the lookup while rows stay on
+// the previous row's packet, and raises its last-seen time. Every row must be
+// packet-scoped: server up/down events are the caller's to keep, since they
+// are never retirable per packet. src is only read, so it may be read-only.
+// Returns the range's highest timestamp (math.MinInt64 when it is empty).
+func (ps *PendingStore) AppendRange(n NodeID, src *Batch, lo, hi int) int64 {
 	l := ps.node(n)
-	l.b.reserve(rows)
+	l.b.reserve(hi - lo)
 	l.slot = grown(l.slot, cap(l.b.time))
-}
-
-// Append buffers one packet-scoped event logged at node n. Non-packet
-// events (server up/down) are the caller's to keep — they are never
-// retirable per packet.
-func (ps *PendingStore) Append(n NodeID, e Event) {
-	l := ps.node(n)
-	s := l.prev
-	if s < 0 || ps.slots[s].id != e.Packet {
-		s = ps.intern(e.Packet, e.Time)
-		l.prev = s
+	l.b.appendRange(n, src, lo, hi)
+	high, s := int64(math.MinInt64), l.prev
+	for i := lo; i < hi; i++ {
+		id, t := PacketID{Origin: src.origin[i], Seq: src.seq[i]}, src.time[i]
+		if s < 0 || ps.slots[s].id != id {
+			s = ps.intern(id, t)
+		}
+		if sl := &ps.slots[s]; t > sl.last {
+			sl.last = t
+		}
+		l.slot = append(l.slot, s)
+		high = max(high, t)
 	}
-	if sl := &ps.slots[s]; e.Time > sl.last {
-		sl.last = e.Time
-	}
-	l.b.Append(e)
-	l.slot = append(l.slot, s)
-	ps.rows++
+	l.prev = s
+	ps.rows += hi - lo
+	return high
 }
 
 // intern returns id's slot, taking a free one (or a new one), last seen at
@@ -187,105 +200,176 @@ func (ps *PendingStore) Rows() int { return ps.rows }
 func (ps *PendingStore) Packets() int { return len(ps.ids) }
 
 // AppendPendingTo copies every buffered row into dst, each node's rows in
-// log order — the checkpoint layout. Replaying the result through Append
-// rebuilds the store exactly.
+// log order — the checkpoint layout. Replaying the result through
+// AppendRange rebuilds the store exactly.
 func (ps *PendingStore) AppendPendingTo(dst *Collection) {
-	//refill:allow maprange — each node's rows land in that node's own dst log; node order is immaterial
-	for n, pl := range ps.logs {
-		b := &pl.b
-		if b.Len() == 0 {
-			continue
-		}
-		l := dst.Log(n)
-		for r := 0; r < b.Len(); r++ {
-			l.Append(b.At(r))
+	for _, pl := range ps.logs {
+		if pl.b.Len() > 0 {
+			dst.Log(pl.node).batch.appendRange(pl.node, &pl.b, 0, pl.b.Len())
 		}
 	}
 }
 
+// Window is what a retire hands the engine: the retired packets as views in
+// packet-ID order, laid out exactly as Partition lays out a collection of the
+// same rows — one arena in view order, each view's rows node by node in
+// ascending node order, each node's in log order, one span per node. Its
+// storage is recycled, so the views are valid only until the next retire
+// into the same Window. A zero Window is ready to use.
+//
+//refill:owned
+type Window struct {
+	arena   Batch
+	spans   []ViewSpan
+	structs []PacketView
+	views   []*PacketView
+	order   []keyedSlot // the retiring packets, sorted by ID
+}
+
+// keyedSlot is a retiring packet's slot under its sort key, origin<<32|seq.
+type keyedSlot struct {
+	key  uint64
+	slot int32
+}
+
 // RetireAll moves every buffered packet out of the store and into dst — the
 // final retirement of a session drain, when every row has been fed and
-// nothing can still be incomplete. No
-// timestamp is consulted, so a packet stamped math.MaxInt64 — which no strict
-// cutoff can ever clear — leaves with the rest. Returns the number of packets
-// retired.
-func (ps *PendingStore) RetireAll(dst *Collection) int { return ps.retire(0, true, dst) }
+// nothing can still be incomplete. No timestamp is consulted, so a packet
+// stamped math.MaxInt64 — which no strict cutoff can ever clear — leaves with
+// the rest. Returns the number of packets retired.
+func (ps *PendingStore) RetireAll(dst *Collection) int { return ps.retireTo(0, true, dst) }
 
 // RetireComplete moves every packet whose rows are provably complete — last
 // seen strictly below cutoff, where the caller has already folded its skew
 // horizon into cutoff — out of the store and into dst, compacting the
 // retained storage. Returns the number of packets retired.
 func (ps *PendingStore) RetireComplete(cutoff int64, dst *Collection) int {
-	return ps.retire(cutoff, false, dst)
+	return ps.retireTo(cutoff, false, dst)
 }
 
-// retire frees the retiring packets' slots — all of them, or those last seen
-// below cutoff — and drops each from the intern map, then walks each node's
-// rows once: a row whose slot is no longer live moves to dst, the rest slide
-// down over the holes. A row costs a slot-column read, no map operation. An
-// advance that completes nothing returns before touching a row.
+// retireTo retires through the store's spare window and appends each view's
+// spans to their nodes' logs in dst.
+func (ps *PendingStore) retireTo(cutoff int64, all bool, dst *Collection) int {
+	views := ps.Retire(&ps.spare, cutoff, all)
+	for _, v := range views {
+		for _, sp := range v.spans {
+			dst.Log(sp.Node).batch.appendRange(sp.Node, v.batch, int(sp.Start), int(sp.End))
+		}
+	}
+	return len(views)
+}
+
+// Retire moves the retiring packets — all of them when all is set, else
+// those last seen strictly below cutoff — out of the store and into w, and
+// returns their views: exactly Partition's views over the retired rows, row
+// for row and span for span. An advance that completes nothing returns no
+// views before touching a row.
 //
-// Per-packet per-node row order is all the downstream partitioner depends
-// on; the cross-packet interleave inside dst's per-node logs is free to
-// differ from the original logs because no PacketView ever spans packets.
-func (ps *PendingStore) retire(cutoff int64, all bool, dst *Collection) int {
+// It frees the retiring slots and drops each from the intern map, then makes
+// two passes over the nodes in ascending order. The first counts each
+// retiring packet's rows and spans. The packets are then sorted by ID — a
+// sort of packets, not of rows — and their counts summed into arena and span
+// offsets. The second pass scatters every retiring row into its packet's next
+// arena row, opening a span when the packet meets a new node, and slides the
+// survivors down over the holes. A row costs a slot-column read and, if it
+// leaves, one copy; no map operation.
+func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView {
+	w.views = w.views[:0]
 	free := len(ps.free)
 	for s := range ps.slots {
 		if sl := &ps.slots[s]; sl.live && (all || sl.last < cutoff) {
-			sl.live = false
+			sl.live, sl.rows, sl.spans, sl.node = false, 0, 0, 0
 			delete(ps.ids, sl.id)
 			ps.free = append(ps.free, int32(s))
 		}
 	}
-	retired := len(ps.free) - free
-	if retired == 0 {
-		return 0
+	retiring := ps.free[free:]
+	if len(retiring) == 0 {
+		return w.views
 	}
-	//refill:allow maprange — per-node compaction; each node's rows land in that node's own dst log, so node order is immaterial
-	for n, pl := range ps.logs {
+	hasInfo := false
+	for ord, pl := range ps.logs {
 		pl.prev = -1
-		moved := 0
-		for _, s := range pl.slot {
-			if !ps.slots[s].live {
-				moved++
+		for i, s := range pl.slot {
+			if sl := &ps.slots[s]; !sl.live {
+				if sl.node != int32(ord+1) {
+					sl.node, sl.spans = int32(ord+1), sl.spans+1
+				}
+				sl.rows++
+				pl.out++
+				hasInfo = hasInfo || len(pl.b.info) > 0 && pl.b.info[int32(i)] != ""
 			}
 		}
-		if moved == 0 {
+	}
+	w.order = w.order[:0]
+	rows, spans := int32(0), int32(0)
+	for _, s := range retiring {
+		sl := &ps.slots[s]
+		w.order = append(w.order, keyedSlot{uint64(sl.id.Origin)<<32 | uint64(sl.id.Seq), s})
+		rows, spans = rows+sl.rows, spans+sl.spans
+	}
+	slices.SortFunc(w.order, func(a, b keyedSlot) int { return cmp.Compare(a.key, b.key) })
+	a := &w.arena
+	a.Reset()
+	a.Resize(int(rows))
+	if hasInfo { // rare: a dense column, as Partition's, for the workers' shared reads
+		a.infoCol = make([]string, rows)
+	}
+	w.spans = grown(w.spans[:0], int(spans))[:spans]
+	w.structs = grown(w.structs[:0], len(retiring))[:len(retiring)]
+	rows, spans = 0, 0
+	for k, o := range w.order {
+		sl := &ps.slots[o.slot]
+		w.structs[k] = PacketView{Packet: sl.id, batch: a, spans: w.spans[spans : spans+sl.spans : spans+sl.spans]}
+		w.views = append(w.views, &w.structs[k])
+		for r := rows; r < rows+sl.rows; r++ {
+			a.origin[r], a.seq[r] = sl.id.Origin, sl.id.Seq
+		}
+		rows, spans, sl.rows, sl.spans, sl.node = rows+sl.rows, spans+sl.spans, rows, spans, 0
+	}
+	for ord, pl := range ps.logs {
+		if pl.out == 0 {
 			continue
 		}
-		l := dst.Log(n)
-		l.batch.reserve(moved)
 		b := &pl.b
-		w := 0
+		keep := 0
 		for i, s := range pl.slot {
-			if !ps.slots[s].live {
-				l.Append(b.At(i))
+			if sl := &ps.slots[s]; !sl.live {
+				r := sl.rows
+				if sl.node != int32(ord+1) {
+					sl.node = int32(ord + 1)
+					w.spans[sl.spans] = ViewSpan{Node: pl.node, Start: r}
+					sl.spans++
+				}
+				w.spans[sl.spans-1].End = r + 1
+				sl.rows++
+				a.node[r], a.typ[r], a.time[r] = pl.node, b.typ[i], b.time[i]
+				a.sender[r], a.receiver[r] = b.sender[i], b.receiver[i]
+				if hasInfo {
+					a.infoCol[r] = b.info[int32(i)]
+				}
 				if b.info != nil {
 					delete(b.info, int32(i))
 				}
 				continue
 			}
-			if w != i {
-				b.node[w] = b.node[i]
-				b.typ[w] = b.typ[i]
-				b.sender[w] = b.sender[i]
-				b.receiver[w] = b.receiver[i]
-				b.origin[w] = b.origin[i]
-				b.seq[w] = b.seq[i]
-				b.time[w] = b.time[i]
-				pl.slot[w] = s
+			if keep != i { // the node column needs no move: every row holds pl.node
+				b.typ[keep], b.time[keep], pl.slot[keep] = b.typ[i], b.time[i], s
+				b.sender[keep], b.receiver[keep] = b.sender[i], b.receiver[i]
+				b.origin[keep], b.seq[keep] = b.origin[i], b.seq[i]
 				if b.info != nil {
 					if inf, ok := b.info[int32(i)]; ok {
-						b.info[int32(w)] = inf
+						b.info[int32(keep)] = inf
 						delete(b.info, int32(i))
 					}
 				}
 			}
-			w++
+			keep++
 		}
-		ps.rows -= moved
-		b.Resize(w)
-		pl.slot = pl.slot[:w]
+		ps.rows -= pl.out
+		pl.out = 0
+		b.Resize(keep)
+		pl.slot = pl.slot[:keep]
 	}
-	return retired
+	return w.views
 }

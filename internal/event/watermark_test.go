@@ -122,7 +122,7 @@ func TestPendingStoreRetireInfoCompaction(t *testing.T) {
 	}
 	// Survivor slid from row 1 to row 0 and kept its Info; row 1's old
 	// entry must not resurface under a future append.
-	b0 := &ps.logs[5].b
+	b0 := &ps.logOf(5).b
 	if got := b0.At(0).Info; got != "late" {
 		t.Fatalf("compacted row 0 Info = %q, want %q", got, "late")
 	}

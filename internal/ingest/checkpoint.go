@@ -251,30 +251,35 @@ func Resume(cfg Config, path string) (*Session, error) {
 		s.acc.Aggregate.Add(o)
 	}
 
-	if err := replay(f, ckOpsBase, func(n event.NodeID, e event.Event) { s.ops.Log(n).Append(e) }); err != nil {
+	if s.ops, err = restore(f, ckOpsBase); err != nil {
 		return nil, err
 	}
-	if err := replay(f, ckPendBase, s.store.Append); err != nil {
+	pending, err := restore(f, ckPendBase)
+	if err != nil {
 		return nil, err
+	}
+	for _, n := range pending.Nodes() {
+		s.appendLocked(n, pending.Logs[n].Batch(), 0, pending.Logs[n].Len())
 	}
 	return s, nil
 }
 
-// replay hands every event of the collection section family at base to add,
-// per node in log order. The collection is mapped and its storage dies with
-// f, so each event's Info string is copied out first.
-func replay(f *snapfile.Snapshot, base uint32, add func(event.NodeID, event.Event)) error {
+// restore copies the collection section family at base into a collection of
+// its own, per node in log order. The mapped collection and its storage die
+// with f, so each event's Info string is copied out too.
+func restore(f *snapfile.Snapshot, base uint32) (*event.Collection, error) {
 	c, err := event.CollectionFromSections(f, base)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	out := event.NewCollection()
 	for _, n := range c.Nodes() {
 		l := c.Logs[n]
 		for i := 0; i < l.Len(); i++ {
 			e := l.At(i)
 			e.Info = strings.Clone(e.Info)
-			add(n, e)
+			out.Log(n).Append(e)
 		}
 	}
-	return nil
+	return out, nil
 }

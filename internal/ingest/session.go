@@ -116,7 +116,10 @@ type Stats struct {
 // Session is deliberately NOT a //refill:owned type: it is shared across
 // goroutines by design (HTTP handlers, appenders, snapshot readers) and its
 // mutex is the ownership story. The owned pieces inside — the pending store,
-// per-window run state, arenas, classifier scratch — carry their own markers.
+// the recycled retire window, per-window run state, arenas, classifier
+// scratch — carry their own markers. The window lives under s.mu: each
+// retire overwrites the views of the one before, so analyzing a window
+// outside the lock (ROADMAP 2(c)) needs one Window per analysis in flight.
 type Session struct {
 	mu  sync.Mutex
 	eng *engine.Engine
@@ -141,11 +144,11 @@ type Session struct {
 	// number is the finalized-packet count.
 	acc engine.Parts
 
-	// window is the reusable retirement collection: the engine's partition
-	// copies every window into its own arena, so the collection (and its
-	// per-node column capacity) can be recycled across Advance calls
-	// instead of regrowing from zero every window.
-	window *event.Collection
+	// window is where each retire puts its packets' views, recycled across
+	// Advance calls. The views are valid until the next retire and are read
+	// only under s.mu: the engine's workers walk them inside retireLocked,
+	// and a flow they keep copies its events out.
+	window event.Window
 
 	drained bool
 	result  *engine.Result
@@ -181,11 +184,16 @@ func NewSession(cfg Config) (*Session, error) {
 // timestamps nondecreasing across the node's fragments. Packet rows are
 // buffered in the pending store; operational events are kept session-level.
 // The node's watermark advances to the fragment's highest timestamp,
-// observed once per fragment. A fragment that is already columnar — a
-// decoded request body, a mapped snapshot — goes through AppendRows instead,
-// without being copied out into a []Event first.
+// observed once per fragment. The events are gathered into a batch and go
+// through AppendRows; a fragment that is already columnar — a decoded
+// request body, a mapped snapshot — goes there directly.
 func (s *Session) Append(node event.NodeID, events []event.Event) error {
-	return appendFragment(s, node, eventRows(events), 0, len(events))
+	var b event.Batch
+	b.Grow(len(events))
+	for _, e := range events {
+		b.Append(e)
+	}
+	return s.AppendRows(node, &b, 0, b.Len())
 }
 
 // AppendRows is Append for the fragment held in rows [lo, hi) of b, read
@@ -194,20 +202,6 @@ func (s *Session) Append(node event.NodeID, events []event.Event) error {
 // window. b is only read, so it may be read-only, and the session keeps no
 // reference to it. The range must lie within b.
 func (s *Session) AppendRows(node event.NodeID, b *event.Batch, lo, hi int) error {
-	return appendFragment(s, node, b, lo, hi)
-}
-
-// rowSource is a fragment's storage: a []Event or an event.Batch.
-type rowSource interface{ At(i int) event.Event }
-
-// eventRows is a []Event read as a rowSource.
-type eventRows []event.Event
-
-func (r eventRows) At(i int) event.Event { return r[i] }
-
-// appendFragment is the one locked body behind Append and AppendRows: it
-// appends rows [lo, hi) of src as node's next fragment.
-func appendFragment[R rowSource](s *Session, node event.NodeID, src R, lo, hi int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drained {
@@ -216,21 +210,31 @@ func appendFragment[R rowSource](s *Session, node event.NodeID, src R, lo, hi in
 	if lo >= hi {
 		return nil
 	}
-	high := int64(math.MinInt64)
-	s.store.Reserve(node, hi-lo)
-	for i := lo; i < hi; i++ {
-		e := src.At(i)
-		e.Node = node
-		if e.Type.PacketScoped() {
-			s.store.Append(node, e)
-		} else {
-			s.ops.Log(node).Append(e)
-		}
-		high = max(high, e.Time)
-	}
-	s.wm.Observe(node, high)
+	s.wm.Observe(node, s.appendLocked(node, b, lo, hi))
 	s.ingested += hi - lo
 	return nil
+}
+
+// appendLocked cuts rows [lo, hi) of b at its operational rows: each run of
+// packet-scoped rows goes to the pending store by column, each server up/down
+// to s.ops. Returns the highest timestamp. Caller holds s.mu.
+func (s *Session) appendLocked(node event.NodeID, b *event.Batch, lo, hi int) int64 {
+	high := int64(math.MinInt64)
+	for lo < hi {
+		run := lo
+		for run < hi && b.Type(run).PacketScoped() {
+			run++
+		}
+		if run > lo {
+			high = max(high, s.store.AppendRange(node, b, lo, run))
+		}
+		if run < hi {
+			s.ops.Log(node).Append(b.At(run))
+			high = max(high, b.Time(run))
+		}
+		lo = run + 1
+	}
+	return high
 }
 
 // Punctuate tells the session that node has nothing more below through: its
@@ -281,27 +285,17 @@ func (s *Session) Advance(watermark int64) (int, error) {
 // timestamps — and folds the retired window through the engine. Caller holds
 // s.mu.
 func (s *Session) retireLocked(ew int64, final bool) int {
-	if s.window == nil {
-		s.window = event.NewCollection()
-	} else {
-		s.window.ResetLogs()
-	}
-	var n int
-	if final {
-		n = s.store.RetireAll(s.window)
-	} else {
-		n = s.store.RetireComplete(s.cutoff(ew), s.window)
-	}
+	views := s.store.Retire(&s.window, s.cutoff(ew), final)
 	s.epoch++
 	if ew > s.watermark {
 		s.watermark = ew
 	}
-	if n == 0 {
+	if len(views) == 0 {
 		return 0
 	}
 	_, sched := s.scheduleLocked(ew, final)
-	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(s.window, s.cfg.Workers, s.cfg.Diagnosis, sched, s.cfg.RetainFlows))
-	return n
+	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(views, s.cfg.Workers, s.cfg.Diagnosis, sched, s.cfg.RetainFlows))
+	return len(views)
 }
 
 // cutoff is the retirement bound at effective watermark ew: a packet last

@@ -1,9 +1,12 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -597,5 +600,110 @@ func TestSessionConcurrentAppendSnapshot(t *testing.T) {
 	}
 	if st := s.Stats(); st.Ingested != len(c.evs) {
 		t.Errorf("ingested = %d, want %d", st.Ingested, len(c.evs))
+	}
+}
+
+// TestAppendRowsEdgeCases feeds every node's log through AppendRows as
+// sub-ranges [lo, hi) of the node's one batch, cut so that the server log's
+// down and up are the first, a middle, the last and the only row of a
+// fragment, with an advance after every round. The batches come from a text
+// body whose packet rows carry Info, and from a read-only snapshot mapping of
+// the same collection. Each drain must equal batch AnalyzeDiagnosed over the
+// source: outcomes, outages, operational events, and flows with their Info.
+func TestAppendRowsEdgeCases(t *testing.T) {
+	c := smallCampaign()
+	tick := c.evs[len(c.evs)-1].Time
+	for seq := uint32(3); seq < 9; seq++ { // every node keeps logging, so the watermark moves
+		c.delivery(&tick, event.PacketID{Origin: 3, Seq: seq}, 3, 2, 1)
+	}
+	for i := range c.evs {
+		if i%3 == 1 && c.evs[i].Type.PacketScoped() {
+			c.evs[i].Info = fmt.Sprintf("rssi=-%d", 60+i)
+		}
+	}
+	var body bytes.Buffer
+	if err := event.WriteCollection(&body, c.collection()); err != nil {
+		t.Fatal(err)
+	}
+	text, err := event.ReadCollection(&body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "campaign.snap")
+	if err := event.WriteSnapshot(path, text); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := event.OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if !snap.Collection().Logs[event.Server].Batch().ReadOnly() {
+		t.Fatal("the snapshot's batches are writable; the read-only case is not covered")
+	}
+	if got := text.Logs[event.Server].Events(); got[1].Type != event.ServerDown || got[3].Type != event.ServerUp {
+		t.Fatalf("server log %v: the cuts below assume deliver, down, deliver, up", got)
+	}
+	eng := ctpEngine(t, c.sink)
+	horizon := event.MaxPacketSpread(text)
+	wantRes, want := eng.AnalyzeDiagnosed(text, 1, c.config())
+	infos := 0
+	for _, f := range wantRes.Flows {
+		for _, it := range f.Items {
+			if it.Event.Info != "" {
+				infos++
+			}
+		}
+	}
+	if infos == 0 {
+		t.Fatal("no flow item carries Info; the Info case is not covered")
+	}
+	for _, src := range []struct {
+		name string
+		c    *event.Collection
+	}{{"text", text}, {"snapshot", snap.Collection()}} {
+		for _, cuts := range []struct {
+			name string
+			at   []int // fragment boundaries inside every log, clamped to its length
+		}{
+			{"op-middle", nil},
+			{"op-first", []int{1, 3, 12}},
+			{"op-last", []int{2, 4, 12}},
+			{"op-alone", []int{1, 2, 3, 4, 12}},
+		} {
+			s := c.session(t, eng, horizon)
+			for round := 0; round <= len(cuts.at); round++ {
+				for _, n := range src.c.Nodes() {
+					b := src.c.Logs[n].Batch()
+					lo, hi := 0, b.Len()
+					if round > 0 {
+						lo = min(cuts.at[round-1], hi)
+					}
+					if round < len(cuts.at) {
+						hi = min(cuts.at[round], hi)
+					}
+					if err := s.AppendRows(n, b, lo, hi); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := s.Advance(math.MaxInt64); err != nil {
+					t.Fatal(err)
+				}
+			}
+			label := src.name + "/" + cuts.name
+			if st := s.Stats(); len(cuts.at) > 0 && st.FinalizedPackets == 0 {
+				t.Errorf("%s: nothing retired before the drain", label)
+			}
+			res, rep := s.Drain()
+			if !reflect.DeepEqual(rep.Outcomes, want.Outcomes) || !reflect.DeepEqual(rep.Outages, want.Outages) {
+				t.Errorf("%s: report diverged from batch\n got %+v %+v\nwant %+v %+v", label, rep.Outcomes, rep.Outages, want.Outcomes, want.Outages)
+			}
+			if !reflect.DeepEqual(res.Operational, wantRes.Operational) {
+				t.Errorf("%s: operational events %+v, batch %+v", label, res.Operational, wantRes.Operational)
+			}
+			if !reflect.DeepEqual(res.Flows, wantRes.Flows) {
+				t.Errorf("%s: flows diverged from batch", label)
+			}
+		}
 	}
 }
