@@ -1,13 +1,17 @@
 package event
 
-import "slices"
+import (
+	"maps"
+	"slices"
+)
 
 // Batch is structure-of-arrays storage for event records: every fixed-size
 // field of Event lives in its own flat column, and the rarely-used free-form
-// Info strings are kept in a cold side table keyed by row. The hot columns
-// contain no pointers, so a batch holding millions of events contributes
-// almost nothing to GC scan work — the property that makes campaign-scale
-// collections cheap to keep resident. A zero Batch is empty and ready to use.
+// Info strings are kept in one cold side table keyed by row — the only Info
+// storage any batch has, arenas included. The hot columns contain no
+// pointers, so a batch holding millions of events contributes almost nothing
+// to GC scan work — the property that makes campaign-scale collections cheap
+// to keep resident. A zero Batch is empty and ready to use.
 //
 // Batch is the backing store of Log (per-node collection storage) and
 // PacketView (the partitioner's per-packet views); Event remains the unit the
@@ -20,16 +24,12 @@ type Batch struct {
 	origin   []NodeID
 	seq      []uint32
 	time     []int64
-	// info is the cold side table: row index -> Info string. It is nil
-	// until the first non-empty Info is stored, which on simulator-driven
-	// campaigns is never — the hot path allocates no map.
+	// info is the cold side table: row index -> Info string, holding only
+	// non-empty ones. It is nil until the first is stored, which on
+	// simulator-driven campaigns is never — the hot path allocates no map.
+	// An arena's table is complete before any analysis worker reads it, so
+	// the workers' concurrent reads need no lock.
 	info map[int32]string
-	// infoCol is the dense alternative to the info map, used for shared
-	// partition arenas that every analysis worker reads at once: a per-row
-	// slice keeps that shared path free of map accesses.
-	// Allocated only by Partition when its scan saw a packet-scoped row
-	// with a non-empty Info; when non-nil it supersedes the map entirely.
-	infoCol []string
 	// ro marks a snapshot-mapped batch: its columns alias a read-only file
 	// mapping, so every mutating path panics instead of faulting on a
 	// protected page (or silently corrupting the portable fallback buffer
@@ -70,9 +70,6 @@ func (b *Batch) Grow(n int) {
 	b.seq = grown(b.seq, want)
 	b.time = grown(b.time, want)
 	b.typ = grown(b.typ, want) // the byte column last: asked for second, batch-skew's peak RSS read 5 % higher
-	if b.infoCol != nil {
-		b.infoCol = grown(b.infoCol, want)
-	}
 }
 
 // reserve makes room for n more rows in one step, at least doubling the
@@ -111,9 +108,6 @@ func (b *Batch) Resize(n int) {
 	b.origin = b.origin[:n]
 	b.seq = b.seq[:n]
 	b.time = b.time[:n]
-	if b.infoCol != nil {
-		b.infoCol = b.infoCol[:n]
-	}
 }
 
 // Append adds one event as a new row.
@@ -126,22 +120,23 @@ func (b *Batch) Append(e Event) {
 	b.origin = append(b.origin, e.Packet.Origin)
 	b.seq = append(b.seq, e.Packet.Seq)
 	b.time = append(b.time, e.Time)
-	if b.infoCol != nil {
-		b.infoCol = append(b.infoCol, e.Info)
+	b.setInfo(len(b.typ)-1, e.Info)
+}
+
+// setInfo records a non-empty Info for row i, allocating the side table on
+// first use; an empty one is not stored.
+func (b *Batch) setInfo(i int, inf string) {
+	if inf == "" {
 		return
 	}
-	if e.Info != "" {
-		if b.info == nil {
-			b.info = make(map[int32]string)
-		}
-		b.info[int32(len(b.typ)-1)] = e.Info
+	if b.info == nil {
+		b.info = make(map[int32]string)
 	}
+	b.info[int32(i)] = inf
 }
 
 // appendRange appends rows [lo, hi) of src, stamped with node n, copying
-// each column by one append. Info is read only when src has any, and goes
-// to b's map: no batch appended to has a dense Info column (only
-// Partition's and a Window's arenas do, and nothing appends to them).
+// each column by one append. Info is read only when src has any.
 func (b *Batch) appendRange(n NodeID, src *Batch, lo, hi int) {
 	b.mutable()
 	base := len(b.typ)
@@ -155,16 +150,11 @@ func (b *Batch) appendRange(n NodeID, src *Batch, lo, hi int) {
 	b.seq = append(b.seq, src.seq[lo:hi]...)
 	b.time = append(b.time, src.time[lo:hi]...)
 	b.typ = append(b.typ, src.typ[lo:hi]...) // the byte column last, as in Grow
-	if src.infoCol == nil && len(src.info) == 0 {
+	if len(src.info) == 0 {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		if inf := src.Info(i); inf != "" {
-			if b.info == nil {
-				b.info = make(map[int32]string)
-			}
-			b.info[int32(base+i-lo)] = inf
-		}
+		b.setInfo(base+i-lo, src.info[int32(i)])
 	}
 }
 
@@ -178,18 +168,8 @@ func (b *Batch) Set(i int, e Event) {
 	b.origin[i] = e.Packet.Origin
 	b.seq[i] = e.Packet.Seq
 	b.time[i] = e.Time
-	if b.infoCol != nil {
-		b.infoCol[i] = e.Info
-		return
-	}
-	if e.Info != "" {
-		if b.info == nil {
-			b.info = make(map[int32]string)
-		}
-		b.info[int32(i)] = e.Info
-	} else if b.info != nil {
-		delete(b.info, int32(i))
-	}
+	delete(b.info, int32(i))
+	b.setInfo(i, e.Info)
 }
 
 // At materializes row i as an Event.
@@ -205,9 +185,7 @@ func (b *Batch) At(i int) Event {
 		Packet:   PacketID{Origin: b.origin[i], Seq: b.seq[i]},
 		Time:     b.time[i],
 	}
-	if b.infoCol != nil {
-		e.Info = b.infoCol[i]
-	} else if b.info != nil {
+	if b.info != nil {
 		e.Info = b.info[int32(i)]
 	}
 	return e
@@ -234,22 +212,13 @@ func (b *Batch) Packet(i int) PacketID {
 func (b *Batch) Time(i int) int64 { return b.time[i] }
 
 // Info returns row i's free-form info ("" for the vast majority of rows).
-func (b *Batch) Info(i int) string {
-	if b.infoCol != nil {
-		return b.infoCol[i]
-	}
-	if b.info == nil {
-		return ""
-	}
-	return b.info[int32(i)]
-}
+func (b *Batch) Info(i int) string { return b.info[int32(i)] }
 
 // Reset empties the batch, keeping column capacity.
 func (b *Batch) Reset() {
 	b.mutable()
 	b.Resize(0)
 	b.info = nil
-	b.infoCol = nil
 }
 
 // Clone returns a deep copy.
@@ -263,14 +232,8 @@ func (b *Batch) Clone() Batch {
 		seq:      append([]uint32(nil), b.seq...),
 		time:     append([]int64(nil), b.time...),
 	}
-	if b.infoCol != nil {
-		out.infoCol = append([]string(nil), b.infoCol...)
-	} else if len(b.info) > 0 {
-		out.info = make(map[int32]string, len(b.info))
-		//refill:allow maprange — map-to-map copy; no ordered output is produced
-		for k, v := range b.info {
-			out.info[k] = v
-		}
+	if len(b.info) > 0 {
+		out.info = maps.Clone(b.info)
 	}
 	return out
 }

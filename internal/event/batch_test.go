@@ -432,22 +432,17 @@ func TestPartitionPreservesInfo(t *testing.T) {
 	}
 }
 
-// TestPartitionArenaInfoRepresentation pins the shared arena's storage
-// choice: an info-free collection keeps the arena's info storage entirely
-// unallocated (the hot path), while any packet-scoped Info switches the arena
-// to the dense column — never the lazy map.
+// TestPartitionArenaInfoRepresentation pins the shared arena's Info
+// storage: an info-free collection leaves the arena's side table
+// unallocated (the hot path), and packet-scoped Info lands in that table —
+// the one Info representation a batch has.
 func TestPartitionArenaInfoRepresentation(t *testing.T) {
 	views, _ := Partition(buildRandomCollection(5, 1000))
-	arena := views[0].Batch()
-	if arena.infoCol != nil || arena.info != nil {
+	if arena := views[0].Batch(); arena.info != nil {
 		t.Error("info-free partition allocated arena info storage")
 	}
 	views, _ = Partition(buildInfoCollection(5, 1000))
-	arena = views[0].Batch()
-	if arena.infoCol == nil {
-		t.Error("info-bearing partition did not allocate the dense info column")
-	}
-	if arena.info != nil {
-		t.Error("info-bearing partition populated the lazy map on the shared arena")
+	if arena := views[0].Batch(); len(arena.info) == 0 {
+		t.Error("info-bearing partition left the arena's info table empty")
 	}
 }

@@ -303,32 +303,6 @@ func TestPacketViewHelpers(t *testing.T) {
 	}
 }
 
-func TestMergeByTimeOrdersGlobally(t *testing.T) {
-	c := NewCollection()
-	pkt := PacketID{Origin: 1, Seq: 1}
-	c.Add(Event{Node: 2, Type: Recv, Sender: 1, Receiver: 2, Packet: pkt, Time: 20})
-	c.Add(Event{Node: 1, Type: Trans, Sender: 1, Receiver: 2, Packet: pkt, Time: 10})
-	c.Add(Event{Node: 1, Type: AckRecvd, Sender: 1, Receiver: 2, Packet: pkt, Time: 30})
-	merged := MergeByTime(c)
-	if len(merged) != 3 {
-		t.Fatalf("len = %d", len(merged))
-	}
-	if merged[0].Type != Trans || merged[1].Type != Recv || merged[2].Type != AckRecvd {
-		t.Errorf("bad order: %v %v %v", merged[0], merged[1], merged[2])
-	}
-}
-
-func TestMergeByTimeTieBreakDeterministic(t *testing.T) {
-	c := NewCollection()
-	pkt := PacketID{Origin: 1, Seq: 1}
-	c.Add(Event{Node: 2, Type: Recv, Sender: 1, Receiver: 2, Packet: pkt, Time: 10})
-	c.Add(Event{Node: 1, Type: Trans, Sender: 1, Receiver: 2, Packet: pkt, Time: 10})
-	merged := MergeByTime(c)
-	if merged[0].Node != 1 || merged[1].Node != 2 {
-		t.Errorf("tie break should order by node: %v then %v", merged[0].Node, merged[1].Node)
-	}
-}
-
 // randomEvent builds a structurally valid random event for property tests.
 func randomEvent(rng *rand.Rand) Event {
 	pkt := PacketID{Origin: NodeID(rng.Intn(50) + 1), Seq: uint32(rng.Intn(1000))}

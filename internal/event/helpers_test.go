@@ -8,12 +8,12 @@ type stringsBuilderCloser struct{ strings.Builder }
 
 func newStringReader(s string) *strings.Reader { return strings.NewReader(s) }
 
-// Append buffers one packet-scoped event logged at node n: AppendRange over
-// a one-row batch, the single-row form the store's tests drive it with.
+// Append appends one event logged at node n: AppendRows over a one-row
+// batch, the single-row form the store's tests drive it with.
 func (ps *PendingStore) Append(n NodeID, e Event) {
 	var b Batch
 	b.Append(e)
-	ps.AppendRange(n, &b, 0, 1)
+	ps.AppendRows(n, &b, 0, 1)
 }
 
 // logOf returns node n's pending log, or nil before its first row.

@@ -306,7 +306,7 @@ func Partition(c *Collection) (views []*PacketView, operational []Event) {
 	for ni, nd := range nodes {
 		b := &c.Logs[nd].batch
 		logs[ni] = b
-		mayInfo := b.infoCol != nil || len(b.info) > 0
+		hasInfo = hasInfo || len(b.info) > 0
 		for i, t := range b.typ {
 			if !t.PacketScoped() {
 				nops++
@@ -317,7 +317,6 @@ func Partition(c *Collection) (views []*PacketView, operational []Event) {
 			keys[n], rows[n] = k, first[ni]+uint32(i)
 			varying |= k ^ keys[0]
 			n++
-			hasInfo = hasInfo || mayInfo && b.Info(i) != ""
 		}
 		first[ni+1] = first[ni] + uint32(len(b.typ))
 	}
@@ -348,13 +347,7 @@ func Partition(c *Collection) (views []*PacketView, operational []Event) {
 		nis[j], rows[j] = uint32(ni), rows[j]-first[ni]
 	}
 
-	// Every analysis worker reads the arena at once, so Info, when any
-	// packet-scoped row carries one, goes in a dense column: the lazy map
-	// would put map reads on that shared path.
 	arena := &Batch{}
-	if hasInfo {
-		arena.infoCol = make([]string, n)
-	}
 	arena.Resize(n)
 	spans := make([]ViewSpan, 0, nspans)
 	structs := make([]PacketView, 0, nviews)
@@ -382,8 +375,10 @@ func Partition(c *Collection) (views []*PacketView, operational []Event) {
 	gather(arena.sender, logs, nis, rows, func(b *Batch) []NodeID { return b.sender })
 	gather(arena.receiver, logs, nis, rows, func(b *Batch) []NodeID { return b.receiver })
 	gather(arena.time, logs, nis, rows, func(b *Batch) []int64 { return b.time })
-	for j := range arena.infoCol {
-		arena.infoCol[j] = logs[nis[j]].Info(int(rows[j]))
+	if hasInfo { // the arena's table is complete before any worker reads it
+		for j, ni := range nis {
+			arena.setInfo(j, logs[ni].info[int32(rows[j])])
+		}
 	}
 	return views, operational
 }
@@ -458,37 +453,4 @@ func OperationalEvents(c *Collection) []Event {
 	}
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Time < ops[j].Time })
 	return ops
-}
-
-// MergeByTime flattens a collection into a single slice ordered by the Time
-// field, breaking ties by node then by log position. This is ONLY valid for
-// ground-truth collections whose Time is a global clock; it exists for the
-// simulator's ground-truth recorder and for baselines, never for the engine.
-func MergeByTime(c *Collection) []Event {
-	type indexed struct {
-		e   Event
-		pos int
-	}
-	var all []indexed
-	for _, n := range c.Nodes() {
-		l := c.Logs[n]
-		for i := 0; i < l.Len(); i++ {
-			all = append(all, indexed{l.At(i), i})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.e.Time != b.e.Time {
-			return a.e.Time < b.e.Time
-		}
-		if a.e.Node != b.e.Node {
-			return a.e.Node < b.e.Node
-		}
-		return a.pos < b.pos
-	})
-	out := make([]Event, len(all))
-	for i, x := range all {
-		out[i] = x.e
-	}
-	return out
 }

@@ -31,12 +31,14 @@
 package snapfile
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"unsafe"
 )
 
@@ -62,8 +64,8 @@ const (
 // platforms this repo targets.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// hostLittleEndian reports whether the host stores integers little endian.
-func hostLittleEndian() bool {
+// HostLittleEndian reports whether the host stores integers little endian.
+func HostLittleEndian() bool {
 	probe := uint16(1)
 	return *(*byte)(unsafe.Pointer(&probe)) == 1
 }
@@ -212,6 +214,43 @@ func (w *Writer) Finish() error {
 	return w.err
 }
 
+// WriteFile writes a snapshot file to path atomically. fill emits the
+// sections into a Writer over a temp file in path's directory, named after
+// pattern as os.CreateTemp names it; the file is then finished, flushed
+// through a 1 MiB buffer, fsynced, closed and renamed over path, and the
+// directory is fsynced (on unix) so the new name survives a crash. On any
+// error path is left as it was and the temp file is removed.
+func WriteFile(path, pattern string, fill func(*Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	bw := bufio.NewWriterSize(tmp, 1<<20)
+	w := NewWriter(bw)
+	err = fill(w)
+	if err == nil {
+		err = w.Finish()
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	return err
+}
+
 // Snapshot is an open snapshot: the raw mapping plus the validated section
 // table. A Snapshot is immutable after Open/Parse and safe to share across
 // goroutines; Close (once, by the owner) unmaps it, after which every
@@ -232,7 +271,7 @@ type Snapshot struct {
 // of Open but no data-CRC work; it never allocates proportionally to any
 // length field read from the image.
 func Parse(data []byte) (*Snapshot, error) {
-	if !hostLittleEndian() {
+	if !HostLittleEndian() {
 		return nil, fmt.Errorf("snapfile: zero-copy open requires a little-endian host")
 	}
 	if len(data) < headerSize+footerSize {

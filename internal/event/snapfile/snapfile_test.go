@@ -3,9 +3,11 @@ package snapfile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -291,4 +293,54 @@ func FuzzParse(f *testing.F) {
 		}
 		s.Verify() // must not panic regardless of verdict
 	})
+}
+
+// TestWriteFileFailureKeepsPrevious: a write whose fill fails after emitting
+// a megabyte, or whose final rename fails, leaves the previous file
+// byte-identical and no temp file behind.
+func TestWriteFileFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "s.snap")
+	if err := WriteFile(path, ".refill-test-*", func(w *Writer) error { w.Append(1, []byte("previous")); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("fill failed")
+	err = WriteFile(path, ".refill-test-*", func(w *Writer) error {
+		w.Append(1, bytes.Repeat([]byte("next"), 1<<18))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFile = %v, want the fill's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("previous file changed by a failed write (err %v)", err)
+	}
+	blocked := filepath.Join(dir, "blocked") // a non-empty directory: renaming onto it fails
+	if err := os.MkdirAll(filepath.Join(blocked, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(blocked, ".refill-test-*", func(w *Writer) error { return nil }); err == nil {
+		t.Fatal("WriteFile onto a non-empty directory succeeded")
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"blocked", "s.snap"}) {
+		t.Fatalf("directory holds %v after the failed writes, want [blocked s.snap]", names)
+	}
+}
+
+// dirNames lists the entries of dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }

@@ -1,12 +1,9 @@
 package event
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"unsafe"
 
 	"repro/internal/event/snapfile"
@@ -99,15 +96,10 @@ func castColumn[T any](data []byte, rows int) ([]T, error) {
 	return unsafe.Slice((*T)(unsafe.Pointer(&data[0])), rows), nil
 }
 
-func hostLittleEndian() bool {
-	probe := uint16(1)
-	return *(*byte)(unsafe.Pointer(&probe)) == 1
-}
-
 // AppendCollectionSections serializes c into w as the section family rooted
 // at base. The caller owns Begin/Finish of the surrounding container.
 func AppendCollectionSections(w *snapfile.Writer, base uint32, c *Collection) error {
-	if !hostLittleEndian() {
+	if !snapfile.HostLittleEndian() {
 		return fmt.Errorf("event: snapshot writing requires a little-endian host")
 	}
 	nodes := c.Nodes()
@@ -348,35 +340,15 @@ type Snapshot struct {
 	spread int64
 }
 
-// WriteSnapshot atomically writes c to path in the snapshot format (a temp
-// file in the same directory, fsynced, then renamed over path), recording
-// its max packet spread so the out-of-core path need not scan for it.
+// WriteSnapshot atomically writes c to path in the snapshot format
+// (snapfile.WriteFile), recording its max packet spread so the out-of-core
+// path need not scan for it.
 func WriteSnapshot(path string, c *Collection) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".refill-snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	w := snapfile.NewWriter(bw)
-	err = appendSnapshot(w, c)
-	if err == nil {
-		err = w.Finish()
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	fill := func(w *snapfile.Writer) error { return appendSnapshot(w, c) }
+	if err := snapfile.WriteFile(path, ".refill-snap-*", fill); err != nil {
 		return fmt.Errorf("event: write snapshot %s: %w", path, err)
 	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }
 
 // appendSnapshot writes the sections of a snapshot of c: its collection at

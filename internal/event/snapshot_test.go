@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -79,6 +80,40 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	for _, l := range s.Collection().Logs {
 		if !l.Batch().ReadOnly() {
 			t.Fatal("mapped batch should be read-only")
+		}
+	}
+}
+
+// TestSnapshotFailedWriteKeepsPrevious: a snapshot write that fails — here
+// its final rename, onto a non-empty directory — leaves the previous
+// snapshot byte-identical and no temp file behind (snapfile.WriteFile pins
+// the same after a failure mid-write).
+func TestSnapshotFailedWriteKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path, blocked := filepath.Join(dir, "c.snap"), filepath.Join(dir, "blocked")
+	if err := WriteSnapshot(path, snapTestCollection(3, 500)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(blocked, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshot(blocked, snapTestCollection(4, 500)); err == nil {
+		t.Fatal("snapshot onto a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("previous snapshot changed by a failed write (err %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".refill-") {
+			t.Errorf("failed snapshot left temp file %s", e.Name())
 		}
 	}
 }

@@ -144,28 +144,18 @@ func (p *WindowPlan) Span(k, i int) (lo, hi int) {
 	return lo, int(p.bounds[k][i])
 }
 
-// FeedWindow appends window k's packet-scoped rows into dst, preserving each
-// node's log order (the only order the retirement consumer depends on).
-// Operational rows are skipped: dst holds packet rows only. Returns the
-// number of rows fed.
+// FeedWindow appends window k's rows into dst through AppendRows, node by
+// node, so each node's log order is kept (the only order the retirement
+// consumer depends on) and its watermark rises to its last fed row. Returns
+// the number of packet rows fed; operational rows go to dst's operational
+// collection.
 func (p *WindowPlan) FeedWindow(c *Collection, k int, dst *PendingStore) int {
-	fed := 0
+	before := dst.Rows()
 	for i, n := range p.nodes {
-		b := &c.Logs[n].batch
 		lo, hi := p.Span(k, i)
-		for lo < hi {
-			run := lo
-			for run < hi && b.typ[run].PacketScoped() {
-				run++
-			}
-			if run > lo {
-				dst.AppendRange(n, b, lo, run)
-				fed += run - lo
-			}
-			lo = run + 1 // past the operational row that ended the run
-		}
+		dst.AppendRows(n, &c.Logs[n].batch, lo, hi)
 	}
-	return fed
+	return dst.Rows() - before
 }
 
 // MaxPacketSpread measures the collection's maximum within-packet timestamp

@@ -4,15 +4,14 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 )
 
-// Watermark machinery for the ingest session: per-node low watermarks over
-// local clocks, and a pending store that holds packet rows only until the
-// watermark proves them complete, then retires them straight into packet
-// views and compacts the storage in place. Retained rows are
-// therefore proportional to the in-flight packet population, not to the total
-// volume ever ingested.
+// Watermark machinery for the ingest session: a pending store that keeps
+// each node's low watermark over its local clock beside the node's packet
+// rows, holds those rows only until the watermarks prove them complete, then
+// retires them straight into packet views and compacts the storage in place.
+// Retained rows are therefore proportional to the in-flight packet
+// population, not to the total volume ever ingested.
 //
 // The watermark contract mirrors the repo-wide log assumption (per-node logs
 // are append-only and locally ordered): a node whose watermark stands at w
@@ -23,76 +22,21 @@ import (
 // packet can be stamped — cross-node clock skew plus in-network packet
 // lifetime — which the caller supplies as a horizon when retiring.
 
-// Watermarks tracks the low watermark of every node seen so far: the highest
-// local timestamp each node has appended. The effective (collection-wide)
-// watermark is the minimum over all tracked nodes — no tracked node can
-// produce a row below it.
-type Watermarks struct {
-	m map[NodeID]int64
-}
-
-// NewWatermarks returns an empty watermark table.
-func NewWatermarks() *Watermarks {
-	return &Watermarks{m: make(map[NodeID]int64)}
-}
-
-// Observe raises node n's watermark to t (no-op when t is not an advance).
-// First observation registers the node.
-func (w *Watermarks) Observe(n NodeID, t int64) {
-	if cur, ok := w.m[n]; !ok || t > cur {
-		w.m[n] = t
-	}
-}
-
-// Node returns n's watermark and whether n has been observed.
-func (w *Watermarks) Node(n NodeID) (int64, bool) {
-	t, ok := w.m[n]
-	return t, ok
-}
-
-// Low returns the effective watermark — the minimum over every observed
-// node — and false when no node has been observed yet.
-func (w *Watermarks) Low() (int64, bool) {
-	first := true
-	low := int64(0)
-	//refill:allow maprange — commutative min; order-independent
-	for _, t := range w.m {
-		if first || t < low {
-			low, first = t, false
-		}
-	}
-	return low, !first
-}
-
-// Len returns the number of observed nodes.
-func (w *Watermarks) Len() int { return len(w.m) }
-
-// Nodes returns the observed nodes in ascending order.
-func (w *Watermarks) Nodes() []NodeID {
-	nodes := make([]NodeID, 0, len(w.m))
-	//refill:allow maprange — key collection; the sort below imposes the order
-	for n := range w.m {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
-}
-
-// PendingStore holds the unretired packet rows of its owner, the ingest
-// session: one batch per logging node, in append (= log) order. Each
-// in-flight packet is interned once, at its first row, into a dense slot
-// that holds its last-seen local timestamp; every row carries its packet's
-// slot in a column beside the seven event columns, so retirement tests rows
-// by index and touches the intern map once per packet, never per row. It is
-// driven single-threaded under the session's lock and never handed across a
-// goroutine boundary.
+// PendingStore is its owner's — the ingest session's — only per-node table.
+// Each logging node has one entry, ascending by node, holding the node's
+// watermark beside its unretired packet rows in append (= log) order; the
+// server up/down rows go to one operational collection, kept for the life of
+// the store. Each in-flight packet is interned once, at its first row, into a
+// dense slot that holds its last-seen local timestamp; every row carries its
+// packet's slot in a column beside the seven event columns, so retirement
+// tests rows by index and touches the intern map once per packet, never per
+// row. It is driven single-threaded under the session's lock and never
+// handed across a goroutine boundary.
 //
 //refill:owned
 type PendingStore struct {
-	logs []*pendingLog // ascending by node
-	// cur is the node the last AppendRange named: a node's fragments
-	// usually arrive together, so they skip the node lookup.
-	cur   *pendingLog
+	logs  []*pendingLog      // ascending by node
+	ops   *Collection        // server up/down rows, per node in log order
 	ids   map[PacketID]int32 // in-flight packet -> its slot
 	slots []packetSlot
 	free  []int32 // retired slots, reused before slots grows
@@ -101,9 +45,13 @@ type PendingStore struct {
 	spare Window
 }
 
-// pendingLog is one node's buffered rows and, per row, its packet's slot.
+// pendingLog is one node's watermark, buffered rows and, per row, its
+// packet's slot.
 type pendingLog struct {
 	node NodeID
+	// wm is the node's watermark: the highest local timestamp it has
+	// appended or punctuated, math.MinInt64 until then. It never falls.
+	wm   int64
 	b    Batch
 	slot []int32
 	// prev is the slot of the packet this node's last row was about, or -1:
@@ -130,35 +78,54 @@ type packetSlot struct {
 // count and is ignored; it stays only because bench/ calls the constructor
 // with one.
 func NewPendingStore(int) *PendingStore {
-	return &PendingStore{ids: make(map[PacketID]int32)}
+	return &PendingStore{ops: NewCollection(), ids: make(map[PacketID]int32)}
 }
 
-// node returns n's log, creating it on first use, and makes it current.
+// node returns n's entry, registering n on first use.
 func (ps *PendingStore) node(n NodeID) *pendingLog {
-	if l := ps.cur; l != nil && l.node == n {
-		return l
-	}
 	i, ok := slices.BinarySearchFunc(ps.logs, n, func(l *pendingLog, n NodeID) int { return cmp.Compare(l.node, n) })
 	if !ok {
-		ps.logs = slices.Insert(ps.logs, i, &pendingLog{node: n, prev: -1})
+		ps.logs = slices.Insert(ps.logs, i, &pendingLog{node: n, wm: math.MinInt64, prev: -1})
 	}
-	ps.cur = ps.logs[i]
-	return ps.cur
+	return ps.logs[i]
 }
 
-// AppendRange buffers rows [lo, hi) of src as node n's next rows, stamped
-// with n. Each column is copied by one append; then one pass over the packet
-// columns interns each row's packet, skipping the lookup while rows stay on
-// the previous row's packet, and raises its last-seen time. Every row must be
-// packet-scoped: server up/down events are the caller's to keep, since they
-// are never retirable per packet. src is only read, so it may be read-only.
-// Returns the range's highest timestamp (math.MinInt64 when it is empty).
-func (ps *PendingStore) AppendRange(n NodeID, src *Batch, lo, hi int) int64 {
+// AppendRows takes rows [lo, hi) of src as node n's next log fragment,
+// stamped with n, and cuts it at its server up/down rows: each run of packet
+// rows is buffered by column (appendRange), each up/down row goes to the
+// operational collection. n's watermark rises to the fragment's highest
+// timestamp, and a first non-empty fragment registers n. src is only read,
+// so it may be read-only, and the store keeps no reference to it.
+func (ps *PendingStore) AppendRows(n NodeID, src *Batch, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	l := ps.node(n)
+	for lo < hi {
+		run := lo
+		for run < hi && src.typ[run].PacketScoped() {
+			run++
+		}
+		if run > lo {
+			ps.appendRange(l, src, lo, run)
+		}
+		if run < hi {
+			ps.ops.Log(n).Append(src.At(run))
+			l.wm = max(l.wm, src.time[run])
+		}
+		lo = run + 1
+	}
+}
+
+// appendRange buffers the packet rows [lo, hi) of src in l. Each column is
+// copied by one append; then one pass over the packet columns interns each
+// row's packet, skipping the lookup while rows stay on the previous row's
+// packet, raises its last-seen time and the node's watermark.
+func (ps *PendingStore) appendRange(l *pendingLog, src *Batch, lo, hi int) {
 	l.b.reserve(hi - lo)
 	l.slot = grown(l.slot, cap(l.b.time))
-	l.b.appendRange(n, src, lo, hi)
-	high, s := int64(math.MinInt64), l.prev
+	l.b.appendRange(l.node, src, lo, hi)
+	s, high := l.prev, l.wm
 	for i := lo; i < hi; i++ {
 		id, t := PacketID{Origin: src.origin[i], Seq: src.seq[i]}, src.time[i]
 		if s < 0 || ps.slots[s].id != id {
@@ -170,10 +137,47 @@ func (ps *PendingStore) AppendRange(n NodeID, src *Batch, lo, hi int) int64 {
 		l.slot = append(l.slot, s)
 		high = max(high, t)
 	}
-	l.prev = s
+	l.prev, l.wm = s, high
 	ps.rows += hi - lo
-	return high
 }
+
+// Punctuate says node n has nothing more below t: its watermark rises to t
+// (never falls) without a row. A first punctuation registers n, so
+// Punctuate(n, math.MinInt64) makes n hold the effective watermark back
+// before its first row.
+func (ps *PendingStore) Punctuate(n NodeID, t int64) {
+	l := ps.node(n)
+	l.wm = max(l.wm, t)
+}
+
+// Low returns the effective watermark — the minimum over every registered
+// node, none of which can append a row below it — and false while no node
+// is registered.
+func (ps *PendingStore) Low() (int64, bool) {
+	if len(ps.logs) == 0 {
+		return 0, false
+	}
+	low := int64(math.MaxInt64)
+	for _, l := range ps.logs {
+		low = min(low, l.wm)
+	}
+	return low, true
+}
+
+// Watermarks calls f with every registered node and its watermark,
+// ascending by node.
+func (ps *PendingStore) Watermarks(f func(n NodeID, wm int64)) {
+	for _, l := range ps.logs {
+		f(l.node, l.wm)
+	}
+}
+
+// Nodes returns the number of registered nodes.
+func (ps *PendingStore) Nodes() int { return len(ps.logs) }
+
+// Operational returns the server up/down rows appended so far, per node in
+// log order. The caller must not modify it.
+func (ps *PendingStore) Operational() *Collection { return ps.ops }
 
 // intern returns id's slot, taking a free one (or a new one), last seen at
 // t, for a packet not yet in flight.
@@ -200,8 +204,8 @@ func (ps *PendingStore) Rows() int { return ps.rows }
 func (ps *PendingStore) Packets() int { return len(ps.ids) }
 
 // AppendPendingTo copies every buffered row into dst, each node's rows in
-// log order — the checkpoint layout. Replaying the result through
-// AppendRange rebuilds the store exactly.
+// log order — the checkpoint layout. Replaying the result through AppendRows
+// rebuilds the buffered rows exactly.
 func (ps *PendingStore) AppendPendingTo(dst *Collection) {
 	for _, pl := range ps.logs {
 		if pl.b.Len() > 0 {
@@ -287,17 +291,15 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 	if len(retiring) == 0 {
 		return w.views
 	}
-	hasInfo := false
 	for ord, pl := range ps.logs {
 		pl.prev = -1
-		for i, s := range pl.slot {
+		for _, s := range pl.slot {
 			if sl := &ps.slots[s]; !sl.live {
 				if sl.node != int32(ord+1) {
 					sl.node, sl.spans = int32(ord+1), sl.spans+1
 				}
 				sl.rows++
 				pl.out++
-				hasInfo = hasInfo || len(pl.b.info) > 0 && pl.b.info[int32(i)] != ""
 			}
 		}
 	}
@@ -312,9 +314,6 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 	a := &w.arena
 	a.Reset()
 	a.Resize(int(rows))
-	if hasInfo { // rare: a dense column, as Partition's, for the workers' shared reads
-		a.infoCol = make([]string, rows)
-	}
 	w.spans = grown(w.spans[:0], int(spans))[:spans]
 	w.structs = grown(w.structs[:0], len(retiring))[:len(retiring)]
 	rows, spans = 0, 0
@@ -345,10 +344,8 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 				sl.rows++
 				a.node[r], a.typ[r], a.time[r] = pl.node, b.typ[i], b.time[i]
 				a.sender[r], a.receiver[r] = b.sender[i], b.receiver[i]
-				if hasInfo {
-					a.infoCol[r] = b.info[int32(i)]
-				}
-				if b.info != nil {
+				if len(b.info) > 0 { // the arena's table is complete before any worker reads it
+					a.setInfo(int(r), b.info[int32(i)])
 					delete(b.info, int32(i))
 				}
 				continue
@@ -357,7 +354,7 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 				b.typ[keep], b.time[keep], pl.slot[keep] = b.typ[i], b.time[i], s
 				b.sender[keep], b.receiver[keep] = b.sender[i], b.receiver[i]
 				b.origin[keep], b.seq[keep] = b.origin[i], b.seq[i]
-				if b.info != nil {
+				if len(b.info) > 0 {
 					if inf, ok := b.info[int32(i)]; ok {
 						b.info[int32(keep)] = inf
 						delete(b.info, int32(i))

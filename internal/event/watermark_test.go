@@ -6,26 +6,34 @@ import (
 )
 
 func TestWatermarksLowAndObserve(t *testing.T) {
-	w := NewWatermarks()
-	if _, ok := w.Low(); ok {
-		t.Fatal("empty watermarks reported a low watermark")
+	ps := NewPendingStore(0)
+	if _, ok := ps.Low(); ok {
+		t.Fatal("empty store reported a low watermark")
 	}
-	w.Observe(1, 100)
-	w.Observe(2, 50)
-	w.Observe(1, 80) // regression is a no-op
-	if got, _ := w.Node(1); got != 100 {
-		t.Fatalf("node 1 watermark = %d, want 100", got)
-	}
-	low, ok := w.Low()
+	ps.Punctuate(2, 50)
+	ps.Punctuate(1, 100)
+	ps.Punctuate(1, 80) // regression is a no-op
+	low, ok := ps.Low()
 	if !ok || low != 50 {
 		t.Fatalf("Low = %d,%v, want 50,true", low, ok)
 	}
-	w.Observe(2, 300)
-	if low, _ := w.Low(); low != 100 {
+	ps.Punctuate(2, 300)
+	if low, _ := ps.Low(); low != 100 {
 		t.Fatalf("Low after advance = %d, want 100", low)
 	}
-	if got := w.Nodes(); !reflect.DeepEqual(got, []NodeID{1, 2}) {
-		t.Fatalf("Nodes = %v, want [1 2]", got)
+	ps.Append(1, pev(1, 1, 1, Gen, 90)) // a row below the watermark does not lower it
+	ps.Append(3, pev(3, 1, 1, Recv, 120))
+	wms := map[NodeID]int64{}
+	var nodes []NodeID
+	ps.Watermarks(func(n NodeID, wm int64) { nodes, wms[n] = append(nodes, n), wm })
+	if !reflect.DeepEqual(nodes, []NodeID{1, 2, 3}) || ps.Nodes() != 3 {
+		t.Fatalf("nodes = %v (Nodes %d), want [1 2 3]", nodes, ps.Nodes())
+	}
+	if want := map[NodeID]int64{1: 100, 2: 300, 3: 120}; !reflect.DeepEqual(wms, want) {
+		t.Fatalf("watermarks = %v, want %v", wms, want)
+	}
+	if low, _ := ps.Low(); low != 100 {
+		t.Fatalf("Low after rows = %d, want 100", low)
 	}
 }
 

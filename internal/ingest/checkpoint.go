@@ -1,12 +1,9 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -43,19 +40,21 @@ import (
 // earlier versions also hold section 4, the aggregate's flat encoding:
 // Verify checks its CRC with the rest, and Resume ignores it.
 //
-// Resume rebuilds the pending store by replaying those rows through
-// PendingStore.Append. Files written while the store was sharded by origin
-// hold each node's rows shard by shard instead; they resume all the same,
-// because each packet's rows are still in log order at every node and that is
-// all reconstruction reads. Files written before the session kept its
-// outcomes in packet-ID order hold section 3 in finalization order instead;
-// Resume sorts the outcomes once, which is a no-op on a current file. A
-// resumed session's Drain is then byte-identical to an uninterrupted
-// session's under the resuming config (and, transitively, to batch
-// analysis): outcomes are in packet order, aggregate counters are
-// order-independent, and its point sets settle into a total order.
-// snapshot_equiv_test.go at the repo root pins this across a crash at every
-// checkpoint epoch.
+// Resume restores the watermarks with PendingStore.Punctuate, then rebuilds
+// the rest of the store by replaying the operational and pending rows
+// through PendingStore.AppendRows; a row cannot raise a restored watermark,
+// since every row was at or below its node's watermark when written. Files
+// written while the store was sharded by origin hold each node's rows shard
+// by shard instead; they resume all the same, because each packet's rows
+// are still in log order at every node and that is all reconstruction
+// reads. Files written before the session kept its outcomes in packet-ID
+// order hold section 3 in finalization order instead; Resume sorts the
+// outcomes once, which is a no-op on a current file. A resumed session's
+// Drain is then byte-identical to an uninterrupted session's under the
+// resuming config (and, transitively, to batch analysis): outcomes are in
+// packet order, aggregate counters are order-independent, and its point
+// sets settle into a total order. snapshot_equiv_test.go at the repo root
+// pins this across a crash at every checkpoint epoch.
 
 const (
 	ckVersion = 1
@@ -80,7 +79,7 @@ const (
 var ErrCheckpointFlows = errors.New("ingest: cannot checkpoint a RetainFlows session (flows are not serializable)")
 
 // WriteCheckpoint atomically persists the session's full resumable state to
-// path (temp file, fsync, rename). The session stays usable; the write
+// path (snapfile.WriteFile). The session stays usable; the write
 // holds the session lock, so it serializes against Append/Advance like any
 // other call. Checkpointing a drained session returns ErrDrained — restart
 // a finished campaign from its outputs, not a checkpoint.
@@ -93,16 +92,14 @@ func (s *Session) WriteCheckpoint(path string) error {
 	if s.cfg.RetainFlows {
 		return ErrCheckpointFlows
 	}
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".refill-ckpt-*")
-	if err != nil {
-		return err
+	if err := snapfile.WriteFile(path, ".refill-ckpt-*", s.appendCheckpoint); err != nil {
+		return fmt.Errorf("ingest: write checkpoint %s: %w", path, err)
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	w := snapfile.NewWriter(bw)
+	return nil
+}
 
+// appendCheckpoint writes the checkpoint's sections. Caller holds s.mu.
+func (s *Session) appendCheckpoint(w *snapfile.Writer) error {
 	var meta [ckMetaSize]byte
 	binary.LittleEndian.PutUint64(meta[0:8], ckVersion)
 	binary.LittleEndian.PutUint32(meta[8:12], uint32(s.cfg.Diagnosis.Sink))
@@ -114,13 +111,12 @@ func (s *Session) WriteCheckpoint(path string) error {
 	w.Append(ckSecMeta, meta[:])
 
 	w.Begin(ckSecWatermarks)
-	for _, n := range s.wm.Nodes() {
-		low, _ := s.wm.Node(n)
+	s.store.Watermarks(func(n event.NodeID, low int64) {
 		var e [ckWmEntrySize]byte
 		binary.LittleEndian.PutUint32(e[0:4], uint32(n))
 		binary.LittleEndian.PutUint64(e[8:16], uint64(low))
 		w.Write(e[:])
-	}
+	})
 	w.End()
 
 	w.Begin(ckSecOutcomes)
@@ -142,28 +138,12 @@ func (s *Session) WriteCheckpoint(path string) error {
 	}
 	w.End()
 
-	err = event.AppendCollectionSections(w, ckOpsBase, s.ops)
-	if err == nil {
-		pending := event.NewCollection()
-		s.store.AppendPendingTo(pending)
-		err = event.AppendCollectionSections(w, ckPendBase, pending)
+	if err := event.AppendCollectionSections(w, ckOpsBase, s.store.Operational()); err != nil {
+		return err
 	}
-	if err == nil {
-		err = w.Finish()
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("ingest: write checkpoint %s: %w", path, err)
-	}
-	return os.Rename(tmp.Name(), path)
+	pending := event.NewCollection()
+	s.store.AppendPendingTo(pending)
+	return event.AppendCollectionSections(w, ckPendBase, pending)
 }
 
 // Resume rebuilds a session from a checkpoint written by WriteCheckpoint.
@@ -217,7 +197,7 @@ func Resume(cfg Config, path string) (*Session, error) {
 	for off := 0; off < len(wms); off += ckWmEntrySize {
 		n := event.NodeID(binary.LittleEndian.Uint32(wms[off:]))
 		low := int64(binary.LittleEndian.Uint64(wms[off+8:]))
-		s.wm.Observe(n, low)
+		s.store.Punctuate(n, low)
 	}
 
 	outs, ok := f.Section(ckSecOutcomes)
@@ -251,35 +231,32 @@ func Resume(cfg Config, path string) (*Session, error) {
 		s.acc.Aggregate.Add(o)
 	}
 
-	if s.ops, err = restore(f, ckOpsBase); err != nil {
-		return nil, err
-	}
-	pending, err := restore(f, ckPendBase)
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range pending.Nodes() {
-		s.appendLocked(n, pending.Logs[n].Batch(), 0, pending.Logs[n].Len())
+	for _, base := range []uint32{ckOpsBase, ckPendBase} {
+		if err := s.restore(f, base); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// restore copies the collection section family at base into a collection of
-// its own, per node in log order. The mapped collection and its storage die
-// with f, so each event's Info string is copied out too.
-func restore(f *snapfile.Snapshot, base uint32) (*event.Collection, error) {
+// restore replays the collection section family at base through the pending
+// store's AppendRows, per node in log order. The mapped collection and its
+// storage die with f, so each event's Info string is copied out first.
+func (s *Session) restore(f *snapfile.Snapshot, base uint32) error {
 	c, err := event.CollectionFromSections(f, base)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := event.NewCollection()
 	for _, n := range c.Nodes() {
 		l := c.Logs[n]
+		var b event.Batch
+		b.Grow(l.Len())
 		for i := 0; i < l.Len(); i++ {
 			e := l.At(i)
 			e.Info = strings.Clone(e.Info)
-			out.Log(n).Append(e)
+			b.Append(e)
 		}
+		s.store.AppendRows(n, &b, 0, b.Len())
 	}
-	return out, nil
+	return nil
 }

@@ -251,6 +251,93 @@ func TestCheckpointRefusals(t *testing.T) {
 	}
 }
 
+// TestResumeRestoresWatermarks: the watermark section is the only record
+// of a punctuated silent node and of a node whose rows have all retired, so
+// a resumed session must register both at their marks and advance exactly
+// as the one that wrote the checkpoint.
+func TestResumeRestoresWatermarks(t *testing.T) {
+	c := smallCampaign()
+	path := filepath.Join(t.TempDir(), "wm.ckpt")
+	s := ckSession(t, c, 0)
+	for n, evs := range c.perNode() {
+		if err := s.Append(n, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Punctuate(9, 50)
+	if _, err := s.Advance(c.end); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(Config{Engine: ctpEngine(t, c.sink), Diagnosis: c.config()}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Stats(), s.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed stats %+v, want %+v", got, want)
+	}
+	for _, sess := range []*Session{s, r} {
+		sess.Punctuate(9, 95)
+	}
+	ns, err := s.Advance(c.end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr, err := r.Advance(c.end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns == 0 || nr != ns || r.Watermark() != s.Watermark() {
+		t.Fatalf("resumed advance finalized %d at watermark %d, want %d at %d (and some)", nr, r.Watermark(), ns, s.Watermark())
+	}
+}
+
+// TestCheckpointFailedWriteKeepsPrevious: a checkpoint write that fails —
+// here its final rename, onto a non-empty directory — leaves the previous
+// checkpoint byte-identical and no temp file behind (snapfile.WriteFile
+// pins the same after a failure mid-write).
+func TestCheckpointFailedWriteKeepsPrevious(t *testing.T) {
+	c := smallCampaign()
+	dir := t.TempDir()
+	path, blocked := filepath.Join(dir, "s.ckpt"), filepath.Join(dir, "blocked")
+	s := ckSession(t, c, 25)
+	for n, evs := range c.perNode() {
+		if err := s.Append(n, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(blocked, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Advance(c.end); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(blocked); err == nil {
+		t.Fatal("checkpoint onto a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("previous checkpoint changed by a failed write (err %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".refill-") {
+			t.Errorf("failed checkpoint left temp file %s", e.Name())
+		}
+	}
+}
+
 func TestResumeValidatesConfigAndFile(t *testing.T) {
 	c := smallCampaign()
 	dir := t.TempDir()

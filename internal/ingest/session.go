@@ -111,7 +111,9 @@ type Stats struct {
 // concurrent use: one mutex guards the whole session, which is plenty —
 // Append is a column append plus watermark bump, and the heavy lifting in
 // Advance fans out to engine workers while still holding the lock (a second
-// Advance would have to wait anyway for deterministic output).
+// Advance would have to wait anyway for deterministic output). Everything
+// the session knows per node — watermark, pending rows, server up/down rows
+// — lives in its pending store.
 //
 // Session is deliberately NOT a //refill:owned type: it is shared across
 // goroutines by design (HTTP handlers, appenders, snapshot readers) and its
@@ -125,14 +127,13 @@ type Session struct {
 	eng *engine.Engine
 	cfg Config
 
-	wm    *event.Watermarks
+	// store is the session's only per-node table: each node's watermark
+	// and unretired packet rows, and the operational (server up/down) rows
+	// — a handful for the life of the session, read through
+	// event.OperationalEvents, the merge Partition's own operational slice
+	// comes from, so a drained session's Result and schedule are
+	// bit-identical to the batch path's.
 	store *event.PendingStore
-	// ops holds the operational (server up/down) events per node in
-	// arrival (= log) order — a handful for the life of the session. It is
-	// read through event.OperationalEvents, the merge Partition's own
-	// operational slice comes from, so a drained session's Result and
-	// schedule are bit-identical to the batch path's.
-	ops *event.Collection
 
 	watermark int64
 	epoch     int
@@ -169,9 +170,7 @@ func NewSession(cfg Config) (*Session, error) {
 	return &Session{
 		eng:       cfg.Engine,
 		cfg:       cfg,
-		wm:        event.NewWatermarks(),
 		store:     event.NewPendingStore(0),
-		ops:       event.NewCollection(),
 		watermark: math.MinInt64,
 		acc: engine.Parts{
 			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start, cfg.Diagnosis.DayLen, cfg.Diagnosis.Days),
@@ -181,12 +180,10 @@ func NewSession(cfg Config) (*Session, error) {
 
 // Append feeds node's next log fragment, given as events. Events are stamped
 // with node (like Log.Append) and must continue the node's log: local
-// timestamps nondecreasing across the node's fragments. Packet rows are
-// buffered in the pending store; operational events are kept session-level.
-// The node's watermark advances to the fragment's highest timestamp,
-// observed once per fragment. The events are gathered into a batch and go
-// through AppendRows; a fragment that is already columnar — a decoded
-// request body, a mapped snapshot — goes there directly.
+// timestamps nondecreasing across the node's fragments. The events are
+// gathered into a batch and go through AppendRows; a fragment that is
+// already columnar — a decoded request body, a mapped snapshot — goes there
+// directly.
 func (s *Session) Append(node event.NodeID, events []event.Event) error {
 	var b event.Batch
 	b.Grow(len(events))
@@ -199,8 +196,11 @@ func (s *Session) Append(node event.NodeID, events []event.Event) error {
 // AppendRows is Append for the fragment held in rows [lo, hi) of b, read
 // straight from its columns: refill-serve appends each node log of a decoded
 // body this way, and the snapshot source each node's span of a mapped
-// window. b is only read, so it may be read-only, and the session keeps no
-// reference to it. The range must lie within b.
+// window. The pending store's AppendRows buffers the packet rows, keeps the
+// server up/down rows for the life of the session and raises the node's
+// watermark to the fragment's highest timestamp. b is only read, so it may
+// be read-only, and the session keeps no reference to it. The range must
+// lie within b.
 func (s *Session) AppendRows(node event.NodeID, b *event.Batch, lo, hi int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,31 +210,9 @@ func (s *Session) AppendRows(node event.NodeID, b *event.Batch, lo, hi int) erro
 	if lo >= hi {
 		return nil
 	}
-	s.wm.Observe(node, s.appendLocked(node, b, lo, hi))
+	s.store.AppendRows(node, b, lo, hi)
 	s.ingested += hi - lo
 	return nil
-}
-
-// appendLocked cuts rows [lo, hi) of b at its operational rows: each run of
-// packet-scoped rows goes to the pending store by column, each server up/down
-// to s.ops. Returns the highest timestamp. Caller holds s.mu.
-func (s *Session) appendLocked(node event.NodeID, b *event.Batch, lo, hi int) int64 {
-	high := int64(math.MinInt64)
-	for lo < hi {
-		run := lo
-		for run < hi && b.Type(run).PacketScoped() {
-			run++
-		}
-		if run > lo {
-			high = max(high, s.store.AppendRange(node, b, lo, run))
-		}
-		if run < hi {
-			s.ops.Log(node).Append(b.At(run))
-			high = max(high, b.Time(run))
-		}
-		lo = run + 1
-	}
-	return high
 }
 
 // Punctuate tells the session that node has nothing more below through: its
@@ -245,7 +223,7 @@ func (s *Session) appendLocked(node event.NodeID, b *event.Batch, lo, hi int) in
 func (s *Session) Punctuate(node event.NodeID, through int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.wm.Observe(node, through)
+	s.store.Punctuate(node, through)
 }
 
 // Register makes node count toward the effective watermark before its first
@@ -268,7 +246,7 @@ func (s *Session) Advance(watermark int64) (int, error) {
 		return 0, ErrDrained
 	}
 	ew := watermark
-	if low, ok := s.wm.Low(); ok && low < ew {
+	if low, ok := s.store.Low(); ok && low < ew {
 		ew = low
 	}
 	if ew > s.cfg.Diagnosis.End {
@@ -316,7 +294,7 @@ func (s *Session) cutoff(ew int64) int64 {
 // outage's start and the end is finalized until one arrives or Drain
 // settles it. Caller holds s.mu.
 func (s *Session) holdLocked(ew int64) int64 {
-	if start, open := diagnosis.OpenOutage(event.OperationalEvents(s.ops)); open {
+	if start, open := diagnosis.OpenOutage(event.OperationalEvents(s.store.Operational())); open {
 		return min(ew, max(start, s.cfg.Diagnosis.End))
 	}
 	return ew
@@ -330,7 +308,7 @@ func (s *Session) holdLocked(ew int64) int64 {
 // one closes at a server-up, which cannot precede ew, or at the campaign
 // end, which holdLocked keeps ew from passing unless the outage starts later.
 func (s *Session) scheduleLocked(ew int64, final bool) ([]event.Event, diagnosis.OutageSchedule) {
-	ops := event.OperationalEvents(s.ops)
+	ops := event.OperationalEvents(s.store.Operational())
 	end := s.cfg.Diagnosis.End
 	if !final {
 		end = ew
@@ -396,8 +374,8 @@ func (s *Session) Stats() Stats {
 		PendingRows:       s.store.Rows(),
 		PendingPackets:    s.store.Packets(),
 		FinalizedPackets:  len(s.acc.Outcomes),
-		OperationalEvents: s.ops.TotalEvents(),
-		Nodes:             s.wm.Len(),
+		OperationalEvents: s.store.Operational().TotalEvents(),
+		Nodes:             s.store.Nodes(),
 		Drained:           s.drained,
 	}
 }

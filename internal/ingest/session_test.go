@@ -237,6 +237,33 @@ func TestSessionRegisterHoldsWatermark(t *testing.T) {
 	}
 }
 
+// TestSessionNodeTable pins what the pending store keeps for the session
+// beside the rows: a registered node that never appends counts in
+// Stats().Nodes, and a fragment of only server down/up rows registers its
+// node and raises its watermark.
+func TestSessionNodeTable(t *testing.T) {
+	c := smallCampaign()
+	s := c.session(t, ctpEngine(t, c.sink), 0)
+	s.Register(7)
+	if st := s.Stats(); st.Nodes != 1 || st.PendingRows != 0 {
+		t.Fatalf("after Register: nodes = %d, pending rows = %d, want 1, 0", st.Nodes, st.PendingRows)
+	}
+	if err := s.Append(event.Server, []event.Event{{Type: event.ServerDown, Time: 40}, {Type: event.ServerUp, Time: 60}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Nodes != 2 || st.OperationalEvents != 2 || st.PendingRows != 0 {
+		t.Fatalf("after a down/up fragment: nodes = %d, operational = %d, pending rows = %d, want 2, 2, 0",
+			st.Nodes, st.OperationalEvents, st.PendingRows)
+	}
+	s.Punctuate(7, 100)
+	if _, err := s.Advance(500); err != nil {
+		t.Fatal(err)
+	}
+	if w := s.Watermark(); w != 60 {
+		t.Errorf("watermark = %d, want 60 (held by the server's down/up fragment)", w)
+	}
+}
+
 // TestSessionOpenOutageHoldsPastCampaignEnd: under a campaign end below the
 // data, an open outage's reach is unknown until its server-up arrives (or
 // the drain says none will), so the watermark waits at the outage's start;

@@ -8,6 +8,7 @@ package refill
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -123,4 +124,92 @@ func TestSoABinaryRoundTripByteIdentical(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), detour.Bytes()) {
 		t.Error("AoS detour changed the binary serialization")
 	}
+}
+
+// TestInfoEveryPath carries Info on every fifth packet row of a campaign
+// through the paths whose arenas analysis workers read at once — batch
+// Analyze on four workers, the out-of-core snapshot and a session drain —
+// and requires each to equal serial batch, flows' Info included. Every arena
+// keeps Info in its one sparse table, filled before any worker starts; CI's
+// -race leg runs this.
+func TestInfoEveryPath(t *testing.T) {
+	camp, err := RunCampaign(TinyCampaign(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs, i := NewCollection(), 0
+	for _, n := range camp.Logs.Nodes() {
+		for _, e := range camp.Logs.Logs[n].Events() {
+			if i++; i%5 == 0 && e.Type.PacketScoped() {
+				e.Info = fmt.Sprintf("rssi=-%d", 40+i%50)
+			}
+			logs.Add(e)
+		}
+	}
+	end := int64(camp.Duration)
+	serial, err := NewAnalyzer(AnalyzerOptions{}, WithSink(camp.Sink), WithWindow(0, end))
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(camp.Sink), WithWindow(0, end), WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serial.Analyze(logs)
+	infos := 0
+	for _, f := range want.Result.Flows {
+		for _, it := range f.Items {
+			if it.Event.Info != "" {
+				infos++
+			}
+		}
+	}
+	if infos == 0 {
+		t.Fatal("no flow item carries Info; the Info case is not covered")
+	}
+	same := func(t *testing.T, flows []*Flow, operational []Event, rep *Report) {
+		t.Helper()
+		if !reflect.DeepEqual(want.Result.Flows, flows) {
+			t.Error("flows diverged from serial batch")
+		}
+		if !reflect.DeepEqual(want.Result.Operational, operational) {
+			t.Error("operational events diverged from serial batch")
+		}
+		if a, b := RenderBreakdown(want.Report), RenderBreakdown(rep); a != b {
+			t.Errorf("report diverged from serial batch:\n%s\nwant:\n%s", b, a)
+		}
+	}
+	t.Run("analyze-workers-4", func(t *testing.T) {
+		got := an.Analyze(logs)
+		same(t, got.Result.Flows, got.Result.Operational, got.Report)
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		snap, err := OpenSnapshot(snapshotPath(t, logs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 257, SessionConfig: SessionConfig{RetainFlows: true}})
+		same(t, got.Result.Flows, got.Result.Operational, got.Report)
+	})
+	t.Run("session", func(t *testing.T) {
+		sess := sessionFor(t, an, logs, referenceMaxPacketSpread(logs), true)
+		const rounds = 4
+		for r := 0; r < rounds; r++ {
+			for _, n := range logs.Nodes() {
+				evs := logs.Log(n).Events()
+				if err := sess.Append(n, evs[len(evs)*r/rounds:len(evs)*(r+1)/rounds]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sess.Advance(end); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sess.Stats().FinalizedPackets == 0 {
+			t.Error("no packet finalized before drain; retirement was never exercised")
+		}
+		res, rep := sess.Drain()
+		same(t, res.Flows, res.Operational, rep)
+	})
 }
