@@ -247,6 +247,29 @@ func BenchmarkAnalyzeCampaign(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkAnalyzeCampaignNoFlows is BenchmarkAnalyzeCampaign under
+// DropFlows, the shape of a refill run without flow flags: each flow is
+// built into one recycled arena and dropped once counted and classified, so
+// allocs/op pins that nothing is sized from the campaign for flows.
+func BenchmarkAnalyzeCampaignNoFlows(b *testing.B) {
+	c := benchCampaign(b)
+	an, err := core.NewAnalyzer(core.Options{Sink: c.Res.Sink, End: int64(c.Res.Duration), DropFlows: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := c.Res.Logs.TotalEvents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := an.Analyze(c.Res.Logs)
+		if out.Result.Flows != nil || out.Report.Total() == 0 || out.Result.InferredEvents == 0 {
+			b.Fatal("flows kept, or nothing analyzed")
+		}
+	}
+	b.ReportMetric(float64(events), "events")
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkAccuracyVsLogLoss runs the E-A1 sweep at benchmark scale and
 // reports REFILL's cause accuracy at the extremes.
 func BenchmarkAccuracyVsLogLoss(b *testing.B) {
@@ -378,7 +401,7 @@ func BenchmarkAnalyzeCampaignParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := eng.AnalyzeDiagnosed(c.Res.Logs, 0, cfg)
+		res, _ := eng.AnalyzeDiagnosed(c.Res.Logs, 0, cfg, true)
 		if len(res.Flows) == 0 {
 			b.Fatal("no flows")
 		}

@@ -24,7 +24,7 @@
 // mismatch CI:
 //
 //	go test -run '^$' \
-//	    -bench '^(BenchmarkAnalyzeCampaign|BenchmarkAnalyzePacket|BenchmarkAnalyzeSkewed|BenchmarkEngineChain|BenchmarkBinaryCodec|BenchmarkTableII|BenchmarkFlowOutput|BenchmarkDiagnosis|BenchmarkSessionIngest|BenchmarkSessionSnapshot|BenchmarkSnapshot)$' \
+//	    -bench '^(BenchmarkAnalyzeCampaign|BenchmarkAnalyzeCampaignNoFlows|BenchmarkAnalyzePacket|BenchmarkAnalyzeSkewed|BenchmarkEngineChain|BenchmarkBinaryCodec|BenchmarkTableII|BenchmarkFlowOutput|BenchmarkDiagnosis|BenchmarkSessionIngest|BenchmarkSessionSnapshot|BenchmarkSnapshot)$' \
 //	    -benchmem -benchtime 1x -cpu 1 . > bench_baseline.txt
 //
 // -cpu 1 keeps the recorded names free of a -N suffix. A guarded benchmark's

@@ -17,11 +17,18 @@
 // -from-snapshot analyzes out of core by default — windowed reconstruction
 // straight off the mapping, so snapshots larger than memory work; tune the
 // residency window with -window-rows.
+//
+// Flows are kept only when a flag reads them (-flows, -trace, -clocks): the
+// summary's packet, inferred-event and anomaly counts and the cause table
+// come from the driver's totals and the report, so a run without those
+// flags drops each flow once it is counted and classified.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/profiling"
@@ -32,36 +39,58 @@ import (
 	refill "repro"
 )
 
+// errUsage reports a command line that was refused after its problem was
+// printed with the usage text; main exits 2 on it, as package flag does.
+var errUsage = errors.New("usage")
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "convert" {
-		runConvert(os.Args[2:])
-		return
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "refill:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command over args (without the program name), printing
+// its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 && args[0] == "convert" {
+		return runConvert(args[1:], stdout)
+	}
+	fs := flag.NewFlagSet("refill", flag.ContinueOnError)
 	var (
-		logsPath  = flag.String("logs", "", "input log file (required unless -from-snapshot)")
-		fromSnap  = flag.String("from-snapshot", "", "read the collection from a columnar snapshot file instead of -logs")
-		writeSnap = flag.String("snapshot", "", "also write the input collection to this columnar snapshot file")
-		sinkID    = flag.Uint("sink", 1, "sink node id")
-		truthPath = flag.String("truth", "", "optional ground-truth fate file to score against")
-		tracePkt  = flag.String("trace", "", "print the trace of one packet (origin:seq)")
-		showFlows = flag.Int("flows", 0, "print the first N reconstructed event flows")
-		days      = flag.Int("days", 30, "campaign length in days (bounds open outage windows)")
-		binFormat = flag.Bool("binary", false, "input is the compact binary log format")
-		clocks    = flag.Bool("clocks", false, "recover per-node clock offsets from the flows")
-		workers   = flag.Int("workers", 0, "reconstruction workers (n > 0 exactly n, -1 all cores, 0 the input's default: serial for -logs, all cores for -from-snapshot)")
-		winRows   = flag.Int("window-rows", 0, "residency window size in rows for the out-of-core -from-snapshot path (0 = default)")
+		logsPath  = fs.String("logs", "", "input log file (required unless -from-snapshot)")
+		fromSnap  = fs.String("from-snapshot", "", "read the collection from a columnar snapshot file instead of -logs")
+		writeSnap = fs.String("snapshot", "", "also write the input collection to this columnar snapshot file")
+		sinkID    = fs.Uint("sink", 1, "sink node id")
+		truthPath = fs.String("truth", "", "optional ground-truth fate file to score against")
+		tracePkt  = fs.String("trace", "", "print the trace of one packet (origin:seq)")
+		showFlows = fs.Int("flows", 0, "print the first N reconstructed event flows")
+		days      = fs.Int("days", 30, "campaign length in days (bounds open outage windows)")
+		binFormat = fs.Bool("binary", false, "input is the compact binary log format")
+		clocks    = fs.Bool("clocks", false, "recover per-node clock offsets from the flows")
+		workers   = fs.Int("workers", 0, "reconstruction workers (n > 0 exactly n, -1 all cores, 0 the input's default: serial for -logs, all cores for -from-snapshot)")
+		winRows   = fs.Int("window-rows", 0, "residency window size in rows for the out-of-core -from-snapshot path (0 = default)")
 		prof      profiling.Flags
 	)
-	prof.Register(flag.CommandLine)
-	flag.Parse()
+	prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 	if (*logsPath == "") == (*fromSnap == "") {
-		fmt.Fprintln(os.Stderr, "refill: exactly one of -logs and -from-snapshot is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(fs.Output(), "refill: exactly one of -logs and -from-snapshot is required")
+		fs.Usage()
+		return errUsage
 	}
 	stopProf, err := profiling.Start(prof)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProf()
 	var logs *refill.Collection
@@ -69,16 +98,16 @@ func main() {
 	if *fromSnap != "" {
 		snap, err = refill.OpenSnapshot(*fromSnap)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// The collection's columns alias the mapping, so the snapshot
-		// stays open for the life of the process.
+		// stays open until run returns.
 		defer snap.Close()
 		logs = snap.Collection()
 	} else {
 		f, err := os.Open(*logsPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		readLogs := refill.ReadLogs
 		if *binFormat {
@@ -87,72 +116,71 @@ func main() {
 		logs, err = readLogs(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *writeSnap != "" {
 		if err := refill.WriteSnapshot(*writeSnap, logs); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote snapshot %s (%d events)\n", *writeSnap, logs.TotalEvents())
+		fmt.Fprintf(stdout, "wrote snapshot %s (%d events)\n", *writeSnap, logs.TotalEvents())
 	}
+	// Only -flows, -trace and -clocks read flows; without them every flow
+	// is dropped as soon as the driver has counted and classified it.
+	keep := *showFlows > 0 || *tracePkt != "" || *clocks
 	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{
-		Sink: refill.NodeID(*sinkID),
-		End:  int64(*days) * int64(sim.Day),
+		Sink:      refill.NodeID(*sinkID),
+		End:       int64(*days) * int64(sim.Day),
+		DropFlows: !keep,
 	}, refill.WithParallelism(*workers), refill.WithDailyBins(int64(sim.Day), *days))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var out *refill.Output
 	if snap != nil {
 		// Out of core off a snapshot: windowed reconstruction straight off
 		// the mapping keeps the working set to ~two residency windows, so
-		// snapshots larger than memory analyze fine. Flows are retained (the
-		// flow count, -flows, -trace and -clocks below read them).
+		// snapshots larger than memory analyze fine.
 		out = an.AnalyzeSnapshot(snap, refill.SnapshotOptions{
 			WindowRows:    *winRows,
-			SessionConfig: refill.SessionConfig{RetainFlows: true},
+			SessionConfig: refill.SessionConfig{RetainFlows: keep},
 		})
 	} else {
 		out = an.Analyze(logs)
 	}
 
-	fmt.Printf("analyzed %d events across %d node logs -> %d packet flows\n",
-		logs.TotalEvents(), len(logs.Logs), len(out.Result.Flows))
-	inferred, anomalies := 0, 0
-	for _, fl := range out.Result.Flows {
-		inferred += fl.InferredCount()
-		anomalies += len(fl.Anomalies)
-	}
-	fmt.Printf("inferred %d lost events; %d anomalous records discarded\n\n", inferred, anomalies)
-	fmt.Println(refill.RenderBreakdown(out.Report))
+	fmt.Fprintf(stdout, "analyzed %d events across %d node logs -> %d packet flows\n",
+		logs.TotalEvents(), len(logs.Logs), len(out.Report.Outcomes))
+	fmt.Fprintf(stdout, "inferred %d lost events; %d anomalous records discarded\n\n",
+		out.Result.InferredEvents, out.Result.Anomalies)
+	fmt.Fprintln(stdout, refill.RenderBreakdown(out.Report))
 
 	if *showFlows > 0 {
-		fmt.Println("sample event flows:")
+		fmt.Fprintln(stdout, "sample event flows:")
 		for i, fl := range out.Result.Flows {
 			if i >= *showFlows {
 				break
 			}
-			fmt.Printf("  %s: %s\n", fl.Packet, fl)
+			fmt.Fprintf(stdout, "  %s: %s\n", fl.Packet, fl)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *tracePkt != "" {
 		pid, err := parsePacket(*tracePkt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fl := out.Flow(pid)
 		if fl == nil {
-			fmt.Printf("packet %s: no events in the logs\n", pid)
+			fmt.Fprintf(stdout, "packet %s: no events in the logs\n", pid)
 		} else {
-			fmt.Printf("event flow: %s\n", fl)
-			fmt.Print(refill.BuildTrace(fl))
+			fmt.Fprintf(stdout, "event flow: %s\n", fl)
+			fmt.Fprint(stdout, refill.BuildTrace(fl))
 		}
 	}
 	if *clocks {
 		cm := refill.RecoverClocks(out.Result.Flows, refill.Server)
-		fmt.Printf("recovered clocks for %d nodes from %d cross-node pairs; worst offsets:\n",
+		fmt.Fprintf(stdout, "recovered clocks for %d nodes from %d cross-node pairs; worst offsets:\n",
 			len(cm.Nodes), cm.Pairs)
 		printed := 0
 		for _, n := range logs.Nodes() {
@@ -161,7 +189,7 @@ func main() {
 				continue
 			}
 			if p.Offset > 10e6 || p.Offset < -10e6 {
-				fmt.Printf("  node %-6s offset %+.1fs drift %+.1fppm\n",
+				fmt.Fprintf(stdout, "  node %-6s offset %+.1fs drift %+.1fppm\n",
 					n, p.Offset/1e6, p.Drift*1e6)
 				printed++
 			}
@@ -169,39 +197,45 @@ func main() {
 				break
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *truthPath != "" {
 		tf, err := os.Open(*truthPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fates, err := network.ReadFates(tf)
 		tf.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		acc := refill.Score(out.Report, fates)
-		fmt.Println("accuracy vs ground truth:")
-		fmt.Print(report.AccuracyTable([]report.AccuracyRow{{Name: "refill", Acc: acc}}))
+		fmt.Fprintln(stdout, "accuracy vs ground truth:")
+		fmt.Fprint(stdout, report.AccuracyTable([]report.AccuracyRow{{Name: "refill", Acc: acc}}))
 	}
+	return nil
 }
 
 // runConvert is the convert subcommand: re-encode a collection between the
 // text, binary and snapshot formats without analyzing it.
-func runConvert(args []string) {
-	fs := flag.NewFlagSet("refill convert", flag.ExitOnError)
+func runConvert(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("refill convert", flag.ContinueOnError)
 	var (
 		in        = fs.String("in", "", "input file (required)")
 		out       = fs.String("out", "", "output file (required)")
 		inFormat  = fs.String("in-format", "text", "input format: text, binary or snapshot")
 		outFormat = fs.String("out-format", "snapshot", "output format: snapshot, binary or text")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 	if *in == "" || *out == "" {
-		fmt.Fprintln(os.Stderr, "refill convert: -in and -out are required")
+		fmt.Fprintln(fs.Output(), "refill convert: -in and -out are required")
 		fs.Usage()
-		os.Exit(2)
+		return errUsage
 	}
 
 	var logs *refill.Collection
@@ -209,7 +243,7 @@ func runConvert(args []string) {
 	case "snapshot":
 		snap, err := refill.OpenSnapshot(*in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// Output encoders read straight out of the mapping; close only
 		// after the write below completes.
@@ -218,7 +252,7 @@ func runConvert(args []string) {
 	case "text", "binary":
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		read := refill.ReadLogs
 		if *inFormat == "binary" {
@@ -227,21 +261,21 @@ func runConvert(args []string) {
 		logs, err = read(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	default:
-		fatal(fmt.Errorf("convert: unknown -in-format %q", *inFormat))
+		return fmt.Errorf("convert: unknown -in-format %q", *inFormat)
 	}
 
 	switch *outFormat {
 	case "snapshot":
 		if err := refill.WriteSnapshot(*out, logs); err != nil {
-			fatal(err)
+			return err
 		}
 	case "text", "binary":
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		write := refill.WriteLogs
 		if *outFormat == "binary" {
@@ -252,13 +286,14 @@ func runConvert(args []string) {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	default:
-		fatal(fmt.Errorf("convert: unknown -out-format %q", *outFormat))
+		return fmt.Errorf("convert: unknown -out-format %q", *outFormat)
 	}
-	fmt.Printf("converted %d events across %d node logs: %s (%s) -> %s (%s)\n",
+	fmt.Fprintf(stdout, "converted %d events across %d node logs: %s (%s) -> %s (%s)\n",
 		logs.TotalEvents(), len(logs.Logs), *in, *inFormat, *out, *outFormat)
+	return nil
 }
 
 func parsePacket(s string) (refill.PacketID, error) {
@@ -270,9 +305,4 @@ func parsePacket(s string) (refill.PacketID, error) {
 	pid.Origin = refill.NodeID(origin)
 	pid.Seq = seq
 	return pid, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "refill:", err)
-	os.Exit(1)
 }

@@ -102,6 +102,7 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	refRes := eng.Analyze(logs)
+	checkFlowTotals(t, refRes)
 	ref := diagnosis.BuildConfig(refRes.Flows, refRes.Operational, diagnosis.Config{Sink: sink, End: end})
 	if ref.Total() == 0 || ref.LossCount() == 0 {
 		t.Fatal("degenerate campaign: no classified losses")
@@ -120,13 +121,13 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 	}
 
 	t.Run("serial", func(t *testing.T) {
-		res, rep := eng.AnalyzeDiagnosed(logs, 1, cfg)
+		res, rep := eng.AnalyzeDiagnosed(logs, 1, cfg, true)
 		check(t, res, rep)
 	})
 	for _, w := range []int{1, 2, 3, 8} {
 		w := w
 		t.Run(fmt.Sprintf("parallel-%d", w), func(t *testing.T) {
-			res, rep := eng.AnalyzeDiagnosed(logs, w, cfg)
+			res, rep := eng.AnalyzeDiagnosed(logs, w, cfg, true)
 			check(t, res, rep)
 		})
 		// The deprecated Analyzer.AnalyzeStream alias the benchmark still

@@ -73,7 +73,9 @@ func TestFlowArenaEquivalence(t *testing.T) {
 // TestFlowArenaReportEquivalence runs the whole facade pipeline in every
 // parallelism mode and demands identical flows, identical rendered reports
 // and identical serialized flow text — the acceptance contract that arena
-// commit plus origin-sharded distribution changes nothing observable.
+// commit plus origin-sharded distribution changes nothing observable. Each
+// mode runs once more under DropFlows, which must return the same Result
+// without flows: counters equal to the sums over the serial flows.
 func TestFlowArenaReportEquivalence(t *testing.T) {
 	camp, err := RunCampaign(TinyCampaign(8))
 	if err != nil {
@@ -84,9 +86,12 @@ func TestFlowArenaReportEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := base.Analyze(camp.Logs)
+	checkFlowTotals(t, serial.Result)
 	wantFlows := serializeFlows(serial.Result.Flows)
 	wantReport := RenderBreakdown(serial.Report)
-	for _, workers := range []int{1, 2, 4, -1} {
+	flowless := *serial.Result
+	flowless.Flows = nil
+	for _, workers := range []int{1, 2, 4, 7, -1} {
 		an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration)},
 			WithParallelism(workers))
 		if err != nil {
@@ -101,6 +106,20 @@ func TestFlowArenaReportEquivalence(t *testing.T) {
 		}
 		if got := RenderBreakdown(par.Report); got != wantReport {
 			t.Errorf("workers=%d: parallel report diverged:\n%s\nvs\n%s", workers, got, wantReport)
+		}
+		dropper, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration), DropFlows: true},
+			WithParallelism(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped := dropper.Analyze(camp.Logs)
+		if !reflect.DeepEqual(&flowless, dropped.Result) {
+			t.Errorf("workers=%d: DropFlows result = %d flows, %d/%d counters; want none and %d/%d", workers,
+				len(dropped.Result.Flows), dropped.Result.InferredEvents, dropped.Result.Anomalies,
+				flowless.InferredEvents, flowless.Anomalies)
+		}
+		if !reflect.DeepEqual(serial.Report.Outcomes, dropped.Report.Outcomes) || RenderBreakdown(dropped.Report) != wantReport {
+			t.Errorf("workers=%d: DropFlows report diverged", workers)
 		}
 	}
 }

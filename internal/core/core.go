@@ -57,6 +57,12 @@ type Options struct {
 	// becomes a table read). Days == 0 leaves daily bins computed per call.
 	DayLen int64
 	Days   int
+	// DropFlows makes Analyze keep no flows: Output.Result.Flows is nil,
+	// each worker builds every flow into one small recycled arena and drops
+	// it once counted and classified, and the Report and Result counters
+	// (InferredEvents, Anomalies) are unchanged. The zero value keeps every
+	// flow. AnalyzeSnapshot follows its SessionConfig.RetainFlows instead.
+	DropFlows bool
 }
 
 // Option is a functional override applied on top of an Options struct by
@@ -127,13 +133,14 @@ func WithEngineOptions(eo engine.Options) Option {
 
 // Analyzer is the ready-to-run REFILL pipeline.
 type Analyzer struct {
-	eng    *engine.Engine
-	sink   event.NodeID
-	start  int64
-	end    int64
-	par    int
-	dayLen int64
-	days   int
+	eng       *engine.Engine
+	sink      event.NodeID
+	start     int64
+	end       int64
+	par       int
+	dayLen    int64
+	days      int
+	keepFlows bool
 }
 
 // NewAnalyzer validates options and builds the pipeline. Functional options
@@ -159,19 +166,22 @@ func NewAnalyzer(opts Options, extra ...Option) (*Analyzer, error) {
 	}
 	return &Analyzer{
 		eng: eng, sink: opts.Sink, start: opts.Start, end: opts.End, par: opts.Parallelism,
-		dayLen: opts.DayLen, days: opts.Days,
+		dayLen: opts.DayLen, days: opts.Days, keepFlows: !opts.DropFlows,
 	}, nil
 }
 
 // Output bundles everything one analysis produces.
 type Output struct {
-	// Result carries the reconstructed flows and operational events.
+	// Result carries the reconstructed flows (none under DropFlows, or on
+	// AnalyzeSnapshot without RetainFlows), the operational events and the
+	// inferred-event and anomaly totals.
 	Result *engine.Result
 	// Report is the diagnosis over those flows.
 	Report *diagnosis.Report
 }
 
-// Flow returns the reconstructed flow for a packet, nil if unknown.
+// Flow returns the reconstructed flow for a packet, nil if unknown or if
+// the analysis kept no flows.
 func (o *Output) Flow(id event.PacketID) *flow.Flow {
 	for _, f := range o.Result.Flows {
 		if f.Packet == id {
@@ -237,9 +247,10 @@ func (a *Analyzer) workers(dflt int) int {
 	return a.par
 }
 
-// analyze runs the engine's fused driver over c with the given fan-out.
-func (a *Analyzer) analyze(c *event.Collection, workers int) *Output {
-	res, rep := a.eng.AnalyzeDiagnosed(c, workers, a.diagConfig())
+// analyze runs the engine's fused driver over c with the given fan-out,
+// keeping the flows only when keepFlows.
+func (a *Analyzer) analyze(c *event.Collection, workers int, keepFlows bool) *Output {
+	res, rep := a.eng.AnalyzeDiagnosed(c, workers, a.diagConfig(), keepFlows)
 	return &Output{Result: res, Report: rep}
 }
 
@@ -248,8 +259,10 @@ func (a *Analyzer) analyze(c *event.Collection, workers int) *Output {
 // Each worker owns its flow arena, run state, classifier scratch and diagnosis
 // aggregate: flows are classified as they are committed and the per-worker
 // aggregates merge at the join. Output is identical regardless of the worker
-// count.
-func (a *Analyzer) Analyze(c *event.Collection) *Output { return a.analyze(c, a.workers(1)) }
+// count. Under Options.DropFlows the Result carries no flows.
+func (a *Analyzer) Analyze(c *event.Collection) *Output {
+	return a.analyze(c, a.workers(1), a.keepFlows)
+}
 
 // AnalyzeStream is Analyze at the throughput default: Options.Parallelism 0
 // selects all cores instead of serial.
@@ -257,7 +270,9 @@ func (a *Analyzer) Analyze(c *event.Collection) *Output { return a.analyze(c, a.
 // Deprecated: the streaming partitioner it used to select is gone — this is
 // Analyze with a different default fan-out. Set WithParallelism(-1) and call
 // Analyze. Kept until the benchmark's core.stream_par_s probe is retired.
-func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output { return a.analyze(c, a.workers(0)) }
+func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output {
+	return a.analyze(c, a.workers(0), a.keepFlows)
+}
 
 // SnapshotOptions tunes AnalyzeSnapshot.
 type SnapshotOptions struct {
@@ -268,8 +283,10 @@ type SnapshotOptions struct {
 	// the exact within-packet spread: the one the snapshot records
 	// (Snapshot.RecordedSpread), or, for a file that records none, one
 	// columnar pass (event.MaxPacketSpread). Without RetainFlows the Output
-	// carries no flows, the dominant retained cost of a snapshot larger than
-	// memory.
+	// carries no flows — the dominant retained cost of a snapshot larger
+	// than memory — and no flow outlives its classification; the Result's
+	// inferred-event and anomaly totals are there either way.
+	// Options.DropFlows does not apply here: RetainFlows alone decides.
 	SessionConfig
 }
 
@@ -287,7 +304,8 @@ var scanSpread = event.MaxPacketSpread
 // resident set is about two windows of columns plus the in-flight pending
 // rows. Output is byte-identical to Analyze over snap.Collection(), except
 // that Result.Flows is nil without RetainFlows. A collection whose logs are
-// not time-ordered cannot be windowed and is analyzed in memory instead.
+// not time-ordered cannot be windowed and is analyzed in memory instead,
+// through the batch driver under the same retention choice.
 // Worker count follows Options.Parallelism, 0 selecting all cores.
 func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *Output {
 	c := snap.Collection()
@@ -297,11 +315,7 @@ func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *
 	}
 	plan, err := event.PlanWindows(c, rows)
 	if err != nil {
-		out := a.analyze(c, a.workers(0))
-		if !opts.RetainFlows {
-			out.Result.Flows = nil
-		}
-		return out
+		return a.analyze(c, a.workers(0), opts.RetainFlows)
 	}
 	sc := opts.SessionConfig
 	if sc.Horizon <= 0 {

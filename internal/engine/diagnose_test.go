@@ -78,7 +78,7 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 		t.Fatal("no ServerOutage outcomes; fixture does not exercise reclassification")
 	}
 
-	res, rep := eng.AnalyzeDiagnosed(c, 1, cfg)
+	res, rep := eng.AnalyzeDiagnosed(c, 1, cfg, true)
 	if !reflect.DeepEqual(serial, res) {
 		t.Error("AnalyzeDiagnosed result diverged from serial")
 	}
@@ -90,7 +90,7 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				res, rep := eng.AnalyzeDiagnosed(c, w, cfg)
+				res, rep := eng.AnalyzeDiagnosed(c, w, cfg, true)
 				if !reflect.DeepEqual(serial, res) {
 					t.Errorf("AnalyzeDiagnosed(workers=%d) result diverged", w)
 				}
@@ -126,7 +126,7 @@ func TestFusedDiagnosisEmptyCollection(t *testing.T) {
 	c := event.NewCollection()
 	cfg := diagnosis.Config{Sink: 900, End: 1000}
 	for _, workers := range []int{1, 4} {
-		res, rep := eng.AnalyzeDiagnosed(c, workers, cfg)
+		res, rep := eng.AnalyzeDiagnosed(c, workers, cfg, true)
 		if len(res.Flows) != 0 || rep.Total() != 0 || rep.LossCount() != 0 {
 			t.Errorf("workers=%d: non-empty output from empty collection", workers)
 		}

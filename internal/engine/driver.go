@@ -33,13 +33,23 @@ import (
 
 // Parts is the mergeable output of one driver run: Flows and Outcomes are
 // co-indexed with the views the run was given (packet-ID order) and Aggregate
-// covers exactly those outcomes. Window callers Fold many Parts into one,
+// covers exactly those outcomes. InferredEvents and Anomalies total the run's
+// flows, counted while each flow is hot whether it is kept or not, so a run
+// without flows still reports them. Window callers Fold many Parts into one,
 // which keeps that order, so the accumulation is ready to report as it
 // stands; the batch entry points assemble a single run's directly.
 type Parts struct {
-	Flows     []*flow.Flow
-	Outcomes  []diagnosis.Outcome
-	Aggregate *diagnosis.Aggregate
+	Flows          []*flow.Flow
+	Outcomes       []diagnosis.Outcome
+	Aggregate      *diagnosis.Aggregate
+	InferredEvents int
+	Anomalies      int
+}
+
+// Result assembles the batch-shaped Result of p: its flows and counters
+// beside the operational events ops.
+func (p *Parts) Result(ops []event.Event) *Result {
+	return &Result{Operational: ops, Flows: p.Flows, InferredEvents: p.InferredEvents, Anomalies: p.Anomalies}
 }
 
 // Fold merges one window's parts into the running accumulation p, whose
@@ -56,6 +66,8 @@ func (p *Parts) Fold(w Parts) {
 	p.Outcomes = mergeSorted(p.Outcomes, w.Outcomes, func(a, b diagnosis.Outcome) bool { return a.Packet.Less(b.Packet) })
 	p.Flows = mergeSorted(p.Flows, w.Flows, func(a, b *flow.Flow) bool { return a.Packet.Less(b.Packet) })
 	p.Aggregate.Merge(w.Aggregate)
+	p.InferredEvents += w.InferredEvents
+	p.Anomalies += w.Anomalies
 }
 
 // mergeSorted merges src into dst, both sorted by less, and returns the
@@ -84,9 +96,8 @@ func mergeSorted[T any](dst, src []T, less func(a, b T) bool) []T {
 // every worker classifies each flow the moment it commits it — while the
 // flow's items and visits are still hot in that worker's cache — against the
 // shared read-only outage schedule, and folds the outcome into its own
-// aggregate. keepFlows keeps every flow for the caller; without it, which
-// only makes sense under diagnose, each flow lives only until it is
-// classified.
+// aggregate. keepFlows keeps every flow for the caller; without it each flow
+// lives only until it is counted and, under diagnose, classified.
 type fusion struct {
 	diagnose  bool
 	keepFlows bool
@@ -95,32 +106,36 @@ type fusion struct {
 }
 
 // work is the one worker body: pull view ranges from next until the batch
-// drains, and for each view reconstruct the flow, classify it and fold the
-// outcome — the only place any of that happens. Flows and outcomes land in
-// the view's own slot; flows is nil when nobody keeps them, and then the
-// arena is Reset as soon as each flow is classified, so the worker recycles
-// one flow's worth of chunks through the whole run. The worker owns its
-// scratch for the duration of the run and nothing of it crosses to another
-// worker: its run (recycled through the engine's pool, so a serial caller
-// analyzing many small windows does not allocate one per call), its output
-// arena (its flows stay on memory it touched), and under fusion its
-// classifier scratch and its aggregate, which leaves only as the return
-// value — nil without fusion — for drive's merge at the join.
-func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) *diagnosis.Aggregate {
+// drains, and for each view reconstruct the flow, count its inferred items
+// and anomalies, classify it and fold the outcome — the only place any of
+// that happens. Flows and outcomes land in the view's own slot; flows is nil
+// when nobody keeps them, and then the arena is Reset as soon as each flow is
+// counted and classified, so the worker recycles one flow's worth of chunks
+// through the whole run. The worker owns its scratch for the duration of the
+// run and nothing of it crosses to another worker: its run (recycled through
+// the engine's pool, so a serial caller analyzing many small windows does not
+// allocate one per call), its output arena (its flows stay on memory it
+// touched), and under fusion its classifier scratch and its aggregate. What
+// leaves is the return value, the worker's slot for drive's join: its counts
+// and its aggregate (nil without fusion); Flows and Outcomes stay nil there,
+// written in place instead.
+func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) Parts {
 	r := e.runPool.Get().(*run)
 	arena := flow.NewArena(sizing)
 	var cl *diagnosis.Classifier
-	var agg *diagnosis.Aggregate
+	var p Parts
 	if fu.diagnose {
 		cl = diagnosis.NewClassifier()
-		agg = diagnosis.NewAggregate(fu.cfg.Sink, fu.cfg.Start, fu.cfg.DayLen, fu.cfg.Days)
+		p.Aggregate = diagnosis.NewAggregate(fu.cfg.Sink, fu.cfg.Start, fu.cfg.DayLen, fu.cfg.Days)
 	}
 	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 		for i := lo; i < hi; i++ {
 			f := r.analyze(e, views[i], arena)
+			p.InferredEvents += f.InferredCount()
+			p.Anomalies += len(f.Anomalies)
 			if fu.diagnose {
 				outs[i] = diagnosis.ApplyOutages(cl.Classify(f), fu.sched, fu.cfg.Sink)
-				agg.Add(outs[i])
+				p.Aggregate.Add(outs[i])
 			}
 			if fu.keepFlows {
 				flows[i] = f
@@ -130,7 +145,7 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 		}
 	}
 	e.runPool.Put(r)
-	return agg
+	return p
 }
 
 // drive runs the pipeline over views (which must be in packet-ID order, as
@@ -145,7 +160,9 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 //
 // Without fu.keepFlows there is no flows slice and no arena sized from the
 // views: each worker starts from the default chunks and keeps only the
-// largest flow's worth.
+// largest flow's worth. Each worker returns its counts and aggregate in its
+// slot of one per-run slice; the join sums the counts and merges the
+// aggregates into the first slot, which becomes the run's Parts.
 func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -160,12 +177,13 @@ func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts 
 	sizing := e.workerSizing(views, workers, fu.keepFlows)
 	if workers == 1 {
 		pending := true
-		agg := e.work(views, flows, outs, fu, sizing, func() (int, int, bool) {
+		p := e.work(views, flows, outs, fu, sizing, func() (int, int, bool) {
 			ok := pending
 			pending = false
 			return 0, len(views), ok
 		})
-		return Parts{Flows: flows, Outcomes: outs, Aggregate: agg}
+		p.Flows, p.Outcomes = flows, outs
+		return p
 	}
 	// Grain: coarse enough to amortize the shared cursor over many
 	// sub-millisecond packet analyses, fine enough that the tail spreads —
@@ -176,23 +194,26 @@ func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts 
 		lo := cursor.Add(grain) - grain
 		return int(lo), int(min(lo+grain, n)), lo < n
 	}
-	aggs := make([]*diagnosis.Aggregate, workers)
+	results := make([]Parts, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			aggs[w] = e.work(views, flows, outs, fu, sizing, next)
+			results[w] = e.work(views, flows, outs, fu, sizing, next)
 		}(w)
 	}
 	wg.Wait()
-	agg := aggs[0]
-	if fu.diagnose {
-		for _, wagg := range aggs[1:] {
-			agg.Merge(wagg)
+	p := results[0]
+	for _, s := range results[1:] {
+		if fu.diagnose {
+			p.Aggregate.Merge(s.Aggregate)
 		}
+		p.InferredEvents += s.InferredEvents
+		p.Anomalies += s.Anomalies
 	}
-	return Parts{Flows: flows, Outcomes: outs, Aggregate: agg}
+	p.Flows, p.Outcomes = flows, outs
+	return p
 }
 
 // slots returns n zero slots for a driver output column, or nil when the
@@ -225,7 +246,8 @@ func (e *Engine) workerSizing(views []*event.PacketView, workers int, keepFlows 
 // serially and without diagnosis.
 func (e *Engine) Analyze(c *event.Collection) *Result {
 	views, ops := event.Partition(c)
-	return &Result{Operational: ops, Flows: e.AnalyzeViews(views)}
+	p := e.drive(views, 1, fusion{keepFlows: true})
+	return p.Result(ops)
 }
 
 // AnalyzeViews reconstructs each view's flow, in view order, serially,
@@ -250,13 +272,16 @@ func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
 // AnalyzeDiagnosed reconstructs and diagnoses a whole collection in one fused
 // pass over workers workers (1 = serial, <= 0 selects GOMAXPROCS). The outage
 // schedule is reconstructed up front from the operational events Partition
-// sets aside. The Result matches Analyze's and the Report matches running
-// diagnosis.BuildConfig over the finished Result, for every worker count.
-func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config) (*Result, *diagnosis.Report) {
+// sets aside. With keepFlows the Result matches Analyze's; without it the
+// Result carries no flows (each worker recycles one small arena, as
+// AnalyzeWindowDiagnosed does) and is otherwise the same, counters included.
+// The Report matches running diagnosis.BuildConfig over Analyze's Result
+// either way, for every worker count.
+func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, keepFlows bool) (*Result, *diagnosis.Report) {
 	views, ops := event.Partition(c)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
-	p := e.drive(views, workers, fusion{diagnose: true, keepFlows: true, cfg: cfg, sched: sched})
-	return &Result{Operational: ops, Flows: p.Flows}, diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
+	p := e.drive(views, workers, fusion{diagnose: true, keepFlows: keepFlows, cfg: cfg, sched: sched})
+	return p.Result(ops), diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
 }
 
 // AnalyzeWindowDiagnosed reconstructs and classifies every packet of one

@@ -16,9 +16,9 @@ import (
 // order, as Partition emits them, with packets recurring across windows the
 // way a too-small horizon splits them — and requires the accumulation to
 // equal the stable packet-ID sort of every window concatenated: the
-// outcomes, and with keepFlows the flows, moved in step. LossTime numbers
-// every outcome, so a tie resolved the other way or a slot overwritten
-// before it was read shows as a wrong sequence.
+// outcomes, and with keepFlows the flows, moved in step, and the counters
+// summed. LossTime numbers every outcome, so a tie resolved the other way or
+// a slot overwritten before it was read shows as a wrong sequence.
 func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -26,6 +26,7 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 		var all []diagnosis.Outcome
 		flowOf := make(map[int64]*flow.Flow)
 		serial := int64(0)
+		inferred, anomalies := 0, 0
 		for w := rng.Intn(6); w >= 0; w-- {
 			ids := make(map[event.PacketID]bool)
 			for n := rng.Intn(12); n > 0; n-- {
@@ -44,6 +45,9 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 				win.Flows = append(win.Flows, f)
 			}
 			win.Aggregate = diagnosis.NewAggregate(1, 0, 0, 0)
+			win.InferredEvents, win.Anomalies = int(serial), len(win.Outcomes)
+			inferred += win.InferredEvents
+			anomalies += win.Anomalies
 			windows = append(windows, win)
 			all = append(all, win.Outcomes...)
 		}
@@ -56,6 +60,10 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 					w.Flows = nil
 				}
 				acc.Fold(w)
+			}
+			if acc.InferredEvents != inferred || acc.Anomalies != anomalies {
+				t.Fatalf("trial %d keepFlows=%v: folded counters %d/%d, want %d/%d",
+					trial, keep, acc.InferredEvents, acc.Anomalies, inferred, anomalies)
 			}
 			if len(all) == 0 && len(acc.Outcomes) == 0 {
 				continue

@@ -162,6 +162,11 @@ type Result struct {
 	// Operational carries the non-packet events (server up/down) found in
 	// the logs, ordered by time.
 	Operational []event.Event
+	// InferredEvents and Anomalies total every reconstructed flow's inferred
+	// items and anomalies, counted by the driver whether or not Flows are
+	// kept: with flows, the sums of Flow.InferredCount and len(Anomalies).
+	InferredEvents int
+	Anomalies      int
 }
 
 // flowSizing estimates the output arena geometry from partition statistics:

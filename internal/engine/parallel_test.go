@@ -38,7 +38,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	c := buildManyPackets(500)
 	serial := eng.Analyze(c)
 	for _, workers := range []int{1, 2, 4, 16} {
-		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99})
+		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99}, true)
 		if len(par.Flows) != len(serial.Flows) {
 			t.Fatalf("workers=%d: flow count %d vs %d", workers, len(par.Flows), len(serial.Flows))
 		}
@@ -59,7 +59,7 @@ func TestAnalyzeParallelEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := eng.AnalyzeDiagnosed(event.NewCollection(), 4, diagnosis.Config{Sink: 9})
+	res, _ := eng.AnalyzeDiagnosed(event.NewCollection(), 4, diagnosis.Config{Sink: 9}, true)
 	if len(res.Flows) != 0 {
 		t.Errorf("flows = %d", len(res.Flows))
 	}
@@ -71,7 +71,7 @@ func TestAnalyzeParallelDefaultsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := buildManyPackets(50)
-	res, _ := eng.AnalyzeDiagnosed(c, 0, diagnosis.Config{Sink: 99}) // GOMAXPROCS
+	res, _ := eng.AnalyzeDiagnosed(c, 0, diagnosis.Config{Sink: 99}, true) // GOMAXPROCS
 	if len(res.Flows) != 50 {
 		t.Errorf("flows = %d", len(res.Flows))
 	}
@@ -84,7 +84,7 @@ func TestAnalyzeParallelOperationalEvents(t *testing.T) {
 	}
 	c := buildManyPackets(10)
 	c.Add(event.Event{Node: event.Server, Type: event.ServerDown, Time: 5})
-	res, _ := eng.AnalyzeDiagnosed(c, 2, diagnosis.Config{Sink: 99})
+	res, _ := eng.AnalyzeDiagnosed(c, 2, diagnosis.Config{Sink: 99}, true)
 	if len(res.Operational) != 1 {
 		t.Errorf("operational = %d", len(res.Operational))
 	}
@@ -131,22 +131,43 @@ func buildSeededCampaign(packets int) *event.Collection {
 
 // TestAnalyzeVariantsProduceIdenticalResults asserts the acceptance contract:
 // the driver returns a Result deeply equal to serial Analyze on a seeded
-// campaign, for several worker counts. Determinism is the correctness
-// contract of the whole pipeline.
+// campaign, for several worker counts, and a run that keeps no flows returns
+// the same Result without them: its inferred-event and anomaly counters are
+// the sums over the serial flows. Two foreign gen records add anomalies.
+// Determinism is the correctness contract of the whole pipeline.
 func TestAnalyzeVariantsProduceIdenticalResults(t *testing.T) {
 	eng, err := New(Options{Sink: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := buildSeededCampaign(400)
+	for seq := uint32(1); seq <= 2; seq++ { // a gen logged by a node that is not the origin
+		c.Add(event.Event{Node: 50, Type: event.Gen, Sender: 7, Packet: event.PacketID{Origin: 7, Seq: 10_000 + seq}, Time: 1})
+	}
 	serial := eng.Analyze(c)
 	if len(serial.Flows) == 0 || len(serial.Operational) != 2 {
 		t.Fatalf("campaign degenerate: %d flows, %d operational", len(serial.Flows), len(serial.Operational))
 	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99})
+	inferred, anomalies := 0, 0
+	for _, f := range serial.Flows {
+		inferred += f.InferredCount()
+		anomalies += len(f.Anomalies)
+	}
+	if serial.InferredEvents != inferred || serial.Anomalies != anomalies || inferred == 0 || anomalies == 0 {
+		t.Fatalf("serial counters = %d inferred / %d anomalies, flows sum to %d / %d (both must be nonzero)",
+			serial.InferredEvents, serial.Anomalies, inferred, anomalies)
+	}
+	flowless := *serial
+	flowless.Flows = nil
+	for _, workers := range []int{0, 1, 2, 3, 4, 7, 8} {
+		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99}, true)
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("AnalyzeDiagnosed(workers=%d) diverged from Analyze", workers)
+		}
+		dropped, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99}, false)
+		if !reflect.DeepEqual(&flowless, dropped) {
+			t.Fatalf("AnalyzeDiagnosed(workers=%d) without flows = %d flows, %d/%d counters; want none and %d/%d",
+				workers, len(dropped.Flows), dropped.InferredEvents, dropped.Anomalies, inferred, anomalies)
 		}
 	}
 }

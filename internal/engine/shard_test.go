@@ -66,7 +66,7 @@ func TestShardedMergeDeterministic(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				got, _ := eng.AnalyzeDiagnosed(c, w, diagnosis.Config{Sink: 900})
+				got, _ := eng.AnalyzeDiagnosed(c, w, diagnosis.Config{Sink: 900}, true)
 				if !reflect.DeepEqual(serial, got) {
 					t.Errorf("AnalyzeDiagnosed(workers=%d) diverged from serial", w)
 				}

@@ -112,6 +112,7 @@ func Ablations(cfg workload.CitySeeConfig) (*AblationResult, error) {
 		an, err := core.NewAnalyzer(core.Options{
 			Sink: res.Sink, End: int64(res.Duration),
 			DisableIntra: v.intra, DisableInter: v.inter,
+			DropFlows: true, // scored from the report alone
 		})
 		if err != nil {
 			return nil, err

@@ -44,7 +44,7 @@ func LoggingPolicies(cfg workload.CitySeeConfig) (*LoggingPolicyResult, error) {
 	}
 	gt := net.Run()
 	end := int64(c.Days) * int64(sim.Day)
-	an, err := core.NewAnalyzer(core.Options{Sink: net.Sink(), End: end})
+	an, err := core.NewAnalyzer(core.Options{Sink: net.Sink(), End: end, DropFlows: true}) // scored from the report alone
 	if err != nil {
 		return nil, err
 	}
@@ -105,6 +105,7 @@ func ExtendedEvents(cfg workload.CitySeeConfig) (*ExtendedEventsResult, error) {
 		}
 		an, err := core.NewAnalyzer(core.Options{
 			Sink: run.Sink, End: int64(run.Duration), Protocol: v.protocol,
+			DropFlows: true, // scored from the report alone
 		})
 		if err != nil {
 			return nil, err

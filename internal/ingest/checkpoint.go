@@ -18,7 +18,8 @@ import (
 // restarted process needs to continue as if it never stopped: lifecycle
 // counters, per-node watermarks, the outcomes accumulated from
 // already-finalized windows, the session-level operational events, and the
-// pending (not yet finalizable) packet rows. Flows are deliberately NOT
+// pending (not yet finalizable) packet rows, and the finalized packets'
+// inferred-event and anomaly counts. Flows are deliberately NOT
 // checkpointable — a RetainFlows session refuses to checkpoint rather than
 // silently dropping its flows. Nor is the report aggregate: it is a fold of
 // the outcomes, and Resume folds them into the aggregate of the resuming
@@ -30,6 +31,7 @@ import (
 //	section 3   outcomes in packet-ID order: n * {origin u32, seq u32,
 //	            position u32, toward u32, lossTime i64, cause u8, flags u8,
 //	            reserved u16}
+//	section 5   counters: inferred events i64 | anomalies i64
 //	base 32     operational events (event collection section family)
 //	base 64     pending packet rows, per node in log order (see
 //	            event.PendingStore.AppendPendingTo)
@@ -38,7 +40,9 @@ import (
 // window start, daily bins and worker count follow the resumer. finalized
 // is the outcome count; Resume reads it off section 3 instead. Files from
 // earlier versions also hold section 4, the aggregate's flat encoding:
-// Verify checks its CRC with the rest, and Resume ignores it.
+// Verify checks its CRC with the rest, and Resume ignores it. Files from
+// before the counters section resume with zero counters: their sessions'
+// finalized packets count toward neither Stats nor Drain's Result.
 //
 // Resume restores the watermarks with PendingStore.Punctuate, then rebuilds
 // the rest of the store by replaying the operational and pending rows
@@ -62,12 +66,14 @@ const (
 	ckSecMeta       = 1
 	ckSecWatermarks = 2
 	ckSecOutcomes   = 3
+	ckSecCounters   = 5 // 4 was the aggregate, which files still carry from earlier versions
 	ckOpsBase       = 2 * event.SectionStride
 	ckPendBase      = 4 * event.SectionStride
 
 	ckMetaSize    = 56
 	ckWmEntrySize = 16
 	ckOutcomeSize = 28
+	ckCounterSize = 16
 
 	outcomeFlagTimeValid = 1 << 0
 	outcomeFlagLoop      = 1 << 1
@@ -109,6 +115,11 @@ func (s *Session) appendCheckpoint(w *snapfile.Writer) error {
 	binary.LittleEndian.PutUint64(meta[40:48], uint64(s.ingested))
 	binary.LittleEndian.PutUint64(meta[48:56], uint64(len(s.acc.Outcomes)))
 	w.Append(ckSecMeta, meta[:])
+
+	var counters [ckCounterSize]byte
+	binary.LittleEndian.PutUint64(counters[0:8], uint64(s.acc.InferredEvents))
+	binary.LittleEndian.PutUint64(counters[8:16], uint64(s.acc.Anomalies))
+	w.Append(ckSecCounters, counters[:])
 
 	w.Begin(ckSecWatermarks)
 	s.store.Watermarks(func(n event.NodeID, low int64) {
@@ -189,6 +200,14 @@ func Resume(cfg Config, path string) (*Session, error) {
 		s.watermark = int64(binary.LittleEndian.Uint64(meta[24:32]))
 	}
 	s.ingested = int(binary.LittleEndian.Uint64(meta[40:48]))
+
+	if counters, ok := f.Section(ckSecCounters); ok { // absent in older files: zero counters
+		if len(counters) != ckCounterSize {
+			return nil, fmt.Errorf("ingest: checkpoint counters section invalid (%d bytes)", len(counters))
+		}
+		s.acc.InferredEvents = int(binary.LittleEndian.Uint64(counters[0:8]))
+		s.acc.Anomalies = int(binary.LittleEndian.Uint64(counters[8:16]))
+	}
 
 	wms, ok := f.Section(ckSecWatermarks)
 	if !ok || len(wms)%ckWmEntrySize != 0 {

@@ -106,9 +106,16 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 // outcomes sorted is, in finalization order — and requires the drain to
 // equal batch analysis. Resume must sort what it reads: the session's later
 // windows merge into the restored outcomes on the assumption that they are
-// sorted, and nothing sorts them again.
+// sorted, and nothing sorts them again. The first packet's gen is logged
+// by the sink instead of its origin — an inferred event and an anomaly
+// finalized before the checkpoint — so the drain must also carry batch's
+// counters, which only the checkpoint's counters section can restore.
 func TestResumeUnorderedOutcomes(t *testing.T) {
 	c := parentCkptCampaign()
+	if g := c.evs[0]; g.Type != event.Gen || g.Node != g.Packet.Origin {
+		t.Fatalf("the campaign opens with %+v, not an origin's gen", g)
+	}
+	c.evs[0].Node = c.sink
 	const horizon = 100 // a delivery spans 70 ticks
 	path := filepath.Join(t.TempDir(), "unordered.ckpt")
 	orig := ckSession(t, c, horizon)
@@ -116,6 +123,9 @@ func TestResumeUnorderedOutcomes(t *testing.T) {
 	feedSorted(t, orig, first)
 	if n, err := orig.Advance(parentCkptAdvance); err != nil || n < 3 {
 		t.Fatalf("Advance finalized %d packets (err %v); the test needs several", n, err)
+	}
+	if st := orig.Stats(); st.InferredEvents == 0 || st.Anomalies == 0 {
+		t.Fatalf("checkpointing at %+v: the counters are not exercised", st)
 	}
 	slices.Reverse(orig.acc.Outcomes)
 	err := orig.WriteCheckpoint(path)
@@ -132,8 +142,12 @@ func TestResumeUnorderedOutcomes(t *testing.T) {
 	if n, err := res.Advance(c.end); err != nil || n == 0 {
 		t.Fatalf("Advance after resume finalized %d packets (err %v); the restored outcomes were never merged into", n, err)
 	}
-	_, got := res.Drain()
-	_, want := ctpEngine(t, c.sink).AnalyzeDiagnosed(c.collection(), 1, c.config())
+	gotRes, got := res.Drain()
+	wantRes, want := ctpEngine(t, c.sink).AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
+	if gotRes.InferredEvents != wantRes.InferredEvents || gotRes.Anomalies != wantRes.Anomalies {
+		t.Errorf("drained counters %d/%d, batch %d/%d", gotRes.InferredEvents, gotRes.Anomalies,
+			wantRes.InferredEvents, wantRes.Anomalies)
+	}
 	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
 		t.Errorf("outcomes diverged from batch:\n got %+v\nwant %+v", got.Outcomes, want.Outcomes)
 	}

@@ -98,6 +98,11 @@ type Stats struct {
 	PendingPackets int
 	// FinalizedPackets counts packets retired through reconstruction.
 	FinalizedPackets int
+	// InferredEvents and Anomalies total the finalized packets' inferred
+	// events and anomalous records, counted whether or not flows are
+	// retained; Drain's Result carries the same totals.
+	InferredEvents int
+	Anomalies      int
 	// OperationalEvents counts server up/down events seen (kept for the
 	// life of the session; there are only ever a handful).
 	OperationalEvents int
@@ -142,7 +147,8 @@ type Session struct {
 	// acc accumulates the finalized windows' parts; flows only when
 	// Config.RetainFlows. Its Aggregate is the fold of its Outcomes under
 	// cfg.Diagnosis, so a checkpoint stores the outcomes alone, and their
-	// number is the finalized-packet count.
+	// number is the finalized-packet count. Its inferred-event and anomaly
+	// counts are not derivable from the outcomes: a checkpoint stores them.
 	acc engine.Parts
 
 	// window is where each retire puts its packets' views, recycled across
@@ -350,7 +356,7 @@ func (s *Session) Drain() (*engine.Result, *diagnosis.Report) {
 	}
 	s.retireLocked(math.MaxInt64, true)
 	ops, sched := s.scheduleLocked(math.MaxInt64, true)
-	s.result = &engine.Result{Operational: ops, Flows: s.acc.Flows}
+	s.result = s.acc.Result(ops)
 	s.report = diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, s.acc.Outcomes, s.acc.Aggregate)
 	s.drained = true
 	return s.result, s.report
@@ -374,6 +380,8 @@ func (s *Session) Stats() Stats {
 		PendingRows:       s.store.Rows(),
 		PendingPackets:    s.store.Packets(),
 		FinalizedPackets:  len(s.acc.Outcomes),
+		InferredEvents:    s.acc.InferredEvents,
+		Anomalies:         s.acc.Anomalies,
 		OperationalEvents: s.store.Operational().TotalEvents(),
 		Nodes:             s.store.Nodes(),
 		Drained:           s.drained,

@@ -133,7 +133,7 @@ func TestSessionDrainMatchesBatch(t *testing.T) {
 		t.Errorf("drained session still holds %d packets (%d rows)", st.PendingPackets, st.PendingRows)
 	}
 
-	refRes, refRep := eng.AnalyzeDiagnosed(c.collection(), 1, c.config())
+	refRes, refRep := eng.AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
 	if !reflect.DeepEqual(rep.Outcomes, refRep.Outcomes) {
 		t.Errorf("outcomes differ:\n got %+v\nwant %+v", rep.Outcomes, refRep.Outcomes)
 	}
@@ -307,7 +307,7 @@ func TestSessionOpenOutageHoldsPastCampaignEnd(t *testing.T) {
 			t.Errorf("end %d: watermark = %d after the outage closed, want 180", tc.end, w)
 		}
 		_, rep := s.Drain()
-		_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config())
+		_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
 		if !reflect.DeepEqual(rep.Outcomes, want.Outcomes) || !reflect.DeepEqual(rep.Outages, want.Outages) {
 			t.Errorf("end %d: drained report diverged from batch", tc.end)
 		}
@@ -426,7 +426,7 @@ func TestSessionNegativeClocksFinalize(t *testing.T) {
 		t.Errorf("pending packets = %d, want 2", st.PendingPackets)
 	}
 	_, rep := s.Drain()
-	_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config())
+	_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
 	if !reflect.DeepEqual(rep.Outcomes, want.Outcomes) {
 		t.Errorf("outcomes differ:\n got %+v\nwant %+v", rep.Outcomes, want.Outcomes)
 	}
@@ -673,7 +673,7 @@ func TestAppendRowsEdgeCases(t *testing.T) {
 	}
 	eng := ctpEngine(t, c.sink)
 	horizon := event.MaxPacketSpread(text)
-	wantRes, want := eng.AnalyzeDiagnosed(text, 1, c.config())
+	wantRes, want := eng.AnalyzeDiagnosed(text, 1, c.config(), true)
 	infos := 0
 	for _, f := range wantRes.Flows {
 		for _, it := range f.Items {

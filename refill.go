@@ -30,6 +30,12 @@
 //	}
 //	fmt.Println(refill.RenderBreakdown(out.Report))
 //
+// A caller that reads only the report and the totals keeps no flows: with
+// AnalyzerOptions.DropFlows each flow is counted, classified and dropped,
+// and out.Result carries the inferred-event and anomaly totals
+// (Result.InferredEvents, Result.Anomalies) without Flows — what cmd/refill
+// does unless -flows, -trace or -clocks reads them.
+//
 // Functional options layer on top of the AnalyzerOptions struct. Every
 // configuration returns byte-identical output — flows stay in packet-ID
 // order regardless of worker count:
@@ -223,7 +229,8 @@ type (
 	// add WithSink); a zero window leaves a trailing server outage
 	// open-ended in the report (add WithWindow); Parallelism 0 picks each
 	// path's default — serial for Analyze, all cores for the snapshot and
-	// session paths.
+	// session paths. DropFlows is the one flow-retention switch for
+	// Analyze; its zero value keeps every flow.
 	AnalyzerOptions = core.Options
 	// AnalyzerOption is a functional override applied on top of
 	// AnalyzerOptions by NewAnalyzer (WithProtocol, WithParallelism, …).
@@ -238,7 +245,8 @@ type (
 	// embedded SessionConfig the session is opened with (completeness
 	// horizon, derived from the snapshot when zero; flow retention). The
 	// Output matches an.Analyze(snap.Collection()) byte for byte, flows
-	// included under RetainFlows.
+	// included under RetainFlows; without it there are no flows, but the
+	// Result's inferred-event and anomaly totals are the same.
 	SnapshotOptions = core.SnapshotOptions
 	// Accuracy scores a reconstruction against ground truth.
 	Accuracy = core.Accuracy

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/diagnosis"
+	"repro/internal/engine"
 	"repro/internal/sim"
 )
 
@@ -163,18 +164,39 @@ func bothRetentions(t *testing.T, run func(t *testing.T, retain bool)) {
 	t.Run("discard-flows", func(t *testing.T) { run(t, false) })
 }
 
-// checkDrainedFlows requires a drained Result to carry exactly the batch
-// flows under RetainFlows and none without it.
-func checkDrainedFlows(t *testing.T, want, got []*Flow, retain bool) {
+// checkDrained requires a drained Result to carry exactly the batch flows
+// under RetainFlows and none without it, and the batch Result's
+// inferred-event and anomaly counters either way.
+func checkDrained(t *testing.T, want, got *engine.Result, retain bool) {
 	t.Helper()
+	if got.InferredEvents != want.InferredEvents || got.Anomalies != want.Anomalies {
+		t.Errorf("drained counters = %d inferred / %d anomalies, batch has %d / %d (RetainFlows %v)",
+			got.InferredEvents, got.Anomalies, want.InferredEvents, want.Anomalies, retain)
+	}
 	if !retain {
-		if got != nil {
-			t.Errorf("%d flows drained without RetainFlows", len(got))
+		if got.Flows != nil {
+			t.Errorf("%d flows drained without RetainFlows", len(got.Flows))
 		}
 		return
 	}
-	if !reflect.DeepEqual(want, got) {
+	if !reflect.DeepEqual(want.Flows, got.Flows) {
 		t.Error("Flows diverged from batch Analyze")
+	}
+}
+
+// checkFlowTotals requires res's counters to be the sums of InferredCount
+// and len(Anomalies) over its flows, and the inferred sum to be nonzero so
+// the counter checks built on res prove something.
+func checkFlowTotals(t *testing.T, res *engine.Result) {
+	t.Helper()
+	inferred, anomalies := 0, 0
+	for _, f := range res.Flows {
+		inferred += f.InferredCount()
+		anomalies += len(f.Anomalies)
+	}
+	if res.InferredEvents != inferred || res.Anomalies != anomalies || inferred == 0 {
+		t.Fatalf("Result counters = %d inferred / %d anomalies, its flows sum to %d / %d (inferred must be nonzero)",
+			res.InferredEvents, res.Anomalies, inferred, anomalies)
 	}
 }
 
@@ -194,6 +216,7 @@ func TestSessionEquivalence(t *testing.T) {
 	if want.Report.Total() == 0 || len(want.Report.Outages) == 0 {
 		t.Fatal("degenerate campaign: sessions need losses and outages to prove anything")
 	}
+	checkFlowTotals(t, want.Result)
 
 	check := func(t *testing.T, sess *Session, retain bool) {
 		t.Helper()
@@ -201,7 +224,10 @@ func TestSessionEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(want.Result.Operational, res.Operational) {
 			t.Error("Operational diverged from batch Analyze")
 		}
-		checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
+		checkDrained(t, want.Result, res, retain)
+		if st := sess.Stats(); st.InferredEvents != res.InferredEvents || st.Anomalies != res.Anomalies {
+			t.Errorf("Stats counters %d/%d, drained Result %d/%d", st.InferredEvents, st.Anomalies, res.InferredEvents, res.Anomalies)
+		}
 		checkSameReport(t, want.Report, rep, dayLen, days)
 	}
 
@@ -351,7 +377,7 @@ func TestSessionSnapshotConsistency(t *testing.T) {
 		if !reflect.DeepEqual(want.Report.Outcomes, rep.Outcomes) {
 			t.Error("drained outcomes diverged after interleaved snapshots")
 		}
-		checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
+		checkDrained(t, want.Result, res, retain)
 	})
 }
 
@@ -521,7 +547,7 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 		if !reflect.DeepEqual(want.Result.Operational, res.Operational) {
 			t.Error("Operational diverged from batch Analyze")
 		}
-		checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
+		checkDrained(t, want.Result, res, retain)
 		checkSameReport(t, want.Report, rep, dayLen, days)
 	})
 }
@@ -609,7 +635,7 @@ func FuzzSessionEquivalence(f *testing.F) {
 			}
 			res, rep := sess.Drain()
 			live.unchanged(t)
-			checkDrainedFlows(t, want.Result.Flows, res.Flows, retain)
+			checkDrained(t, want.Result, res, retain)
 			if !reflect.DeepEqual(want.Report.Outcomes, rep.Outcomes) {
 				t.Errorf("outcomes diverged under schedule %x (RetainFlows %v)", program, retain)
 			}

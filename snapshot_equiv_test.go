@@ -169,9 +169,11 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 		}
 	}
 
+	checkFlowTotals(t, want.Result)
 	ref := newSess(t)
 	feed(t, ref, 0, rounds)
-	_, refRep := ref.Drain()
+	refRes, refRep := ref.Drain()
+	checkDrained(t, want.Result, refRes, false)
 	checkSameReport(t, want.Report, refRep, dayLen, days)
 	refText := RenderBreakdown(refRep)
 
@@ -187,11 +189,15 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: resume: %v", epoch, err)
 		}
+		if got, was := resumed.Stats(), crashed.Stats(); !reflect.DeepEqual(got, was) {
+			t.Errorf("epoch %d: resumed stats %+v, checkpointed %+v", epoch, got, was)
+		}
 		feed(t, resumed, epoch, rounds)
-		_, rep := resumed.Drain()
+		res, rep := resumed.Drain()
 		if !reflect.DeepEqual(refRep.Outcomes, rep.Outcomes) {
 			t.Errorf("epoch %d: resumed outcomes diverged from the uninterrupted session", epoch)
 		}
+		checkDrained(t, want.Result, res, false)
 		checkSameReport(t, want.Report, rep, dayLen, days)
 		if got := RenderBreakdown(rep); got != refText {
 			t.Errorf("epoch %d: rendered breakdown diverged:\n got: %s\nwant: %s", epoch, got, refText)
@@ -350,12 +356,11 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 		{"odd-windows", SnapshotOptions{WindowRows: 257, SessionConfig: retain}},
 		{"explicit-horizon", SnapshotOptions{WindowRows: 311, SessionConfig: SessionConfig{Horizon: horizon, RetainFlows: true}}},
 	}
+	checkFlowTotals(t, want.Result)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := an.AnalyzeSnapshot(snap, tc.opts)
-			if !reflect.DeepEqual(want.Result.Flows, got.Result.Flows) {
-				t.Error("out-of-core flows diverged from batch")
-			}
+			checkDrained(t, want.Result, got.Result, true)
 			if !reflect.DeepEqual(want.Result.Operational, got.Result.Operational) {
 				t.Error("out-of-core operational events diverged from batch")
 			}
@@ -364,9 +369,7 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 	}
 	t.Run("discard-flows", func(t *testing.T) {
 		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 128})
-		if got.Result.Flows != nil {
-			t.Errorf("retained %d flows without RetainFlows", len(got.Result.Flows))
-		}
+		checkDrained(t, want.Result, got.Result, false)
 		if !reflect.DeepEqual(want.Result.Operational, got.Result.Operational) {
 			t.Error("out-of-core operational events diverged from batch")
 		}
@@ -386,6 +389,10 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 		got := an.AnalyzeSnapshot(old, SnapshotOptions{WindowRows: 257, SessionConfig: retain})
 		if serializeFlows(got.Result.Flows) != serializeFlows(want.Result.Flows) {
 			t.Error("out-of-core flows diverged from batch")
+		}
+		if got.Result.InferredEvents != want.Result.InferredEvents || got.Result.Anomalies != want.Result.Anomalies {
+			t.Errorf("out-of-core counters %d/%d, batch %d/%d", got.Result.InferredEvents, got.Result.Anomalies,
+				want.Result.InferredEvents, want.Result.Anomalies)
 		}
 		if !reflect.DeepEqual(want.Result.Operational, got.Result.Operational) {
 			t.Error("out-of-core operational events diverged from batch")
@@ -549,16 +556,23 @@ func testOutOfCoreTrailingOutage(t *testing.T, full *Collection, sink NodeID, du
 
 // testOutOfCoreUnorderedFallback: a snapshot with one log out of time order
 // cannot be cut into windows, so AnalyzeSnapshot analyzes it in memory. The
-// report must still equal batch, and flows must follow RetainFlows.
+// report and the inferred-event and anomaly counters must still equal
+// batch, and flows must follow RetainFlows. A gen logged by a node that is
+// not the packet's origin adds an anomaly.
 func testOutOfCoreUnorderedFallback(t *testing.T) {
 	logs := hostileTimestampLogs()
 	// A late-logged packet stamped before the rest of node 6's log.
 	logs.Add(Event{Node: 6, Type: Gen, Sender: 6, Packet: PacketID{Origin: 6, Seq: 999}, Time: 5})
+	logs.Add(Event{Node: 1, Type: Gen, Sender: 5, Packet: PacketID{Origin: 5, Seq: 998}, Time: 1 << 30})
 	an, err := NewAnalyzer(AnalyzerOptions{Sink: 1, End: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := an.Analyze(logs)
+	checkFlowTotals(t, want.Result)
+	if want.Result.Anomalies == 0 {
+		t.Fatal("no anomaly in the fallback's logs; its anomaly count is not checked")
+	}
 	snap, err := OpenSnapshot(snapshotPath(t, logs))
 	if err != nil {
 		t.Fatal(err)
@@ -580,6 +594,10 @@ func testOutOfCoreUnorderedFallback(t *testing.T) {
 			t.Errorf("RetainFlows: %d flows diverged from batch's %d", len(got.Result.Flows), len(want.Result.Flows))
 		case !retain && got.Result.Flows != nil:
 			t.Errorf("retained %d flows without RetainFlows", len(got.Result.Flows))
+		}
+		if got.Result.InferredEvents != want.Result.InferredEvents || got.Result.Anomalies != want.Result.Anomalies {
+			t.Errorf("RetainFlows=%v: counters %d/%d, batch %d/%d", retain, got.Result.InferredEvents,
+				got.Result.Anomalies, want.Result.InferredEvents, want.Result.Anomalies)
 		}
 	}
 }
