@@ -18,10 +18,11 @@ import (
 //
 // Every analysis entry point is this driver fed different views and a
 // different outage schedule: batch Analyze/AnalyzeDiagnosed partition the
-// whole collection, the ingest session — whatever feeds it, a live service or
-// a mapped snapshot — takes one retired window's views at a time straight
-// from its pending store (AnalyzeWindowDiagnosed) and folds the windows'
-// Parts together. Serial is workers == 1 of the same worker body, run inline
+// whole collection (AnalyzeDiagnosed on its workers, before they walk:
+// event.PartitionWorkers), the ingest session — whatever feeds it, a live
+// service or a mapped snapshot — takes one retired window's views at a time
+// straight from its pending store (AnalyzeWindowDiagnosed) and folds the
+// windows' Parts together. Serial is workers == 1 of the same worker body, run inline
 // on the caller's goroutine.
 //
 // Determinism: which worker walks which view is racy by construction (the
@@ -270,15 +271,17 @@ func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
 }
 
 // AnalyzeDiagnosed reconstructs and diagnoses a whole collection in one fused
-// pass over workers workers (1 = serial, <= 0 selects GOMAXPROCS). The outage
-// schedule is reconstructed up front from the operational events Partition
-// sets aside. With keepFlows the Result matches Analyze's; without it the
-// Result carries no flows (each worker recycles one small arena, as
-// AnalyzeWindowDiagnosed does) and is otherwise the same, counters included.
-// The Report matches running diagnosis.BuildConfig over Analyze's Result
-// either way, for every worker count.
+// pass over workers workers (1 = serial, <= 0 selects GOMAXPROCS). The
+// partition before the walk runs on the same workers
+// (event.PartitionWorkers). The outage schedule is reconstructed up front
+// from the operational events the partition sets aside. With keepFlows the
+// Result matches Analyze's; without it the Result carries no flows (each
+// worker recycles one small arena, as AnalyzeWindowDiagnosed does) and is
+// otherwise the same, counters included. The Report matches running
+// diagnosis.BuildConfig over Analyze's Result either way, for every worker
+// count.
 func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, keepFlows bool) (*Result, *diagnosis.Report) {
-	views, ops := event.Partition(c)
+	views, ops := event.PartitionWorkers(c, workers)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
 	p := e.drive(views, workers, fusion{diagnose: true, keepFlows: keepFlows, cfg: cfg, sched: sched})
 	return p.Result(ops), diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)

@@ -345,12 +345,13 @@ func TestCheckArenaRows(t *testing.T) {
 }
 
 // FuzzPartition decodes arbitrary bytes as a binary log and holds Partition
-// to the reference on whatever collection comes out.
+// to the reference on whatever collection comes out, and the partition on
+// 1 + workers%8 helpers to Partition.
 func FuzzPartition(f *testing.F) {
 	one := Event{Node: 2, Type: Recv, Sender: 1, Receiver: 2, Packet: PacketID{Origin: 1, Seq: 7}, Time: 9}
 	wide := one
 	wide.Packet = PacketID{Origin: 0xFFFFFFFF, Seq: 0xFFFFFFFF} // with one: every key byte varies
-	for _, c := range []*Collection{
+	for i, c := range []*Collection{
 		buildRandomCollection(51, 300),
 		buildInfoCollection(52, 200),
 		NewCollection(),
@@ -362,14 +363,15 @@ func FuzzPartition(f *testing.F) {
 		if err := WriteCollectionBinary(&buf, c); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(buf.Bytes(), uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		c, err := ReadCollectionBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		checkPartition(t, c)
+		samePartition(t, c, 1+int(workers%8))
 	})
 }
 

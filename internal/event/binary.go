@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 )
 
 // Binary log format
@@ -93,7 +94,15 @@ func WriteCollectionBinary(w io.Writer, c *Collection) error {
 }
 
 // ReadCollectionBinary parses the binary log format.
+//
+// Each node log is grown once, to its header's count, so decoding appends
+// into columns of the final size. A header can lie, so the count is capped
+// at the rows the rest of the input can hold when the reader reports its
+// size (inputSize), and at 1<<16 rows when it does not: no header makes the
+// reader allocate columns for more rows than the input holds, or than that
+// fixed cap.
 func ReadCollectionBinary(r io.Reader) (*Collection, error) {
+	left, sized := inputSize(r)
 	br := bufio.NewReaderSize(r, 1<<16)
 	head := make([]byte, 5)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -106,6 +115,7 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 		return nil, fmt.Errorf("event: unsupported binary log version %d", head[4])
 	}
 	c, le := NewCollection(), binary.LittleEndian
+	left -= int64(len(head))
 	for {
 		hdr, err := br.Peek(8) // node u32 | count u32
 		switch {
@@ -118,11 +128,13 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 		}
 		node, count := NodeID(le.Uint32(hdr)), le.Uint32(hdr[4:])
 		br.Discard(8) // cannot fail: Peek just returned these bytes
+		left -= 8
 		log := c.Log(node)
-		// The count field sizes a pre-allocation only — clamp it so a
-		// corrupted or hostile header cannot force a huge up-front Grow.
-		// Honest larger logs still land in one or two append regrowths.
-		log.Batch().Grow(int(min(count, 1<<16)))
+		grow := int64(min(count, 1<<16))
+		if sized {
+			grow = min(int64(count), max(left, 0)/recordFixedSize)
+		}
+		log.Batch().Grow(int(grow))
 		for i := uint32(0); i < count; i++ {
 			// One Peek covers the record's fixed part; the type byte is
 			// judged first, so a bad type in a short record is still
@@ -144,6 +156,7 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 			}
 			infoLen := int(le.Uint16(rec[25:]))
 			br.Discard(recordFixedSize) // cannot fail: Peek just returned these bytes
+			left -= int64(recordFixedSize + infoLen)
 			if infoLen > 0 {
 				// infoLen is a u16, so the Peek fits the 64 KiB buffer.
 				info, err := br.Peek(infoLen)
@@ -156,4 +169,20 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 			log.Append(e)
 		}
 	}
+}
+
+// inputSize returns how many bytes r can still deliver at most, when r can
+// tell: the unread bytes of an in-memory reader (bytes.Reader,
+// strings.Reader, bytes.Buffer), or the size of a regular file, a bound on
+// what is left of it wherever its offset stands.
+func inputSize(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size(), true
+		}
+	}
+	return 0, false
 }

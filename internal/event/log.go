@@ -3,6 +3,7 @@ package event
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -93,7 +94,7 @@ func (c *Collection) Nodes() []NodeID {
 	for n := range c.Logs {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	return nodes
 }
 
@@ -270,170 +271,6 @@ func checkArenaRows(rows int64) {
 	if rows > math.MaxInt32 {
 		panic(fmt.Sprintf("event: Partition given %d rows, above the %d one arena can address (ViewSpan offsets are int32); analyze the collection in windows (a snapshot analyzed out of core, or a session)", rows, math.MaxInt32))
 	}
-}
-
-// Partition splits a collection into per-packet views, preserving per-node
-// event order within each view. Non-packet-scoped events (server up/down) are
-// returned separately. Views are ordered by packet ID (origin, then seq) for
-// deterministic processing.
-//
-// Partition is a sort. One scan of the logs (ascending node, log order) gives
-// every packet-scoped row the key origin<<32|seq and a global row number;
-// sortByKey orders the pairs by key, stably; a sweep then cuts a view at every
-// key change and a span at every node change, and the rows are gathered into
-// one shared arena in that order. Stability is what makes the spans right:
-// inside a packet the row numbers stay ascending, which is ascending node and
-// log order, so each node's rows are adjacent (one span, however other
-// packets interleaved them in its log) and in log order. The arena is laid
-// out in view order, so walking a range of views reads it front to back. The
-// number of allocations is fixed, whatever the collection holds.
-//
-// Partition serves the batch path only. The session's windows never reach
-// it: PendingStore.Retire lays out the same views straight from the store,
-// which already knows every row's packet, so it sorts packets, not rows.
-func Partition(c *Collection) (views []*PacketView, operational []Event) {
-	nodes := c.Nodes()
-	total := c.TotalEvents()
-	checkArenaRows(int64(total))
-	// first[ni] is the global number of node ni's first row.
-	first := make([]uint32, len(nodes)+1)
-	logs := make([]*Batch, len(nodes))
-	// Packet-scoped rows fill keys and rows from the front, operational rows
-	// fill rows from the back, so neither needs counting first.
-	keys, rows := make([]uint64, total), make([]uint32, total)
-	n, nops, hasInfo := 0, 0, false
-	var varying uint64 // key bits that differ between some two rows
-	for ni, nd := range nodes {
-		b := &c.Logs[nd].batch
-		logs[ni] = b
-		hasInfo = hasInfo || len(b.info) > 0
-		for i, t := range b.typ {
-			if !t.PacketScoped() {
-				nops++
-				rows[total-nops] = first[ni] + uint32(i)
-				continue
-			}
-			k := uint64(b.origin[i])<<32 | uint64(b.seq[i])
-			keys[n], rows[n] = k, first[ni]+uint32(i)
-			varying |= k ^ keys[0]
-			n++
-		}
-		first[ni+1] = first[ni] + uint32(len(b.typ))
-	}
-	if nops > 0 { // else nil, as OperationalEvents returns it
-		operational = make([]Event, nops)
-		for k := range operational {
-			r := rows[total-1-k]
-			ni := nodeOfRow(first, r)
-			operational[k] = logs[ni].At(int(r - first[ni]))
-		}
-		sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
-	}
-	keys, rows, nis := sortByKey(keys[:n], rows[:n], varying)
-
-	// Resolve each sorted row to (node index, row in that node's log) and
-	// count the views and spans. Row numbers ascend inside a packet, so the
-	// node changes only when one passes the end of the current node's log.
-	nviews, nspans := 0, 0
-	for j, ni := 0, 0; j < n; j++ {
-		newView := j == 0 || keys[j] != keys[j-1]
-		if newView {
-			nviews++
-		}
-		if newView || rows[j] >= first[ni+1] {
-			ni = nodeOfRow(first, rows[j])
-			nspans++
-		}
-		nis[j], rows[j] = uint32(ni), rows[j]-first[ni]
-	}
-
-	arena := &Batch{}
-	arena.Resize(n)
-	spans := make([]ViewSpan, 0, nspans)
-	structs := make([]PacketView, 0, nviews)
-	views = make([]*PacketView, 0, nviews)
-	var v *PacketView
-	for j := 0; j < n; j++ {
-		pkt := PacketID{Origin: NodeID(keys[j] >> 32), Seq: uint32(keys[j])}
-		newView := j == 0 || keys[j] != keys[j-1]
-		if newView {
-			structs = append(structs, PacketView{Packet: pkt, batch: arena})
-			v = &structs[len(structs)-1]
-			views = append(views, v)
-		}
-		if newView || nis[j] != nis[j-1] {
-			spans = append(spans, ViewSpan{Node: nodes[nis[j]], Start: int32(j)})
-			v.spans = spans[len(spans)-len(v.spans)-1 : len(spans) : len(spans)] // one longer
-		}
-		spans[len(spans)-1].End = int32(j + 1)
-		arena.origin[j], arena.seq[j] = pkt.Origin, pkt.Seq
-	}
-	// The other columns are gathered one at a time: a loop reading one source
-	// column keeps many cache misses in flight, a loop reading five does not.
-	gather(arena.node, logs, nis, rows, func(b *Batch) []NodeID { return b.node })
-	gather(arena.typ, logs, nis, rows, func(b *Batch) []Type { return b.typ })
-	gather(arena.sender, logs, nis, rows, func(b *Batch) []NodeID { return b.sender })
-	gather(arena.receiver, logs, nis, rows, func(b *Batch) []NodeID { return b.receiver })
-	gather(arena.time, logs, nis, rows, func(b *Batch) []int64 { return b.time })
-	if hasInfo { // the arena's table is complete before any worker reads it
-		for j, ni := range nis {
-			arena.setInfo(j, logs[ni].info[int32(rows[j])])
-		}
-	}
-	return views, operational
-}
-
-// nodeOfRow returns the index of the node whose log holds global row r: the
-// ni with first[ni] <= r < first[ni+1].
-func nodeOfRow(first []uint32, r uint32) int {
-	return sort.Search(len(first)-1, func(ni int) bool { return first[ni+1] > r })
-}
-
-// gather fills one arena column: dst[j] is row rows[j] of log nis[j]'s col.
-func gather[T any](dst []T, logs []*Batch, nis, rows []uint32, col func(*Batch) []T) {
-	src := make([][]T, len(logs))
-	for ni, b := range logs {
-		src[ni] = col(b)
-	}
-	for j := range dst {
-		dst[j] = src[nis[j]][rows[j]]
-	}
-}
-
-// sortByKey orders the (key, row) pairs by key with a stable LSD byte-radix
-// sort (equal keys keep their input order). It returns the ordered columns
-// and the row column left spare, which the caller reuses.
-//
-// varying has a bit set wherever two keys differ. A key byte with none set is
-// the same in every key, its pass would move nothing, and it is skipped: a
-// campaign's few hundred origins and few thousand sequence numbers sort in
-// three or four passes, any input in at most eight, and a sparse key space
-// costs passes, never memory.
-func sortByKey(keys []uint64, rows []uint32, varying uint64) (_ []uint64, _, spare []uint32) {
-	keys2, rows2 := []uint64(nil), make([]uint32, len(rows))
-	if varying != 0 {
-		keys2 = make([]uint64, len(keys))
-	}
-	for shift := uint(0); shift < 64; shift += 8 {
-		if varying>>shift&0xFF == 0 {
-			continue
-		}
-		var next [256]uint32 // next[d]: where the next key with digit d goes
-		for _, k := range keys {
-			next[byte(k>>shift)]++
-		}
-		sum := uint32(0)
-		for d, count := range next {
-			next[d], sum = sum, sum+count
-		}
-		for i, k := range keys {
-			d := byte(k >> shift)
-			keys2[next[d]], rows2[next[d]] = k, rows[i]
-			next[d]++
-		}
-		keys, keys2, rows, rows2 = keys2, keys, rows2, rows
-	}
-	return keys, rows, rows2
 }
 
 // OperationalEvents extracts the non-packet-scoped events (server up/down)
