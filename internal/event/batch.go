@@ -83,6 +83,19 @@ func (b *Batch) reserve(n int) {
 	}
 }
 
+// extend lengthens every column by k rows for the caller to fill by index
+// and returns the first new row. A column too short for them grows as in
+// reserve, at least doubling, so a batch extended chunk by chunk copies its
+// rows a constant number of times.
+func (b *Batch) extend(k int) int {
+	lo := len(b.typ)
+	if want := lo + k; want > min(cap(b.node), cap(b.sender), cap(b.receiver), cap(b.origin), cap(b.seq), cap(b.time), cap(b.typ)) {
+		b.Grow(max(lo, k))
+	}
+	b.Resize(lo + k)
+	return lo
+}
+
 // grown returns s with capacity for at least want elements.
 func grown[T any](s []T, want int) []T {
 	if cap(s) >= want {

@@ -95,12 +95,17 @@ func WriteCollectionBinary(w io.Writer, c *Collection) error {
 
 // ReadCollectionBinary parses the binary log format.
 //
-// Each node log is grown once, to its header's count, so decoding appends
+// Each node log is grown once, to its header's count, so decoding writes
 // into columns of the final size. A header can lie, so the count is capped
 // at the rows the rest of the input can hold when the reader reports its
 // size (inputSize), and at 1<<16 rows when it does not: no header makes the
 // reader allocate columns for more rows than the input holds, or than that
-// fixed cap.
+// fixed cap. Past the cap, the columns double as the rows arrive.
+//
+// A node section is decoded a buffer at a time: decodeRecords writes every
+// whole, info-free record the reader already holds straight into the
+// columns, and readRecord takes the one record that stops it — one that
+// straddles the buffer's end, carries Info or is bad — on its own.
 func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 	left, sized := inputSize(r)
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -126,7 +131,7 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 		case err != nil:
 			return nil, fmt.Errorf("event: truncated node count: %w", err)
 		}
-		node, count := NodeID(le.Uint32(hdr)), le.Uint32(hdr[4:])
+		node, count := NodeID(le.Uint32(hdr)), int(le.Uint32(hdr[4:]))
 		br.Discard(8) // cannot fail: Peek just returned these bytes
 		left -= 8
 		log := c.Log(node)
@@ -135,40 +140,90 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 			grow = min(int64(count), max(left, 0)/recordFixedSize)
 		}
 		log.Batch().Grow(int(grow))
-		for i := uint32(0); i < count; i++ {
-			// One Peek covers the record's fixed part; the type byte is
-			// judged first, so a bad type in a short record is still
-			// reported as a bad type.
-			rec, err := br.Peek(recordFixedSize)
-			if len(rec) > 0 && !Type(rec[0]).Valid() {
-				return nil, fmt.Errorf("event: invalid type %d in binary log", rec[0])
+		for count > 0 {
+			buf, _ := br.Peek(br.Buffered()) // cannot fail: these bytes are buffered
+			k := decodeRecords(log.Batch(), node, buf, count)
+			br.Discard(k * recordFixedSize) // cannot fail, as above
+			left -= int64(k * recordFixedSize)
+			if count -= k; count == 0 {
+				break
 			}
+			size, err := readRecord(br, log)
 			if err != nil {
-				return nil, fmt.Errorf("event: truncated record: %w", err)
+				return nil, err
 			}
-			e := Event{
-				Node:     node,
-				Type:     Type(rec[0]),
-				Sender:   NodeID(le.Uint32(rec[1:])),
-				Receiver: NodeID(le.Uint32(rec[5:])),
-				Packet:   PacketID{Origin: NodeID(le.Uint32(rec[9:])), Seq: le.Uint32(rec[13:])},
-				Time:     int64(le.Uint64(rec[17:])),
-			}
-			infoLen := int(le.Uint16(rec[25:]))
-			br.Discard(recordFixedSize) // cannot fail: Peek just returned these bytes
-			left -= int64(recordFixedSize + infoLen)
-			if infoLen > 0 {
-				// infoLen is a u16, so the Peek fits the 64 KiB buffer.
-				info, err := br.Peek(infoLen)
-				if err != nil {
-					return nil, fmt.Errorf("event: truncated info: %w", err)
-				}
-				e.Info = string(info)
-				br.Discard(infoLen) // cannot fail, as above
-			}
-			log.Append(e)
+			left -= int64(size)
+			count--
 		}
 	}
+}
+
+// decodeRecords appends to b, stamped with node n, the leading records of
+// buf that are whole, carry no Info and have a valid type, at most limit
+// of them, and returns how many it took. It writes the columns by index,
+// growing them as reserve would when the header's count was capped.
+func decodeRecords(b *Batch, n NodeID, buf []byte, limit int) int {
+	k := 0
+	for end := min(len(buf)/recordFixedSize, limit); k < end; k++ {
+		rec := buf[k*recordFixedSize:]
+		if !Type(rec[0]).Valid() || rec[25]|rec[26] != 0 {
+			break
+		}
+	}
+	if k == 0 {
+		return 0
+	}
+	lo := b.extend(k)
+	node, typ, sender, receiver := b.node[lo:lo+k], b.typ[lo:lo+k], b.sender[lo:lo+k], b.receiver[lo:lo+k]
+	origin, seq, time := b.origin[lo:lo+k], b.seq[lo:lo+k], b.time[lo:lo+k]
+	le := binary.LittleEndian
+	for i := range node {
+		rec := (*[recordFixedSize]byte)(buf[i*recordFixedSize:])
+		node[i] = n
+		typ[i] = Type(rec[0])
+		sender[i] = NodeID(le.Uint32(rec[1:]))
+		receiver[i] = NodeID(le.Uint32(rec[5:]))
+		origin[i] = NodeID(le.Uint32(rec[9:]))
+		seq[i] = le.Uint32(rec[13:])
+		time[i] = int64(le.Uint64(rec[17:]))
+	}
+	return k
+}
+
+// readRecord decodes one record into log, reading past the buffer when the
+// record straddles its end, and returns the bytes the record takes.
+func readRecord(br *bufio.Reader, log *Log) (int, error) {
+	le := binary.LittleEndian
+	// One Peek covers the record's fixed part; the type byte is judged
+	// first, so a bad type in a short record is still reported as a bad
+	// type.
+	rec, err := br.Peek(recordFixedSize)
+	if len(rec) > 0 && !Type(rec[0]).Valid() {
+		return 0, fmt.Errorf("event: invalid type %d in binary log", rec[0])
+	}
+	if err != nil {
+		return 0, fmt.Errorf("event: truncated record: %w", err)
+	}
+	e := Event{
+		Type:     Type(rec[0]),
+		Sender:   NodeID(le.Uint32(rec[1:])),
+		Receiver: NodeID(le.Uint32(rec[5:])),
+		Packet:   PacketID{Origin: NodeID(le.Uint32(rec[9:])), Seq: le.Uint32(rec[13:])},
+		Time:     int64(le.Uint64(rec[17:])),
+	}
+	infoLen := int(le.Uint16(rec[25:]))
+	br.Discard(recordFixedSize) // cannot fail: Peek just returned these bytes
+	if infoLen > 0 {
+		// infoLen is a u16, so the Peek fits the 64 KiB buffer.
+		info, err := br.Peek(infoLen)
+		if err != nil {
+			return 0, fmt.Errorf("event: truncated info: %w", err)
+		}
+		e.Info = string(info)
+		br.Discard(infoLen) // cannot fail, as above
+	}
+	log.Append(e)
+	return recordFixedSize + infoLen, nil
 }
 
 // inputSize returns how many bytes r can still deliver at most, when r can

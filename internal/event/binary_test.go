@@ -3,15 +3,19 @@ package event
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -224,5 +228,151 @@ func TestBinaryDecodeSizesLogsOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// binaryOf encodes c in the binary log format.
+func binaryOf(tb testing.TB, c *Collection) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteCollectionBinary(&buf, c); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// plainRows returns n info-free rows logged at node: the records the chunk
+// decoder writes straight into the columns.
+func plainRows(node NodeID, n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Node: node, Type: Recv, Sender: node + 1, Receiver: node, Packet: PacketID{Origin: node + 1, Seq: uint32(i)}, Time: int64(i) << 20}
+	}
+	return evs
+}
+
+// binarySeeds are FuzzReadCollectionBinary's seeds beside its corpus: each
+// way a record can stop a chunk of whole, info-free records.
+func binarySeeds(tb testing.TB) [][]byte {
+	// 2,500 rows put a record across the 64 KiB buffer's end, and the Info
+	// record after row 2,420 does too, its fixed part and its Info split.
+	straddle := collectionOf(plainRows(3, 2500)...)
+	withInfo := plainRows(5, 2500)
+	withInfo[2420].Info = strings.Repeat("i", 300)
+	// Info rows between plain rows, one with the longest Info there is.
+	mixed := plainRows(7, 40)
+	mixed[0].Info, mixed[3].Info, mixed[17].Info = "first", "x", strings.Repeat("w", math.MaxUint16)
+	mixed[39].Info = "last"
+	valid := binaryOf(tb, snapTestCollection(31, 60))
+	badType := binaryOf(tb, collectionOf(plainRows(9, 100)...))
+	badType[5+8+50*recordFixedSize] = 0xEE // the type byte of row 50
+	lyingHigh := bytes.Clone(badType)
+	lyingHigh[5+8+50*recordFixedSize] = byte(Recv)
+	binary.LittleEndian.PutUint32(lyingHigh[5+4:], 101) // one row more than follows
+	lyingLow := bytes.Clone(lyingHigh)
+	binary.LittleEndian.PutUint32(lyingLow[5+4:], 60) // the rest reads as node headers
+	info := binaryOf(tb, collectionOf(mixed...))
+	return [][]byte{
+		valid,
+		[]byte("RFBL\x01"),
+		{},
+		binaryOf(tb, straddle),
+		binaryOf(tb, collectionOf(append(withInfo, plainRows(6, 10)...)...)),
+		info,
+		badType,
+		valid[:len(valid)-recordFixedSize/2], // a truncated record
+		info[:5+8+17*recordFixedSize+5+1+recordFixedSize+1000], // truncated Info: the 65,535-byte one
+		lyingHigh,
+		lyingLow,
+	}
+}
+
+// FuzzReadCollectionBinary holds ReadCollectionBinary to the record-at-a-time
+// oracle on arbitrary input, through a reader that reports its size, one
+// that does not, and one that delivers a byte per read: the collections
+// must match column by column, Info included, and the errors word for word.
+func FuzzReadCollectionBinary(f *testing.F) {
+	for _, data := range binarySeeds(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Contract: structural errors come back as errors — never a panic,
+		// never an allocation sized by a lying header. Semantic validity
+		// (protocol rules per event) is Collection.Validate's job, a
+		// separate step the reader deliberately does not perform.
+		for _, r := range []struct {
+			name string
+			open func() io.Reader
+		}{
+			{"sized", func() io.Reader { return bytes.NewReader(data) }},
+			{"unsized", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(data)} }},
+			{"byte-at-a-time", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }},
+		} {
+			got, err := ReadCollectionBinary(r.open())
+			want, wantErr := referenceReadCollectionBinary(r.open())
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: error %v, oracle %v", r.name, err, wantErr)
+			}
+			if err != nil {
+				if got != nil {
+					t.Fatalf("%s: a collection beside error %v", r.name, err)
+				}
+				continue
+			}
+			sameCollection(t, r.name, got, want)
+		}
+	})
+}
+
+// sameCollection fails unless got and want hold the same nodes and, per
+// node, equal columns and Info.
+func sameCollection(t *testing.T, name string, got, want *Collection) {
+	t.Helper()
+	if !slices.Equal(got.Nodes(), want.Nodes()) {
+		t.Fatalf("%s: nodes %v, oracle %v", name, got.Nodes(), want.Nodes())
+	}
+	for _, n := range want.Nodes() {
+		g, w := got.Logs[n], want.Logs[n]
+		gb, wb := g.Batch(), w.Batch()
+		if g.Node != w.Node || gb.Len() != wb.Len() {
+			t.Fatalf("%s: node %v: log of node %v, %d rows; oracle %v, %d rows", name, n, g.Node, gb.Len(), w.Node, wb.Len())
+		}
+		if !slices.Equal(gb.node, wb.node) || !slices.Equal(gb.typ, wb.typ) ||
+			!slices.Equal(gb.sender, wb.sender) || !slices.Equal(gb.receiver, wb.receiver) ||
+			!slices.Equal(gb.origin, wb.origin) || !slices.Equal(gb.seq, wb.seq) || !slices.Equal(gb.time, wb.time) {
+			t.Fatalf("%s: node %v: columns differ from the oracle's", name, n)
+		}
+		if !maps.Equal(gb.info, wb.info) {
+			t.Fatalf("%s: node %v: Info %v, oracle %v", name, n, gb.info, wb.info)
+		}
+	}
+}
+
+// TestBinaryDecodeGrowsByDoubling decodes one node of 1<<18 rows through a
+// reader that reports no size, so the header's count is capped at 1<<16
+// rows and the columns grow as the rows arrive. Doubling from wherever the
+// last buffer left them, the columns end under twice the rows and every
+// earlier size sums to less again, so the decode allocates under four times
+// the rows' column bytes; growing by each buffer's rows, it would copy the
+// columns once per 64 KiB read, some 50 times as much.
+func TestBinaryDecodeGrowsByDoubling(t *testing.T) {
+	const (
+		rows    = 1 << 18
+		rowSize = 5*4 + 8 + 1
+	)
+	data := binaryOf(t, collectionOf(plainRows(3, rows)...))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadCollectionBinary(struct{ io.Reader }{bytes.NewReader(data)})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Logs[3].Len(); n != rows {
+		t.Fatalf("decoded %d rows, want %d", n, rows)
+	}
+	columns := uint64(rows * rowSize)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*columns {
+		t.Errorf("decoding %d rows of %d column bytes allocated %d bytes, want at most %d", rows, columns, alloc, 4*columns)
 	}
 }

@@ -409,33 +409,6 @@ func FuzzOpenSnapshot(f *testing.F) {
 	})
 }
 
-func FuzzReadCollectionBinary(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteCollectionBinary(&buf, snapTestCollection(31, 60)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("RFBL\x01"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Contract: structural errors come back as errors — never a panic,
-		// never an allocation sized by a lying header. Semantic validity
-		// (protocol rules per event) is Collection.Validate's job, a
-		// separate step the reader deliberately does not perform.
-		c, err := ReadCollectionBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		total := 0
-		for _, n := range c.Nodes() {
-			total += len(c.Logs[n].Events())
-		}
-		if total != c.TotalEvents() {
-			t.Fatalf("logs hold %d events, TotalEvents says %d", total, c.TotalEvents())
-		}
-	})
-}
-
 func TestBinaryLyingCountDoesNotOverAllocate(t *testing.T) {
 	// A header declaring 2^32-1 records followed by nothing: the reader
 	// must fail on the missing records without pre-allocating columns for
