@@ -175,21 +175,30 @@ func OpenOutage(ops []event.Event) (start int64, open bool) {
 	return pairOutages(ops, func(Window) {})
 }
 
-// pairOutages is the one pairing rule for server up/down events: a down
-// opens an outage unless one is open, and the first up after it closes it.
-// Each closed window goes to closed; the outage still open at the end of ops,
-// if any, is returned by its start.
+// pairOutages is the one pairing rule for server up/down events, counted by
+// nesting depth: a down at depth 0 opens an outage, every down deepens it,
+// every up while one is open makes it shallower, and the up that brings the
+// depth back to 0 closes it. Overlapping outage windows emit nested pairs,
+// so the first up does not end the outage; an up with none open is ignored.
+// Each closed window goes to closed; the outage still open at the end of
+// ops, if any, is returned by its start — so a lost up holds the outage
+// open to the campaign end.
 func pairOutages(ops []event.Event, closed func(Window)) (start int64, open bool) {
+	depth := 0
 	for _, e := range ops {
 		switch {
-		case e.Type == event.ServerDown && !open:
-			start, open = e.Time, true
-		case e.Type == event.ServerUp && open:
-			closed(Window{Start: start, End: e.Time})
-			open = false
+		case e.Type == event.ServerDown:
+			if depth == 0 {
+				start = e.Time
+			}
+			depth++
+		case e.Type == event.ServerUp && depth > 0:
+			if depth--; depth == 0 {
+				closed(Window{Start: start, End: e.Time})
+			}
 		}
 	}
-	return start, open
+	return start, depth > 0
 }
 
 // ApplyOutages reclassifies losses at the sink that fall inside an outage

@@ -164,14 +164,16 @@ func TestOutagesFromOperational(t *testing.T) {
 	}
 }
 
-func TestOutagesIgnoreDoubleDown(t *testing.T) {
+// TestOutagesNestDoubleDown: two downs need two ups. With one of them lost,
+// the outage the first down opened stays open to the campaign end.
+func TestOutagesNestDoubleDown(t *testing.T) {
 	ops := []event.Event{
 		{Node: event.Server, Type: event.ServerDown, Time: 10},
 		{Node: event.Server, Type: event.ServerDown, Time: 20},
 		{Node: event.Server, Type: event.ServerUp, Time: 30},
 	}
 	sched := OutagesFromOperational(ops, 100)
-	if len(sched) != 1 || sched[0] != (Window{10, 30}) {
+	if len(sched) != 1 || sched[0] != (Window{10, 100}) {
 		t.Errorf("windows = %v", sched)
 	}
 }

@@ -316,9 +316,11 @@ func TestSessionOpenOutageHoldsPastCampaignEnd(t *testing.T) {
 
 // TestOutagePairing pins the one down/up pairing rule where it is read: the
 // outage schedule (closed at end), OpenOutage, and the watermark a session
-// holds past its campaign end (0) while an outage is open. A down opens an outage
-// unless one is open, and the first up after it closes it; a down and an up
-// at one instant hold at the later down, though the schedule merges the two
+// holds past its campaign end (0) while an outage is open. Downs and ups nest:
+// a down at depth 0 opens an outage, and only the up that brings the depth
+// back to 0 closes it, so a lost or missing up holds the outage open to the
+// campaign end. An up with no outage open is ignored; a down and an up at
+// one instant hold at the later down, though the schedule merges the two
 // windows into one.
 func TestOutagePairing(t *testing.T) {
 	d := func(at int64) event.Event { return event.Event{Node: event.Server, Type: event.ServerDown, Time: at} }
@@ -331,9 +333,12 @@ func TestOutagePairing(t *testing.T) {
 		sched diagnosis.OutageSchedule
 		start int64 // the open outage's start; -1 when none is open
 	}{
-		{"nested-downs", []event.Event{d(10), d(20), u(30), u(40)}, diagnosis.OutageSchedule{w(10, 30)}, -1},
+		{"nested-downs", []event.Event{d(10), d(20), u(30), u(40)}, diagnosis.OutageSchedule{w(10, 40)}, -1},
+		{"nested-pairs", []event.Event{d(10), d(20), u(30), d(35), u(40), u(50)}, diagnosis.OutageSchedule{w(10, 50)}, -1},
+		{"two-nested-outages", []event.Event{d(10), d(20), u(30), u(40), d(60), d(70), u(80), u(90)}, diagnosis.OutageSchedule{w(10, 40), w(60, 90)}, -1},
+		{"lost-server-up", []event.Event{d(10), u(20), d(30), d(40), u(50)}, diagnosis.OutageSchedule{w(10, 20), w(30, end)}, 30},
 		{"stray-up", []event.Event{u(5), d(10), u(20)}, diagnosis.OutageSchedule{w(10, 20)}, -1},
-		{"duplicate-down", []event.Event{d(10), d(10), u(20)}, diagnosis.OutageSchedule{w(10, 20)}, -1},
+		{"duplicate-down", []event.Event{d(10), d(10), u(20)}, diagnosis.OutageSchedule{w(10, end)}, 10},
 		{"up-and-down-at-one-instant", []event.Event{d(10), u(20), d(20)}, diagnosis.OutageSchedule{w(10, end)}, 20},
 		{"trailing-open-down", []event.Event{d(10), u(20), d(30), d(40)}, diagnosis.OutageSchedule{w(10, 20), w(30, end)}, 30},
 	} {
