@@ -214,13 +214,23 @@ func nodeField(f []byte) (NodeID, error) {
 //
 //refill:noalloc
 func typeField(f []byte) (Type, error) {
-	for t := Invalid + 1; t < numTypes; t++ {
-		if string(f) == typeNames[t] {
-			return t, nil
-		}
+	if t := typeOf(f); t != Invalid {
+		return t, nil
 	}
 	//refill:allow escapecheck — error path: the message quotes the field
 	return Invalid, fmt.Errorf("event: unknown event type %q", string(f))
+}
+
+// typeOf returns the type named f, Invalid when f names none.
+//
+//refill:noalloc
+func typeOf(f []byte) Type {
+	for t := Invalid + 1; t < numTypes; t++ {
+		if string(f) == typeNames[t] {
+			return t
+		}
+	}
+	return Invalid
 }
 
 // packetField is ParsePacketID on the field's bytes.
@@ -283,35 +293,209 @@ func WriteCollection(w io.Writer, c *Collection) error {
 
 // ReadCollection parses a text log stream into a collection. Per-node order
 // follows the order lines appear in the stream.
+//
+// A line in the plain form — what AppendEvent writes for an event with no
+// Info and a time of 0 or more (plainLine) — is decoded in one pass and
+// appended straight to its node log's columns. Every other line goes
+// through parseLine, so the values, the Info, every error and its line
+// number are parseLine's whichever way a line is read.
+//
+// A node log is sized once, on the row that creates it, by the `# node N
+// (K events)` header WriteCollection writes before the node's rows. A
+// header is a comment, so it can lie: it creates no log, and the rows all
+// headers may reserve together are capped at the rows the input can hold —
+// its size (inputSize) over the shortest valid line. A reader that reports
+// no size gets no hints. Past a hint, or without one, the columns double.
 func ReadCollection(r io.Reader) (*Collection, error) {
-	c := NewCollection()
+	d := textDecoder{c: NewCollection()}
+	if size, ok := inputSize(r); ok {
+		d.budget = size / int64(len(shortestLine))
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var log *Log // of the node the last line named: files run node by node
 	lineno := 0
 	for sc.Scan() {
 		lineno++
+		if e, ok := plainLine(sc.Bytes()); ok {
+			d.add(e)
+			continue
+		}
 		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
+		if len(line) == 0 {
+			continue
+		}
+		if line[0] == '#' {
+			d.header(line)
 			continue
 		}
 		e, err := parseLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineno, err)
 		}
-		if log == nil || log.Node != e.Node {
-			log = c.Log(e.Node)
-		}
-		// Reserve by doubling: append grows a large slice by a quarter, so the
-		// capacities it goes through sum to five times the last; doubled, to
-		// twice. Columns only this loop fills share one capacity: check one.
-		if b := &log.batch; b.Len() == cap(b.time) {
-			b.Grow(max(b.Len(), 256))
-		}
-		log.batch.Append(e)
+		d.add(e)
 	}
 	if err := sc.Err(); err != nil { // bufio.ErrTooLong, or the reader's own
 		return nil, fmt.Errorf("line %d: %w", lineno+1, err)
 	}
-	return c, nil
+	return d.c, nil
+}
+
+// shortestLine is the shortest line parseLine accepts, with its newline:
+// one-byte node, sender, receiver, packet and time, and a three-letter
+// type.
+const shortestLine = "0 gen 0 0 - 0\n"
+
+// textDecoder is ReadCollection's state between lines.
+type textDecoder struct {
+	c   *Collection
+	log *Log // of the node the last row named: files run node by node
+	// hint is the count of the last header read, for hintNode: the next
+	// log created takes it if it is that node's. Zero is no hint.
+	hint     int64
+	hintNode NodeID
+	budget   int64 // rows the hints may still reserve
+}
+
+// add appends e to its node's log. Reserve by doubling: append grows a
+// large slice by a quarter, so the capacities it goes through sum to five
+// times the last; doubled, to twice. Columns only this decoder fills share
+// one capacity: check one.
+//
+//refill:noalloc
+func (d *textDecoder) add(e Event) {
+	if d.log == nil || d.log.Node != e.Node {
+		d.open(e.Node)
+	}
+	if b := &d.log.batch; b.Len() == cap(b.time) {
+		b.Grow(max(b.Len(), 256))
+	}
+	d.log.batch.Append(e)
+}
+
+// open makes n's log the one rows go to, creating it if this is n's first
+// row — sized by the last header when that header names n.
+func (d *textDecoder) open(n NodeID) {
+	log, ok := d.c.Logs[n]
+	if !ok {
+		log = d.c.Log(n)
+		if d.hintNode == n {
+			rows := min(d.hint, d.budget)
+			log.batch.Grow(int(rows))
+			d.budget -= rows
+		}
+		d.hint = 0
+	}
+	d.log = log
+}
+
+// header reads a comment line in the form WriteCollection heads each node's
+// rows with, `# node N (K events)`, as a hint that the next log created, if
+// it is N's, will hold K rows. Any other comment is ignored.
+func (d *textDecoder) header(line []byte) {
+	rest, ok := bytes.CutPrefix(line, []byte("# node "))
+	if !ok {
+		return
+	}
+	n, at, ok := plainNode(rest, 0, ' ')
+	if !ok || at == len(rest) || rest[at] != '(' {
+		return
+	}
+	k, end := plainDigits(rest, at+1, 19)
+	if end == at+1 || k > math.MaxInt64 || string(rest[end:]) != " events)" {
+		return
+	}
+	d.hint, d.hintNode = int64(k), n
+}
+
+// plainLine decodes line when it is in the plain form: six fields one space
+// apart, nothing before or after; each node field "-", "server" or one to
+// ten digits; the packet "-" or origin:seq, with a seq of one to ten
+// digits; the type one of typeNames; the time one to nineteen digits. It
+// reports false for any other line. Each field is read where the scan
+// finds it, so every byte is looked at once; on a line it accepts,
+// parseLine returns the same event.
+//
+//refill:noalloc
+func plainLine(line []byte) (e Event, ok bool) {
+	at := 0
+	if e.Node, at, ok = plainNode(line, at, ' '); !ok {
+		return e, false
+	}
+	end := at
+	for end < len(line) && line[end] != ' ' {
+		end++
+	}
+	if e.Type = typeOf(line[at:end]); e.Type == Invalid {
+		return e, false
+	}
+	if e.Sender, at, ok = plainNode(line, end+1, ' '); !ok { // fails past the end
+		return e, false
+	}
+	if e.Receiver, at, ok = plainNode(line, at, ' '); !ok {
+		return e, false
+	}
+	if at+1 < len(line) && line[at] == '-' && line[at+1] == ' ' {
+		at += 2 // no packet
+	} else {
+		if e.Packet.Origin, at, ok = plainNode(line, at, ':'); !ok {
+			return e, false
+		}
+		seq, end := plainDigits(line, at, 10)
+		if end == at || seq > math.MaxUint32 || end == len(line) || line[end] != ' ' {
+			return e, false
+		}
+		e.Packet.Seq, at = uint32(seq), end+1
+	}
+	t, end := plainDigits(line, at, 19)
+	if end == at || end != len(line) || t > math.MaxInt64 {
+		return e, false
+	}
+	e.Time = int64(t)
+	return e, true
+}
+
+// plainNode reads a node field of the plain form at s[i:], ended by sep,
+// and returns the node and the index just past sep.
+//
+//refill:noalloc
+func plainNode(s []byte, i int, sep byte) (n NodeID, next int, ok bool) {
+	end := i + 1
+	switch {
+	case i >= len(s):
+		return 0, i, false
+	case s[i] == '-':
+		n = NoNode
+	case s[i] == 's':
+		if end = i + len("server"); end > len(s) || string(s[i:end]) != "server" {
+			return 0, i, false
+		}
+		n = Server
+	default:
+		v, j := plainDigits(s, i, 10)
+		if j == i || v > math.MaxUint32 {
+			return 0, i, false
+		}
+		n, end = NodeID(v), j
+	}
+	if end == len(s) || s[end] != sep {
+		return 0, i, false
+	}
+	return n, end + 1, true
+}
+
+// plainDigits reads the run of ASCII digits at s[i:], at most most of them
+// (at most 19, which cannot overflow), and returns its value and the index
+// past it: i when there is none.
+//
+//refill:noalloc
+func plainDigits(s []byte, i, most int) (v uint64, end int) {
+	run := s[i:min(len(s), i+most)]
+	for k, c := range run {
+		d := c - '0' // wraps to > 9 below '0'
+		if d > 9 {
+			return v, i + k
+		}
+		v = v*10 + uint64(d)
+	}
+	return v, i + len(run)
 }

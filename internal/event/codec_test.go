@@ -5,7 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -410,5 +415,237 @@ func TestReadCollectionLongLineNumber(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "line 2: ") {
 		t.Errorf("err = %q, want a \"line 2: \" prefix", err)
+	}
+}
+
+// textSeeds are FuzzReadCollection's seed inputs: the writer's output with
+// and without its headers, headers that lie, every row shape the plain
+// form turns away mixed with plain rows, and the plain form's length edges.
+func textSeeds(f *testing.F) []string {
+	c := NewCollection()
+	for _, e := range codecEvents() {
+		c.Add(e)
+	}
+	for i := range 40 {
+		c.Add(Event{Node: NodeID(3 + i%3), Type: Trans, Sender: NodeID(3 + i%3), Receiver: 1, Packet: PacketID{Origin: 3, Seq: uint32(i)}, Time: int64(i) << 20})
+	}
+	var written bytes.Buffer
+	if err := WriteCollection(&written, c); err != nil {
+		f.Fatal(err)
+	}
+	var headless strings.Builder
+	for _, line := range strings.SplitAfter(written.String(), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			headless.WriteString(line)
+		}
+	}
+	return []string{
+		written.String(),
+		headless.String(),
+		// Headers that lie: too high, too low, for a node with no rows,
+		// repeated, naming another node than the rows after them, and
+		// malformed.
+		"# node 2 (1000000 events)\n2 recv 1 2 1:17 120034\n2 recv 1 2 1:18 120035\n",
+		"# node 2 (0 events)\n2 recv 1 2 1:17 120034\n2 recv 1 2 1:18 120035\n# node 3 (1 events)\n3 gen 3 - 3:1 7\n3 trans 3 1 3:1 8\n",
+		"# node 9 (5 events)\n# node 2 (1 events)\n2 recv 1 2 1:17 120034\n# node 7 (3 events)\n",
+		"# node 2 (1 events)\n2 recv 1 2 1:17 1\n# node 2 (100 events)\n2 recv 1 2 1:17 2\n# node 3 (2 events)\n3 recv 1 3 1:17 3\n2 recv 1 2 1:17 4\n",
+		"# node 4 (9 events)\n3 recv 1 3 1:17 3\n4 recv 1 4 1:17 3\n",
+		"# node 3 (9223372036854775807 events)\n3 recv 1 3 1:17 3\n# node 4 (99999999999999999999 events)\n4 recv 1 4 1:17 3\n",
+		"# node server (2 events)\nserver sdown - - -:0 5\nserver srecv 9 server 4:1 6\n# node x (1 events)\n# node 5 (1 event)\n5 gen 5 - 5:1 7\n",
+		// Server, unknown and Info rows among plain ones.
+		"server sdown - - -:0 -42\n1 trans 1 2 1:17 119800 attempt=3\n1 trans 1 2 1:18 119801\n1 trans 1 - - 119802\n- recv - 1 -:0 0\n7 done 7 - 7:3 5 round  2\n7 done 7 - 7:4 6\n",
+		// CRLF, and NBSP before, inside and after the fields.
+		"2 recv 1 2 1:17 120034\r\n2 recv 1 2 1:18 120035\r\n\r\n",
+		"\u00a02 recv 1 2 1:17 1\n2\u00a0recv 1 2 1:17 2\n2 recv 1 2 1:17 3\u00a0\n2 recv 1 2 1:17 4\n",
+		// Ten- and eleven-digit node ids; nineteen- and twenty-digit times.
+		"4294967295 recv 1 2 1:17 0\n4294967296 recv 1 2 1:17 0\n",
+		"1 recv 4294967295 0000000001 4294967295:4294967295 9223372036854775807\n",
+		"1 recv 1 2 1:4294967296 0\n1 recv 1 2 00000000001:1 0\n",
+		"1 recv 1 2 1:17 9223372036854775807\n1 recv 1 2 1:17 9223372036854775808\n",
+		"1 recv 1 2 1:17 9999999999999999999\n",
+		"1 recv 1 2 1:17 00000000000000000001\n1 recv 1 2 1:17 +1\n",
+		// Near misses of the plain form.
+		"1 recv 1 2 1:17 1 \n1  recv 1 2 1:17 2\n1 recv\t1 2 1:17 3\n 1 recv 1 2 1:17 4\n1 recv 1 2 1:17: 5\n",
+		"1 recv 1 2 1:17\n",
+		"1 recv 1 2 1:17 1\n1 recv 1 2 1;17 2\n",
+		"1 receive 1 2 1:17 1\n1 recv 1 2 1:17 1\n",
+		"s recv 1 2 1:17 1\n",
+		"serve recv 1 2 1:17 1\n",
+		"1 recv serverx 2 1:17 1\n",
+		"serves recv 1 2 1:17 1\n",
+		"1 recv 1 servex 1:17 1\n",
+	}
+}
+
+// FuzzReadCollection holds ReadCollection to referenceReadCollection on
+// whole streams: the same rows node by node, the same error text with the
+// same line number, and the same set of nodes with a log — a header never
+// creates one. Each input is read through a sized reader, where headers
+// size the logs, and an unsized one, where they do not.
+func FuzzReadCollection(f *testing.F) {
+	for _, text := range textSeeds(f) {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		want, wantErr := referenceReadCollection(text)
+		for _, r := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"sized", strings.NewReader(text)},
+			{"unsized", struct{ io.Reader }{strings.NewReader(text)}},
+		} {
+			got, err := ReadCollection(r.r)
+			if errors.Is(wantErr, bufio.ErrTooLong) {
+				// The oracle returns the scanner's error bare.
+				if !errors.Is(err, bufio.ErrTooLong) {
+					t.Fatalf("%s: err = %v, want bufio.ErrTooLong", r.name, err)
+				}
+				continue
+			}
+			sameParse(t, r.name+" "+text, collectionRows(got), collectionRows(want), err, wantErr)
+			if err == nil && !slices.Equal(got.Nodes(), want.Nodes()) {
+				t.Fatalf("%s: nodes %v, oracle %v", r.name, got.Nodes(), want.Nodes())
+			}
+		}
+	})
+}
+
+// TestTextHeaderCountAllocatesByInput pins what lying headers can cost: a
+// few-KB input whose every header claims 1<<30 events. Through a reader
+// that reports its size, all hints together may reserve no more rows than
+// the input can hold, so the headers add at most a constant times its
+// size to what the same input costs unsized, where they are not read. The
+// leading comment makes the input hold more rows than the 256 an unhinted
+// log starts with, so a budget that every header could draw on in full
+// would show.
+func TestTextHeaderCountAllocatesByInput(t *testing.T) {
+	var text strings.Builder
+	text.WriteString("# " + strings.Repeat("x", 8<<10) + "\n")
+	for n := 1; n <= 64; n++ {
+		fmt.Fprintf(&text, "# node %d (%d events)\n%d gen %d - %d:1 5\n", n, 1<<30, n, n, n)
+	}
+	data := []byte(text.String())
+	path := filepath.Join(t.TempDir(), "hostile.txt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(r io.Reader) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := ReadCollection(r)
+		runtime.ReadMemStats(&after)
+		if err != nil || c.TotalEvents() != 64 {
+			t.Fatalf("read %v events, err %v", c.TotalEvents(), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const (
+		rowSize = 5*4 + 8 + 1
+		slack   = 16 << 10
+	)
+	unsized := allocated(struct{ io.Reader }{bytes.NewReader(data)})
+	limit := unsized + rowSize*uint64(len(data))/uint64(len(shortestLine)) + slack
+	for _, tc := range []struct {
+		name string
+		open func() io.Reader
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(data) }},
+		{"file", func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if alloc := allocated(tc.open()); alloc > limit {
+				t.Errorf("decoding %d bytes allocated %d bytes, want at most %d (%d unsized)", len(data), alloc, limit, unsized)
+			}
+		})
+	}
+}
+
+// TestTextDecodeSizesLogsOnce: through a reader that reports its size, the
+// writer's headers size each node log exactly, so no column is regrown and
+// none holds spare rows.
+func TestTextDecodeSizesLogsOnce(t *testing.T) {
+	c := NewCollection()
+	for i := 0; i < 5000; i++ {
+		c.Add(Event{Node: 3, Type: Recv, Sender: 1, Receiver: 3, Packet: PacketID{Origin: 1, Seq: uint32(i)}, Time: int64(i)})
+		if i%9 == 0 {
+			c.Add(Event{Node: 5, Type: Gen, Sender: 5, Packet: PacketID{Origin: 5, Seq: uint32(i)}, Time: int64(i), Info: "x"})
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteCollection(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "logs.txt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func() io.Reader
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(buf.Bytes()) }},
+		{"file", func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ReadCollection(tc.open())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(collectionRows(got), collectionRows(c)) {
+				t.Fatal("rows differ from the written collection's")
+			}
+			for _, n := range c.Nodes() {
+				b, rows := got.Logs[n].Batch(), c.Logs[n].Len()
+				for col, cp := range map[string]int{"node": cap(b.node), "sender": cap(b.sender), "receiver": cap(b.receiver),
+					"origin": cap(b.origin), "seq": cap(b.seq), "time": cap(b.time), "typ": cap(b.typ)} {
+					if cp != rows {
+						t.Errorf("node %v: %s column of capacity %d for %d rows", n, col, cp, rows)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTextDecodeGrowsByDoubling: through a reader that reports no size —
+// refill-serve's text bodies — headers size nothing, and a long node log
+// grows by doubling from 256 rows. Doubled, the capacities a column passes
+// through sum to about twice its last; grown by append's quarter steps,
+// to about five times.
+func TestTextDecodeGrowsByDoubling(t *testing.T) {
+	const rows = 1 << 17
+	c := NewCollection()
+	for i := range rows {
+		c.Add(Event{Node: 3, Type: Recv, Sender: 1, Receiver: 3, Packet: PacketID{Origin: 1, Seq: uint32(i)}, Time: int64(i)})
+	}
+	var buf bytes.Buffer
+	if err := WriteCollection(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadCollection(struct{ io.Reader }{bytes.NewReader(buf.Bytes())})
+	runtime.ReadMemStats(&after)
+	if err != nil || got.TotalEvents() != rows {
+		t.Fatalf("read %v events, err %v", got.TotalEvents(), err)
+	}
+	const rowSize = 5*4 + 8 + 1
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*rowSize*rows+128<<10); alloc > limit {
+		t.Errorf("decoding %d rows allocated %d bytes, want at most %d (three times the columns, and the scanner)", rows, alloc, limit)
 	}
 }
