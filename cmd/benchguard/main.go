@@ -1,14 +1,17 @@
 // Command benchguard compares a `go test -bench -benchmem` run against a
-// checked-in baseline and fails when allocations regress.
+// checked-in baseline and fails when allocations or allocated bytes regress.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem -cpu 1 . | benchguard -baseline bench_baseline.txt
 //
-// Only allocs/op is guarded: unlike ns/op it is deterministic for a given
-// code path — independent of the machine, CPU contention, and frequency
-// scaling — so a CI runner can enforce a tight threshold without flaking. A
-// benchmark regresses when its allocs/op exceeds the baseline by more than
+// allocs/op and B/op are guarded: unlike ns/op they are deterministic for a
+// given code path — independent of the machine, CPU contention, and
+// frequency scaling — so a CI runner can enforce a tight threshold without
+// flaking. Over five consecutive runs of the CI command every row repeated
+// its B/op within 0.1%, except BenchmarkAnalyzeSkewed/workers=8, whose eight
+// workers on one CPU vary it by about 15% (below its baseline). A benchmark
+// regresses when its allocs/op or its B/op exceeds the baseline by more than
 // -tolerance (default 10%). The ns/op delta against the baseline is printed
 // alongside each verdict line; it is informational only and never fails the
 // run (time, throughput and memory are measured end to end by bench/, see
@@ -48,6 +51,7 @@ import (
 type Result struct {
 	Name     string
 	NsOp     float64
+	BytesOp  float64
 	AllocsOp int64
 }
 
@@ -58,12 +62,16 @@ type Entry struct {
 	Result
 	BaselineAllocs int64
 	DeltaPct       float64
+	BaselineBytes  float64
+	BytesDeltaPct  float64
 	// BaselineNs and NsDeltaPct track wall-time drift against the baseline.
 	// Informational only: ns/op never decides pass/fail (see package doc).
 	BaselineNs float64
 	NsDeltaPct float64
 	Status     string
-	Detail     string
+	Detail     string // why allocs/op failed, or why the entry did
+	// BytesDetail is why B/op failed ("" if it did not).
+	BytesDetail string
 }
 
 // gomaxprocsSuffix is the -8 in `BenchmarkName-8`: stripped so baselines
@@ -75,8 +83,8 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 //	BenchmarkName-8   3   342105525 ns/op   2751657 events/s   84874053 B/op   190633 allocs/op
 //
 // After the name and the iteration count the line is (value, unit) pairs:
-// ns/op and allocs/op land in their Result fields, every other unit (B/op,
-// b.ReportMetric values) is skipped. Lines without allocs/op are not
+// ns/op, B/op and allocs/op land in their Result fields, every other unit
+// (b.ReportMetric values) is skipped. Lines without allocs/op are not
 // benchmark results for our purposes (the guard needs -benchmem output) and
 // are skipped, as is anything that doesn't look like a result line at all.
 func parseLine(line string) (Result, bool, error) {
@@ -97,6 +105,8 @@ func parseLine(line string) (Result, bool, error) {
 		switch f[i+1] {
 		case "ns/op":
 			res.NsOp = v
+		case "B/op":
+			res.BytesOp = v
 		case "allocs/op":
 			res.AllocsOp = int64(v)
 			seenAllocs = true
@@ -126,7 +136,7 @@ func parse(r io.Reader) (map[string]Result, error) {
 	return out, sc.Err()
 }
 
-// check compares current allocs against the baseline. tolerance is
+// check compares current allocs/op and B/op against the baseline. tolerance is
 // fractional (0.10 = 10%). Entries come back in deterministic order: baseline
 // benchmarks sorted by name, then not-in-baseline notes.
 func check(baseline, current map[string]Result, tolerance float64) ([]Entry, bool) {
@@ -162,6 +172,17 @@ func check(baseline, current map[string]Result, tolerance float64) ([]Entry, boo
 			e.Detail = fmt.Sprintf("%+.1f%% > %.0f%% tolerance", delta, tolerance*100)
 			ok = false
 		}
+		if baseBytes := baseline[name].BytesOp; baseBytes > 0 || cur.BytesOp > 0 {
+			e.BaselineBytes = baseBytes
+			if baseBytes > 0 {
+				e.BytesDeltaPct = 100 * (cur.BytesOp/baseBytes - 1)
+			}
+			if cur.BytesOp > baseBytes*(1+tolerance) {
+				e.Status = "fail"
+				e.BytesDetail = fmt.Sprintf("%+.1f%% > %.0f%% tolerance", e.BytesDeltaPct, tolerance*100)
+				ok = false
+			}
+		}
 		entries = append(entries, e)
 	}
 	extras := make([]string, 0, len(current))
@@ -187,17 +208,27 @@ func render(entries []Entry) []string {
 			ns = fmt.Sprintf("; %.0f ns/op vs baseline %.0f (%+.1f%%, non-fatal)",
 				e.NsOp, e.BaselineNs, e.NsDeltaPct)
 		}
+		bytes := ""
+		if e.BaselineBytes > 0 {
+			bytes = fmt.Sprintf(", %.0f B/op, baseline %.0f (%+.1f%%)", e.BytesOp, e.BaselineBytes, e.BytesDeltaPct)
+		}
 		switch {
 		case e.Status == "fail" && e.Detail == "in baseline but missing from input":
 			lines = append(lines, fmt.Sprintf("FAIL %s: %s", e.Name, e.Detail))
 		case e.Status == "fail":
-			lines = append(lines, fmt.Sprintf("FAIL %s: %d allocs/op, baseline %d (%s)%s",
-				e.Name, e.AllocsOp, e.BaselineAllocs, e.Detail, ns))
+			if e.Detail != "" {
+				lines = append(lines, fmt.Sprintf("FAIL %s: %d allocs/op, baseline %d (%s)%s",
+					e.Name, e.AllocsOp, e.BaselineAllocs, e.Detail, ns))
+			}
+			if e.BytesDetail != "" {
+				lines = append(lines, fmt.Sprintf("FAIL %s: %.0f B/op, baseline %.0f (%s)%s",
+					e.Name, e.BytesOp, e.BaselineBytes, e.BytesDetail, ns))
+			}
 		case e.Status == "note":
 			lines = append(lines, fmt.Sprintf("note %s: %d allocs/op, not in baseline", e.Name, e.AllocsOp))
 		default:
-			lines = append(lines, fmt.Sprintf("ok   %s: %d allocs/op, baseline %d (%+.1f%%)%s",
-				e.Name, e.AllocsOp, e.BaselineAllocs, e.DeltaPct, ns))
+			lines = append(lines, fmt.Sprintf("ok   %s: %d allocs/op, baseline %d (%+.1f%%)%s%s",
+				e.Name, e.AllocsOp, e.BaselineAllocs, e.DeltaPct, bytes, ns))
 		}
 	}
 	return lines
@@ -205,7 +236,7 @@ func render(entries []Entry) []string {
 
 func main() {
 	baselinePath := flag.String("baseline", "bench_baseline.txt", "baseline benchmark output to compare against")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional allocs/op regression")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional allocs/op and B/op regression")
 	flag.Parse()
 
 	bf, err := os.Open(*baselinePath)

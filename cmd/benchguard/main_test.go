@@ -30,8 +30,8 @@ func TestParseStripsCPUSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp := got["BenchmarkAnalyzeCampaign"]
-	if camp.AllocsOp != 190633 {
-		t.Errorf("campaign allocs = %d", camp.AllocsOp)
+	if camp.AllocsOp != 190633 || camp.BytesOp != 84874053 {
+		t.Errorf("campaign allocs = %d, B/op = %v", camp.AllocsOp, camp.BytesOp)
 	}
 	if camp.NsOp != 342105525 {
 		t.Errorf("campaign ns/op = %v, want 342105525", camp.NsOp)
@@ -120,6 +120,42 @@ func TestCheckRegressionFails(t *testing.T) {
 	entries, ok := check(base, mkResults(map[string]int64{"BenchmarkX": 1101}), 0.10)
 	if ok {
 		t.Errorf("10.1%% regression passed: %v", render(entries))
+	}
+}
+
+// TestCheckBytesRegressionFails holds B/op to the same tolerance as
+// allocs/op: more bytes in as many allocations fail, within the tolerance or
+// fewer pass, and the verdict line names B/op.
+func TestCheckBytesRegressionFails(t *testing.T) {
+	row := func(bytes float64) map[string]Result {
+		return map[string]Result{"BenchmarkX": {Name: "BenchmarkX", BytesOp: bytes, AllocsOp: 10}}
+	}
+	base := row(1000)
+	entries, ok := check(base, row(1101), 0.10)
+	if ok {
+		t.Fatalf("10.1%% B/op regression with flat allocs passed: %v", render(entries))
+	}
+	want := "FAIL BenchmarkX: 1101 B/op, baseline 1000 (+10.1% > 10% tolerance)"
+	if lines := render(entries); len(lines) != 1 || lines[0] != want {
+		t.Errorf("lines = %q, want %q", lines, want)
+	}
+	for _, bytes := range []float64{1099, 500} {
+		if entries, ok := check(base, row(bytes), 0.10); !ok {
+			t.Errorf("%.0f B/op against a baseline of 1000 failed: %v", bytes, render(entries))
+		}
+	}
+	want = "ok   BenchmarkX: 10 allocs/op, baseline 10 (+0.0%), 500 B/op, baseline 1000 (-50.0%)"
+	if entries, _ := check(base, row(500), 0.10); render(entries)[0] != want {
+		t.Errorf("line = %q, want %q", render(entries)[0], want)
+	}
+	// A row that allocated nothing fails once it allocates a byte.
+	if entries, ok := check(row(0), row(8), 0.10); ok {
+		t.Errorf("8 B/op against a baseline of 0 passed: %v", render(entries))
+	}
+	// Both regressions are reported.
+	both := map[string]Result{"BenchmarkX": {Name: "BenchmarkX", BytesOp: 2000, AllocsOp: 20}}
+	if entries, _ := check(base, both, 0.10); len(render(entries)) != 2 {
+		t.Errorf("allocs and B/op regressions rendered %q, want one line each", render(entries))
 	}
 }
 

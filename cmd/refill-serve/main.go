@@ -60,7 +60,9 @@
 // # Steady-state allocation
 //
 // An append allocates only what the session keeps plus the decoded body:
-// binary bodies are read through a recycled 64 KiB reader, and each node log
+// binary bodies are read through a recycled 64 KiB reader, a text body of
+// declared length is decoded with a line buffer and logs no larger than it
+// needs, and each node log
 // of the decoded body is appended straight from its columns, a column copy
 // per run of packet rows (Session.AppendRows). An advance retires straight
 // into packet views held in one window the session recycles, so a window
@@ -83,6 +85,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -334,12 +337,32 @@ const maxAppendBody = 64 << 20
 // flight reads through a fresh reader that is dropped afterwards.
 var bodyReaders = make(chan *bufio.Reader, 8)
 
+// maxSizedBody is the largest declared Content-Length a text append body is
+// sized from. The length is the client's claim: net/http never reads past
+// it, but a client may send less, so it is trusted only as far as a
+// reservation of about 2 MB of columns (1 MiB over the shortest line).
+const maxSizedBody = 1 << 20
+
+// sizedBody is a text append body of declared length n. Its Len is what
+// the text decoder sizes its line buffer and its node logs from.
+type sizedBody struct {
+	io.Reader
+	n int
+}
+
+func (b sizedBody) Len() int { return b.n }
+
 // readAppendBody decodes an append body, text or binary by Content-Type,
 // through a reader capped at maxAppendBody: past the cap the decode fails
-// with an error wrapping *http.MaxBytesError.
+// with an error wrapping *http.MaxBytesError. A text body that declares a
+// length of at most maxSizedBody is decoded as one of that size; a chunked
+// or larger one is decoded as a stream of unknown size.
 func readAppendBody(w http.ResponseWriter, r *http.Request) (*refill.Collection, error) {
 	body := http.MaxBytesReader(w, r.Body, maxAppendBody)
 	if r.Header.Get("Content-Type") != "application/octet-stream" {
+		if n := r.ContentLength; n >= 0 && n <= maxSizedBody {
+			return refill.ReadLogs(sizedBody{body, int(n)})
+		}
 		return refill.ReadLogs(body)
 	}
 	var br *bufio.Reader

@@ -538,6 +538,56 @@ func TestServeAppendAllocations(t *testing.T) {
 	}
 }
 
+// TestServeTextAppendSizedByLength: a text body that declares its length is
+// decoded with a line buffer and node logs sized by it, so a two-line body
+// costs a few KB, not a fresh 64 KiB buffer and 256 rows a node. A chunked
+// body, of unknown length, decodes to the same collection.
+func TestServeTextAppendSizedByLength(t *testing.T) {
+	const body = "2 gen 2 - 2:1 10\n3 recv 2 3 2:1 12\n"
+	request := func(length int64) *http.Request {
+		req := httptest.NewRequest(http.MethodPost, "/v1/append", strings.NewReader(body))
+		req.ContentLength = length
+		return req
+	}
+	const runs = 50
+	reqs, recs := make([]*http.Request, runs), make([]*httptest.ResponseRecorder, runs)
+	for i := range reqs {
+		reqs[i], recs[i] = request(int64(len(body))), httptest.NewRecorder()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range reqs {
+		if _, err := readAppendBody(recs[i], reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const bound = 8 << 10
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a %d-byte text body decodes in %d bytes (%d allocations)", len(body), per, (after.Mallocs-before.Mallocs)/runs)
+	if per > bound {
+		t.Errorf("a %d-byte text body decodes in %d bytes, want at most %d", len(body), per, bound)
+	}
+	sized, err := readAppendBody(httptest.NewRecorder(), request(int64(len(body))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := readAppendBody(httptest.NewRecorder(), request(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := refill.WriteLogs(&a, sized); err != nil {
+		t.Fatal(err)
+	}
+	if err := refill.WriteLogs(&b, chunked); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() || sized.TotalEvents() != 2 {
+		t.Errorf("sized body decoded to\n%s\nchunked body to\n%s", a.String(), b.String())
+	}
+}
+
 // TestServeAppendTruncatedAfterLong: a truncated binary body served right
 // after a valid one longer than the read buffer is a 400 and changes nothing
 // in the session, so a recycled reader carries nothing of the body before.

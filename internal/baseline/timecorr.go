@@ -96,7 +96,7 @@ func WitMergeability(c *event.Collection) WitStats {
 		mergeable := false
 		for _, sp := range v.Spans() {
 			for i := sp.Start; i < sp.End; i++ {
-				k := v.EventAt(int(i)).Key()
+				k := v.EventAt(sp.Node, int(i)).Key()
 				if prev, ok := keyNodes[k]; ok && prev != sp.Node {
 					mergeable = true
 				} else {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/diagnosis"
 	"repro/internal/event"
 	"repro/internal/flow"
 	"repro/internal/sim"
@@ -46,9 +47,9 @@ func ratio(a, b int) float64 {
 // (packet, node, type) over packet-scoped events, the unlogged events are
 // truth minus logs; each inferred item of flows matches one unlogged event
 // with its key while any is left. It returns one row per type that has any
-// count, and the logged events truth does not hold — none, when logs come
-// from truth.
-func eventDiff(truth, logs *event.Collection, flows []*flow.Flow) (byType map[event.Type]recovery, stray int) {
+// count, the inferred events that match none (the false positives), and the
+// logged events truth does not hold — none, when logs come from truth.
+func eventDiff(truth, logs *event.Collection, flows []*flow.Flow) (byType map[event.Type]recovery, unmatched []eventKey, stray int) {
 	unlogged := make(map[eventKey]int)
 	each := func(c *event.Collection, f func(eventKey)) {
 		for _, n := range c.Nodes() {
@@ -87,11 +88,51 @@ func eventDiff(truth, logs *event.Collection, flows []*flow.Flow) (byType map[ev
 			if unlogged[k] > 0 {
 				unlogged[k]--
 				r.Matched++
+			} else {
+				unmatched = append(unmatched, k)
 			}
 			byType[k.typ] = r
 		}
 	}
-	return byType, stray
+	return byType, unmatched, stray
+}
+
+// falseCell is where a false positive sits: its type, the role of the node
+// it was inferred at for its packet, and the packet's true fate.
+type falseCell struct {
+	typ  event.Type
+	role string // "origin", "forwarder" or "sink"
+	fate string // "delivered", "lost", or "censored" (in flight at the end)
+}
+
+// splitFalse counts the false positives by type, node role and true fate.
+// The sink role is the sink mote's and the origin role the packet's
+// origin's; every other node forwards. A packet with no true fate is an
+// error: the zero Fate would read as delivered.
+func splitFalse(unmatched []eventKey, sink event.NodeID, fates map[event.PacketID]network.Fate) (map[falseCell]int, error) {
+	out := make(map[falseCell]int)
+	for _, k := range unmatched {
+		role := "forwarder"
+		switch k.node {
+		case k.packet.Origin:
+			role = "origin"
+		case sink:
+			role = "sink"
+		}
+		f, ok := fates[k.packet]
+		if !ok {
+			return nil, fmt.Errorf("inferred %v at %v for packet %v, which has no true fate", k.typ, k.node, k.packet)
+		}
+		fate := "lost"
+		switch f.Cause {
+		case diagnosis.Delivered:
+			fate = "delivered"
+		case diagnosis.Unknown:
+			fate = "censored"
+		}
+		out[falseCell{k.typ, role, fate}]++
+	}
+	return out, nil
 }
 
 // TestInferredEventRecovery pins how many of the events the logs lost
@@ -99,27 +140,45 @@ func eventDiff(truth, logs *event.Collection, flows []*flow.Flow) (byType map[ev
 // complete true record, and from the collector's logs at 0 % and 20 % log
 // loss. The complete-record row is what REFILL infers with nothing
 // missing — every one of those is a false positive, and they are pinned
-// here, not explained. A change to the walk that gains or loses recovered
-// events, or infers new ones, moves a count here and says which type.
+// here, not explained. Each case also pins where its false positives sit:
+// by type, by the role of the node they are inferred at (the packet's
+// origin, a forwarder, or the sink) and by the packet's true fate. A change
+// to the walk that gains or loses recovered events, or infers new ones,
+// moves a count here and says which type, where and on what packets.
 func TestInferredEventRecovery(t *testing.T) {
+	// Item 9(b)'s 293 recvs and one trans. By role: 235 recvs at the sink,
+	// 55 at forwarders and 3 at the origin, and the trans at a forwarder. By
+	// fate: 34 recvs, all at forwarders, are on delivered packets, 14 on
+	// packets still in flight at the end, and the other 245 and the trans
+	// on lost ones. No sink recv is on a delivered packet.
+	complete := map[falseCell]int{
+		{event.Recv, "sink", "lost"}:           222,
+		{event.Recv, "sink", "censored"}:       13,
+		{event.Recv, "forwarder", "delivered"}: 34,
+		{event.Recv, "forwarder", "lost"}:      20,
+		{event.Recv, "forwarder", "censored"}:  1,
+		{event.Recv, "origin", "lost"}:         3,
+		{event.Trans, "forwarder", "lost"}:     1,
+	}
 	for _, tc := range []struct {
 		name     string
 		lossRate float64
 		fromLogs bool
 		want     map[event.Type]recovery
+		false    map[falseCell]int
 	}{
 		// Item 9(b)'s count: with nothing missing, REFILL still infers 293
 		// recvs and a trans. Not yet explained.
 		{"complete record", 1e-9, false, map[event.Type]recovery{
 			event.Recv:  {Unlogged: 0, Inferred: 293, Matched: 0},
 			event.Trans: {Unlogged: 0, Inferred: 1, Matched: 0},
-		}},
+		}, complete},
 		// The collector drops nothing at this rate and only skews clocks,
 		// which the keys leave out: the same row as the complete record.
 		{"0% loss", 1e-9, true, map[event.Type]recovery{
 			event.Recv:  {Unlogged: 0, Inferred: 293, Matched: 0},
 			event.Trans: {Unlogged: 0, Inferred: 1, Matched: 0},
-		}},
+		}, complete},
 		// Gens and recvs come back almost all; trans under half; acks,
 		// dups and timeouts never (ROADMAP item 9(c)).
 		{"20% loss", 0.2, true, map[event.Type]recovery{
@@ -129,6 +188,16 @@ func TestInferredEventRecovery(t *testing.T) {
 			event.AckRecvd: {Unlogged: 1359},
 			event.Dup:      {Unlogged: 112},
 			event.Timeout:  {Unlogged: 3},
+		}, map[falseCell]int{
+			{event.Gen, "origin", "censored"}:       3,
+			{event.Recv, "sink", "lost"}:            172,
+			{event.Recv, "sink", "censored"}:        11,
+			{event.Recv, "forwarder", "delivered"}:  30,
+			{event.Recv, "forwarder", "lost"}:       19,
+			{event.Recv, "forwarder", "censored"}:   3,
+			{event.Recv, "origin", "lost"}:          2,
+			{event.Trans, "forwarder", "delivered"}: 1,
+			{event.Trans, "origin", "censored"}:     2,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,7 +211,7 @@ func TestInferredEventRecovery(t *testing.T) {
 			}
 			truth := event.NewCollection()
 			net.AddSink(network.SinkFunc(truth.Add))
-			net.Run()
+			gt := net.Run()
 			logs := truth
 			if tc.fromLogs {
 				logs = coll.Collection()
@@ -152,7 +221,14 @@ func TestInferredEventRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			out := an.Analyze(logs)
-			got, stray := eventDiff(truth, logs, out.Result.Flows)
+			got, unmatched, stray := eventDiff(truth, logs, out.Result.Flows)
+			cells, err := splitFalse(unmatched, net.Sink(), gt.Fates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cells, tc.false) {
+				t.Errorf("false positives by type, role and fate:\n got %v\nwant %v", cells, tc.false)
+			}
 			if stray != 0 {
 				t.Errorf("%d logged events are not in the true record", stray)
 			}

@@ -457,7 +457,7 @@ func (r *run) exec() {
 func (r *run) step(ni, depth int) bool {
 	row := int(r.queues[ni].cur)
 	r.queues[ni].cur++
-	return r.process(ni, r.view.EventAt(row), depth)
+	return r.process(ni, r.view.EventAt(r.nodes[ni], row), depth)
 }
 
 // process applies one logged event at node index ni, following the paper's

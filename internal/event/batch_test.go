@@ -2,9 +2,11 @@ package event
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -193,7 +195,7 @@ func checkPartition(t *testing.T, c *Collection) []*PacketView {
 	if wantOps := OperationalEvents(c); !reflect.DeepEqual(ops, wantOps) {
 		t.Fatalf("operational events %v, want %v", ops, wantOps)
 	}
-	checkSpanInvariants(t, views)
+	checkSpanInvariants(t, c, views)
 	return views
 }
 
@@ -201,14 +203,28 @@ func checkPartition(t *testing.T, c *Collection) []*PacketView {
 // node, ascending by node, holding that node's rows of that packet) and the
 // arena layout: rows in view order, a view's spans back to back, views[i]'s
 // rows ending where views[i+1]'s begin, nothing before the first or after
-// the last.
-func checkSpanInvariants(t *testing.T, views []*PacketView) {
+// the last. The arena stores no node or packet, so each span's events, as
+// EventAt gives them, must be the source log's rows about the view's packet,
+// in log order: every field, node and packet included.
+func checkSpanInvariants(t *testing.T, c *Collection, views []*PacketView) {
 	t.Helper()
+	source := make(map[NodeID]map[PacketID][]Event)
+	for n, l := range c.Logs {
+		source[n] = make(map[PacketID][]Event)
+		for i := 0; i < l.Len(); i++ {
+			if e := l.At(i); e.Type.PacketScoped() {
+				source[n][e.Packet] = append(source[n][e.Packet], e)
+			}
+		}
+	}
 	next := int32(0) // where the next span must start
 	for _, v := range views {
 		spans := v.Spans()
 		if len(spans) == 0 {
 			t.Fatalf("view %v has no spans", v.Packet)
+		}
+		if v.rows != views[0].rows {
+			t.Fatalf("view %v is not on the shared arena", v.Packet)
 		}
 		for i, sp := range spans {
 			if sp.Start >= sp.End {
@@ -221,21 +237,37 @@ func checkSpanInvariants(t *testing.T, views []*PacketView) {
 				t.Fatalf("view %v: span for node %v starts at row %d, previous rows end at %d", v.Packet, sp.Node, sp.Start, next)
 			}
 			next = sp.End
+			want := source[sp.Node][v.Packet]
+			if len(want) != int(sp.End-sp.Start) {
+				t.Fatalf("view %v: node %v's span holds %d rows, its log %d", v.Packet, sp.Node, sp.End-sp.Start, len(want))
+			}
 			for r := sp.Start; r < sp.End; r++ {
-				if v.Batch().Node(int(r)) != sp.Node {
-					t.Fatalf("view %v: row %d belongs to %v, span says %v",
-						v.Packet, r, v.Batch().Node(int(r)), sp.Node)
-				}
-				if v.Batch().Packet(int(r)) != v.Packet {
-					t.Fatalf("view %v: row %d holds foreign packet %v",
-						v.Packet, r, v.Batch().Packet(int(r)))
+				if e := v.EventAt(sp.Node, int(r)); e != want[r-sp.Start] {
+					t.Fatalf("view %v: row %d is %v info %q, node %v's log row %v info %q",
+						v.Packet, r, e, e.Info, sp.Node, want[r-sp.Start], want[r-sp.Start].Info)
 				}
 			}
 		}
 	}
-	if len(views) > 0 && int(next) != views[0].Batch().Len() {
-		t.Fatalf("views cover %d arena rows of %d", next, views[0].Batch().Len())
+	if len(views) > 0 && int(next) != views[0].rows.len() {
+		t.Fatalf("views cover %d arena rows of %d", next, views[0].rows.len())
 	}
+}
+
+// sameArena names the first arena column (or the Info table) in which got
+// and want differ, or returns "".
+func sameArena(got, want *viewArena) string {
+	switch {
+	case !slices.Equal(got.typ, want.typ):
+		return "typ"
+	case !slices.Equal(got.link, want.link):
+		return "link"
+	case !slices.Equal(got.time, want.time):
+		return "time"
+	case !maps.Equal(got.info, want.info):
+		return "info"
+	}
+	return ""
 }
 
 func TestPartitionMatchesReference(t *testing.T) {
@@ -245,8 +277,9 @@ func TestPartitionMatchesReference(t *testing.T) {
 }
 
 func TestPartitionSpanInvariants(t *testing.T) {
-	views, _ := Partition(buildRandomCollection(9, 3000))
-	checkSpanInvariants(t, views)
+	c := buildRandomCollection(9, 3000)
+	views, _ := Partition(c)
+	checkSpanInvariants(t, c, views)
 }
 
 func collectionOf(evs ...Event) *Collection {
@@ -440,11 +473,11 @@ func TestPartitionPreservesInfo(t *testing.T) {
 // the one Info representation a batch has.
 func TestPartitionArenaInfoRepresentation(t *testing.T) {
 	views, _ := Partition(buildRandomCollection(5, 1000))
-	if arena := views[0].Batch(); arena.info != nil {
+	if arena := views[0].rows; arena.info != nil {
 		t.Error("info-free partition allocated arena info storage")
 	}
 	views, _ = Partition(buildInfoCollection(5, 1000))
-	if arena := views[0].Batch(); len(arena.info) == 0 {
+	if arena := views[0].rows; len(arena.info) == 0 {
 		t.Error("info-bearing partition left the arena's info table empty")
 	}
 }

@@ -305,14 +305,19 @@ func WriteCollection(w io.Writer, c *Collection) error {
 // header is a comment, so it can lie: it creates no log, and the rows all
 // headers may reserve together are capped at the rows the input can hold —
 // its size (inputSize) over the shortest valid line. A reader that reports
-// no size gets no hints. Past a hint, or without one, the columns double.
+// no size gets no hints. Past a hint, or without one, the columns double,
+// from 256 rows. On a sized reader that growth draws on the same budget, and
+// the line buffer starts no larger than the input, so a small body (a
+// refill-serve append) costs about its own size.
 func ReadCollection(r io.Reader) (*Collection, error) {
 	d := textDecoder{c: NewCollection()}
+	buf := 64 << 10
 	if size, ok := inputSize(r); ok {
-		d.budget = size / int64(len(shortestLine))
+		d.sized, d.budget = true, size/int64(len(shortestLine))
+		buf = int(min(int64(buf), size+1))
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, buf), 1024*1024)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -353,13 +358,17 @@ type textDecoder struct {
 	// log created takes it if it is that node's. Zero is no hint.
 	hint     int64
 	hintNode NodeID
-	budget   int64 // rows the hints may still reserve
+	// sized is set when the reader reported its size; then budget is the
+	// rows hints and growth may still reserve.
+	sized  bool
+	budget int64
 }
 
 // add appends e to its node's log. Reserve by doubling: append grows a
 // large slice by a quarter, so the capacities it goes through sum to five
 // times the last; doubled, to twice. Columns only this decoder fills share
-// one capacity: check one.
+// one capacity: check one. On a sized reader the growth is capped by the
+// budget; once that is spent, Append's own growth takes over.
 //
 //refill:noalloc
 func (d *textDecoder) add(e Event) {
@@ -367,7 +376,12 @@ func (d *textDecoder) add(e Event) {
 		d.open(e.Node)
 	}
 	if b := &d.log.batch; b.Len() == cap(b.time) {
-		b.Grow(max(b.Len(), 256))
+		rows := int64(max(b.Len(), 256))
+		if d.sized {
+			rows = min(rows, d.budget)
+			d.budget -= rows
+		}
+		b.Grow(int(rows))
 	}
 	d.log.batch.Append(e)
 }

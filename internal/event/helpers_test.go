@@ -25,3 +25,6 @@ func (ps *PendingStore) logOf(n NodeID) *pendingLog {
 	}
 	return nil
 }
+
+// len returns the arena's row count.
+func (a *viewArena) len() int { return len(a.typ) }

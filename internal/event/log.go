@@ -139,7 +139,7 @@ func (c *Collection) Clone() *Collection {
 	return out
 }
 
-// ViewSpan is one node's contiguous run of rows inside a PacketView's batch:
+// ViewSpan is one node's contiguous run of rows inside a PacketView's arena:
 // the node's events about the packet, in log order, at rows [Start, End).
 type ViewSpan struct {
 	Node       NodeID
@@ -150,21 +150,51 @@ type ViewSpan struct {
 // ordered sub-logs of every node that recorded (or should have recorded)
 // events about it. The inference engine runs on one PacketView at a time.
 //
-// Storage is columnar: the view's events live in a (possibly shared) Batch,
-// and Spans lists each node's contiguous row range, exactly one span per
-// node, ascending by node ID. Partition carves all views of a collection out
-// of ONE shared batch arena, in view order, so partitioning a million-event
-// campaign performs a handful of allocations instead of several per packet.
+// Storage is columnar and packet-shaped: the view's rows live in a (possibly
+// shared) viewArena that stores only what varies inside a packet, and Spans
+// lists each node's contiguous row range, exactly one span per node,
+// ascending by node ID. A row's node is its span's and its packet is the
+// view's, so every accessor supplies them from there. Partition carves all
+// views of a collection out of ONE shared arena, in view order, so
+// partitioning a million-event campaign performs a handful of allocations
+// instead of several per packet.
 type PacketView struct {
 	Packet PacketID
-	batch  *Batch
+	rows   *viewArena
 	spans  []ViewSpan
+}
+
+// viewArena holds packet views' rows: the fields that vary inside a packet
+// and the Info side table (row -> Info, non-empty ones only, nil until the
+// first). It has no node, origin or seq column: the span and the view hold
+// those. Sender and receiver share one int64 column (link), so that
+// Partition can lay both of its int64 sort-key columns, dead once the views
+// are cut, under link and time. An arena's table is complete before any
+// analysis worker reads it, so the workers' concurrent reads need no lock.
+type viewArena struct {
+	typ  []Type
+	link []int64 // sender<<32 | receiver
+	time []int64
+	info map[int32]string
+}
+
+// link packs a row's sender and receiver into a viewArena link.
+func link(sender, receiver NodeID) int64 { return int64(sender)<<32 | int64(receiver) }
+
+// resize empties the arena and gives it n rows for the caller to fill by
+// index, keeping column capacity.
+func (a *viewArena) resize(n int) {
+	a.link = grown(a.link[:0], n)[:n]
+	a.time = grown(a.time[:0], n)[:n]
+	a.typ = grown(a.typ[:0], n)[:n] // the byte column last, as in Batch.Grow
+	a.info = nil
 }
 
 // NewPacketView builds a self-contained view from per-node event slices,
 // preserving each node's order — the construction path for tests and for
 // callers that assemble views by hand. Nodes are laid out in ascending order,
-// matching Partition's invariant.
+// matching Partition's invariant. Each row's node is its map key and its
+// packet is pkt, whatever the event's own Node and Packet fields say.
 func NewPacketView(pkt PacketID, perNode map[NodeID][]Event) *PacketView {
 	nodes := make([]NodeID, 0, len(perNode))
 	total := 0
@@ -174,18 +204,22 @@ func NewPacketView(pkt PacketID, perNode map[NodeID][]Event) *PacketView {
 		total += len(evs)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	v := &PacketView{Packet: pkt, batch: &Batch{}, spans: make([]ViewSpan, 0, len(nodes))}
-	v.batch.Grow(total)
+	a := &viewArena{}
+	a.resize(total)
+	v := &PacketView{Packet: pkt, rows: a, spans: make([]ViewSpan, 0, len(nodes))}
+	r := int32(0)
 	for _, n := range nodes {
 		evs := perNode[n]
 		if len(evs) == 0 {
 			continue
 		}
-		start := int32(v.batch.Len())
+		start := r
 		for _, e := range evs {
-			v.batch.Append(e)
+			a.typ[r], a.link[r], a.time[r] = e.Type, link(e.Sender, e.Receiver), e.Time
+			putInfo(&a.info, int(r), e.Info)
+			r++
 		}
-		v.spans = append(v.spans, ViewSpan{Node: n, Start: start, End: int32(v.batch.Len())})
+		v.spans = append(v.spans, ViewSpan{Node: n, Start: start, End: r})
 	}
 	return v
 }
@@ -194,15 +228,19 @@ func NewPacketView(pkt PacketID, perNode map[NodeID][]Event) *PacketView {
 // The slice is the view's own storage — callers must not mutate it.
 func (v *PacketView) Spans() []ViewSpan { return v.spans }
 
-// EventAt materializes the event at batch row i (an index taken from a span).
+// EventAt materializes arena row i of node n's span (an index taken from
+// that span) as n's event about the view's packet.
 //
 //refill:noalloc
 //refill:inline — the engine's per-committed-row fetch
-func (v *PacketView) EventAt(i int) Event { return v.batch.At(i) }
-
-// Batch exposes the view's columnar storage. Rows outside the view's spans
-// belong to other packets (the batch is a shared arena).
-func (v *PacketView) Batch() *Batch { return v.batch }
+func (v *PacketView) EventAt(n NodeID, i int) Event {
+	a, l := v.rows, v.rows.link[i]
+	e := Event{Node: n, Type: a.typ[i], Sender: NodeID(l >> 32), Receiver: NodeID(l), Packet: v.Packet, Time: a.time[i]}
+	if a.info != nil {
+		e.Info = a.info[int32(i)]
+	}
+	return e
+}
 
 // NodeCount returns the number of nodes with events in the view.
 func (v *PacketView) NodeCount() int { return len(v.spans) }
@@ -220,16 +258,20 @@ func (v *PacketView) Nodes() []NodeID {
 // (nil if the node logged none).
 func (v *PacketView) NodeEvents(n NodeID) []Event {
 	for _, sp := range v.spans {
-		if sp.Node != n {
-			continue
+		if sp.Node == n {
+			return v.appendSpan(nil, sp)
 		}
-		out := make([]Event, 0, sp.End-sp.Start)
-		for i := sp.Start; i < sp.End; i++ {
-			out = append(out, v.batch.At(int(i)))
-		}
-		return out
 	}
 	return nil
+}
+
+// appendSpan appends span sp's events to out.
+func (v *PacketView) appendSpan(out []Event, sp ViewSpan) []Event {
+	out = slices.Grow(out, int(sp.End-sp.Start))
+	for i := sp.Start; i < sp.End; i++ {
+		out = append(out, v.EventAt(sp.Node, int(i)))
+	}
+	return out
 }
 
 // PerNodeEvents materializes the whole view as a node -> events map — the
@@ -238,7 +280,7 @@ func (v *PacketView) NodeEvents(n NodeID) []Event {
 func (v *PacketView) PerNodeEvents() map[NodeID][]Event {
 	out := make(map[NodeID][]Event, len(v.spans))
 	for _, sp := range v.spans {
-		out[sp.Node] = v.NodeEvents(sp.Node)
+		out[sp.Node] = v.appendSpan(nil, sp)
 	}
 	return out
 }
@@ -248,9 +290,7 @@ func (v *PacketView) PerNodeEvents() map[NodeID][]Event {
 func (v *PacketView) Events() []Event {
 	out := make([]Event, 0, v.TotalEvents())
 	for _, sp := range v.spans {
-		for i := sp.Start; i < sp.End; i++ {
-			out = append(out, v.batch.At(int(i)))
-		}
+		out = v.appendSpan(out, sp)
 	}
 	return out
 }

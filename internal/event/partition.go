@@ -15,13 +15,16 @@ import (
 // every packet-scoped row the key origin<<32|seq and a global row number; a
 // stable LSD radix sort orders the pairs by key; a sweep then cuts a view at
 // every key change and a span at every node change, and the rows are
-// gathered into one shared arena in that order. Stability is what makes the
-// spans right: inside a packet the row numbers stay ascending, which is
-// ascending node and log order, so each node's rows are adjacent (one span,
-// however other packets interleaved them in its log) and in log order. The
-// arena is laid out in view order, so walking a range of views reads it
-// front to back. The number of allocations is fixed, whatever the collection
-// holds.
+// gathered into one shared arena in that order. The arena is packet-shaped:
+// it holds only the type, sender, receiver and time (a row's node is its
+// span's, its packet its view's), and its two int64 columns are the sort's
+// two key columns, so the sort and the arena together cost 25 bytes a row.
+// Stability is what makes the spans right: inside a packet the row numbers
+// stay ascending, which is ascending node and log order, so each node's rows
+// are adjacent (one span, however other packets interleaved them in its log)
+// and in log order. The arena is laid out in view order, so walking a range
+// of views reads it front to back. The number of allocations is fixed,
+// whatever the collection holds.
 //
 // Partition runs on the calling goroutine; PartitionWorkers is the same body
 // split across several. It serves the batch path only. The session's
@@ -65,11 +68,14 @@ type partitioner struct {
 	first []uint32
 	total int
 	// The sort reads keys and rows and writes keys2 and rows2, and the two
-	// swap after every pass; shift is the pass's digit.
-	keys, keys2 []uint64
+	// swap after every pass; shift is the pass's digit. A key is
+	// origin<<32|seq, typed int64 so that the key columns can become the
+	// arena's link and time columns; the radix digits read its bits, so the
+	// order is the unsigned one.
+	keys, keys2 []int64
 	rows, rows2 []uint32
 	shift       uint
-	arena       *Batch // the output's rows
+	arena       *viewArena // the output's rows
 
 	shares []share
 	one    [1]share // shares' storage with one helper
@@ -87,8 +93,9 @@ type share struct {
 	// The scan: at is the first key slot of the share's packet-scoped rows
 	// (set from the count phase), packets their number; varying has a bit
 	// set where two of their keys differ, and ref is the first key.
-	at, packets  int
-	varying, ref uint64
+	at, packets int
+	varying     uint64
+	ref         int64
 	// hist counts the share's keys by the current pass's digit.
 	hist [256]uint32
 }
@@ -117,9 +124,11 @@ const (
 // then places digit d of share w after every smaller digit and after digit d
 // of every earlier share, so equal digits keep their input order and the
 // sort stays stable. The gathers fill arena rows by position, so any cut
-// will do. What stays serial: the operational events, the shares'
-// bookkeeping, Info, and the sweep that cuts views and spans; timed end to
-// end on batch-skew, a sweep split at view boundaries saved nothing.
+// will do; since a view's packet is its key, they read only the logs' type,
+// sender, receiver and time columns. What stays serial: the operational
+// events, the shares' bookkeeping, Info, and the sweep that cuts views and
+// spans; timed end to end on batch-skew, a sweep split at view boundaries
+// saved nothing.
 func partition(c *Collection, helpers int) (views []*PacketView, operational []Event) {
 	p := &partitioner{nodes: c.Nodes(), total: c.TotalEvents()}
 	checkArenaRows(int64(p.total))
@@ -134,7 +143,7 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 	}
 	// Packet-scoped rows fill keys and rows from the front, operational
 	// rows fill rows from the back.
-	p.keys, p.rows = make([]uint64, p.total), make([]uint32, p.total)
+	p.keys, p.rows = make([]int64, p.total), make([]uint32, p.total)
 	p.shares = p.one[:]
 	if helpers > 1 {
 		p.shares = make([]share, helpers)
@@ -154,7 +163,7 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 		}
 	}
 	p.each(phaseScan)
-	n, ref0 := 0, uint64(0)
+	n, ref0 := 0, int64(0)
 	var varying uint64 // key bits that differ between some two rows
 	for _, s := range p.shares {
 		if s.packets == 0 {
@@ -163,7 +172,7 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 		if n == 0 {
 			ref0 = s.ref
 		}
-		varying |= s.varying | (s.ref ^ ref0)
+		varying |= s.varying | uint64(s.ref^ref0)
 		n += s.packets
 	}
 	if nops := p.total - n; nops > 0 { // else nil, as OperationalEvents returns it
@@ -180,11 +189,12 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 	// pass would move nothing, and it is skipped: a campaign's few hundred
 	// origins and few thousand sequence numbers sort in three or four
 	// passes, any input in at most eight, and a sparse key space costs
-	// passes, never memory. rows2 ends up spare; the sweep reuses it.
+	// passes, never memory. rows2 ends up spare; the sweep reuses it. keys2
+	// ends up spare too and becomes the arena's time column (with no pass to
+	// run it is allocated for that alone); keys becomes its link column once
+	// the sweep has cut the views.
 	p.keys, p.rows, p.rows2 = p.keys[:n], p.rows[:n], make([]uint32, n)
-	if varying != 0 {
-		p.keys2 = make([]uint64, n)
-	}
+	p.keys2 = make([]int64, n)
 	p.split(n)
 	for p.shift = 0; p.shift < 64; p.shift += 8 {
 		if varying>>p.shift&0xFF == 0 {
@@ -194,7 +204,6 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 		p.each(phaseScatter)
 		p.keys, p.keys2, p.rows, p.rows2 = p.keys2, p.keys, p.rows2, p.rows
 	}
-	p.keys2 = nil // garbage from here: the arena is not allocated beside it
 
 	views = p.sweep(n)
 	p.each(phaseGather)
@@ -204,7 +213,7 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 	}
 	if hasInfo { // the arena's table is complete before any worker reads it
 		for j, ni := range p.rows2 {
-			p.arena.setInfo(j, p.logs[ni].info[int32(p.rows[j])])
+			putInfo(&p.arena.info, j, p.logs[ni].info[int32(p.rows[j])])
 		}
 	}
 	return views, operational
@@ -289,7 +298,8 @@ func (p *partitioner) count(s *share) {
 func (p *partitioner) scan(s *share) {
 	keys, rows := p.keys, p.rows
 	n, nops := s.at, s.lo-s.at
-	var varying, ref uint64
+	var varying uint64
+	var ref int64
 	for ni := nodeOfRow(p.first, uint32(s.lo)); ni < len(p.logs) && int(p.first[ni]) < s.hi; ni++ {
 		b, base := p.logs[ni], p.first[ni]
 		i0, i1 := p.clip(ni, s.lo, s.hi)
@@ -299,12 +309,12 @@ func (p *partitioner) scan(s *share) {
 				rows[p.total-nops] = base + uint32(i)
 				continue
 			}
-			k := uint64(b.origin[i])<<32 | uint64(b.seq[i])
+			k := int64(b.origin[i])<<32 | int64(b.seq[i])
 			if n == s.at {
 				ref = k
 			}
 			keys[n], rows[n] = k, base+uint32(i)
-			varying |= k ^ ref
+			varying |= uint64(k ^ ref)
 			n++
 		}
 	}
@@ -336,10 +346,12 @@ func (p *partitioner) scatter(w int) {
 }
 
 // sweep resolves each sorted row from a global number to its node index
-// (in rows2) and its row in that node's log (in rows), sizes the arena, and
-// cuts a view at every key change and a span at every node change inside a
-// view. Row numbers ascend inside a packet, so the node changes only when
-// one passes the end of the current node's log.
+// (in rows2) and its row in that node's log (in rows), cuts a view at every
+// key change and a span at every node change inside a view, and makes the
+// arena: its time column is keys2, and its link column is keys, which the
+// gathers overwrite once the views hold the packets. Row numbers ascend
+// inside a packet, so the node changes only when one passes the end of the
+// current node's log.
 func (p *partitioner) sweep(n int) []*PacketView {
 	keys, rows, nis, first := p.keys, p.rows, p.rows2, p.first
 	nviews, nspans := 0, 0
@@ -355,8 +367,8 @@ func (p *partitioner) sweep(n int) []*PacketView {
 		nis[j], rows[j] = uint32(ni), rows[j]-first[ni]
 	}
 
-	p.arena = &Batch{}
-	p.arena.Resize(n)
+	p.arena = &viewArena{link: keys, time: p.keys2, typ: make([]Type, n)}
+	p.keys, p.keys2 = nil, nil
 	spans := make([]ViewSpan, 0, nspans)
 	structs := make([]PacketView, 0, nviews)
 	views := make([]*PacketView, 0, nviews)
@@ -365,7 +377,7 @@ func (p *partitioner) sweep(n int) []*PacketView {
 		newView := j == 0 || keys[j] != keys[j-1]
 		if newView {
 			pkt := PacketID{Origin: NodeID(keys[j] >> 32), Seq: uint32(keys[j])}
-			structs = append(structs, PacketView{Packet: pkt, batch: p.arena})
+			structs = append(structs, PacketView{Packet: pkt, rows: p.arena})
 			v = &structs[len(structs)-1]
 			views = append(views, v)
 		}
@@ -378,20 +390,27 @@ func (p *partitioner) sweep(n int) []*PacketView {
 	return views
 }
 
-// gatherRows fills the share's rows of the arena.
+// gatherRows fills the share's rows of the arena. The source columns are
+// read one at a time: a loop reading one source column keeps many cache
+// misses in flight, a loop reading four does not. So the link column takes
+// two passes: the senders into its high halves, then the receivers into its
+// low ones.
 func (p *partitioner) gatherRows(s *share) {
 	lo, hi, arena := s.lo, s.hi, p.arena
-	for j, k := range p.keys[lo:hi] {
-		arena.origin[lo+j], arena.seq[lo+j] = NodeID(k>>32), uint32(k)
-	}
-	// The other columns are gathered one at a time: a loop reading one source
-	// column keeps many cache misses in flight, a loop reading five does not.
 	nis, rows := p.rows2[lo:hi], p.rows[lo:hi]
-	gather(arena.node[lo:hi], p.logs, nis, rows, func(b *Batch) []NodeID { return b.node })
 	gather(arena.typ[lo:hi], p.logs, nis, rows, func(b *Batch) []Type { return b.typ })
-	gather(arena.sender[lo:hi], p.logs, nis, rows, func(b *Batch) []NodeID { return b.sender })
-	gather(arena.receiver[lo:hi], p.logs, nis, rows, func(b *Batch) []NodeID { return b.receiver })
 	gather(arena.time[lo:hi], p.logs, nis, rows, func(b *Batch) []int64 { return b.time })
+	snd, rcv := make([][]NodeID, len(p.logs)), make([][]NodeID, len(p.logs))
+	for ni, b := range p.logs {
+		snd[ni], rcv[ni] = b.sender, b.receiver
+	}
+	l := arena.link[lo:hi]
+	for j := range l {
+		l[j] = link(snd[nis[j]][rows[j]], 0)
+	}
+	for j := range l {
+		l[j] |= int64(rcv[nis[j]][rows[j]])
+	}
 }
 
 // nodeOfRow returns the index of the node whose log holds global row r: the

@@ -216,14 +216,14 @@ func (ps *PendingStore) AppendPendingTo(dst *Collection) {
 
 // Window is what a retire hands the engine: the retired packets as views in
 // packet-ID order, laid out exactly as Partition lays out a collection of the
-// same rows — one arena in view order, each view's rows node by node in
-// ascending node order, each node's in log order, one span per node. Its
-// storage is recycled, so the views are valid only until the next retire
-// into the same Window. A zero Window is ready to use.
+// same rows — one packet-shaped arena in view order, each view's rows node
+// by node in ascending node order, each node's in log order, one span per
+// node. Its storage is recycled, so the views are valid only until the next
+// retire into the same Window. A zero Window is ready to use.
 //
 //refill:owned
 type Window struct {
-	arena   Batch
+	arena   viewArena
 	spans   []ViewSpan
 	structs []PacketView
 	views   []*PacketView
@@ -257,7 +257,7 @@ func (ps *PendingStore) retireTo(cutoff int64, all bool, dst *Collection) int {
 	views := ps.Retire(&ps.spare, cutoff, all)
 	for _, v := range views {
 		for _, sp := range v.spans {
-			dst.Log(sp.Node).batch.appendRange(sp.Node, v.batch, int(sp.Start), int(sp.End))
+			dst.Log(sp.Node).batch.appendView(sp.Node, v.Packet, v.rows, int(sp.Start), int(sp.End))
 		}
 	}
 	return len(views)
@@ -276,7 +276,8 @@ func (ps *PendingStore) retireTo(cutoff int64, all bool, dst *Collection) int {
 // offsets. The second pass scatters every retiring row into its packet's next
 // arena row, opening a span when the packet meets a new node, and slides the
 // survivors down over the holes. A row costs a slot-column read and, if it
-// leaves, one copy; no map operation.
+// leaves, a copy of its type, sender, receiver and time (the arena keeps no
+// node or packet column); no map operation.
 func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView {
 	w.views = w.views[:0]
 	free := len(ps.free)
@@ -312,18 +313,14 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 	}
 	slices.SortFunc(w.order, func(a, b keyedSlot) int { return cmp.Compare(a.key, b.key) })
 	a := &w.arena
-	a.Reset()
-	a.Resize(int(rows))
+	a.resize(int(rows))
 	w.spans = grown(w.spans[:0], int(spans))[:spans]
 	w.structs = grown(w.structs[:0], len(retiring))[:len(retiring)]
 	rows, spans = 0, 0
 	for k, o := range w.order {
 		sl := &ps.slots[o.slot]
-		w.structs[k] = PacketView{Packet: sl.id, batch: a, spans: w.spans[spans : spans+sl.spans : spans+sl.spans]}
+		w.structs[k] = PacketView{Packet: sl.id, rows: a, spans: w.spans[spans : spans+sl.spans : spans+sl.spans]}
 		w.views = append(w.views, &w.structs[k])
-		for r := rows; r < rows+sl.rows; r++ {
-			a.origin[r], a.seq[r] = sl.id.Origin, sl.id.Seq
-		}
 		rows, spans, sl.rows, sl.spans, sl.node = rows+sl.rows, spans+sl.spans, rows, spans, 0
 	}
 	for ord, pl := range ps.logs {
@@ -342,10 +339,9 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 				}
 				w.spans[sl.spans-1].End = r + 1
 				sl.rows++
-				a.node[r], a.typ[r], a.time[r] = pl.node, b.typ[i], b.time[i]
-				a.sender[r], a.receiver[r] = b.sender[i], b.receiver[i]
+				a.typ[r], a.link[r], a.time[r] = b.typ[i], link(b.sender[i], b.receiver[i]), b.time[i]
 				if len(b.info) > 0 { // the arena's table is complete before any worker reads it
-					a.setInfo(int(r), b.info[int32(i)])
+					putInfo(&a.info, int(r), b.info[int32(i)])
 					delete(b.info, int32(i))
 				}
 				continue
