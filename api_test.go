@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/clocksync"
 )
 
 // mkEvent builds one log record through the public types.
@@ -286,7 +288,9 @@ func TestPublicParallelismAndStreamIdentical(t *testing.T) {
 	}
 }
 
-func TestPublicRecoverClocksWith(t *testing.T) {
+// TestPublicRecoverClocks checks that the facade's RecoverClocks is
+// clocksync.Estimate, the one internal name this file reaches for.
+func TestPublicRecoverClocks(t *testing.T) {
 	camp, err := RunCampaign(TinyCampaign(5))
 	if err != nil {
 		t.Fatal(err)
@@ -296,29 +300,10 @@ func TestPublicRecoverClocksWith(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := an.Analyze(camp.Logs)
-	def := RecoverClocks(out.Result.Flows, Server)
-	same := RecoverClocks(out.Result.Flows, Server, WithClockSweeps(0), WithClockMinPairings(0))
-	viaOpts := RecoverClocks(out.Result.Flows, Server, WithClockSweeps(10))
-	if len(viaOpts.Nodes) != len(def.Nodes) || viaOpts.Pairs != def.Pairs {
-		t.Fatal("variadic options diverged from defaults")
-	}
-	if len(def.Nodes) != len(same.Nodes) || def.Pairs != same.Pairs {
-		t.Fatal("zero options diverged from RecoverClocks")
-	}
-	for n, p := range def.Nodes {
-		if same.Nodes[n] != p {
-			t.Fatalf("node %v params diverged under zero options", n)
-		}
-	}
-	// An absurd threshold drops every non-anchor node into Unanchored.
-	strict := RecoverClocks(out.Result.Flows, Server, WithClockMinPairings(1<<30))
-	if len(strict.Unanchored) == 0 {
-		t.Error("MinPairings threshold dropped nothing")
-	}
-	for _, n := range strict.Unanchored {
-		if _, ok := strict.Nodes[n]; ok {
-			t.Errorf("dropped node %v still has an estimate", n)
-		}
+	got := RecoverClocks(out.Result.Flows, Server)
+	want := clocksync.Estimate(out.Result.Flows, Server)
+	if len(got.Nodes) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("RecoverClocks = %+v, clocksync.Estimate = %+v", got, want)
 	}
 }
 

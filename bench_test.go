@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -711,13 +712,16 @@ func skewedBench(b *testing.B) (*Collection, NodeID, int64) {
 }
 
 // BenchmarkAnalyzeSkewed is the fan-out's headline number: a hot-origin
-// campaign analyzed at 8 workers, every one pulling ranges off the driver's
-// shared cursor, so the hot origin's views spread like any others.
+// campaign analyzed on one worker per P, every one pulling ranges off the
+// driver's shared cursor, so the hot origin's views spread like any others.
+// The worker count is GOMAXPROCS, not a constant: more workers than Ps take
+// turns on them, and the bytes they allocate then depend on the scheduler,
+// which a B/op gate cannot hold. The gate runs it at -cpu 1.
 func BenchmarkAnalyzeSkewed(b *testing.B) {
 	logs, sink, end := skewedBench(b)
 	events := logs.TotalEvents()
-	b.Run("workers=8", func(b *testing.B) {
-		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithParallelism(8))
+	b.Run("workers=procs", func(b *testing.B) {
+		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithParallelism(runtime.GOMAXPROCS(0)))
 		if err != nil {
 			b.Fatal(err)
 		}

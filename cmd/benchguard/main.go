@@ -8,9 +8,12 @@
 // allocs/op and B/op are guarded: unlike ns/op they are deterministic for a
 // given code path — independent of the machine, CPU contention, and
 // frequency scaling — so a CI runner can enforce a tight threshold without
-// flaking. Over five consecutive runs of the CI command every row repeated
-// its B/op within 0.1%, except BenchmarkAnalyzeSkewed/workers=8, whose eight
-// workers on one CPU vary it by about 15% (below its baseline). A benchmark
+// flaking. A row may not run more goroutines than Ps: eight workers on one
+// P made BenchmarkAnalyzeSkewed's bytes vary by 15% with the scheduler, so
+// it runs one worker per P as BenchmarkAnalyzeSkewed/workers=procs. Over
+// five consecutive runs of the CI command every row repeated its B/op
+// within 0.2%; the windowed and session rows move by one engine run state
+// (27 KB) at a time, which a sync.Pool refills after a GC cycle. A benchmark
 // regresses when its allocs/op or its B/op exceeds the baseline by more than
 // -tolerance (default 10%). The ns/op delta against the baseline is printed
 // alongside each verdict line; it is informational only and never fails the
@@ -31,8 +34,8 @@
 //	    -benchmem -benchtime 1x -cpu 1 . > bench_baseline.txt
 //
 // -cpu 1 keeps the recorded names free of a -N suffix. A guarded benchmark's
-// own name must not end in -<digits> either (write workers=8, not
-// workers-8): the suffix strip below could not tell it from GOMAXPROCS.
+// own name must not end in -<digits> either (write hops=8, not hops-8): the
+// suffix strip below could not tell it from GOMAXPROCS.
 package main
 
 import (

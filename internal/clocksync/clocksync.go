@@ -80,104 +80,14 @@ type hopTimes struct {
 	hasT, hasR, hasA bool
 }
 
-// Opts tunes Estimate. The zero value reproduces the default behavior
-// exactly.
-type Opts struct {
-	// Sweeps is the number of Gauss–Seidel iterations (10 is plenty;
-	// <= 0 uses 10).
-	Sweeps int
-	// MinPairings drops nodes observed in fewer than this many cross-node
-	// constraints before solving: a node paired once or twice gets an
-	// estimate dominated by MAC-delay noise, and Gauss–Seidel propagates
-	// that noise into its neighbors. Dropped nodes are reported in
-	// Result.Unanchored. 0 (the zero value) keeps every node.
-	MinPairings int
-}
-
-// Option adjusts one Opts knob; pass Options to EstimateWith.
-type Option func(*Opts)
-
-// WithSweeps sets the number of Gauss–Seidel iterations (<= 0 uses 10).
-func WithSweeps(n int) Option {
-	return func(o *Opts) { o.Sweeps = n }
-}
-
-// WithMinPairings drops nodes observed in fewer than n cross-node
-// constraints before solving (see Opts.MinPairings).
-func WithMinPairings(n int) Option {
-	return func(o *Opts) { o.MinPairings = n }
-}
-
-// EstimateWith solves the clock map from reconstructed flows, anchoring at
-// anchor (normally event.Server whose clock is NTP-disciplined). With no
-// options it reproduces the defaults (10 sweeps, every node kept).
-func EstimateWith(flows []*flow.Flow, anchor event.NodeID, opts ...Option) *Result {
-	var o Opts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return EstimateOpts(flows, anchor, o)
-}
+// sweeps is the number of Gauss–Seidel iterations Estimate runs; 10 is
+// plenty.
+const sweeps = 10
 
 // Estimate solves the clock map from reconstructed flows, anchoring at
-// anchor (normally event.Server whose clock is NTP-disciplined). sweeps
-// controls the Gauss–Seidel iterations (10 is plenty; <=0 uses 10).
-// EstimateOpts exposes the remaining knobs.
-func Estimate(flows []*flow.Flow, anchor event.NodeID, sweeps int) *Result {
-	return EstimateOpts(flows, anchor, Opts{Sweeps: sweeps})
-}
-
-// EstimateOpts is Estimate with the full option set.
-func EstimateOpts(flows []*flow.Flow, anchor event.NodeID, o Opts) *Result {
-	sweeps := o.Sweeps
-	if sweeps <= 0 {
-		sweeps = 10
-	}
-	cons := collect(flows)
-	var dropped []event.NodeID
-	if o.MinPairings > 0 {
-		cons, dropped = filterSparse(cons, anchor, o.MinPairings)
-	}
-	res := solve(cons, anchor, sweeps)
-	if len(dropped) > 0 {
-		res.Unanchored = append(res.Unanchored, dropped...)
-		sort.Slice(res.Unanchored, func(i, j int) bool {
-			return res.Unanchored[i] < res.Unanchored[j]
-		})
-	}
-	return res
-}
-
-// filterSparse removes constraints touching nodes with fewer than min
-// pairings (the anchor is exempt) and returns the dropped nodes, sorted.
-// A single counting pass: nodes made sparse by a neighbor's removal are
-// kept — the threshold is a noise gate, not a connectivity analysis.
-func filterSparse(cons []constraint, anchor event.NodeID, min int) ([]constraint, []event.NodeID) {
-	count := make(map[event.NodeID]int)
-	for _, c := range cons {
-		count[c.From]++
-		count[c.To]++
-	}
-	var dropped []event.NodeID
-	sparse := make(map[event.NodeID]bool)
-	for n, k := range count {
-		if n != anchor && k < min {
-			sparse[n] = true
-			dropped = append(dropped, n)
-		}
-	}
-	if len(sparse) == 0 {
-		return cons, nil
-	}
-	sort.Slice(dropped, func(i, j int) bool { return dropped[i] < dropped[j] })
-	kept := cons[:0]
-	for _, c := range cons {
-		if sparse[c.From] || sparse[c.To] {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	return kept, dropped
+// anchor (normally event.Server whose clock is NTP-disciplined).
+func Estimate(flows []*flow.Flow, anchor event.NodeID) *Result {
+	return solve(collect(flows), anchor)
 }
 
 // collect extracts the cross-node clock constraints from the flows.
@@ -283,7 +193,7 @@ func collect(flows []*flow.Flow) []constraint {
 }
 
 // solve runs anchored Gauss–Seidel least squares over the constraint graph.
-func solve(cons []constraint, anchor event.NodeID, sweeps int) *Result {
+func solve(cons []constraint, anchor event.NodeID) *Result {
 	res := &Result{Anchor: anchor, Nodes: make(map[event.NodeID]Params), Pairs: len(cons)}
 	// Adjacency: node -> constraint indexes touching it.
 	adj := make(map[event.NodeID][]int)

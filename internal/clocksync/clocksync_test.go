@@ -69,7 +69,7 @@ func TestEstimateRecoverSyntheticOffsets(t *testing.T) {
 			Time: int64(i)*10_000_000 + 1_350_000}})
 		flows = append(flows, f)
 	}
-	res := Estimate(flows, event.Server, 0)
+	res := Estimate(flows, event.Server)
 	if res.Pairs == 0 {
 		t.Fatal("no constraints extracted")
 	}
@@ -91,7 +91,7 @@ func TestEstimateRecoverSyntheticOffsets(t *testing.T) {
 }
 
 func TestEstimateEmptyFlows(t *testing.T) {
-	res := Estimate(nil, event.Server, 5)
+	res := Estimate(nil, event.Server)
 	if res.Pairs != 0 {
 		t.Errorf("pairs = %d", res.Pairs)
 	}
@@ -101,7 +101,7 @@ func TestEstimateEmptyFlows(t *testing.T) {
 }
 
 func TestCorrectUnknownNodePassthrough(t *testing.T) {
-	res := Estimate(nil, event.Server, 1)
+	res := Estimate(nil, event.Server)
 	e := event.Event{Node: 42, Time: 777}
 	if res.Correct(e) != 777 {
 		t.Error("unknown node should pass through")
@@ -121,7 +121,7 @@ func TestEstimateOnSimulatedCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := an.Analyze(res.Logs)
-	est := Estimate(out.Result.Flows, event.Server, 0)
+	est := Estimate(out.Result.Flows, event.Server)
 	if est.Pairs == 0 {
 		t.Fatal("no constraints from campaign flows")
 	}
@@ -166,8 +166,8 @@ func TestEstimateDeterministicAcrossCalls(t *testing.T) {
 	}
 	// Constraint extraction iterates hop maps; the results must still be
 	// bit-identical call to call (the accumulation order is fixed).
-	a := Estimate(flows, event.Server, 0)
-	b := Estimate(flows, event.Server, 0)
+	a := Estimate(flows, event.Server)
+	b := Estimate(flows, event.Server)
 	if a.Pairs != b.Pairs || len(a.Nodes) != len(b.Nodes) {
 		t.Fatalf("shape differs: %d/%d pairs, %d/%d nodes",
 			a.Pairs, b.Pairs, len(a.Nodes), len(b.Nodes))
@@ -179,7 +179,9 @@ func TestEstimateDeterministicAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestEstimateOptsMinPairings(t *testing.T) {
+// TestEstimateKeepsSparseNodes checks that a node paired in a single flow
+// still gets an estimate and nothing is reported unanchored.
+func TestEstimateKeepsSparseNodes(t *testing.T) {
 	clocks := map[event.NodeID]Params{
 		1: {Offset: 90_000_000},
 		2: {Offset: -40_000_000},
@@ -194,41 +196,11 @@ func TestEstimateOptsMinPairings(t *testing.T) {
 	flows = append(flows, syntheticFlow(event.PacketID{Origin: 5, Seq: 1}, clocks,
 		[]event.NodeID{5, 2, event.Server}, 0))
 
-	// Zero options: everything estimated, nothing dropped.
-	full := EstimateOpts(flows, event.Server, Opts{})
+	full := Estimate(flows, event.Server)
 	if _, ok := full.Offset(5); !ok {
-		t.Fatal("node 5 missing without a threshold")
+		t.Fatal("node 5 missing")
 	}
 	if len(full.Unanchored) != 0 {
 		t.Fatalf("unexpected unanchored nodes: %v", full.Unanchored)
-	}
-
-	// A threshold above node 5's pairing count gates it out into
-	// Unanchored while the well-connected nodes keep their estimates.
-	gated := EstimateOpts(flows, event.Server, Opts{MinPairings: 5})
-	if _, ok := gated.Offset(5); ok {
-		t.Error("sparse node 5 still estimated")
-	}
-	found := false
-	for _, n := range gated.Unanchored {
-		if n == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("node 5 not reported unanchored: %v", gated.Unanchored)
-	}
-	for _, n := range []event.NodeID{1, 2} {
-		got, ok := gated.Offset(n)
-		if !ok {
-			t.Fatalf("well-connected node %v dropped", n)
-		}
-		err := got.Offset - clocks[n].Offset
-		if err < 0 {
-			err = -err
-		}
-		if err > 2_000_000 {
-			t.Errorf("node %v offset = %.0f, want %.0f", n, got.Offset, clocks[n].Offset)
-		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 // time columns, and two uint32 row columns), the arena's 1 (type), the
 // views, the spans and the operational events, plus a little for page
 // rounding: a node, origin or seq column put back into the arena costs 4
-// bytes a row and fails it. A warmed Window's retire allocates nothing.
+// bytes a row and fails it. A cold PendingStore.Retire is held to the same
+// bound, and a warmed Window's retire allocates nothing.
 func TestViewArenaBytesPerRow(t *testing.T) {
 	res, err := workload.Run(workload.Tiny(3))
 	if err != nil {
@@ -48,20 +49,43 @@ func TestViewArenaBytesPerRow(t *testing.T) {
 			got, float64(got)/float64(rows), want, slack)
 	}
 
-	ps := event.NewPendingStore(0)
-	var w event.Window
-	feed := func() {
+	// The retire runs on Partition's body, so a cold one — a fresh store,
+	// fed, retiring everything into a fresh Window — may allocate what
+	// Partition may, less the operational events (the store keeps them
+	// apart), plus the free list the store grows by one int32 a packet,
+	// appended.
+	feed := func(ps *event.PendingStore) {
 		for _, n := range c.Nodes() {
 			b := c.Logs[n].Batch()
 			ps.AppendRows(n, b, 0, b.Len())
 		}
 	}
+	ps := event.NewPendingStore(0)
+	feed(ps)
+	var w event.Window
+	runtime.ReadMemStats(&before)
+	retired := ps.Retire(&w, 0, true)
+	runtime.ReadMemStats(&after)
+	got = after.TotalAlloc - before.TotalAlloc
+	want -= uint64(ops) * uint64(unsafe.Sizeof(event.Event{}))
+	want += uint64(5 * 4 * len(views))  // append's growth sums to under five times the free list
+	want -= uint64(12 * (total - rows)) // keys and rows cover the store's rows, all packet-scoped
+	t.Logf("cold Retire: %d views: %d bytes, %.2f a row (bound %d + %d)",
+		len(retired), got, float64(got)/float64(rows), want, slack)
+	if len(retired) != len(views) {
+		t.Fatalf("cold retire: %d views, Partition built %d", len(retired), len(views))
+	}
+	if got > want+slack {
+		t.Errorf("a cold Retire allocated %d bytes (%.2f a row), want at most %d + %d slack",
+			got, float64(got)/float64(rows), want, slack)
+	}
+
 	for range 2 { // the second round finds every column, slot and map at size
-		feed()
+		feed(ps)
 		ps.Retire(&w, 0, true)
 	}
 	for round := range 3 {
-		feed()
+		feed(ps)
 		runtime.ReadMemStats(&before)
 		retired := ps.Retire(&w, 0, true)
 		runtime.ReadMemStats(&after)

@@ -181,15 +181,6 @@ type viewArena struct {
 // link packs a row's sender and receiver into a viewArena link.
 func link(sender, receiver NodeID) int64 { return int64(sender)<<32 | int64(receiver) }
 
-// resize empties the arena and gives it n rows for the caller to fill by
-// index, keeping column capacity.
-func (a *viewArena) resize(n int) {
-	a.link = grown(a.link[:0], n)[:n]
-	a.time = grown(a.time[:0], n)[:n]
-	a.typ = grown(a.typ[:0], n)[:n] // the byte column last, as in Batch.Grow
-	a.info = nil
-}
-
 // NewPacketView builds a self-contained view from per-node event slices,
 // preserving each node's order — the construction path for tests and for
 // callers that assemble views by hand. Nodes are laid out in ascending order,
@@ -204,8 +195,7 @@ func NewPacketView(pkt PacketID, perNode map[NodeID][]Event) *PacketView {
 		total += len(evs)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	a := &viewArena{}
-	a.resize(total)
+	a := &viewArena{link: make([]int64, total), time: make([]int64, total), typ: make([]Type, total)}
 	v := &PacketView{Packet: pkt, rows: a, spans: make([]ViewSpan, 0, len(nodes))}
 	r := int32(0)
 	for _, n := range nodes {
@@ -304,12 +294,12 @@ func (v *PacketView) TotalEvents() int {
 	return total
 }
 
-// checkArenaRows panics when a collection has more rows than one Partition
-// call can address: it numbers rows in uint32 and ViewSpan offsets are int32,
-// and past the limit both would wrap silently.
+// checkArenaRows panics when Partition's body is given more rows than one
+// view arena can address: it numbers rows in uint32 and ViewSpan offsets are
+// int32, and past the limit both would wrap silently.
 func checkArenaRows(rows int64) {
 	if rows > math.MaxInt32 {
-		panic(fmt.Sprintf("event: Partition given %d rows, above the %d one arena can address (ViewSpan offsets are int32); analyze the collection in windows (a snapshot analyzed out of core, or a session)", rows, math.MaxInt32))
+		panic(fmt.Sprintf("event: %d rows given to one view arena, above the %d it can address (ViewSpan offsets are int32); analyze the rows in smaller windows (a snapshot analyzed out of core, or a session that advances more often)", rows, math.MaxInt32))
 	}
 }
 

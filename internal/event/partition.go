@@ -1,7 +1,9 @@
 package event
 
 import (
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -27,10 +29,10 @@ import (
 // whatever the collection holds.
 //
 // Partition runs on the calling goroutine; PartitionWorkers is the same body
-// split across several. It serves the batch path only. The session's
-// windows never reach it: PendingStore.Retire lays out the same views
-// straight from the store, which already knows every row's packet, so it
-// sorts packets, not rows.
+// split across several. The sort, the sweep and the gathers (group) are also
+// the body behind PendingStore.Retire, whose own scan hands them the
+// retiring rows of the session's pending store, so a batch and a session
+// window are laid out by the same code.
 func Partition(c *Collection) (views []*PacketView, operational []Event) {
 	return partition(c, 1)
 }
@@ -56,10 +58,12 @@ func PartitionWorkers(c *Collection, workers int) (views []*PacketView, operatio
 	return partition(c, max(1, min(workers, procs, c.TotalEvents()/partitionGrain)))
 }
 
-// partitioner is one Partition call: the logs, the sort's columns and the
-// output. partition runs the serial steps itself and hands each parallel
-// step (a phase) to every helper at once, each working on its own share;
-// the caller is helper 0, and with one helper a phase is a plain call.
+// partitioner is one Partition call, or the recycled state of a Window's
+// retires: the logs, the sort's columns and the output. partition runs the
+// serial steps itself and hands each parallel step (a phase) to every helper
+// at once, each working on its own share; the caller is helper 0, and with
+// one helper a phase is a plain call. group reuses the spare capacity of
+// every column it finds, so a warmed Window allocates nothing.
 type partitioner struct {
 	nodes []NodeID
 	logs  []*Batch
@@ -68,14 +72,25 @@ type partitioner struct {
 	first []uint32
 	total int
 	// The sort reads keys and rows and writes keys2 and rows2, and the two
-	// swap after every pass; shift is the pass's digit. A key is
-	// origin<<32|seq, typed int64 so that the key columns can become the
-	// arena's link and time columns; the radix digits read its bits, so the
-	// order is the unsigned one.
+	// swap after every pass; a pass's digit is the radixBits key bits from
+	// shift up. A key is origin<<32|seq, typed int64 so that the key columns
+	// can become the arena's link and time columns; the radix digits read
+	// its bits, so the order is the unsigned one.
 	keys, keys2 []int64
 	rows, rows2 []uint32
 	shift       uint
-	arena       *viewArena // the output's rows
+	// The gathers' sources: every log's type, time, sender and receiver
+	// column, by node index.
+	typs               [][]Type
+	times              [][]int64
+	senders, receivers [][]NodeID
+	// The sweep's node table (see sweep).
+	blocks []uint32
+	// The output: the rows, the spans, the views and the views' storage.
+	arena   *viewArena
+	spans   []ViewSpan
+	structs []PacketView
+	views   []*PacketView
 
 	shares []share
 	one    [1]share // shares' storage with one helper
@@ -97,8 +112,16 @@ type share struct {
 	varying     uint64
 	ref         int64
 	// hist counts the share's keys by the current pass's digit.
-	hist [256]uint32
+	hist [radixSize]uint32
 }
+
+// A radix digit is radixBits wide. Eleven bits sort a campaign's keys — a
+// few hundred origins, sequence numbers below 2048 — in two passes, where
+// byte digits took three; the histogram, 8 KiB, still sits in L1.
+const (
+	radixBits = 11
+	radixSize = 1 << radixBits
+)
 
 type phase uint8
 
@@ -130,7 +153,7 @@ const (
 // spans; timed end to end on batch-skew, a sweep split at view boundaries
 // saved nothing.
 func partition(c *Collection, helpers int) (views []*PacketView, operational []Event) {
-	p := &partitioner{nodes: c.Nodes(), total: c.TotalEvents()}
+	p := &partitioner{nodes: c.Nodes(), total: c.TotalEvents(), arena: &viewArena{}}
 	checkArenaRows(int64(p.total))
 	p.first = make([]uint32, len(p.nodes)+1)
 	p.logs = make([]*Batch, len(p.nodes))
@@ -185,38 +208,52 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 		sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
 	}
 
-	// The sort. A key byte that does not vary is the same in every key, its
-	// pass would move nothing, and it is skipped: a campaign's few hundred
-	// origins and few thousand sequence numbers sort in three or four
-	// passes, any input in at most eight, and a sparse key space costs
-	// passes, never memory. rows2 ends up spare; the sweep reuses it. keys2
-	// ends up spare too and becomes the arena's time column (with no pass to
-	// run it is allocated for that alone); keys becomes its link column once
-	// the sweep has cut the views.
-	p.keys, p.rows, p.rows2 = p.keys[:n], p.rows[:n], make([]uint32, n)
-	p.keys2 = make([]int64, n)
+	p.keys, p.rows = p.keys[:n], p.rows[:n]
+	views = p.group(varying, hasInfo)
+	if helpers > 1 {
+		p.phase = phaseStop
+		p.bar.wait()
+	}
+	return views, operational
+}
+
+// group is the body Partition and PendingStore.Retire share. Its input is
+// p.keys and p.rows, one entry per row to lay out, in ascending global row
+// order, with varying set where two of the keys differ; it sorts them, cuts
+// the views and spans, gathers the arena rows and, when hasInfo is set,
+// fills the arena's Info table.
+//
+// Each pass starts its digit at the lowest key bit that varies above the
+// last digit, so bits that are the same in every key cost no pass: a
+// campaign's keys sort in two or three passes, any input in at most six,
+// and a sparse key space costs passes, never memory. rows2 ends up spare;
+// the sweep reuses it. keys2 ends up spare too and becomes the arena's time
+// column (with no pass to run it serves that alone); keys becomes its link
+// column once the sweep has cut the views.
+func (p *partitioner) group(varying uint64, hasInfo bool) []*PacketView {
+	n := len(p.keys)
+	p.keys2, p.rows2 = sized(p.keys2, n), sized(p.rows2, n)
 	p.split(n)
-	for p.shift = 0; p.shift < 64; p.shift += 8 {
-		if varying>>p.shift&0xFF == 0 {
-			continue
-		}
+	for p.shift = 0; p.shift < 64 && varying>>p.shift != 0; p.shift += radixBits {
+		p.shift += uint(bits.TrailingZeros64(varying >> p.shift))
 		p.each(phaseHist)
 		p.each(phaseScatter)
 		p.keys, p.keys2, p.rows, p.rows2 = p.keys2, p.keys, p.rows2, p.rows
 	}
 
-	views = p.sweep(n)
-	p.each(phaseGather)
-	if helpers > 1 {
-		p.phase = phaseStop
-		p.bar.wait()
+	views := p.sweep(n)
+	nl := len(p.logs)
+	p.typs, p.times, p.senders, p.receivers = sized(p.typs, nl), sized(p.times, nl), sized(p.senders, nl), sized(p.receivers, nl)
+	for ni, b := range p.logs {
+		p.typs[ni], p.times[ni], p.senders[ni], p.receivers[ni] = b.typ, b.time, b.sender, b.receiver
 	}
+	p.each(phaseGather)
 	if hasInfo { // the arena's table is complete before any worker reads it
 		for j, ni := range p.rows2 {
 			putInfo(&p.arena.info, j, p.logs[ni].info[int32(p.rows[j])])
 		}
 	}
-	return views, operational
+	return views
 }
 
 // helper runs helper w's share of every phase until the caller stops it.
@@ -252,9 +289,9 @@ func (p *partitioner) step(ph phase, w int) {
 	case phaseScan:
 		p.scan(s)
 	case phaseHist:
-		s.hist = [256]uint32{}
+		s.hist = [radixSize]uint32{}
 		for _, k := range p.keys[s.lo:s.hi] {
-			s.hist[byte(k>>p.shift)]++
+			s.hist[digit(k, p.shift)]++
 		}
 	case phaseScatter:
 		p.scatter(w)
@@ -325,7 +362,7 @@ func (p *partitioner) scan(s *share) {
 // by the current digit: after every key with a smaller digit, and after the
 // keys with the same digit in earlier shares.
 func (p *partitioner) scatter(w int) {
-	var next [256]uint32 // next[d]: where the share's next key with digit d goes
+	var next [radixSize]uint32 // next[d]: where the share's next key with digit d goes
 	sum := uint32(0)
 	for d := range next {
 		for v := range p.shares {
@@ -339,54 +376,81 @@ func (p *partitioner) scatter(w int) {
 	keys2, rows2, shift := p.keys2, p.rows2, p.shift
 	rows := p.rows[s.lo:s.hi]
 	for i, k := range p.keys[s.lo:s.hi] {
-		d := byte(k >> shift)
+		d := digit(k, shift)
 		keys2[next[d]], rows2[next[d]] = k, rows[i]
 		next[d]++
 	}
 }
 
+// blockRows is how many global rows one entry of the sweep's node table
+// covers.
+const blockRows = 256
+
+// digit is key k's radix digit from bit shift up, read unsigned.
+func digit(k int64, shift uint) uint64 { return uint64(k) >> shift & (radixSize - 1) }
+
 // sweep resolves each sorted row from a global number to its node index
-// (in rows2) and its row in that node's log (in rows), cuts a view at every
-// key change and a span at every node change inside a view, and makes the
-// arena: its time column is keys2, and its link column is keys, which the
-// gathers overwrite once the views hold the packets. Row numbers ascend
-// inside a packet, so the node changes only when one passes the end of the
-// current node's log.
+// (in rows2) and its row in that node's log (in rows), and cuts a view at
+// every key change and a span at every node change inside a view. Row
+// numbers ascend inside a packet, so the node changes only when one passes
+// the end of the current node's log. The first pass notes where each span
+// starts, and whether a view starts there, in keys2, which is spare until
+// the gathers fill it as the arena's time column; the second makes the
+// views and spans from those notes alone. The arena's link column is keys,
+// which the gathers overwrite once the views hold the packets.
 func (p *partitioner) sweep(n int) []*PacketView {
-	keys, rows, nis, first := p.keys, p.rows, p.rows2, p.first
+	keys, rows, nis, first, starts := p.keys, p.rows, p.rows2, p.first, p.keys2
+	// blocks[b] is the node that holds global row b*blockRows, so a row's
+	// node is found from its block's by stepping over the logs that begin
+	// inside the block, mostly none: cheaper than a binary search, whose
+	// probes mispredict.
+	blocks := sized(p.blocks, (int(first[len(first)-1])+blockRows-1)/blockRows)
+	for b := range blocks {
+		blocks[b] = uint32(nodeOfRow(first, uint32(b*blockRows)))
+	}
+	p.blocks = blocks
 	nviews, nspans := 0, 0
 	for j, ni := 0, 0; j < n; j++ {
 		newView := j == 0 || keys[j] != keys[j-1]
-		if newView {
-			nviews++
-		}
 		if newView || rows[j] >= first[ni+1] {
-			ni = nodeOfRow(first, rows[j])
+			ni = int(blocks[rows[j]/blockRows])
+			for rows[j] >= first[ni+1] {
+				ni++
+			}
+			starts[nspans] = int64(j) << 1
+			if newView {
+				starts[nspans] |= 1
+				nviews++
+			}
 			nspans++
 		}
 		nis[j], rows[j] = uint32(ni), rows[j]-first[ni]
 	}
 
-	p.arena = &viewArena{link: keys, time: p.keys2, typ: make([]Type, n)}
+	a := p.arena
+	a.link, a.time, a.typ, a.info = keys, p.keys2, sized(a.typ, n), nil
 	p.keys, p.keys2 = nil, nil
-	spans := make([]ViewSpan, 0, nspans)
-	structs := make([]PacketView, 0, nviews)
-	views := make([]*PacketView, 0, nviews)
+	spans := sized(p.spans, nspans)
+	structs := sized(p.structs, nviews)[:0]
+	views := sized(p.views, nviews)[:0]
 	var v *PacketView
-	for j := 0; j < n; j++ {
-		newView := j == 0 || keys[j] != keys[j-1]
-		if newView {
+	vs := 0 // the current view's first span
+	for s, st := range starts[:nspans] {
+		j, end := int32(st>>1), int32(n)
+		if s+1 < nspans {
+			end = int32(starts[s+1] >> 1)
+		}
+		if st&1 != 0 {
 			pkt := PacketID{Origin: NodeID(keys[j] >> 32), Seq: uint32(keys[j])}
-			structs = append(structs, PacketView{Packet: pkt, rows: p.arena})
+			structs = append(structs, PacketView{Packet: pkt, rows: a})
 			v = &structs[len(structs)-1]
 			views = append(views, v)
+			vs = s
 		}
-		if newView || nis[j] != nis[j-1] {
-			spans = append(spans, ViewSpan{Node: p.nodes[nis[j]], Start: int32(j)})
-			v.spans = spans[len(spans)-len(v.spans)-1 : len(spans) : len(spans)] // one longer
-		}
-		spans[len(spans)-1].End = int32(j + 1)
+		spans[s] = ViewSpan{Node: p.nodes[nis[j]], Start: j, End: end}
+		v.spans = spans[vs : s+1 : s+1]
 	}
+	p.spans, p.structs, p.views = spans, structs, views
 	return views
 }
 
@@ -398,13 +462,9 @@ func (p *partitioner) sweep(n int) []*PacketView {
 func (p *partitioner) gatherRows(s *share) {
 	lo, hi, arena := s.lo, s.hi, p.arena
 	nis, rows := p.rows2[lo:hi], p.rows[lo:hi]
-	gather(arena.typ[lo:hi], p.logs, nis, rows, func(b *Batch) []Type { return b.typ })
-	gather(arena.time[lo:hi], p.logs, nis, rows, func(b *Batch) []int64 { return b.time })
-	snd, rcv := make([][]NodeID, len(p.logs)), make([][]NodeID, len(p.logs))
-	for ni, b := range p.logs {
-		snd[ni], rcv[ni] = b.sender, b.receiver
-	}
-	l := arena.link[lo:hi]
+	gather(arena.typ[lo:hi], p.typs, nis, rows)
+	gather(arena.time[lo:hi], p.times, nis, rows)
+	snd, rcv, l := p.senders, p.receivers, arena.link[lo:hi]
 	for j := range l {
 		l[j] = link(snd[nis[j]][rows[j]], 0)
 	}
@@ -419,12 +479,15 @@ func nodeOfRow(first []uint32, r uint32) int {
 	return sort.Search(len(first)-1, func(ni int) bool { return first[ni+1] > r })
 }
 
-// gather fills one arena column: dst[j] is row rows[j] of log nis[j]'s col.
-func gather[T any](dst []T, logs []*Batch, nis, rows []uint32, col func(*Batch) []T) {
-	src := make([][]T, len(logs))
-	for ni, b := range logs {
-		src[ni] = col(b)
-	}
+// sized returns s resized to n elements: its own storage when that holds
+// n, else storage grown as append grows it, so a Window that retires ever
+// larger windows reallocates a column now and then, not at every retire.
+// Nil grows to exactly n.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// gather fills one arena column: dst[j] is row rows[j] of source column
+// src[nis[j]].
+func gather[T any](dst []T, src [][]T, nis, rows []uint32) {
 	for j := range dst {
 		dst[j] = src[nis[j]][rows[j]]
 	}

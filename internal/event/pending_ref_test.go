@@ -100,9 +100,14 @@ func pendingOf(ps *PendingStore) *Collection {
 // be shown not to be vacuous: retires that complete nothing, retires that
 // leave survivors, a RetireAll that carries out the MaxInt64 packet, appends
 // served by the node's previous-packet cache, a retired slot reused for a
-// different packet, a packet appended again after it retired, and a retire
-// into a window smaller than the one before.
-type scheduleStats struct{ idle, partial, maxDrained, cacheHits, recycled, reappeared, shrank int }
+// different packet, a packet appended again after it retired, a retire into
+// a window smaller than the one before, a retiring packet split on three or
+// more nodes by a survivor between two of its rows in each, and a retire
+// that leaves Info on both sides.
+type scheduleStats struct {
+	idle, partial, maxDrained, cacheHits, recycled, reappeared, shrank int
+	interleaved, infoSplit                                             int
+}
 
 func (st *scheduleStats) add(o scheduleStats) {
 	st.idle += o.idle
@@ -112,6 +117,8 @@ func (st *scheduleStats) add(o scheduleStats) {
 	st.recycled += o.recycled
 	st.reappeared += o.reappeared
 	st.shrank += o.shrank
+	st.interleaved += o.interleaved
+	st.infoSplit += o.infoSplit
 }
 
 // runPendingSchedule interprets prog against both stores and fails on the
@@ -187,7 +194,7 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 			// The wrappers retire through ps.spare, one Window recycled
 			// across every step: a stale row, span or Info column left
 			// from a larger window shows up against a smaller one.
-			sameViews(t, step, ps.spare.views, wantRows)
+			sameViews(t, step, ps.spare.p.views, wantRows)
 			if g, w := collected(window), canonical(slices.Clone(wantRows)); !slices.Equal(g, w) {
 				t.Fatalf("step %d: retired rows differ\n got %+v\nwant %+v", step, g, w)
 			}
@@ -199,6 +206,12 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 			}
 			for _, e := range wantRows {
 				retired[e.Packet] = true
+			}
+			if interleavedOn(before, retired) >= 3 {
+				st.interleaved++
+			}
+			if slices.ContainsFunc(wantRows, hasInfo) && slices.ContainsFunc(ref.evs, hasInfo) {
+				st.infoSplit++
 			}
 			switch {
 			case got == 0 && len(before) > 0:
@@ -224,6 +237,39 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 		checkSlots(t, step, ps)
 	}
 	return st
+}
+
+func hasInfo(e Event) bool { return e.Info != "" }
+
+// interleavedOn returns the most nodes on which one retiring packet has a
+// surviving row between two of its own rows: logs holds each node's rows
+// before the retire, and retiring marks the packets it moves out.
+func interleavedOn(logs map[NodeID][]Event, retiring map[PacketID]bool) int {
+	nodes := make(map[PacketID]int)
+	for _, evs := range logs {
+		split := make(map[PacketID]bool)
+		open := make(map[PacketID]bool) // seen a row, then a survivor
+		for _, e := range evs {
+			if !retiring[e.Packet] {
+				for p := range open {
+					open[p] = true
+				}
+				continue
+			}
+			if survivor, seen := open[e.Packet]; seen && survivor {
+				split[e.Packet] = true
+			}
+			open[e.Packet] = false
+		}
+		for p := range split {
+			nodes[p]++
+		}
+	}
+	most := 0
+	for _, k := range nodes {
+		most = max(most, k)
+	}
+	return most
 }
 
 // sameViews fails unless got are exactly Partition's views over the retired
@@ -297,7 +343,8 @@ func checkSlots(t *testing.T, step int, ps *PendingStore) {
 }
 
 // pendingSeeds are the schedules both the test and the fuzz corpus start
-// from: random programs of a few hundred steps.
+// from: random programs of a few hundred steps, and two written by hand for
+// the retire's split between the rows it lays out and the rows it keeps.
 func pendingSeeds() [][]byte {
 	var seeds [][]byte
 	for s := int64(1); s <= 24; s++ {
@@ -306,7 +353,50 @@ func pendingSeeds() [][]byte {
 		rng.Read(prog)
 		seeds = append(seeds, prog)
 	}
-	return seeds
+	return append(seeds, interleavedSeed(), infoSeed())
+}
+
+// Hand-written schedule steps. An append's operand a moves the clock by a%8
+// and stamps the row a>>4 before it, with Info when a%5 == 0; packet p is
+// origin p%7+1, seq p/7. A retire's cutoff is the clock - 40 + c.
+func appendStep(node, p, a byte) []byte { return []byte{0, node, p, a} }
+func retireStep(c byte) []byte          { return []byte{12, c} }
+
+var retireAllStep = []byte{15, 0}
+
+// interleavedSeed puts packet 1's rows on nodes 1–3 with a row of packet 2
+// after each, so every node's log reads 1, 2, 1, 2. Packet 1 is last seen at
+// 1034, packet 2 at 1048, and the cutoff 1038 retires packet 1 alone: its
+// view has three spans, each cut around a survivor.
+func interleavedSeed() []byte {
+	var prog []byte
+	for node := byte(0); node < 3; node++ {
+		for range 2 {
+			prog = append(prog, appendStep(node, 1, 0x71)...) // +1, stamped 7 early
+			prog = append(prog, appendStep(node, 2, 0x07)...) // +7
+		}
+	}
+	prog = append(prog, retireStep(30)...)
+	return append(prog, retireAllStep...)
+}
+
+// infoSeed gives every row Info over two advances. Nodes 1–3 log packet 1
+// (last seen 1007) then packet 2 (1021), and the cutoff 1011 retires packet
+// 1 while packet 2's rows slide down with their Info. Then packet 3 follows
+// on each node (1042), and the cutoff 1032 retires packet 2 from its moved
+// rows while packet 3 keeps its Info.
+func infoSeed() []byte {
+	var prog []byte
+	for node := byte(0); node < 3; node++ {
+		prog = append(prog, appendStep(node, 1, 0x78)...) // +0, stamped 7 early
+		prog = append(prog, appendStep(node, 2, 0x0F)...) // +7
+	}
+	prog = append(prog, retireStep(30)...)
+	for node := byte(0); node < 3; node++ {
+		prog = append(prog, appendStep(node, 3, 0x0F)...)
+	}
+	prog = append(prog, retireStep(30)...)
+	return append(prog, retireAllStep...)
 }
 
 func TestPendingStoreMatchesReference(t *testing.T) {
@@ -315,7 +405,8 @@ func TestPendingStoreMatchesReference(t *testing.T) {
 		total.add(runPendingSchedule(t, prog))
 	}
 	if total.idle == 0 || total.partial == 0 || total.maxDrained == 0 ||
-		total.cacheHits == 0 || total.recycled == 0 || total.reappeared == 0 || total.shrank == 0 {
+		total.cacheHits == 0 || total.recycled == 0 || total.reappeared == 0 || total.shrank == 0 ||
+		total.interleaved == 0 || total.infoSplit < 2 {
 		t.Fatalf("seed schedules are vacuous: %+v (want every case scheduleStats names)", total)
 	}
 	t.Logf("seed schedules reach %+v", total)

@@ -68,10 +68,6 @@ type packetSlot struct {
 	id   PacketID
 	last int64
 	live bool
-	// The retire that frees the slot counts the packet's rows and spans
-	// here, then uses them as its next arena row and span; node is the
-	// ordinal (plus one) of the last node that opened a span for it.
-	rows, spans, node int32
 }
 
 // NewPendingStore returns an empty store. The argument was an origin-shard
@@ -215,25 +211,17 @@ func (ps *PendingStore) AppendPendingTo(dst *Collection) {
 }
 
 // Window is what a retire hands the engine: the retired packets as views in
-// packet-ID order, laid out exactly as Partition lays out a collection of the
-// same rows — one packet-shaped arena in view order, each view's rows node
-// by node in ascending node order, each node's in log order, one span per
-// node. Its storage is recycled, so the views are valid only until the next
+// packet-ID order, laid out by Partition's own body over the same rows — one
+// packet-shaped arena in view order, each view's rows node by node in
+// ascending node order, each node's in log order, one span per node. It
+// keeps that body's columns between retires (the sort's key columns live on
+// as the arena's link and time), so the views are valid only until the next
 // retire into the same Window. A zero Window is ready to use.
 //
 //refill:owned
 type Window struct {
-	arena   viewArena
-	spans   []ViewSpan
-	structs []PacketView
-	views   []*PacketView
-	order   []keyedSlot // the retiring packets, sorted by ID
-}
-
-// keyedSlot is a retiring packet's slot under its sort key, origin<<32|seq.
-type keyedSlot struct {
-	key  uint64
-	slot int32
+	arena viewArena
+	p     partitioner
 }
 
 // RetireAll moves every buffered packet out of the store and into dst — the
@@ -269,79 +257,73 @@ func (ps *PendingStore) retireTo(cutoff int64, all bool, dst *Collection) int {
 // for row and span for span. An advance that completes nothing returns no
 // views before touching a row.
 //
-// It frees the retiring slots and drops each from the intern map, then makes
-// two passes over the nodes in ascending order. The first counts each
-// retiring packet's rows and spans. The packets are then sorted by ID — a
-// sort of packets, not of rows — and their counts summed into arena and span
-// offsets. The second pass scatters every retiring row into its packet's next
-// arena row, opening a span when the packet meets a new node, and slides the
-// survivors down over the holes. A row costs a slot-column read and, if it
-// leaves, a copy of its type, sender, receiver and time (the arena keeps no
-// node or packet column); no map operation.
+// It frees the retiring slots and drops each from the intern map. Then a
+// scan over the nodes in ascending order, each log in order, gives every
+// row whose slot is no longer live its key origin<<32|seq and its global
+// row number, as Partition's scan does for a collection of the retired rows
+// alone, and Partition's sort, sweep and gathers (group) lay out the views.
+// Last, each node's survivors slide down over the holes. A row costs a
+// slot-column read and, if it leaves, the sort's and the gathers' work; no
+// map operation.
 func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView {
-	w.views = w.views[:0]
+	p := &w.p
 	free := len(ps.free)
 	for s := range ps.slots {
 		if sl := &ps.slots[s]; sl.live && (all || sl.last < cutoff) {
-			sl.live, sl.rows, sl.spans, sl.node = false, 0, 0, 0
+			sl.live = false
 			delete(ps.ids, sl.id)
 			ps.free = append(ps.free, int32(s))
 		}
 	}
-	retiring := ps.free[free:]
-	if len(retiring) == 0 {
-		return w.views
+	if len(ps.free) == free {
+		p.views = p.views[:0]
+		return p.views
 	}
-	for ord, pl := range ps.logs {
+
+	// The scan. Global row numbers count the rows of the logs that have
+	// retiring rows, so a node with none takes no entry in first. keys and
+	// rows are sized for every buffered row, as Partition sizes them for
+	// every row of the collection.
+	checkArenaRows(int64(ps.rows))
+	p.arena, p.shares = &w.arena, p.one[:]
+	p.keys, p.rows = sized(w.arena.link, ps.rows), sized(p.rows, ps.rows)
+	p.keys2 = w.arena.time
+	p.nodes, p.logs, p.first = p.nodes[:0], p.logs[:0], append(p.first[:0], 0)
+	n, hasInfo := 0, false
+	var varying uint64
+	var ref int64
+	for _, pl := range ps.logs {
 		pl.prev = -1
-		for _, s := range pl.slot {
+		base, n0 := p.first[len(p.first)-1], n
+		for i, s := range pl.slot {
 			if sl := &ps.slots[s]; !sl.live {
-				if sl.node != int32(ord+1) {
-					sl.node, sl.spans = int32(ord+1), sl.spans+1
+				k := int64(sl.id.Origin)<<32 | int64(sl.id.Seq)
+				if n == 0 {
+					ref = k
 				}
-				sl.rows++
-				pl.out++
+				p.keys[n], p.rows[n] = k, base+uint32(i)
+				varying |= uint64(k ^ ref)
+				n++
 			}
 		}
+		if pl.out = n - n0; pl.out > 0 {
+			p.nodes, p.logs = append(p.nodes, pl.node), append(p.logs, &pl.b)
+			p.first = append(p.first, base+uint32(len(pl.slot)))
+			hasInfo = hasInfo || len(pl.b.info) > 0
+		}
 	}
-	w.order = w.order[:0]
-	rows, spans := int32(0), int32(0)
-	for _, s := range retiring {
-		sl := &ps.slots[s]
-		w.order = append(w.order, keyedSlot{uint64(sl.id.Origin)<<32 | uint64(sl.id.Seq), s})
-		rows, spans = rows+sl.rows, spans+sl.spans
-	}
-	slices.SortFunc(w.order, func(a, b keyedSlot) int { return cmp.Compare(a.key, b.key) })
-	a := &w.arena
-	a.resize(int(rows))
-	w.spans = grown(w.spans[:0], int(spans))[:spans]
-	w.structs = grown(w.structs[:0], len(retiring))[:len(retiring)]
-	rows, spans = 0, 0
-	for k, o := range w.order {
-		sl := &ps.slots[o.slot]
-		w.structs[k] = PacketView{Packet: sl.id, rows: a, spans: w.spans[spans : spans+sl.spans : spans+sl.spans]}
-		w.views = append(w.views, &w.structs[k])
-		rows, spans, sl.rows, sl.spans, sl.node = rows+sl.rows, spans+sl.spans, rows, spans, 0
-	}
-	for ord, pl := range ps.logs {
+	p.keys, p.rows = p.keys[:n], p.rows[:n]
+	views := p.group(varying, hasInfo)
+
+	for _, pl := range ps.logs {
 		if pl.out == 0 {
 			continue
 		}
 		b := &pl.b
 		keep := 0
 		for i, s := range pl.slot {
-			if sl := &ps.slots[s]; !sl.live {
-				r := sl.rows
-				if sl.node != int32(ord+1) {
-					sl.node = int32(ord + 1)
-					w.spans[sl.spans] = ViewSpan{Node: pl.node, Start: r}
-					sl.spans++
-				}
-				w.spans[sl.spans-1].End = r + 1
-				sl.rows++
-				a.typ[r], a.link[r], a.time[r] = b.typ[i], link(b.sender[i], b.receiver[i]), b.time[i]
-				if len(b.info) > 0 { // the arena's table is complete before any worker reads it
-					putInfo(&a.info, int(r), b.info[int32(i)])
+			if !ps.slots[s].live {
+				if len(b.info) > 0 {
 					delete(b.info, int32(i))
 				}
 				continue
@@ -364,5 +346,5 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 		b.Resize(keep)
 		pl.slot = pl.slot[:keep]
 	}
-	return w.views
+	return views
 }

@@ -27,7 +27,7 @@ type ClockRecoveryResult struct {
 // ClockRecovery runs a campaign, reconstructs flows, recovers clocks, and
 // scores them against the logging layer's ground truth.
 func ClockRecovery(c *Campaign) *ClockRecoveryResult {
-	est := clocksync.Estimate(c.Out.Result.Flows, event.Server, 0)
+	est := clocksync.Estimate(c.Out.Result.Flows, event.Server)
 	// Reconstruct the true clocks deterministically, exactly as the
 	// campaign's collector assigned them.
 	lc := logging.DefaultConfig(c.Res.Config.Seed + 1)

@@ -26,7 +26,7 @@ type DelayResult struct {
 
 // Delays computes the study on a finished campaign.
 func Delays(c *Campaign) *DelayResult {
-	clocks := clocksync.Estimate(c.Out.Result.Flows, event.Server, 0)
+	clocks := clocksync.Estimate(c.Out.Result.Flows, event.Server)
 	corrected := stats.Compute(c.Out.Result.Flows, clocks)
 	raw := stats.Compute(c.Out.Result.Flows, nil)
 	truth := make(map[event.PacketID]int64)

@@ -126,7 +126,7 @@ func TestEndToEndDelayRecovery(t *testing.T) {
 			truth[id] = f.Time - f.GenTime
 		}
 	}
-	clocks := clocksync.Estimate(out.Result.Flows, event.Server, 0)
+	clocks := clocksync.Estimate(out.Result.Flows, event.Server)
 	corrected := Compute(out.Result.Flows, clocks)
 	raw := Compute(out.Result.Flows, nil)
 	medCorr, n1 := DelayError(corrected, truth)

@@ -468,22 +468,11 @@ type (
 	ClockParams = clocksync.Params
 )
 
-// ClockOption tunes RecoverClocks (WithClockSweeps, WithClockMinPairings).
-type ClockOption = clocksync.Option
-
-// WithClockSweeps bounds the Gauss–Seidel iterations (<= 0 uses 10).
-func WithClockSweeps(n int) ClockOption { return clocksync.WithSweeps(n) }
-
-// WithClockMinPairings drops nodes with fewer than n cross-node pairings —
-// too few to estimate reliably — before solving; they are reported in
-// ClockMap.Unanchored.
-func WithClockMinPairings(n int) ClockOption { return clocksync.WithMinPairings(n) }
-
 // RecoverClocks estimates the network's clocks from reconstructed flows,
-// anchored at anchor (normally refill.Server). With no options it uses the
-// defaults: 10 Gauss–Seidel sweeps, every paired node kept.
-func RecoverClocks(flows []*Flow, anchor NodeID, opts ...ClockOption) *ClockMap {
-	return clocksync.EstimateWith(flows, anchor, opts...)
+// anchored at anchor (normally refill.Server), with 10 Gauss–Seidel sweeps
+// over every paired node.
+func RecoverClocks(flows []*Flow, anchor NodeID) *ClockMap {
+	return clocksync.Estimate(flows, anchor)
 }
 
 // Per-packet performance measurement (Section II: "per-packet delay, packet
