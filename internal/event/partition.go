@@ -3,7 +3,6 @@ package event
 import (
 	"math/bits"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -479,11 +478,16 @@ func nodeOfRow(first []uint32, r uint32) int {
 	return sort.Search(len(first)-1, func(ni int) bool { return first[ni+1] > r })
 }
 
-// sized returns s resized to n elements: its own storage when that holds
-// n, else storage grown as append grows it, so a Window that retires ever
-// larger windows reallocates a column now and then, not at every retire.
-// Nil grows to exactly n.
-func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+// sized returns s resized to n elements, its contents undefined: its own
+// storage when that holds n, else new storage a quarter larger than the old
+// (or n), so a Window that retires ever larger windows reallocates a
+// column now and then, not at every retire. Nil grows to exactly n.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, max(n, cap(s)+cap(s)/4))
+	}
+	return s[:n]
+}
 
 // gather fills one arena column: dst[j] is row rows[j] of source column
 // src[nis[j]].
