@@ -644,7 +644,8 @@ func BenchmarkSnapshot(b *testing.B) {
 	})
 	b.Run("open-analyze-windowed", func(b *testing.B) {
 		// The out-of-core path on the same snapshot: windowed reconstruction
-		// straight off the mapping, sized to force several residency windows.
+		// reading each window's rows from the file, sized to force several
+		// residency windows.
 		// Serial (Parallelism 1) so allocs/op is deterministic for benchguard;
 		// flows retained, as cmd/refill does and as the baseline row records.
 		wan, err := NewAnalyzer(AnalyzerOptions{},

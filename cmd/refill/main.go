@@ -11,12 +11,12 @@
 //	refill convert -in logs.txt -out logs.snap
 //
 // A columnar snapshot (-from-snapshot, or the convert subcommand's default
-// output) is a page-aligned image of the in-memory collection: analysis runs
-// directly over the memory-mapped file with no parse step and no per-event
-// allocations, which is the fastest way to re-analyze a large campaign.
-// -from-snapshot analyzes out of core by default — windowed reconstruction
-// straight off the mapping, so snapshots larger than memory work; tune the
-// residency window with -window-rows.
+// output) is a page-aligned image of the in-memory collection: it opens as
+// a memory-mapped file with no parse step and no per-event allocations,
+// which is the fastest way to re-analyze a large campaign. -from-snapshot
+// analyzes out of core by default — windowed reconstruction that reads each
+// node's rows of a window from the file, so snapshots larger than memory
+// work; tune the residency window with -window-rows.
 //
 // Flows are kept only when a flag reads them (-flows, -trace, -clocks): the
 // summary's packet, inferred-event and anomaly counts and the cause table
@@ -138,8 +138,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var out *refill.Output
 	if snap != nil {
-		// Out of core off a snapshot: windowed reconstruction straight off
-		// the mapping keeps the working set to ~two residency windows, so
+		// Out of core off a snapshot: windowed reconstruction reads each
+		// node's rows of a window from the file, so no more of the snapshot
+		// is resident than one span of columns and the pending rows, and
 		// snapshots larger than memory analyze fine.
 		out = an.AnalyzeSnapshot(snap, refill.SnapshotOptions{
 			WindowRows:    *winRows,

@@ -105,11 +105,11 @@ var WallClock = &Analyzer{
 	},
 }
 
-// PoolHygiene enforces the sync.Pool contract the engine's run pool relies
-// on: once a value is Put back, the putting function must not touch it again
-// — a retained reference races with the next Get of the same object. The
-// check is block-local: any statement after `pool.Put(x)` in the same block
-// that mentions x is reported.
+// PoolHygiene enforces the sync.Pool contract: once a value is Put back,
+// the putting function must not touch it again — a retained reference races
+// with the next Get of the same object. The check is block-local: any
+// statement after `pool.Put(x)` in the same block that mentions x is
+// reported.
 var PoolHygiene = &Analyzer{
 	Name: "poolhygiene",
 	Doc:  "no use of a value after handing it to sync.Pool.Put",

@@ -277,7 +277,9 @@ func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output {
 // SnapshotOptions tunes AnalyzeSnapshot.
 type SnapshotOptions struct {
 	// WindowRows is the target row count per residency window; 0 selects
-	// 1<<20, about 30 MiB of hot columns, two windows resident at a time.
+	// 1<<20. A window's rows are read from the file a node at a time, so it
+	// bounds the pending rows and the analysis per window, not how much of
+	// the file is resident: none of its columns is, past the window plan.
 	WindowRows int
 	// SessionConfig opens the session the windows feed. Horizon <= 0 uses
 	// the exact within-packet spread: the one the snapshot records
@@ -296,16 +298,18 @@ var scanSpread = event.MaxPacketSpread
 
 // AnalyzeSnapshot runs the full pipeline over an open snapshot out of core,
 // as a source feeding one ingest session: for each residency window
-// (event.PlanWindows) it appends every node's rows of the window straight
-// from the mapped columns (Session.AppendRows, one call per node), punctuates
-// every node at the window's cut — each unfed row lies strictly above it —
-// and advances the session to the cut; then it drains. Each window is
-// prefetched while the previous one computes and released once fed, so the
-// resident set is about two windows of columns plus the in-flight pending
-// rows. Output is byte-identical to Analyze over snap.Collection(), except
-// that Result.Flows is nil without RetainFlows. A collection whose logs are
-// not time-ordered cannot be windowed and is analyzed in memory instead,
-// through the batch driver under the same retention choice.
+// (event.PlanWindows) it reads every node's rows of the window from the file
+// into one recycled span (Snapshot.ReadSpan) and appends them
+// (Session.AppendRows, one call per node), punctuates every node at the
+// window's cut — each unfed row lies strictly above it — and advances the
+// session to the cut; then it drains. The plan scans the mapped time column;
+// once it is made the mapping's pages are dropped (Snapshot.Evict) and no row
+// is read through the mapping again, so the resident set is one node's span
+// of columns plus the in-flight pending rows and the window's analysis.
+// Output is byte-identical to Analyze over snap.Collection(), except that
+// Result.Flows is nil without RetainFlows. A collection whose logs are not
+// time-ordered cannot be windowed and is analyzed in memory instead, through
+// the batch driver under the same retention choice.
 // Worker count follows Options.Parallelism, 0 selecting all cores.
 func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *Output {
 	c := snap.Collection()
@@ -324,17 +328,20 @@ func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *
 			sc.Horizon = scanSpread(c)
 		}
 	}
+	snap.Evict()
 	sess, err := a.NewSession(sc)
 	if err != nil {
 		panic(err) // unreachable: the analyzer has a sink and the horizon is not negative
 	}
 	// A fresh session fails Append and Advance only after Drain.
+	var span event.Batch
 	last := plan.Windows() - 1
 	for k := 0; k <= last; k++ {
-		snap.PrefetchWindow(plan, k+1)
 		for i, n := range plan.Nodes() {
-			lo, hi := plan.Span(k, i)
-			_ = sess.AppendRows(n, c.Logs[n].Batch(), lo, hi)
+			if lo, hi := plan.Span(k, i); lo < hi {
+				snap.ReadSpan(plan, k, i, &span)
+				_ = sess.AppendRows(n, &span, 0, span.Len())
+			}
 		}
 		if k < last { // the last cut is math.MaxInt64: Drain retires it
 			for _, n := range plan.Nodes() {
@@ -342,7 +349,6 @@ func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *
 			}
 			_, _ = sess.Advance(plan.Cut(k))
 		}
-		snap.ReleaseWindow(plan, k)
 	}
 	res, rep := sess.Drain()
 	return &Output{Result: res, Report: rep}

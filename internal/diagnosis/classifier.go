@@ -242,7 +242,14 @@ func (c *Classifier) Classify(f *flow.Flow) Outcome {
 	return out
 }
 
-var classifierPool = sync.Pool{New: func() any { return NewClassifier() }}
+// classifiers is the free list behind Classify, under classifiersMu: a
+// sync.Pool would drop its classifiers at every GC cycle. A classifier taken
+// off it belongs to one Classify call until that call puts it back.
+var (
+	classifiersMu sync.Mutex
+	//refill:allow shardowner — free list under classifiersMu: a listed classifier is in no caller's hands
+	classifiers []*Classifier
+)
 
 // Classify diagnoses a single reconstructed flow without outage knowledge
 // (see Report for the outage-aware pipeline).
@@ -262,8 +269,20 @@ var classifierPool = sync.Pool{New: func() any { return NewClassifier() }}
 // superseded: the sender merely never learned — its ack log was lost — and
 // the packet's real frontier is downstream.
 func Classify(f *flow.Flow) Outcome {
-	c := classifierPool.Get().(*Classifier)
+	var c *Classifier
+	classifiersMu.Lock()
+	if k := len(classifiers); k > 0 {
+		//refill:allow shardowner — taken off the free list under classifiersMu: this call owns it now
+		c, classifiers = classifiers[k-1], classifiers[:k-1]
+	}
+	classifiersMu.Unlock()
+	if c == nil {
+		c = NewClassifier()
+	}
 	out := c.Classify(f)
-	classifierPool.Put(c)
+	classifiersMu.Lock()
+	//refill:allow shardowner — put back under classifiersMu; this call does not touch it again
+	classifiers = append(classifiers, c)
+	classifiersMu.Unlock()
 	return out
 }

@@ -1,11 +1,12 @@
 package diagnosis
 
 // Classifier-specific coverage: scratch reuse must never leak state between
-// flows (a reused classifier agrees with a fresh one and with the pooled
-// package-level Classify on every fixture), the path/loop scratch must agree
+// flows (a reused classifier agrees with a fresh one and with the
+// package-level Classify on its free list on every fixture), the path/loop scratch must agree
 // with flow.Path/HasLoop, and steady-state classification must not allocate.
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/event"
@@ -62,7 +63,7 @@ func fixtureFlows() []*flow.Flow {
 
 // TestClassifierReuseMatchesFresh runs every fixture through one reused
 // classifier, repeatedly and in varying order, and pins each outcome to a
-// fresh classifier's and to the pooled package-level Classify.
+// fresh classifier's and to the package-level Classify.
 func TestClassifierReuseMatchesFresh(t *testing.T) {
 	flows := fixtureFlows()
 	reused := NewClassifier()
@@ -79,10 +80,37 @@ func TestClassifierReuseMatchesFresh(t *testing.T) {
 				t.Errorf("round %d: reused outcome = %+v, want %+v", round, got, want)
 			}
 			if got := Classify(f); got != want {
-				t.Errorf("round %d: pooled outcome = %+v, want %+v", round, got, want)
+				t.Errorf("round %d: package-level outcome = %+v, want %+v", round, got, want)
 			}
 		}
 	}
+}
+
+// TestClassifyConcurrent runs the package-level Classify from several
+// goroutines at once: each call must take a classifier off the free list no
+// other call holds (run it with -race).
+func TestClassifyConcurrent(t *testing.T) {
+	flows := fixtureFlows()
+	want := make([]Outcome, len(flows))
+	for i, f := range flows {
+		want[i] = NewClassifier().Classify(f)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				for i, f := range flows {
+					if got := Classify(f); got != want[i] {
+						t.Errorf("fixture %d: outcome = %+v, want %+v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestClassifierLoopMatchesFlowPath pins the in-place path scratch to the

@@ -114,14 +114,14 @@ type fusion struct {
 // counted and classified, so the worker recycles one flow's worth of chunks
 // through the whole run. The worker owns its scratch for the duration of the
 // run and nothing of it crosses to another worker: its run (recycled through
-// the engine's pool, so a serial caller analyzing many small windows does not
-// allocate one per call), its output arena (its flows stay on memory it
-// touched), and under fusion its classifier scratch and its aggregate. What
+// the engine's free list, so a serial caller analyzing many small windows
+// does not allocate one per call), its output arena (its flows stay on memory
+// it touched), and under fusion its classifier scratch and its aggregate. What
 // leaves is the return value, the worker's slot for drive's join: its counts
 // and its aggregate (nil without fusion); Flows and Outcomes stay nil there,
 // written in place instead.
 func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) Parts {
-	r := e.runPool.Get().(*run)
+	r := e.getRun()
 	arena := flow.NewArena(sizing)
 	var cl *diagnosis.Classifier
 	var p Parts
@@ -145,7 +145,7 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 			}
 		}
 	}
-	e.runPool.Put(r)
+	e.putRun(r)
 	return p
 }
 
@@ -264,9 +264,9 @@ func (e *Engine) AnalyzeViews(views []*event.PacketView) []*flow.Flow {
 // many flows share chunked storage.
 func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
 	var a flow.Arena
-	r := e.runPool.Get().(*run)
+	r := e.getRun()
 	f := r.analyze(e, v, &a)
-	e.runPool.Put(r)
+	e.putRun(r)
 	return f
 }
 

@@ -55,8 +55,10 @@ type resolvedPrereq struct {
 	inferTo fsm.StateID   // fsm.NoState when the graph lacks the state
 }
 
-// graphPrereqs holds every event type's resolved prerequisites for one graph.
+// graphPrereqs is one role's template: its graph and every event type's
+// prerequisites resolved against it.
 type graphPrereqs struct {
+	graph *fsm.Graph
 	inter []resolvedPrereq // indexed by event.Type
 	self  []resolvedPrereq
 }
@@ -74,17 +76,39 @@ func (gp *graphPrereqs) rule(t event.Type, self bool) resolvedPrereq {
 type Engine struct {
 	opts Options
 	// interPrereq / selfPrereq are the protocol's prerequisite rules as
-	// dense per-type tables; prereqs resolves their state names per role
-	// graph. sentBound[t] marks rules that bind a transmission target
-	// (PeerRole sender, AnyOf includes Sent) for checkPeerBinding.
+	// dense per-type tables; roles holds each role's graph with their state
+	// names resolved in it, so a visit finds its template by one index.
+	// sentBound[t] marks rules that bind a transmission target (PeerRole
+	// sender, AnyOf includes Sent) for checkPeerBinding.
 	interPrereq [event.NumTypes]prereqRule
 	selfPrereq  [event.NumTypes]prereqRule
 	sentBound   [event.NumTypes]bool
-	prereqs     map[*fsm.Graph]*graphPrereqs
-	// runPool recycles per-packet run state (node tables, visit structs)
-	// across AnalyzePacket calls and driver workers; safe for concurrent
-	// use.
-	runPool sync.Pool
+	roles       [fsm.RoleServer + 1]*graphPrereqs // indexed by fsm.NodeRole
+	// runs is a free list of per-packet run state (node tables, visit
+	// structs) for AnalyzePacket calls and driver workers, under runMu: a
+	// sync.Pool would drop its runs at every GC cycle, and a caller
+	// analyzing window after window would allocate them again.
+	runMu sync.Mutex
+	runs  []*run
+}
+
+// getRun takes a run off the free list, or makes one.
+func (e *Engine) getRun() *run {
+	e.runMu.Lock()
+	defer e.runMu.Unlock()
+	if k := len(e.runs); k > 0 {
+		r := e.runs[k-1]
+		e.runs = e.runs[:k-1]
+		return r
+	}
+	return new(run)
+}
+
+// putRun returns r to the free list; the caller must not touch it again.
+func (e *Engine) putRun(r *run) {
+	e.runMu.Lock()
+	e.runs = append(e.runs, r)
+	e.runMu.Unlock()
 }
 
 // New validates options and returns an Engine.
@@ -101,7 +125,7 @@ func New(opts Options) (*Engine, error) {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 256
 	}
-	e := &Engine{opts: opts, prereqs: make(map[*fsm.Graph]*graphPrereqs, 4)}
+	e := &Engine{opts: opts}
 	for t := 0; t < event.NumTypes; t++ {
 		if pr, ok := opts.Protocol.Prereq(event.Type(t)); ok {
 			e.interPrereq[t] = prereqRule{pr: pr, ok: true}
@@ -117,12 +141,10 @@ func New(opts Options) (*Engine, error) {
 			e.selfPrereq[t] = prereqRule{pr: pr, ok: true}
 		}
 	}
-	for _, role := range []fsm.NodeRole{fsm.RoleOrigin, fsm.RoleForward, fsm.RoleSink, fsm.RoleServer} {
+	for role := fsm.RoleOrigin; role <= fsm.RoleServer; role++ {
 		g := opts.Protocol.Graph(role)
-		if _, done := e.prereqs[g]; done {
-			continue
-		}
 		gp := &graphPrereqs{
+			graph: g,
 			inter: make([]resolvedPrereq, event.NumTypes),
 			self:  make([]resolvedPrereq, event.NumTypes),
 		}
@@ -130,9 +152,8 @@ func New(opts Options) (*Engine, error) {
 			gp.inter[t] = resolvePrereq(g, e.interPrereq[t])
 			gp.self[t] = resolvePrereq(g, e.selfPrereq[t])
 		}
-		e.prereqs[g] = gp
+		e.roles[role] = gp
 	}
-	e.runPool.New = func() any { return new(run) }
 	return e, nil
 }
 
@@ -270,7 +291,7 @@ func (q queueSpan) empty() bool { return q.cur >= q.end }
 // per-node bookkeeping is slice-backed, indexed by a dense per-packet node
 // index (nodes), so the per-event hot path performs no map operations; the
 // whole struct — including retired visit structs and the reusable output
-// scratch — is recycled, either through the engine's run pool (standalone
+// scratch — is recycled, either through the engine's free list (standalone
 // AnalyzePacket calls) or by a driver worker owning one run outright. The
 // unconsumed input lives in the view's columnar batch, addressed by
 // queueSpan row ranges.
@@ -280,7 +301,7 @@ func (q queueSpan) empty() bool { return q.cur >= q.end }
 // them as exact-sized arena spans at the end, so steady-state reconstruction
 // allocates nothing per flow beyond the amortized arena chunks.
 //
-//refill:owned — per-packet run state: one run per worker, recycled through runPool only between packets
+//refill:owned — per-packet run state: one run per worker, recycled through the engine's free list only between packets
 type run struct {
 	e    *Engine
 	pkt  event.PacketID
@@ -366,9 +387,9 @@ func (r *run) roleOf(n event.NodeID) fsm.NodeRole {
 	}
 }
 
-// newVisit opens a visit on graph g at node index ni, reusing a retired
+// newVisit opens a visit on template gp at node index ni, reusing a retired
 // visit struct when one is available.
-func (r *run) newVisit(ni int, g *fsm.Graph, index int) *visit {
+func (r *run) newVisit(ni int, gp *graphPrereqs, index int) *visit {
 	var v *visit
 	if k := len(r.spare); k > 0 {
 		v = r.spare[k-1]
@@ -378,10 +399,10 @@ func (r *run) newVisit(ni int, g *fsm.Graph, index int) *visit {
 		v = new(visit)
 	}
 	v.node = r.nodes[ni]
-	v.graph = g
-	v.gp = r.e.prereqs[g]
+	v.graph = gp.graph
+	v.gp = gp
 	v.index = index
-	v.cur = g.Start()
+	v.cur = gp.graph.Start()
 	v.peer = event.NoNode
 	v.lastPos = -1
 	r.current[ni] = v
@@ -395,25 +416,24 @@ func (r *run) visitFor(ni int) *visit {
 	if v := r.current[ni]; v != nil {
 		return v
 	}
-	g := r.e.opts.Protocol.Graph(r.roleOf(r.nodes[ni]))
-	return r.newVisit(ni, g, 0)
+	return r.newVisit(ni, r.e.roles[r.roleOf(r.nodes[ni])], 0)
 }
 
-// rotate closes the node's current visit and opens a fresh one on graph g
+// rotate closes the node's current visit and opens a fresh one on template gp
 // (the packet revisiting the node: routing loop or duplicate copy). A loop
 // can bring a packet back to its own origin, in which case the new visit runs
 // the forwarding template instead of the origin one.
-func (r *run) rotate(ni int, g *fsm.Graph) *visit {
+func (r *run) rotate(ni int, gp *graphPrereqs) *visit {
 	old := r.current[ni]
-	return r.newVisit(ni, g, old.index+1)
+	return r.newVisit(ni, gp, old.index+1)
 }
 
 // altGraph returns the alternative template a node may run on a revisit:
 // an origin caught in a routing loop acts as a forwarder. Other roles have
 // no alternative.
-func (r *run) altGraph(n event.NodeID) *fsm.Graph {
+func (r *run) altGraph(n event.NodeID) *graphPrereqs {
 	if r.roleOf(n) == fsm.RoleOrigin {
-		return r.e.opts.Protocol.Graph(fsm.RoleForward)
+		return r.e.roles[fsm.RoleForward]
 	}
 	return nil
 }
@@ -505,11 +525,11 @@ func (r *run) process(ni int, ev event.Event, depth int) bool {
 		// a routing loop, on the forwarding template — the packet is
 		// revisiting the node.
 		if v.cur != v.graph.Start() && r.startCan(v.graph, label) {
-			v = r.rotate(ni, v.graph)
+			v = r.rotate(ni, v.gp)
 			tr, ok = r.transitionFor(v, label)
 		}
 		if !ok {
-			if alt := r.altGraph(n); alt != nil && alt != v.graph && r.startCan(alt, label) {
+			if alt := r.altGraph(n); alt != nil && alt.graph != v.graph && r.startCan(alt.graph, label) {
 				v = r.rotate(ni, alt)
 				tr, ok = r.transitionFor(v, label)
 			}
@@ -853,7 +873,7 @@ func (r *run) inferRoute(ni int, v *visit, t event.Type, self bool) ([]fsm.Trans
 		}
 		// Current visit cannot reach the prerequisite (terminal drop):
 		// the prerequisite belongs to a fresh visit of the packet at p.
-		nv := r.rotate(ni, v.graph)
+		nv := r.rotate(ni, v.gp)
 		if path, ok := nv.graph.PathTo(nv.cur, inferTo); ok {
 			return path, nv, true
 		}
@@ -861,8 +881,8 @@ func (r *run) inferRoute(ni int, v *visit, t event.Type, self bool) ([]fsm.Trans
 	}
 	// The node's own template does not know the prerequisite state at all
 	// (an origin asked for Received): use the forwarding template.
-	if alt := r.altGraph(r.nodes[ni]); alt != nil && alt != v.graph {
-		if inferTo := r.e.prereqs[alt].rule(t, self).inferTo; inferTo != fsm.NoState {
+	if alt := r.altGraph(r.nodes[ni]); alt != nil && alt.graph != v.graph {
+		if inferTo := alt.rule(t, self).inferTo; inferTo != fsm.NoState {
 			nv := r.rotate(ni, alt)
 			if path, ok := nv.graph.PathTo(nv.cur, inferTo); ok {
 				return path, nv, true

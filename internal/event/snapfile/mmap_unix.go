@@ -3,6 +3,7 @@
 package snapfile
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"syscall"
@@ -10,13 +11,17 @@ import (
 
 // Open maps the file read-only and validates it. Section slices alias the
 // page cache: no copy, no per-event allocation, contents materialize on
-// first touch. Close unmaps.
-func Open(path string) (*Snapshot, error) {
+// first touch. The file stays open for ReadAt; Close unmaps and closes it.
+func Open(path string) (s *Snapshot, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -32,12 +37,16 @@ func Open(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapfile: mmap %s: %w", path, err)
 	}
-	s, err := Parse(data)
-	if err != nil {
+	if s, err = Parse(data); err != nil {
 		syscall.Munmap(data)
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
-	s.unmap = func() error { return syscall.Munmap(data) }
-	s.mapped = true
+	s.unmap = func() error { return errors.Join(syscall.Munmap(data), f.Close()) }
+	s.file = f
 	return s, nil
 }
+
+// sysDontNeed drops b's resident pages (b is a whole live mapping). The error
+// is deliberately dropped: madvise is advisory, and a declined hint must never
+// fail an analysis.
+func sysDontNeed(b []byte) { _ = syscall.Madvise(b, syscall.MADV_DONTNEED) }

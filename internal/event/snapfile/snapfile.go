@@ -259,11 +259,11 @@ type Snapshot struct {
 	data     []byte
 	sections []SectionInfo
 	unmap    func() error
-	// mapped is true only when data is a real file-backed mmap (the unix
-	// Open path). Advise is gated on it: madvise hints — DONTNEED in
-	// particular — are only meaningful (and only safe) on a mapping, never
-	// on the portable read-into-buffer fallback or a Parse-handed slice.
-	mapped bool
+	// file is set only when data is a real file-backed mmap (the unix Open
+	// path): ReadAt reads it, and Evict is gated on it, since DONTNEED is
+	// only meaningful (and only safe) on a mapping, never on the portable
+	// read-into-buffer fallback or a Parse-handed slice.
+	file *os.File
 }
 
 // Parse validates a snapshot image held in memory and returns a Snapshot
@@ -370,7 +370,7 @@ func (s *Snapshot) VerifiedSection(id uint32, size uint64) ([]byte, bool) {
 }
 
 // SectionRange returns the file offset and length of the section with the
-// given id without materializing a slice — the coordinate space Advise
+// given id without materializing a slice — the coordinate space ReadAt
 // operates in.
 func (s *Snapshot) SectionRange(id uint32) (off, n uint64, ok bool) {
 	for _, e := range s.sections {
@@ -385,55 +385,33 @@ func (s *Snapshot) SectionRange(id uint32) (off, n uint64, ok bool) {
 // snapshot's own storage — read-only.
 func (s *Snapshot) Sections() []SectionInfo { return s.sections }
 
-// Advice selects the residency hint Advise forwards to the OS.
-type Advice int
+// ReadAt copies len(p) bytes at file offset off into p, as io.ReaderAt does:
+// from the file itself when Open mapped it (so the bytes never become this
+// process's mapped pages), else from the buffer the portable Open read or
+// Parse was handed. A read that comes up short returns the bytes it got and
+// an error — io.EOF when the file ends first, as it does when it is
+// truncated after Open.
+func (s *Snapshot) ReadAt(p []byte, off int64) (int, error) {
+	if s.file != nil {
+		return s.file.ReadAt(p, off)
+	}
+	if off < 0 || off > int64(len(s.data)) {
+		return 0, io.EOF
+	}
+	if n := copy(p, s.data[off:]); n < len(p) {
+		return n, io.EOF
+	}
+	return len(p), nil
+}
 
-const (
-	// AdviseWillNeed asks the OS to start faulting the range in ahead of
-	// use (read-ahead for a window about to be processed).
-	AdviseWillNeed Advice = iota
-	// AdviseDontNeed tells the OS the range will not be touched again
-	// soon, releasing its pages back under memory pressure. On a read-only
-	// file-backed mapping this is always safe: a later touch re-faults
-	// from the page cache or disk.
-	AdviseDontNeed
-)
-
-// Advise passes a residency hint for the file byte range [off, off+n) to the
-// OS. Hints are advisory and best-effort: Advise does nothing on a
-// Parse-built snapshot or under the portable (refill_nommap) Open — only a
-// real mapping has page residency to steer — and a declined hint is ignored.
-// WILLNEED ranges are widened outward to page boundaries (prefetching a
-// little more never hurts); DONTNEED ranges are narrowed inward, so a page
-// shared with a neighboring still-live range is never dropped.
-func (s *Snapshot) Advise(off, n uint64, a Advice) {
-	if !s.mapped || n == 0 || off >= uint64(len(s.data)) {
-		return
+// Evict drops the mapping's resident pages (MADV_DONTNEED): a later touch of
+// a section slice faults its page back in from the page cache, so it costs
+// time, never data. It does nothing on a Parse-built snapshot or under the
+// portable (refill_nommap) Open, which have no mapping.
+func (s *Snapshot) Evict() {
+	if s.file != nil {
+		sysDontNeed(s.data)
 	}
-	end := off + n
-	if end > uint64(len(s.data)) {
-		end = uint64(len(s.data))
-	}
-	page := uint64(os.Getpagesize())
-	switch a {
-	case AdviseWillNeed:
-		off -= off % page
-		if rem := end % page; rem != 0 {
-			end += page - rem
-			if end > uint64(len(s.data)) {
-				end = uint64(len(s.data))
-			}
-		}
-	case AdviseDontNeed:
-		if rem := off % page; rem != 0 {
-			off += page - rem
-		}
-		end -= end % page
-	}
-	if off >= end {
-		return
-	}
-	sysMadvise(s.data[off:end], a)
 }
 
 // Size returns the total file size in bytes.
@@ -451,11 +429,12 @@ func (s *Snapshot) Verify() error {
 	return nil
 }
 
-// Close releases the mapping (or buffer). Section slices handed out earlier
-// must not be used afterwards. Close is a no-op on a Parse-built snapshot.
+// Close releases the mapping (or buffer) and the file. Section slices handed
+// out earlier must not be used afterwards. Close is a no-op on a Parse-built
+// snapshot.
 func (s *Snapshot) Close() error {
 	unmap := s.unmap
-	s.unmap = nil
+	s.unmap, s.file = nil, nil
 	s.data = nil
 	s.sections = nil
 	if unmap != nil {

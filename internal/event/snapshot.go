@@ -335,6 +335,7 @@ func attachInfo(c *Collection, logs []Log, s *snapfile.Snapshot, base uint32, in
 // by the owner, after all reads) drops the mapping.
 type Snapshot struct {
 	file *snapfile.Snapshot
+	path string // named by ReadSpan's panic; "" for an in-memory image
 	c    *Collection
 	// spread is the recorded max packet spread, -1 when none can be trusted.
 	spread int64
@@ -375,6 +376,7 @@ func OpenSnapshot(path string) (*Snapshot, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
+	s.path = path
 	return s, nil
 }
 
@@ -416,6 +418,11 @@ func (s *Snapshot) RecordedSpread() (int64, bool) { return s.spread, s.spread >=
 
 // Rows returns the total event count.
 func (s *Snapshot) Rows() int { return s.c.TotalEvents() }
+
+// Evict drops the mapping's resident pages (snapfile.Snapshot.Evict): a later
+// read through Collection() faults them back in. The windowed path calls it
+// once its plan is made, since from then on it reads rows with ReadSpan.
+func (s *Snapshot) Evict() { s.file.Evict() }
 
 // Verify runs the full data-CRC pass over the underlying file — the O(data)
 // check the O(1) open skips (see snapfile.Snapshot.Verify).

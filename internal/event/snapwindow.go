@@ -5,24 +5,22 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-
-	"repro/internal/event/snapfile"
 )
 
 // Residency windows: the out-of-core analysis path (core.Analyzer.
-// AnalyzeSnapshot) feeds a mapped snapshot to an ingest session one
-// time-window at a time, punctuating every node at the window's cut so the
-// session finalizes the packets the window completes. The planner below cuts
-// a collection into row-balanced windows by TIME — so after window k every
-// unfed row is strictly above its cut, as punctuating there asserts — while
-// feeding by per-node ROW RANGES, so a window touches only its own pages of
-// the mapping. The bridge between the two is the repo-wide log assumption
-// made explicit: per-node logs are append-only in local-clock order, so "rows
-// with time <= t" is a per-node prefix and one binary search per node turns a
-// time cut into a row bound. PlanWindows verifies the assumption (one
-// sequential pass over the time column — the only full-column touch the plan
-// costs) and refuses collections that violate it rather than feeding rows
-// twice or never.
+// AnalyzeSnapshot) feeds a snapshot to an ingest session one time-window at a
+// time, punctuating every node at the window's cut so the session finalizes
+// the packets the window completes. The planner below cuts a collection into
+// row-balanced windows by TIME — so after window k every unfed row is
+// strictly above its cut, as punctuating there asserts — while feeding by
+// per-node ROW RANGES, so a window reads only its own rows of the file
+// (Snapshot.ReadSpan). The bridge between the two is the repo-wide log
+// assumption made explicit: per-node logs are append-only in local-clock
+// order, so "rows with time <= t" is a per-node prefix and one binary search
+// per node turns a time cut into a row bound. PlanWindows verifies the
+// assumption (one sequential pass over the time column — the only
+// full-column touch the plan costs) and refuses collections that violate it
+// rather than feeding rows twice or never.
 
 // WindowPlan is a residency-window schedule over a collection: ascending time
 // cuts, and for every (window, node) the exclusive row bound of the node's
@@ -250,59 +248,46 @@ func (t *spanTable) fold(s packetSpan) {
 	}
 }
 
-// adviseColumns maps each hot column section to its element width, for
-// translating a window's row ranges into file byte ranges.
-var adviseColumns = [...]struct {
-	id   uint32
-	elem uint64
-}{
-	{secNode, 4}, {secType, 1}, {secSender, 4}, {secReceiver, 4},
-	{secOrigin, 4}, {secSeq, 4}, {secTime, 8},
+// ReadSpan replaces dst's rows with node Nodes()[i]'s rows of window k
+// (Span(k, i)), read from the snapshot file, not through the mapping: one
+// read per column at the plan's global row offsets, plus the span's Info
+// entries. The plan must have been built over this snapshot's own
+// Collection, whose node order and log lengths are the file's. A failed or
+// short read panics naming the file and offset: a file truncated under an
+// open snapshot must stop the analysis, not feed it short rows.
+func (s *Snapshot) ReadSpan(p *WindowPlan, k, i int, dst *Batch) {
+	lo, hi := p.Span(k, i)
+	n := hi - lo
+	dst.Resize(0)
+	if n > cap(dst.time) {
+		dst.Grow(max(n, 2*cap(dst.time)))
+	}
+	dst.Resize(n)
+	g := p.rowStart[i] + uint64(lo)
+	readColumn(s, secNode, g, dst.node)
+	readColumn(s, secType, g, dst.typ)
+	readColumn(s, secSender, g, dst.sender)
+	readColumn(s, secReceiver, g, dst.receiver)
+	readColumn(s, secOrigin, g, dst.origin)
+	readColumn(s, secSeq, g, dst.seq)
+	readColumn(s, secTime, g, dst.time)
+	clear(dst.info)
+	if src := s.c.Logs[p.nodes[i]].batch.info; len(src) > 0 {
+		for j := lo; j < hi; j++ {
+			putInfo(&dst.info, j-lo, src[int32(j)])
+		}
+	}
 }
 
-// adviseWindow forwards a residency hint for every hot-column byte range
-// window k touches. The plan must have been built over this snapshot's own
-// Collection: node order (ascending) and per-node row counts then match the
-// span index, so the plan's global row offsets address the mapped columns
-// exactly. Out-of-range k is ignored (the prefetch of the window after the
-// last one).
-func (s *Snapshot) adviseWindow(p *WindowPlan, k int, a snapfile.Advice) {
-	if k < 0 || k >= p.Windows() {
+// readColumn fills col from column section id, starting at global row g.
+func readColumn[T any](s *Snapshot, id uint32, g uint64, col []T) {
+	b := rawBytes(col)
+	if len(b) == 0 {
 		return
 	}
-	for i := range p.nodes {
-		lo, hi := p.Span(k, i)
-		if lo >= hi {
-			continue
-		}
-		gLo, gHi := p.rowStart[i]+uint64(lo), p.rowStart[i]+uint64(hi)
-		for _, col := range adviseColumns {
-			off, n, ok := s.file.SectionRange(col.id)
-			if !ok {
-				continue
-			}
-			b, e := gLo*col.elem, gHi*col.elem
-			if e > n {
-				e = n
-			}
-			if b >= e {
-				continue
-			}
-			s.file.Advise(off+b, e-b, a)
-		}
+	off, _, _ := s.file.SectionRange(id)
+	off += g * uint64(len(b)/len(col))
+	if n, err := s.file.ReadAt(b, int64(off)); n < len(b) {
+		panic(fmt.Sprintf("event: snapshot %s: read %d of %d bytes at offset %d: %v", s.path, n, len(b), off, err))
 	}
 }
-
-// PrefetchWindow asks the OS to start faulting window k's column pages in —
-// called for window k+1 while window k is being processed, so the next
-// window's reads overlap the current window's compute. Best-effort; a no-op
-// without a real mapping (refill_nommap) or past the last window.
-func (s *Snapshot) PrefetchWindow(p *WindowPlan, k int) {
-	s.adviseWindow(p, k, snapfile.AdviseWillNeed)
-}
-
-// ReleaseWindow tells the OS window k's column pages will not be touched
-// again, bounding the analysis working set to roughly two windows. Safe
-// unconditionally: the mapping is read-only and file-backed, so a stray later
-// touch just re-faults.
-func (s *Snapshot) ReleaseWindow(p *WindowPlan, k int) { s.adviseWindow(p, k, snapfile.AdviseDontNeed) }

@@ -86,7 +86,7 @@ func (r NodeRole) String() string {
 // as "a duplicate implies this node received the packet before").
 type Protocol struct {
 	name        string
-	graphs      map[NodeRole]*Graph
+	graphs      [RoleServer + 1]*Graph // indexed by role; index 0 is unused
 	prereqs     map[event.Type]Prereq
 	selfPrereqs map[event.Type]Prereq
 }
@@ -96,7 +96,12 @@ func (p *Protocol) Name() string { return p.name }
 
 // Graph returns the template for a role (nil only for a NodeRole outside the
 // four NewProtocol requires).
-func (p *Protocol) Graph(role NodeRole) *Graph { return p.graphs[role] }
+func (p *Protocol) Graph(role NodeRole) *Graph {
+	if int(role) >= len(p.graphs) {
+		return nil
+	}
+	return p.graphs[role]
+}
 
 // Prereq returns the prerequisite rule for an event type, if any.
 func (p *Protocol) Prereq(t event.Type) (Prereq, bool) {
@@ -149,7 +154,11 @@ func NewProtocol(name string, graphs map[NodeRole]*Graph, prereqs map[event.Type
 			}
 		}
 	}
-	return &Protocol{name: name, graphs: graphs, prereqs: prereqs}, nil
+	p := &Protocol{name: name, prereqs: prereqs}
+	for _, role := range roles {
+		p.graphs[role] = graphs[role]
+	}
+	return p, nil
 }
 
 // WithSelfPrereqs attaches self-prerequisite rules (builder-style).

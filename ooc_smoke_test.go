@@ -4,11 +4,13 @@ package refill
 // heap limit and require the report to be byte-identical to batch analysis
 // of the same campaign. CI runs this gated test in its own leg with
 // GOMEMLIMIT set well below the snapshot size (see .github/workflows/
-// ci.yml): the mapped columns never enter the Go heap, and the windowed
-// session keeps the heap to the current window plus the in-flight pending
-// rows, so the analysis proceeds where a fully-resident load would thrash.
-// The campaign is synthetic (a multi-hop chain per packet) so the row volume
-// is controlled exactly and the completeness horizon is known by
+// ci.yml): the windowed session reads each node's rows of a window from the
+// file into one recycled span, so the heap holds that span plus the
+// in-flight pending rows, and the analysis proceeds where a fully-resident
+// load would thrash. GOMEMLIMIT bounds only the Go heap, so on Linux the test
+// also bounds the file pages the process holds mapped in (RssFile), which no
+// heap limit sees: they must grow by less than an eighth of the snapshot. The campaign is synthetic (a multi-hop chain per packet) so the
+// row volume is controlled exactly and the completeness horizon is known by
 // construction rather than measured.
 
 import (
@@ -17,6 +19,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -85,6 +89,7 @@ func TestOutOfCoreSnapshotSmoke(t *testing.T) {
 	path := snapshotPath(t, logs)
 	logs = nil
 	runtime.GC()
+	fileBefore, haveRss := rssFile(t)
 	snap, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
@@ -115,4 +120,35 @@ func TestOutOfCoreSnapshotSmoke(t *testing.T) {
 	if gotText := RenderBreakdown(got.Report); gotText != wantText {
 		t.Errorf("out-of-core breakdown diverged:\n got: %s\nwant: %s", gotText, wantText)
 	}
+	if haveRss {
+		fileAfter, _ := rssFile(t)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := fi.Size()
+		t.Logf("RssFile %d MB before open, %d MB after the analysis; snapshot %d MB", fileBefore>>20, fileAfter>>20, size>>20)
+		if fileAfter-fileBefore >= size/8 {
+			t.Errorf("RssFile grew by %d MB over the analysis, not under an eighth of the %d MB snapshot: its pages stayed mapped in", (fileAfter-fileBefore)>>20, size>>20)
+		}
+	}
+}
+
+// rssFile returns the process's resident file-backed bytes (RssFile in
+// /proc/self/status), and false where the kernel reports none.
+func rssFile(t *testing.T) (int64, bool) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "RssFile:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			return kb << 10, true
+		}
+	}
+	return 0, false
 }

@@ -317,13 +317,14 @@ func TestSnapshotSessionFromMappedCollection(t *testing.T) {
 func sc(horizon int64) SessionConfig { return SessionConfig{Horizon: horizon} }
 
 // TestSnapshotOutOfCoreEquivalence pins the out-of-core path: windowed
-// reconstruction straight off the mapping (Analyzer.AnalyzeSnapshot) must be
-// byte-identical to batch analysis of the same collection — across window
-// sizes small enough to force many residency windows, with and without an
-// explicit horizon, with flows discarded, and through the in-memory fallback
-// for logs the window planner refuses. Runs under -race and under the
-// refill_nommap tag like the rest of this file, so the madvise-hinted mmap
-// walk and the portable buffer walk carry the same guarantee.
+// reconstruction that reads each window's rows from the file
+// (Analyzer.AnalyzeSnapshot) must be byte-identical to batch analysis of the
+// same collection — across window sizes small enough to force many
+// residency windows, with and without an explicit horizon, with flows
+// discarded, and through the in-memory fallback for logs the window planner
+// refuses. Runs under -race and under the refill_nommap tag like the rest of
+// this file, so reads from the mapped file and copies from the portable
+// buffer carry the same guarantee.
 func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
