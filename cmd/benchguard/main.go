@@ -11,11 +11,9 @@
 // flaking. A row may not run more goroutines than Ps: eight workers on one
 // P made BenchmarkAnalyzeSkewed's bytes vary by 15% with the scheduler, so
 // it runs one worker per P as BenchmarkAnalyzeSkewed/workers=procs. Over
-// five consecutive runs of the CI command every row repeated its B/op
-// within 0.2%; the windowed and session-snapshot rows move by about 27 KB at
-// a time (in the windowed row, a table of the pending store's packet map,
-// whose growth follows the map's random hash seed), and three rows by 16
-// bytes. A benchmark regresses when its allocs/op or its B/op exceeds the
+// five consecutive runs of the CI command every row repeated its B/op to
+// the byte but BenchmarkAnalyzeSkewed/workers=procs, which moved by 16
+// bytes once. A benchmark regresses when its allocs/op or its B/op exceeds the
 // baseline by more than -tolerance (default 10%). The ns/op delta against the baseline is printed
 // alongside each verdict line; it is informational only and never fails the
 // run (time, throughput and memory are measured end to end by bench/, see

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,15 +37,21 @@ import (
 // co-indexed with the views the run was given (packet-ID order) and Aggregate
 // covers exactly those outcomes. InferredEvents and Anomalies total the run's
 // flows, counted while each flow is hot whether it is kept or not, so a run
-// without flows still reports them. Window callers Fold many Parts into one,
-// which keeps that order, so the accumulation is ready to report as it
-// stands; the batch entry points assemble a single run's directly.
+// without flows still reports them. Window callers Fold many Parts into one
+// and Settle it before reading its Flows or Outcomes in order; the batch
+// entry points assemble a single run's directly.
 type Parts struct {
 	Flows          []*flow.Flow
 	Outcomes       []diagnosis.Outcome
 	Aggregate      *diagnosis.Aggregate
 	InferredEvents int
 	Anomalies      int
+	// runs holds where each sorted run of Outcomes (and Flows) after the
+	// first begins, oldest first; none once settled. spare is the merges'
+	// scratch.
+	runs       []int
+	spare      []diagnosis.Outcome
+	spareFlows []*flow.Flow
 }
 
 // Result assembles the batch-shaped Result of p: its flows and counters
@@ -53,10 +60,16 @@ func (p *Parts) Result(ops []event.Event) *Result {
 	return &Result{Operational: ops, Flows: p.Flows, InferredEvents: p.InferredEvents, Anomalies: p.Anomalies}
 }
 
-// Fold merges one window's parts into the running accumulation p, whose
-// Aggregate must be non-nil. Both sides are in packet-ID order — a window's
-// views come out of the pending store's Retire sorted, and every earlier
-// Fold kept p sorted.
+// Fold adds one window's parts to the running accumulation p, whose
+// Aggregate must be non-nil. A window's outcomes are in packet-ID order (its
+// views come out of the pending store's Retire sorted) but interleave with
+// earlier windows', so merging each window into everything folded before
+// moves the whole accumulation every time: O(N·W) for W windows. Fold
+// appends the window as a sorted run instead and, as a binary counter
+// carries, merges the newest two runs while the newer one's length has as
+// many bits as the older one's. So the runs' lengths fall by powers of two,
+// and W similar windows cost O(N log W) moves; where runs fall depends only
+// on the windows' sizes, never on the worker count.
 // Fold merges whatever flows the window carries: whether a window keeps its
 // flows is decided once, by the driver run that produced it
 // (AnalyzeWindowDiagnosed's keepFlows), and a window run without them
@@ -64,19 +77,59 @@ func (p *Parts) Result(ops []event.Event) *Result {
 // packet keys, so merging each by its key moves them alike and, as long as
 // every window keeps flows or none does, they stay co-indexed.
 func (p *Parts) Fold(w Parts) {
-	p.Outcomes = mergeSorted(p.Outcomes, w.Outcomes, func(a, b diagnosis.Outcome) bool { return a.Packet.Less(b.Packet) })
-	p.Flows = mergeSorted(p.Flows, w.Flows, func(a, b *flow.Flow) bool { return a.Packet.Less(b.Packet) })
+	if len(p.Outcomes) > 0 && len(w.Outcomes) > 0 {
+		p.runs = append(p.runs, len(p.Outcomes))
+	}
+	p.Outcomes = append(p.Outcomes, w.Outcomes...)
+	p.Flows = append(p.Flows, w.Flows...)
+	for k := len(p.runs); k > 0; k-- {
+		newer, older := len(p.Outcomes)-p.runs[k-1], p.runs[k-1]-p.runStart(k-1)
+		if bits.Len(uint(newer)) < bits.Len(uint(older)) {
+			break
+		}
+		p.mergeTop()
+	}
 	p.Aggregate.Merge(w.Aggregate)
 	p.InferredEvents += w.InferredEvents
 	p.Anomalies += w.Anomalies
+}
+
+// Settle merges every run Fold left, so that Outcomes and Flows are in
+// packet-ID order: the stable sort of every window folded, in fold order.
+func (p *Parts) Settle() {
+	for len(p.runs) > 0 {
+		p.mergeTop()
+	}
+}
+
+// runStart is where the run before runs[k] starts.
+func (p *Parts) runStart(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return p.runs[k-1]
+}
+
+// mergeTop merges the newest run, copied to the scratch, into the one
+// before it; on a tie (a packet split across windows by too small a
+// horizon) the older window's element stays first.
+func (p *Parts) mergeTop() {
+	k := len(p.runs) - 1
+	lo, mid := p.runStart(k), p.runs[k]
+	p.runs = p.runs[:k]
+	p.spare = append(p.spare[:0], p.Outcomes[mid:]...)
+	mergeSorted(p.Outcomes[lo:mid], p.spare, func(a, b diagnosis.Outcome) bool { return a.Packet.Less(b.Packet) })
+	if len(p.Flows) > 0 {
+		p.spareFlows = append(p.spareFlows[:0], p.Flows[mid:]...)
+		mergeSorted(p.Flows[lo:mid], p.spareFlows, func(a, b *flow.Flow) bool { return a.Packet.Less(b.Packet) })
+	}
 }
 
 // mergeSorted merges src into dst, both sorted by less, and returns the
 // grown dst. It runs backwards in place, from the ends of both into dst's
 // grown tail: O(len(dst)+len(src)) moves, no allocation beyond dst's own
 // amortized growth, and every slot is written only after it was read. On a
-// tie (a packet split across windows by too small a horizon) dst's element
-// stays first.
+// tie dst's element stays first.
 func mergeSorted[T any](dst, src []T, less func(a, b T) bool) []T {
 	i, j := len(dst)-1, len(src)-1
 	dst = append(dst, src...)

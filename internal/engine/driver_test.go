@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -61,6 +62,7 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 				}
 				acc.Fold(w)
 			}
+			acc.Settle()
 			if acc.InferredEvents != inferred || acc.Anomalies != anomalies {
 				t.Fatalf("trial %d keepFlows=%v: folded counters %d/%d, want %d/%d",
 					trial, keep, acc.InferredEvents, acc.Anomalies, inferred, anomalies)
@@ -81,6 +83,73 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 				if acc.Flows[k] != flowOf[o.LossTime] {
 					t.Fatalf("trial %d: flow %d is not outcome %d's", trial, k, k)
 				}
+			}
+		}
+	}
+}
+
+// TestPartsFoldManyWindows folds a long session's worth of windows — every
+// origin's sequence numbers advancing window by window, so each window's
+// packets interleave with all earlier ones in packet-ID order, some windows
+// empty, a few packets split across two — and requires the settled
+// accumulation to equal one stable sort of every window, flows moved in
+// step, while the unmerged runs stay within one per bit of the total.
+func TestPartsFoldManyWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var windows []Parts
+	var all []diagnosis.Outcome
+	flowOf := make(map[int64]*flow.Flow)
+	serial := int64(0)
+	next := make([]uint32, 40) // each origin's next sequence number
+	for w := 0; w < 500; w++ {
+		var win Parts
+		for o := range next {
+			for n := rng.Intn(4); n > 0; n-- {
+				serial++
+				win.Outcomes = append(win.Outcomes, diagnosis.Outcome{Packet: event.PacketID{Origin: event.NodeID(o), Seq: next[o]}, LossTime: serial})
+				if rng.Intn(50) > 0 { // else the packet recurs in the next window
+					next[o]++
+				}
+			}
+		}
+		if w%7 == 3 {
+			win.Outcomes = nil
+		}
+		for _, o := range win.Outcomes {
+			f := &flow.Flow{Packet: o.Packet}
+			flowOf[o.LossTime] = f
+			win.Flows = append(win.Flows, f)
+		}
+		win.Aggregate = diagnosis.NewAggregate(1, 0, 0, 0)
+		windows = append(windows, win)
+		all = append(all, win.Outcomes...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Packet.Less(all[j].Packet) })
+
+	for _, keep := range []bool{true, false} {
+		acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0, 0, 0)}
+		for k, w := range windows {
+			if !keep {
+				w.Flows = nil
+			}
+			acc.Fold(w)
+			if len(acc.runs) > bits.Len(uint(len(acc.Outcomes))) {
+				t.Fatalf("keepFlows=%v: %d runs over %d outcomes after window %d", keep, len(acc.runs), len(acc.Outcomes), k)
+			}
+		}
+		acc.Settle()
+		if !reflect.DeepEqual(acc.Outcomes, all) {
+			t.Fatalf("keepFlows=%v: settled outcomes differ from one sort of every window", keep)
+		}
+		if !keep {
+			if acc.Flows != nil {
+				t.Fatal("flows kept without keepFlows")
+			}
+			continue
+		}
+		for k, o := range acc.Outcomes {
+			if acc.Flows[k] != flowOf[o.LossTime] {
+				t.Fatalf("flow %d is not outcome %d's", k, k)
 			}
 		}
 	}

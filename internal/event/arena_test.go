@@ -10,12 +10,12 @@ import (
 )
 
 // TestViewArenaBytesPerRow pins the packet-shaped view layout by what it
-// allocates. Partition, on a generated campaign, may allocate the sort's 24
-// bytes a row (two int64 key columns, which become the arena's link and
-// time columns, and two uint32 row columns), the arena's 1 (type), the
-// views, the spans and the operational events, plus a little for page
-// rounding: a node, origin or seq column put back into the arena costs 4
-// bytes a row and fails it. A cold PendingStore.Retire is held to the same
+// allocates. Partition, on a generated campaign, may allocate the sort's 16
+// bytes a row (two int64 item columns, which become the arena's link and
+// time columns), the arena's 1 (type), the views, the spans and the
+// operational events, plus a little for page rounding: a node, origin or seq
+// column put back into the arena, or a row column beside the sort's, costs
+// 4 bytes a row and fails it. A cold PendingStore.Retire is held to the same
 // bound, and a warmed Window's retire allocates nothing.
 func TestViewArenaBytesPerRow(t *testing.T) {
 	res, err := workload.Run(workload.Tiny(3))
@@ -37,8 +37,8 @@ func TestViewArenaBytesPerRow(t *testing.T) {
 		spans += len(v.Spans())
 	}
 	perView := unsafe.Sizeof(event.PacketView{}) + unsafe.Sizeof(views[0])
-	want := uint64(12*total+12*rows) + // keys and rows over every row, keys2 and rows2 over packet rows
-		uint64(rows) + // the arena's typ; keys and keys2 are its link and time
+	want := uint64(8*total+8*rows) + // items over every row, items2 over packet rows
+		uint64(rows) + // the arena's typ; items and items2 are its link and time
 		uint64(len(views))*uint64(perView) + uint64(spans)*uint64(unsafe.Sizeof(event.ViewSpan{})) +
 		uint64(ops)*uint64(unsafe.Sizeof(event.Event{}))
 	slack := uint64(64<<10 + rows/4)
@@ -68,8 +68,8 @@ func TestViewArenaBytesPerRow(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got = after.TotalAlloc - before.TotalAlloc
 	want -= uint64(ops) * uint64(unsafe.Sizeof(event.Event{}))
-	want += uint64(5 * 4 * len(views))  // append's growth sums to under five times the free list
-	want -= uint64(12 * (total - rows)) // keys and rows cover the store's rows, all packet-scoped
+	want += uint64(5 * 4 * len(views)) // append's growth sums to under five times the free list
+	want -= uint64(8 * (total - rows)) // items covers the store's rows, all packet-scoped
 	t.Logf("cold Retire: %d views: %d bytes, %.2f a row (bound %d + %d)",
 		len(retired), got, float64(got)/float64(rows), want, slack)
 	if len(retired) != len(views) {

@@ -2,8 +2,10 @@ package event
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -362,6 +364,52 @@ func TestPartitionKeyShapes(t *testing.T) {
 		}
 		checkPartition(t, c)
 	})
+}
+
+// TestPartitionItemBudget builds keys whose compressed bits and row number
+// fill an item exactly (64 bits) and overflow it by one (65): the top
+// compressed bit is held in the items in the first case and read from the
+// rows' own keys in the second. Packets that differ only in that bit, or
+// only in the lowest, must still come apart, in order, through Partition,
+// its helpers and a PendingStore retire.
+func TestPartitionItemBudget(t *testing.T) {
+	const rows = 40 // 6 row-number bits
+	for _, budget := range []int{64, 65} {
+		t.Run(fmt.Sprint(budget), func(t *testing.T) {
+			cbits := budget - bits.Len(rows)
+			top := uint64(1) << (cbits - 1)
+			// Bit 63 is set in every key, so exactly the low cbits vary. In
+			// key order x and top|x are neighbours that differ only in the
+			// top bit, and 0 and 1, top|x and top|x|1 only in the lowest.
+			x := 0x5A5A5A5A5A5A5A5A & (top - 1)
+			keys := []uint64{top | x, 0, top<<1 - 1, 1, x, top | x | 1}
+			rng := rand.New(rand.NewSource(int64(budget)))
+			c := NewCollection()
+			for i := 0; i < rows; i++ {
+				k := 1<<63 | keys[i%len(keys)]
+				c.Add(Event{Node: NodeID(1 + rng.Intn(4)), Type: Recv, Sender: 9, Receiver: 2,
+					Packet: PacketID{Origin: NodeID(k >> 32), Seq: uint32(k)}, Time: int64(i)})
+			}
+			var p partitioner
+			p.keyBits(top<<1-1, rows)
+			if got := int(p.cbits + p.rbits); got != budget {
+				t.Fatalf("the keys take %d item bits, want %d", got, budget)
+			}
+			if views := checkPartition(t, c); len(views) != len(keys) {
+				t.Fatalf("%d views, want %d", len(views), len(keys))
+			}
+			for _, helpers := range []int{2, 3} {
+				samePartition(t, c, helpers)
+			}
+			ps := NewPendingStore(0)
+			for _, n := range c.Nodes() {
+				b := c.Logs[n].Batch()
+				ps.AppendRows(n, b, 0, b.Len())
+			}
+			var w Window
+			sameViews(t, 0, ps.Retire(&w, 0, true), collected(c))
+		})
+	}
 }
 
 func TestCheckArenaRows(t *testing.T) {

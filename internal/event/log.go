@@ -168,7 +168,7 @@ type PacketView struct {
 // and the Info side table (row -> Info, non-empty ones only, nil until the
 // first). It has no node, origin or seq column: the span and the view hold
 // those. Sender and receiver share one int64 column (link), so that
-// Partition can lay both of its int64 sort-key columns, dead once the views
+// Partition can lay both of its int64 sort columns, dead once the views
 // are cut, under link and time. An arena's table is complete before any
 // analysis worker reads it, so the workers' concurrent reads need no lock.
 type viewArena struct {

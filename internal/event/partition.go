@@ -13,13 +13,14 @@ import (
 // deterministic processing.
 //
 // Partition is a sort. One scan of the logs (ascending node, log order) gives
-// every packet-scoped row the key origin<<32|seq and a global row number; a
-// stable LSD radix sort orders the pairs by key; a sweep then cuts a view at
+// every packet-scoped row one int64 item, its packet key origin<<32|seq
+// compressed to the key bits that vary, above its global row number; a
+// stable LSD radix sort orders the items by key; a sweep then cuts a view at
 // every key change and a span at every node change, and the rows are
 // gathered into one shared arena in that order. The arena is packet-shaped:
 // it holds only the type, sender, receiver and time (a row's node is its
 // span's, its packet its view's), and its two int64 columns are the sort's
-// two key columns, so the sort and the arena together cost 25 bytes a row.
+// two item columns, so the sort and the arena together cost 17 bytes a row.
 // Stability is what makes the spans right: inside a packet the row numbers
 // stay ascending, which is ascending node and log order, so each node's rows
 // are adjacent (one span, however other packets interleaved them in its log)
@@ -45,7 +46,7 @@ const partitionGrain = 1 << 15
 // PartitionWorkers is Partition on up to workers goroutines (<= 0 selects
 // GOMAXPROCS): min(workers, GOMAXPROCS) helpers, at most one per
 // partitionGrain rows, started once for the call. The key scan is split by
-// row ranges, each radix pass and the gathers by row ranges of the keys, so
+// row ranges, each radix pass and the gathers by row ranges of the items, so
 // every helper writes only its own rows; see partition for why the result
 // is the same. Views, spans, arena and operational events equal Partition's
 // for every worker count.
@@ -70,14 +71,17 @@ type partitioner struct {
 	// is the total.
 	first []uint32
 	total int
-	// The sort reads keys and rows and writes keys2 and rows2, and the two
-	// swap after every pass; a pass's digit is the radixBits key bits from
-	// shift up. A key is origin<<32|seq, typed int64 so that the key columns
-	// can become the arena's link and time columns; the radix digits read
-	// its bits, so the order is the unsigned one.
-	keys, keys2 []int64
-	rows, rows2 []uint32
-	shift       uint
+	// The sort reads items and writes items2, and the two swap after every
+	// pass. An item is a row's packet key, compressed (keyBits), above its
+	// global row number: typed int64 so that the columns can become the
+	// arena's link and time, read unsigned by the radix digits.
+	items, items2 []int64
+	// The key layout, set by keyBits: mask has the key bits that vary, cbits
+	// of them; an item holds hold of the compressed bits, from base up, above
+	// rbits row-number bits. A pass's digit is the radixBits compressed bits
+	// from shift up.
+	mask                            uint64
+	cbits, hold, base, rbits, shift uint
 	// The gathers' sources: every log's type, time, sender and receiver
 	// column, by node index.
 	typs               [][]Type
@@ -104,13 +108,13 @@ type partitioner struct {
 // it.
 type share struct {
 	lo, hi int
-	// The scan: at is the first key slot of the share's packet-scoped rows
-	// (set from the count phase), packets their number; varying has a bit
-	// set where two of their keys differ, and ref is the first key.
+	// The count: packets is the number of the share's packet-scoped rows,
+	// varying has a bit set where two of their keys differ, and ref is the
+	// first key. The scan writes their items from slot at on.
 	at, packets int
 	varying     uint64
-	ref         int64
-	// hist counts the share's keys by the current pass's digit.
+	ref         uint64
+	// hist counts the share's items by the current pass's digit.
 	hist [radixSize]uint32
 }
 
@@ -125,10 +129,10 @@ const (
 type phase uint8
 
 const (
-	phaseCount   phase = iota // count the share's packet-scoped rows
-	phaseScan                 // key and number the share's rows
-	phaseHist                 // histogram the share's keys by digit
-	phaseScatter              // move the share's keys to their digit's slots
+	phaseCount   phase = iota // count the share's packet-scoped rows and key bits
+	phaseScan                 // write the share's items
+	phaseHist                 // histogram the share's items by digit
+	phaseScatter              // move the share's items to their digit's slots
 	phaseGather               // fill the share's arena rows
 	phaseStop                 // return
 )
@@ -136,18 +140,17 @@ const (
 // partition is Partition's one body, on helpers goroutines.
 //
 // Each phase gives every helper a contiguous share, and the result does not
-// depend on where the shares are cut. The scan's shares are global row
-// ranges, so a helper that knows how many packet-scoped rows come before
-// its share (phaseCount) fills the same key slots, and the same operational
-// slots from the back, as one scan would. Each share's varying bits are
-// relative to its own first key; v | (ref ^ ref0) re-bases them on the
-// collection's first, so the union is the set of bits where some two keys
-// differ, as one scan computes it. A radix pass histograms each key share,
-// then places digit d of share w after every smaller digit and after digit d
-// of every earlier share, so equal digits keep their input order and the
-// sort stays stable. The gathers fill arena rows by position, so any cut
-// will do; since a view's packet is its key, they read only the logs' type,
-// sender, receiver and time columns. What stays serial: the operational
+// depend on where the shares are cut. The count and the scan take global
+// row ranges. Each share's varying bits are relative to its own first key;
+// v | (ref ^ ref0) re-bases them on the collection's first, so the union is
+// the set of bits where some two keys differ, as one count computes it, and
+// every share compresses keys alike. A helper that knows how many
+// packet-scoped rows come before its share fills the same item slots, and
+// the same operational slots from the back, as one scan would. A radix pass
+// histograms each item share, then places digit d of share w after every
+// smaller digit and after digit d of every earlier share, so equal digits
+// keep their input order and the sort stays stable. The gathers fill arena
+// rows by position, so any cut will do. What stays serial: the operational
 // events, the shares' bookkeeping, Info, and the sweep that cuts views and
 // spans; timed end to end on batch-skew, a sweep split at view boundaries
 // saved nothing.
@@ -163,9 +166,9 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 		hasInfo = hasInfo || len(b.info) > 0
 		p.first[ni+1] = p.first[ni] + uint32(len(b.typ))
 	}
-	// Packet-scoped rows fill keys and rows from the front, operational
-	// rows fill rows from the back.
-	p.keys, p.rows = make([]int64, p.total), make([]uint32, p.total)
+	// Packet-scoped rows fill items from the front, operational rows' row
+	// numbers fill it from the back.
+	p.items = make([]int64, p.total)
 	p.shares = p.one[:]
 	if helpers > 1 {
 		p.shares = make([]share, helpers)
@@ -176,39 +179,33 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 	}
 
 	p.split(p.total)
-	if helpers > 1 {
-		p.each(phaseCount)
-		at := 0
-		for w := range p.shares {
-			s := &p.shares[w]
-			s.at, at = at, at+s.packets
-		}
-	}
-	p.each(phaseScan)
-	n, ref0 := 0, int64(0)
+	p.each(phaseCount)
+	n, ref0 := 0, uint64(0)
 	var varying uint64 // key bits that differ between some two rows
-	for _, s := range p.shares {
-		if s.packets == 0 {
-			continue
+	for w := range p.shares {
+		s := &p.shares[w]
+		if s.packets > 0 {
+			if n == 0 {
+				ref0 = s.ref
+			}
+			varying |= s.varying | (s.ref ^ ref0)
 		}
-		if n == 0 {
-			ref0 = s.ref
-		}
-		varying |= s.varying | uint64(s.ref^ref0)
-		n += s.packets
+		s.at, n = n, n+s.packets
 	}
+	p.keyBits(varying, p.total)
+	p.each(phaseScan)
 	if nops := p.total - n; nops > 0 { // else nil, as OperationalEvents returns it
 		operational = make([]Event, nops)
 		for k := range operational {
-			r := p.rows[p.total-1-k]
+			r := uint32(p.items[p.total-1-k])
 			ni := nodeOfRow(p.first, r)
 			operational[k] = p.logs[ni].At(int(r - p.first[ni]))
 		}
 		sort.Slice(operational, func(i, j int) bool { return operational[i].Time < operational[j].Time })
 	}
 
-	p.keys, p.rows = p.keys[:n], p.rows[:n]
-	views = p.group(varying, hasInfo)
+	p.items = p.items[:n]
+	views = p.group(hasInfo)
 	if helpers > 1 {
 		p.phase = phaseStop
 		p.bar.wait()
@@ -216,28 +213,74 @@ func partition(c *Collection, helpers int) (views []*PacketView, operational []E
 	return views, operational
 }
 
+// keyBits sets the item layout for keys that differ in the bits of varying
+// and global row numbers below rows: the row number in the low rbits =
+// bits.Len(rows) bits (at most 31 under checkArenaRows), and above it the
+// key's varying bits packed together (compress), which keeps the keys'
+// order because every other bit is the same in all of them. When the two
+// need more than 64 bits, an item holds the low 64 - rbits packed bits:
+// group re-fills the items with the higher ones once the passes are done
+// with the low ones, and the sweep compares the rows' own keys.
+func (p *partitioner) keyBits(varying uint64, rows int) {
+	p.mask, p.rbits = varying, uint(bits.Len(uint(rows)))
+	p.cbits = uint(bits.OnesCount64(varying))
+	p.hold, p.base = min(p.cbits, 64-p.rbits), 0
+}
+
+// prefix is key k's part of an item: hold of its packed bits, from base up,
+// above the row number.
+func (p *partitioner) prefix(k uint64) int64 {
+	return int64(compress(k, p.mask) >> p.base & (1<<p.hold - 1) << p.rbits)
+}
+
+// compress packs the bits of k that mask selects into the low bits, in
+// order, a run of adjacent mask bits at a time.
+func compress(k, mask uint64) (out uint64) {
+	for at := 0; mask != 0; {
+		from := bits.TrailingZeros64(mask)
+		w := bits.TrailingZeros64(^(mask >> from))
+		run := uint64(1)<<w - 1
+		out |= k >> from & run << at
+		at, mask = at+w, mask&^(run<<from)
+	}
+	return out
+}
+
+// packetKey is a packet's sort key, origin<<32|seq: its unsigned order is
+// PacketID.Less.
+func packetKey(origin NodeID, seq uint32) uint64 { return uint64(origin)<<32 | uint64(seq) }
+
 // group is the body Partition and PendingStore.Retire share. Its input is
-// p.keys and p.rows, one entry per row to lay out, in ascending global row
-// order, with varying set where two of the keys differ; it sorts them, cuts
-// the views and spans, gathers the arena rows and, when hasInfo is set,
-// fills the arena's Info table.
+// p.items, one per row to lay out, in ascending global row order, under the
+// layout keyBits set; it sorts them, cuts the views and spans, gathers the
+// arena rows and, when hasInfo is set, fills the arena's Info table.
 //
-// Each pass starts its digit at the lowest key bit that varies above the
-// last digit, so bits that are the same in every key cost no pass: a
-// campaign's keys sort in two or three passes, any input in at most six,
-// and a sparse key space costs passes, never memory. rows2 ends up spare;
-// the sweep reuses it. keys2 ends up spare too and becomes the arena's time
-// column (with no pass to run it serves that alone); keys becomes its link
-// column once the sweep has cut the views.
-func (p *partitioner) group(varying uint64, hasInfo bool) []*PacketView {
-	n := len(p.keys)
-	p.keys2, p.rows2 = sized(p.keys2, n), sized(p.rows2, n)
+// The passes cover the compressed key bits only: the row numbers are
+// already ascending and the sort is stable. So a campaign's keys sort in two
+// or three passes, any input in at most six, and a sparse key space costs
+// passes, never memory. items2 ends up spare; the sweep notes each row's
+// gather index there, and the gathers overwrite it with the arena's time
+// column. items becomes the link column once the sweep has cut the views.
+func (p *partitioner) group(hasInfo bool) []*PacketView {
+	n := len(p.items)
+	p.items2 = sized(p.items2, n)
 	p.split(n)
-	for p.shift = 0; p.shift < 64 && varying>>p.shift != 0; p.shift += radixBits {
-		p.shift += uint(bits.TrailingZeros64(varying >> p.shift))
+	for p.shift = 0; p.shift < p.cbits; p.shift += radixBits {
+		if top := p.base + p.hold; p.shift+radixBits > top && top < p.cbits {
+			// The pass needs bits the items do not hold. The ones below
+			// shift are sorted and done with, so the items take the bits
+			// from shift up instead.
+			p.base = p.shift
+			for j, it := range p.items {
+				r := uint32(it) & (1<<p.rbits - 1)
+				ni := nodeOfRow(p.first, r)
+				b, i := p.logs[ni], r-p.first[ni]
+				p.items[j] = p.prefix(packetKey(b.origin[i], b.seq[i])) | int64(r)
+			}
+		}
 		p.each(phaseHist)
 		p.each(phaseScatter)
-		p.keys, p.keys2, p.rows, p.rows2 = p.keys2, p.keys, p.rows2, p.rows
+		p.items, p.items2 = p.items2, p.items
 	}
 
 	views := p.sweep(n)
@@ -246,12 +289,12 @@ func (p *partitioner) group(varying uint64, hasInfo bool) []*PacketView {
 	for ni, b := range p.logs {
 		p.typs[ni], p.times[ni], p.senders[ni], p.receivers[ni] = b.typ, b.time, b.sender, b.receiver
 	}
-	p.each(phaseGather)
 	if hasInfo { // the arena's table is complete before any worker reads it
-		for j, ni := range p.rows2 {
-			putInfo(&p.arena.info, j, p.logs[ni].info[int32(p.rows[j])])
+		for j, ix := range p.arena.time {
+			putInfo(&p.arena.info, j, p.logs[ix>>32].info[int32(uint32(ix))])
 		}
 	}
+	p.each(phaseGather)
 	return views
 }
 
@@ -289,8 +332,9 @@ func (p *partitioner) step(ph phase, w int) {
 		p.scan(s)
 	case phaseHist:
 		s.hist = [radixSize]uint32{}
-		for _, k := range p.keys[s.lo:s.hi] {
-			s.hist[digit(k, p.shift)]++
+		sh := p.shift - p.base + p.rbits
+		for _, it := range p.items[s.lo:s.hi] {
+			s.hist[digit(it, sh)]++
 		}
 	case phaseScatter:
 		p.scatter(w)
@@ -314,54 +358,59 @@ func (p *partitioner) clip(ni, lo, hi int) (i0, i1 int) {
 	return max(lo, base) - base, min(hi, int(p.first[ni+1])) - base
 }
 
-// count counts the packet-scoped rows of the share's global rows.
+// count counts the packet-scoped rows of the share's global rows and notes
+// where their keys differ from the first one's.
 func (p *partitioner) count(s *share) {
-	s.packets = 0
+	packets, varying, ref := 0, uint64(0), uint64(0)
 	for ni := nodeOfRow(p.first, uint32(s.lo)); ni < len(p.logs) && int(p.first[ni]) < s.hi; ni++ {
+		b := p.logs[ni]
 		i0, i1 := p.clip(ni, s.lo, s.hi)
-		for _, t := range p.logs[ni].typ[i0:i1] {
-			if t.PacketScoped() {
-				s.packets++
+		for i := i0; i < i1; i++ {
+			if b.typ[i].PacketScoped() {
+				k := packetKey(b.origin[i], b.seq[i])
+				if packets == 0 {
+					ref = k
+				}
+				varying |= k ^ ref
+				packets++
 			}
 		}
 	}
+	s.packets, s.varying, s.ref = packets, varying, ref
 }
 
-// scan gives each packet-scoped row of the share's global rows its key and
-// number, in node and log order from key slot s.at on, and numbers the
-// operational rows from the back of rows, after the s.lo-s.at that come
-// before the share.
+// scan writes the item of each packet-scoped row of the share's global
+// rows, in node and log order from slot s.at on, and the row number of each
+// operational row from the back of items, after the s.lo-s.at that come
+// before the share. A key is compressed only when it differs from the
+// previous row's.
 func (p *partitioner) scan(s *share) {
-	keys, rows := p.keys, p.rows
+	items := p.items
 	n, nops := s.at, s.lo-s.at
-	var varying uint64
-	var ref int64
+	last, pre := uint64(0), p.prefix(0)
 	for ni := nodeOfRow(p.first, uint32(s.lo)); ni < len(p.logs) && int(p.first[ni]) < s.hi; ni++ {
-		b, base := p.logs[ni], p.first[ni]
+		b, base := p.logs[ni], int64(p.first[ni])
 		i0, i1 := p.clip(ni, s.lo, s.hi)
 		for i := i0; i < i1; i++ {
 			if !b.typ[i].PacketScoped() {
 				nops++
-				rows[p.total-nops] = base + uint32(i)
+				items[p.total-nops] = base + int64(i)
 				continue
 			}
-			k := int64(b.origin[i])<<32 | int64(b.seq[i])
-			if n == s.at {
-				ref = k
+			if k := packetKey(b.origin[i], b.seq[i]); k != last {
+				last, pre = k, p.prefix(k)
 			}
-			keys[n], rows[n] = k, base+uint32(i)
-			varying |= uint64(k ^ ref)
+			items[n] = pre | (base + int64(i))
 			n++
 		}
 	}
-	s.packets, s.varying, s.ref = n-s.at, varying, ref
 }
 
-// scatter moves helper w's share of keys (and their rows) to their places
-// by the current digit: after every key with a smaller digit, and after the
-// keys with the same digit in earlier shares.
+// scatter moves helper w's share of items to their places by the current
+// digit: after every item with a smaller digit, and after the items with the
+// same digit in earlier shares.
 func (p *partitioner) scatter(w int) {
-	var next [radixSize]uint32 // next[d]: where the share's next key with digit d goes
+	var next [radixSize]uint32 // next[d]: where the share's next item with digit d goes
 	sum := uint32(0)
 	for d := range next {
 		for v := range p.shares {
@@ -372,33 +421,31 @@ func (p *partitioner) scatter(w int) {
 		}
 	}
 	s := &p.shares[w]
-	keys2, rows2, shift := p.keys2, p.rows2, p.shift
-	rows := p.rows[s.lo:s.hi]
-	for i, k := range p.keys[s.lo:s.hi] {
-		d := digit(k, shift)
-		keys2[next[d]], rows2[next[d]] = k, rows[i]
+	items2, sh := p.items2, p.shift-p.base+p.rbits
+	for _, it := range p.items[s.lo:s.hi] {
+		d := digit(it, sh)
+		items2[next[d]] = it
 		next[d]++
 	}
 }
 
-// blockRows is how many global rows one entry of the sweep's node table
-// covers.
+// digit is item it's radix digit from bit sh up, read unsigned.
+func digit(it int64, sh uint) uint64 { return uint64(it) >> sh & (radixSize - 1) }
+
+// blockRows is how many global rows one entry of the node table covers.
 const blockRows = 256
 
-// digit is key k's radix digit from bit shift up, read unsigned.
-func digit(k int64, shift uint) uint64 { return uint64(k) >> shift & (radixSize - 1) }
-
-// sweep resolves each sorted row from a global number to its node index
-// (in rows2) and its row in that node's log (in rows), and cuts a view at
-// every key change and a span at every node change inside a view. Row
-// numbers ascend inside a packet, so the node changes only when one passes
-// the end of the current node's log. The first pass notes where each span
-// starts, and whether a view starts there, in keys2, which is spare until
-// the gathers fill it as the arena's time column; the second makes the
-// views and spans from those notes alone. The arena's link column is keys,
-// which the gathers overwrite once the views hold the packets.
+// sweep cuts a view at every key change and a span at every node change
+// inside a view. Row numbers ascend inside a packet, so the node changes
+// only when one passes the end of the current node's log. The first pass
+// writes each sorted row's gather index, node index<<32 | row in that
+// node's log, to items2, and notes where each span starts, and whether a
+// view starts there, over the items it has read; the second makes the
+// views and spans from those notes, reading each view's packet from its
+// first row in the logs. The gathers then overwrite items with the arena's
+// link column and items2, in place, with its time column.
 func (p *partitioner) sweep(n int) []*PacketView {
-	keys, rows, nis, first, starts := p.keys, p.rows, p.rows2, p.first, p.keys2
+	items, at, first := p.items, p.items2, p.first
 	// blocks[b] is the node that holds global row b*blockRows, so a row's
 	// node is found from its block's by stepping over the logs that begin
 	// inside the block, mostly none: cheaper than a binary search, whose
@@ -408,68 +455,88 @@ func (p *partitioner) sweep(n int) []*PacketView {
 		blocks[b] = uint32(nodeOfRow(first, uint32(b*blockRows)))
 	}
 	p.blocks = blocks
+	rb, wide := p.rbits, p.hold < p.cbits
 	nviews, nspans := 0, 0
-	for j, ni := 0, 0; j < n; j++ {
-		newView := j == 0 || keys[j] != keys[j-1]
-		if newView || rows[j] >= first[ni+1] {
-			ni = int(blocks[rows[j]/blockRows])
-			for rows[j] >= first[ni+1] {
+	var prev int64 // differs from the first item above the row bits
+	if n > 0 {
+		prev = ^items[0]
+	}
+	var prevKey uint64
+	ni, lo, hi := 0, uint32(0), uint32(0) // the current node and its global rows: none yet
+	for j, it := range items[:n] {
+		r := uint32(it) & (1<<rb - 1)
+		moved := r-lo >= hi-lo
+		if moved {
+			ni = int(blocks[r/blockRows])
+			for r >= first[ni+1] {
 				ni++
 			}
-			starts[nspans] = int64(j) << 1
+			lo, hi = first[ni], first[ni+1]
+		}
+		i := r - lo
+		newView := uint64(it^prev)>>rb != 0
+		if wide { // the items hold only part of the key
+			k := packetKey(p.logs[ni].origin[i], p.logs[ni].seq[i])
+			newView = newView || k != prevKey
+			prevKey = k
+		}
+		if newView || moved {
+			items[nspans] = int64(j) << 1
 			if newView {
-				starts[nspans] |= 1
+				items[nspans] |= 1
 				nviews++
 			}
 			nspans++
 		}
-		nis[j], rows[j] = uint32(ni), rows[j]-first[ni]
+		prev, at[j] = it, int64(ni)<<32|int64(i)
 	}
 
 	a := p.arena
-	a.link, a.time, a.typ, a.info = keys, p.keys2, sized(a.typ, n), nil
-	p.keys, p.keys2 = nil, nil
+	a.link, a.time, a.typ, a.info = items, at, sized(a.typ, n), nil
+	p.items, p.items2 = nil, nil
 	spans := sized(p.spans, nspans)
 	structs := sized(p.structs, nviews)[:0]
 	views := sized(p.views, nviews)[:0]
 	var v *PacketView
 	vs := 0 // the current view's first span
-	for s, st := range starts[:nspans] {
+	for s, st := range items[:nspans] {
 		j, end := int32(st>>1), int32(n)
 		if s+1 < nspans {
-			end = int32(starts[s+1] >> 1)
+			end = int32(items[s+1] >> 1)
 		}
+		ni, i := at[j]>>32, uint32(at[j])
 		if st&1 != 0 {
-			pkt := PacketID{Origin: NodeID(keys[j] >> 32), Seq: uint32(keys[j])}
-			structs = append(structs, PacketView{Packet: pkt, rows: a})
+			b := p.logs[ni]
+			structs = append(structs, PacketView{Packet: PacketID{Origin: b.origin[i], Seq: b.seq[i]}, rows: a})
 			v = &structs[len(structs)-1]
 			views = append(views, v)
 			vs = s
 		}
-		spans[s] = ViewSpan{Node: p.nodes[nis[j]], Start: j, End: end}
+		spans[s] = ViewSpan{Node: p.nodes[ni], Start: j, End: end}
 		v.spans = spans[vs : s+1 : s+1]
 	}
 	p.spans, p.structs, p.views = spans, structs, views
 	return views
 }
 
-// gatherRows fills the share's rows of the arena. The source columns are
-// read one at a time: a loop reading one source column keeps many cache
-// misses in flight, a loop reading four does not. So the link column takes
-// two passes: the senders into its high halves, then the receivers into its
-// low ones.
+// gatherRows fills the share's rows of the arena from their gather indices
+// in the time column, which it overwrites last. The source columns are read
+// one at a time: a loop reading one source column keeps many cache misses in
+// flight, a loop reading four does not. So the link column takes two
+// passes: the senders into its high halves, then the receivers into its low
+// ones.
 func (p *partitioner) gatherRows(s *share) {
 	lo, hi, arena := s.lo, s.hi, p.arena
-	nis, rows := p.rows2[lo:hi], p.rows[lo:hi]
-	gather(arena.typ[lo:hi], p.typs, nis, rows)
-	gather(arena.time[lo:hi], p.times, nis, rows)
+	at := arena.time[lo:hi]
+	gather(arena.typ[lo:hi], p.typs, at)
 	snd, rcv, l := p.senders, p.receivers, arena.link[lo:hi]
-	for j := range l {
-		l[j] = link(snd[nis[j]][rows[j]], 0)
+	for j, ix := range at {
+		l[j] = link(snd[ix>>32][uint32(ix)], 0)
 	}
-	for j := range l {
-		l[j] |= int64(rcv[nis[j]][rows[j]])
+	for j, ix := range at {
+		l[j] |= int64(rcv[ix>>32][uint32(ix)])
 	}
+	gather(at, p.times, at)
 }
 
 // nodeOfRow returns the index of the node whose log holds global row r: the
@@ -489,11 +556,11 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// gather fills one arena column: dst[j] is row rows[j] of source column
-// src[nis[j]].
-func gather[T any](dst []T, src [][]T, nis, rows []uint32) {
-	for j := range dst {
-		dst[j] = src[nis[j]][rows[j]]
+// gather fills one arena column: dst[j] is the row at[j] indexes, node
+// index<<32 | row, of source column src[node index]. dst may be at itself.
+func gather[T any](dst []T, src [][]T, at []int64) {
+	for j, ix := range at {
+		dst[j] = src[ix>>32][uint32(ix)]
 	}
 }
 

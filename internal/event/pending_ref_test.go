@@ -165,13 +165,13 @@ func runPendingSchedule(t *testing.T, prog []byte) (st scheduleStats) {
 			if l := ps.logOf(n); l != nil && l.prev >= 0 && ps.slots[l.prev].id == e.Packet {
 				st.cacheHits++
 			}
-			if _, pending := ps.ids[e.Packet]; !pending && retired[e.Packet] {
+			if ps.slotOf(e.Packet) < 0 && retired[e.Packet] {
 				st.reappeared++
 				delete(retired, e.Packet)
 			}
 			ps.Append(n, e)
 			ref.evs = append(ref.evs, e)
-			s := ps.ids[e.Packet]
+			s := ps.slotOf(e.Packet)
 			if owner, ok := slotOwner[s]; ok && owner != e.Packet {
 				st.recycled++
 			}
@@ -305,8 +305,16 @@ func sameViews(t *testing.T, step int, got []*PacketView, retired []Event) {
 	checkSpanInvariants(t, c, got)
 }
 
+// slotOf returns id's slot in the intern table, or -1.
+func (ps *PendingStore) slotOf(id PacketID) int32 {
+	if len(ps.ids.at) == 0 {
+		return -1
+	}
+	return ps.ids.at[ps.ids.probe(ps.slots, id)] - 1
+}
+
 // checkSlots asserts the slot bookkeeping behind the store's answers: the
-// intern map and the live slots name each other, every free slot is dead and
+// intern table and the live slots name each other, every free slot is dead and
 // listed once, and every buffered row's slot holds the row's packet.
 func checkSlots(t *testing.T, step int, ps *PendingStore) {
 	t.Helper()
@@ -314,13 +322,13 @@ func checkSlots(t *testing.T, step int, ps *PendingStore) {
 	for s, sl := range ps.slots {
 		if sl.live {
 			live++
-			if got, ok := ps.ids[sl.id]; !ok || got != int32(s) {
-				t.Fatalf("step %d: live slot %d holds %v, which the intern map puts at %d (%v)", step, s, sl.id, got, ok)
+			if got := ps.slotOf(sl.id); got != int32(s) {
+				t.Fatalf("step %d: live slot %d holds %v, which the intern table puts at %d", step, s, sl.id, got)
 			}
 		}
 	}
-	if live != len(ps.ids) || live+len(ps.free) != len(ps.slots) {
-		t.Fatalf("step %d: %d live slots, %d interned packets, %d free of %d", step, live, len(ps.ids), len(ps.free), len(ps.slots))
+	if live != ps.ids.n || live+len(ps.free) != len(ps.slots) {
+		t.Fatalf("step %d: %d live slots, %d interned packets, %d free of %d", step, live, ps.ids.n, len(ps.free), len(ps.slots))
 	}
 	seen := make(map[int32]bool)
 	for _, s := range ps.free {

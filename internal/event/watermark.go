@@ -3,6 +3,7 @@ package event
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -29,15 +30,15 @@ import (
 // the store. Each in-flight packet is interned once, at its first row, into a
 // dense slot that holds its last-seen local timestamp; every row carries its
 // packet's slot in a column beside the seven event columns, so retirement
-// tests rows by index and touches the intern map once per packet, never per
+// tests rows by index and touches the intern table once per packet, never per
 // row. It is driven single-threaded under the session's lock and never
 // handed across a goroutine boundary.
 //
 //refill:owned
 type PendingStore struct {
-	logs  []*pendingLog      // ascending by node
-	ops   *Collection        // server up/down rows, per node in log order
-	ids   map[PacketID]int32 // in-flight packet -> its slot
+	logs  []*pendingLog // ascending by node
+	ops   *Collection   // server up/down rows, per node in log order
+	ids   slotTable     // in-flight packet -> its slot
 	slots []packetSlot
 	free  []int32 // retired slots, reused before slots grows
 	rows  int
@@ -63,7 +64,8 @@ type pendingLog struct {
 
 // packetSlot is one in-flight packet: its identity and last-seen timestamp.
 // A slot on the free list is not live. No row points at one, except during
-// the retire that freed it: that is how the retire tells a row to move.
+// the retire that freed it: that is how the retire tells a row to move, and
+// through that retire last holds the slot's item prefix instead.
 type packetSlot struct {
 	id   PacketID
 	last int64
@@ -74,7 +76,61 @@ type packetSlot struct {
 // count and is ignored; it stays only because bench/ calls the constructor
 // with one.
 func NewPendingStore(int) *PendingStore {
-	return &PendingStore{ops: NewCollection(), ids: make(map[PacketID]int32)}
+	return &PendingStore{ops: NewCollection()}
+}
+
+// slotTable maps each in-flight packet to its slot: open addressing with
+// linear probing over slot numbers plus one (0 is empty), keyed by the
+// slots' ids and hashed by a fixed multiplier, so the same appends grow the
+// same table, unlike a map's per-map seed. A removal shifts the rest of its
+// probe run back, so retires leave no tombstones.
+type slotTable struct {
+	at    []int32
+	shift uint // 64 - log2(len(at))
+	n     int
+}
+
+// home is where id's probe starts.
+func (t *slotTable) home(id PacketID) int {
+	return int(packetKey(id.Origin, id.Seq) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// probe returns where id's slot is in the table, or the empty position
+// where it would go.
+func (t *slotTable) probe(slots []packetSlot, id PacketID) int {
+	i := t.home(id)
+	for t.at[i] != 0 && slots[t.at[i]-1].id != id {
+		i = (i + 1) & (len(t.at) - 1)
+	}
+	return i
+}
+
+// reserve doubles the table before one more entry would fill half of it.
+func (t *slotTable) reserve(slots []packetSlot) {
+	if 2*(t.n+1) <= len(t.at) {
+		return
+	}
+	old, lg := t.at, bits.Len(uint(max(2*len(t.at), 16)-1))
+	t.at, t.shift = make([]int32, 1<<lg), uint(64-lg)
+	for _, e := range old {
+		if e != 0 {
+			t.at[t.probe(slots, slots[e-1].id)] = e
+		}
+	}
+}
+
+// remove drops slot s. Each later entry of the probe run moves back into
+// the hole unless the hole lies before the entry's home.
+func (t *slotTable) remove(slots []packetSlot, s int32) {
+	mask := len(t.at) - 1
+	i := t.probe(slots, slots[s].id)
+	for j := (i + 1) & mask; t.at[j] != 0; j = (j + 1) & mask {
+		if h := t.home(slots[t.at[j]-1].id); (j-h)&mask >= (j-i)&mask {
+			t.at[i], i = t.at[j], j
+		}
+	}
+	t.at[i] = 0
+	t.n--
 }
 
 // node returns n's entry, registering n on first use.
@@ -178,8 +234,10 @@ func (ps *PendingStore) Operational() *Collection { return ps.ops }
 // intern returns id's slot, taking a free one (or a new one), last seen at
 // t, for a packet not yet in flight.
 func (ps *PendingStore) intern(id PacketID, t int64) int32 {
-	if s, ok := ps.ids[id]; ok {
-		return s
+	ps.ids.reserve(ps.slots)
+	at := ps.ids.probe(ps.slots, id)
+	if e := ps.ids.at[at]; e != 0 {
+		return e - 1
 	}
 	var s int32
 	if k := len(ps.free); k > 0 {
@@ -189,7 +247,8 @@ func (ps *PendingStore) intern(id PacketID, t int64) int32 {
 		ps.slots = append(ps.slots, packetSlot{})
 	}
 	ps.slots[s] = packetSlot{id: id, last: t, live: true}
-	ps.ids[id] = s
+	ps.ids.at[at] = s + 1
+	ps.ids.n++
 	return s
 }
 
@@ -197,7 +256,7 @@ func (ps *PendingStore) intern(id PacketID, t int64) int32 {
 func (ps *PendingStore) Rows() int { return ps.rows }
 
 // Packets returns the number of in-flight packets.
-func (ps *PendingStore) Packets() int { return len(ps.ids) }
+func (ps *PendingStore) Packets() int { return ps.ids.n }
 
 // AppendPendingTo copies every buffered row into dst, each node's rows in
 // log order — the checkpoint layout. Replaying the result through AppendRows
@@ -214,7 +273,7 @@ func (ps *PendingStore) AppendPendingTo(dst *Collection) {
 // packet-ID order, laid out by Partition's own body over the same rows — one
 // packet-shaped arena in view order, each view's rows node by node in
 // ascending node order, each node's in log order, one span per node. It
-// keeps that body's columns between retires (the sort's key columns live on
+// keeps that body's columns between retires (the sort's item columns live on
 // as the arena's link and time), so the views are valid only until the next
 // retire into the same Window. A zero Window is ready to use.
 //
@@ -257,21 +316,29 @@ func (ps *PendingStore) retireTo(cutoff int64, all bool, dst *Collection) int {
 // for row and span for span. An advance that completes nothing returns no
 // views before touching a row.
 //
-// It frees the retiring slots and drops each from the intern map. Then a
-// scan over the nodes in ascending order, each log in order, gives every
-// row whose slot is no longer live its key origin<<32|seq and its global
-// row number, as Partition's scan does for a collection of the retired rows
-// alone, and Partition's sort, sweep and gathers (group) lay out the views.
-// Last, each node's survivors slide down over the holes. A row costs a
-// slot-column read and, if it leaves, the sort's and the gathers' work; no
-// map operation.
+// It frees the retiring slots, drops each from the intern table and notes
+// which key bits vary among them, and gives each its item prefix
+// (partitioner.keyBits), once per packet. Then a scan over the nodes in
+// ascending order, each log in order, gives every row whose slot is no
+// longer live its item, the prefix ORed with its global row number, as
+// Partition's scan does for a collection of the retired rows alone, and
+// Partition's sort, sweep and gathers (group) lay out the views. Last, each
+// node's survivors slide down over the holes. A row costs a slot-column
+// read and, if it leaves, the sort's and the gathers' work; no table
+// operation.
 func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView {
 	p := &w.p
 	free := len(ps.free)
+	var varying, ref uint64
 	for s := range ps.slots {
 		if sl := &ps.slots[s]; sl.live && (all || sl.last < cutoff) {
+			k := packetKey(sl.id.Origin, sl.id.Seq)
+			if len(ps.free) == free {
+				ref = k
+			}
+			varying |= k ^ ref
 			sl.live = false
-			delete(ps.ids, sl.id)
+			ps.ids.remove(ps.slots, int32(s))
 			ps.free = append(ps.free, int32(s))
 		}
 	}
@@ -279,30 +346,27 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 		p.views = p.views[:0]
 		return p.views
 	}
+	checkArenaRows(int64(ps.rows))
+	p.keyBits(varying, ps.rows)
+	for _, s := range ps.free[free:] {
+		sl := &ps.slots[s]
+		sl.last = p.prefix(packetKey(sl.id.Origin, sl.id.Seq))
+	}
 
 	// The scan. Global row numbers count the rows of the logs that have
-	// retiring rows, so a node with none takes no entry in first. keys and
-	// rows are sized for every buffered row, as Partition sizes them for
-	// every row of the collection.
-	checkArenaRows(int64(ps.rows))
+	// retiring rows, so a node with none takes no entry in first, and stay
+	// below ps.rows. items is sized for every buffered row, as Partition
+	// sizes it for every row of the collection.
 	p.arena, p.shares = &w.arena, p.one[:]
-	p.keys, p.rows = sized(w.arena.link, ps.rows), sized(p.rows, ps.rows)
-	p.keys2 = w.arena.time
+	p.items, p.items2 = sized(w.arena.link, ps.rows), w.arena.time
 	p.nodes, p.logs, p.first = p.nodes[:0], p.logs[:0], append(p.first[:0], 0)
 	n, hasInfo := 0, false
-	var varying uint64
-	var ref int64
 	for _, pl := range ps.logs {
 		pl.prev = -1
 		base, n0 := p.first[len(p.first)-1], n
 		for i, s := range pl.slot {
 			if sl := &ps.slots[s]; !sl.live {
-				k := int64(sl.id.Origin)<<32 | int64(sl.id.Seq)
-				if n == 0 {
-					ref = k
-				}
-				p.keys[n], p.rows[n] = k, base+uint32(i)
-				varying |= uint64(k ^ ref)
+				p.items[n] = sl.last | int64(base+uint32(i))
 				n++
 			}
 		}
@@ -312,8 +376,8 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 			hasInfo = hasInfo || len(pl.b.info) > 0
 		}
 	}
-	p.keys, p.rows = p.keys[:n], p.rows[:n]
-	views := p.group(varying, hasInfo)
+	p.items = p.items[:n]
+	views := p.group(hasInfo)
 
 	for _, pl := range ps.logs {
 		if pl.out == 0 {

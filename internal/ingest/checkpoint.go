@@ -106,6 +106,7 @@ func (s *Session) WriteCheckpoint(path string) error {
 
 // appendCheckpoint writes the checkpoint's sections. Caller holds s.mu.
 func (s *Session) appendCheckpoint(w *snapfile.Writer) error {
+	s.acc.Settle()
 	var meta [ckMetaSize]byte
 	binary.LittleEndian.PutUint64(meta[0:8], ckVersion)
 	binary.LittleEndian.PutUint32(meta[8:12], uint32(s.cfg.Diagnosis.Sink))

@@ -326,10 +326,10 @@ func (s *Session) scheduleLocked(ew int64, final bool) ([]event.Event, diagnosis
 }
 
 // Snapshot assembles a live Report over every packet finalized so far,
-// without disturbing ingestion: the outcomes, already in packet-ID order, are
-// copied; the running aggregate settles the loss points added since the last
-// read into their order and is cloned; and the outage schedule reflects the
-// operational events seen so far. The report shares no storage with the
+// without disturbing ingestion: the outcomes, settled into packet-ID order,
+// are copied; the running aggregate settles the loss points added since the
+// last read into their order and is cloned; and the outage schedule reflects
+// the operational events seen so far. The report shares no storage with the
 // session, so later windows never change it. After Drain it returns the
 // final report.
 func (s *Session) Snapshot() *diagnosis.Report {
@@ -338,6 +338,7 @@ func (s *Session) Snapshot() *diagnosis.Report {
 	if s.drained {
 		return s.report
 	}
+	s.acc.Settle()
 	s.acc.Aggregate.Settle()
 	_, sched := s.scheduleLocked(s.watermark, false)
 	return diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, append([]diagnosis.Outcome(nil), s.acc.Outcomes...), s.acc.Aggregate.Clone())
@@ -355,6 +356,7 @@ func (s *Session) Drain() (*engine.Result, *diagnosis.Report) {
 		return s.result, s.report
 	}
 	s.retireLocked(math.MaxInt64, true)
+	s.acc.Settle()
 	ops, sched := s.scheduleLocked(math.MaxInt64, true)
 	s.result = s.acc.Result(ops)
 	s.report = diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, s.acc.Outcomes, s.acc.Aggregate)
