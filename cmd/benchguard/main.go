@@ -11,10 +11,10 @@
 // flaking. A row may not run more goroutines than Ps: eight workers on one
 // P made BenchmarkAnalyzeSkewed's bytes vary by 15% with the scheduler, so
 // it runs one worker per P as BenchmarkAnalyzeSkewed/workers=procs. Over
-// five consecutive runs of the CI command every row repeated its B/op to
-// the byte but BenchmarkAnalyzeSkewed/workers=procs, which moved by 16
-// bytes once. A benchmark regresses when its allocs/op or its B/op exceeds the
-// baseline by more than -tolerance (default 10%). The ns/op delta against the baseline is printed
+// five consecutive runs of the CI command every row repeated its allocs/op,
+// and its B/op to within 48 bytes (16-byte steps). A benchmark regresses
+// when its allocs/op or its B/op exceeds the baseline by more than
+// -tolerance (default 10%). The ns/op delta against the baseline is printed
 // alongside each verdict line; it is informational only and never fails the
 // run (time, throughput and memory are measured end to end by bench/, see
 // BENCHMARK.json). Benchmarks absent from the baseline are reported but don't

@@ -1,8 +1,8 @@
 package event
 
 import (
-	"maps"
-	"slices"
+	"fmt"
+	"strings"
 )
 
 // Batch is structure-of-arrays storage for event records: every fixed-size
@@ -13,11 +13,12 @@ import (
 // to GC scan work — the property that makes campaign-scale collections cheap
 // to keep resident. A zero Batch is empty and ready to use.
 //
-// Batch is the backing store of Log (per-node collection storage) and
-// PacketView (the partitioner's per-packet views); Event remains the unit the
-// rest of the system passes around — At materializes one on demand.
+// A batch holds one node's rows, the node kept once, so a row costs its six
+// columns (25 B). Batch is the backing store of Log and of the ingest
+// session's pending rows; Event remains the unit the rest of the system
+// passes around — At materializes one on demand.
 type Batch struct {
-	node     []NodeID
+	node     NodeID
 	typ      []Type
 	sender   []NodeID
 	receiver []NodeID
@@ -63,7 +64,6 @@ func (b *Batch) Grow(n int) {
 	}
 	b.mutable()
 	want := len(b.typ) + n
-	b.node = grown(b.node, want)
 	b.sender = grown(b.sender, want)
 	b.receiver = grown(b.receiver, want)
 	b.origin = grown(b.origin, want)
@@ -84,14 +84,12 @@ func (b *Batch) reserve(n int) {
 }
 
 // extend lengthens every column by k rows for the caller to fill by index
-// and returns the first new row. A column too short for them grows as in
-// reserve, at least doubling, so a batch extended chunk by chunk copies its
-// rows a constant number of times.
+// and returns the first new row. The columns grow as in reserve, at least
+// doubling, so a batch extended chunk by chunk copies its rows a constant
+// number of times.
 func (b *Batch) extend(k int) int {
 	lo := len(b.typ)
-	if want := lo + k; want > min(cap(b.node), cap(b.sender), cap(b.receiver), cap(b.origin), cap(b.seq), cap(b.time), cap(b.typ)) {
-		b.Grow(max(lo, k))
-	}
+	b.reserve(k)
 	b.Resize(lo + k)
 	return lo
 }
@@ -114,7 +112,6 @@ func (b *Batch) Resize(n int) {
 	if n > len(b.typ) {
 		b.Grow(n - len(b.typ))
 	}
-	b.node = b.node[:n]
 	b.typ = b.typ[:n]
 	b.sender = b.sender[:n]
 	b.receiver = b.receiver[:n]
@@ -123,10 +120,19 @@ func (b *Batch) Resize(n int) {
 	b.time = b.time[:n]
 }
 
-// Append adds one event as a new row.
+// claim makes n the batch's node: an empty batch takes any node, and one
+// that holds rows panics on another, naming both.
+func (b *Batch) claim(n NodeID) {
+	if len(b.typ) > 0 && b.node != n {
+		panic(fmt.Sprintf("event: row of node %v given to a batch of node %v", n, b.node))
+	}
+	b.node = n
+}
+
+// Append adds one event as a new row; it must be the batch's node's (claim).
 func (b *Batch) Append(e Event) {
 	b.mutable()
-	b.node = append(b.node, e.Node)
+	b.claim(e.Node)
 	b.typ = append(b.typ, e.Type)
 	b.sender = append(b.sender, e.Sender)
 	b.receiver = append(b.receiver, e.Receiver)
@@ -148,15 +154,12 @@ func putInfo(m *map[int32]string, i int, inf string) {
 	(*m)[int32(i)] = inf
 }
 
-// appendRange appends rows [lo, hi) of src, stamped with node n, copying
-// each column by one append. Info is read only when src has any.
+// appendRange appends rows [lo, hi) of src as node n's, copying each column
+// by one append. Info is read only when src has any.
 func (b *Batch) appendRange(n NodeID, src *Batch, lo, hi int) {
 	b.mutable()
+	b.claim(n)
 	base := len(b.typ)
-	b.node = slices.Grow(b.node, hi-lo)
-	for range hi - lo {
-		b.node = append(b.node, n)
-	}
 	b.sender = append(b.sender, src.sender[lo:hi]...)
 	b.receiver = append(b.receiver, src.receiver[lo:hi]...)
 	b.origin = append(b.origin, src.origin[lo:hi]...)
@@ -176,9 +179,10 @@ func (b *Batch) appendRange(n NodeID, src *Batch, lo, hi int) {
 // pkt.
 func (b *Batch) appendView(n NodeID, pkt PacketID, a *viewArena, lo, hi int) {
 	b.mutable()
+	b.claim(n)
 	base := len(b.typ)
 	for i, l := range a.link[lo:hi] {
-		b.node, b.origin, b.seq = append(b.node, n), append(b.origin, pkt.Origin), append(b.seq, pkt.Seq)
+		b.origin, b.seq = append(b.origin, pkt.Origin), append(b.seq, pkt.Seq)
 		b.sender, b.receiver = append(b.sender, NodeID(l>>32)), append(b.receiver, NodeID(l))
 		putInfo(&b.info, base+i, a.info[int32(lo+i)])
 	}
@@ -186,10 +190,10 @@ func (b *Batch) appendView(n NodeID, pkt PacketID, a *viewArena, lo, hi int) {
 	b.typ = append(b.typ, a.typ[lo:hi]...) // the byte column last, as in Grow
 }
 
-// Set overwrites row i with e. The row must already exist (see Resize).
+// Set overwrites existing row i (see Resize) with e, of the batch's node.
 func (b *Batch) Set(i int, e Event) {
 	b.mutable()
-	b.node[i] = e.Node
+	b.claim(e.Node)
 	b.typ[i] = e.Type
 	b.sender[i] = e.Sender
 	b.receiver[i] = e.Receiver
@@ -206,7 +210,7 @@ func (b *Batch) Set(i int, e Event) {
 //refill:inline — called per row by the text writer and Log.At
 func (b *Batch) At(i int) Event {
 	e := Event{
-		Node:     b.node[i],
+		Node:     b.node,
 		Type:     b.typ[i],
 		Sender:   b.sender[i],
 		Receiver: b.receiver[i],
@@ -219,8 +223,8 @@ func (b *Batch) At(i int) Event {
 	return e
 }
 
-// Node returns row i's logging node.
-func (b *Batch) Node(i int) NodeID { return b.node[i] }
+// Node returns row i's logging node: the batch's.
+func (b *Batch) Node(i int) NodeID { return b.node }
 
 // Type returns row i's event type.
 func (b *Batch) Type(i int) Type { return b.typ[i] }
@@ -249,10 +253,11 @@ func (b *Batch) Reset() {
 	b.info = nil
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, which owns its Info strings: the copy of a
+// snapshot-mapped batch outlives the mapping.
 func (b *Batch) Clone() Batch {
 	out := Batch{
-		node:     append([]NodeID(nil), b.node...),
+		node:     b.node,
 		typ:      append([]Type(nil), b.typ...),
 		sender:   append([]NodeID(nil), b.sender...),
 		receiver: append([]NodeID(nil), b.receiver...),
@@ -260,8 +265,9 @@ func (b *Batch) Clone() Batch {
 		seq:      append([]uint32(nil), b.seq...),
 		time:     append([]int64(nil), b.time...),
 	}
-	if len(b.info) > 0 {
-		out.info = maps.Clone(b.info)
+	//refill:allow maprange — map-to-map copy; no ordered output is produced
+	for i, inf := range b.info {
+		putInfo(&out.info, int(i), strings.Clone(inf))
 	}
 	return out
 }

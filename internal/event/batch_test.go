@@ -13,12 +13,20 @@ import (
 	"testing"
 )
 
+// randomNodeEvent is randomEvent logged at node n: a batch holds one node's
+// rows.
+func randomNodeEvent(rng *rand.Rand, n NodeID) Event {
+	e := randomEvent(rng)
+	e.Node = n
+	return e
+}
+
 func TestBatchAppendAtRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var b Batch
 	var want []Event
 	for i := 0; i < 200; i++ {
-		e := randomEvent(rng)
+		e := randomNodeEvent(rng, 14)
 		if i%13 == 0 {
 			e.Info = "attempt=2"
 		}
@@ -42,7 +50,7 @@ func TestBatchColumnAccessorsMatchAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var b Batch
 	for i := 0; i < 50; i++ {
-		b.Append(randomEvent(rng))
+		b.Append(randomNodeEvent(rng, 3))
 	}
 	for i := 0; i < b.Len(); i++ {
 		e := b.At(i)
@@ -58,7 +66,7 @@ func TestBatchInfoSideTableStaysNilWithoutInfo(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var b Batch
 	for i := 0; i < 100; i++ {
-		b.Append(randomEvent(rng)) // randomEvent never sets Info
+		b.Append(randomNodeEvent(rng, 3)) // randomEvent never sets Info
 	}
 	if b.info != nil {
 		t.Error("info side table allocated despite no Info strings")
@@ -78,6 +86,7 @@ func TestBatchInfoSideTableStaysNilWithoutInfo(t *testing.T) {
 
 func TestBatchSetOverwritesRow(t *testing.T) {
 	var b Batch
+	b.Append(Event{Node: 1, Type: Gen, Sender: 1, Packet: PacketID{Origin: 1, Seq: 4}, Time: 3})
 	b.Resize(3)
 	pkt := PacketID{Origin: 1, Seq: 5}
 	e := Event{Node: 1, Type: Trans, Sender: 1, Receiver: 2, Packet: pkt, Time: 9, Info: "i"}
@@ -85,8 +94,42 @@ func TestBatchSetOverwritesRow(t *testing.T) {
 	if got := b.At(1); got != e {
 		t.Fatalf("At(1) = %+v, want %+v", got, e)
 	}
-	if got := b.At(0); got != (Event{}) {
-		t.Errorf("untouched row not zero: %+v", got)
+	if got, want := b.At(0), (Event{Node: 1, Type: Gen, Sender: 1, Packet: PacketID{Origin: 1, Seq: 4}, Time: 3}); got != want {
+		t.Errorf("untouched row 0 = %+v, want %+v", got, want)
+	}
+	if got := b.At(2); got != (Event{Node: 1}) {
+		t.Errorf("untouched row 2 not zero: %+v", got)
+	}
+}
+
+// TestBatchRefusesForeignNode pins the one-node contract: a batch that holds
+// rows of one node refuses, from Append and from Set, an event of another,
+// and names both nodes; an empty batch takes the node of its first row.
+func TestBatchRefusesForeignNode(t *testing.T) {
+	var b Batch
+	b.Append(Event{Node: 4, Type: Gen, Sender: 4, Packet: PacketID{Origin: 4, Seq: 1}})
+	foreign := Event{Node: 9, Type: Gen, Sender: 9, Packet: PacketID{Origin: 9, Seq: 1}}
+	for name, f := range map[string]func(){
+		"Append": func() { b.Append(foreign) },
+		"Set":    func() { b.Set(0, foreign) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "node 9") || !strings.Contains(msg, "node 4") {
+					t.Errorf("panic %q, want one naming nodes 9 and 4", msg)
+				}
+			}()
+			f()
+		})
+	}
+	if b.Len() != 1 || b.At(0).Node != 4 || b.At(0).Packet.Origin != 4 {
+		t.Errorf("refused rows changed the batch: %+v", b.Events())
+	}
+	b.Reset()
+	b.Append(foreign)
+	if b.Node(0) != 9 {
+		t.Errorf("emptied batch took node %v, want 9", b.Node(0))
 	}
 }
 

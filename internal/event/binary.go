@@ -158,7 +158,7 @@ func ReadCollectionBinary(r io.Reader) (*Collection, error) {
 	}
 }
 
-// decodeRecords appends to b, stamped with node n, the leading records of
+// decodeRecords appends to b, as node n's rows, the leading records of
 // buf that are whole, carry no Info and have a valid type, at most limit
 // of them, and returns how many it took. It writes the columns by index,
 // growing them as reserve would when the header's count was capped.
@@ -173,13 +173,13 @@ func decodeRecords(b *Batch, n NodeID, buf []byte, limit int) int {
 	if k == 0 {
 		return 0
 	}
+	b.claim(n)
 	lo := b.extend(k)
-	node, typ, sender, receiver := b.node[lo:lo+k], b.typ[lo:lo+k], b.sender[lo:lo+k], b.receiver[lo:lo+k]
+	typ, sender, receiver := b.typ[lo:lo+k], b.sender[lo:lo+k], b.receiver[lo:lo+k]
 	origin, seq, time := b.origin[lo:lo+k], b.seq[lo:lo+k], b.time[lo:lo+k]
 	le := binary.LittleEndian
-	for i := range node {
+	for i := range typ {
 		rec := (*[recordFixedSize]byte)(buf[i*recordFixedSize:])
-		node[i] = n
 		typ[i] = Type(rec[0])
 		sender[i] = NodeID(le.Uint32(rec[1:]))
 		receiver[i] = NodeID(le.Uint32(rec[5:]))
@@ -222,6 +222,7 @@ func readRecord(br *bufio.Reader, log *Log) (int, error) {
 		e.Info = string(info)
 		br.Discard(infoLen) // cannot fail, as above
 	}
+	log.batch.reserve(1) // every column grows through Grow, so extend checks one
 	log.Append(e)
 	return recordFixedSize + infoLen, nil
 }

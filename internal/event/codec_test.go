@@ -360,7 +360,7 @@ func TestReadCollectionMatchesReference(t *testing.T) {
 
 // TestReadCollectionAllocs asserts the read path allocates per column
 // doubling, not per line: ten times the lines may cost a few more doublings
-// of the seven columns and nothing that follows the row count.
+// of the six columns and nothing that follows the row count.
 func TestReadCollectionAllocs(t *testing.T) {
 	measure := func(events int) float64 {
 		c := NewCollection()
@@ -541,7 +541,7 @@ func TestTextHeaderCountAllocatesByInput(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	const (
-		rowSize = 5*4 + 8 + 1
+		rowSize = 4*4 + 8 + 1
 		slack   = 16 << 10
 	)
 	unsized := allocated(struct{ io.Reader }{bytes.NewReader(data)})
@@ -611,7 +611,7 @@ func TestTextDecodeSizesLogsOnce(t *testing.T) {
 			}
 			for _, n := range c.Nodes() {
 				b, rows := got.Logs[n].Batch(), c.Logs[n].Len()
-				for col, cp := range map[string]int{"node": cap(b.node), "sender": cap(b.sender), "receiver": cap(b.receiver),
+				for col, cp := range map[string]int{"sender": cap(b.sender), "receiver": cap(b.receiver),
 					"origin": cap(b.origin), "seq": cap(b.seq), "time": cap(b.time), "typ": cap(b.typ)} {
 					if cp != rows {
 						t.Errorf("node %v: %s column of capacity %d for %d rows", n, col, cp, rows)
@@ -644,7 +644,7 @@ func TestTextDecodeGrowsByDoubling(t *testing.T) {
 	if err != nil || got.TotalEvents() != rows {
 		t.Fatalf("read %v events, err %v", got.TotalEvents(), err)
 	}
-	const rowSize = 5*4 + 8 + 1
+	const rowSize = 4*4 + 8 + 1
 	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*rowSize*rows+128<<10); alloc > limit {
 		t.Errorf("decoding %d rows allocated %d bytes, want at most %d (three times the columns, and the scanner)", rows, alloc, limit)
 	}

@@ -44,14 +44,13 @@ func (l *Log) Clone() Log {
 	return Log{Node: l.Node, batch: l.batch.Clone()}
 }
 
-// Validate checks that every event belongs to this node and is well formed.
+// Validate checks that the log's rows are this node's and well formed.
 func (l *Log) Validate() error {
+	if l.batch.Len() > 0 && l.batch.node != l.Node {
+		return fmt.Errorf("event: log for node %v holds the rows of node %v", l.Node, l.batch.node)
+	}
 	for i := 0; i < l.batch.Len(); i++ {
-		e := l.batch.At(i)
-		if e.Node != l.Node {
-			return fmt.Errorf("event: log for node %v contains event for node %v at index %d", l.Node, e.Node, i)
-		}
-		if err := e.Validate(); err != nil {
+		if err := l.batch.At(i).Validate(); err != nil {
 			return fmt.Errorf("event: log index %d: %w", i, err)
 		}
 	}

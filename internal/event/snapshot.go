@@ -14,7 +14,7 @@ import (
 // A Collection persisted as a snapfile container: every hot Batch column of
 // every log, concatenated node-major (ascending NodeID, per-node log order
 // preserved — the only ordering REFILL assumes), becomes ONE file section,
-// so opening a snapshot is seven unsafe slice casts plus a span index — no
+// so opening a snapshot is six unsafe slice casts plus a span index — no
 // per-event work at all. The cold Info side table rides along as an index +
 // blob pair; Info strings materialize as unsafe.Strings aliasing the blob.
 //
@@ -22,8 +22,10 @@ import (
 // ingest checkpoint — embed several collections side by side):
 //
 //	base+0   meta: rows u64 | nodes u64 | infos u64
-//	base+1…7 columns: node u32 | type u8 | sender u32 | receiver u32 |
-//	         origin u32 | seq u32 | time i64   (one section per column)
+//	base+1   retired: a node u32 a row, written before a row's node became its
+//	         span's; ignored, so that the files that have it still open
+//	base+2…7 columns: type u8 | sender u32 | receiver u32 | origin u32 |
+//	         seq u32 | time i64   (one section per column)
 //	base+8   span index: nodes * {node u32, reserved u32, start u64, end u64}
 //	         strictly ascending by node, contiguous from 0 to rows
 //	base+9   info index: infos * {row u32, off u32, len u32, reserved u32}
@@ -46,7 +48,7 @@ const (
 	SectionStride = 16
 
 	secMeta      = 0
-	secNode      = 1
+	secNode      = 1 // retired (see above): reserved, so that no section reuses it
 	secType      = 2
 	secSender    = 3
 	secReceiver  = 4
@@ -146,7 +148,6 @@ func AppendCollectionSections(w *snapfile.Writer, base uint32, c *Collection) er
 		}
 		w.End()
 	}
-	column(secNode, func(b *Batch) []byte { return rawBytes(b.node) })
 	column(secType, func(b *Batch) []byte { return rawBytes(b.typ) })
 	column(secSender, func(b *Batch) []byte { return rawBytes(b.sender) })
 	column(secReceiver, func(b *Batch) []byte { return rawBytes(b.receiver) })
@@ -215,10 +216,10 @@ func CollectionFromSections(s *snapfile.Snapshot, base uint32) (*Collection, err
 	nNodes := int(nodes64)
 
 	var cols struct {
-		node, sender, receiver, origin []NodeID
-		typ                            []Type
-		seq                            []uint32
-		time                           []int64
+		sender, receiver, origin []NodeID
+		typ                      []Type
+		seq                      []uint32
+		time                     []int64
 	}
 	load := func(id uint32, dst func(data []byte) error) {
 		if err != nil {
@@ -229,7 +230,6 @@ func CollectionFromSections(s *snapfile.Snapshot, base uint32) (*Collection, err
 			err = dst(data)
 		}
 	}
-	load(secNode, func(d []byte) (e error) { cols.node, e = castColumn[NodeID](d, rows); return })
 	load(secType, func(d []byte) (e error) { cols.typ, e = castColumn[Type](d, rows); return })
 	load(secSender, func(d []byte) (e error) { cols.sender, e = castColumn[NodeID](d, rows); return })
 	load(secReceiver, func(d []byte) (e error) { cols.receiver, e = castColumn[NodeID](d, rows); return })
@@ -261,7 +261,7 @@ func CollectionFromSections(s *snapfile.Snapshot, base uint32) (*Collection, err
 		l := &logs[i]
 		l.Node = NodeID(node)
 		l.batch = Batch{
-			node:     cols.node[start:end:end],
+			node:     l.Node,
 			typ:      cols.typ[start:end:end],
 			sender:   cols.sender[start:end:end],
 			receiver: cols.receiver[start:end:end],

@@ -84,6 +84,90 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
+// withNodeColumn rewrites snapshot image img in the layout written before a
+// batch kept its node once: the collection at base 0 also carries a node
+// column as section 1, right after its meta. col makes the column's bytes
+// from the rows' nodes; the real layout's is one little-endian u32 a row.
+func withNodeColumn(t testing.TB, img []byte, col func(nodes []NodeID) []byte) []byte {
+	t.Helper()
+	f, err := snapfile.Parse(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := f.Section(secSpanIndex)
+	var nodes []NodeID
+	for e := spans; len(e) > 0; e = e[spanEntrySize:] {
+		start, end := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		for range end - start {
+			nodes = append(nodes, NodeID(binary.LittleEndian.Uint32(e)))
+		}
+	}
+	var buf bytes.Buffer
+	w := snapfile.NewWriter(&buf)
+	for _, sec := range f.Sections() {
+		data, _ := f.Section(sec.ID)
+		w.Append(sec.ID, data)
+		if sec.ID == secMeta {
+			w.Append(secNode, col(nodes))
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// nodeColumn is the node column as it was written: one u32 a row.
+func nodeColumn(nodes []NodeID) []byte { return rawBytes(nodes) }
+
+// TestSnapshotNodeColumnRetired: the writer puts no node column (section
+// base+1) in a snapshot or in a collection at another base, and the reader
+// opens a file in the older layout, which has one, to the same collection,
+// whatever the column holds.
+func TestSnapshotNodeColumnRetired(t *testing.T) {
+	c := snapTestCollection(31, 900)
+	img := spreadImage(t, c, nil)
+	f, err := snapfile.Parse(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.Section(secNode); ok {
+		t.Error("a new snapshot has a node column")
+	}
+	var buf bytes.Buffer
+	w := snapfile.NewWriter(&buf)
+	if err := AppendCollectionSections(w, SectionStride, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := snapfile.Parse(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	} else if _, ok := f.Section(SectionStride + secNode); ok {
+		t.Error("a collection written at base SectionStride has a node column")
+	}
+
+	for name, col := range map[string]func([]NodeID) []byte{
+		"node-column": nodeColumn,
+		"foreign-nodes": func(nodes []NodeID) []byte {
+			return nodeColumn(make([]NodeID, len(nodes))) // every row node 0
+		},
+		"short-column": func([]NodeID) []byte { return []byte{1, 2, 3} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := parseSnapshotData(withNodeColumn(t, img, col))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameCollection(t, c, s.Collection())
+			if spread, ok := s.RecordedSpread(); !ok || spread != MaxPacketSpread(c) {
+				t.Errorf("recorded spread %d (%v), want %d", spread, ok, MaxPacketSpread(c))
+			}
+		})
+	}
+}
+
 // TestSnapshotFailedWriteKeepsPrevious: a snapshot write that fails — here
 // its final rename, onto a non-empty directory — leaves the previous
 // snapshot byte-identical and no temp file behind (snapfile.WriteFile pins
@@ -384,6 +468,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	f.Add(snapImage(nil, NewCollection()))
 	f.Add([]byte("RFSNAP\r\n"))
 	f.Add(spreadImage(f, snapTestCollection(41, 120), nil))
+	f.Add(withNodeColumn(f, snapImage(f, snapTestCollection(43, 120)), nodeColumn))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := parseSnapshotData(data)
 		if err != nil {

@@ -264,7 +264,7 @@ func (s *Snapshot) ReadSpan(p *WindowPlan, k, i int, dst *Batch) {
 	}
 	dst.Resize(n)
 	g := p.rowStart[i] + uint64(lo)
-	readColumn(s, secNode, g, dst.node)
+	dst.node = p.nodes[i]
 	readColumn(s, secType, g, dst.typ)
 	readColumn(s, secSender, g, dst.sender)
 	readColumn(s, secReceiver, g, dst.receiver)

@@ -117,9 +117,9 @@ func orderedSnapshot(t *testing.T, rows, infoEvery int) (*Collection, *Snapshot,
 }
 
 // TestSnapshotReadSpan: reading every (window, node) span of a plan from the
-// file, through one recycled Batch, rebuilds each log's seven columns and its
-// Info exactly, at windows from one row to the whole collection. Empty spans
-// are read too and must come back empty.
+// file, through one recycled Batch, rebuilds each log's node, its six columns
+// and its Info exactly, at windows from one row to the whole collection.
+// Empty spans are read too and must come back empty.
 func TestSnapshotReadSpan(t *testing.T) {
 	c, s, _ := orderedSnapshot(t, 3000, 7)
 	var span Batch

@@ -29,7 +29,7 @@ import (
 // server up/down rows go to one operational collection, kept for the life of
 // the store. Each in-flight packet is interned once, at its first row, into a
 // dense slot that holds its last-seen local timestamp; every row carries its
-// packet's slot in a column beside the seven event columns, so retirement
+// packet's slot in a column beside the six event columns, so retirement
 // tests rows by index and touches the intern table once per packet, never per
 // row. It is driven single-threaded under the session's lock and never
 // handed across a goroutine boundary.
@@ -392,7 +392,7 @@ func (ps *PendingStore) Retire(w *Window, cutoff int64, all bool) []*PacketView 
 				}
 				continue
 			}
-			if keep != i { // the node column needs no move: every row holds pl.node
+			if keep != i {
 				b.typ[keep], b.time[keep], pl.slot[keep] = b.typ[i], b.time[i], s
 				b.sender[keep], b.receiver[keep] = b.sender[i], b.receiver[i]
 				b.origin[keep], b.seq[keep] = b.origin[i], b.seq[i]

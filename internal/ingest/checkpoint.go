@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/diagnosis"
 	"repro/internal/event"
@@ -261,21 +260,14 @@ func Resume(cfg Config, path string) (*Session, error) {
 
 // restore replays the collection section family at base through the pending
 // store's AppendRows, per node in log order. The mapped collection and its
-// storage die with f, so each event's Info string is copied out first.
+// storage die with f, so each log is cloned out of it first, Info included.
 func (s *Session) restore(f *snapfile.Snapshot, base uint32) error {
 	c, err := event.CollectionFromSections(f, base)
 	if err != nil {
 		return err
 	}
 	for _, n := range c.Nodes() {
-		l := c.Logs[n]
-		var b event.Batch
-		b.Grow(l.Len())
-		for i := 0; i < l.Len(); i++ {
-			e := l.At(i)
-			e.Info = strings.Clone(e.Info)
-			b.Append(e)
-		}
+		b := c.Logs[n].Batch().Clone()
 		s.store.AppendRows(n, &b, 0, b.Len())
 	}
 	return nil

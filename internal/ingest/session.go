@@ -191,12 +191,12 @@ func NewSession(cfg Config) (*Session, error) {
 // already columnar — a decoded request body, a mapped snapshot — goes there
 // directly.
 func (s *Session) Append(node event.NodeID, events []event.Event) error {
-	var b event.Batch
-	b.Grow(len(events))
+	l := event.Log{Node: node}
+	l.Batch().Grow(len(events))
 	for _, e := range events {
-		b.Append(e)
+		l.Append(e)
 	}
-	return s.AppendRows(node, &b, 0, b.Len())
+	return s.AppendRows(node, l.Batch(), 0, l.Len())
 }
 
 // AppendRows is Append for the fragment held in rows [lo, hi) of b, read

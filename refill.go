@@ -117,8 +117,9 @@ type (
 	Log = event.Log
 	// Collection is the set of per-node logs REFILL analyzes.
 	Collection = event.Collection
-	// Batch is a log's columnar storage (Log.Batch); Session.AppendRows
-	// appends a span of one without copying it out into Events.
+	// Batch is a log's columnar storage (Log.Batch): one node's rows, the
+	// node kept once beside six columns. Session.AppendRows appends a span
+	// of one without copying it out into Events.
 	Batch = event.Batch
 )
 
