@@ -135,7 +135,7 @@ func TestPublicEngineParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := eng.Analyze(camp.Logs)
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink}, WithParallelism(4))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,46 +212,6 @@ func reportFingerprint(out *Output) string {
 	return sb.String()
 }
 
-func TestPublicFunctionalOptions(t *testing.T) {
-	pkt := PacketID{Origin: 1, Seq: 1}
-	logs := NewCollection()
-	logs.Add(mkEvent(Trans, 1, 2, pkt))
-	logs.Add(mkEvent(Recv, 2, 3, pkt))
-	// WithProtocol must act like setting Protocol in the struct.
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: 100}, WithProtocol(TableIIProtocol()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := an.Analyze(logs)
-	want := "1-2 trans, [1-2 recv], [2-3 trans], 2-3 recv"
-	if got := out.Result.Flows[0].String(); got != want {
-		t.Errorf("WithProtocol flow = %s", got)
-	}
-	// WithEngineOptions imports the same configuration from an engine
-	// options value; zero Sink must not clobber the struct's.
-	an2, err := NewAnalyzer(AnalyzerOptions{Sink: 100},
-		WithEngineOptions(EngineOptions{Protocol: TableIIProtocol()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := an2.Analyze(logs).Result.Flows[0].String(); got != want {
-		t.Errorf("WithEngineOptions flow = %s", got)
-	}
-	// Options apply in order: the last protocol wins.
-	an3, err := NewAnalyzer(AnalyzerOptions{Sink: 100},
-		WithProtocol(DefaultCTP()), WithProtocol(TableIIProtocol()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := an3.Analyze(logs).Result.Flows[0].String(); got != want {
-		t.Errorf("ordered options flow = %s", got)
-	}
-	// The zero Sink is still rejected, options or not.
-	if _, err := NewAnalyzer(AnalyzerOptions{}, WithProtocol(DefaultCTP())); err == nil {
-		t.Error("NewAnalyzer accepted the zero Sink")
-	}
-}
-
 // analyzeStreamAlias calls the deprecated Analyzer.AnalyzeStream — an alias of
 // Analyze at the all-cores default, kept for the benchmark's probe — so the
 // suites that pin it share one call site.
@@ -271,8 +231,7 @@ func TestPublicParallelismAndStreamIdentical(t *testing.T) {
 	}
 	want := reportFingerprint(base.Analyze(camp.Logs))
 	for _, workers := range []int{-1, 1, 4} {
-		an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration)},
-			WithParallelism(workers))
+		an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration), Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +274,7 @@ func TestAnalyzeHugeNodeID(t *testing.T) {
 	const hugeNode NodeID = 3_000_000_000
 	logs := NewCollection()
 	logs.Add(mkEvent(Gen, hugeNode, 0, PacketID{Origin: hugeNode, Seq: 1}))
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(1))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

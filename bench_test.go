@@ -393,17 +393,16 @@ func BenchmarkCampaignSimulation(b *testing.B) {
 // all-cores fan-out over the shared campaign logs.
 func BenchmarkAnalyzeCampaignParallel(b *testing.B) {
 	c := benchCampaign(b)
-	eng, err := engine.New(engine.Options{Sink: c.Res.Sink})
+	an, err := core.NewAnalyzer(core.Options{Sink: c.Res.Sink, End: int64(c.Res.Duration), Parallelism: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := diagnosis.Config{Sink: c.Res.Sink, End: int64(c.Res.Duration)}
 	events := c.Res.Logs.TotalEvents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := eng.AnalyzeDiagnosed(c.Res.Logs, 0, cfg, true)
-		if len(res.Flows) == 0 {
+		out := an.Analyze(c.Res.Logs)
+		if len(out.Result.Flows) == 0 {
 			b.Fatal("no flows")
 		}
 	}
@@ -597,7 +596,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	if err := WriteSnapshot(path, logs); err != nil {
 		b.Fatal(err)
 	}
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -648,8 +647,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		// residency windows.
 		// Serial (Parallelism 1) so allocs/op is deterministic for benchguard;
 		// flows retained, as cmd/refill does and as the baseline row records.
-		wan, err := NewAnalyzer(AnalyzerOptions{},
-			WithSink(sink), WithWindow(0, end), WithParallelism(1))
+		wan, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -722,7 +720,7 @@ func BenchmarkAnalyzeSkewed(b *testing.B) {
 	logs, sink, end := skewedBench(b)
 	events := logs.TotalEvents()
 	b.Run("workers=procs", func(b *testing.B) {
-		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithParallelism(runtime.GOMAXPROCS(0)))
+		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, Parallelism: runtime.GOMAXPROCS(0)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -759,8 +757,7 @@ func benchSession(b *testing.B, snapshots bool) {
 	c := benchCampaign(b)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	horizon := referenceMaxPacketSpread(logs)
-	an, err := NewAnalyzer(AnalyzerOptions{},
-		WithSink(sink), WithWindow(0, end), WithParallelism(1))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

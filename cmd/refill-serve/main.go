@@ -122,9 +122,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "refill-serve: -checkpoint-dir is incompatible with -retain-flows (flows are not serializable)")
 		os.Exit(2)
 	}
-	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Parallelism: *workers},
-		refill.WithSink(refill.NodeID(*sinkID)),
-		refill.WithWindow(*start, *end))
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{
+		Sink:        refill.NodeID(*sinkID),
+		Start:       *start,
+		End:         *end,
+		Parallelism: *workers,
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -82,9 +82,7 @@ func TestServeIngestMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{},
-		refill.WithSink(camp.Sink),
-		refill.WithWindow(0, int64(camp.Duration)))
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +218,7 @@ func TestServeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{},
-		refill.WithSink(camp.Sink),
-		refill.WithWindow(0, int64(camp.Duration)))
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +333,7 @@ func TestServeCheckpointResume(t *testing.T) {
 }
 
 func TestServeRejectsBadRequests(t *testing.T) {
-	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{}, refill.WithSink(1))
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +379,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 // would stay at math.MinInt64 on node 3's account and the packet would stay
 // pending.
 func TestServeThroughPunctuates(t *testing.T) {
-	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{}, refill.WithSink(1), refill.WithWindow(0, 1000))
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: 1, End: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +446,7 @@ type appendTarget struct {
 
 func newAppendTarget(t testing.TB) appendTarget {
 	t.Helper()
-	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Parallelism: 1}, refill.WithSink(1), refill.WithWindow(0, 1000))
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: 1, End: 1000, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,10 +129,13 @@ func run(args []string, stdout io.Writer) error {
 	// is dropped as soon as the driver has counted and classified it.
 	keep := *showFlows > 0 || *tracePkt != "" || *clocks
 	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{
-		Sink:      refill.NodeID(*sinkID),
-		End:       int64(*days) * int64(sim.Day),
-		DropFlows: !keep,
-	}, refill.WithParallelism(*workers), refill.WithDailyBins(int64(sim.Day), *days))
+		Sink:        refill.NodeID(*sinkID),
+		End:         int64(*days) * int64(sim.Day),
+		Parallelism: *workers,
+		DayLen:      int64(sim.Day),
+		Days:        *days,
+		DropFlows:   !keep,
+	})
 	if err != nil {
 		return err
 	}

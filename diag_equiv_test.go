@@ -89,8 +89,9 @@ func checkSameReport(t *testing.T, ref, got *diagnosis.Report, dayLen int64, day
 	}
 }
 
-// TestFusedDiagnosisMatchesSerialCampaign pins every fused engine path to the
-// two-pass reference (Analyze, then diagnosis.BuildConfig) on the full campaign.
+// TestFusedDiagnosisMatchesSerialCampaign pins the fused driver run, as the
+// analyzer composes it at every worker count, to the two-pass reference
+// (engine Analyze, then diagnosis.BuildConfig) on the full campaign.
 func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
@@ -111,7 +112,7 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 		t.Fatal("campaign produced no outage windows; ServerOutage path untested")
 	}
 
-	cfg := diagnosis.Config{Sink: sink, End: end, DayLen: dayLen, Days: days}
+	opts := core.Options{Sink: sink, End: end, DayLen: dayLen, Days: days}
 	check := func(t *testing.T, res *engine.Result, rep *diagnosis.Report) {
 		t.Helper()
 		if !reflect.DeepEqual(refRes, res) {
@@ -120,24 +121,30 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 		checkSameReport(t, ref, rep, dayLen, days)
 	}
 
+	analyzer := func(t *testing.T, workers int) *core.Analyzer {
+		t.Helper()
+		o := opts
+		o.Parallelism = workers
+		an, err := core.NewAnalyzer(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an
+	}
 	t.Run("serial", func(t *testing.T) {
-		res, rep := eng.AnalyzeDiagnosed(logs, 1, cfg, true)
-		check(t, res, rep)
+		out := analyzer(t, 0).Analyze(logs)
+		check(t, out.Result, out.Report)
 	})
 	for _, w := range []int{1, 2, 3, 8} {
 		w := w
 		t.Run(fmt.Sprintf("parallel-%d", w), func(t *testing.T) {
-			res, rep := eng.AnalyzeDiagnosed(logs, w, cfg, true)
-			check(t, res, rep)
+			out := analyzer(t, w).Analyze(logs)
+			check(t, out.Result, out.Report)
 		})
 		// The deprecated Analyzer.AnalyzeStream alias the benchmark still
-		// probes: the same driver reached through core at w workers.
+		// probes: the same driver reached at w workers.
 		t.Run(fmt.Sprintf("stream-%d", w), func(t *testing.T) {
-			an, err := core.NewAnalyzer(core.Options{Sink: sink, End: end, DayLen: dayLen, Days: days, Parallelism: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := analyzeStreamAlias(an, logs)
+			out := analyzeStreamAlias(analyzer(t, w), logs)
 			check(t, out.Result, out.Report)
 		})
 	}
@@ -175,7 +182,7 @@ func TestFacadeFusionOptions(t *testing.T) {
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
 
-	fused, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end}, WithDailyBins(dayLen, days))
+	fused, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,7 @@ func TestFlowArenaReportEquivalence(t *testing.T) {
 	flowless := *serial.Result
 	flowless.Flows = nil
 	for _, workers := range []int{1, 2, 4, 7, -1} {
-		an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration)},
-			WithParallelism(workers))
+		an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration), Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,8 +106,7 @@ func TestFlowArenaReportEquivalence(t *testing.T) {
 		if got := RenderBreakdown(par.Report); got != wantReport {
 			t.Errorf("workers=%d: parallel report diverged:\n%s\nvs\n%s", workers, got, wantReport)
 		}
-		dropper, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration), DropFlows: true},
-			WithParallelism(workers))
+		dropper, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: int64(camp.Duration), Parallelism: workers, DropFlows: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,16 +19,16 @@ import (
 // Options configures an Analyzer.
 //
 // Zero-value footguns: the zero Sink is event.NoNode and NewAnalyzer rejects
-// it — there is no default sink; use WithSink (or set Sink) explicitly. The
-// zero End leaves a trailing server outage open-ended in the report — use
-// WithWindow (or set Start/End) when outages or daily bins matter; an End
-// below the data makes sessions hold finalization while an outage is open.
+// it — there is no default sink; set Sink explicitly. The zero End leaves a
+// trailing server outage open-ended in the report — set Start/End when
+// outages or daily bins matter; an End below the data makes sessions hold
+// finalization while an outage is open.
 type Options struct {
-	// Sink is the collection-tree root (required; see WithSink).
+	// Sink is the collection-tree root (required).
 	Sink event.NodeID
 	// Protocol overrides the FSM templates (default fsm.DefaultCTP()).
 	Protocol *fsm.Protocol
-	// Start/End bound the analysis window (see WithWindow): End bounds a
+	// Start/End bound the analysis window [Start, End): End bounds a
 	// trailing open outage when building the report; Start is the epoch
 	// daily bins count from (day 0 begins at Start) and defaults to
 	// absolute time zero.
@@ -43,15 +43,6 @@ type Options struct {
 	// (AnalyzeSnapshot and Session ingest). Output is byte-identical across
 	// all settings — flows stay in packet-ID order.
 	Parallelism int
-	// MaxInferred caps inferred events per packet; 0 means the engine
-	// default (4096).
-	MaxInferred int
-	// MaxDepth caps prerequisite recursion; 0 means the engine default
-	// (256).
-	MaxDepth int
-	// Group is the node roster for group-prerequisite protocols
-	// (e.g. dissemination).
-	Group []event.NodeID
 	// DayLen/Days pre-bin the report's daily composition matrix at
 	// analysis time (Report.DailyComposition with matching arguments
 	// becomes a table read). Days == 0 leaves daily bins computed per call.
@@ -66,108 +57,53 @@ type Options struct {
 }
 
 // Option is a functional override applied on top of an Options struct by
-// NewAnalyzer, so call sites can keep a simple base config and vary the rest.
+// NewAnalyzer.
+//
+// Deprecated: set the Options fields instead. Option, WithParallelism,
+// WithDailyBins and NewAnalyzer's variadic parameter remain only because the
+// benchmark's reference analyzer is built with them.
 type Option func(*Options)
 
-// WithProtocol overrides the FSM protocol templates.
-func WithProtocol(p *fsm.Protocol) Option {
-	return func(o *Options) { o.Protocol = p }
-}
-
-// WithSink names the collection-tree root — the one required option: the
-// zero Options has no default sink and NewAnalyzer rejects it.
-func WithSink(sink event.NodeID) Option {
-	return func(o *Options) { o.Sink = sink }
-}
-
-// WithWindow bounds the analysis window [start, end): end bounds a trailing
-// open server outage in the report, and start is the epoch daily bins are
-// counted from. Leaving it unset (the zero window) keeps a trailing outage
-// open-ended and bins from absolute time zero.
-func WithWindow(start, end int64) Option {
-	return func(o *Options) { o.Start, o.End = start, end }
-}
-
-// WithParallelism sets the worker fan-out (see Options.Parallelism: n>0
-// exactly n, n<0 all cores, 0 the path's default — serial for Analyze, all
-// cores for the snapshot and session paths).
+// WithParallelism sets Options.Parallelism.
+//
+// Deprecated: set Options.Parallelism. Kept for the benchmark only.
 func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
 
-// WithDailyBins pre-bins the report's daily composition (Figure 6) at
-// analysis time: DailyComposition(dayLen, days) becomes a table read.
+// WithDailyBins sets Options.DayLen and Options.Days.
+//
+// Deprecated: set Options.DayLen and Options.Days. Kept for the benchmark
+// only.
 func WithDailyBins(dayLen int64, days int) Option {
 	return func(o *Options) { o.DayLen, o.Days = dayLen, days }
 }
 
-// WithEngineOptions imports engine-level configuration — the escape hatch for
-// callers that previously built an engine.Options by hand. It MERGES rather
-// than replaces: a field left at its zero value in eo (nil Protocol, NoNode
-// Sink, 0 caps, nil Group, false ablation switch) preserves whatever the base
-// Options or an earlier functional option set, so
-// WithEngineOptions(engine.Options{MaxDepth: 512}) does not silently reset
-// the protocol or the sink. The flip side: this option can only set the
-// ablation switches, never clear them — clear them on the base Options.
-func WithEngineOptions(eo engine.Options) Option {
-	return func(o *Options) {
-		if eo.Protocol != nil {
-			o.Protocol = eo.Protocol
-		}
-		if eo.Sink != event.NoNode {
-			o.Sink = eo.Sink
-		}
-		o.DisableIntra = o.DisableIntra || eo.DisableIntra
-		o.DisableInter = o.DisableInter || eo.DisableInter
-		if eo.MaxInferred != 0 {
-			o.MaxInferred = eo.MaxInferred
-		}
-		if eo.MaxDepth != 0 {
-			o.MaxDepth = eo.MaxDepth
-		}
-		if eo.Group != nil {
-			o.Group = eo.Group
-		}
-	}
-}
-
 // Analyzer is the ready-to-run REFILL pipeline.
 type Analyzer struct {
-	eng       *engine.Engine
-	sink      event.NodeID
-	start     int64
-	end       int64
-	par       int
-	dayLen    int64
-	days      int
-	keepFlows bool
+	eng  *engine.Engine
+	opts Options
 }
 
-// NewAnalyzer validates options and builds the pipeline. Functional options
-// are applied to opts in order before validation.
+// NewAnalyzer validates opts and builds the pipeline. The deprecated
+// functional options, if any, are applied to opts in order first.
 func NewAnalyzer(opts Options, extra ...Option) (*Analyzer, error) {
 	for _, fn := range extra {
 		fn(&opts)
 	}
 	if opts.Sink == event.NoNode {
-		return nil, fmt.Errorf("core: no sink configured — the zero Options has no default sink; add WithSink(node) (or set Options.Sink)")
+		return nil, fmt.Errorf("core: no sink configured — the zero Options has no default sink; set Options.Sink")
 	}
 	eng, err := engine.New(engine.Options{
 		Protocol:     opts.Protocol,
 		Sink:         opts.Sink,
 		DisableIntra: opts.DisableIntra,
 		DisableInter: opts.DisableInter,
-		MaxInferred:  opts.MaxInferred,
-		MaxDepth:     opts.MaxDepth,
-		Group:        opts.Group,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Analyzer{
-		eng: eng, sink: opts.Sink, start: opts.Start, end: opts.End, par: opts.Parallelism,
-		dayLen: opts.DayLen, days: opts.Days, keepFlows: !opts.DropFlows,
-	}, nil
+	return &Analyzer{eng: eng, opts: opts}, nil
 }
 
 // Output bundles everything one analysis produces.
@@ -193,7 +129,8 @@ func (o *Output) Flow(id event.PacketID) *flow.Flow {
 
 // diagConfig is the analyzer's report-level configuration.
 func (a *Analyzer) diagConfig() diagnosis.Config {
-	return diagnosis.Config{Sink: a.sink, Start: a.start, End: a.end, DayLen: a.dayLen, Days: a.days}
+	o := a.opts
+	return diagnosis.Config{Sink: o.Sink, Start: o.Start, End: o.End, DayLen: o.DayLen, Days: o.Days}
 }
 
 // SessionConfig tunes NewSession beyond the analyzer's own options. See
@@ -239,19 +176,28 @@ func (a *Analyzer) sessionConfig(sc SessionConfig) ingest.Config {
 // exactly n, <= 0 all cores); dflt is what the calling path does at 0.
 func (a *Analyzer) workers(dflt int) int {
 	switch {
-	case a.par == 0:
+	case a.opts.Parallelism == 0:
 		return dflt
-	case a.par < 0:
+	case a.opts.Parallelism < 0:
 		return 0
 	}
-	return a.par
+	return a.opts.Parallelism
 }
 
-// analyze runs the engine's fused driver over c with the given fan-out,
-// keeping the flows only when keepFlows.
+// analyze reconstructs and diagnoses c in one fused driver run over workers
+// workers (<= 0 selects GOMAXPROCS), keeping the flows only when keepFlows.
+// The partition before the walk runs on the same workers
+// (event.PartitionWorkers), and the outage schedule is reconstructed up front
+// from the operational events it sets aside. Without keepFlows the Result
+// carries no flows (each worker recycles one small arena) and is otherwise
+// the same, counters included; the Report matches running
+// diagnosis.BuildConfig over the flows either way, for every worker count.
 func (a *Analyzer) analyze(c *event.Collection, workers int, keepFlows bool) *Output {
-	res, rep := a.eng.AnalyzeDiagnosed(c, workers, a.diagConfig(), keepFlows)
-	return &Output{Result: res, Report: rep}
+	views, ops := event.PartitionWorkers(c, workers)
+	cfg := a.diagConfig()
+	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
+	p := a.eng.Run(views, workers, engine.Fusion{KeepFlows: keepFlows, Diagnosis: cfg, Sched: sched})
+	return &Output{Result: p.Result(ops), Report: diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)}
 }
 
 // Analyze runs the full pipeline over a collection of per-node logs, fanning
@@ -261,17 +207,18 @@ func (a *Analyzer) analyze(c *event.Collection, workers int, keepFlows bool) *Ou
 // aggregates merge at the join. Output is identical regardless of the worker
 // count. Under Options.DropFlows the Result carries no flows.
 func (a *Analyzer) Analyze(c *event.Collection) *Output {
-	return a.analyze(c, a.workers(1), a.keepFlows)
+	return a.analyze(c, a.workers(1), !a.opts.DropFlows)
 }
 
 // AnalyzeStream is Analyze at the throughput default: Options.Parallelism 0
 // selects all cores instead of serial.
 //
 // Deprecated: the streaming partitioner it used to select is gone — this is
-// Analyze with a different default fan-out. Set WithParallelism(-1) and call
-// Analyze. Kept until the benchmark's core.stream_par_s probe is retired.
+// Analyze with a different default fan-out. Set Options.Parallelism to -1
+// and call Analyze. Kept until the benchmark's core.stream_par_s probe is
+// retired.
 func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output {
-	return a.analyze(c, a.workers(0), a.keepFlows)
+	return a.analyze(c, a.workers(0), !a.opts.DropFlows)
 }
 
 // SnapshotOptions tunes AnalyzeSnapshot.

@@ -6,10 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/diagnosis"
-	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/event/snapfile"
 	"repro/internal/fsm"
@@ -18,8 +18,13 @@ import (
 )
 
 func TestNewAnalyzerRequiresSink(t *testing.T) {
-	if _, err := NewAnalyzer(Options{}); err == nil {
+	_, err := NewAnalyzer(Options{Protocol: fsm.DefaultCTP()})
+	if err == nil {
 		t.Fatal("expected error without sink")
+	}
+	// The message names the field to set, which exists.
+	if !strings.Contains(err.Error(), "Options.Sink") {
+		t.Errorf("error %q does not name Options.Sink", err)
 	}
 }
 
@@ -133,48 +138,6 @@ func TestConfusionMatrixConsistency(t *testing.T) {
 	}
 	if diag != acc.CauseAgree {
 		t.Errorf("confusion diagonal %d != CauseAgree %d", diag, acc.CauseAgree)
-	}
-}
-
-// TestWithEngineOptionsMerges pins the merge semantics: zero fields in the
-// imported engine.Options preserve whatever the base Options (or an earlier
-// functional option) set — WithEngineOptions(engine.Options{MaxDepth: 512})
-// must not silently reset the protocol to the CTP default or drop the sink.
-func TestWithEngineOptionsMerges(t *testing.T) {
-	ext := fsm.ExtendedCTP()
-	group := []event.NodeID{1, 2, 3}
-	o := Options{
-		Sink:         7,
-		Protocol:     ext,
-		DisableIntra: true,
-		MaxInferred:  99,
-		MaxDepth:     100,
-		Group:        group,
-	}
-	WithEngineOptions(engine.Options{MaxDepth: 512, DisableInter: true})(&o)
-	if o.Protocol != ext {
-		t.Error("zero eo.Protocol overwrote the configured protocol")
-	}
-	if o.Sink != 7 {
-		t.Error("zero eo.Sink overwrote the configured sink")
-	}
-	if !o.DisableIntra || !o.DisableInter {
-		t.Errorf("ablations = intra:%v inter:%v, want both set", o.DisableIntra, o.DisableInter)
-	}
-	if o.MaxInferred != 99 {
-		t.Errorf("MaxInferred = %d, want 99 preserved", o.MaxInferred)
-	}
-	if o.MaxDepth != 512 {
-		t.Errorf("MaxDepth = %d, want 512 applied", o.MaxDepth)
-	}
-	if len(o.Group) != 3 {
-		t.Errorf("Group = %v, want preserved roster", o.Group)
-	}
-
-	// Non-zero fields still override.
-	WithEngineOptions(engine.Options{Protocol: fsm.DefaultCTP(), Sink: 9, Group: []event.NodeID{4}})(&o)
-	if o.Protocol == ext || o.Sink != 9 || len(o.Group) != 1 {
-		t.Error("non-zero engine options failed to override")
 	}
 }
 

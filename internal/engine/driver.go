@@ -17,14 +17,14 @@ import (
 //
 //	views → range cursor → worker (run + arena + classifier + aggregate) → indexed merge → Parts
 //
-// Every analysis entry point is this driver fed different views and a
-// different outage schedule: batch Analyze/AnalyzeDiagnosed partition the
-// whole collection (AnalyzeDiagnosed on its workers, before they walk:
-// event.PartitionWorkers), the ingest session — whatever feeds it, a live
-// service or a mapped snapshot — takes one retired window's views at a time
-// straight from its pending store (AnalyzeWindowDiagnosed) and folds the
-// windows' Parts together. Serial is workers == 1 of the same worker body, run inline
-// on the caller's goroutine.
+// Every analysis runs this driver (Engine.Run) fed different views and a
+// different outage schedule: the batch analyzer partitions the whole
+// collection on its workers before they walk (event.PartitionWorkers) and
+// builds the schedule from the operational rows the partition sets aside; the
+// ingest session — whatever feeds it, a live service or a mapped snapshot —
+// takes one retired window's views at a time straight from its pending store
+// and folds the windows' Parts together. Serial is workers == 1 of the same
+// worker body, run inline on the caller's goroutine.
 //
 // Determinism: which worker walks which view is racy by construction (the
 // workers race for ranges on one shared cursor), but every worker writes flows
@@ -38,8 +38,8 @@ import (
 // covers exactly those outcomes. InferredEvents and Anomalies total the run's
 // flows, counted while each flow is hot whether it is kept or not, so a run
 // without flows still reports them. Window callers Fold many Parts into one
-// and Settle it before reading its Flows or Outcomes in order; the batch
-// entry points assemble a single run's directly.
+// and Settle it before reading its Flows or Outcomes in order; a batch
+// caller assembles a single run's directly.
 type Parts struct {
 	Flows          []*flow.Flow
 	Outcomes       []diagnosis.Outcome
@@ -72,7 +72,7 @@ func (p *Parts) Result(ops []event.Event) *Result {
 // on the windows' sizes, never on the worker count.
 // Fold merges whatever flows the window carries: whether a window keeps its
 // flows is decided once, by the driver run that produced it
-// (AnalyzeWindowDiagnosed's keepFlows), and a window run without them
+// (Fusion.KeepFlows), and a window run without them
 // carries none, so p.Flows stays nil. Flows and outcomes carry the same
 // packet keys, so merging each by its key moves them alike and, as long as
 // every window keeps flows or none does, they stay co-indexed.
@@ -146,18 +146,22 @@ func mergeSorted[T any](dst, src []T, less func(a, b T) bool) []T {
 	return dst
 }
 
-// fusion is what a driver run keeps besides walking. When diagnose is set
-// every worker classifies each flow the moment it commits it — while the
-// flow's items and visits are still hot in that worker's cache — against the
-// shared read-only outage schedule, and folds the outcome into its own
-// aggregate. keepFlows keeps every flow for the caller; without it each flow
-// lives only until it is counted and, under diagnose, classified.
-type fusion struct {
-	diagnose  bool
-	keepFlows bool
-	cfg       diagnosis.Config
-	sched     diagnosis.OutageSchedule
+// Fusion is what a driver run keeps besides walking. A Diagnosis with a
+// sink makes every worker classify each flow the moment it commits it —
+// while the flow's items and visits are still hot in that worker's cache —
+// against the shared read-only outage schedule Sched, and fold the outcome
+// into its own aggregate; the zero Diagnosis (Sink NoNode) classifies
+// nothing, since a report always has a sink. KeepFlows keeps every flow for
+// the caller; without it each flow lives only until it is counted and, under
+// diagnosis, classified.
+type Fusion struct {
+	KeepFlows bool
+	Diagnosis diagnosis.Config
+	Sched     diagnosis.OutageSchedule
 }
+
+// diagnose reports whether the run classifies its flows.
+func (fu Fusion) diagnose() bool { return fu.Diagnosis.Sink != event.NoNode }
 
 // work is the one worker body: pull view ranges from next until the batch
 // drains, and for each view reconstruct the flow, count its inferred items
@@ -169,29 +173,30 @@ type fusion struct {
 // run and nothing of it crosses to another worker: its run (recycled through
 // the engine's free list, so a serial caller analyzing many small windows
 // does not allocate one per call), its output arena (its flows stay on memory
-// it touched), and under fusion its classifier scratch and its aggregate. What
-// leaves is the return value, the worker's slot for drive's join: its counts
-// and its aggregate (nil without fusion); Flows and Outcomes stay nil there,
-// written in place instead.
-func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) Parts {
+// it touched), and under diagnosis its classifier scratch and its aggregate.
+// What leaves is the return value, the worker's slot for Run's join: its
+// counts and its aggregate (nil without diagnosis); Flows and Outcomes stay
+// nil there, written in place instead.
+func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu Fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) Parts {
 	r := e.getRun()
 	arena := flow.NewArena(sizing)
 	var cl *diagnosis.Classifier
 	var p Parts
-	if fu.diagnose {
+	if fu.diagnose() {
+		d := fu.Diagnosis
 		cl = diagnosis.NewClassifier()
-		p.Aggregate = diagnosis.NewAggregate(fu.cfg.Sink, fu.cfg.Start, fu.cfg.DayLen, fu.cfg.Days)
+		p.Aggregate = diagnosis.NewAggregate(d.Sink, d.Start, d.DayLen, d.Days)
 	}
 	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 		for i := lo; i < hi; i++ {
 			f := r.analyze(e, views[i], arena)
 			p.InferredEvents += f.InferredCount()
 			p.Anomalies += len(f.Anomalies)
-			if fu.diagnose {
-				outs[i] = diagnosis.ApplyOutages(cl.Classify(f), fu.sched, fu.cfg.Sink)
+			if cl != nil {
+				outs[i] = diagnosis.ApplyOutages(cl.Classify(f), fu.Sched, fu.Diagnosis.Sink)
 				p.Aggregate.Add(outs[i])
 			}
-			if fu.keepFlows {
+			if fu.KeepFlows {
 				flows[i] = f
 			} else {
 				arena.Reset()
@@ -202,22 +207,26 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 	return p
 }
 
-// drive runs the pipeline over views (which must be in packet-ID order, as
-// Partition returns them) with the given fan-out; workers <= 0 selects
-// GOMAXPROCS, and no more workers run than there are views. One worker runs
-// inline over the whole range; several, each on its own goroutine with its own
-// scratch, pull grain-sized ranges off one shared atomic cursor until it runs
-// past the end — packets are independent, so a work list is all the
-// scheduling there is, and a hot origin spreads because nothing keeps its
-// views together. The serial branch keeps its own next: sharing one closure
-// with the goroutines would move it to the heap, an allocation per call.
+// Run runs the pipeline over views (which must be in packet-ID order, as
+// Partition and the pending store's Retire return them) with the given
+// fan-out; workers <= 0 selects GOMAXPROCS, and no more workers run than
+// there are views. Per-packet work is the same at every worker count and
+// whatever the views' source, so the batch run and a session's folded
+// windows agree byte for byte. One worker runs inline over the whole range;
+// several, each on its own goroutine with its own scratch, pull grain-sized
+// ranges off one shared atomic cursor until it runs past the end — packets
+// are independent, so a work list is all the scheduling there is, and a hot
+// origin spreads because nothing keeps its views together. The serial branch
+// keeps its own next: sharing one closure with the goroutines would move it
+// to the heap, an allocation per call.
 //
-// Without fu.keepFlows there is no flows slice and no arena sized from the
+// Without fu.KeepFlows there is no flows slice and no arena sized from the
 // views: each worker starts from the default chunks and keeps only the
-// largest flow's worth. Each worker returns its counts and aggregate in its
-// slot of one per-run slice; the join sums the counts and merges the
-// aggregates into the first slot, which becomes the run's Parts.
-func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts {
+// largest flow's worth, and the Parts carry no Flows. Each worker returns its
+// counts and aggregate in its slot of one per-run slice; the join sums the
+// counts and merges the aggregates into the first slot, which becomes the
+// run's Parts.
+func (e *Engine) Run(views []*event.PacketView, workers int, fu Fusion) Parts {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -226,9 +235,9 @@ func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts 
 	// goroutines capture them by value; declared empty and filled in under an
 	// if, they would move to the heap on the serial path too — an allocation
 	// per call.
-	flows := slots[*flow.Flow](len(views), fu.keepFlows)
-	outs := slots[diagnosis.Outcome](len(views), fu.diagnose)
-	sizing := e.workerSizing(views, workers, fu.keepFlows)
+	flows := slots[*flow.Flow](len(views), fu.KeepFlows)
+	outs := slots[diagnosis.Outcome](len(views), fu.diagnose())
+	sizing := e.workerSizing(views, workers, fu.KeepFlows)
 	if workers == 1 {
 		pending := true
 		p := e.work(views, flows, outs, fu, sizing, func() (int, int, bool) {
@@ -260,7 +269,7 @@ func (e *Engine) drive(views []*event.PacketView, workers int, fu fusion) Parts 
 	wg.Wait()
 	p := results[0]
 	for _, s := range results[1:] {
-		if fu.diagnose {
+		if fu.diagnose() {
 			p.Aggregate.Merge(s.Aggregate)
 		}
 		p.InferredEvents += s.InferredEvents
@@ -300,7 +309,7 @@ func (e *Engine) workerSizing(views []*event.PacketView, workers int, keepFlows 
 // serially and without diagnosis.
 func (e *Engine) Analyze(c *event.Collection) *Result {
 	views, ops := event.Partition(c)
-	p := e.drive(views, 1, fusion{keepFlows: true})
+	p := e.Run(views, 1, Fusion{KeepFlows: true})
 	return p.Result(ops)
 }
 
@@ -308,7 +317,7 @@ func (e *Engine) Analyze(c *event.Collection) *Result {
 // committing all of them into one shared output arena sized by the views' row
 // counts.
 func (e *Engine) AnalyzeViews(views []*event.PacketView) []*flow.Flow {
-	return e.drive(views, 1, fusion{keepFlows: true}).Flows
+	return e.Run(views, 1, Fusion{KeepFlows: true}).Flows
 }
 
 // AnalyzePacket reconstructs the event flow for a single packet from its
@@ -321,37 +330,4 @@ func (e *Engine) AnalyzePacket(v *event.PacketView) *flow.Flow {
 	f := r.analyze(e, v, &a)
 	e.putRun(r)
 	return f
-}
-
-// AnalyzeDiagnosed reconstructs and diagnoses a whole collection in one fused
-// pass over workers workers (1 = serial, <= 0 selects GOMAXPROCS). The
-// partition before the walk runs on the same workers
-// (event.PartitionWorkers). The outage schedule is reconstructed up front
-// from the operational events the partition sets aside. With keepFlows the
-// Result matches Analyze's; without it the Result carries no flows (each
-// worker recycles one small arena, as AnalyzeWindowDiagnosed does) and is
-// otherwise the same, counters included. The Report matches running
-// diagnosis.BuildConfig over Analyze's Result either way, for every worker
-// count.
-func (e *Engine) AnalyzeDiagnosed(c *event.Collection, workers int, cfg diagnosis.Config, keepFlows bool) (*Result, *diagnosis.Report) {
-	views, ops := event.PartitionWorkers(c, workers)
-	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
-	p := e.drive(views, workers, fusion{diagnose: true, keepFlows: keepFlows, cfg: cfg, sched: sched})
-	return p.Result(ops), diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
-}
-
-// AnalyzeWindowDiagnosed reconstructs and classifies every packet of one
-// retired window — the incremental form of AnalyzeDiagnosed for the ingest
-// session, which Folds many windows' Parts together and only assembles a
-// Report at snapshot or drain time. views must be in packet-ID order, as the
-// pending store's Retire and Partition return them; sched is the outage
-// schedule the window's outcomes are classified against. With keepFlows the
-// Parts carry every flow; without it they carry none (Flows is nil), and each
-// worker recycles one small arena, flow by flow, instead of committing the
-// window's flows only to drop them. Per-packet work is identical to the batch
-// entry points', so folded windows reproduce AnalyzeDiagnosed byte for byte,
-// outcomes and aggregate alike whether flows are kept or not. workers <= 0
-// selects GOMAXPROCS.
-func (e *Engine) AnalyzeWindowDiagnosed(views []*event.PacketView, workers int, cfg diagnosis.Config, sched diagnosis.OutageSchedule, keepFlows bool) Parts {
-	return e.drive(views, workers, fusion{diagnose: true, keepFlows: keepFlows, cfg: cfg, sched: sched})
 }

@@ -13,6 +13,17 @@ import (
 	"repro/internal/flow"
 )
 
+// analyzeDiagnosed is the batch analyzer's fused run as core composes it:
+// partition c on the run's workers, build the outage schedule from the
+// operational rows the partition sets aside, run the driver with diagnosis,
+// and assemble the report.
+func analyzeDiagnosed(e *Engine, c *event.Collection, workers int, cfg diagnosis.Config, keepFlows bool) (*Result, *diagnosis.Report) {
+	views, ops := event.PartitionWorkers(c, workers)
+	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
+	p := e.Run(views, workers, Fusion{KeepFlows: keepFlows, Diagnosis: cfg, Sched: sched})
+	return p.Result(ops), diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
+}
+
 // TestPartsFoldKeepsPacketOrder folds random windows — each in packet-ID
 // order, as Partition emits them, with packets recurring across windows the
 // way a too-small horizon splits them — and requires the accumulation to
@@ -177,7 +188,7 @@ func TestWindowDiscardsFlows(t *testing.T) {
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
 	sched := diagnosis.OutagesFromOperational(nil, cfg.End)
 	views, _ := event.Partition(c)
-	ref := eng.AnalyzeWindowDiagnosed(views, 1, cfg, sched, true)
+	ref := eng.Run(views, 1, Fusion{KeepFlows: true, Diagnosis: cfg, Sched: sched})
 	largest := 0
 	for _, f := range ref.Flows {
 		largest = max(largest, len(f.Items))
@@ -186,8 +197,8 @@ func TestWindowDiscardsFlows(t *testing.T) {
 		t.Fatalf("largest flow has %d items; the test needs one past the default chunk", largest)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		kept := eng.AnalyzeWindowDiagnosed(views, workers, cfg, sched, true)
-		dropped := eng.AnalyzeWindowDiagnosed(views, workers, cfg, sched, false)
+		kept := eng.Run(views, workers, Fusion{KeepFlows: true, Diagnosis: cfg, Sched: sched})
+		dropped := eng.Run(views, workers, Fusion{Diagnosis: cfg, Sched: sched})
 		if dropped.Flows != nil {
 			t.Fatalf("workers=%d: %d flows carried without keepFlows", workers, len(dropped.Flows))
 		}

@@ -38,7 +38,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	c := buildManyPackets(500)
 	serial := eng.Analyze(c)
 	for _, workers := range []int{1, 2, 4, 16} {
-		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99}, true)
+		par, _ := analyzeDiagnosed(eng, c, workers, diagnosis.Config{Sink: 99}, true)
 		if len(par.Flows) != len(serial.Flows) {
 			t.Fatalf("workers=%d: flow count %d vs %d", workers, len(par.Flows), len(serial.Flows))
 		}
@@ -59,7 +59,7 @@ func TestAnalyzeParallelEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := eng.AnalyzeDiagnosed(event.NewCollection(), 4, diagnosis.Config{Sink: 9}, true)
+	res, _ := analyzeDiagnosed(eng, event.NewCollection(), 4, diagnosis.Config{Sink: 9}, true)
 	if len(res.Flows) != 0 {
 		t.Errorf("flows = %d", len(res.Flows))
 	}
@@ -71,7 +71,7 @@ func TestAnalyzeParallelDefaultsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := buildManyPackets(50)
-	res, _ := eng.AnalyzeDiagnosed(c, 0, diagnosis.Config{Sink: 99}, true) // GOMAXPROCS
+	res, _ := analyzeDiagnosed(eng, c, 0, diagnosis.Config{Sink: 99}, true) // GOMAXPROCS
 	if len(res.Flows) != 50 {
 		t.Errorf("flows = %d", len(res.Flows))
 	}
@@ -84,7 +84,7 @@ func TestAnalyzeParallelOperationalEvents(t *testing.T) {
 	}
 	c := buildManyPackets(10)
 	c.Add(event.Event{Node: event.Server, Type: event.ServerDown, Time: 5})
-	res, _ := eng.AnalyzeDiagnosed(c, 2, diagnosis.Config{Sink: 99}, true)
+	res, _ := analyzeDiagnosed(eng, c, 2, diagnosis.Config{Sink: 99}, true)
 	if len(res.Operational) != 1 {
 		t.Errorf("operational = %d", len(res.Operational))
 	}
@@ -133,8 +133,9 @@ func buildSeededCampaign(packets int) *event.Collection {
 // the driver returns a Result deeply equal to serial Analyze on a seeded
 // campaign, for several worker counts, and a run that keeps no flows returns
 // the same Result without them: its inferred-event and anomaly counters are
-// the sums over the serial flows. Two foreign gen records add anomalies.
-// Determinism is the correctness contract of the whole pipeline.
+// the sums over the serial flows. A run without diagnosis fans out the same
+// way and returns serial AnalyzeViews' flows. Two foreign gen records add
+// anomalies. Determinism is the correctness contract of the whole pipeline.
 func TestAnalyzeVariantsProduceIdenticalResults(t *testing.T) {
 	eng, err := New(Options{Sink: 99})
 	if err != nil {
@@ -160,14 +161,26 @@ func TestAnalyzeVariantsProduceIdenticalResults(t *testing.T) {
 	flowless := *serial
 	flowless.Flows = nil
 	for _, workers := range []int{0, 1, 2, 3, 4, 7, 8} {
-		par, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99}, true)
+		par, _ := analyzeDiagnosed(eng, c, workers, diagnosis.Config{Sink: 99}, true)
 		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("AnalyzeDiagnosed(workers=%d) diverged from Analyze", workers)
+			t.Fatalf("fused run (workers=%d) diverged from Analyze", workers)
 		}
-		dropped, _ := eng.AnalyzeDiagnosed(c, workers, diagnosis.Config{Sink: 99}, false)
+		dropped, _ := analyzeDiagnosed(eng, c, workers, diagnosis.Config{Sink: 99}, false)
 		if !reflect.DeepEqual(&flowless, dropped) {
-			t.Fatalf("AnalyzeDiagnosed(workers=%d) without flows = %d flows, %d/%d counters; want none and %d/%d",
+			t.Fatalf("fused run (workers=%d) without flows = %d flows, %d/%d counters; want none and %d/%d",
 				workers, len(dropped.Flows), dropped.InferredEvents, dropped.Anomalies, inferred, anomalies)
+		}
+	}
+	views, _ := event.Partition(c)
+	want := eng.AnalyzeViews(views)
+	for _, workers := range []int{2, 8} {
+		p := eng.Run(views, workers, Fusion{KeepFlows: true})
+		if !reflect.DeepEqual(want, p.Flows) {
+			t.Fatalf("undiagnosed run (workers=%d) diverged from serial AnalyzeViews", workers)
+		}
+		if p.Outcomes != nil || p.Aggregate != nil || p.InferredEvents != inferred || p.Anomalies != anomalies {
+			t.Fatalf("undiagnosed run (workers=%d): %d outcomes, aggregate %v, %d/%d counters; want none, nil, %d/%d",
+				workers, len(p.Outcomes), p.Aggregate != nil, p.InferredEvents, p.Anomalies, inferred, anomalies)
 		}
 	}
 }

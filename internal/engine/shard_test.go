@@ -66,9 +66,9 @@ func TestShardedMergeDeterministic(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				got, _ := eng.AnalyzeDiagnosed(c, w, diagnosis.Config{Sink: 900}, true)
+				got, _ := analyzeDiagnosed(eng, c, w, diagnosis.Config{Sink: 900}, true)
 				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("AnalyzeDiagnosed(workers=%d) diverged from serial", w)
+					t.Errorf("fused run (workers=%d) diverged from serial", w)
 				}
 			}(workers)
 		}
@@ -110,17 +110,17 @@ func TestDriveCoversEveryViewOnce(t *testing.T) {
 	}
 	all, ops := event.Partition(buildManyOriginCampaign(46))
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
-	fu := fusion{diagnose: true, keepFlows: true, cfg: cfg, sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
+	fu := Fusion{KeepFlows: true, Diagnosis: cfg, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
 		if n > len(all) {
 			t.Fatalf("campaign has %d views, need %d", len(all), n)
 		}
 		views := all[:n]
-		serial := eng.drive(views, 1, fu)
-		ref := diagnosis.FromParts(cfg.Sink, fu.sched, serial.Outcomes, serial.Aggregate)
+		serial := eng.Run(views, 1, fu)
+		ref := diagnosis.FromParts(cfg.Sink, fu.Sched, serial.Outcomes, serial.Aggregate)
 		for _, workers := range []int{1, 2, 3, 8, 64} {
 			label := fmt.Sprintf("views=%d workers=%d", n, workers)
-			p := eng.drive(views, workers, fu)
+			p := eng.Run(views, workers, fu)
 			if len(p.Flows) != n || len(p.Outcomes) != n {
 				t.Fatalf("%s: %d flows, %d outcomes", label, len(p.Flows), len(p.Outcomes))
 			}
@@ -132,7 +132,7 @@ func TestDriveCoversEveryViewOnce(t *testing.T) {
 			if n > 0 && !reflect.DeepEqual(serial.Flows, p.Flows) {
 				t.Errorf("%s: flows diverged from serial", label)
 			}
-			sameDiagnosis(t, label, ref, diagnosis.FromParts(cfg.Sink, fu.sched, p.Outcomes, p.Aggregate))
+			sameDiagnosis(t, label, ref, diagnosis.FromParts(cfg.Sink, fu.Sched, p.Outcomes, p.Aggregate))
 		}
 	}
 }
@@ -152,18 +152,18 @@ func TestDriverDegenerateInputs(t *testing.T) {
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
 	for name, c := range inputs {
 		views, ops := event.Partition(c)
-		fu := fusion{diagnose: true, keepFlows: true, cfg: cfg, sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
+		fu := Fusion{KeepFlows: true, Diagnosis: cfg, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
 		serial := eng.Analyze(c)
 		ref := diagnosis.BuildConfig(serial.Flows, ops, cfg)
 		for _, workers := range []int{1, len(views) + 3} {
-			p := eng.drive(views, workers, fu)
+			p := eng.Run(views, workers, fu)
 			if len(p.Flows) != len(views) || len(p.Outcomes) != len(views) {
 				t.Fatalf("%s workers=%d: %d flows, %d outcomes for %d views", name, workers, len(p.Flows), len(p.Outcomes), len(views))
 			}
 			if len(views) > 0 && !reflect.DeepEqual(serial.Flows, p.Flows) {
 				t.Errorf("%s workers=%d: flows diverged from serial", name, workers)
 			}
-			sameDiagnosis(t, name, ref, diagnosis.FromParts(cfg.Sink, fu.sched, p.Outcomes, p.Aggregate))
+			sameDiagnosis(t, name, ref, diagnosis.FromParts(cfg.Sink, fu.Sched, p.Outcomes, p.Aggregate))
 		}
 	}
 }

@@ -219,14 +219,19 @@ func (w *Writer) Finish() error {
 // pattern as os.CreateTemp names it; the file is then finished, flushed
 // through a 1 MiB buffer, fsynced, closed and renamed over path, and the
 // directory is fsynced (on unix) so the new name survives a crash. On any
-// error path is left as it was and the temp file is removed.
-func WriteFile(path, pattern string, fill func(*Writer) error) error {
+// error path is left as it was and the temp file is removed; after a
+// successful rename there is no temp file left to remove.
+func WriteFile(path, pattern string, fill func(*Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
 	bw := bufio.NewWriterSize(tmp, 1<<20)
 	w := NewWriter(bw)
 	err = fill(w)

@@ -143,7 +143,7 @@ func TestResumeUnorderedOutcomes(t *testing.T) {
 		t.Fatalf("Advance after resume finalized %d packets (err %v); the restored outcomes were never merged into", n, err)
 	}
 	gotRes, got := res.Drain()
-	wantRes, want := ctpEngine(t, c.sink).AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
+	wantRes, want := analyzeDiagnosed(ctpEngine(t, c.sink), c.collection(), c.config())
 	if gotRes.InferredEvents != wantRes.InferredEvents || gotRes.Anomalies != wantRes.Anomalies {
 		t.Errorf("drained counters %d/%d, batch %d/%d", gotRes.InferredEvents, gotRes.Anomalies,
 			wantRes.InferredEvents, wantRes.Anomalies)

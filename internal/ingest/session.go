@@ -278,7 +278,8 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 		return 0
 	}
 	_, sched := s.scheduleLocked(ew, final)
-	s.acc.Fold(s.eng.AnalyzeWindowDiagnosed(views, s.cfg.Workers, s.cfg.Diagnosis, sched, s.cfg.RetainFlows))
+	fu := engine.Fusion{KeepFlows: s.cfg.RetainFlows, Diagnosis: s.cfg.Diagnosis, Sched: sched}
+	s.acc.Fold(s.eng.Run(views, s.cfg.Workers, fu))
 	return len(views)
 }
 

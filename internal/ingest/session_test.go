@@ -27,6 +27,17 @@ func ctpEngine(t *testing.T, sink event.NodeID) *engine.Engine {
 	return e
 }
 
+// analyzeDiagnosed is the batch analyzer's serial fused run as core
+// composes it, flows kept: partition c, build the outage schedule from the
+// operational rows the partition sets aside, run the driver with diagnosis,
+// and assemble the report.
+func analyzeDiagnosed(e *engine.Engine, c *event.Collection, cfg diagnosis.Config) (*engine.Result, *diagnosis.Report) {
+	views, ops := event.Partition(c)
+	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
+	p := e.Run(views, 1, engine.Fusion{KeepFlows: true, Diagnosis: cfg, Sched: sched})
+	return p.Result(ops), diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
+}
+
 // campaign is a tiny hand-built workload: every event of every packet plus
 // the operational rows, in global time order.
 type campaign struct {
@@ -133,7 +144,7 @@ func TestSessionDrainMatchesBatch(t *testing.T) {
 		t.Errorf("drained session still holds %d packets (%d rows)", st.PendingPackets, st.PendingRows)
 	}
 
-	refRes, refRep := eng.AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
+	refRes, refRep := analyzeDiagnosed(eng, c.collection(), c.config())
 	if !reflect.DeepEqual(rep.Outcomes, refRep.Outcomes) {
 		t.Errorf("outcomes differ:\n got %+v\nwant %+v", rep.Outcomes, refRep.Outcomes)
 	}
@@ -307,7 +318,7 @@ func TestSessionOpenOutageHoldsPastCampaignEnd(t *testing.T) {
 			t.Errorf("end %d: watermark = %d after the outage closed, want 180", tc.end, w)
 		}
 		_, rep := s.Drain()
-		_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
+		_, want := analyzeDiagnosed(eng, c.collection(), c.config())
 		if !reflect.DeepEqual(rep.Outcomes, want.Outcomes) || !reflect.DeepEqual(rep.Outages, want.Outages) {
 			t.Errorf("end %d: drained report diverged from batch", tc.end)
 		}
@@ -431,7 +442,7 @@ func TestSessionNegativeClocksFinalize(t *testing.T) {
 		t.Errorf("pending packets = %d, want 2", st.PendingPackets)
 	}
 	_, rep := s.Drain()
-	_, want := eng.AnalyzeDiagnosed(c.collection(), 1, c.config(), true)
+	_, want := analyzeDiagnosed(eng, c.collection(), c.config())
 	if !reflect.DeepEqual(rep.Outcomes, want.Outcomes) {
 		t.Errorf("outcomes differ:\n got %+v\nwant %+v", rep.Outcomes, want.Outcomes)
 	}
@@ -640,7 +651,7 @@ func TestSessionConcurrentAppendSnapshot(t *testing.T) {
 // down and up are the first, a middle, the last and the only row of a
 // fragment, with an advance after every round. The batches come from a text
 // body whose packet rows carry Info, and from a read-only snapshot mapping of
-// the same collection. Each drain must equal batch AnalyzeDiagnosed over the
+// the same collection. Each drain must equal the batch fused run over the
 // source: outcomes, outages, operational events, and flows with their Info.
 func TestAppendRowsEdgeCases(t *testing.T) {
 	c := smallCampaign()
@@ -678,7 +689,7 @@ func TestAppendRowsEdgeCases(t *testing.T) {
 	}
 	eng := ctpEngine(t, c.sink)
 	horizon := event.MaxPacketSpread(text)
-	wantRes, want := eng.AnalyzeDiagnosed(text, 1, c.config(), true)
+	wantRes, want := analyzeDiagnosed(eng, text, c.config())
 	infos := 0
 	for _, f := range wantRes.Flows {
 		for _, it := range f.Items {

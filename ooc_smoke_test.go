@@ -73,7 +73,7 @@ func TestOutOfCoreSnapshotSmoke(t *testing.T) {
 		t.Skip("set REFILL_OOC_SMOKE=1 (and GOMEMLIMIT below the snapshot size) to run the out-of-core smoke")
 	}
 	logs, sink, end, horizon := chainCampaign(400_000, 64)
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end), WithParallelism(-1))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, Parallelism: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@
 // # Quick start: one-shot analysis
 //
 //	logs, _ := refill.ReadLogs(file)
-//	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{}, refill.WithSink(1))
+//	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: 1})
 //	out := an.Analyze(logs)
 //	for _, f := range out.Result.Flows {
 //		fmt.Println(f)                         // "1-2 trans, [1-2 recv], ..."
@@ -36,14 +36,13 @@
 // (Result.InferredEvents, Result.Anomalies) without Flows — what cmd/refill
 // does unless -flows, -trace or -clocks reads them.
 //
-// Functional options layer on top of the AnalyzerOptions struct. Every
-// configuration returns byte-identical output — flows stay in packet-ID
-// order regardless of worker count:
+// The AnalyzerOptions struct is the whole configuration. Every worker count
+// returns byte-identical output — flows stay in packet-ID order:
 //
-//	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{},
-//		refill.WithSink(1),
-//		refill.WithParallelism(4), // 0 = each path's default, <0 = all cores
-//	)
+//	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{
+//		Sink:        1,
+//		Parallelism: 4, // 0 = each path's default, <0 = all cores
+//	})
 //	out := an.Analyze(logs)
 //
 // # Quick start: resident sessions
@@ -226,16 +225,13 @@ func Causes() []Cause { return diagnosis.Causes() }
 // Analyzer pipeline.
 type (
 	// AnalyzerOptions configures the pipeline. Zero-value footguns: Sink
-	// has no default (the zero Sink is NoNode and NewAnalyzer rejects it —
-	// add WithSink); a zero window leaves a trailing server outage
-	// open-ended in the report (add WithWindow); Parallelism 0 picks each
-	// path's default — serial for Analyze, all cores for the snapshot and
-	// session paths. DropFlows is the one flow-retention switch for
-	// Analyze; its zero value keeps every flow.
+	// has no default (the zero Sink is NoNode and NewAnalyzer rejects it);
+	// a zero Start/End window leaves a trailing server outage open-ended in
+	// the report; Parallelism 0 picks each path's default — serial for
+	// Analyze, all cores for the snapshot and session paths. DropFlows is
+	// the one flow-retention switch for Analyze; its zero value keeps every
+	// flow.
 	AnalyzerOptions = core.Options
-	// AnalyzerOption is a functional override applied on top of
-	// AnalyzerOptions by NewAnalyzer (WithProtocol, WithParallelism, …).
-	AnalyzerOption = core.Option
 	// Analyzer is the ready-to-run REFILL pipeline.
 	Analyzer = core.Analyzer
 	// Output bundles reconstructed flows and the diagnosis report.
@@ -255,46 +251,14 @@ type (
 	Judgment = core.Judgment
 )
 
-// NewAnalyzer builds the REFILL pipeline. Functional options are applied on
-// top of opts in order:
+// NewAnalyzer builds the REFILL pipeline from opts:
 //
-//	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{},
-//		refill.WithSink(1),
-//		refill.WithProtocol(refill.ExtendedCTP()),
-//		refill.WithParallelism(-1))
-func NewAnalyzer(opts AnalyzerOptions, extra ...AnalyzerOption) (*Analyzer, error) {
-	return core.NewAnalyzer(opts, extra...)
-}
-
-// WithSink names the collection-tree root — the one required option.
-func WithSink(sink NodeID) AnalyzerOption { return core.WithSink(sink) }
-
-// WithWindow bounds the analysis window [start, end): end bounds a trailing
-// open server outage in the report, and start is the epoch daily bins are
-// counted from.
-func WithWindow(start, end int64) AnalyzerOption { return core.WithWindow(start, end) }
-
-// WithProtocol overrides the FSM protocol templates.
-func WithProtocol(p *Protocol) AnalyzerOption { return core.WithProtocol(p) }
-
-// WithParallelism sets the per-packet reconstruction fan-out under one rule
-// for every path: n > 0 exactly n workers, n < 0 all cores, 0 the path's
-// default — serial for the batch Analyze (the reproducibility baseline),
-// all cores for AnalyzeSnapshot and Session ingest (the throughput paths).
-// Output is byte-identical across all settings.
-func WithParallelism(workers int) AnalyzerOption { return core.WithParallelism(workers) }
-
-// WithEngineOptions imports engine-level configuration (ablations, inference
-// caps, group roster) — for callers that previously built an engine.Options
-// by hand and imported internal packages to do it. Fields left at their zero
-// value in eo (nil protocol, zero sink, 0 caps, false ablation switches)
-// preserve the analyzer's existing settings rather than resetting them.
-func WithEngineOptions(eo EngineOptions) AnalyzerOption { return core.WithEngineOptions(eo) }
-
-// WithDailyBins pre-bins the report's daily loss composition (Figure 6) at
-// analysis time: Report.DailyComposition(dayLen, days) with the same
-// arguments becomes a table read instead of a scan over every outcome.
-func WithDailyBins(dayLen int64, days int) AnalyzerOption { return core.WithDailyBins(dayLen, days) }
+//	an, _ := refill.NewAnalyzer(refill.AnalyzerOptions{
+//		Sink:        1,
+//		Protocol:    refill.ExtendedCTP(),
+//		Parallelism: -1,
+//	})
+func NewAnalyzer(opts AnalyzerOptions) (*Analyzer, error) { return core.NewAnalyzer(opts) }
 
 // Resident ingest sessions.
 type (

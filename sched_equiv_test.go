@@ -97,7 +97,8 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 	wantReport := RenderBreakdown(want.Report)
 
 	for _, workers := range []int{2, 8} {
-		an, err := NewAnalyzer(opts, WithParallelism(workers))
+		opts.Parallelism = workers
+		an, err := NewAnalyzer(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,8 @@ func TestSkewedOriginSchedulerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	ooc, err := NewAnalyzer(opts, WithParallelism(8))
+	opts.Parallelism = 8
+	ooc, err := NewAnalyzer(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

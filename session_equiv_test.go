@@ -207,8 +207,7 @@ func TestSessionEquivalence(t *testing.T) {
 	days := int((end + dayLen - 1) / dayLen)
 	horizon := referenceMaxPacketSpread(logs)
 
-	an, err := NewAnalyzer(AnalyzerOptions{},
-		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +339,7 @@ func TestSessionSnapshotConsistency(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	horizon := referenceMaxPacketSpread(logs)
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +384,7 @@ func TestSessionSnapshotConsistency(t *testing.T) {
 // packet stream, advanced once per window, must hold pending rows bounded by
 // the in-flight window population — not by total ingest.
 func TestSessionBoundedRetention(t *testing.T) {
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(1), WithWindow(0, 1<<40))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: 1, End: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +463,7 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
 	horizon := referenceMaxPacketSpread(full)
-	an, err := NewAnalyzer(AnalyzerOptions{},
-		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +566,7 @@ func FuzzSessionEquivalence(f *testing.F) {
 	}
 	logs, sink, end := camp.Logs, camp.Sink, int64(camp.Duration)
 	horizon := referenceMaxPacketSpread(logs)
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -42,8 +42,7 @@ func TestSnapshotAnalyzeEquivalence(t *testing.T) {
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	an, err := NewAnalyzer(AnalyzerOptions{},
-		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +130,7 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
 	horizon := referenceMaxPacketSpread(logs)
-	an, err := NewAnalyzer(AnalyzerOptions{},
-		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +218,11 @@ func TestResumeUnderNewDailyBins(t *testing.T) {
 	day := int64(sim.Day)
 	days := int((end + day - 1) / day)
 	sc := SessionConfig{Horizon: referenceMaxPacketSpread(logs)}
-	writer, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+	writer, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumer, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(day/2, end), WithDailyBins(day, days))
+	resumer, err := NewAnalyzer(AnalyzerOptions{Sink: sink, Start: day / 2, End: end, DayLen: day, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +282,7 @@ func TestSnapshotSessionFromMappedCollection(t *testing.T) {
 	c := equivCampaign(t)
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	horizon := referenceMaxPacketSpread(logs)
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +328,7 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	an, err := NewAnalyzer(AnalyzerOptions{},
-		WithSink(sink), WithWindow(0, end), WithDailyBins(dayLen, days))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +530,7 @@ func testOutOfCoreTrailingOutage(t *testing.T, full *Collection, sink NodeID, du
 	}
 	var counts []int
 	for _, end := range []int64{duration, 0, down + (up-down)/2} {
-		an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(sink), WithWindow(0, end))
+		an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,8 +113,7 @@ func TestSnapshotParentFile(t *testing.T) {
 		t.Fatalf("sections %v, want the parent file's less the node column: %v", got, want)
 	}
 
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(parentSnapshotSink), WithWindow(0, parentSnapshotEnd),
-		WithDailyBins(int64(sim.Day), 2))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: parentSnapshotSink, End: parentSnapshotEnd, DayLen: int64(sim.Day), Days: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestSoATableIIFixtureEquivalence(t *testing.T) {
 	logs := NewCollection()
 	logs.Add(mkEvent(Trans, 1, 2, pkt))
 	logs.Add(mkEvent(Recv, 2, 3, pkt))
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: 100}, WithProtocol(TableIIProtocol()))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: 100, Protocol: TableIIProtocol()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestInfoEveryPath(t *testing.T) {
 		}
 	}
 	end := int64(camp.Duration)
-	serial, err := NewAnalyzer(AnalyzerOptions{}, WithSink(camp.Sink), WithWindow(0, end))
+	serial, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := NewAnalyzer(AnalyzerOptions{}, WithSink(camp.Sink), WithWindow(0, end), WithParallelism(4))
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: camp.Sink, End: end, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
