@@ -453,8 +453,9 @@ func BenchmarkFlowOutput(b *testing.B) {
 // invariant benchguard pins (the scratch is warmed before the timer, since
 // the baseline runs at -benchtime 1x). build is the full serial diagnosis
 // (classification, outage application, one-pass aggregation) producing a
-// finished report; reads exercises every aggregate-backed figure read on a
-// prebuilt report. All three run serially, so allocs/op is deterministic.
+// finished report; reads exercises every figure read on a prebuilt report,
+// the Figure 6 daily bins included (a scan of the outcomes). All three run
+// serially, so allocs/op is deterministic.
 func BenchmarkDiagnosis(b *testing.B) {
 	c := benchCampaign(b)
 	flows := c.Out.Result.Flows
@@ -462,7 +463,7 @@ func BenchmarkDiagnosis(b *testing.B) {
 	end := int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	cfg := diagnosis.Config{Sink: c.Res.Sink, End: end, DayLen: dayLen, Days: days}
+	cfg := diagnosis.Config{Sink: c.Res.Sink, End: end}
 	b.Run("classify", func(b *testing.B) {
 		cl := diagnosis.NewClassifier()
 		for _, f := range flows {
@@ -651,7 +652,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := SnapshotOptions{WindowRows: rows/6 + 1, SessionConfig: SessionConfig{RetainFlows: true}}
+		opts := SnapshotOptions{WindowRows: rows/6 + 1, RetainFlows: true}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

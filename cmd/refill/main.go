@@ -16,7 +16,13 @@
 // which is the fastest way to re-analyze a large campaign. -from-snapshot
 // analyzes out of core by default — windowed reconstruction that reads each
 // node's rows of a window from the file, so snapshots larger than memory
-// work; tune the residency window with -window-rows.
+// work; tune the residency window with -window-rows. The completeness
+// horizon comes from the file: the within-packet spread it records, or one
+// scan of a file written before snapshots recorded it.
+//
+// -days sets the campaign end, which bounds a server outage still open at
+// the end of the logs; nothing here bins by day (Figure 6 is
+// cmd/experiments' read of the report).
 //
 // Flows are kept only when a flag reads them (-flows, -trace, -clocks): the
 // summary's packet, inferred-event and anomaly counts and the cause table
@@ -132,8 +138,6 @@ func run(args []string, stdout io.Writer) error {
 		Sink:        refill.NodeID(*sinkID),
 		End:         int64(*days) * int64(sim.Day),
 		Parallelism: *workers,
-		DayLen:      int64(sim.Day),
-		Days:        *days,
 		DropFlows:   !keep,
 	})
 	if err != nil {
@@ -145,10 +149,7 @@ func run(args []string, stdout io.Writer) error {
 		// node's rows of a window from the file, so no more of the snapshot
 		// is resident than one span of columns and the pending rows, and
 		// snapshots larger than memory analyze fine.
-		out = an.AnalyzeSnapshot(snap, refill.SnapshotOptions{
-			WindowRows:    *winRows,
-			SessionConfig: refill.SessionConfig{RetainFlows: keep},
-		})
+		out = an.AnalyzeSnapshot(snap, refill.SnapshotOptions{WindowRows: *winRows, RetainFlows: keep})
 	} else {
 		out = an.Analyze(logs)
 	}

@@ -34,7 +34,7 @@ func TestRunModes(t *testing.T) {
 	}
 
 	const days = 30 // the -days default
-	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: camp.Sink, End: days * int64(sim.Day), DayLen: int64(sim.Day), Days: days})
+	an, err := refill.NewAnalyzer(refill.AnalyzerOptions{Sink: camp.Sink, End: days * int64(sim.Day)})
 	if err != nil {
 		t.Fatal(err)
 	}

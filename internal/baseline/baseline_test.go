@@ -63,18 +63,6 @@ func TestSinkViewNoServerLog(t *testing.T) {
 	}
 }
 
-func TestSinkViewLossBySource(t *testing.T) {
-	lost := []LostPacket{
-		{Packet: event.PacketID{Origin: 3, Seq: 1}},
-		{Packet: event.PacketID{Origin: 3, Seq: 2}},
-		{Packet: event.PacketID{Origin: 4, Seq: 9}},
-	}
-	m := SinkViewLossBySource(lost)
-	if m[3] != 2 || m[4] != 1 {
-		t.Errorf("by source = %v", m)
-	}
-}
-
 func TestNaiveBlamesUnackedTrans(t *testing.T) {
 	pkt := event.PacketID{Origin: 1, Seq: 1}
 	c := event.NewCollection()

@@ -101,13 +101,3 @@ func SinkView(c *event.Collection, period int64) []LostPacket {
 	}
 	return lost
 }
-
-// SinkViewLossBySource aggregates sink-view losses per origin — the paper's
-// "whose packets are lost" histogram, which looks deceptively uniform.
-func SinkViewLossBySource(lost []LostPacket) map[event.NodeID]int {
-	m := make(map[event.NodeID]int)
-	for _, lp := range lost {
-		m[lp.Packet.Origin]++
-	}
-	return m
-}

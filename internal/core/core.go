@@ -43,11 +43,14 @@ type Options struct {
 	// (AnalyzeSnapshot and Session ingest). Output is byte-identical across
 	// all settings — flows stay in packet-ID order.
 	Parallelism int
-	// DayLen/Days pre-bin the report's daily composition matrix at
-	// analysis time (Report.DailyComposition with matching arguments
-	// becomes a table read). Days == 0 leaves daily bins computed per call.
+	// DayLen and Days are ignored: Report.DailyComposition takes the day
+	// length and count as arguments and bins the outcomes when called.
+	//
+	// Deprecated: pass the day length and count to DailyComposition. Kept
+	// for the benchmark only.
 	DayLen int64
-	Days   int
+	// Deprecated: see DayLen.
+	Days int
 	// DropFlows makes Analyze keep no flows: Output.Result.Flows is nil,
 	// each worker builds every flow into one small recycled arena and drops
 	// it once counted and classified, and the Report and Result counters
@@ -71,10 +74,10 @@ func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
 
-// WithDailyBins sets Options.DayLen and Options.Days.
+// WithDailyBins sets Options.DayLen and Options.Days, which are ignored.
 //
-// Deprecated: set Options.DayLen and Options.Days. Kept for the benchmark
-// only.
+// Deprecated: pass the day length and count to Report.DailyComposition.
+// Kept for the benchmark only.
 func WithDailyBins(dayLen int64, days int) Option {
 	return func(o *Options) { o.DayLen, o.Days = dayLen, days }
 }
@@ -130,7 +133,7 @@ func (o *Output) Flow(id event.PacketID) *flow.Flow {
 // diagConfig is the analyzer's report-level configuration.
 func (a *Analyzer) diagConfig() diagnosis.Config {
 	o := a.opts
-	return diagnosis.Config{Sink: o.Sink, Start: o.Start, End: o.End, DayLen: o.DayLen, Days: o.Days}
+	return diagnosis.Config{Sink: o.Sink, Start: o.Start, End: o.End}
 }
 
 // SessionConfig tunes NewSession beyond the analyzer's own options. See
@@ -221,22 +224,23 @@ func (a *Analyzer) AnalyzeStream(c *event.Collection) *Output {
 	return a.analyze(c, a.workers(0), !a.opts.DropFlows)
 }
 
-// SnapshotOptions tunes AnalyzeSnapshot.
+// SnapshotOptions tunes AnalyzeSnapshot. The session the windows feed takes
+// its horizon from the file: the exact within-packet spread the snapshot
+// records (Snapshot.RecordedSpread) or, for a file that records none, one
+// columnar pass (event.MaxPacketSpread). No other horizon could do better: a
+// larger one gives the same output later, a smaller one splits packets.
 type SnapshotOptions struct {
 	// WindowRows is the target row count per residency window; 0 selects
 	// 1<<20. A window's rows are read from the file a node at a time, so it
 	// bounds the pending rows and the analysis per window, not how much of
 	// the file is resident: none of its columns is, past the window plan.
 	WindowRows int
-	// SessionConfig opens the session the windows feed. Horizon <= 0 uses
-	// the exact within-packet spread: the one the snapshot records
-	// (Snapshot.RecordedSpread), or, for a file that records none, one
-	// columnar pass (event.MaxPacketSpread). Without RetainFlows the Output
+	// RetainFlows keeps the flows for the Output. Without it the Output
 	// carries no flows — the dominant retained cost of a snapshot larger
 	// than memory — and no flow outlives its classification; the Result's
 	// inferred-event and anomaly totals are there either way.
 	// Options.DropFlows does not apply here: RetainFlows alone decides.
-	SessionConfig
+	RetainFlows bool
 }
 
 // scanSpread derives the horizon of a snapshot that records no trusted
@@ -268,15 +272,12 @@ func (a *Analyzer) AnalyzeSnapshot(snap *event.Snapshot, opts SnapshotOptions) *
 	if err != nil {
 		return a.analyze(c, a.workers(0), opts.RetainFlows)
 	}
-	sc := opts.SessionConfig
-	if sc.Horizon <= 0 {
-		var ok bool
-		if sc.Horizon, ok = snap.RecordedSpread(); !ok {
-			sc.Horizon = scanSpread(c)
-		}
+	horizon, ok := snap.RecordedSpread()
+	if !ok {
+		horizon = scanSpread(c)
 	}
 	snap.Evict()
-	sess, err := a.NewSession(sc)
+	sess, err := a.NewSession(SessionConfig{Horizon: horizon, RetainFlows: opts.RetainFlows})
 	if err != nil {
 		panic(err) // unreachable: the analyzer has a sink and the horizon is not negative
 	}
@@ -387,30 +388,4 @@ func ScoreJudgments(judgments map[event.PacketID]Judgment, fates map[event.Packe
 		}
 	}
 	return acc
-}
-
-// ConfusionMatrix tallies ground-truth cause vs diagnosed cause over packets
-// both sides agree were lost — the detailed view behind the accuracy rates.
-func ConfusionMatrix(rep *diagnosis.Report, fates map[event.PacketID]network.Fate) map[diagnosis.Cause]map[diagnosis.Cause]int {
-	outcomeOf := make(map[event.PacketID]diagnosis.Outcome, len(rep.Outcomes))
-	for _, o := range rep.Outcomes {
-		outcomeOf[o.Packet] = o
-	}
-	m := make(map[diagnosis.Cause]map[diagnosis.Cause]int)
-	for id, fate := range fates {
-		if fate.Cause == diagnosis.Unknown || fate.Cause == diagnosis.Delivered {
-			continue
-		}
-		out, ok := outcomeOf[id]
-		if !ok || out.Cause == diagnosis.Delivered {
-			continue
-		}
-		row := m[fate.Cause]
-		if row == nil {
-			row = make(map[diagnosis.Cause]int)
-			m[fate.Cause] = row
-		}
-		row[out.Cause]++
-	}
-	return m
 }

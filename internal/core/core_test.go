@@ -120,27 +120,6 @@ func TestScoreSkipsCensored(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrixConsistency(t *testing.T) {
-	res, out := runTiny(t, 42)
-	cm := ConfusionMatrix(out.Report, res.Truth.Fates)
-	acc := Score(out.Report, res.Truth.Fates)
-	total, diag := 0, 0
-	for gt, row := range cm {
-		for re, n := range row {
-			total += n
-			if gt == re {
-				diag += n
-			}
-		}
-	}
-	if total != acc.LostBoth {
-		t.Errorf("confusion total %d != LostBoth %d", total, acc.LostBoth)
-	}
-	if diag != acc.CauseAgree {
-		t.Errorf("confusion diagonal %d != CauseAgree %d", diag, acc.CauseAgree)
-	}
-}
-
 // TestAnalyzeSnapshotDistrustsDamagedSpread: a snapshot whose recorded spread
 // has a flipped bit fails that section's CRC, so AnalyzeSnapshot scans for
 // the horizon instead — and the windowed output equals batch. Trusted, the
@@ -193,7 +172,7 @@ func TestAnalyzeSnapshotDistrustsDamagedSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := an.Analyze(res.Logs)
-	opts := SnapshotOptions{WindowRows: 64, SessionConfig: SessionConfig{RetainFlows: true}}
+	opts := SnapshotOptions{WindowRows: 64, RetainFlows: true}
 	got := an.AnalyzeSnapshot(snap, opts)
 	if scans != 1 {
 		t.Errorf("the horizon was scanned %d times, want once", scans)
@@ -205,7 +184,8 @@ func TestAnalyzeSnapshotDistrustsDamagedSpread(t *testing.T) {
 		t.Error("windowed report diverged from batch")
 	}
 
-	opts.Horizon = int64(damaged)
+	// Had the damaged value been taken as the horizon, packets would split.
+	scanSpread = func(*event.Collection) int64 { return int64(damaged) }
 	if split := an.AnalyzeSnapshot(snap, opts); len(split.Result.Flows) == len(want.Result.Flows) {
 		t.Errorf("horizon %d (true %d) split no packet: the damage proves nothing", damaged, spread)
 	}

@@ -11,33 +11,29 @@ import (
 const nc = int(numCauses)
 
 // Aggregate is the mergeable one-pass reduction behind every Report
-// aggregation: cause breakdown, sink split, per-site loss counters, the
-// days×causes matrix, loop count, and the Figure 4/5 point sets. The fused
-// analysis paths give each worker one Aggregate and merge them at the join;
-// every counter is order-independent and the point slices are settled into a
-// total order, so the merged result is identical to a serial build.
+// aggregation: cause breakdown, sink split, per-site loss counters, loop
+// count, and the Figure 4/5 point sets. The fused analysis paths give each
+// worker one Aggregate and merge them at the join; every counter is
+// order-independent and the point slices are settled into a total order, so
+// the merged result is identical to a serial build.
 //
 // An Aggregate is derived state, a fold of outcomes: the same outcomes under
-// the same sink, start and daily bins settle into the same aggregate in any
-// order, so nothing persists one — a resumed session folds its restored
-// outcomes again under its own config. Add is safe for every outcome: memory
+// the same sink and start settle into the same aggregate in any order, so
+// nothing persists one — a resumed session folds its restored outcomes
+// again under its own config. Add is safe for every outcome: memory
 // grows with the distinct loss positions, never with their IDs.
 //
 // An Aggregate is not safe for concurrent use.
 type Aggregate struct {
-	sink   event.NodeID
-	start  int64
-	dayLen int64
-	days   int
+	sink event.NodeID
+	// start is the daily-bin epoch DailyComposition counts days from.
+	start int64
 
 	total int
 	loops int
 	// byCause counts every outcome; atSink the subset located at the sink.
 	byCause [nc]int
 	atSink  [nc]int
-	// daily is the losses-only days×causes matrix (row-major, day*nc+cause),
-	// nil when the aggregate was built without daily bins.
-	daily []int
 	// sites counts outcomes per cause at each loss position seen, one row
 	// per position in ascending order, Server included: the table grows with
 	// the distinct positions, whatever their IDs. NoNode positions are not
@@ -51,16 +47,10 @@ type Aggregate struct {
 }
 
 // NewAggregate returns an empty aggregate for a report rooted at sink.
-// dayLen/days pre-bin the daily composition matrix; days == 0 disables it
-// (DailyComposition then falls back to scanning the outcomes). start is the
-// daily-bin epoch: day 0 begins at start (0 reproduces the historical
-// absolute-time binning).
-func NewAggregate(sink event.NodeID, start, dayLen int64, days int) *Aggregate {
-	a := &Aggregate{sink: sink, start: start, dayLen: dayLen, days: days}
-	if days > 0 {
-		a.daily = make([]int, days*nc)
-	}
-	return a
+// start is the daily-bin epoch: day 0 begins at start (0 reproduces the
+// historical absolute-time binning).
+func NewAggregate(sink event.NodeID, start int64) *Aggregate {
+	return &Aggregate{sink: sink, start: start}
 }
 
 // Add folds one outcome in. Outcomes must already be outage-adjusted
@@ -81,19 +71,6 @@ func (a *Aggregate) Add(o Outcome) {
 	}
 	if o.Cause == Delivered {
 		return
-	}
-	if a.daily != nil {
-		day := 0
-		if o.TimeValid && a.dayLen > 0 {
-			day = int((o.LossTime - a.start) / a.dayLen)
-		}
-		if day < 0 {
-			day = 0
-		}
-		if day >= a.days {
-			day = a.days - 1
-		}
-		a.daily[day*nc+int(o.Cause)]++
 	}
 	if o.TimeValid {
 		a.srcPts = append(a.srcPts, Point{Time: o.LossTime, Node: o.Packet.Origin, Cause: o.Cause})
@@ -122,9 +99,9 @@ func (a *Aggregate) site(n event.NodeID) *siteRow {
 	return &a.sites[i]
 }
 
-// Merge folds b into a. Both sides must share the same sink and daily-bin
-// configuration (the fused paths construct every worker's aggregate from one
-// config); b is left untouched.
+// Merge folds b into a. Both sides must share the same sink and start (the
+// fused paths construct every worker's aggregate from one config); b is left
+// untouched.
 func (a *Aggregate) Merge(b *Aggregate) {
 	a.total += b.total
 	a.loops += b.loops
@@ -138,14 +115,6 @@ func (a *Aggregate) Merge(b *Aggregate) {
 			row.counts[c] += v
 		}
 	}
-	if len(b.daily) > len(a.daily) {
-		grown := make([]int, len(b.daily))
-		copy(grown, a.daily)
-		a.daily = grown
-	}
-	for i, v := range b.daily {
-		a.daily[i] += v
-	}
 	a.srcPts = append(a.srcPts, b.srcPts...)
 	a.posPts = append(a.posPts, b.posPts...)
 }
@@ -155,7 +124,6 @@ func (a *Aggregate) Merge(b *Aggregate) {
 // still-accumulating original. The copy is as settled as a is.
 func (a *Aggregate) Clone() *Aggregate {
 	out := *a
-	out.daily = append([]int(nil), a.daily...)
 	out.sites = slices.Clone(a.sites)
 	out.srcPts = append([]Point(nil), a.srcPts...)
 	out.posPts = append([]Point(nil), a.posPts...)

@@ -278,21 +278,45 @@ func TestReportPoints(t *testing.T) {
 	}
 }
 
+// TestReportDailyComposition bins at 200 time units a day over 3 days. Day 0
+// begins at the report's Start; a loss before it, or with no valid time,
+// counts under day 0, and one past the last day under the last day.
 func TestReportDailyComposition(t *testing.T) {
-	r := buildSampleReport()
-	days := r.DailyComposition(200, 3)
-	if len(days) != 3 {
-		t.Fatalf("days = %d", len(days))
+	loss := func(c Cause, at int64) Outcome {
+		return Outcome{Cause: c, Position: 2, LossTime: at, TimeValid: true}
 	}
-	// t=150 -> day 0; t=300 -> day 1; t=400,500 -> day 2.
-	if days[0][ServerOutage] != 1 {
-		t.Errorf("day0 = %v", days[0])
+	built := func(start int64, outs ...Outcome) *Report {
+		agg := NewAggregate(9, start)
+		for _, o := range outs {
+			agg.Add(o)
+		}
+		return FromParts(9, nil, outs, agg)
 	}
-	if days[1][ReceivedLoss] != 1 {
-		t.Errorf("day1 = %v", days[1])
+	cases := []struct {
+		name string
+		rep  *Report
+		want []map[Cause]int
+	}{
+		// t=150 -> day 0; t=300 -> day 1; t=400,500 -> day 2.
+		{"sample", buildSampleReport(),
+			[]map[Cause]int{{ServerOutage: 1}, {ReceivedLoss: 1}, {AckedLoss: 1, TimeoutLoss: 1}}},
+		{"start", built(1000, loss(ReceivedLoss, 1150), loss(AckedLoss, 1250), loss(TimeoutLoss, 1450)),
+			[]map[Cause]int{{ReceivedLoss: 1}, {AckedLoss: 1}, {TimeoutLoss: 1}}},
+		{"before-start", built(1000, loss(ReceivedLoss, 900), loss(AckedLoss, -50)),
+			[]map[Cause]int{{ReceivedLoss: 1, AckedLoss: 1}, {}, {}}},
+		{"past-last-day", built(0, loss(TimeoutLoss, 600), loss(TimeoutLoss, 5000)),
+			[]map[Cause]int{{}, {}, {TimeoutLoss: 2}}},
+		{"time-invalid", built(0, Outcome{Cause: TransitLoss, Position: 2, LossTime: 450}),
+			[]map[Cause]int{{TransitLoss: 1}, {}, {}}},
+		{"delivered-skipped", built(0, Outcome{Cause: Delivered, Position: event.Server, LossTime: 250, TimeValid: true}, loss(DupLoss, 250)),
+			[]map[Cause]int{{}, {DupLoss: 1}, {}}},
+		{"hand-assembled", &Report{Sink: 9, Outcomes: []Outcome{loss(ReceivedLoss, 150), loss(AckedLoss, 250), loss(ReceivedLoss, 450)}},
+			[]map[Cause]int{{ReceivedLoss: 1}, {AckedLoss: 1}, {ReceivedLoss: 1}}},
 	}
-	if days[2][AckedLoss] != 1 || days[2][TimeoutLoss] != 1 {
-		t.Errorf("day2 = %v", days[2])
+	for _, tc := range cases {
+		if got := tc.rep.DailyComposition(200, 3); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: DailyComposition = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -376,10 +400,10 @@ func TestClassifyUnresolvedRetransmissionNotSuperseded(t *testing.T) {
 func TestAggregateSettleIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	causes := []Cause{ReceivedLoss, AckedLoss, TimeoutLoss, OverflowLoss}
-	live := NewAggregate(1, 0, 0, 0)
+	live := NewAggregate(1, 0)
 	var seen []Outcome
 	for batch := 0; batch < 40; batch++ {
-		w := NewAggregate(1, 0, 0, 0)
+		w := NewAggregate(1, 0)
 		for n := rng.Intn(20); n > 0; n-- {
 			o := Outcome{
 				Packet:    event.PacketID{Origin: event.NodeID(rng.Intn(5)), Seq: uint32(rng.Intn(100))},
@@ -406,7 +430,7 @@ func TestAggregateSettleIncremental(t *testing.T) {
 		if live.srcSettled != len(live.srcPts) || live.posSettled != len(live.posPts) {
 			t.Fatalf("batch %d: settled %d/%d of %d/%d points", batch, live.srcSettled, live.posSettled, len(live.srcPts), len(live.posPts))
 		}
-		ref := NewAggregate(1, 0, 0, 0)
+		ref := NewAggregate(1, 0)
 		for _, o := range seen {
 			ref.Add(o)
 		}

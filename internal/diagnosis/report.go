@@ -8,11 +8,11 @@ import (
 )
 
 // Report aggregates per-packet outcomes into the figure-level views of the
-// paper's evaluation. Every aggregation method is a cheap read over an
-// Aggregate built in one pass; BuildConfig and the fused engine paths
-// populate it at classification time. A hand-assembled report (public
-// fields only) has none, so each of its reads folds the outcomes afresh.
-// No read writes the report.
+// paper's evaluation. Every aggregation method but DailyComposition, which
+// bins the outcomes per call, is a cheap read over an Aggregate built in one
+// pass; BuildConfig and the fused engine paths populate it at classification
+// time. A hand-assembled report (public fields only) has none, so each of
+// its reads folds the outcomes afresh. No read writes the report.
 type Report struct {
 	Sink     event.NodeID
 	Outages  OutageSchedule
@@ -22,8 +22,8 @@ type Report struct {
 }
 
 // Config bundles the report-level knobs of a diagnosis build: the sink, the
-// campaign end (bounding a trailing open outage window), and the optional
-// daily-bin geometry for DailyComposition.
+// campaign end (bounding a trailing open outage window) and the epoch
+// DailyComposition counts days from.
 type Config struct {
 	Sink event.NodeID
 	End  int64
@@ -31,10 +31,13 @@ type Config struct {
 	// counted from (day 0 begins at Start). The zero value reproduces the
 	// historical absolute-time binning.
 	Start int64
-	// DayLen/Days pre-bin the daily composition matrix at build time;
-	// Days == 0 leaves DailyComposition computing its bins per call.
+	// DayLen and Days are ignored: DailyComposition takes the day length
+	// and count as arguments and bins the outcomes when it is called.
+	//
+	// Deprecated: pass the day length and count to DailyComposition.
 	DayLen int64
-	Days   int
+	// Deprecated: see DayLen.
+	Days int
 }
 
 // BuildConfig classifies every flow, reconstructing the outage schedule from
@@ -45,7 +48,7 @@ type Config struct {
 func BuildConfig(flows []*flow.Flow, ops []event.Event, cfg Config) *Report {
 	sched := OutagesFromOperational(ops, cfg.End)
 	cl := NewClassifier()
-	agg := NewAggregate(cfg.Sink, cfg.Start, cfg.DayLen, cfg.Days)
+	agg := NewAggregate(cfg.Sink, cfg.Start)
 	outcomes := make([]Outcome, 0, len(flows))
 	for _, f := range flows {
 		o := ApplyOutages(cl.Classify(f), sched, cfg.Sink)
@@ -68,17 +71,13 @@ func FromParts(sink event.NodeID, outages OutageSchedule, outcomes []Outcome, ag
 
 // aggregate returns the report's dense aggregate when it covers Outcomes.
 // A hand-assembled report, or one whose Outcomes was re-sliced behind its
-// back (the length disagreeing is the tell), gets a fresh fold under the
-// same daily bins, which is not stored: a read never writes the report.
+// back (the length disagreeing is the tell), gets a fresh fold from the
+// same start, which is not stored: a read never writes the report.
 func (r *Report) aggregate() *Aggregate {
 	if r.agg != nil && r.agg.total == len(r.Outcomes) {
 		return r.agg
 	}
-	start, dayLen, days := int64(0), int64(0), 0
-	if r.agg != nil {
-		start, dayLen, days = r.agg.start, r.agg.dayLen, r.agg.days
-	}
-	a := NewAggregate(r.Sink, start, dayLen, days)
+	a := NewAggregate(r.Sink, r.start())
 	for _, o := range r.Outcomes {
 		a.Add(o)
 	}
@@ -176,36 +175,33 @@ func pointLess(p, q Point) bool {
 	return p.Cause < q.Cause
 }
 
-// DailyComposition bins losses by day and cause (Figure 6). dayLen is the
-// day length in time units; days the campaign length. Days are counted from
-// the report's configured Start (0 unless the build set Config.Start).
-// Packets without a valid loss time are accumulated under day 0. When the
-// report was built with matching daily bins (Config.DayLen/Days) the
-// pre-binned matrix is read; otherwise the outcomes are scanned per call.
+// start is the daily-bin epoch the report was built with: 0 for a
+// hand-assembled report.
+func (r *Report) start() int64 {
+	if r.agg == nil {
+		return 0
+	}
+	return r.agg.start
+}
+
+// DailyComposition bins losses by day and cause (Figure 6), scanning the
+// outcomes. dayLen is the day length in time units; days the campaign
+// length. Days are counted from the report's configured Start (0 unless the
+// build set Config.Start); a loss before Start or without a valid loss time
+// counts under day 0, and one past the last day under the last day.
 func (r *Report) DailyComposition(dayLen int64, days int) []map[Cause]int {
 	out := make([]map[Cause]int, days)
 	for i := range out {
 		out[i] = make(map[Cause]int)
 	}
-	a := r.aggregate()
-	if a.daily != nil && a.dayLen == dayLen && a.days == days {
-		for d := 0; d < days; d++ {
-			row := a.daily[d*nc : (d+1)*nc]
-			for c, n := range row {
-				if n > 0 {
-					out[d][Cause(c)] = n
-				}
-			}
-		}
-		return out
-	}
+	start := r.start()
 	for _, o := range r.Outcomes {
 		if o.Cause == Delivered {
 			continue
 		}
 		day := 0
 		if o.TimeValid && dayLen > 0 {
-			day = int((o.LossTime - a.start) / dayLen)
+			day = int((o.LossTime - start) / dayLen)
 		}
 		if day < 0 {
 			day = 0

@@ -24,14 +24,15 @@ func buildRetargetCollection() *event.Collection {
 
 // TestCheckPeerBindingHonorsInferredBudget is the regression test for the
 // budget bypass: checkPeerBinding used to apply its retargeted transmission
-// and bump the inference counter without consulting MaxInferred. With a
+// and bump the inference counter without consulting the budget. With a
 // budget of one, the dup's inferred recv must consume it and the retargeted
 // transmission must be refused with the budget anomaly.
 func TestCheckPeerBindingHonorsInferredBudget(t *testing.T) {
-	eng, err := New(Options{Sink: 99, MaxInferred: 1})
+	eng, err := New(Options{Sink: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.maxInferred = 1
 	res := eng.Analyze(buildRetargetCollection())
 	if len(res.Flows) != 1 {
 		t.Fatalf("flows = %d, want 1", len(res.Flows))
@@ -91,6 +92,27 @@ func TestCheckPeerBindingRetargetsWithinBudget(t *testing.T) {
 	for _, a := range f.Anomalies {
 		if strings.Contains(a.Reason, "inference budget exhausted") {
 			t.Fatalf("budget anomaly emitted with budget to spare: %+v", a)
+		}
+	}
+}
+
+// TestRecursionDepthCap: node 3's recv drives node 1's engine one
+// prerequisite level down. With the depth cap at zero that level is refused
+// with the depth anomaly; at the default cap nothing is refused.
+func TestRecursionDepthCap(t *testing.T) {
+	for _, depth := range []int{0, maxDepth} {
+		eng, err := New(Options{Sink: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.maxDepth = depth
+		f := eng.Analyze(buildRetargetCollection()).Flows[0]
+		refused := false
+		for _, a := range f.Anomalies {
+			refused = refused || strings.Contains(a.Reason, "recursion depth exceeded")
+		}
+		if refused != (depth == 0) {
+			t.Errorf("maxDepth %d: depth anomaly %v, want %v; anomalies: %+v", depth, refused, depth == 0, f.Anomalies)
 		}
 	}
 }

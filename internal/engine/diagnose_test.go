@@ -65,7 +65,7 @@ func TestFusedDiagnosisDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := buildOutageCampaign(40)
-	cfg := diagnosis.Config{Sink: 900, End: 60_000, DayLen: 10_000, Days: 6}
+	cfg := diagnosis.Config{Sink: 900, End: 60_000}
 	serial := eng.Analyze(c)
 	ref := diagnosis.BuildConfig(serial.Flows, serial.Operational, cfg)
 	if ref.Total() == 0 || ref.LossCount() == 0 {

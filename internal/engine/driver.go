@@ -183,9 +183,8 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 	var cl *diagnosis.Classifier
 	var p Parts
 	if fu.diagnose() {
-		d := fu.Diagnosis
 		cl = diagnosis.NewClassifier()
-		p.Aggregate = diagnosis.NewAggregate(d.Sink, d.Start, d.DayLen, d.Days)
+		p.Aggregate = diagnosis.NewAggregate(fu.Diagnosis.Sink, fu.Diagnosis.Start)
 	}
 	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 		for i := lo; i < hi; i++ {

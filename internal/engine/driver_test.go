@@ -56,7 +56,7 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 				flowOf[o.LossTime] = f
 				win.Flows = append(win.Flows, f)
 			}
-			win.Aggregate = diagnosis.NewAggregate(1, 0, 0, 0)
+			win.Aggregate = diagnosis.NewAggregate(1, 0)
 			win.InferredEvents, win.Anomalies = int(serial), len(win.Outcomes)
 			inferred += win.InferredEvents
 			anomalies += win.Anomalies
@@ -66,7 +66,7 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 		sort.SliceStable(all, func(i, j int) bool { return all[i].Packet.Less(all[j].Packet) })
 
 		for _, keep := range []bool{true, false} {
-			acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0, 0, 0)}
+			acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0)}
 			for _, w := range windows {
 				if !keep { // a window run without keepFlows carries none
 					w.Flows = nil
@@ -131,14 +131,14 @@ func TestPartsFoldManyWindows(t *testing.T) {
 			flowOf[o.LossTime] = f
 			win.Flows = append(win.Flows, f)
 		}
-		win.Aggregate = diagnosis.NewAggregate(1, 0, 0, 0)
+		win.Aggregate = diagnosis.NewAggregate(1, 0)
 		windows = append(windows, win)
 		all = append(all, win.Outcomes...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Packet.Less(all[j].Packet) })
 
 	for _, keep := range []bool{true, false} {
-		acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0, 0, 0)}
+		acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0)}
 		for k, w := range windows {
 			if !keep {
 				w.Flows = nil
@@ -185,7 +185,7 @@ func TestWindowDiscardsFlows(t *testing.T) {
 		c.Add(event.Event{Node: 999, Type: event.Trans, Sender: 999, Receiver: 900, Packet: big, Time: 2 * i})
 		c.Add(event.Event{Node: 900, Type: event.Recv, Sender: 999, Receiver: 900, Packet: big, Time: 2*i + 1})
 	}
-	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
+	cfg := diagnosis.Config{Sink: 900, End: 1 << 40}
 	sched := diagnosis.OutagesFromOperational(nil, cfg.End)
 	views, _ := event.Partition(c)
 	ref := eng.Run(views, 1, Fusion{KeepFlows: true, Diagnosis: cfg, Sched: sched})

@@ -28,17 +28,20 @@ type Options struct {
 	// DisableInter turns off inter-node prerequisite processing (ablation
 	// E-A2): engines run independently, as single-node log analyzers do.
 	DisableInter bool
-	// MaxInferred caps the number of inferred events per packet as a
-	// safety valve against pathological inputs. Defaults to 4096.
-	MaxInferred int
-	// MaxDepth caps prerequisite recursion depth. Defaults to 256.
-	MaxDepth int
 	// Group is the node roster for protocols with group (many-to-1)
 	// prerequisites, e.g. fsm.Dissemination: a Done event requires every
 	// listed node (minus the event's own) to have passed the prerequisite
 	// state.
 	Group []event.NodeID
 }
+
+// maxInferred caps the number of inferred events per packet as a safety
+// valve against pathological inputs; maxDepth caps prerequisite recursion
+// depth. Every engine starts at these; an in-package test may lower its own.
+const (
+	maxInferred = 4096
+	maxDepth    = 256
+)
 
 // prereqRule is a protocol prerequisite flattened into a dense per-type
 // table, so the per-event lookup is an array index instead of a map access.
@@ -75,6 +78,9 @@ func (gp *graphPrereqs) rule(t event.Type, self bool) resolvedPrereq {
 // Engine reconstructs per-packet event flows from lossy per-node logs.
 type Engine struct {
 	opts Options
+	// maxInferred and maxDepth are the per-packet caps, set from the
+	// constants of the same name.
+	maxInferred, maxDepth int
 	// interPrereq / selfPrereq are the protocol's prerequisite rules as
 	// dense per-type tables; roles holds each role's graph with their state
 	// names resolved in it, so a visit finds its template by one index.
@@ -119,13 +125,7 @@ func New(opts Options) (*Engine, error) {
 	if opts.Sink == event.NoNode {
 		return nil, fmt.Errorf("engine: options must name the sink node")
 	}
-	if opts.MaxInferred <= 0 {
-		opts.MaxInferred = 4096
-	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 256
-	}
-	e := &Engine{opts: opts}
+	e := &Engine{opts: opts, maxInferred: maxInferred, maxDepth: maxDepth}
 	for t := 0; t < event.NumTypes; t++ {
 		if pr, ok := opts.Protocol.Prereq(event.Type(t)); ok {
 			e.interPrereq[t] = prereqRule{pr: pr, ok: true}
@@ -206,7 +206,7 @@ func (e *Engine) flowSizing(views []*event.PacketView) flow.Sizing {
 	inferred := 0
 	if !e.opts.DisableIntra || !e.opts.DisableInter {
 		inferred = logged/8 + len(views)
-		if lim := e.opts.MaxInferred * len(views); inferred > lim {
+		if lim := e.maxInferred * len(views); inferred > lim {
 			inferred = lim
 		}
 	}
@@ -496,7 +496,7 @@ func (r *run) step(ni, depth int) bool {
 //refill:noalloc — the walk's hot loop: the alloc war's wins live or die here
 func (r *run) process(ni int, ev event.Event, depth int) bool {
 	n := r.nodes[ni]
-	if depth > r.e.opts.MaxDepth {
+	if depth > r.e.maxDepth {
 		r.anomaly(ev, "recursion depth exceeded")
 		return false
 	}
@@ -632,11 +632,11 @@ func hintsFromEvent(ev event.Event, self event.NodeID) (up, down event.NodeID) {
 	return
 }
 
-// budgetInfer accounts one inferred event against the per-packet MaxInferred
+// budgetInfer accounts one inferred event against the per-packet maxInferred
 // budget, recording the exhaustion anomaly once. Every inference — including
 // the retargeted transmissions of checkPeerBinding — must pass through it.
 func (r *run) budgetInfer(n event.NodeID) bool {
-	if r.infers >= r.e.opts.MaxInferred {
+	if r.infers >= r.e.maxInferred {
 		if !r.inferCapHit {
 			r.inferCapHit = true
 			r.anomaly(event.Event{Node: n, Packet: r.pkt}, "inference budget exhausted")
@@ -805,7 +805,7 @@ func passedAny(v *visit, states []fsm.StateID) bool {
 // when they run out the remaining normal path is inferred. A re-entrancy
 // guard keeps cyclic prerequisites from recursing forever.
 func (r *run) drive(p event.NodeID, ev event.Event, depth int) {
-	if depth > r.e.opts.MaxDepth {
+	if depth > r.e.maxDepth {
 		r.anomaly(ev, "prerequisite recursion depth exceeded")
 		return
 	}
@@ -897,7 +897,7 @@ func (r *run) inferRoute(ni int, v *visit, t event.Type, self bool) ([]fsm.Trans
 // node, a retargeted (lost) transmission is inferred over the Sent self-loop.
 // Only unicast-transmission prerequisites bind a peer; a broadcaster
 // (Announced) serves any number of receivers. The retargeted transmission is
-// an inference like any other and is charged against the MaxInferred budget.
+// an inference like any other and is charged against the maxInferred budget.
 func (r *run) checkPeerBinding(v *visit, t event.Type, wantPeer event.NodeID) {
 	if !r.e.sentBound[t] {
 		return // only unicast transmission targets are bound

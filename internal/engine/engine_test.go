@@ -31,8 +31,8 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.opts.Protocol == nil || e.opts.MaxInferred <= 0 || e.opts.MaxDepth <= 0 {
-		t.Errorf("defaults not applied: %+v", e.opts)
+	if e.opts.Protocol == nil || e.maxInferred != maxInferred || e.maxDepth != maxDepth {
+		t.Errorf("defaults not applied: %+v, caps %d/%d", e.opts, e.maxInferred, e.maxDepth)
 	}
 }
 
@@ -444,10 +444,11 @@ func TestLossyChainProperty(t *testing.T) {
 // TestInferenceBudget guards termination on adversarial input.
 func TestInferenceBudget(t *testing.T) {
 	pkt := event.PacketID{Origin: 1, Seq: 1}
-	e, err := New(Options{Protocol: fsm.DefaultCTP(), Sink: 9, MaxInferred: 2})
+	e, err := New(Options{Protocol: fsm.DefaultCTP(), Sink: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.maxInferred = 2
 	f := e.AnalyzePacket(viewOf(pkt, []event.Event{
 		{Node: 1, Type: event.AckRecvd, Sender: 1, Receiver: 2, Packet: pkt},
 	}))

@@ -109,7 +109,7 @@ func TestDriveCoversEveryViewOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	all, ops := event.Partition(buildManyOriginCampaign(46))
-	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
+	cfg := diagnosis.Config{Sink: 900, End: 1 << 40}
 	fu := Fusion{KeepFlows: true, Diagnosis: cfg, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
 		if n > len(all) {
@@ -149,7 +149,7 @@ func TestDriverDegenerateInputs(t *testing.T) {
 	oneView := event.NewCollection()
 	oneView.Add(event.Event{Node: 7, Type: event.Gen, Sender: 7, Packet: event.PacketID{Origin: 7, Seq: 1}, Time: 1})
 	inputs := map[string]*event.Collection{"empty": event.NewCollection(), "one-view": oneView, "one-origin": oneOrigin}
-	cfg := diagnosis.Config{Sink: 900, End: 1 << 40, DayLen: 1000, Days: 3}
+	cfg := diagnosis.Config{Sink: 900, End: 1 << 40}
 	for name, c := range inputs {
 		views, ops := event.Partition(c)
 		fu := Fusion{KeepFlows: true, Diagnosis: cfg, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}

@@ -226,22 +226,6 @@ func (f *Flow) LastCustody() (Item, event.NodeID, bool) {
 	return Item{}, event.NoNode, false
 }
 
-// LastLoggedTime returns the Time of the last non-inferred item, which the
-// diagnosis layer uses as the approximate loss time (mirroring the paper's
-// sequence-gap approximation for packets that never reached the sink).
-// ok=false when every item was inferred or the flow is empty.
-func (f *Flow) LastLoggedTime() (int64, bool) {
-	best := int64(0)
-	ok := false
-	for _, it := range f.Items {
-		if !it.Inferred && it.Event.Time >= best {
-			best = it.Event.Time
-			ok = true
-		}
-	}
-	return best, ok
-}
-
 // VisitFor returns the summary of the given visit, or ok=false.
 func (f *Flow) VisitFor(n event.NodeID, index int) (Visit, bool) {
 	for _, v := range f.Visits {

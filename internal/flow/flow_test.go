@@ -132,19 +132,6 @@ func TestLastCustody(t *testing.T) {
 	}
 }
 
-func TestLastLoggedTime(t *testing.T) {
-	f := sampleFlow()
-	ts, ok := f.LastLoggedTime()
-	if !ok || ts != 50 {
-		t.Errorf("LastLoggedTime = %d ok=%v, want 50", ts, ok)
-	}
-	onlyInferred := &Flow{Packet: pkt}
-	onlyInferred.Append(item(event.Recv, 1, 2, true, 0))
-	if _, ok := onlyInferred.LastLoggedTime(); ok {
-		t.Error("all-inferred flow has no logged time")
-	}
-}
-
 func TestVisitLookups(t *testing.T) {
 	f := &Flow{Packet: pkt}
 	f.Visits = []Visit{

@@ -161,12 +161,6 @@ func NewProtocol(name string, graphs map[NodeRole]*Graph, prereqs map[event.Type
 	return p, nil
 }
 
-// WithSelfPrereqs attaches self-prerequisite rules (builder-style).
-func (p *Protocol) WithSelfPrereqs(rules map[event.Type]Prereq) *Protocol {
-	p.selfPrereqs = rules
-	return p
-}
-
 // ctpPrereqs is the inter-node semantics of the CitySee stack:
 //
 //   - recv/dup/overflow at the receiver imply the sender transmitted
@@ -319,9 +313,10 @@ func mustProtocol(name string, withGen, extended bool) *Protocol {
 	}
 	// A duplicate record means the packet is in the node's suppression
 	// cache — an earlier visit must have accepted (received) it.
-	return p.WithSelfPrereqs(map[event.Type]Prereq{
+	p.selfPrereqs = map[event.Type]Prereq{
 		event.Dup: {AnyOf: []string{StateReceived}, InferTo: StateReceived},
-	})
+	}
+	return p
 }
 
 // DefaultCTP returns the full CitySee protocol semantics: CTP data collection

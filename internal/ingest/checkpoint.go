@@ -36,12 +36,12 @@ import (
 //	            event.PendingStore.AppendPendingTo)
 //
 // Sink and horizon are echoed: Resume refuses a config that differs. The
-// window start, daily bins and worker count follow the resumer. finalized
-// is the outcome count; Resume reads it off section 3 instead. Files from
-// earlier versions also hold section 4, the aggregate's flat encoding:
-// Verify checks its CRC with the rest, and Resume ignores it. Files from
-// before the counters section resume with zero counters: their sessions'
-// finalized packets count toward neither Stats nor Drain's Result.
+// window start (where daily bins count from) and worker count follow the
+// resumer. finalized is the outcome count; Resume reads it off section 3
+// instead. Files from earlier versions also hold section 4, the aggregate's
+// flat encoding: Verify checks its CRC with the rest, and Resume ignores it.
+// Files from before the counters section resume with zero counters: their
+// sessions' finalized packets count toward neither Stats nor Drain's Result.
 //
 // Resume restores the watermarks with PendingStore.Punctuate, then rebuilds
 // the rest of the store by replaying the operational and pending rows
@@ -160,9 +160,9 @@ func (s *Session) appendCheckpoint(w *snapfile.Writer) error {
 // Resume rebuilds a session from a checkpoint written by WriteCheckpoint.
 // cfg must match the checkpointed session's identity-critical settings (sink
 // and horizon are verified against the file); the worker count may differ —
-// it changes scheduling, never output — and so may the window start and
-// daily bins: the restored outcomes are folded into cfg's aggregate. Every
-// section's data CRC is verified before anything is read: a checkpoint is
+// it changes scheduling, never output — and so may the window start: the
+// restored outcomes are folded into cfg's aggregate. Every section's data
+// CRC is verified before anything is read: a checkpoint is
 // outside input (whatever file a restart finds on disk) and is read in full
 // here anyway. The returned
 // session continues exactly where the checkpointed one stopped: appending the

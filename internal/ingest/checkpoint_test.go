@@ -194,7 +194,7 @@ func TestResumeHugeOutcomePosition(t *testing.T) {
 	}
 	// The session's own aggregate is the fold of the restored outcomes; a
 	// report would heal a stale one on read, at the cost of a refold per read.
-	fold := diagnosis.NewAggregate(c.sink, 0, 0, 0)
+	fold := diagnosis.NewAggregate(c.sink, 0)
 	for _, o := range res.acc.Outcomes {
 		fold.Add(o)
 	}

@@ -59,8 +59,8 @@ type Config struct {
 	// Engine is the reconstruction engine (required).
 	Engine *engine.Engine
 	// Diagnosis is the report-level configuration: sink (required), the
-	// campaign end bounding a trailing open outage at drain, the optional
-	// window start and daily-bin geometry.
+	// campaign end bounding a trailing open outage at drain, and the window
+	// start daily bins count from.
 	Diagnosis diagnosis.Config
 	// Workers is the per-window reconstruction fan-out. The session is a
 	// throughput path, so 0 (and any negative value) selects all cores;
@@ -179,7 +179,7 @@ func NewSession(cfg Config) (*Session, error) {
 		store:     event.NewPendingStore(0),
 		watermark: math.MinInt64,
 		acc: engine.Parts{
-			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start, cfg.Diagnosis.DayLen, cfg.Diagnosis.Days),
+			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start),
 		},
 	}, nil
 }

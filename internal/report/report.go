@@ -207,38 +207,3 @@ func AccuracyTable(rows []AccuracyRow) string {
 	}
 	return b.String()
 }
-
-// Confusion renders a cause confusion matrix (ground truth rows, diagnosed
-// columns).
-func Confusion(m map[diagnosis.Cause]map[diagnosis.Cause]int) string {
-	var rowsPresent, colsPresent []diagnosis.Cause
-	seenCol := make(map[diagnosis.Cause]bool)
-	for _, c := range diagnosis.Causes() {
-		if len(m[c]) > 0 {
-			rowsPresent = append(rowsPresent, c)
-			//refill:allow maprange — set insertion; column order comes from Causes()
-			for cc := range m[c] {
-				seenCol[cc] = true
-			}
-		}
-	}
-	for _, c := range diagnosis.Causes() {
-		if seenCol[c] {
-			colsPresent = append(colsPresent, c)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "gt\\refill")
-	for _, c := range colsPresent {
-		fmt.Fprintf(&b, " %9s", c)
-	}
-	b.WriteByte('\n')
-	for _, r := range rowsPresent {
-		fmt.Fprintf(&b, "%-10s", r)
-		for _, c := range colsPresent {
-			fmt.Fprintf(&b, " %9d", m[r][c])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -109,19 +109,3 @@ func TestAccuracyTableRendering(t *testing.T) {
 		t.Errorf("cause rate not rendered:\n%s", s)
 	}
 }
-
-func TestConfusionRendering(t *testing.T) {
-	m := map[diagnosis.Cause]map[diagnosis.Cause]int{
-		diagnosis.ReceivedLoss: {diagnosis.ReceivedLoss: 5, diagnosis.TransitLoss: 2},
-		diagnosis.TimeoutLoss:  {diagnosis.TransitLoss: 1},
-	}
-	s := Confusion(m)
-	if !strings.Contains(s, "gt\\refill") {
-		t.Errorf("header missing:\n%s", s)
-	}
-	for _, want := range []string{"received", "timeout", "transit"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("missing %q:\n%s", want, s)
-		}
-	}
-}

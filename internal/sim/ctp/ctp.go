@@ -8,7 +8,6 @@ package ctp
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/event"
 	"repro/internal/sim"
@@ -210,45 +209,4 @@ func (r *Router) OnLoop(n event.NodeID) bool {
 		cur = next
 	}
 	return false
-}
-
-// TreeDepths returns each node's hop count to the sink following current
-// parents (-1 for unrouted or looping nodes). Useful for tests and reports.
-func (r *Router) TreeDepths() map[event.NodeID]int {
-	depths := make(map[event.NodeID]int, len(r.ids))
-	for _, n := range r.ids {
-		depths[n] = r.depthOf(n)
-	}
-	return depths
-}
-
-func (r *Router) depthOf(n event.NodeID) int {
-	seen := make(map[event.NodeID]bool)
-	d := 0
-	cur := n
-	for cur != r.topo.Sink {
-		if seen[cur] {
-			return -1
-		}
-		seen[cur] = true
-		next := r.parent[cur]
-		if next == event.NoNode {
-			return -1
-		}
-		cur = next
-		d++
-	}
-	return d
-}
-
-// LoopNodes returns the nodes currently on routing loops, ascending.
-func (r *Router) LoopNodes() []event.NodeID {
-	var out []event.NodeID
-	for _, n := range r.ids {
-		if r.OnLoop(n) {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -9,9 +9,9 @@ package refill
 // in-flight pending rows, and the analysis proceeds where a fully-resident
 // load would thrash. GOMEMLIMIT bounds only the Go heap, so on Linux the test
 // also bounds the file pages the process holds mapped in (RssFile), which no
-// heap limit sees: they must grow by less than an eighth of the snapshot. The campaign is synthetic (a multi-hop chain per packet) so the
-// row volume is controlled exactly and the completeness horizon is known by
-// construction rather than measured.
+// heap limit sees: they must grow by less than an eighth of the snapshot.
+// The campaign is synthetic (a multi-hop chain per packet) so the row volume
+// is controlled exactly.
 
 import (
 	"fmt"
@@ -28,9 +28,8 @@ import (
 
 // chainCampaign synthesizes packets complete-delivery chains over the path
 // origin -> relay1 -> relay2 -> sink (plus the server hand-off), timestamps
-// strictly increasing, ~11 rows per packet. Within-packet spread is
-// (rows-1)*tickStep by construction.
-func chainCampaign(packets, origins int) (logs *Collection, sink NodeID, end int64, horizon int64) {
+// strictly increasing, ~11 rows per packet.
+func chainCampaign(packets, origins int) (logs *Collection, sink NodeID, end int64) {
 	const tickStep = 5
 	sink = NodeID(1)
 	relay1, relay2 := NodeID(2), NodeID(3)
@@ -54,7 +53,7 @@ func chainCampaign(packets, origins int) (logs *Collection, sink NodeID, end int
 		}
 		stamp(Event{Node: event.Server, Type: event.ServerRecv, Sender: sink, Receiver: event.Server, Packet: pkt})
 	}
-	return logs, sink, tick + 1, 11 * tickStep
+	return logs, sink, tick + 1
 }
 
 // digestOutcomes folds every outcome into one hash so the batch reference
@@ -72,7 +71,7 @@ func TestOutOfCoreSnapshotSmoke(t *testing.T) {
 	if os.Getenv("REFILL_OOC_SMOKE") == "" {
 		t.Skip("set REFILL_OOC_SMOKE=1 (and GOMEMLIMIT below the snapshot size) to run the out-of-core smoke")
 	}
-	logs, sink, end, horizon := chainCampaign(400_000, 64)
+	logs, sink, end := chainCampaign(400_000, 64)
 	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, Parallelism: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,7 @@ func TestOutOfCoreSnapshotSmoke(t *testing.T) {
 		t.Log("GOMEMLIMIT not set; running unbounded (CI sets it)")
 	}
 
-	got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 200_000, SessionConfig: SessionConfig{Horizon: horizon}})
+	got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 200_000})
 	if got.Result.Flows != nil {
 		t.Error("flows retained without RetainFlows")
 	}

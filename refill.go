@@ -230,7 +230,9 @@ type (
 	// the report; Parallelism 0 picks each path's default — serial for
 	// Analyze, all cores for the snapshot and session paths. DropFlows is
 	// the one flow-retention switch for Analyze; its zero value keeps every
-	// flow.
+	// flow. Daily bins are not configured here: RenderDaily and
+	// Report.DailyComposition take the day length and count, and count days
+	// from Start. DayLen and Days are deprecated and ignored.
 	AnalyzerOptions = core.Options
 	// Analyzer is the ready-to-run REFILL pipeline.
 	Analyzer = core.Analyzer
@@ -238,12 +240,13 @@ type (
 	Output = core.Output
 	// SnapshotOptions tunes Analyzer.AnalyzeSnapshot — the out-of-core
 	// path that feeds a mapped snapshot to an ingest session in bounded
-	// memory, one residency window at a time: the window size plus the
-	// embedded SessionConfig the session is opened with (completeness
-	// horizon, derived from the snapshot when zero; flow retention). The
-	// Output matches an.Analyze(snap.Collection()) byte for byte, flows
-	// included under RetainFlows; without it there are no flows, but the
-	// Result's inferred-event and anomaly totals are the same.
+	// memory, one residency window at a time: the window size and flow
+	// retention. The session's completeness horizon is not an option: it
+	// is the within-packet spread the file records, or scans for in a file
+	// that records none. The Output matches an.Analyze(snap.Collection())
+	// byte for byte, flows included under RetainFlows; without it there
+	// are no flows, but the Result's inferred-event and anomaly totals are
+	// the same.
 	SnapshotOptions = core.SnapshotOptions
 	// Accuracy scores a reconstruction against ground truth.
 	Accuracy = core.Accuracy
@@ -386,7 +389,9 @@ func RenderAccuracy(rows []report.AccuracyRow) string { return report.AccuracyTa
 // AccuracyRow pairs an analyzer name with its scored accuracy.
 type AccuracyRow = report.AccuracyRow
 
-// EngineOptions exposes the low-level engine configuration (ablations).
+// EngineOptions exposes the low-level engine configuration: protocol, sink,
+// the ablation switches and a dissemination group. The per-packet safety
+// caps (4096 inferred events, prerequisite depth 256) are fixed.
 type EngineOptions = engine.Options
 
 // Engine is the low-level reconstruction engine. NewEngine with

@@ -207,7 +207,7 @@ func TestSessionEquivalence(t *testing.T) {
 	days := int((end + dayLen - 1) / dayLen)
 	horizon := referenceMaxPacketSpread(logs)
 
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestSessionPunctuatedSilence(t *testing.T) {
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
 	horizon := referenceMaxPacketSpread(full)
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestSnapshotAnalyzeEquivalence(t *testing.T) {
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
 	horizon := referenceMaxPacketSpread(logs)
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,12 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeUnderNewDailyBins resumes a checkpoint written without daily
-// bins under a config that has them and a later window start. The aggregate
-// is a fold of the outcomes, so the resumed session rebuilds it under the
-// resuming config: its drain must equal an uninterrupted session under that
-// config in every aggregate read, daily composition included, rather than
-// keep the writer's start and bin geometry and merge later windows into it.
+// TestResumeUnderNewDailyBins resumes a checkpoint under a later window
+// start, so day 0 of the daily bins begins elsewhere. The aggregate is a fold
+// of the outcomes, so the resumed session rebuilds it under the resuming
+// config: its drain must equal an uninterrupted session under that config in
+// every aggregate read, daily composition included, rather than keep the
+// writer's start and merge later windows into it.
 func TestResumeUnderNewDailyBins(t *testing.T) {
 	camp, err := RunCampaign(TinyCampaign(8))
 	if err != nil {
@@ -222,7 +222,7 @@ func TestResumeUnderNewDailyBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumer, err := NewAnalyzer(AnalyzerOptions{Sink: sink, Start: day / 2, End: end, DayLen: day, Days: days})
+	resumer, err := NewAnalyzer(AnalyzerOptions{Sink: sink, Start: day / 2, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func sc(horizon int64) SessionConfig { return SessionConfig{Horizon: horizon} }
 // reconstruction that reads each window's rows from the file
 // (Analyzer.AnalyzeSnapshot) must be byte-identical to batch analysis of the
 // same collection — across window sizes small enough to force many
-// residency windows, with and without an explicit horizon, with flows
+// residency windows, with the recorded and the scanned horizon, with flows
 // discarded, and through the in-memory fallback for logs the window planner
 // refuses. Runs under -race and under the refill_nommap tag like the rest of
 // this file, so reads from the mapped file and copies from the portable
@@ -328,7 +328,7 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 	logs, sink, end := c.Res.Logs, c.Res.Sink, int64(c.Res.Duration)
 	dayLen := int64(sim.Day)
 	days := int((end + dayLen - 1) / dayLen)
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end, DayLen: dayLen, Days: days})
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: sink, End: end})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,16 +343,13 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 	}
 	defer snap.Close()
 
-	horizon := referenceMaxPacketSpread(logs)
-	retain := SessionConfig{RetainFlows: true}
 	cases := []struct {
 		name string
 		opts SnapshotOptions
 	}{
-		{"default-window", SnapshotOptions{SessionConfig: retain}},
-		{"tiny-windows", SnapshotOptions{WindowRows: 64, SessionConfig: retain}},
-		{"odd-windows", SnapshotOptions{WindowRows: 257, SessionConfig: retain}},
-		{"explicit-horizon", SnapshotOptions{WindowRows: 311, SessionConfig: SessionConfig{Horizon: horizon, RetainFlows: true}}},
+		{"default-window", SnapshotOptions{RetainFlows: true}},
+		{"tiny-windows", SnapshotOptions{WindowRows: 64, RetainFlows: true}},
+		{"odd-windows", SnapshotOptions{WindowRows: 257, RetainFlows: true}},
 	}
 	checkFlowTotals(t, want.Result)
 	for _, tc := range cases {
@@ -384,7 +381,7 @@ func TestSnapshotOutOfCoreEquivalence(t *testing.T) {
 		if spread, ok := old.RecordedSpread(); ok {
 			t.Fatalf("a file without the spread section reports spread %d", spread)
 		}
-		got := an.AnalyzeSnapshot(old, SnapshotOptions{WindowRows: 257, SessionConfig: retain})
+		got := an.AnalyzeSnapshot(old, SnapshotOptions{WindowRows: 257, RetainFlows: true})
 		if serializeFlows(got.Result.Flows) != serializeFlows(want.Result.Flows) {
 			t.Error("out-of-core flows diverged from batch")
 		}
@@ -536,7 +533,7 @@ func testOutOfCoreTrailingOutage(t *testing.T, full *Collection, sink NodeID, du
 		}
 		want := an.Analyze(logs)
 		counts = append(counts, outageLosses(want.Report))
-		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 257, SessionConfig: SessionConfig{RetainFlows: true}})
+		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 257, RetainFlows: true})
 		if serializeFlows(got.Result.Flows) != serializeFlows(want.Result.Flows) {
 			t.Errorf("end %d: out-of-core flows diverged from batch", end)
 		}
@@ -580,7 +577,7 @@ func testOutOfCoreUnorderedFallback(t *testing.T) {
 		t.Fatal("the window planner accepted a log out of time order; the fallback is not exercised")
 	}
 	for _, retain := range []bool{true, false} {
-		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 64, SessionConfig: SessionConfig{RetainFlows: retain}})
+		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 64, RetainFlows: retain})
 		if g, w := RenderBreakdown(got.Report), RenderBreakdown(want.Report); g != w {
 			t.Errorf("RetainFlows=%v: report diverged from batch:\n%s\nwant:\n%s", retain, g, w)
 		}
@@ -640,22 +637,17 @@ func testOutOfCoreHostileTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	for _, opts := range []SnapshotOptions{
-		{WindowRows: 64, SessionConfig: SessionConfig{RetainFlows: true}},
-		{WindowRows: 64, SessionConfig: SessionConfig{Horizon: math.MaxInt64, RetainFlows: true}},
-	} {
-		done := make(chan *Output, 1)
-		go func() { done <- an.AnalyzeSnapshot(snap, opts) }()
-		select {
-		case got := <-done:
-			if g, w := serializeFlows(got.Result.Flows), serializeFlows(want.Result.Flows); g != w {
-				t.Errorf("%+v: %d out-of-core flows diverged from batch's %d", opts, len(got.Result.Flows), len(want.Result.Flows))
-			}
-			if g, w := RenderBreakdown(got.Report), RenderBreakdown(want.Report); g != w {
-				t.Errorf("%+v: report diverged from batch:\n%s\nwant:\n%s", opts, g, w)
-			}
-		case <-time.After(20 * time.Second):
-			t.Fatalf("%+v: AnalyzeSnapshot still running after 20 s", opts)
+	done := make(chan *Output, 1)
+	go func() { done <- an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 64, RetainFlows: true}) }()
+	select {
+	case got := <-done:
+		if g, w := serializeFlows(got.Result.Flows), serializeFlows(want.Result.Flows); g != w {
+			t.Errorf("%d out-of-core flows diverged from batch's %d", len(got.Result.Flows), len(want.Result.Flows))
 		}
+		if g, w := RenderBreakdown(got.Report), RenderBreakdown(want.Report); g != w {
+			t.Errorf("report diverged from batch:\n%s\nwant:\n%s", g, w)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("AnalyzeSnapshot still running after 20 s")
 	}
 }

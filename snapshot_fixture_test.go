@@ -113,11 +113,11 @@ func TestSnapshotParentFile(t *testing.T) {
 		t.Fatalf("sections %v, want the parent file's less the node column: %v", got, want)
 	}
 
-	an, err := NewAnalyzer(AnalyzerOptions{Sink: parentSnapshotSink, End: parentSnapshotEnd, DayLen: int64(sim.Day), Days: 2})
+	an, err := NewAnalyzer(AnalyzerOptions{Sink: parentSnapshotSink, End: parentSnapshotEnd})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SnapshotOptions{WindowRows: 4096, SessionConfig: SessionConfig{RetainFlows: true}}
+	opts := SnapshotOptions{WindowRows: 4096, RetainFlows: true}
 	wantOut := an.AnalyzeSnapshot(old, opts)
 	gotOut := an.AnalyzeSnapshot(cur, opts)
 	if wantOut.Report.Total() == 0 {

@@ -189,7 +189,7 @@ func TestInfoEveryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer snap.Close()
-		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 257, SessionConfig: SessionConfig{RetainFlows: true}})
+		got := an.AnalyzeSnapshot(snap, SnapshotOptions{WindowRows: 257, RetainFlows: true})
 		same(t, got.Result.Flows, got.Result.Operational, got.Report)
 	})
 	t.Run("session", func(t *testing.T) {
