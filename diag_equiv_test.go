@@ -139,8 +139,15 @@ func TestFusedDiagnosisMatchesSerialCampaign(t *testing.T) {
 		})
 	}
 	// The deprecated Analyzer.AnalyzeStream alias the benchmark still
-	// probes differs from Analyze only at Parallelism 0, where it selects
-	// all cores; at w > 0 it is the parallel-w run above.
+	// probes: the same driver reached through core at w workers, and at
+	// Parallelism 0, where it alone selects all cores.
+	for _, w := range []int{1, 2, 3, 8} {
+		w := w
+		t.Run(fmt.Sprintf("stream-%d", w), func(t *testing.T) {
+			out := analyzeStreamAlias(analyzer(t, w), logs)
+			check(t, out.Result, out.Report)
+		})
+	}
 	t.Run("stream", func(t *testing.T) {
 		out := analyzeStreamAlias(analyzer(t, 0), logs)
 		check(t, out.Result, out.Report)
