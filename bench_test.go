@@ -452,10 +452,11 @@ func BenchmarkFlowOutput(b *testing.B) {
 // every flow — steady-state it performs ZERO allocations, the tentpole
 // invariant benchguard pins (the scratch is warmed before the timer, since
 // the baseline runs at -benchtime 1x). build is the full serial diagnosis
-// (classification, outage application, one-pass aggregation) producing a
-// finished report; reads exercises every figure read on a prebuilt report,
-// the Figure 6 daily bins included (a scan of the outcomes). All three run
-// serially, so allocs/op is deterministic.
+// (classification and outage application) producing a finished report;
+// reads exercises the figure reads on a prebuilt report, each a fold of the
+// outcomes when it is called: the point reads count before they allocate and
+// sort their own result, and the Figure 6 daily bins scan the outcomes. All
+// three run serially, so allocs/op is deterministic.
 func BenchmarkDiagnosis(b *testing.B) {
 	c := benchCampaign(b)
 	flows := c.Out.Result.Flows
@@ -747,9 +748,9 @@ func BenchmarkSessionIngest(b *testing.B) { benchSession(b, false) }
 
 // BenchmarkSessionSnapshot is BenchmarkSessionIngest with one live Snapshot
 // after every round's advance, as refill-serve's GET /v1/report reads the
-// session beside its writers. Its allocs/op gate the live read: a copy of
-// the outcomes and the aggregate, and a sort of only the points added since
-// the last read.
+// session beside its writers. Its allocs/op gate the live read: a settle of
+// the outcome runs into packet-ID order and one copy of the outcomes, which
+// is all a report holds.
 func BenchmarkSessionSnapshot(b *testing.B) { benchSession(b, true) }
 
 // benchSession runs the session benchmarks' schedule, reading a live

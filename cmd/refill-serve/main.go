@@ -53,9 +53,9 @@
 // they sent after the last checkpoint (per-node fragments in log order, as
 // always) and the drained report comes out byte-identical to a run that
 // never crashed. -sink and -horizon must match the checkpoint's; -start and
-// -workers follow the restarted daemon, which folds the restored outcomes
-// into its report aggregate afresh. Checkpointing requires -retain-flows to
-// be off.
+// -workers follow the restarted daemon: a report is its outcomes, and its
+// daily bins count from the restarted daemon's -start. Checkpointing requires
+// -retain-flows to be off.
 //
 // # Steady-state allocation
 //

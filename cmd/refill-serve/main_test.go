@@ -720,9 +720,10 @@ func opsInterleaved() *refill.Collection {
 	return c
 }
 
-// TestServeDrainHugeNodeID appends hugeNodeBody and drains: the drain's
-// aggregate must hold the one outcome in memory bounded by the positions
-// seen, not by the largest node ID, so one request cannot exhaust the daemon.
+// TestServeDrainHugeNodeID appends hugeNodeBody and drains: the drain and
+// its report reads must take the one outcome in memory bounded by the
+// positions seen, not by the largest node ID, so one request cannot exhaust
+// the daemon.
 func TestServeDrainHugeNodeID(t *testing.T) {
 	a := newAppendTarget(t)
 	if code, reply := a.post("/v1/append", "text/plain", bytes.NewReader(hugeNodeBody(t))); code != http.StatusOK {

@@ -33,9 +33,8 @@ func equivCampaign(t testing.TB) *experiments.Campaign {
 }
 
 // checkSameReport asserts got agrees with ref on the raw outcomes AND on
-// every aggregation read — the fused per-worker aggregates must merge into
-// exactly what the serial single-aggregate build produces, and
-// DailyComposition must count its days from the same start.
+// every read — the fused per-worker outcomes must read exactly as the serial
+// build's, and DailyComposition must count its days from the same start.
 func checkSameReport(t *testing.T, ref, got *diagnosis.Report, dayLen int64, days int) {
 	t.Helper()
 	if got.Sink != ref.Sink {

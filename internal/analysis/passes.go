@@ -14,7 +14,7 @@ func Analyzers() []*Analyzer {
 
 // deterministicPackages are the packages whose output must be bit-identical
 // across runs: the inference core (fsm, engine), the flow and event models,
-// the diagnosis aggregates, and the report emitters. Ranging over a map
+// the diagnosis reads, and the report emitters. Ranging over a map
 // anywhere in them risks nondeterministic output or inference order.
 var deterministicPackages = PathIn(
 	"repro/internal/fsm",

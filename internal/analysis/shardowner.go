@@ -29,7 +29,7 @@ import (
 // pointer, slice, array, channel or map-value of an owned type is owned, and
 // an anonymous struct is owned when any field is; a *named* type is owned
 // only via its own marker, so wrapping results (e.g. a report holding a
-// retired aggregate) can opt out by staying unmarked.
+// worker's outcomes) can opt out by staying unmarked.
 const ownedMarker = "//refill:owned"
 
 // ShardOwner is the ownership analyzer. It matches every package and exits

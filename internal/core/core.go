@@ -199,16 +199,16 @@ func (a *Analyzer) analyze(c *event.Collection, workers int, keepFlows bool) *Ou
 	views, ops := event.PartitionWorkers(c, workers)
 	cfg := a.diagConfig()
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
-	p := a.eng.Run(views, workers, engine.Fusion{KeepFlows: keepFlows, Diagnosis: cfg, Sched: sched})
-	return &Output{Result: p.Result(ops), Report: diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)}
+	p := a.eng.Run(views, workers, engine.Fusion{KeepFlows: keepFlows, Sink: cfg.Sink, Sched: sched})
+	return &Output{Result: p.Result(ops), Report: diagnosis.FromParts(cfg.Sink, cfg.Start, sched, p.Outcomes)}
 }
 
 // Analyze runs the full pipeline over a collection of per-node logs, fanning
 // per-packet reconstruction out over Options.Parallelism workers (0 = serial).
-// Each worker owns its flow arena, run state, classifier scratch and diagnosis
-// aggregate: flows are classified as they are committed and the per-worker
-// aggregates merge at the join. Output is identical regardless of the worker
-// count. Under Options.DropFlows the Result carries no flows.
+// Each worker owns its flow arena, run state and classifier scratch: flows
+// are classified as they are committed, each outcome into its packet's slot.
+// Output is identical regardless of the worker count. Under
+// Options.DropFlows the Result carries no flows.
 func (a *Analyzer) Analyze(c *event.Collection) *Output {
 	return a.analyze(c, a.workers(1), !a.opts.DropFlows)
 }

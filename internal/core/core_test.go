@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/event/snapfile"
 	"repro/internal/fsm"
+	"repro/internal/sim"
 	"repro/internal/sim/network"
 	"repro/internal/workload"
 )
@@ -105,6 +108,142 @@ func TestOutputFlowLookup(t *testing.T) {
 	}
 	if got := out.Flow(event.PacketID{Origin: 9999, Seq: 1}); got != nil {
 		t.Error("lookup of unknown packet should be nil")
+	}
+}
+
+// TestReportReadsFollowOutcomes edits one delivered outcome of a built report
+// in place — it becomes a looped loss at the sink — and requires every read to
+// match a direct tally of the outcomes the report now holds. The report is
+// built both ways a caller gets one: diagnosis.BuildConfig over the flows,
+// and the fused Analyze.
+func TestReportReadsFollowOutcomes(t *testing.T) {
+	res, out := runTiny(t, 3)
+	cfg := diagnosis.Config{Sink: res.Sink, End: int64(res.Duration)}
+	reports := map[string]*diagnosis.Report{
+		"build":   diagnosis.BuildConfig(out.Result.Flows, out.Result.Operational, cfg),
+		"analyze": out.Report,
+	}
+	for _, name := range []string{"build", "analyze"} {
+		rep := reports[name]
+		i := slices.IndexFunc(rep.Outcomes, func(o diagnosis.Outcome) bool { return o.Cause == diagnosis.Delivered })
+		if i < 0 {
+			t.Fatalf("%s: no delivered outcome to relabel", name)
+		}
+		o := &rep.Outcomes[i]
+		o.Cause, o.Position, o.TimeValid, o.Loop = diagnosis.ReceivedLoss, res.Sink, true, !o.Loop
+		o.LossTime = int64(res.Duration) - 1
+		checkReadsTally(t, name, rep, res.Config.Days)
+	}
+}
+
+// checkReadsTally checks every read of rep against a direct tally of its
+// outcomes.
+func checkReadsTally(t *testing.T, name string, rep *diagnosis.Report, days int) {
+	t.Helper()
+	type site struct {
+		Node  event.NodeID
+		Count int
+	}
+	breakdown := make(map[diagnosis.Cause]int)
+	split := make(map[diagnosis.Cause]diagnosis.SinkSplit)
+	bySite := make(map[diagnosis.Cause]map[event.NodeID]int)
+	daily := make([]map[diagnosis.Cause]int, days)
+	for d := range daily {
+		daily[d] = make(map[diagnosis.Cause]int)
+	}
+	perSite := make(map[event.NodeID]int)
+	var src, pos []diagnosis.Point
+	losses, loops := 0, 0
+	for _, o := range rep.Outcomes {
+		breakdown[o.Cause]++
+		s := split[o.Cause]
+		if o.Position == rep.Sink {
+			s.AtSink++
+		} else {
+			s.Elsewhere++
+		}
+		split[o.Cause] = s
+		if o.Position != event.NoNode {
+			if bySite[o.Cause] == nil {
+				bySite[o.Cause] = make(map[event.NodeID]int)
+			}
+			bySite[o.Cause][o.Position]++
+		}
+		if o.Loop {
+			loops++
+		}
+		if o.Cause == diagnosis.Delivered {
+			continue
+		}
+		losses++
+		day := 0
+		if o.TimeValid {
+			day = int(o.LossTime / int64(sim.Day))
+		}
+		daily[min(max(day, 0), days-1)][o.Cause]++
+		if o.Position != event.NoNode {
+			perSite[o.Position]++
+		}
+		if o.TimeValid {
+			src = append(src, diagnosis.Point{Time: o.LossTime, Node: o.Packet.Origin, Cause: o.Cause})
+			if o.Position != event.NoNode {
+				pos = append(pos, diagnosis.Point{Time: o.LossTime, Node: o.Position, Cause: o.Cause})
+			}
+		}
+	}
+	byTime := func(p, q diagnosis.Point) int {
+		return cmp.Or(cmp.Compare(p.Time, q.Time), cmp.Compare(p.Node, q.Node), cmp.Compare(p.Cause, q.Cause))
+	}
+	slices.SortFunc(src, byTime)
+	slices.SortFunc(pos, byTime)
+	var top []site
+	//refill:allow maprange — sorted below
+	for n, c := range perSite {
+		top = append(top, site{n, c})
+	}
+	slices.SortFunc(top, func(a, b site) int { return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Node, b.Node)) })
+
+	if got := rep.LossCount(); got != losses {
+		t.Errorf("%s: LossCount = %d, want %d", name, got, losses)
+	}
+	if got := rep.Breakdown(); !reflect.DeepEqual(got, breakdown) {
+		t.Errorf("%s: Breakdown = %v, want %v", name, got, breakdown)
+	}
+	if got := rep.LoopCount(); got != loops {
+		t.Errorf("%s: LoopCount = %d, want %d", name, got, loops)
+	}
+	for _, c := range diagnosis.Causes() {
+		if got, want := rep.LossFraction(c), float64(breakdown[c])/float64(losses); got != want {
+			t.Errorf("%s: LossFraction(%v) = %v, want %v", name, c, got, want)
+		}
+		if got := rep.SplitBySink(c); got != split[c] {
+			t.Errorf("%s: SplitBySink(%v) = %+v, want %+v", name, c, got, split[c])
+		}
+		want := bySite[c]
+		if want == nil {
+			want = map[event.NodeID]int{}
+		}
+		if got := rep.LossesBySite(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: LossesBySite(%v) = %v, want %v", name, c, got, want)
+		}
+	}
+	if got := rep.SourcePoints(); !reflect.DeepEqual(got, src) {
+		t.Errorf("%s: SourcePoints differ from a direct tally (%d points, want %d)", name, len(got), len(src))
+	}
+	if got := rep.PositionPoints(); !reflect.DeepEqual(got, pos) {
+		t.Errorf("%s: PositionPoints differ from a direct tally (%d points, want %d)", name, len(got), len(pos))
+	}
+	if got := rep.DailyComposition(int64(sim.Day), days); !reflect.DeepEqual(got, daily) {
+		t.Errorf("%s: DailyComposition = %v, want %v", name, got, daily)
+	}
+	got := rep.TopLossPositions(len(top) + 1)
+	if len(got) != len(top) {
+		t.Fatalf("%s: TopLossPositions lists %d positions, want %d", name, len(got), len(top))
+	}
+	for k := range top {
+		if got[k].Node != top[k].Node || got[k].Count != top[k].Count {
+			t.Errorf("%s: TopLossPositions[%d] = %+v, want %+v", name, k, got[k], top[k])
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package diagnosis
 
 import (
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -280,41 +279,40 @@ func TestReportPoints(t *testing.T) {
 
 // TestReportDailyComposition bins at 200 time units a day over 3 days. Day 0
 // begins at the report's Start; a loss before it, or with no valid time,
-// counts under day 0, and one past the last day under the last day.
+// counts under day 0, and one past the last day under the last day. Fewer
+// than one day bins nothing.
 func TestReportDailyComposition(t *testing.T) {
 	loss := func(c Cause, at int64) Outcome {
 		return Outcome{Cause: c, Position: 2, LossTime: at, TimeValid: true}
 	}
-	built := func(start int64, outs ...Outcome) *Report {
-		agg := NewAggregate(9, start)
-		for _, o := range outs {
-			agg.Add(o)
-		}
-		return FromParts(9, nil, outs, agg)
-	}
+	built := func(start int64, outs ...Outcome) *Report { return FromParts(9, start, nil, outs) }
 	cases := []struct {
 		name string
 		rep  *Report
+		days int
 		want []map[Cause]int
 	}{
 		// t=150 -> day 0; t=300 -> day 1; t=400,500 -> day 2.
-		{"sample", buildSampleReport(),
+		{"sample", buildSampleReport(), 3,
 			[]map[Cause]int{{ServerOutage: 1}, {ReceivedLoss: 1}, {AckedLoss: 1, TimeoutLoss: 1}}},
-		{"start", built(1000, loss(ReceivedLoss, 1150), loss(AckedLoss, 1250), loss(TimeoutLoss, 1450)),
+		{"start", built(1000, loss(ReceivedLoss, 1150), loss(AckedLoss, 1250), loss(TimeoutLoss, 1450)), 3,
 			[]map[Cause]int{{ReceivedLoss: 1}, {AckedLoss: 1}, {TimeoutLoss: 1}}},
-		{"before-start", built(1000, loss(ReceivedLoss, 900), loss(AckedLoss, -50)),
+		{"before-start", built(1000, loss(ReceivedLoss, 900), loss(AckedLoss, -50)), 3,
 			[]map[Cause]int{{ReceivedLoss: 1, AckedLoss: 1}, {}, {}}},
-		{"past-last-day", built(0, loss(TimeoutLoss, 600), loss(TimeoutLoss, 5000)),
+		{"past-last-day", built(0, loss(TimeoutLoss, 600), loss(TimeoutLoss, 5000)), 3,
 			[]map[Cause]int{{}, {}, {TimeoutLoss: 2}}},
-		{"time-invalid", built(0, Outcome{Cause: TransitLoss, Position: 2, LossTime: 450}),
+		{"time-invalid", built(0, Outcome{Cause: TransitLoss, Position: 2, LossTime: 450}), 3,
 			[]map[Cause]int{{TransitLoss: 1}, {}, {}}},
-		{"delivered-skipped", built(0, Outcome{Cause: Delivered, Position: event.Server, LossTime: 250, TimeValid: true}, loss(DupLoss, 250)),
+		{"delivered-skipped", built(0, Outcome{Cause: Delivered, Position: event.Server, LossTime: 250, TimeValid: true}, loss(DupLoss, 250)), 3,
 			[]map[Cause]int{{}, {DupLoss: 1}, {}}},
-		{"hand-assembled", &Report{Sink: 9, Outcomes: []Outcome{loss(ReceivedLoss, 150), loss(AckedLoss, 250), loss(ReceivedLoss, 450)}},
+		{"hand-assembled", &Report{Sink: 9, Outcomes: []Outcome{loss(ReceivedLoss, 150), loss(AckedLoss, 250), loss(ReceivedLoss, 450)}}, 3,
 			[]map[Cause]int{{ReceivedLoss: 1}, {AckedLoss: 1}, {ReceivedLoss: 1}}},
+		// No days to bin into: nothing, whatever the report holds.
+		{"zero-days", buildSampleReport(), 0, nil},
+		{"negative-days", buildSampleReport(), -1, nil},
 	}
 	for _, tc := range cases {
-		if got := tc.rep.DailyComposition(200, 3); !reflect.DeepEqual(got, tc.want) {
+		if got := tc.rep.DailyComposition(200, tc.days); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: DailyComposition = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -391,66 +389,12 @@ func TestClassifyUnresolvedRetransmissionNotSuperseded(t *testing.T) {
 	}
 }
 
-// TestAggregateSettleIncremental feeds a running aggregate batches of random
-// loss outcomes — through Add and through Merge, as a session's windows
-// arrive — and settles it after each batch. Its points must always equal a
-// fresh aggregate's over every outcome so far, settled from nothing: the
-// tail sort, the merge into the prefix and the settled counts must agree
-// with one full sort. Times collide often, so Node and Cause order ties.
-func TestAggregateSettleIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	causes := []Cause{ReceivedLoss, AckedLoss, TimeoutLoss, OverflowLoss}
-	live := NewAggregate(1, 0)
-	var seen []Outcome
-	for batch := 0; batch < 40; batch++ {
-		w := NewAggregate(1, 0)
-		for n := rng.Intn(20); n > 0; n-- {
-			o := Outcome{
-				Packet:    event.PacketID{Origin: event.NodeID(rng.Intn(5)), Seq: uint32(rng.Intn(100))},
-				Position:  event.NodeID(rng.Intn(4)),
-				Cause:     causes[rng.Intn(len(causes))],
-				LossTime:  int64(rng.Intn(30)),
-				TimeValid: true,
-			}
-			if o.Position == 0 {
-				o.Position = event.NoNode
-			}
-			if batch%2 == 0 {
-				live.Add(o)
-			} else {
-				w.Add(o)
-			}
-			seen = append(seen, o)
-		}
-		live.Merge(w)
-		if batch%3 == 2 {
-			continue // settle two batches' worth at once
-		}
-		live.Settle()
-		if live.srcSettled != len(live.srcPts) || live.posSettled != len(live.posPts) {
-			t.Fatalf("batch %d: settled %d/%d of %d/%d points", batch, live.srcSettled, live.posSettled, len(live.srcPts), len(live.posPts))
-		}
-		ref := NewAggregate(1, 0)
-		for _, o := range seen {
-			ref.Add(o)
-		}
-		ref.Settle()
-		if !reflect.DeepEqual(live.srcPts, ref.srcPts) || !reflect.DeepEqual(live.posPts, ref.posPts) {
-			t.Fatalf("batch %d: incrementally settled points diverged from one full sort", batch)
-		}
-		if c := live.Clone(); c.srcSettled != live.srcSettled || c.posSettled != live.posSettled {
-			t.Fatalf("batch %d: clone is less settled than the original", batch)
-		}
-	}
-}
-
-// TestReportConcurrentReads reads a hand-assembled report, which carries no
-// aggregate, from several goroutines at once: under -race it fails if any
-// read stores what it folds.
+// TestReportConcurrentReads calls every read of one report from several
+// goroutines at once: under -race it fails if any read writes the report.
 func TestReportConcurrentReads(t *testing.T) {
 	r := &Report{Sink: 2, Outcomes: []Outcome{
 		{Packet: event.PacketID{Origin: 1, Seq: 1}, Cause: Delivered, Position: event.Server},
-		{Packet: event.PacketID{Origin: 1, Seq: 2}, Cause: ReceivedLoss, Position: 2, LossTime: 50, TimeValid: true},
+		{Packet: event.PacketID{Origin: 1, Seq: 2}, Cause: ReceivedLoss, Position: 2, LossTime: 50, TimeValid: true, Loop: true},
 		{Packet: event.PacketID{Origin: 3, Seq: 1}, Cause: TimeoutLoss, Position: 3, Toward: 2, LossTime: 20, TimeValid: true},
 	}}
 	var wg sync.WaitGroup
@@ -464,16 +408,31 @@ func TestReportConcurrentReads(t *testing.T) {
 			if b := r.Breakdown(); b[TimeoutLoss] != 1 || b[ReceivedLoss] != 1 {
 				t.Errorf("Breakdown = %v", b)
 			}
+			if f := r.LossFraction(TimeoutLoss); f != 0.5 {
+				t.Errorf("LossFraction = %v, want 0.5", f)
+			}
 			if s := r.SplitBySink(ReceivedLoss); s.AtSink != 1 {
 				t.Errorf("SplitBySink = %+v", s)
+			}
+			if pts := r.SourcePoints(); len(pts) != 2 || pts[0].Node != 3 {
+				t.Errorf("SourcePoints = %v", pts)
 			}
 			if pts := r.PositionPoints(); len(pts) != 2 || pts[0].Time != 20 {
 				t.Errorf("PositionPoints = %v", pts)
 			}
+			if d := r.DailyComposition(40, 2); len(d) != 2 || d[0][TimeoutLoss] != 1 || d[1][ReceivedLoss] != 1 {
+				t.Errorf("DailyComposition = %v", d)
+			}
+			if m := r.LossesBySite(TimeoutLoss); len(m) != 1 || m[3] != 1 {
+				t.Errorf("LossesBySite = %v", m)
+			}
+			if n := r.LoopCount(); n != 1 {
+				t.Errorf("LoopCount = %d, want 1", n)
+			}
+			if top := r.TopLossPositions(1); len(top) != 1 || top[0].Node != 2 || top[0].Count != 1 {
+				t.Errorf("TopLossPositions = %v", top)
+			}
 		}()
 	}
 	wg.Wait()
-	if r.agg != nil {
-		t.Error("a read stored an aggregate on the report")
-	}
 }

@@ -1,24 +1,26 @@
 package diagnosis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/flow"
 )
 
-// Report aggregates per-packet outcomes into the figure-level views of the
-// paper's evaluation. Every aggregation method but DailyComposition, which
-// bins the outcomes per call, is a cheap read over an Aggregate built in one
-// pass; BuildConfig and the fused engine paths populate it at classification
-// time. A hand-assembled report (public fields only) has none, so each of
-// its reads folds the outcomes afresh. No read writes the report.
+// Report holds per-packet outcomes and reads the figure-level views of the
+// paper's evaluation from them. Outcomes is the report's only state: every
+// read folds the outcomes when it is called, so a report whose outcomes were
+// edited or re-sliced reads exactly what it holds. No read writes the report,
+// so reads may run concurrently.
 type Report struct {
 	Sink     event.NodeID
 	Outages  OutageSchedule
 	Outcomes []Outcome
 
-	agg *Aggregate
+	// start is the epoch DailyComposition counts days from (Config.Start);
+	// 0 for a hand-assembled report.
+	start int64
 }
 
 // Config bundles the report-level knobs of a diagnosis build: the sink, the
@@ -42,61 +44,45 @@ type Config struct {
 
 // BuildConfig classifies every flow, reconstructing the outage schedule from
 // the operational events (cfg.End bounds a trailing open outage) and
-// applying it: one classifier's scratch serves every flow and the aggregate
-// is folded as outcomes are produced, so the whole diagnosis performs O(1)
-// allocations beyond the outcome slice itself.
+// applying it: one classifier's scratch serves every flow, so the whole
+// diagnosis performs O(1) allocations beyond the outcome slice itself.
 func BuildConfig(flows []*flow.Flow, ops []event.Event, cfg Config) *Report {
 	sched := OutagesFromOperational(ops, cfg.End)
 	cl := NewClassifier()
-	agg := NewAggregate(cfg.Sink, cfg.Start)
-	outcomes := make([]Outcome, 0, len(flows))
-	for _, f := range flows {
-		o := ApplyOutages(cl.Classify(f), sched, cfg.Sink)
-		agg.Add(o)
-		outcomes = append(outcomes, o)
+	outcomes := make([]Outcome, len(flows))
+	for i, f := range flows {
+		outcomes[i] = ApplyOutages(cl.Classify(f), sched, cfg.Sink)
 	}
-	return FromParts(cfg.Sink, sched, outcomes, agg)
+	return FromParts(cfg.Sink, cfg.Start, sched, outcomes)
 }
 
-// FromParts assembles a report from pre-classified outcomes — the join step
-// of the fused per-worker analysis paths. agg must cover exactly the given
-// outcomes (or be nil, in which case every aggregation read folds them);
-// FromParts settles it, so workers only Add and Merge.
-func FromParts(sink event.NodeID, outages OutageSchedule, outcomes []Outcome, agg *Aggregate) *Report {
-	if agg != nil {
-		agg.Settle()
-	}
-	return &Report{Sink: sink, Outages: outages, Outcomes: outcomes, agg: agg}
-}
-
-// aggregate returns the report's dense aggregate when it covers Outcomes.
-// A hand-assembled report, or one whose Outcomes was re-sliced behind its
-// back (the length disagreeing is the tell), gets a fresh fold from the
-// same start, which is not stored: a read never writes the report.
-func (r *Report) aggregate() *Aggregate {
-	if r.agg != nil && r.agg.total == len(r.Outcomes) {
-		return r.agg
-	}
-	a := NewAggregate(r.Sink, r.start())
-	for _, o := range r.Outcomes {
-		a.Add(o)
-	}
-	a.Settle()
-	return a
+// FromParts assembles a report from pre-classified, outage-adjusted
+// outcomes — the join step of the fused analysis paths. start is the epoch
+// DailyComposition counts days from (Config.Start).
+func FromParts(sink event.NodeID, start int64, outages OutageSchedule, outcomes []Outcome) *Report {
+	return &Report{Sink: sink, Outages: outages, Outcomes: outcomes, start: start}
 }
 
 // Total returns the number of diagnosed packets.
 func (r *Report) Total() int { return len(r.Outcomes) }
 
 // LossCount returns the number of packets that did not reach the server.
-func (r *Report) LossCount() int { return r.aggregate().losses() }
+func (r *Report) LossCount() int { return len(r.Outcomes) - r.byCause()[Delivered] }
+
+// byCause counts the outcomes per cause.
+func (r *Report) byCause() (n [numCauses]int) {
+	for _, o := range r.Outcomes {
+		n[o.Cause]++
+	}
+	return n
+}
 
 // Breakdown counts outcomes per cause (Figure 9 / Section V-C). Causes with
 // no outcomes are absent from the map, matching a direct tally.
 func (r *Report) Breakdown() map[Cause]int {
-	a := r.aggregate()
-	m := make(map[Cause]int, nc)
-	for c, n := range a.byCause {
+	counts := r.byCause()
+	m := make(map[Cause]int, numCauses)
+	for c, n := range counts {
 		if n > 0 {
 			m[Cause(c)] = n
 		}
@@ -107,12 +93,12 @@ func (r *Report) Breakdown() map[Cause]int {
 // LossFraction returns cause's share of all LOST packets (the paper's
 // percentages are fractions of losses, not of traffic).
 func (r *Report) LossFraction(c Cause) float64 {
-	a := r.aggregate()
-	losses := a.losses()
+	counts := r.byCause()
+	losses := len(r.Outcomes) - counts[Delivered]
 	if losses == 0 {
 		return 0
 	}
-	return float64(a.byCause[c]) / float64(losses)
+	return float64(counts[c]) / float64(losses)
 }
 
 // SinkSplit separates a cause's losses at the sink from those elsewhere —
@@ -123,8 +109,17 @@ type SinkSplit struct {
 
 // SplitBySink computes the sink/elsewhere split for a cause.
 func (r *Report) SplitBySink(c Cause) SinkSplit {
-	a := r.aggregate()
-	return SinkSplit{AtSink: a.atSink[c], Elsewhere: a.byCause[c] - a.atSink[c]}
+	var s SinkSplit
+	for _, o := range r.Outcomes {
+		switch {
+		case o.Cause != c:
+		case o.Position == r.Sink:
+			s.AtSink++
+		default:
+			s.Elsewhere++
+		}
+	}
+	return s
 }
 
 // Point is one marker of the Figure 4/5 scatter plots: a lost packet at a
@@ -139,76 +134,79 @@ type Point struct {
 // packet is attributed to the node that generated it — the view available
 // from collected data alone, where "packets generated at different nodes have
 // a similar probability to get lost".
-func (r *Report) SourcePoints() []Point { return copyPoints(r.aggregate().srcPts) }
+func (r *Report) SourcePoints() []Point { return r.points(false) }
 
 // PositionPoints renders losses in the POSITION view of Figure 5: each lost
 // packet is attributed to the node REFILL located the loss at, revealing that
 // "loss positions are on a small portion of nodes".
-func (r *Report) PositionPoints() []Point { return copyPoints(r.aggregate().posPts) }
+func (r *Report) PositionPoints() []Point { return r.points(true) }
 
-// copyPoints hands callers their own slice of the cached, pre-sorted points
-// (nil for none, matching the historical append-built result).
-func copyPoints(pts []Point) []Point {
-	if len(pts) == 0 {
+// points returns one point per loss with a valid time — attributed to its
+// origin, or atPosition to its loss position when that is known — in the
+// order of pointCmp, nil for none. It counts before it allocates, so the
+// result is exactly sized.
+func (r *Report) points(atPosition bool) []Point {
+	n := 0
+	for _, o := range r.Outcomes {
+		if _, ok := point(o, atPosition); ok {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	out := make([]Point, len(pts))
-	copy(out, pts)
+	out := make([]Point, 0, n)
+	for _, o := range r.Outcomes {
+		if p, ok := point(o, atPosition); ok {
+			out = append(out, p)
+		}
+	}
+	slices.SortFunc(out, pointCmp)
 	return out
 }
 
-// sortPoints orders points by (Time, Node, Cause) — a TOTAL order over every
-// Point field, so any two sorts of the same multiset (one worker's outcomes
-// or several workers' merged ones) produce identical slices.
-func sortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool { return pointLess(pts[i], pts[j]) })
+// point is o's Figure 4 (or, atPosition, Figure 5) marker, if it has one.
+func point(o Outcome, atPosition bool) (Point, bool) {
+	if o.Cause == Delivered || !o.TimeValid {
+		return Point{}, false
+	}
+	node := o.Packet.Origin
+	if atPosition {
+		node = o.Position
+	}
+	return Point{Time: o.LossTime, Node: node, Cause: o.Cause}, !atPosition || node != event.NoNode
 }
 
-// pointLess is sortPoints' order.
-func pointLess(p, q Point) bool {
-	if p.Time != q.Time {
-		return p.Time < q.Time
-	}
-	if p.Node != q.Node {
-		return p.Node < q.Node
-	}
-	return p.Cause < q.Cause
-}
-
-// start is the daily-bin epoch the report was built with: 0 for a
-// hand-assembled report.
-func (r *Report) start() int64 {
-	if r.agg == nil {
-		return 0
-	}
-	return r.agg.start
+// pointCmp orders points by (Time, Node, Cause) — a TOTAL order over every
+// Point field, so any two sorts of the same points produce identical slices
+// whatever order the outcomes are in.
+func pointCmp(p, q Point) int {
+	return cmp.Or(cmp.Compare(p.Time, q.Time), cmp.Compare(p.Node, q.Node), cmp.Compare(p.Cause, q.Cause))
 }
 
 // DailyComposition bins losses by day and cause (Figure 6), scanning the
 // outcomes. dayLen is the day length in time units; days the campaign
-// length. Days are counted from the report's configured Start (0 unless the
-// build set Config.Start); a loss before Start or without a valid loss time
-// counts under day 0, and one past the last day under the last day.
+// length (nil for days < 1). Days are counted from the report's configured
+// Start (0 unless the build set Config.Start); a loss before Start or
+// without a valid loss time counts under day 0, and one past the last day
+// under the last day.
 func (r *Report) DailyComposition(dayLen int64, days int) []map[Cause]int {
+	if days < 1 {
+		return nil
+	}
 	out := make([]map[Cause]int, days)
 	for i := range out {
 		out[i] = make(map[Cause]int)
 	}
-	start := r.start()
 	for _, o := range r.Outcomes {
 		if o.Cause == Delivered {
 			continue
 		}
 		day := 0
 		if o.TimeValid && dayLen > 0 {
-			day = int((o.LossTime - start) / dayLen)
+			day = int((o.LossTime - r.start) / dayLen)
 		}
-		if day < 0 {
-			day = 0
-		}
-		if day >= days {
-			day = days - 1
-		}
+		day = min(max(day, 0), days-1)
 		out[day][o.Cause]++
 	}
 	return out
@@ -217,51 +215,50 @@ func (r *Report) DailyComposition(dayLen int64, days int) []map[Cause]int {
 // LossesBySite counts losses of the given cause per loss position
 // (Figure 8 uses ReceivedLoss; the circle radius is the count).
 func (r *Report) LossesBySite(c Cause) map[event.NodeID]int {
-	a := r.aggregate()
 	m := make(map[event.NodeID]int)
-	for _, row := range a.sites {
-		if cnt := row.counts[c]; cnt > 0 {
-			m[row.node] = int(cnt)
+	for _, o := range r.Outcomes {
+		if o.Cause == c && o.Position != event.NoNode {
+			m[o.Position]++
 		}
 	}
 	return m
 }
 
 // LoopCount returns how many packets exhibited routing loops.
-func (r *Report) LoopCount() int { return r.aggregate().loops }
+func (r *Report) LoopCount() int {
+	n := 0
+	for _, o := range r.Outcomes {
+		if o.Loop {
+			n++
+		}
+	}
+	return n
+}
 
 // TopLossPositions returns the loss positions ordered by descending loss
 // count (ties by node ID), up to k entries — the "small portion of nodes
-// where a large portion of packets are lost".
+// where a large portion of packets are lost". The counts are tallied in the
+// result itself, kept in node order while they are counted.
 func (r *Report) TopLossPositions(k int) []struct {
 	Node  event.NodeID
 	Count int
 } {
-	a := r.aggregate()
-	var out []struct {
+	type site = struct {
 		Node  event.NodeID
 		Count int
 	}
-	for _, row := range a.sites {
-		count := 0
-		for c, n := range row.counts {
-			if Cause(c) != Delivered {
-				count += int(n)
-			}
+	var out []site
+	for _, o := range r.Outcomes {
+		if o.Cause == Delivered || o.Position == event.NoNode {
+			continue
 		}
-		if count > 0 {
-			out = append(out, struct {
-				Node  event.NodeID
-				Count int
-			}{row.node, count})
+		i, found := slices.BinarySearchFunc(out, o.Position, func(s site, n event.NodeID) int { return cmp.Compare(s.Node, n) })
+		if !found {
+			out = slices.Insert(out, i, site{Node: o.Position})
 		}
+		out[i].Count++
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Node < out[j].Node
-	})
+	slices.SortFunc(out, func(a, b site) int { return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Node, b.Node)) })
 	if len(out) > k {
 		out = out[:k]
 	}

@@ -22,7 +22,7 @@ func buildOutageCampaign(origins int) *event.Collection {
 }
 
 // sameDiagnosis pins a fused report to the serial reference: raw outcomes,
-// outage schedule, and the aggregate-backed reads must all agree.
+// outage schedule, and every read must agree.
 func sameDiagnosis(t *testing.T, label string, ref, got *diagnosis.Report) {
 	t.Helper()
 	if !reflect.DeepEqual(ref.Outages, got.Outages) {
@@ -58,7 +58,7 @@ func sameDiagnosis(t *testing.T, label string, ref, got *diagnosis.Report) {
 // TestFusedDiagnosisDeterministic runs the fused driver concurrently with
 // itself across worker counts and pins every Result and Report to the serial
 // two-pass reference — the -race regression test for the per-worker
-// classifier scratch and the aggregate merge at the join.
+// classifier scratch and the indexed outcome writes.
 func TestFusedDiagnosisDeterministic(t *testing.T) {
 	eng, err := New(Options{Sink: 900})
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 
 // The pipeline. Packets never interact (the transition algorithm of Section
 // IV is per packet), so there is one unit of work — walk one PacketView,
-// classify the flow, fold the outcome — and one stitch:
+// classify the flow — and one stitch:
 //
-//	views → range cursor → worker (run + arena + classifier + aggregate) → indexed merge → Parts
+//	views → range cursor → worker (run + arena + classifier) → indexed writes → Parts
 //
 // Every analysis runs this driver (Engine.Run) fed different views and a
 // different outage schedule: the batch analyzer partitions the whole
@@ -28,22 +28,20 @@ import (
 //
 // Determinism: which worker walks which view is racy by construction (the
 // workers race for ranges on one shared cursor), but every worker writes flows
-// and outcomes into the slots of the views it walked and folds into its own
-// aggregate; the join is the indexed writes themselves plus the
-// order-independent Aggregate.Merge, so the output is identical for every
-// worker count.
+// and outcomes into the slots of the views it walked; the join is the indexed
+// writes themselves plus a sum of counters, so the output is identical for
+// every worker count.
 
 // Parts is the mergeable output of one driver run: Flows and Outcomes are
-// co-indexed with the views the run was given (packet-ID order) and Aggregate
-// covers exactly those outcomes. InferredEvents and Anomalies total the run's
-// flows, counted while each flow is hot whether it is kept or not, so a run
-// without flows still reports them. Window callers Fold many Parts into one
-// and Settle it before reading its Flows or Outcomes in order; a batch
-// caller assembles a single run's directly.
+// co-indexed with the views the run was given (packet-ID order), and
+// InferredEvents and Anomalies total the run's flows, counted while each flow
+// is hot whether it is kept or not, so a run without flows still reports
+// them. Window callers Fold many Parts into one and Settle it before reading
+// its Flows or Outcomes in order; a batch caller assembles a single run's
+// directly.
 type Parts struct {
 	Flows          []*flow.Flow
 	Outcomes       []diagnosis.Outcome
-	Aggregate      *diagnosis.Aggregate
 	InferredEvents int
 	Anomalies      int
 	// runs holds where each sorted run of Outcomes (and Flows) after the
@@ -60,16 +58,16 @@ func (p *Parts) Result(ops []event.Event) *Result {
 	return &Result{Operational: ops, Flows: p.Flows, InferredEvents: p.InferredEvents, Anomalies: p.Anomalies}
 }
 
-// Fold adds one window's parts to the running accumulation p, whose
-// Aggregate must be non-nil. A window's outcomes are in packet-ID order (its
-// views come out of the pending store's Retire sorted) but interleave with
-// earlier windows', so merging each window into everything folded before
-// moves the whole accumulation every time: O(N·W) for W windows. Fold
-// appends the window as a sorted run instead and, as a binary counter
-// carries, merges the newest two runs while the newer one's length has as
-// many bits as the older one's. So the runs' lengths fall by powers of two,
-// and W similar windows cost O(N log W) moves; where runs fall depends only
-// on the windows' sizes, never on the worker count.
+// Fold adds one window's parts to the running accumulation p. A window's
+// outcomes are in packet-ID order (its views come out of the pending store's
+// Retire sorted) but interleave with earlier windows', so merging each window
+// into everything folded before moves the whole accumulation every time:
+// O(N·W) for W windows. Fold appends the window as a sorted run instead
+// and, as a binary counter carries, merges the newest two runs while the
+// newer one's length has as many bits as the older one's. So the runs'
+// lengths fall by powers of two, and W similar windows cost O(N log W)
+// moves; where runs fall depends only on the windows' sizes, never on the
+// worker count.
 // Fold merges whatever flows the window carries: whether a window keeps its
 // flows is decided once, by the driver run that produced it
 // (Fusion.KeepFlows), and a window run without them
@@ -89,7 +87,6 @@ func (p *Parts) Fold(w Parts) {
 		}
 		p.mergeTop()
 	}
-	p.Aggregate.Merge(w.Aggregate)
 	p.InferredEvents += w.InferredEvents
 	p.Anomalies += w.Anomalies
 }
@@ -146,37 +143,35 @@ func mergeSorted[T any](dst, src []T, less func(a, b T) bool) []T {
 	return dst
 }
 
-// Fusion is what a driver run keeps besides walking. A Diagnosis with a
-// sink makes every worker classify each flow the moment it commits it —
-// while the flow's items and visits are still hot in that worker's cache —
-// against the shared read-only outage schedule Sched, and fold the outcome
-// into its own aggregate; the zero Diagnosis (Sink NoNode) classifies
-// nothing, since a report always has a sink. KeepFlows keeps every flow for
-// the caller; without it each flow lives only until it is counted and, under
+// Fusion is what a driver run keeps besides walking. A Sink makes every
+// worker classify each flow the moment it commits it — while the flow's
+// items and visits are still hot in that worker's cache — against the shared
+// read-only outage schedule Sched; the zero Sink (NoNode) classifies nothing,
+// since a report always has a sink. KeepFlows keeps every flow for the
+// caller; without it each flow lives only until it is counted and, under
 // diagnosis, classified.
 type Fusion struct {
 	KeepFlows bool
-	Diagnosis diagnosis.Config
+	Sink      event.NodeID
 	Sched     diagnosis.OutageSchedule
 }
 
 // diagnose reports whether the run classifies its flows.
-func (fu Fusion) diagnose() bool { return fu.Diagnosis.Sink != event.NoNode }
+func (fu Fusion) diagnose() bool { return fu.Sink != event.NoNode }
 
 // work is the one worker body: pull view ranges from next until the batch
 // drains, and for each view reconstruct the flow, count its inferred items
-// and anomalies, classify it and fold the outcome — the only place any of
-// that happens. Flows and outcomes land in the view's own slot; flows is nil
-// when nobody keeps them, and then the arena is Reset as soon as each flow is
-// counted and classified, so the worker recycles one flow's worth of chunks
-// through the whole run. The worker owns its scratch for the duration of the
+// and anomalies and classify it — the only place any of that happens. Flows
+// and outcomes land in the view's own slot; flows is nil when nobody keeps
+// them, and then the arena is Reset as soon as each flow is counted and
+// classified, so the worker recycles one flow's worth of chunks through the
+// whole run. The worker owns its scratch for the duration of the
 // run and nothing of it crosses to another worker: its run (recycled through
 // the engine's free list, so a serial caller analyzing many small windows
 // does not allocate one per call), its output arena (its flows stay on memory
-// it touched), and under diagnosis its classifier scratch and its aggregate.
-// What leaves is the return value, the worker's slot for Run's join: its
-// counts and its aggregate (nil without diagnosis); Flows and Outcomes stay
-// nil there, written in place instead.
+// it touched), and under diagnosis its classifier scratch. What leaves is
+// the return value, the worker's slot for Run's join: its counts; Flows and
+// Outcomes stay nil there, written in place instead.
 func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diagnosis.Outcome, fu Fusion, sizing flow.Sizing, next func() (lo, hi int, ok bool)) Parts {
 	r := e.getRun()
 	arena := flow.NewArena(sizing)
@@ -184,7 +179,6 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 	var p Parts
 	if fu.diagnose() {
 		cl = diagnosis.NewClassifier()
-		p.Aggregate = diagnosis.NewAggregate(fu.Diagnosis.Sink, fu.Diagnosis.Start)
 	}
 	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 		for i := lo; i < hi; i++ {
@@ -192,8 +186,7 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 			p.InferredEvents += f.InferredCount()
 			p.Anomalies += len(f.Anomalies)
 			if cl != nil {
-				outs[i] = diagnosis.ApplyOutages(cl.Classify(f), fu.Sched, fu.Diagnosis.Sink)
-				p.Aggregate.Add(outs[i])
+				outs[i] = diagnosis.ApplyOutages(cl.Classify(f), fu.Sched, fu.Sink)
 			}
 			if fu.KeepFlows {
 				flows[i] = f
@@ -222,9 +215,8 @@ func (e *Engine) work(views []*event.PacketView, flows []*flow.Flow, outs []diag
 // Without fu.KeepFlows there is no flows slice and no arena sized from the
 // views: each worker starts from the default chunks and keeps only the
 // largest flow's worth, and the Parts carry no Flows. Each worker returns its
-// counts and aggregate in its slot of one per-run slice; the join sums the
-// counts and merges the aggregates into the first slot, which becomes the
-// run's Parts.
+// counts in its slot of one per-run slice; the join sums them into the first
+// slot, which becomes the run's Parts.
 func (e *Engine) Run(views []*event.PacketView, workers int, fu Fusion) Parts {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -268,9 +260,6 @@ func (e *Engine) Run(views []*event.PacketView, workers int, fu Fusion) Parts {
 	wg.Wait()
 	p := results[0]
 	for _, s := range results[1:] {
-		if fu.diagnose() {
-			p.Aggregate.Merge(s.Aggregate)
-		}
 		p.InferredEvents += s.InferredEvents
 		p.Anomalies += s.Anomalies
 	}

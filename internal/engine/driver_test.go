@@ -20,8 +20,8 @@ import (
 func analyzeDiagnosed(e *Engine, c *event.Collection, workers int, cfg diagnosis.Config, keepFlows bool) (*Result, *diagnosis.Report) {
 	views, ops := event.PartitionWorkers(c, workers)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
-	p := e.Run(views, workers, Fusion{KeepFlows: keepFlows, Diagnosis: cfg, Sched: sched})
-	return p.Result(ops), diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
+	p := e.Run(views, workers, Fusion{KeepFlows: keepFlows, Sink: cfg.Sink, Sched: sched})
+	return p.Result(ops), diagnosis.FromParts(cfg.Sink, cfg.Start, sched, p.Outcomes)
 }
 
 // TestPartsFoldKeepsPacketOrder folds random windows — each in packet-ID
@@ -56,7 +56,6 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 				flowOf[o.LossTime] = f
 				win.Flows = append(win.Flows, f)
 			}
-			win.Aggregate = diagnosis.NewAggregate(1, 0)
 			win.InferredEvents, win.Anomalies = int(serial), len(win.Outcomes)
 			inferred += win.InferredEvents
 			anomalies += win.Anomalies
@@ -66,7 +65,7 @@ func TestPartsFoldKeepsPacketOrder(t *testing.T) {
 		sort.SliceStable(all, func(i, j int) bool { return all[i].Packet.Less(all[j].Packet) })
 
 		for _, keep := range []bool{true, false} {
-			acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0)}
+			var acc Parts
 			for _, w := range windows {
 				if !keep { // a window run without keepFlows carries none
 					w.Flows = nil
@@ -131,14 +130,13 @@ func TestPartsFoldManyWindows(t *testing.T) {
 			flowOf[o.LossTime] = f
 			win.Flows = append(win.Flows, f)
 		}
-		win.Aggregate = diagnosis.NewAggregate(1, 0)
 		windows = append(windows, win)
 		all = append(all, win.Outcomes...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Packet.Less(all[j].Packet) })
 
 	for _, keep := range []bool{true, false} {
-		acc := Parts{Aggregate: diagnosis.NewAggregate(1, 0)}
+		var acc Parts
 		for k, w := range windows {
 			if !keep {
 				w.Flows = nil
@@ -167,8 +165,8 @@ func TestPartsFoldManyWindows(t *testing.T) {
 }
 
 // TestWindowDiscardsFlows pins the discard path, the service default: a
-// window run without keepFlows carries no flows, and its outcomes and
-// aggregate equal those of the run that keeps them, at every fan-out. One
+// window run without keepFlows carries no flows, and its outcomes and report
+// equal those of the run that keeps them, at every fan-out. One
 // packet's flow is larger than an arena's default items chunk, so the
 // recycled arena must refill for it and then carve every later flow from
 // that refill. A worker that recycled its arena before classifying, or kept
@@ -188,7 +186,7 @@ func TestWindowDiscardsFlows(t *testing.T) {
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40}
 	sched := diagnosis.OutagesFromOperational(nil, cfg.End)
 	views, _ := event.Partition(c)
-	ref := eng.Run(views, 1, Fusion{KeepFlows: true, Diagnosis: cfg, Sched: sched})
+	ref := eng.Run(views, 1, Fusion{KeepFlows: true, Sink: cfg.Sink, Sched: sched})
 	largest := 0
 	for _, f := range ref.Flows {
 		largest = max(largest, len(f.Items))
@@ -197,8 +195,8 @@ func TestWindowDiscardsFlows(t *testing.T) {
 		t.Fatalf("largest flow has %d items; the test needs one past the default chunk", largest)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		kept := eng.Run(views, workers, Fusion{KeepFlows: true, Diagnosis: cfg, Sched: sched})
-		dropped := eng.Run(views, workers, Fusion{Diagnosis: cfg, Sched: sched})
+		kept := eng.Run(views, workers, Fusion{KeepFlows: true, Sink: cfg.Sink, Sched: sched})
+		dropped := eng.Run(views, workers, Fusion{Sink: cfg.Sink, Sched: sched})
 		if dropped.Flows != nil {
 			t.Fatalf("workers=%d: %d flows carried without keepFlows", workers, len(dropped.Flows))
 		}
@@ -208,15 +206,8 @@ func TestWindowDiscardsFlows(t *testing.T) {
 		if !reflect.DeepEqual(kept.Outcomes, dropped.Outcomes) {
 			t.Errorf("workers=%d: outcomes without keepFlows diverged", workers)
 		}
-		// Worker aggregates merge in scheduling order; settled, they read
-		// the same whatever that order was.
-		kept.Aggregate.Settle()
-		dropped.Aggregate.Settle()
-		if !reflect.DeepEqual(kept.Aggregate, dropped.Aggregate) {
-			t.Errorf("workers=%d: aggregate without keepFlows diverged", workers)
-		}
 		label := fmt.Sprintf("workers=%d", workers)
-		sameDiagnosis(t, label, diagnosis.FromParts(cfg.Sink, sched, ref.Outcomes, ref.Aggregate),
-			diagnosis.FromParts(cfg.Sink, sched, dropped.Outcomes, dropped.Aggregate))
+		sameDiagnosis(t, label, diagnosis.FromParts(cfg.Sink, cfg.Start, sched, ref.Outcomes),
+			diagnosis.FromParts(cfg.Sink, cfg.Start, sched, dropped.Outcomes))
 	}
 }

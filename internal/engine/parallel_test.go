@@ -178,9 +178,9 @@ func TestAnalyzeVariantsProduceIdenticalResults(t *testing.T) {
 		if !reflect.DeepEqual(want, p.Flows) {
 			t.Fatalf("undiagnosed run (workers=%d) diverged from serial AnalyzeViews", workers)
 		}
-		if p.Outcomes != nil || p.Aggregate != nil || p.InferredEvents != inferred || p.Anomalies != anomalies {
-			t.Fatalf("undiagnosed run (workers=%d): %d outcomes, aggregate %v, %d/%d counters; want none, nil, %d/%d",
-				workers, len(p.Outcomes), p.Aggregate != nil, p.InferredEvents, p.Anomalies, inferred, anomalies)
+		if p.Outcomes != nil || p.InferredEvents != inferred || p.Anomalies != anomalies {
+			t.Fatalf("undiagnosed run (workers=%d): %d outcomes, %d/%d counters; want none, %d/%d",
+				workers, len(p.Outcomes), p.InferredEvents, p.Anomalies, inferred, anomalies)
 		}
 	}
 }

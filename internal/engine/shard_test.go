@@ -100,8 +100,8 @@ func dominantCampaign(origins []event.NodeID, dominant event.NodeID) *event.Coll
 // TestDriveCoversEveryViewOnce pins the whole of the driver's scheduling
 // contract: whatever the fan-out and however the view count falls against the
 // grain (64 pulls per worker), every view is walked exactly once — its slot
-// holds its own packet's flow and outcome — and flows, outcomes and the merged
-// aggregate equal the serial run's. Run under -race it is also the check that
+// holds its own packet's flow and outcome — and flows, outcomes and the
+// report's reads equal the serial run's. Run under -race it is also the check that
 // no two workers ever hold the same range.
 func TestDriveCoversEveryViewOnce(t *testing.T) {
 	eng, err := New(Options{Sink: 900})
@@ -110,14 +110,14 @@ func TestDriveCoversEveryViewOnce(t *testing.T) {
 	}
 	all, ops := event.Partition(buildManyOriginCampaign(46))
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40}
-	fu := Fusion{KeepFlows: true, Diagnosis: cfg, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
+	fu := Fusion{KeepFlows: true, Sink: cfg.Sink, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
 		if n > len(all) {
 			t.Fatalf("campaign has %d views, need %d", len(all), n)
 		}
 		views := all[:n]
 		serial := eng.Run(views, 1, fu)
-		ref := diagnosis.FromParts(cfg.Sink, fu.Sched, serial.Outcomes, serial.Aggregate)
+		ref := diagnosis.FromParts(cfg.Sink, cfg.Start, fu.Sched, serial.Outcomes)
 		for _, workers := range []int{1, 2, 3, 8, 64} {
 			label := fmt.Sprintf("views=%d workers=%d", n, workers)
 			p := eng.Run(views, workers, fu)
@@ -132,7 +132,7 @@ func TestDriveCoversEveryViewOnce(t *testing.T) {
 			if n > 0 && !reflect.DeepEqual(serial.Flows, p.Flows) {
 				t.Errorf("%s: flows diverged from serial", label)
 			}
-			sameDiagnosis(t, label, ref, diagnosis.FromParts(cfg.Sink, fu.Sched, p.Outcomes, p.Aggregate))
+			sameDiagnosis(t, label, ref, diagnosis.FromParts(cfg.Sink, cfg.Start, fu.Sched, p.Outcomes))
 		}
 	}
 }
@@ -152,7 +152,7 @@ func TestDriverDegenerateInputs(t *testing.T) {
 	cfg := diagnosis.Config{Sink: 900, End: 1 << 40}
 	for name, c := range inputs {
 		views, ops := event.Partition(c)
-		fu := Fusion{KeepFlows: true, Diagnosis: cfg, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
+		fu := Fusion{KeepFlows: true, Sink: cfg.Sink, Sched: diagnosis.OutagesFromOperational(ops, cfg.End)}
 		serial := eng.Analyze(c)
 		ref := diagnosis.BuildConfig(serial.Flows, ops, cfg)
 		for _, workers := range []int{1, len(views) + 3} {
@@ -163,7 +163,7 @@ func TestDriverDegenerateInputs(t *testing.T) {
 			if len(views) > 0 && !reflect.DeepEqual(serial.Flows, p.Flows) {
 				t.Errorf("%s workers=%d: flows diverged from serial", name, workers)
 			}
-			sameDiagnosis(t, name, ref, diagnosis.FromParts(cfg.Sink, fu.Sched, p.Outcomes, p.Aggregate))
+			sameDiagnosis(t, name, ref, diagnosis.FromParts(cfg.Sink, cfg.Start, fu.Sched, p.Outcomes))
 		}
 	}
 }

@@ -20,9 +20,8 @@ import (
 // pending (not yet finalizable) packet rows, and the finalized packets'
 // inferred-event and anomaly counts. Flows are deliberately NOT
 // checkpointable — a RetainFlows session refuses to checkpoint rather than
-// silently dropping its flows. Nor is the report aggregate: it is a fold of
-// the outcomes, and Resume folds them into the aggregate of the resuming
-// config.
+// silently dropping its flows. Every report read is a fold of the outcomes,
+// so nothing besides them is stored for the report.
 //
 //	section 1   meta: version i64 | sink u32 | reserved u32 | horizon i64 |
 //	            watermark i64 | epoch i64 | ingested i64 | finalized i64
@@ -38,8 +37,9 @@ import (
 // Sink and horizon are echoed: Resume refuses a config that differs. The
 // window start (where daily bins count from) and worker count follow the
 // resumer. finalized is the outcome count; Resume reads it off section 3
-// instead. Files from earlier versions also hold section 4, the aggregate's
-// flat encoding: Verify checks its CRC with the rest, and Resume ignores it.
+// instead. Files from earlier versions also hold section 4, the flat
+// encoding of a report aggregate the session no longer keeps: Verify checks
+// its CRC with the rest, and Resume ignores it.
 // Files from before the counters section resume with zero counters: their
 // sessions' finalized packets count toward neither Stats nor Drain's Result.
 //
@@ -55,9 +55,9 @@ import (
 // outcomes once, which is a no-op on a current file. A resumed session's
 // Drain is then byte-identical to an uninterrupted session's under the
 // resuming config (and, transitively, to batch analysis): outcomes are in
-// packet order, aggregate counters are order-independent, and its point
-// sets settle into a total order. snapshot_equiv_test.go at the repo root
-// pins this across a crash at every checkpoint epoch.
+// packet order, and every report read is a fold of them.
+// snapshot_equiv_test.go at the repo root pins this across a crash at every
+// checkpoint epoch.
 
 const (
 	ckVersion = 1
@@ -65,7 +65,7 @@ const (
 	ckSecMeta       = 1
 	ckSecWatermarks = 2
 	ckSecOutcomes   = 3
-	ckSecCounters   = 5 // 4 was the aggregate, which files still carry from earlier versions
+	ckSecCounters   = 5 // 4 held a report aggregate, which files still carry from earlier versions
 	ckOpsBase       = 2 * event.SectionStride
 	ckPendBase      = 4 * event.SectionStride
 
@@ -160,11 +160,10 @@ func (s *Session) appendCheckpoint(w *snapfile.Writer) error {
 // Resume rebuilds a session from a checkpoint written by WriteCheckpoint.
 // cfg must match the checkpointed session's identity-critical settings (sink
 // and horizon are verified against the file); the worker count may differ —
-// it changes scheduling, never output — and so may the window start: the
-// restored outcomes are folded into cfg's aggregate. Every section's data
-// CRC is verified before anything is read: a checkpoint is
-// outside input (whatever file a restart finds on disk) and is read in full
-// here anyway. The returned
+// it changes scheduling, never output — and so may the window start, which
+// only the report's daily bins read. Every section's data CRC is verified
+// before anything is read: a checkpoint is outside input (whatever file a
+// restart finds on disk) and is read in full here anyway. The returned
 // session continues exactly where the checkpointed one stopped: appending the
 // same remaining fragments and draining yields bytes identical to a session
 // that never restarted.
@@ -245,9 +244,6 @@ func Resume(cfg Config, path string) (*Session, error) {
 			})
 		}
 		sort.SliceStable(s.acc.Outcomes, func(i, j int) bool { return s.acc.Outcomes[i].Packet.Less(s.acc.Outcomes[j].Packet) })
-	}
-	for _, o := range s.acc.Outcomes {
-		s.acc.Aggregate.Add(o)
 	}
 
 	for _, base := range []uint32{ckOpsBase, ckPendBase} {

@@ -17,8 +17,9 @@
 // the effective watermark ew, and any two rows about one packet are stamped
 // within Config.Horizon of each other, so a packet last seen before
 // ew − Horizon can never gain another row. Finalized packets are
-// reconstructed, classified against the outage schedule known so far, folded
-// into the running aggregate, and their rows evicted from the pending store.
+// reconstructed, classified against the outage schedule known so far, their
+// outcomes merged into the accumulated ones in packet-ID order, and their
+// rows evicted from the pending store.
 // Drain finalizes everything still pending and returns the completed Result
 // and Report.
 //
@@ -34,9 +35,9 @@
 // (which retirement preserves), outage decisions for a packet finalized at
 // watermark ew match the final schedule's because every operational event
 // below ew has arrived and a still-open outage decides the packet's loss
-// time alike whether it closes later or not (holdLocked), every window's
+// time alike whether it closes later or not (holdLocked), and every window's
 // outcomes and flows are merged into the accumulation in batch packet-ID
-// order, and the aggregate's counters are order-independent.
+// order — and a report is nothing but its outcomes.
 // session_equiv_test.go at the repo root pins this.
 package ingest
 
@@ -145,10 +146,9 @@ type Session struct {
 	ingested  int
 
 	// acc accumulates the finalized windows' parts; flows only when
-	// Config.RetainFlows. Its Aggregate is the fold of its Outcomes under
-	// cfg.Diagnosis, so a checkpoint stores the outcomes alone, and their
-	// number is the finalized-packet count. Its inferred-event and anomaly
-	// counts are not derivable from the outcomes: a checkpoint stores them.
+	// Config.RetainFlows. The number of its Outcomes is the finalized-packet
+	// count. Its inferred-event and anomaly counts are not derivable from
+	// the outcomes: a checkpoint stores them.
 	acc engine.Parts
 
 	// window is where each retire puts its packets' views, recycled across
@@ -178,9 +178,6 @@ func NewSession(cfg Config) (*Session, error) {
 		cfg:       cfg,
 		store:     event.NewPendingStore(0),
 		watermark: math.MinInt64,
-		acc: engine.Parts{
-			Aggregate: diagnosis.NewAggregate(cfg.Diagnosis.Sink, cfg.Diagnosis.Start),
-		},
 	}, nil
 }
 
@@ -278,7 +275,7 @@ func (s *Session) retireLocked(ew int64, final bool) int {
 		return 0
 	}
 	_, sched := s.scheduleLocked(ew, final)
-	fu := engine.Fusion{KeepFlows: s.cfg.RetainFlows, Diagnosis: s.cfg.Diagnosis, Sched: sched}
+	fu := engine.Fusion{KeepFlows: s.cfg.RetainFlows, Sink: s.cfg.Diagnosis.Sink, Sched: sched}
 	s.acc.Fold(s.eng.Run(views, s.cfg.Workers, fu))
 	return len(views)
 }
@@ -328,11 +325,9 @@ func (s *Session) scheduleLocked(ew int64, final bool) ([]event.Event, diagnosis
 
 // Snapshot assembles a live Report over every packet finalized so far,
 // without disturbing ingestion: the outcomes, settled into packet-ID order,
-// are copied; the running aggregate settles the loss points added since the
-// last read into their order and is cloned; and the outage schedule reflects
-// the operational events seen so far. The report shares no storage with the
-// session, so later windows never change it. After Drain it returns the
-// final report.
+// are copied, and the outage schedule reflects the operational events seen
+// so far. The report shares no storage with the session, so later windows
+// never change it. After Drain it returns the final report.
 func (s *Session) Snapshot() *diagnosis.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -340,9 +335,8 @@ func (s *Session) Snapshot() *diagnosis.Report {
 		return s.report
 	}
 	s.acc.Settle()
-	s.acc.Aggregate.Settle()
 	_, sched := s.scheduleLocked(s.watermark, false)
-	return diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, append([]diagnosis.Outcome(nil), s.acc.Outcomes...), s.acc.Aggregate.Clone())
+	return diagnosis.FromParts(s.cfg.Diagnosis.Sink, s.cfg.Diagnosis.Start, sched, append([]diagnosis.Outcome(nil), s.acc.Outcomes...))
 }
 
 // Drain finalizes every pending packet regardless of watermarks, completes
@@ -360,7 +354,7 @@ func (s *Session) Drain() (*engine.Result, *diagnosis.Report) {
 	s.acc.Settle()
 	ops, sched := s.scheduleLocked(math.MaxInt64, true)
 	s.result = s.acc.Result(ops)
-	s.report = diagnosis.FromParts(s.cfg.Diagnosis.Sink, sched, s.acc.Outcomes, s.acc.Aggregate)
+	s.report = diagnosis.FromParts(s.cfg.Diagnosis.Sink, s.cfg.Diagnosis.Start, sched, s.acc.Outcomes)
 	s.drained = true
 	return s.result, s.report
 }

@@ -34,8 +34,8 @@ func ctpEngine(t *testing.T, sink event.NodeID) *engine.Engine {
 func analyzeDiagnosed(e *engine.Engine, c *event.Collection, cfg diagnosis.Config) (*engine.Result, *diagnosis.Report) {
 	views, ops := event.Partition(c)
 	sched := diagnosis.OutagesFromOperational(ops, cfg.End)
-	p := e.Run(views, 1, engine.Fusion{KeepFlows: true, Diagnosis: cfg, Sched: sched})
-	return p.Result(ops), diagnosis.FromParts(cfg.Sink, sched, p.Outcomes, p.Aggregate)
+	p := e.Run(views, 1, engine.Fusion{KeepFlows: true, Sink: cfg.Sink, Sched: sched})
+	return p.Result(ops), diagnosis.FromParts(cfg.Sink, cfg.Start, sched, p.Outcomes)
 }
 
 // campaign is a tiny hand-built workload: every event of every packet plus

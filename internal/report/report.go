@@ -24,15 +24,14 @@ func Breakdown(rep *diagnosis.Report) string {
 		rep.Total(), rep.Total()-losses, losses,
 		100*float64(losses)/max1(float64(rep.Total())))
 	fmt.Fprintf(&b, "%-10s %8s %8s\n", "cause", "count", "%losses")
+	bd := rep.Breakdown()
 	for _, c := range diagnosis.Causes() {
-		if c == diagnosis.Delivered {
+		n := bd[c]
+		if c == diagnosis.Delivered || n == 0 {
 			continue
 		}
-		n := rep.Breakdown()[c]
-		if n == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-10s %8d %7.1f%%\n", c, n, 100*rep.LossFraction(c))
+		// LossFraction's own expression, so the share prints identically.
+		fmt.Fprintf(&b, "%-10s %8d %7.1f%%\n", c, n, 100*(float64(n)/float64(losses)))
 	}
 	for _, c := range []diagnosis.Cause{diagnosis.ReceivedLoss, diagnosis.AckedLoss} {
 		s := rep.SplitBySink(c)

@@ -191,22 +191,3 @@ func (r *Router) PathETX(n event.NodeID) float64 { return r.pathETX[n] }
 func (r *Router) Routed(n event.NodeID) bool {
 	return n == r.topo.Sink || r.parent[n] != event.NoNode
 }
-
-// OnLoop reports whether following parents from n returns to a visited node
-// before reaching the sink.
-func (r *Router) OnLoop(n event.NodeID) bool {
-	seen := make(map[event.NodeID]bool)
-	cur := n
-	for cur != r.topo.Sink {
-		if seen[cur] {
-			return true
-		}
-		seen[cur] = true
-		next := r.parent[cur]
-		if next == event.NoNode {
-			return false
-		}
-		cur = next
-	}
-	return false
-}

@@ -20,6 +20,25 @@ func build(t *testing.T, n int, seed int64) (*topology.Topology, *topology.LinkM
 	return topo, links, r
 }
 
+// onLoop reports whether following parents from n returns to a visited node
+// before reaching the sink.
+func onLoop(r *Router, n event.NodeID) bool {
+	seen := make(map[event.NodeID]bool)
+	cur := n
+	for cur != r.topo.Sink {
+		if seen[cur] {
+			return true
+		}
+		seen[cur] = true
+		next := r.parent[cur]
+		if next == event.NoNode {
+			return false
+		}
+		cur = next
+	}
+	return false
+}
+
 func TestBootstrapRoutesEveryone(t *testing.T) {
 	topo, _, r := build(t, 100, 3)
 	for _, n := range topo.NodeIDs() {
@@ -32,7 +51,7 @@ func TestBootstrapRoutesEveryone(t *testing.T) {
 func TestBootstrapTreeIsLoopFree(t *testing.T) {
 	topo, _, r := build(t, 100, 3)
 	for _, n := range topo.NodeIDs() {
-		if r.OnLoop(n) {
+		if onLoop(r, n) {
 			t.Errorf("bootstrap tree has a loop at %v", n)
 		}
 		if r.depthOf(n) < 0 {
@@ -164,7 +183,7 @@ func TestOnLoopDetectsManufacturedLoop(t *testing.T) {
 	}
 	r.parent[a] = b
 	r.parent[b] = a
-	if !r.OnLoop(a) || !r.OnLoop(b) {
+	if !onLoop(r, a) || !onLoop(r, b) {
 		t.Error("manufactured loop not detected")
 	}
 	if d := r.depthOf(a); d != -1 {
@@ -221,12 +240,12 @@ func TestRefreshRepairsLoop(t *testing.T) {
 	}
 	r.parent[a] = b
 	r.parent[b] = a
-	if !r.OnLoop(a) {
+	if !onLoop(r, a) {
 		t.Fatal("loop not in place")
 	}
 	r.Refresh(a, 0)
 	r.Refresh(b, 0)
-	if r.OnLoop(a) || r.OnLoop(b) {
+	if onLoop(r, a) || onLoop(r, b) {
 		t.Errorf("refresh did not break the loop: parent[%v]=%v parent[%v]=%v",
 			a, r.Parent(a), b, r.Parent(b))
 	}

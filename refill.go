@@ -200,7 +200,7 @@ type (
 	Outcome = diagnosis.Outcome
 	// Cause is the loss-cause taxonomy of Section V-C.
 	Cause = diagnosis.Cause
-	// Report aggregates outcomes into the paper's figure-level views.
+	// Report reads the paper's figure-level views from its outcomes.
 	Report = diagnosis.Report
 	// Trace is the per-packet tracing product.
 	Trace = trace.Trace

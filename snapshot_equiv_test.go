@@ -122,7 +122,7 @@ func TestSnapshotAnalyzeEquivalence(t *testing.T) {
 
 // TestSnapshotCheckpointResumeEquivalence crashes a session at EVERY
 // checkpoint epoch of a fragment schedule and requires the resumed session's
-// drained report — raw outcomes, every aggregate read, and the rendered
+// drained report — raw outcomes, every read, and the rendered
 // breakdown — to match both the uninterrupted session and batch analysis.
 func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 	c := equivCampaign(t)
@@ -204,11 +204,10 @@ func TestSnapshotCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestResumeUnderNewDailyBins resumes a checkpoint under a later window
-// start, so day 0 of the daily bins begins elsewhere. The aggregate is a fold
-// of the outcomes, so the resumed session rebuilds it under the resuming
-// config: its drain must equal an uninterrupted session under that config in
-// every aggregate read, daily composition included, rather than keep the
-// writer's start and merge later windows into it.
+// start, so day 0 of the daily bins begins elsewhere. Every read is a fold of
+// the outcomes under the resuming config: the resumed drain must equal an
+// uninterrupted session under that config in every read, daily composition
+// included, rather than keep the writer's start.
 func TestResumeUnderNewDailyBins(t *testing.T) {
 	camp, err := RunCampaign(TinyCampaign(8))
 	if err != nil {
